@@ -10,7 +10,8 @@ Artifacts:
   :func:`repro.workloads.register_workload`);
 * ``figure4`` — areas and performance/mm²;
 * ``figure5`` — the two floorplans;
-* ``claims`` — every headline claim, paper vs measured;
+* ``claims`` — every headline claim, paper vs measured (exit status 1
+  when any claim reads ``NO``);
 * ``sweep <spec.json>`` — any (workload × machine × memory × timing ×
   policy) grid from a declarative JSON spec file naming per-axis presets
   or inline overrides (see :mod:`repro.experiments.sweep`);
@@ -517,8 +518,12 @@ def _render_artifact(parser: argparse.ArgumentParser,
         from repro.experiments.headline import (check_headline_claims,
                                                 render_claims)
         extra = selection() if (args.extended or args.workloads) else ()
-        print(render_claims(check_headline_claims(executor=executor,
-                                                  extra_workloads=extra)))
+        claims = check_headline_claims(executor=executor,
+                                       extra_workloads=extra)
+        print(render_claims(claims))
+        # A claim reading "NO" fails the run; stdout is the same table.
+        if not all(claim.holds for claim in claims):
+            return 1
     return 0
 
 

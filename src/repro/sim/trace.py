@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.core.uop import MicroOp
 from repro.isa.instructions import Tag
-from repro.vpu.pipeline import VectorPipeline
+from repro.vpu.pipeline import PipelineModel
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class TraceEvent:
 class TraceRecorder:
     """Captures every issue event of one pipeline run."""
 
-    def __init__(self, pipeline: VectorPipeline) -> None:
+    def __init__(self, pipeline: PipelineModel) -> None:
         self.events: List[TraceEvent] = []
         self._pipeline = pipeline
         self._original = pipeline._finish_issue

@@ -3,8 +3,10 @@
 The pipeline stages are the paper's Figure 1 (commit, complete, the two
 decoupled issue queues, pre-issue, rename, scalar dispatch — evaluated in
 reverse-pipeline order so resources freed early in a cycle are visible to
-later stages).  What changed relative to the original implementation (kept
-verbatim in :mod:`repro.vpu.reference`) is *when* stages are evaluated:
+later stages).  The machine state and the model semantics both schedulers
+share live in :class:`PipelineModel`; :class:`VectorPipeline` differs from
+the per-cycle stepper in :mod:`repro.vpu.reference` only in *when* stages
+are evaluated (and in inlining the stage bodies that stepper spells out):
 
 * every stage contributes wake-up timestamps to one unified event set —
   the completion heap, unit ``busy_until`` marks, queue-head readiness
@@ -87,8 +89,23 @@ _R_VICTIM = 3
 _NEVER = float("inf")
 
 
-class VectorPipeline:
-    """One VPU instance executing one program on one configuration."""
+class PipelineModel:
+    """The AVA pipeline's state and model semantics, without a scheduler.
+
+    Owns everything both schedulers share: the machine state (RAT, RAC,
+    ROB, second-level mapping, two-level VRF, issue queues), the
+    constructor (including :class:`~repro.sim.scenario.Scenario`
+    handling), and the model methods whose semantics do not depend on
+    *when* a stage is evaluated — swap emission, victim selection, write
+    guards, issue stamping and counting, swap execution, harvest and the
+    deadlock dump.  :class:`VectorPipeline` adds the span-charging
+    scheduler; :class:`repro.vpu.reference.ReferencePipeline` adds the
+    per-cycle stepper and the un-inlined stage bodies the scheduler is
+    checked against.  A model fix made here reaches both.
+    """
+
+    #: Appended to sanitizer finding labels to name the implementation.
+    _sanitizer_tag = ""
 
     def __init__(self, config, program: Program,
                  params: Optional[TimingParams] = None,
@@ -172,10 +189,6 @@ class VectorPipeline:
         self._scalar_time = 0.0
         self._inflight_mem = 0  # uncommitted vector memory instructions
         self._to_commit = sum(1 for i in program.insts if not i.is_scalar)
-        self._n_insts = len(program.insts)
-        self._pre_issue_depth = self.params.pre_issue_depth
-        self._chain_delay = self.params.chain_issue_delay
-        self._fifo_policy = victim_policy is VictimPolicy.FIFO
         # Single-level configurations (every VVR has a physical register)
         # can never evict, so no Swap Mechanism bookkeeping is reachable:
         # sources are always resident at pre-issue, every physical register
@@ -183,13 +196,9 @@ class VectorPipeline:
         # victim selection is never consulted.  The reader-tracking side
         # tables stay empty and their maintenance is skipped.
         self._track_swap_state = config.n_physical < config.n_vvr
-        # Scalar dispatch wake-up: the earliest cycle _dispatch could make
-        # progress again; _NEVER while blocked on a full dispatch queue
-        # (rename resets it when it pops).
-        self._dispatch_wake = 0.0
 
-        # -- span-charging scheduler state --------------------------------
-        # Issue stamp: bumped on every _finish_issue.  A wake-up memo that
+        # Scheduler side-records kept by the shared model methods.  Issue
+        # stamp: bumped on every _finish_issue.  A wake-up memo that
         # observed an unissued dependency stays "unknown" only while no
         # issue happened anywhere (an issue is the only event that can
         # give an unissued dependency a timestamp).
@@ -198,6 +207,333 @@ class VectorPipeline:
         # as a side list so neither the jump computation nor the blocked
         # -gate wake has to rescan the whole queue per probe.
         self._queued_swaps: List[MicroOp] = []
+
+        self.now = 0
+        self.stats = SimStats(config_name=config.name,
+                              program_name=program.name)
+
+        # Microarchitectural sanitizer (None in normal runs: every hook
+        # site is a single attribute test).
+        self._san = None
+        if sanitize:
+            self._install_sanitizer()
+
+    def _install_sanitizer(self) -> None:
+        # Imported lazily: the sanitizer is debug tooling, not a simulation
+        # dependency.
+        from repro.analysis.sanitizer import PipelineSanitizer
+        san = PipelineSanitizer(label=f"{self.config.name}/"
+                                      f"{self.program.name}"
+                                      f"{self._sanitizer_tag}")
+        san.bind(lambda: self.now, rat=self.rat, mapping=self.mapping)
+        self.mapping.sanitizer = san
+        self.vrf.sanitizer = san
+        self.rob.sanitizer = san
+        self.rat.sanitizer = san
+        self._san = san
+
+    # ------------------------------------------------------------------ utils
+    def _next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
+
+    def _is_done(self, uop: MicroOp) -> bool:
+        if uop.state in (UopState.DONE, UopState.COMMITTED):
+            return True
+        return uop.state is UopState.ISSUED and uop.done_at <= self.now
+
+    @property
+    def finished(self) -> bool:
+        return self.rob.total_committed >= self._to_commit
+
+    # ------------------------------------------------------------------ issue
+    def _issue_memory_uop(self, uop: MicroOp) -> None:
+        plan = self.vmu.plan(uop.inst)
+        dead = self.params.mem_dead_time
+        latency = self.vmu.first_element_latency + plan.miss_latency
+        occupancy = dead + plan.occupancy
+        self._finish_issue(uop, occupancy, dead, latency)
+        self._mem_busy_until = self.now + occupancy
+        self.stats.mem_busy_cycles += occupancy
+        self.stats.mem_beats += plan.beats
+        uop.dram_stall = plan.fill_beats + plan.miss_latency
+        self._count_issue(uop)
+        if uop.inst.tag is Tag.SWAP:
+            self._queued_swaps.remove(uop)
+            self._execute_swap(uop)
+        else:
+            self._execute_memory(uop)
+
+    def _free_one_preg(self, excluded: List[int], front: bool) -> str:
+        """Make the PFRL non-empty: reclaim, clean-evict, or Swap-Store."""
+        if self.mapping.free_count > 0:
+            return _OK
+        reclaim = (self.swap_logic.reclaimable_vvr(excluded)
+                   if self.aggressive_reclamation else None)
+        if reclaim is not None:
+            self.mapping.release(reclaim)
+            self.swap_logic.note_release(reclaim)
+            self.vrf.drop_mvrf(reclaim)
+            return _OK
+        victim = self._select_victim(excluded)
+        if victim is None:
+            return _STALL_VICTIM
+        if self.vrf.has_mvrf_copy(victim):
+            self._clean_evict(victim)
+            return _OK
+        if not front and len(self.mem_q) >= self.params.mem_queue_depth:
+            return _STALL_QUEUE
+        self._emit_swap_store(victim, front=front)
+        return _CREATED
+
+    def _finish_issue(self, uop: MicroOp, occupancy: int, dead: int,
+                      latency: int) -> None:
+        """Stamp issue/first-ready/done under the streaming-chaining model.
+
+        The consumer's first element trails both its own pipeline
+        (``dead + latency``) and its producers' first elements by its own
+        latency; its last element trails its own stream and its producers'
+        last elements likewise.  Occupancy is charged to the unit by the
+        caller.
+        """
+        uop.state = UopState.ISSUED
+        uop.issued_at = self.now
+        self._issue_stamp += 1
+        prod_first = 0
+        prod_done = 0
+        for p in uop.producers:
+            if p is not None:
+                if p.first_ready > prod_first:
+                    prod_first = p.first_ready
+                if p.done_at > prod_done:
+                    prod_done = p.done_at
+        # Swap rules in streaming form: this op's writes trail the old
+        # value's store/readers, so its completion cannot precede theirs.
+        guard_done = 0
+        for g in uop.reader_guards:
+            if g.done_at > guard_done:
+                guard_done = g.done_at
+        if uop.store_guard is not None and uop.store_guard.done_at > guard_done:
+            guard_done = uop.store_guard.done_at
+        first = max(self.now + dead + latency, prod_first + latency)
+        done = max(self.now + occupancy + latency,
+                   prod_done + latency,
+                   guard_done + 1,
+                   first + max(0, occupancy - dead))
+        uop.first_ready = first
+        uop.done_at = done
+        heapq.heappush(self._completions, (done, uop.seq, uop))
+
+    def _count_issue(self, uop: MicroOp) -> None:
+        inst = uop.inst
+        stats = self.stats
+        if self._track_swap_state and inst.tag is not Tag.SWAP:
+            # Swap ops never pass through pre-issue step C, so only regular
+            # uops carry queued-reader pins.
+            queued_readers = self._vvr_queued_readers
+            for vvr in uop.src_vvrs:
+                remaining = queued_readers.get(vvr, 0) - 1
+                if remaining > 0:
+                    queued_readers[vvr] = remaining
+                else:
+                    queued_readers.pop(vvr, None)
+        if inst.is_arith:
+            stats.arith_insts += 1
+            stats.fpu_element_ops += inst.vl
+        elif inst.is_load:
+            if inst.tag is Tag.SPILL:
+                stats.spill_loads += 1
+            elif inst.tag is Tag.SWAP:
+                stats.swap_loads += 1
+            else:
+                stats.vloads += 1
+        else:
+            if inst.tag is Tag.SPILL:
+                stats.spill_stores += 1
+            elif inst.tag is Tag.SWAP:
+                stats.swap_stores += 1
+            else:
+                stats.vstores += 1
+
+    # ------------------------------------------------------------------ execute
+    def _execute_swap(self, uop: MicroOp) -> None:
+        if uop.inst.is_store:
+            victim = uop.src_vvrs[0]
+            if self.vrf.generation(victim) != uop.swap_gen:
+                # The generation this store was saving died while the store
+                # waited in the queue (its readers all committed and the
+                # register was reclaimed); the slot now belongs to a newer
+                # generation and must not be overwritten.
+                if self._san is not None:
+                    self._san.on_swap_squashed(uop.src_pregs[0])
+                return
+            self.vrf.swap_out(victim, uop.src_pregs[0])
+        else:
+            assert uop.dst_vvr is not None and uop.dst_preg is not None
+            if self.vrf.generation(uop.dst_vvr) != uop.swap_gen:
+                raise AssertionError(
+                    "swap-load executing for a dead VVR generation")
+            self.vrf.swap_in(uop.dst_vvr, uop.dst_preg)
+
+    # ------------------------------------------------------------------ mapping
+    def _count_preissue_stall(self, outcome: str) -> None:
+        if outcome == _STALL_VICTIM:
+            self.stats.preissue_victim_stalls += 1
+        else:
+            self.stats.preissue_queue_stalls += 1
+
+    def _select_victim(self, excluded: List[int]) -> Optional[int]:
+        """Swap Logic victim choice with the pipeline's reload context."""
+        return self.swap_logic.select_victim(
+            excluded,
+            has_queued_reader=lambda v: self._vvr_queued_readers.get(v, 0) > 0,
+            rat_live=self.rat.live_vvrs(),
+            is_clean=self.vrf.has_mvrf_copy)
+
+    def _clean_evict(self, victim: int) -> None:
+        """Evict a VVR whose M-VRF copy is still valid: a pure remap."""
+        self.mapping.evict(victim)
+        self.swap_logic.note_release(victim)
+
+    def _acquire_preg(self, excluded: List[int]) -> str:
+        """Ensure the PFRL is non-empty (§III.C Swap-1, pre-issue path)."""
+        return self._free_one_preg(excluded, front=False)
+
+    def _emit_swap_store(self, victim: int, front: bool = False) -> None:
+        preg = self.mapping.preg_of(victim)
+        inst = Instruction(op=Op.VSE, srcs=(0,), vl=self.config.mvl,
+                           mem=self.layout.mvrf_operand(victim), tag=Tag.SWAP)
+        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
+                      src_vvrs=(victim,), src_pregs=(preg,),
+                      renamed_at=self.now, pre_issued_at=self.now,
+                      priority=front, swap_gen=self.vrf.generation(victim))
+        if self._san is not None:
+            self._san.on_swap_store_emitted(preg)
+        self.mapping.evict(victim)
+        self.swap_logic.note_release(victim)
+        self._pending_store_guard[preg] = uop
+        self._pending_mvrf_store[victim] = uop
+        self._preg_readers.setdefault(preg, []).append(uop)
+        uop.validate_ordering()
+        self._queued_swaps.append(uop)
+        if front:
+            self.mem_q.appendleft(uop)
+        else:
+            self.mem_q.append(uop)
+
+    def _emit_swap_load(self, vvr: int, front: bool = False) -> None:
+        preg = self.mapping.allocate(vvr)
+        inst = Instruction(op=Op.VLE, dst=0, vl=self.config.mvl,
+                           mem=self.layout.mvrf_operand(vvr), tag=Tag.SWAP)
+        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
+                      dst_vvr=vvr, dst_preg=preg,
+                      renamed_at=self.now, pre_issued_at=self.now,
+                      priority=front, swap_gen=self.vrf.generation(vvr))
+        self._attach_write_guards(uop, preg)
+        # The load reads the M-VRF home slot; if the Swap-Store filling that
+        # slot is still in flight, it is this load's data producer.
+        filler = self._pending_mvrf_store.get(vvr)
+        if filler is not None and not self._is_done(filler):
+            uop.attach_producer(filler)
+        self._pending_writer[vvr] = uop
+        self.vrf.mark_pending(vvr)
+        self.swap_logic.note_allocation(vvr)
+        uop.validate_ordering()
+        self._queued_swaps.append(uop)
+        if front:
+            # Priority load: jump the queue, but never ahead of the
+            # Swap-Store that freed its physical register, nor ahead of the
+            # Swap-Store filling its M-VRF slot — the memory queue issues in
+            # order, so landing in front of either would deadlock or read a
+            # slot that has not been written yet.
+            idx = 0
+            for dep in (uop.store_guard, filler):
+                if dep is None or dep.issued_at >= 0:
+                    continue
+                for pos, queued in enumerate(self.mem_q):
+                    if queued is dep:
+                        idx = max(idx, pos + 1)
+                        break
+            self.mem_q.insert(idx, uop)
+        else:
+            self.mem_q.append(uop)
+
+    def _attach_write_guards(self, writer: Optional[MicroOp],
+                             preg: int) -> None:
+        """Guard a new owner of ``preg`` against the old value's users.
+
+        Rule 1: the Swap-Store that freed the register must have executed
+        (the new owner chains behind it).  Rule 2: readers of the previous
+        value that have already **issued** clamp the new owner's write-back
+        behind their streaming reads; readers still waiting in a queue are
+        *not* guards — their mapping went stale and they re-resolve their
+        source at issue time (_ensure_operands), reloading the value from
+        the M-VRF.  Restricting guards to issued micro-ops keeps the wait
+        graph acyclic by construction.
+
+        Passing ``writer=None`` just clears stale tracking (uninitialised
+        reads own the register without writing it).
+        """
+        guard = self._pending_store_guard.pop(preg, None)
+        readers = self._preg_readers.pop(preg, [])
+        if writer is None:
+            return
+        if guard is not None:
+            writer.attach_store_guard(guard)
+        for reader in readers:
+            if reader.issued_at >= 0 and not self._is_done(reader):
+                writer.attach_reader_guard(reader)
+
+    # ------------------------------------------------------------------ results
+    def _harvest(self) -> None:
+        self.stats.cycles = self.now
+        self.stats.vrf_reads = self.vrf.pvrf_reads
+        self.stats.vrf_writes = self.vrf.pvrf_writes
+        self.stats.mvrf_reads = self.vrf.mvrf_reads
+        self.stats.mvrf_writes = self.vrf.mvrf_writes
+        l2 = self.memsys.l2.stats
+        self.stats.l2_reads = l2.reads
+        self.stats.l2_writes = l2.writes
+        self.stats.l2_misses = l2.misses
+        self.stats.dram_accesses = self.memsys.dram.accesses
+
+    def _dump(self) -> str:
+        lines = [
+            f"pipeline deadlock at cycle {self.now} running "
+            f"{self.program.name} on {self.config.name}",
+            f"committed {self.rob.total_committed}/{self._to_commit}",
+            f"PFRL free={self.mapping.free_count}  "
+            f"FRL free={self.rat.free_count}  ROB={self.rob.occupancy}",
+        ]
+        for name, queue in (("pre-issue", self.pre_issue_q),
+                            ("mem", self.mem_q), ("arith", self.arith_q)):
+            lines.append(f"{name} queue ({len(queue)}):")
+            for uop in list(queue)[:4]:
+                lines.append("  " + uop.describe())
+        return "\n".join(lines)
+
+
+class VectorPipeline(PipelineModel):
+    """One VPU instance executing one program on one configuration.
+
+    The span-charging scheduler over :class:`PipelineModel`: gated and
+    memoized stage evaluation, event jumps, and the inlined stage bodies
+    that the reference stepper's readable ones specify.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Takes the :class:`PipelineModel` arguments."""
+        super().__init__(*args, **kwargs)
+        self._n_insts = len(self.program.insts)
+        self._pre_issue_depth = self.params.pre_issue_depth
+        self._chain_delay = self.params.chain_issue_delay
+        self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
+        # Scalar dispatch wake-up: the earliest cycle _dispatch could make
+        # progress again; _NEVER while blocked on a full dispatch queue
+        # (rename resets it when it pops).
+        self._dispatch_wake = 0.0
+
+        # -- span-charging scheduler state --------------------------------
         # Memoized blocked-issue gates.  While the memo proves the gate
         # must still report "no progress, no counters", the stage is not
         # entered at all.  Validity: same head object, (mem only) same
@@ -220,43 +556,6 @@ class VectorPipeline:
         # version sum cannot have changed and the re-sum is skipped.
         self._pi_head: Optional[MicroOp] = None
         self._pi_mstamp = -1
-
-        self.now = 0
-        self.stats = SimStats(config_name=config.name,
-                              program_name=program.name)
-
-        # Microarchitectural sanitizer (None in normal runs: every hook
-        # site is a single attribute test).
-        self._san = None
-        if sanitize:
-            self._install_sanitizer()
-
-    def _install_sanitizer(self) -> None:
-        # Imported lazily: the sanitizer is debug tooling, not a simulation
-        # dependency.
-        from repro.analysis.sanitizer import PipelineSanitizer
-        san = PipelineSanitizer(label=f"{self.config.name}/"
-                                      f"{self.program.name}")
-        san.bind(lambda: self.now, rat=self.rat, mapping=self.mapping)
-        self.mapping.sanitizer = san
-        self.vrf.sanitizer = san
-        self.rob.sanitizer = san
-        self.rat.sanitizer = san
-        self._san = san
-
-    # ------------------------------------------------------------------ utils
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _is_done(self, uop: MicroOp) -> bool:
-        if uop.state in (UopState.DONE, UopState.COMMITTED):
-            return True
-        return uop.state is UopState.ISSUED and uop.done_at <= self.now
-
-    @property
-    def finished(self) -> bool:
-        return self.rob.total_committed >= self._to_commit
 
     # ------------------------------------------------------------------ run
     def run(self, max_cycles: int = 200_000_000) -> SimStats:
@@ -786,23 +1085,6 @@ class VectorPipeline:
             self._mg_vsum = s
         self._mg_mstamp = self.mapping.stamp
 
-    def _issue_memory_uop(self, uop: MicroOp) -> None:
-        plan = self.vmu.plan(uop.inst)
-        dead = self.params.mem_dead_time
-        latency = self.vmu.first_element_latency + plan.miss_latency
-        occupancy = dead + plan.occupancy
-        self._finish_issue(uop, occupancy, dead, latency)
-        self._mem_busy_until = self.now + occupancy
-        self.stats.mem_busy_cycles += occupancy
-        self.stats.mem_beats += plan.beats
-        uop.dram_stall = plan.fill_beats + plan.miss_latency
-        self._count_issue(uop)
-        if uop.inst.tag is Tag.SWAP:
-            self._queued_swaps.remove(uop)
-            self._execute_swap(uop)
-        else:
-            self._execute_memory(uop)
-
     def _issue_swap_bypass(self) -> bool:
         """Issue a ready swap op from behind a blocked memory-queue head.
 
@@ -1011,97 +1293,6 @@ class VectorPipeline:
             vsum += vvr_version[v]
         return vsum
 
-    def _free_one_preg(self, excluded: List[int], front: bool) -> str:
-        """Make the PFRL non-empty: reclaim, clean-evict, or Swap-Store."""
-        if self.mapping.free_count > 0:
-            return _OK
-        reclaim = (self.swap_logic.reclaimable_vvr(excluded)
-                   if self.aggressive_reclamation else None)
-        if reclaim is not None:
-            self.mapping.release(reclaim)
-            self.swap_logic.note_release(reclaim)
-            self.vrf.drop_mvrf(reclaim)
-            return _OK
-        victim = self._select_victim(excluded)
-        if victim is None:
-            return _STALL_VICTIM
-        if self.vrf.has_mvrf_copy(victim):
-            self._clean_evict(victim)
-            return _OK
-        if not front and len(self.mem_q) >= self.params.mem_queue_depth:
-            return _STALL_QUEUE
-        self._emit_swap_store(victim, front=front)
-        return _CREATED
-
-    def _finish_issue(self, uop: MicroOp, occupancy: int, dead: int,
-                      latency: int) -> None:
-        """Stamp issue/first-ready/done under the streaming-chaining model.
-
-        The consumer's first element trails both its own pipeline
-        (``dead + latency``) and its producers' first elements by its own
-        latency; its last element trails its own stream and its producers'
-        last elements likewise.  Occupancy is charged to the unit by the
-        caller.
-        """
-        uop.state = UopState.ISSUED
-        uop.issued_at = self.now
-        self._issue_stamp += 1
-        prod_first = 0
-        prod_done = 0
-        for p in uop.producers:
-            if p is not None:
-                if p.first_ready > prod_first:
-                    prod_first = p.first_ready
-                if p.done_at > prod_done:
-                    prod_done = p.done_at
-        # Swap rules in streaming form: this op's writes trail the old
-        # value's store/readers, so its completion cannot precede theirs.
-        guard_done = 0
-        for g in uop.reader_guards:
-            if g.done_at > guard_done:
-                guard_done = g.done_at
-        if uop.store_guard is not None and uop.store_guard.done_at > guard_done:
-            guard_done = uop.store_guard.done_at
-        first = max(self.now + dead + latency, prod_first + latency)
-        done = max(self.now + occupancy + latency,
-                   prod_done + latency,
-                   guard_done + 1,
-                   first + max(0, occupancy - dead))
-        uop.first_ready = first
-        uop.done_at = done
-        heapq.heappush(self._completions, (done, uop.seq, uop))
-
-    def _count_issue(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        stats = self.stats
-        if self._track_swap_state and inst.tag is not Tag.SWAP:
-            # Swap ops never pass through pre-issue step C, so only regular
-            # uops carry queued-reader pins.
-            queued_readers = self._vvr_queued_readers
-            for vvr in uop.src_vvrs:
-                remaining = queued_readers.get(vvr, 0) - 1
-                if remaining > 0:
-                    queued_readers[vvr] = remaining
-                else:
-                    queued_readers.pop(vvr, None)
-        if inst.is_arith:
-            stats.arith_insts += 1
-            stats.fpu_element_ops += inst.vl
-        elif inst.is_load:
-            if inst.tag is Tag.SPILL:
-                stats.spill_loads += 1
-            elif inst.tag is Tag.SWAP:
-                stats.swap_loads += 1
-            else:
-                stats.vloads += 1
-        else:
-            if inst.tag is Tag.SPILL:
-                stats.spill_stores += 1
-            elif inst.tag is Tag.SWAP:
-                stats.swap_stores += 1
-            else:
-                stats.vstores += 1
-
     # ------------------------------------------------------------------ execute
     def _execute_arith(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -1122,25 +1313,6 @@ class VectorPipeline:
         values = [vrf.read_preg_view(p, inst.vl) for p in uop.src_pregs]
         result = evaluate_arith(inst.op, values, inst.scalar, inst.vl)
         vrf.write_preg(uop.dst_preg, result, inst.vl)
-
-    def _execute_swap(self, uop: MicroOp) -> None:
-        if uop.inst.is_store:
-            victim = uop.src_vvrs[0]
-            if self.vrf.generation(victim) != uop.swap_gen:
-                # The generation this store was saving died while the store
-                # waited in the queue (its readers all committed and the
-                # register was reclaimed); the slot now belongs to a newer
-                # generation and must not be overwritten.
-                if self._san is not None:
-                    self._san.on_swap_squashed(uop.src_pregs[0])
-                return
-            self.vrf.swap_out(victim, uop.src_pregs[0])
-        else:
-            assert uop.dst_vvr is not None and uop.dst_preg is not None
-            if self.vrf.generation(uop.dst_vvr) != uop.swap_gen:
-                raise AssertionError(
-                    "swap-load executing for a dead VVR generation")
-            self.vrf.swap_in(uop.dst_vvr, uop.dst_preg)
 
     def _execute_memory(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -1309,114 +1481,6 @@ class VectorPipeline:
         target.append(uop)
         return True
 
-    def _count_preissue_stall(self, outcome: str) -> None:
-        if outcome == _STALL_VICTIM:
-            self.stats.preissue_victim_stalls += 1
-        else:
-            self.stats.preissue_queue_stalls += 1
-
-    def _select_victim(self, excluded: List[int]) -> Optional[int]:
-        """Swap Logic victim choice with the pipeline's reload context."""
-        return self.swap_logic.select_victim(
-            excluded,
-            has_queued_reader=lambda v: self._vvr_queued_readers.get(v, 0) > 0,
-            rat_live=self.rat.live_vvrs(),
-            is_clean=self.vrf.has_mvrf_copy)
-
-    def _clean_evict(self, victim: int) -> None:
-        """Evict a VVR whose M-VRF copy is still valid: a pure remap."""
-        self.mapping.evict(victim)
-        self.swap_logic.note_release(victim)
-
-    def _acquire_preg(self, excluded: List[int]) -> str:
-        """Ensure the PFRL is non-empty (§III.C Swap-1, pre-issue path)."""
-        return self._free_one_preg(excluded, front=False)
-
-    def _emit_swap_store(self, victim: int, front: bool = False) -> None:
-        preg = self.mapping.preg_of(victim)
-        inst = Instruction(op=Op.VSE, srcs=(0,), vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(victim), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
-                      src_vvrs=(victim,), src_pregs=(preg,),
-                      renamed_at=self.now, pre_issued_at=self.now,
-                      priority=front, swap_gen=self.vrf.generation(victim))
-        if self._san is not None:
-            self._san.on_swap_store_emitted(preg)
-        self.mapping.evict(victim)
-        self.swap_logic.note_release(victim)
-        self._pending_store_guard[preg] = uop
-        self._pending_mvrf_store[victim] = uop
-        self._preg_readers.setdefault(preg, []).append(uop)
-        uop.validate_ordering()
-        self._queued_swaps.append(uop)
-        if front:
-            self.mem_q.appendleft(uop)
-        else:
-            self.mem_q.append(uop)
-
-    def _emit_swap_load(self, vvr: int, front: bool = False) -> None:
-        preg = self.mapping.allocate(vvr)
-        inst = Instruction(op=Op.VLE, dst=0, vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(vvr), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
-                      dst_vvr=vvr, dst_preg=preg,
-                      renamed_at=self.now, pre_issued_at=self.now,
-                      priority=front, swap_gen=self.vrf.generation(vvr))
-        self._attach_write_guards(uop, preg)
-        # The load reads the M-VRF home slot; if the Swap-Store filling that
-        # slot is still in flight, it is this load's data producer.
-        filler = self._pending_mvrf_store.get(vvr)
-        if filler is not None and not self._is_done(filler):
-            uop.attach_producer(filler)
-        self._pending_writer[vvr] = uop
-        self.vrf.mark_pending(vvr)
-        self.swap_logic.note_allocation(vvr)
-        uop.validate_ordering()
-        self._queued_swaps.append(uop)
-        if front:
-            # Priority load: jump the queue, but never ahead of the
-            # Swap-Store that freed its physical register, nor ahead of the
-            # Swap-Store filling its M-VRF slot — the memory queue issues in
-            # order, so landing in front of either would deadlock or read a
-            # slot that has not been written yet.
-            idx = 0
-            for dep in (uop.store_guard, filler):
-                if dep is None or dep.issued_at >= 0:
-                    continue
-                for pos, queued in enumerate(self.mem_q):
-                    if queued is dep:
-                        idx = max(idx, pos + 1)
-                        break
-            self.mem_q.insert(idx, uop)
-        else:
-            self.mem_q.append(uop)
-
-    def _attach_write_guards(self, writer: Optional[MicroOp],
-                             preg: int) -> None:
-        """Guard a new owner of ``preg`` against the old value's users.
-
-        Rule 1: the Swap-Store that freed the register must have executed
-        (the new owner chains behind it).  Rule 2: readers of the previous
-        value that have already **issued** clamp the new owner's write-back
-        behind their streaming reads; readers still waiting in a queue are
-        *not* guards — their mapping went stale and they re-resolve their
-        source at issue time (_ensure_operands), reloading the value from
-        the M-VRF.  Restricting guards to issued micro-ops keeps the wait
-        graph acyclic by construction.
-
-        Passing ``writer=None`` just clears stale tracking (uninitialised
-        reads own the register without writing it).
-        """
-        guard = self._pending_store_guard.pop(preg, None)
-        readers = self._preg_readers.pop(preg, [])
-        if writer is None:
-            return
-        if guard is not None:
-            writer.attach_store_guard(guard)
-        for reader in readers:
-            if reader.issued_at >= 0 and not self._is_done(reader):
-                writer.attach_reader_guard(reader)
-
     # ------------------------------------------------------------------ rename
     def _rename(self) -> bool:
         """First-level rename of the dispatch-queue head (gate: queue
@@ -1525,31 +1589,3 @@ class VectorPipeline:
         else:
             self._dispatch_wake = math.ceil(self._scalar_time)
         return progress
-
-    # ------------------------------------------------------------------ results
-    def _harvest(self) -> None:
-        self.stats.cycles = self.now
-        self.stats.vrf_reads = self.vrf.pvrf_reads
-        self.stats.vrf_writes = self.vrf.pvrf_writes
-        self.stats.mvrf_reads = self.vrf.mvrf_reads
-        self.stats.mvrf_writes = self.vrf.mvrf_writes
-        l2 = self.memsys.l2.stats
-        self.stats.l2_reads = l2.reads
-        self.stats.l2_writes = l2.writes
-        self.stats.l2_misses = l2.misses
-        self.stats.dram_accesses = self.memsys.dram.accesses
-
-    def _dump(self) -> str:
-        lines = [
-            f"pipeline deadlock at cycle {self.now} running "
-            f"{self.program.name} on {self.config.name}",
-            f"committed {self.rob.total_committed}/{self._to_commit}",
-            f"PFRL free={self.mapping.free_count}  "
-            f"FRL free={self.rat.free_count}  ROB={self.rob.occupancy}",
-        ]
-        for name, queue in (("pre-issue", self.pre_issue_q),
-                            ("mem", self.mem_q), ("arith", self.arith_q)):
-            lines.append(f"{name} queue ({len(queue)}):")
-            for uop in list(queue)[:4]:
-                lines.append("  " + uop.describe())
-        return "\n".join(lines)

@@ -1,14 +1,25 @@
 """Reference stepper: the poll-every-stage-every-cycle AVA pipeline.
 
-This is the original cycle-level implementation of
-:class:`repro.vpu.pipeline.VectorPipeline`, retained **verbatim** as the
-golden reference for the event-driven scheduler that replaced it.  It is
-deliberately naive: every stage is re-evaluated every stepped cycle, and the
-clock only fast-forwards when *no* stage makes progress.  Do not optimise
-this file — its value is that it stays simple enough to audit against the
-paper, while ``tests/vpu/test_pipeline_equivalence.py`` asserts the
-production scheduler reproduces its statistics and functional output
-byte-for-byte across every workload and configuration.
+:class:`ReferencePipeline` is the independent oracle for the span-charging
+scheduler in :class:`repro.vpu.pipeline.VectorPipeline`.  Both subclass
+:class:`repro.vpu.pipeline.PipelineModel`, which owns the machine state and
+the shared model methods (swap emission, victim selection, write guards,
+issue stamping and counting, harvest), so a model fix lands once.  What
+this module keeps is what the scheduler must be checked against:
+
+* the naive per-cycle stepper — every stage is re-evaluated every stepped
+  cycle, and the clock only fast-forwards when *no* stage makes progress;
+* the un-inlined stage bodies (rename, dispatch, pre-issue, issue-time
+  operand resolution, complete, commit/retire, arithmetic and memory
+  execution), written against the core structures' public methods.  They
+  are the readable spec of the paper's pipeline; the scheduler's inlined,
+  memoized copies must agree with them.
+
+Keep this file simple enough to audit against the paper: optimisations
+belong in the scheduler.  ``tests/vpu/test_pipeline_equivalence.py``
+asserts the two produce byte-identical statistics, functional output and
+per-uop issue timelines across every workload and a grid of
+configurations and scenarios.
 
 Stage order per cycle (resources freed early in the cycle are visible to
 later stages, classic reverse-pipeline evaluation):
@@ -40,136 +51,20 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.config import MachineConfig
-from repro.core.rac import RegisterAccessCounters
-from repro.core.rat import RenameTable
-from repro.core.rob import ReorderBuffer
-from repro.core.swap import SwapLogic, VictimPolicy
 from repro.core.uop import MicroOp, UopState
-from repro.core.vrf import TwoLevelVRF
-from repro.core.vrf_mapping import VRFMapping
-from repro.isa.instructions import Instruction, Tag
-from repro.isa.opcodes import Op, evaluate_arith
-from repro.isa.program import Program
-from repro.memory.hierarchy import MemorySystem
-from repro.sim.layout import MemoryLayout
+from repro.isa.instructions import Tag
+from repro.isa.opcodes import evaluate_arith
 from repro.sim.stats import SimStats
-from repro.vpu.params import TimingParams
-from repro.vpu.vmu import VectorMemoryUnit
+from repro.vpu.pipeline import (_CREATED, _OK, _STALL_VICTIM, DeadlockError,
+                                PipelineModel)
 
 
-from repro.vpu.pipeline import DeadlockError
-
-
-# Pre-issue action outcomes.
-_OK = "ok"
-_CREATED = "created-swap"
-_STALL_VICTIM = "stall-victim"
-_STALL_QUEUE = "stall-queue"
-
-
-class ReferencePipeline:
+class ReferencePipeline(PipelineModel):
     """One VPU instance executing one program, stepped cycle by cycle."""
 
-    def __init__(self, config: MachineConfig, program: Program,
-                 params: Optional[TimingParams] = None,
-                 memsys: Optional[MemorySystem] = None,
-                 functional: bool = False,
-                 victim_policy: VictimPolicy = VictimPolicy.RAC_MIN,
-                 aggressive_reclamation: bool = True,
-                 sanitize: bool = False) -> None:
-        program.validate(config.n_logical)
-        self.config = config
-        self.program = program
-        self.params = params or TimingParams()
-        self.functional = functional
-        self.aggressive_reclamation = aggressive_reclamation
-
-        self.memsys = memsys or MemorySystem()
-        self.layout = MemoryLayout(program, config, functional=functional)
-        self.vmu = VectorMemoryUnit(self.memsys, self.layout)
-
-        self.rat = RenameTable(config.n_logical, config.n_vvr)
-        self.rac = RegisterAccessCounters(config.n_vvr)
-        # The initial identity RAT mappings behave as if each VVR had been
-        # renamed as a destination once: they carry the +1 that the old-dest
-        # decrement releases when the logical register is first overwritten.
-        for vvr in self.rat.live_vvrs():
-            self.rac.increment(vvr)
-        self.mapping = VRFMapping(config.n_vvr, config.n_physical)
-        self.vrf = TwoLevelVRF(config.n_vvr, config.n_physical, config.mvl,
-                               functional=functional)
-        self.swap_logic = SwapLogic(self.mapping, self.rac, self.vrf,
-                                    policy=victim_policy)
-        self.rob = ReorderBuffer(self.params.rob_entries,
-                                 self.params.commit_width)
-
-        self.dispatch_q: Deque[Instruction] = deque()
-        self.pre_issue_q: Deque[MicroOp] = deque()
-        self.arith_q: Deque[MicroOp] = deque()
-        self.mem_q: Deque[MicroOp] = deque()
-
-        # vvr -> in-flight producer micro-op (value not yet written back).
-        self._pending_writer: Dict[int, MicroOp] = {}
-        # vvr -> number of queued (pre-issued, not yet issued) readers; the
-        # Swap Logic deprioritises these as victims (evicting one forces an
-        # immediate Swap-Load back).
-        self._vvr_queued_readers: Dict[int, int] = {}
-        # preg -> outstanding reader micro-ops (pruned lazily once DONE).
-        self._preg_readers: Dict[int, List[MicroOp]] = {}
-        # preg -> the Swap-Store that freed it (issue rule 1).
-        self._pending_store_guard: Dict[int, MicroOp] = {}
-        # vvr -> in-flight Swap-Store filling its M-VRF home slot; a
-        # Swap-Load of the same VVR depends on it through memory.
-        self._pending_mvrf_store: Dict[int, MicroOp] = {}
-
-        self._completions: List[Tuple[int, int, MicroOp]] = []
-        self._seq = 0
-        self._arith_busy_until = 0
-        self._mem_busy_until = 0
-        self._fetch_idx = 0
-        self._scalar_time = 0.0
-        self._inflight_mem = 0  # uncommitted vector memory instructions
-        self._to_commit = sum(1 for i in program.insts if not i.is_scalar)
-
-        self.now = 0
-        self.stats = SimStats(config_name=config.name,
-                              program_name=program.name)
-
-        # Microarchitectural sanitizer (None in normal runs); same probe
-        # protocol as the event-driven pipeline, so an invariant violation
-        # reproduces identically on both implementations.
-        self._san = None
-        if sanitize:
-            self._install_sanitizer()
-
-    def _install_sanitizer(self) -> None:
-        from repro.analysis.sanitizer import PipelineSanitizer
-        san = PipelineSanitizer(label=f"{self.config.name}/"
-                                      f"{self.program.name} (reference)")
-        san.bind(lambda: self.now, rat=self.rat, mapping=self.mapping)
-        self.mapping.sanitizer = san
-        self.vrf.sanitizer = san
-        self.rob.sanitizer = san
-        self.rat.sanitizer = san
-        self._san = san
-
-    # ------------------------------------------------------------------ utils
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _is_done(self, uop: MicroOp) -> bool:
-        if uop.state in (UopState.DONE, UopState.COMMITTED):
-            return True
-        return uop.state is UopState.ISSUED and uop.done_at <= self.now
-
-    @property
-    def finished(self) -> bool:
-        return self.rob.total_committed >= self._to_commit
+    _sanitizer_tag = " (reference)"
 
     # ------------------------------------------------------------------ run
     def run(self, max_cycles: int = 200_000_000) -> SimStats:
@@ -344,22 +239,6 @@ class ReferencePipeline:
         self._issue_memory_uop(uop)
         return True
 
-    def _issue_memory_uop(self, uop: MicroOp) -> None:
-        plan = self.vmu.plan(uop.inst)
-        dead = self.params.mem_dead_time
-        latency = self.vmu.first_element_latency + plan.miss_latency
-        occupancy = dead + plan.occupancy
-        self._finish_issue(uop, occupancy, dead, latency)
-        self._mem_busy_until = self.now + occupancy
-        self.stats.mem_busy_cycles += occupancy
-        self.stats.mem_beats += plan.beats
-        uop.dram_stall = plan.fill_beats + plan.miss_latency
-        self._count_issue(uop)
-        if uop.inst.tag is Tag.SWAP:
-            self._execute_swap(uop)
-        else:
-            self._execute_memory(uop)
-
     def _issue_swap_bypass(self) -> bool:
         """Issue a ready swap op from behind a blocked memory-queue head.
 
@@ -471,91 +350,6 @@ class ReferencePipeline:
         uop.dst_preg = preg
         return _CREATED if created else _OK
 
-    def _free_one_preg(self, excluded: List[int], front: bool) -> str:
-        """Make the PFRL non-empty: reclaim, clean-evict, or Swap-Store."""
-        if self.mapping.free_count > 0:
-            return _OK
-        reclaim = (self.swap_logic.reclaimable_vvr(excluded)
-                   if self.aggressive_reclamation else None)
-        if reclaim is not None:
-            self.mapping.release(reclaim)
-            self.swap_logic.note_release(reclaim)
-            self.vrf.drop_mvrf(reclaim)
-            return _OK
-        victim = self._select_victim(excluded)
-        if victim is None:
-            return _STALL_VICTIM
-        if self.vrf.has_mvrf_copy(victim):
-            self._clean_evict(victim)
-            return _OK
-        if not front and len(self.mem_q) >= self.params.mem_queue_depth:
-            return _STALL_QUEUE
-        self._emit_swap_store(victim, front=front)
-        return _CREATED
-
-    def _finish_issue(self, uop: MicroOp, occupancy: int, dead: int,
-                      latency: int) -> None:
-        """Stamp issue/first-ready/done under the streaming-chaining model.
-
-        The consumer's first element trails both its own pipeline
-        (``dead + latency``) and its producers' first elements by its own
-        latency; its last element trails its own stream and its producers'
-        last elements likewise.  Occupancy is charged to the unit by the
-        caller.
-        """
-        uop.state = UopState.ISSUED
-        uop.issued_at = self.now
-        prod_first = 0
-        prod_done = 0
-        for p in uop.producers:
-            if p is not None:
-                prod_first = max(prod_first, p.first_ready)
-                prod_done = max(prod_done, p.done_at)
-        # Swap rules in streaming form: this op's writes trail the old
-        # value's store/readers, so its completion cannot precede theirs.
-        guard_done = 0
-        for g in uop.reader_guards:
-            guard_done = max(guard_done, g.done_at)
-        if uop.store_guard is not None:
-            guard_done = max(guard_done, uop.store_guard.done_at)
-        first = max(self.now + dead + latency, prod_first + latency)
-        done = max(self.now + occupancy + latency,
-                   prod_done + latency,
-                   guard_done + 1,
-                   first + max(0, occupancy - dead))
-        uop.first_ready = first
-        uop.done_at = done
-        heapq.heappush(self._completions, (done, uop.seq, uop))
-
-    def _count_issue(self, uop: MicroOp) -> None:
-        inst = uop.inst
-        if inst.tag is not Tag.SWAP:
-            # Swap ops never pass through pre-issue step C, so only regular
-            # uops carry queued-reader pins.
-            for vvr in uop.src_vvrs:
-                remaining = self._vvr_queued_readers.get(vvr, 0) - 1
-                if remaining > 0:
-                    self._vvr_queued_readers[vvr] = remaining
-                else:
-                    self._vvr_queued_readers.pop(vvr, None)
-        if inst.is_arith:
-            self.stats.arith_insts += 1
-            self.stats.fpu_element_ops += inst.vl
-        elif inst.is_load:
-            if inst.tag is Tag.SPILL:
-                self.stats.spill_loads += 1
-            elif inst.tag is Tag.SWAP:
-                self.stats.swap_loads += 1
-            else:
-                self.stats.vloads += 1
-        else:
-            if inst.tag is Tag.SPILL:
-                self.stats.spill_stores += 1
-            elif inst.tag is Tag.SWAP:
-                self.stats.swap_stores += 1
-            else:
-                self.stats.vstores += 1
-
     # ------------------------------------------------------------------ execute
     def _execute_arith(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -568,25 +362,6 @@ class ReferencePipeline:
             self.vrf.write_preg(uop.dst_preg, result, inst.vl)
         else:
             self.vrf.write_preg(uop.dst_preg, None, inst.vl)  # counters only
-
-    def _execute_swap(self, uop: MicroOp) -> None:
-        if uop.inst.is_store:
-            victim = uop.src_vvrs[0]
-            if self.vrf.generation(victim) != uop.swap_gen:
-                # The generation this store was saving died while the store
-                # waited in the queue (its readers all committed and the
-                # register was reclaimed); the slot now belongs to a newer
-                # generation and must not be overwritten.
-                if self._san is not None:
-                    self._san.on_swap_squashed(uop.src_pregs[0])
-                return
-            self.vrf.swap_out(victim, uop.src_pregs[0])
-        else:
-            assert uop.dst_vvr is not None and uop.dst_preg is not None
-            if self.vrf.generation(uop.dst_vvr) != uop.swap_gen:
-                raise AssertionError(
-                    "swap-load executing for a dead VVR generation")
-            self.vrf.swap_in(uop.dst_vvr, uop.dst_preg)
 
     def _execute_memory(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -686,9 +461,12 @@ class ReferencePipeline:
                 and not self._is_done(producer) else None)
         for preg in uop.src_pregs:
             self._preg_readers.setdefault(preg, []).append(uop)
-        for vvr in uop.src_vvrs:
-            self._vvr_queued_readers[vvr] = (
-                self._vvr_queued_readers.get(vvr, 0) + 1)
+        if self._track_swap_state:
+            # Released by _count_issue under the same flag; nothing reads
+            # the pins on a machine that can never evict.
+            for vvr in uop.src_vvrs:
+                self._vvr_queued_readers[vvr] = (
+                    self._vvr_queued_readers.get(vvr, 0) + 1)
         # The destination physical register is assigned at issue time
         # (_ensure_dst_preg); uop.dst_preg stays None until then.
         uop.state = UopState.PRE_ISSUED
@@ -698,112 +476,6 @@ class ReferencePipeline:
         self.pre_issue_q.popleft()
         target.append(uop)
         return True
-
-    def _count_preissue_stall(self, outcome: str) -> None:
-        if outcome == _STALL_VICTIM:
-            self.stats.preissue_victim_stalls += 1
-        else:
-            self.stats.preissue_queue_stalls += 1
-
-    def _select_victim(self, excluded: List[int]) -> Optional[int]:
-        """Swap Logic victim choice with the pipeline's reload context."""
-        return self.swap_logic.select_victim(
-            excluded,
-            has_queued_reader=lambda v: self._vvr_queued_readers.get(v, 0) > 0,
-            rat_live=self.rat.live_vvrs(),
-            is_clean=self.vrf.has_mvrf_copy)
-
-    def _clean_evict(self, victim: int) -> None:
-        """Evict a VVR whose M-VRF copy is still valid: a pure remap."""
-        self.mapping.evict(victim)
-        self.swap_logic.note_release(victim)
-
-    def _acquire_preg(self, excluded: List[int]) -> str:
-        """Ensure the PFRL is non-empty (§III.C Swap-1, pre-issue path)."""
-        return self._free_one_preg(excluded, front=False)
-
-    def _emit_swap_store(self, victim: int, front: bool = False) -> None:
-        preg = self.mapping.preg_of(victim)
-        inst = Instruction(op=Op.VSE, srcs=(0,), vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(victim), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
-                      src_vvrs=(victim,), src_pregs=(preg,),
-                      renamed_at=self.now, pre_issued_at=self.now,
-                      priority=front, swap_gen=self.vrf.generation(victim))
-        if self._san is not None:
-            self._san.on_swap_store_emitted(preg)
-        self.mapping.evict(victim)
-        self.swap_logic.note_release(victim)
-        self._pending_store_guard[preg] = uop
-        self._pending_mvrf_store[victim] = uop
-        self._preg_readers.setdefault(preg, []).append(uop)
-        uop.validate_ordering()
-        if front:
-            self.mem_q.appendleft(uop)
-        else:
-            self.mem_q.append(uop)
-
-    def _emit_swap_load(self, vvr: int, front: bool = False) -> None:
-        preg = self.mapping.allocate(vvr)
-        inst = Instruction(op=Op.VLE, dst=0, vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(vvr), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
-                      dst_vvr=vvr, dst_preg=preg,
-                      renamed_at=self.now, pre_issued_at=self.now,
-                      priority=front, swap_gen=self.vrf.generation(vvr))
-        self._attach_write_guards(uop, preg)
-        # The load reads the M-VRF home slot; if the Swap-Store filling that
-        # slot is still in flight, it is this load's data producer.
-        filler = self._pending_mvrf_store.get(vvr)
-        if filler is not None and not self._is_done(filler):
-            uop.attach_producer(filler)
-        self._pending_writer[vvr] = uop
-        self.vrf.mark_pending(vvr)
-        self.swap_logic.note_allocation(vvr)
-        uop.validate_ordering()
-        if front:
-            # Priority load: jump the queue, but never ahead of the
-            # Swap-Store that freed its physical register, nor ahead of the
-            # Swap-Store filling its M-VRF slot — the memory queue issues in
-            # order, so landing in front of either would deadlock or read a
-            # slot that has not been written yet.
-            idx = 0
-            for dep in (uop.store_guard, filler):
-                if dep is None or dep.issued_at >= 0:
-                    continue
-                for pos, queued in enumerate(self.mem_q):
-                    if queued is dep:
-                        idx = max(idx, pos + 1)
-                        break
-            self.mem_q.insert(idx, uop)
-        else:
-            self.mem_q.append(uop)
-
-    def _attach_write_guards(self, writer: Optional[MicroOp],
-                             preg: int) -> None:
-        """Guard a new owner of ``preg`` against the old value's users.
-
-        Rule 1: the Swap-Store that freed the register must have executed
-        (the new owner chains behind it).  Rule 2: readers of the previous
-        value that have already **issued** clamp the new owner's write-back
-        behind their streaming reads; readers still waiting in a queue are
-        *not* guards — their mapping went stale and they re-resolve their
-        source at issue time (_ensure_operands), reloading the value from
-        the M-VRF.  Restricting guards to issued micro-ops keeps the wait
-        graph acyclic by construction.
-
-        Passing ``writer=None`` just clears stale tracking (uninitialised
-        reads own the register without writing it).
-        """
-        guard = self._pending_store_guard.pop(preg, None)
-        readers = self._preg_readers.pop(preg, [])
-        if writer is None:
-            return
-        if guard is not None:
-            writer.attach_store_guard(guard)
-        for reader in readers:
-            if reader.issued_at >= 0 and not self._is_done(reader):
-                writer.attach_reader_guard(reader)
 
     # ------------------------------------------------------------------ rename
     def _rename(self) -> bool:
@@ -875,31 +547,3 @@ class ReferencePipeline:
                 self.params.dispatch_scalar_cycles)
             progress = True
         return progress
-
-    # ------------------------------------------------------------------ results
-    def _harvest(self) -> None:
-        self.stats.cycles = self.now
-        self.stats.vrf_reads = self.vrf.pvrf_reads
-        self.stats.vrf_writes = self.vrf.pvrf_writes
-        self.stats.mvrf_reads = self.vrf.mvrf_reads
-        self.stats.mvrf_writes = self.vrf.mvrf_writes
-        l2 = self.memsys.l2.stats
-        self.stats.l2_reads = l2.reads
-        self.stats.l2_writes = l2.writes
-        self.stats.l2_misses = l2.misses
-        self.stats.dram_accesses = self.memsys.dram.accesses
-
-    def _dump(self) -> str:
-        lines = [
-            f"pipeline deadlock at cycle {self.now} running "
-            f"{self.program.name} on {self.config.name}",
-            f"committed {self.rob.total_committed}/{self._to_commit}",
-            f"PFRL free={self.mapping.free_count}  "
-            f"FRL free={self.rat.free_count}  ROB={self.rob.occupancy}",
-        ]
-        for name, queue in (("pre-issue", self.pre_issue_q),
-                            ("mem", self.mem_q), ("arith", self.arith_q)):
-            lines.append(f"{name} queue ({len(queue)}):")
-            for uop in list(queue)[:4]:
-                lines.append("  " + uop.describe())
-        return "\n".join(lines)

@@ -138,6 +138,20 @@ def test_progress_line_precedes_cache_stats_cleanly(capsys, cache_args):
     assert err[err.rindex("engine:") - 1] == "\n"
 
 
+def test_claims_exit_status_follows_the_claims(capsys, cache_args,
+                                              monkeypatch):
+    """A "NO" row fails the run with exit 1; stdout is the same table."""
+    from repro.experiments import headline
+    verdicts = {"holds": [headline.Claim("c", "1x", "1x", True)],
+                "fails": [headline.Claim("c", "1x", "0x", False)]}
+    for outcome, code in (("holds", 0), ("fails", 1)):
+        claims = verdicts[outcome]
+        monkeypatch.setattr(headline, "check_headline_claims",
+                            lambda **_: claims)
+        assert main(["claims"] + cache_args) == code
+        assert capsys.readouterr().out == headline.render_claims(claims) + "\n"
+
+
 def test_bench_rejects_workloads_selector():
     with pytest.raises(SystemExit):
         main(["bench", "engine", "--workloads", "spmv"])

@@ -3,10 +3,12 @@
 The event-driven scheduler in :mod:`repro.vpu.pipeline` must be
 *observationally invisible*: for any (workload, configuration, policy)
 cell it has to produce byte-identical statistics JSON and byte-identical
-functional-mode output buffers compared to the retained cycle-by-cycle
-reference implementation (:mod:`repro.vpu.reference`).  These tests pin
+functional-mode output buffers compared to the cycle-by-cycle reference
+stepper (:mod:`repro.vpu.reference`), plus an identical per-uop issue
+timeline (rename, issue, first-ready and done stamps).  These tests pin
 that equivalence across every registered workload, a grid of MVL / P-VRF /
-victim-policy configurations, and Hypothesis-generated random programs.
+victim-policy configurations, whole scenarios (memory latencies and swap
+budgets), and Hypothesis-generated random programs.
 
 Workload instances are shrunk (fewer elements, same kernels) so the suite
 stays inside tier-1 time budgets; strip counts remain large enough that
@@ -14,6 +16,7 @@ renaming, chaining, swap traffic and reclamation are all exercised.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from repro.core.config import (ava_config, native_config, rg_config,
                                with_physical_registers)
 from repro.core.swap import VictimPolicy
 from repro.isa.builder import KernelBuilder
-from repro.vpu.params import get_timing, timing_names
+from repro.memory.hierarchy import MemorySystemConfig
+from repro.sim.scenario import build_scenario
+from repro.sim.trace import TraceRecorder
+from repro.vpu.params import DEFAULT_TIMING, get_timing, timing_names
 from repro.vpu.pipeline import VectorPipeline
 from repro.vpu.reference import ReferencePipeline
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, get_workload
@@ -50,6 +56,7 @@ def _run(cls, workload, program, config, *, functional=True,
     pipe = cls(config, program, params=params, functional=functional,
                victim_policy=victim_policy,
                aggressive_reclamation=aggressive_reclamation)
+    recorder = TraceRecorder(pipe)
     data = workload.init_data(np.random.default_rng(42))
     if functional:
         for buf, values in data.items():
@@ -58,14 +65,16 @@ def _run(cls, workload, program, config, *, functional=True,
     buffers = {}
     if functional:
         buffers = {buf: pipe.layout.get_data(buf) for buf in program.buffers}
-    return stats, buffers
+    return stats, buffers, recorder.events
 
 
 def _assert_equivalent(workload, program, config, **kwargs):
-    ref_stats, ref_bufs = _run(ReferencePipeline, workload, program,
-                               config, **kwargs)
-    new_stats, new_bufs = _run(VectorPipeline, workload, program,
-                               config, **kwargs)
+    """``config`` is a MachineConfig or a Scenario (both pipelines take
+    either)."""
+    ref_stats, ref_bufs, ref_events = _run(ReferencePipeline, workload,
+                                           program, config, **kwargs)
+    new_stats, new_bufs, new_events = _run(VectorPipeline, workload,
+                                           program, config, **kwargs)
     ref_json = json.dumps(ref_stats.to_dict(), sort_keys=True)
     new_json = json.dumps(new_stats.to_dict(), sort_keys=True)
     assert new_json == ref_json, (
@@ -76,6 +85,13 @@ def _assert_equivalent(workload, program, config, **kwargs):
     for buf in ref_bufs:
         assert np.array_equal(new_bufs[buf], ref_bufs[buf]), (
             f"functional buffer {buf!r} diverged on {program.name}")
+    # Per-uop oracle: one event per issued uop, in issue order, with its
+    # rename / issue / first-ready / done stamps and register mappings.
+    assert new_events == ref_events, (
+        f"issue timeline diverged on {program.name}: "
+        + next((f"reference {r.describe()} / scheduler {n.describe()}"
+                for r, n in zip(ref_events, new_events) if r != n),
+               f"{len(ref_events)} vs {len(new_events)} events"))
     return new_stats
 
 
@@ -137,6 +153,39 @@ def test_scheduler_matches_reference_rg_spill_code():
     config = rg_config(4)
     workload, program = _compile_small("swaptions", config)
     _assert_equivalent(workload, program, config)
+
+
+#: Scenario points: a fast memory system and a slow-DRAM one (L2 / DRAM
+#: latency), each at a narrow and a wide pre-issue swap budget.
+SCENARIO_MEMORY = {"fast-mem": (7, 45), "slow-dram": (40, 300)}
+SCENARIO_BUDGETS = (1, 5)
+SCENARIO_WORKLOADS = ("jacobi2d", "pathfinder", "spmv", "streamcluster")
+SCENARIO_MACHINES = [ava_config(4), ava_config(8), native_config(8)]
+
+
+def _scenario(machine, memory, budget):
+    l2, dram = SCENARIO_MEMORY[memory]
+    base = MemorySystemConfig()
+    return build_scenario(
+        machine,
+        timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget),
+        memory=replace(base, l2=replace(base.l2, latency=l2),
+                       dram=replace(base.dram, latency=dram)))
+
+
+@pytest.mark.parametrize("budget", SCENARIO_BUDGETS,
+                         ids=lambda b: f"budget{b}")
+@pytest.mark.parametrize("memory", list(SCENARIO_MEMORY))
+@pytest.mark.parametrize("machine", SCENARIO_MACHINES, ids=lambda c: c.name)
+@pytest.mark.parametrize("name", SCENARIO_WORKLOADS)
+def test_scheduler_matches_reference_scenarios(name, machine, memory,
+                                               budget):
+    """Both pipelines built from one Scenario: memory latency stretches the
+    stall spans the scheduler charges in one step, and the swap budget
+    changes how many swap ops pre-issue inserts per cycle."""
+    scenario = _scenario(machine, memory, budget)
+    workload, program = _compile_small(name, scenario.machine)
+    _assert_equivalent(workload, program, scenario)
 
 
 # ---------------------------------------------------------------------------
