@@ -34,22 +34,20 @@ Simulation-backed artifacts (``figure3``, ``figure4``, ``claims``) run
 through the experiment-execution engine:
 
 * ``--jobs N`` streams independent cells over N worker processes
-  (output is byte-identical to a serial run); ``--jobs auto`` — the
-  default — resolves to the CPUs this process may actually use
-  (affinity-aware, so containerized CI never oversubscribes);
-* ``--backend {auto,inline,pool,shard}`` picks the execution backend
-  explicitly (``auto`` keeps the jobs contract: inline at 1, a pool
-  above; ``shard`` partitions the grid into ``--shards N`` deterministic
-  shards run sequentially) — stdout is byte-identical across backends;
+  (``--jobs 1`` runs inline; output is byte-identical either way);
+  ``--jobs auto`` — the default — resolves to the CPUs this process may
+  actually use (affinity-aware, so containerized CI never
+  oversubscribes);
 * ``sweep --shards N --shard-index K`` runs only shard K of the grid
   (for fanning one sweep out over CI matrix jobs or separate hosts
   against a shared/synced cache dir); ``--stats-json FILE`` writes the
   run's engine counters for a later ``repro merge``;
 * results persist in a content-addressed cache (``--cache-dir``,
-  default ``.repro-cache``) so re-rendering any artifact — or another
-  artifact sharing cells — is near-instant; ``--no-cache`` disables it.
-  Every cell is cached the moment it completes, so an interrupted grid
-  resumes by rerunning: finished cells replay as hits;
+  default ``.repro-cache``) keyed by each cell's compile inputs, so
+  re-rendering any artifact — or another artifact sharing cells — reads
+  no trace and compiles nothing; ``--no-cache`` disables it.  Every cell
+  is cached the moment it completes, so an interrupted grid resumes by
+  rerunning: finished cells replay as hits;
 * ``--cache-stats`` prints hit/miss/simulation counters to stderr (plus
   a ``resilience:`` line — retries, timeouts, quarantined/evicted cache
   entries — whenever any of those is nonzero);
@@ -121,17 +119,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for simulation cells: a "
                              "count, or 'auto' for the CPUs this process "
                              "may use (affinity-aware; the default)")
-    parser.add_argument("--backend",
-                        choices=["auto", "inline", "pool", "shard"],
-                        default="auto",
-                        help="execution backend (default: auto — inline "
-                             "at --jobs 1, a process pool above; 'shard' "
-                             "partitions the grid into --shards "
-                             "deterministic shards); stdout is "
-                             "byte-identical across backends")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard count for --backend shard (default: 4) "
-                             "or for --shard-index")
+                        help="sweep: shard count of the --shard-index "
+                             "partition")
     parser.add_argument("--shard-index", type=int, default=None,
                         metavar="K",
                         help="sweep: run only shard K (0-based) of the "
@@ -212,24 +202,17 @@ def main(argv: list[str] | None = None) -> int:
                                            "merge", "lint"):
         parser.error("--sanitize applies to simulation-backed artifacts "
                      "(figure3, figure4, claims, sweep, sensitivity)")
+    if args.shards is not None and args.shard_index is None:
+        parser.error("--shards needs --shard-index")
     if args.shard_index is not None:
         if args.artifact != "sweep":
             parser.error("--shard-index applies only to sweep")
-        if args.backend == "shard":
-            parser.error("--shard-index runs one shard through a normal "
-                         "backend; it does not combine with "
-                         "--backend shard")
         if args.shards is None:
             parser.error("--shard-index requires --shards N")
-        if not 0 <= args.shard_index < args.shards:
-            parser.error(f"--shard-index must be in [0, {args.shards})")
-    if args.shards is not None:
         if args.shards < 1:
             parser.error("--shards must be >= 1")
-        if args.backend != "shard" and args.shard_index is None:
-            parser.error("--shards needs --backend shard or --shard-index")
-    elif args.backend == "shard":
-        args.shards = 4
+        if not 0 <= args.shard_index < args.shards:
+            parser.error(f"--shard-index must be in [0, {args.shards})")
 
     show_progress = (args.progress if args.progress is not None
                      else sys.stderr.isatty())
@@ -284,7 +267,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
             deadline_s=(args.deadline if args.deadline is not None
                         else DEFAULT_DEADLINE_S),
             retries=args.retries, progress=renderer,
-            backend=args.backend, shards=args.shards or 4,
             stats_out=sys.stderr if args.cache_stats else None)
         if renderer is not None:
             renderer.close()
@@ -295,9 +277,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         if args.workloads:
             parser.error("--workloads does not apply to bench; "
                          "use --extended for the ten-kernel grid")
-        if args.backend != "auto":
-            parser.error("--backend does not apply to bench; the cold "
-                         "throughput benchmark measures serial execution")
         from repro.experiments.bench import run_bench_engine
         return run_bench_engine(output=args.bench_output,
                                 extended=args.extended,
@@ -318,7 +297,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
                              cache_dir=args.cache_dir, progress=renderer,
                              deadline_s=args.deadline, retries=args.retries,
                              cache_max_bytes=args.cache_max_bytes,
-                             backend=args.backend, shards=args.shards or 4,
                              sanitize=args.sanitize)
     try:
         code = _render_artifact(parser, args, executor, selection)

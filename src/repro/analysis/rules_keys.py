@@ -1,7 +1,7 @@
 """K-rules: cache-key completeness for the scenario/signature dataclasses.
 
 The persistent caches are only sound if every field that can change a
-result reaches the hash.  PR 6 made the cell key hash the *full scenario*
+result reaches the hash.  The cell key hashes the *full scenario*
 (machine + timing + memory + policy), which holds exactly as long as the
 serialization layer keeps up with the dataclasses.  These rules make the
 contract mechanical:
@@ -11,8 +11,9 @@ contract mechanical:
   :class:`CompileSignature`) must appear as a key somewhere in the real
   serialized cache-key payload, or carry an explicit
   ``# lint: key-exempt(<why>)`` pragma on its definition line.  The payload
-  key set is computed by *running* the real ``Scenario.to_dict()`` — the
-  rule can never drift from the serializer it polices.
+  key set is computed by *running* the live key derivations — the engine's
+  ``cell_key_payload`` and the trace store's ``trace_key_payload`` — so
+  the rule can never drift from the hash input it polices.
 * **K002** — a key dataclass that hand-writes ``from_dict`` must mention
   every declared field inside it (a dropped field deserializes to its
   default and silently collides cache entries).  Classes deserialized by
@@ -59,14 +60,19 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _key_payload_names() -> Set[str]:
-    """Key names reachable in the real cache-key payload, flattened.
+    """Key names reachable in the real cache-key payloads, flattened.
 
-    Computed from the live serializers so the rule polices the actual
-    hash input, not a parallel list that could rot.
+    Computed by running the live key derivations — the result cache's
+    cell-key payload (scenario included) and the trace store's payload
+    (compile signature included) — so the rule polices the actual hash
+    input, not a parallel list that could rot.  The workload fingerprint
+    is a stand-in string: it is a hash, not a dict, and building a real
+    kernel here would make the rule depend on the workload registry.
     """
     from repro.compiler.signature import CompileSignature
+    from repro.compiler.store import trace_key_payload
     from repro.core.config import ava_config
-    from repro.sim.scenario import Scenario
+    from repro.experiments.engine import Cell, cell_key_payload
 
     def flatten(value, out: Set[str]) -> None:
         if isinstance(value, dict):
@@ -74,9 +80,12 @@ def _key_payload_names() -> Set[str]:
                 out.add(str(key))
                 flatten(sub, out)
 
+    config = ava_config(2)
     names: Set[str] = set()
-    flatten(Scenario(machine=ava_config(2)).to_dict(), names)
-    flatten(CompileSignature(mvl=64, n_logical=32).to_dict(), names)
+    flatten(cell_key_payload(Cell(workload="axpy", config=config),
+                             "compile-fingerprint"), names)
+    flatten(trace_key_payload("compile-fingerprint",
+                              CompileSignature.from_config(config)), names)
     return names
 
 

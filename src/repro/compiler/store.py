@@ -75,17 +75,24 @@ def compile_code_fingerprint() -> str:
     return _COMPILE_CODE_FINGERPRINT
 
 
-def trace_key(workload: "Workload", signature: CompileSignature) -> str:
-    """Content address of one compiled trace."""
+def trace_key_payload(compile_fingerprint: str,
+                      signature: CompileSignature) -> dict:
+    """The hashed body of :func:`trace_key`, given the workload's
+    :meth:`~repro.workloads.base.Workload.compile_fingerprint`."""
     from repro import __version__
 
-    payload = {
+    return {
         "schema": TRACE_SCHEMA,
         "repro": __version__,
         "compile_code": compile_code_fingerprint(),
-        "workload": workload.compile_fingerprint(),
+        "workload": compile_fingerprint,
         "signature": signature.to_dict(),
     }
+
+
+def trace_key(workload: "Workload", signature: CompileSignature) -> str:
+    """Content address of one compiled trace."""
+    payload = trace_key_payload(workload.compile_fingerprint(), signature)
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -3,12 +3,13 @@
 * :mod:`repro.experiments.configs` — Tables II/III configuration matrix,
   Table IV application list;
 * :mod:`repro.experiments.engine` — the unified execution engine: sweep
-  specs, the backend-driven cell executor and the persistent
-  content-addressed result cache every artifact shares;
-* :mod:`repro.experiments.backends` — the pluggable execution backends
-  (inline / process pool) the executor schedules through;
-* :mod:`repro.experiments.shard` — deterministic grid sharding, the
-  shard backend and ``merge-counters``-style per-shard stat merging;
+  specs, the cell executor and the persistent content-addressed result
+  cache every artifact shares;
+* :mod:`repro.experiments.backends` — the execution backends (inline /
+  process pool, picked by ``jobs``) the executor schedules through;
+* :mod:`repro.experiments.shard` — deterministic grid sharding for
+  ``sweep --shard-index`` and ``merge-counters``-style per-shard stat
+  merging;
 * :mod:`repro.experiments.sweep` — JSON sweep-spec files: named axis
   presets (machine / memory / timing / policy) expanded into engine grids
   behind the ``repro sweep`` CLI artifact;
@@ -30,7 +31,6 @@ from repro.experiments.backends import (
     InlineBackend,
     ProcessPoolBackend,
     default_jobs,
-    make_backend,
 )
 from repro.experiments.configs import (
     figure3_series,
@@ -54,10 +54,9 @@ from repro.experiments.engine import (
 )
 from repro.experiments.sensitivity import build_sensitivity
 from repro.experiments.shard import (
-    ShardBackend,
-    merge_progress,
     merge_stats,
     partition,
+    select_shard,
     shard_of,
 )
 from repro.experiments.sweep import parse_sweep, run_sweep
@@ -85,11 +84,9 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "ShardBackend",
     "default_jobs",
-    "make_backend",
-    "merge_progress",
     "merge_stats",
     "partition",
+    "select_shard",
     "shard_of",
 ]

@@ -1,26 +1,22 @@
-"""Pluggable execution backends: *where* cells run, split from *what* runs.
+"""Execution backends: *where* cells run, split from *what* runs.
 
 :class:`~repro.experiments.engine.CellExecutor` owns the semantic side of
-a batch — compile memo, cache scan, dedupe, result ordering, counters —
-and delegates every scheduling decision to one of these backends:
+a batch — cache scan, compile memo, dedupe, result ordering, counters —
+and delegates every scheduling decision to one of these backends, picked
+by ``jobs`` alone:
 
 * :class:`InlineBackend` — in-process execution (no subprocess, no
   pickling), with the per-cell ``SIGALRM`` deadline and the retry budget;
 * :class:`ProcessPoolBackend` — the streaming dispatcher over one
   persistent :class:`concurrent.futures.ProcessPoolExecutor`, with the
   watchdog that kills hung workers, broken-pool reclamation and the same
-  retry budget.  Single-job batches short-circuit to inline execution,
-  exactly as the pre-backend executor did;
-* :class:`~repro.experiments.shard.ShardBackend` — deterministic
-  partition of a grid into N disjoint shards by cell identity, each run
-  as an independent restartable unit (see :mod:`repro.experiments.shard`).
+  retry budget.  Single-job batches short-circuit to inline execution.
 
-Every backend receives the same ``(jobs_list, land, fail, progress)``
+Both backends receive the same ``(jobs_list, land, fail, progress)``
 contract: execute each ``(cell, source)`` pair exactly once, finalise it
 through ``land``/``fail`` keyed by its *position*, never by completion
 order.  The executor's outputs are therefore byte-identical across
-backends — the acceptance criterion the CLI's ``--backend`` flag is
-gated on.
+``--jobs`` values.
 
 The module avoids importing the engine at module scope (the engine
 imports it first); worker-side entry points are imported lazily at
@@ -448,27 +444,3 @@ class ProcessPoolBackend(ExecutionBackend):
             self.discard_pool()
             raise
 
-
-def make_backend(name: str = "auto", jobs: int = 1,
-                 shards: int = 4) -> ExecutionBackend:
-    """Resolve a ``--backend`` flag value into a backend instance.
-
-    ``auto`` (the default) preserves the historical ``--jobs`` contract:
-    inline at ``jobs == 1``, a process pool above.  ``shard`` builds a
-    :class:`~repro.experiments.shard.ShardBackend` over ``shards``
-    partitions, each executed through an inner auto backend of the same
-    ``jobs`` width.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if name in ("auto", None):
-        return InlineBackend() if jobs == 1 else ProcessPoolBackend(jobs)
-    if name == "inline":
-        return InlineBackend()
-    if name == "pool":
-        return ProcessPoolBackend(jobs)
-    if name == "shard":
-        from repro.experiments.shard import ShardBackend
-        return ShardBackend(shards=shards, jobs=jobs)
-    raise ValueError(f"unknown backend {name!r}; "
-                     f"known: auto, inline, pool, shard")

@@ -50,15 +50,12 @@ class ChaosDivergence(AssertionError):
 
 def _run_phase(parsed: ParsedSweep, cache_dir: Path, *, jobs: int,
                deadline_s: Optional[float], retries: int, backoff_s: float,
-               progress: Optional[ProgressCallback],
-               backend: str = "auto", shards: int = 4
+               progress: Optional[ProgressCallback]
                ) -> "tuple[str, ExecutorStats]":
-    # A fresh backend per phase: backends bind to one executor at a time,
-    # and each phase owns its pool/shard state end to end.
+    # A fresh executor per phase: each phase owns its pool end to end.
     executor = make_executor(jobs=jobs, cache=True, cache_dir=cache_dir,
                              progress=progress, deadline_s=deadline_s,
-                             retries=retries, backoff_s=backoff_s,
-                             backend=backend, shards=shards)
+                             retries=retries, backoff_s=backoff_s)
     with executor:
         rendered = run_sweep(parsed, executor)
     return rendered, executor.stats
@@ -72,8 +69,6 @@ def run_chaos(spec: Union[str, Path, dict, ParsedSweep], *,
               retries: int = 3,
               backoff_s: float = 0.05,
               progress: Optional[ProgressCallback] = None,
-              backend: str = "auto",
-              shards: int = 4,
               stats_out: Optional[TextIO] = None,
               out: Optional[TextIO] = None) -> int:
     """Run the clean/faulted/warm triple; returns a process exit code.
@@ -98,8 +93,7 @@ def run_chaos(spec: Union[str, Path, dict, ParsedSweep], *,
         return phase_dir
 
     phase_kwargs = dict(jobs=jobs, deadline_s=deadline_s, retries=retries,
-                        backoff_s=backoff_s, progress=progress,
-                        backend=backend, shards=shards)
+                        backoff_s=backoff_s, progress=progress)
     clean, _ = _run_phase(parsed, fresh("clean"), **phase_kwargs)
 
     faulted_dir = fresh("faulted")

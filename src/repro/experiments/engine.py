@@ -11,13 +11,15 @@ Every artifact of the paper boils down to a grid of independent
   deterministic order, so new sweeps are data, not new code;
 * :class:`ResultCache` — a persistent, content-addressed store of
   :class:`repro.sim.stats.SimStats` / :class:`repro.power.mcpat.EnergyReport`
-  JSON under ``.repro-cache/``.  The key hashes the configuration fields,
-  the *compiled program* fingerprint, the timing parameters, the policy
-  knobs and :data:`DATA_SEED` — any change to any of them is a miss;
+  JSON under ``.repro-cache/``.  The key hashes the cell's compile
+  *inputs* — the workload's compile fingerprint, the full scenario, the
+  execution flags, the package code and :data:`DATA_SEED` — any change to
+  any of them is a miss, and a hit never needs a compiled program;
 * :class:`CellExecutor` — runs cells inline or streamed over one
   persistent :class:`concurrent.futures.ProcessPoolExecutor` that lives
-  for the executor's lifetime.  Results are keyed by their position in
-  the request, never by completion order, so the output is byte-identical
+  for the executor's lifetime, compiling only the cells that miss the
+  cache.  Results are keyed by their position in the request, never by
+  completion order, so the output is byte-identical
   regardless of scheduling and of ``jobs``.  Each result is written to
   the cache the moment it lands, a raising cell becomes a
   :class:`CellError` instead of discarding the rest of the batch, and an
@@ -53,7 +55,7 @@ from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
 from repro.experiments.backends import (  # noqa: F401 — re-exported names
     _RETRYABLE, CellDeadlineExceeded, ExecutionBackend, InlineBackend,
-    ProcessPoolBackend, default_jobs, make_backend)
+    ProcessPoolBackend, default_jobs)
 from repro.isa.instructions import fingerprint_line
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystemConfig
@@ -78,7 +80,9 @@ DATA_SEED = 42
 #: across memory or timing presets.
 #: Schema 4: ``stats`` payloads carry the span-charging scheduler's
 #: ``spans_charged`` / ``span_cycles`` counters.
-CACHE_SCHEMA = 4
+#: Schema 5: keys hash the workload's compile fingerprint (the compiler's
+#: inputs) instead of the compiled program (its output).
+CACHE_SCHEMA = 5
 
 #: Default on-disk location of the persistent result cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -93,10 +97,11 @@ class Cell:
 
     ``workload`` is normally a Table-IV registry name; passing a
     :class:`~repro.workloads.base.Workload` instance is allowed for
-    out-of-registry kernels (the cache key hashes the compiled program, so
-    the name is never trusted on its own).  ``params``/``memsys`` left at
-    ``None`` mean the paper's defaults — :meth:`scenario` folds all four
-    machine-side axes into one frozen bundle.
+    out-of-registry kernels (the cache key hashes the workload's compile
+    fingerprint, so the name is never trusted on its own).
+    ``params``/``memsys`` left at ``None`` mean the paper's defaults —
+    :meth:`scenario` folds all four machine-side axes into one frozen
+    bundle.
     """
 
     workload: Union[str, Workload]
@@ -322,19 +327,25 @@ def _scenario_key(scenario: Scenario) -> dict:
     return key
 
 
-def cell_key(cell: Cell, program: Program) -> str:
-    """The cache key: every input that can change the cell's results.
+def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
+    """The hashed body of :func:`cell_key`: every input that can change
+    the cell's results.
 
     The machine-side inputs are hashed as the cell's *full scenario* —
     machine config, timing params, memory-system config and policy — so
-    entries can never collide across memory or timing presets (before the
-    scenario layer, the memory system was invisible to the key).
+    entries can never collide across memory or timing presets.  The
+    program side is hashed as its compile inputs: the scenario's machine
+    config carries the :class:`CompileSignature`, ``compile_fingerprint``
+    (:meth:`~repro.workloads.base.Workload.compile_fingerprint`) the
+    workload half, and :func:`code_fingerprint` the compiler itself —
+    together they pin the compiled program, so no program is needed.
     """
-    payload = {
+    return {
         "schema": CACHE_SCHEMA,
         "code": code_fingerprint(),
         "data_seed": DATA_SEED,
         "workload": cell.workload_name,
+        "compile": compile_fingerprint,
         "scenario": _scenario_key(cell.scenario()),
         "functional": cell.functional or cell.check,
         "warm": cell.warm,
@@ -343,8 +354,18 @@ def cell_key(cell: Cell, program: Program) -> str:
         # the point of --sanitize is the invariant evidence, and a cache
         # hit computed without the sanitizer proves nothing.
         "sanitize": cell.sanitize,
-        "program": program_fingerprint(program),
     }
+
+
+def cell_key(cell: Cell, compile_fingerprint: Optional[str] = None) -> str:
+    """The cache key of one cell (see :func:`cell_key_payload`).
+
+    ``compile_fingerprint`` lets a caller that memoizes the workload's
+    fingerprint skip recomputing it; by default it is computed here.
+    """
+    if compile_fingerprint is None:
+        compile_fingerprint = cell.resolve_workload().compile_fingerprint()
+    payload = cell_key_payload(cell, compile_fingerprint)
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -433,12 +454,12 @@ def _execute_cell(job: Union[Tuple[Cell, Union[Program, TraceRef]],
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it; must stay
     deterministic — everything it consumes is in the cell (plus
-    :data:`DATA_SEED`).  The program was already compiled by the executor
-    for key computation, so it is never recompiled here: it arrives either
-    in-memory (inline execution) or as a :class:`TraceRef` into the trace
-    store (pool execution).  A ref whose entry vanished or was damaged
-    between dispatch and execution falls back to an in-worker recompile —
-    a pruned store costs time, never a failed cell.
+    :data:`DATA_SEED`).  The executor compiled (or loaded) the program
+    when the cell missed the cache, so it is never recompiled here: it
+    arrives either in-memory (inline execution) or as a :class:`TraceRef`
+    into the trace store (pool execution).  A ref whose entry vanished or
+    was damaged between dispatch and execution falls back to an in-worker
+    recompile — a pruned store costs time, never a failed cell.
 
     The optional third element is the cell's retry attempt number; an
     active :class:`~repro.faults.FaultPlan` (chaos testing) gates injected
@@ -666,20 +687,20 @@ class ExecutorStats:
     ``cache_misses`` counts every cell whose result was not replayed from
     a cache — including every cell of a cache-less executor, so
     ``cache_misses`` always equals ``cells_requested - cache_hits``.
-    ``compiles`` counts actual kernel compilations; the per-(workload,
-    :class:`CompileSignature`) memo keeps it at the number of *distinct*
-    pairs keyed — configurations differing only in simulation-side axes
-    share one compile — however many cells request them and whether or
-    not they hit the cache (key computation needs the program
-    fingerprint, so one compile per pair is the floor).  Named cells
-    memoize for the executor's lifetime; instance-backed cells only
+    ``compiles`` counts actual kernel compilations.  Keys hash compile
+    *inputs*, so only cache misses need a program: a cache hit reads no
+    trace and compiles nothing, and a fully warm result cache reports
+    ``0 kernel compiles, 0 trace hits, 0 trace misses``.  Among the
+    misses, the per-(workload, :class:`CompileSignature`) memo keeps
+    ``compiles`` at the number of *distinct* pairs — configurations
+    differing only in simulation-side axes share one compile.  Named
+    cells memoize for the executor's lifetime; instance-backed cells only
     within one batch, because the caller owns the instance and may mutate
     it between batches.  With a trace store attached, ``trace_hits``
-    counts pairs replayed from disk instead of compiled and
+    counts missing pairs replayed from disk instead of compiled and
     ``trace_misses`` counts pairs that had to compile (and were then
-    stored) — so ``trace_misses == compiles`` on store-backed executors,
-    and a fully warm store reports ``0 kernel compiles``.  ``sim_*``
-    counters aggregate the event-driven scheduler's
+    stored) — so ``trace_misses == compiles`` on store-backed executors.
+    ``sim_*`` counters aggregate the event-driven scheduler's
     efficiency over the simulations this executor actually ran (cache hits
     replay stored results and schedule nothing).
     """
@@ -714,9 +735,17 @@ class ExecutorStats:
     @classmethod
     def from_dict(cls, payload: Dict[str, int]) -> "ExecutorStats":
         """Inverse of :meth:`to_dict`; unknown keys are ignored so a
-        newer writer's counter file still merges on an older reader."""
+        newer writer's counter file still merges on an older reader.
+        A known counter that is not a non-negative ``int`` (``bool``
+        excluded) raises ``ValueError`` naming the field."""
         known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in payload.items() if k in known})
+        counters = {k: v for k, v in payload.items() if k in known}
+        for name, value in counters.items():
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 0):
+                raise ValueError(f"counter {name!r} must be a non-negative "
+                                 f"integer, got {value!r}")
+        return cls(**counters)
 
     def summary(self) -> str:
         text = (f"engine: {self.cells_requested} cells requested, "
@@ -751,23 +780,53 @@ class ExecutorStats:
         return text
 
 
+#: A compile-memo key: workload identity (registry name or instance) plus
+#: the (mvl, n_logical) signature — never the full machine config.
+PairKey = Tuple[Union[str, Workload], CompileSignature]
+
+
+@dataclass
+class _CompileMemo:
+    """Per-workload compile fingerprints and per-pair programs.
+
+    Program entries pair the program with its trace-store key (None
+    without a store), so the dispatcher can hand workers a
+    :class:`TraceRef`.
+    """
+
+    fingerprints: Dict[Union[str, Workload], str] = field(
+        default_factory=dict)
+    programs: Dict[PairKey, Tuple[Program, Optional[str]]] = field(
+        default_factory=dict)
+
+
+def _cell_error(cell: Cell, key: str, exc: BaseException) -> CellError:
+    return CellError(cell=cell, key=key,
+                     error=f"{type(exc).__name__}: {exc}",
+                     tb="".join(traceback.format_exception(
+                         type(exc), exc, exc.__traceback__)))
+
+
 class CellExecutor:
-    """Streams cell batches through a pluggable execution backend.
+    """Streams cell batches through an inline or process-pool backend.
 
-    ``jobs=1`` executes inline (no subprocess, no pickling); ``jobs>1``
-    submits misses to one :class:`ProcessPoolExecutor` that is spun up on
-    first use and reused across batches (``close()`` or the context-
-    manager form shuts it down).  Identical cells within a batch are
-    simulated once.  Results always come back in request order.
+    ``jobs=1`` executes inline (no subprocess, no pickling) through an
+    :class:`InlineBackend`; ``jobs>1`` submits misses to one
+    :class:`ProcessPoolExecutor` (a :class:`ProcessPoolBackend`) that is
+    spun up on first use and reused across batches (``close()`` or the
+    context-manager form shuts it down).  The semantic layer here — cache
+    scan, compile memo, dedupe, position-keyed results, counters — is
+    backend-independent, so rendered artifacts are byte-identical across
+    ``jobs``.  Identical cells within a batch are simulated once.  Results
+    always come back in request order.
 
-    Scheduling itself lives behind :class:`ExecutionBackend`
-    (:mod:`repro.experiments.backends`): ``jobs`` resolves to an
-    :class:`InlineBackend` or :class:`ProcessPoolBackend`, or pass
-    ``backend=`` explicitly (e.g. a
-    :class:`~repro.experiments.shard.ShardBackend`) — the semantic layer
-    here (compile memo, cache scan, dedupe, position-keyed results,
-    counters) is backend-independent, so rendered artifacts are
-    byte-identical across backends.
+    A batch is keyed first: :func:`cell_key` hashes compile *inputs*,
+    with the workload's compile fingerprint memoized — for the executor's
+    lifetime for named cells, per batch for instance-backed cells (the
+    caller owns the instance and may mutate it between batches).  Cache
+    hits are final at that point; only the misses are compiled, once per
+    distinct (workload, :class:`CompileSignature`) pair under the same
+    memo policy, and dispatched.
 
     Execution is *streaming*: every payload is written to the cache the
     moment its simulation lands, so interrupting a grid — Ctrl-C, an
@@ -806,7 +865,6 @@ class CellExecutor:
                  deadline_s: Optional[float] = None,
                  retries: int = 3,
                  backoff_s: float = 0.25,
-                 backend: Optional[ExecutionBackend] = None,
                  sanitize: bool = False) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -816,6 +874,7 @@ class CellExecutor:
             raise ValueError("retries must be >= 0")
         if backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
+        self.jobs = jobs
         self.cache = cache
         self.traces = traces
         self.progress = progress
@@ -826,24 +885,13 @@ class CellExecutor:
         #: (``repro ... --sanitize``); cells already marked stay marked.
         self.sanitize = sanitize
         self.stats = ExecutorStats()
-        if backend is None:
-            # The historical --jobs contract: inline at 1, a pool above.
-            backend = (InlineBackend() if jobs == 1
-                       else ProcessPoolBackend(jobs))
-        self.backend = backend
+        self.backend: ExecutionBackend = (
+            InlineBackend() if jobs == 1 else ProcessPoolBackend(jobs))
         self.backend.bind(self)
-        #: Mirrors the backend's worker width — an explicit ``backend=``
-        #: wins over the ``jobs`` argument.
-        self.jobs = backend.jobs
-        # Compilation memo for *named* cells: the registry instantiates a
-        # fresh default-shaped instance per lookup, so (name, signature) is
-        # pure for the life of the executor.  Instance-backed cells are
-        # memoized per batch only (see :meth:`run`): the caller owns the
-        # instance and may mutate it between batches.  Values pair the
-        # program with its trace-store key (None without a store), so the
-        # dispatcher can hand workers a :class:`TraceRef`.
-        self._programs: Dict[Tuple[Union[str, Workload], CompileSignature],
-                             Tuple[Program, Optional[str]]] = {}
+        # The memo for *named* cells: the registry instantiates a fresh
+        # default-shaped instance per lookup, so a name's fingerprint and
+        # its (name, signature) programs are pure for the executor's life.
+        self._named = _CompileMemo()
 
     # -- worker-pool lifecycle -------------------------------------------------
     @property
@@ -884,36 +932,28 @@ class CellExecutor:
             cells = [cell if cell.sanitize else replace(cell, sanitize=True)
                      for cell in cells]
         self.stats.cells_requested += len(cells)
-        # One compile per distinct (workload, signature) pair: the program
-        # feeds both the cache key and (for misses) the simulation itself.
-        batch_memo: Dict[Tuple[Union[str, Workload], CompileSignature],
-                         Tuple[Program, Optional[str]]] = {}
-        compiled = self._compile_programs(cells, batch_memo)
+        batch = _CompileMemo()
 
         progress = Progress(total=len(cells), label=label)
         results: Dict[int, Union[CellResult, CellError]] = {}
         failures: List[CellError] = []
         pending: List[int] = []
         keys: List[str] = []
-        # One shared CellError per raising compile, however many cells
-        # requested that (workload, config) pair.
-        compile_errors: Dict[int, CellError] = {}
-        for i, (cell, outcome) in enumerate(zip(cells, compiled)):
-            if isinstance(outcome, BaseException):
-                # A failed compile poisons only the cells needing that
-                # program; there is no program, hence no key to cache
-                # under — the cell re-executes on the next run.
-                keys.append("")
-                error = compile_errors.get(id(outcome))
-                if error is None:
-                    error = CellError(
-                        cell=cell, key="",
-                        error=f"{type(outcome).__name__}: {outcome}",
-                        tb="".join(traceback.format_exception(
-                            type(outcome), outcome,
-                            outcome.__traceback__)))
-                    compile_errors[id(outcome)] = error
+        # One shared CellError per workload whose fingerprint raised (its
+        # kernel does not build), however many cells requested it.  There
+        # is no key to cache under, so those cells re-execute next run.
+        unkeyable: Dict[Union[str, Workload], CellError] = {}
+        for i, cell in enumerate(cells):
+            error = unkeyable.get(cell.workload)
+            if error is None:
+                try:
+                    fingerprint = self._fingerprint(cell, batch)
+                except Exception as exc:  # noqa: BLE001 — per workload
+                    error = unkeyable[cell.workload] = _cell_error(
+                        cell, "", exc)
                     failures.append(error)
+            if error is not None:
+                keys.append("")
                 results[i] = error
                 self.stats.cache_misses += 1
                 self.stats.cells_failed += 1
@@ -921,7 +961,7 @@ class CellExecutor:
                 progress.done += 1
                 progress.failed += 1
                 continue
-            key = cell_key(cell, outcome)
+            key = cell_key(cell, fingerprint)
             keys.append(key)
             payload = self.cache.get(key) if self.cache else None
             if payload is not None:
@@ -941,11 +981,9 @@ class CellExecutor:
             by_key: Dict[str, List[int]] = {}
             for i in pending:
                 by_key.setdefault(keys[i], []).append(i)
-            unique = [(key, indices[0]) for key, indices in by_key.items()]
 
-            def land(pos: int, payload: dict) -> None:
+            def land(key: str, payload: dict) -> None:
                 """Finalise one simulation: cache first, then materialise."""
-                key, _ = unique[pos]
                 self.stats.sims_executed += 1
                 sim_stats = payload["stats"]
                 self.stats.sim_cycles += sim_stats["cycles"]
@@ -963,14 +1001,9 @@ class CellExecutor:
                     progress.done += 1
                 self._emit(progress)
 
-            def fail(pos: int, exc: BaseException) -> None:
-                """Capture one failed simulation without stopping the rest."""
-                key, j = unique[pos]
-                error = CellError(
-                    cell=cells[j], key=key,
-                    error=f"{type(exc).__name__}: {exc}",
-                    tb="".join(traceback.format_exception(
-                        type(exc), exc, exc.__traceback__)))
+            def fail(key: str, exc: BaseException) -> None:
+                """Capture one failed key without stopping the rest."""
+                error = _cell_error(cells[by_key[key][0]], key, exc)
                 failures.append(error)
                 for i in by_key[key]:
                     results[i] = error
@@ -979,23 +1012,23 @@ class CellExecutor:
                     self.stats.cells_failed += 1
                 self._emit(progress)
 
-            # Parallel dispatch ships TraceRef pointers when the store has
-            # the program on disk; inline execution (and the single-job
-            # shortcut below) uses the in-memory program directly, where a
-            # round-trip through the store would only add I/O.
-            use_refs = (self.traces is not None
-                        and self.jobs > 1 and len(unique) > 1)
+            # Only the misses need programs; a raising compile fails the
+            # keys that needed it before anything is dispatched.
+            sources = self._compile_programs(
+                [cells[indices[0]] for indices in by_key.values()], batch)
+            runnable: List[str] = []
             jobs_list: List[Tuple[Cell, Union[Program, TraceRef]]] = []
-            for _, i in unique:
-                source: Union[Program, TraceRef] = compiled[i]
-                if use_refs:
-                    entry = self._memo_for(cells[i], batch_memo).get(
-                        self._memo_key(cells[i]))
-                    if entry is not None and entry[1] is not None:
-                        source = TraceRef(root=str(self.traces.root),
-                                          key=entry[1])
-                jobs_list.append((cells[i], source))
-            self.backend.execute(jobs_list, land, fail, progress)
+            for key, source in zip(by_key, sources):
+                if isinstance(source, BaseException):
+                    fail(key, source)
+                else:
+                    runnable.append(key)
+                    jobs_list.append((cells[by_key[key][0]], source))
+            self.backend.execute(
+                jobs_list,
+                lambda pos, payload: land(runnable[pos], payload),
+                lambda pos, exc: fail(runnable[pos], exc),
+                progress)
 
         self._sync_store_counters()
         if failures and errors == "raise":
@@ -1039,29 +1072,26 @@ class CellExecutor:
             0.0, self.backoff_s)
         return base + jitter
 
-    @staticmethod
-    def _memo_key(cell: Cell) -> Tuple[Union[str, Workload],
-                                       CompileSignature]:
-        """The narrowed compile key: workload identity plus the
-        (mvl, n_logical) signature — never the full machine config."""
-        return (cell.workload, CompileSignature.from_config(cell.config))
+    def _memo(self, cell: Cell, batch: _CompileMemo) -> _CompileMemo:
+        """Named cells memoize for the executor's life, instances per
+        batch."""
+        return self._named if isinstance(cell.workload, str) else batch
 
-    def _memo_for(self, cell: Cell,
-                  batch_memo: Dict[Tuple[Union[str, Workload],
-                                         CompileSignature],
-                                   Tuple[Program, Optional[str]]]
-                  ) -> Dict[Tuple[Union[str, Workload], CompileSignature],
-                            Tuple[Program, Optional[str]]]:
-        return (self._programs if isinstance(cell.workload, str)
-                else batch_memo)
+    def _fingerprint(self, cell: Cell, batch: _CompileMemo) -> str:
+        """The cell's memoized workload compile fingerprint (raises what
+        building the kernel raises; failures are never memoized)."""
+        fingerprints = self._memo(cell, batch).fingerprints
+        fingerprint = fingerprints.get(cell.workload)
+        if fingerprint is None:
+            fingerprint = cell.resolve_workload().compile_fingerprint()
+            fingerprints[cell.workload] = fingerprint
+        return fingerprint
 
-    def _compile_programs(self, cells: Sequence[Cell],
-                          batch_memo: Dict[Tuple[Union[str, Workload],
-                                                 CompileSignature],
-                                           Tuple[Program, Optional[str]]]
-                          ) -> List[Union[Program, BaseException]]:
-        """Every cell's compiled program — or the exception its compile
-        raised — memoized per (workload, :class:`CompileSignature`).
+    def _compile_programs(self, cells: Sequence[Cell], batch: _CompileMemo
+                          ) -> List[Union[Program, TraceRef, BaseException]]:
+        """What to dispatch for each cell — its program, a
+        :class:`TraceRef` to it, or the exception its compile raised —
+        memoized per (workload, :class:`CompileSignature`).
 
         The signature is the narrowed compile key: configurations that
         differ only in simulation-side axes (NATIVE/AVA mode, physical
@@ -1072,91 +1102,86 @@ class CellExecutor:
         With a trace store attached, memo misses consult it first —
         signatures compiled by any previous run or process replay from
         disk (``stats.trace_hits``) and only true misses compile.  Those
-        compile over the worker pool when the executor is parallel — key
-        computation needs every program before the cache scan, and there
-        is no reason the parent should compile them one by one while the
-        workers sit idle — and are written back to the store.  Failure
-        isolation starts here, before any simulation: a raising compile is
-        captured per pair (one bad kernel must not abort the grid), only
-        successful compiles count toward ``stats.compiles``, and failed
-        pairs are never memoized, so the next batch retries them.
+        compile over the worker pool when the executor is parallel and
+        are written back to the store.  A raising compile is captured per
+        pair (one bad kernel must not abort the grid), only successful
+        compiles count toward ``stats.compiles``, and failed pairs are
+        never memoized, so the next batch retries them.  Parallel batches
+        of more than one cell get a :class:`TraceRef` wherever the store
+        holds the program, so workers load it instead of unpickling it.
         """
-        pending: List[Tuple[Cell, Tuple[Union[str, Workload],
-                                        CompileSignature]]] = []
-        seen = set()
+        todo: Dict[PairKey, Tuple[Cell, Optional[str]]] = {}
         for cell in cells:
-            memo_key = self._memo_key(cell)
-            if (memo_key not in self._memo_for(cell, batch_memo)
-                    and memo_key not in seen):
-                seen.add(memo_key)
-                pending.append((cell, memo_key))
-
-        todo: List[Tuple[Cell, Tuple[Union[str, Workload], CompileSignature],
-                         Optional[str]]] = []
-        if self.traces is not None:
-            for cell, memo_key in pending:
-                key = self.traces.key(cell.resolve_workload(), memo_key[1])
-                stored = self.traces.load(key)
+            pair = (cell.workload, CompileSignature.from_config(cell.config))
+            programs = self._memo(cell, batch).programs
+            if pair in programs or pair in todo:
+                continue
+            trace_key = None
+            if self.traces is not None:
+                trace_key = self.traces.key(cell.resolve_workload(), pair[1])
+                stored = self.traces.load(trace_key)
                 if stored is not None:
                     self.stats.trace_hits += 1
-                    self._memo_for(cell, batch_memo)[memo_key] = (
-                        stored.program, key)
-                else:
-                    todo.append((cell, memo_key, key))
-        else:
-            todo = [(cell, memo_key, None) for cell, memo_key in pending]
+                    programs[pair] = (stored.program, trace_key)
+                    continue
+            todo[pair] = (cell, trace_key)
 
-        failed: Dict[Tuple[Union[str, Workload], CompileSignature],
-                     BaseException] = {}
+        failed: Dict[PairKey, BaseException] = {}
 
-        def record(cell: Cell, memo_key, trace_key: Optional[str],
+        def record(pair: PairKey,
                    outcome: Union[CompiledWorkload, BaseException]) -> None:
+            cell, trace_key = todo[pair]
             if isinstance(outcome, BaseException):
-                failed[memo_key] = outcome
-            else:
-                self.stats.compiles += 1
-                if trace_key is not None:
-                    self.stats.trace_misses += 1
-                    self.traces.put_trace(trace_key, outcome)
-                self._memo_for(cell, batch_memo)[memo_key] = (
-                    outcome.program, trace_key)
+                failed[pair] = outcome
+                return
+            self.stats.compiles += 1
+            if trace_key is not None:
+                self.stats.trace_misses += 1
+                self.traces.put_trace(trace_key, outcome)
+            self._memo(cell, batch).programs[pair] = (outcome.program,
+                                                      trace_key)
 
-        if todo:
-            pool = self.backend.compile_pool() if len(todo) > 1 else None
-            if pool is not None:
-                futures = [(pool.submit(_compile_cell, cell), cell, memo_key,
-                            trace_key)
-                           for cell, memo_key, trace_key in todo]
-                broken = False
-                try:
-                    for future, cell, memo_key, trace_key in futures:
-                        try:
-                            compiled = future.result()
-                        except Exception as exc:  # noqa: BLE001 — per pair
-                            broken = broken or isinstance(exc, BrokenExecutor)
-                            record(cell, memo_key, trace_key, exc)
-                        else:
-                            record(cell, memo_key, trace_key, compiled)
-                except BaseException:
-                    self.backend.discard_pool()
-                    raise
-                if broken:
-                    self.backend.discard_pool()
-            else:
-                for cell, memo_key, trace_key in todo:
+        pool = self.backend.compile_pool() if len(todo) > 1 else None
+        if pool is not None:
+            futures = [(pair, pool.submit(_compile_cell, cell))
+                       for pair, (cell, _) in todo.items()]
+            broken = False
+            try:
+                for pair, future in futures:
                     try:
-                        compiled = _compile_cell(cell)
+                        compiled = future.result()
                     except Exception as exc:  # noqa: BLE001 — per pair
-                        record(cell, memo_key, trace_key, exc)
+                        broken = broken or isinstance(exc, BrokenExecutor)
+                        record(pair, exc)
                     else:
-                        record(cell, memo_key, trace_key, compiled)
+                        record(pair, compiled)
+            except BaseException:
+                self.backend.discard_pool()
+                raise
+            if broken:
+                self.backend.discard_pool()
+        else:
+            for pair, (cell, _) in todo.items():
+                try:
+                    compiled = _compile_cell(cell)
+                except Exception as exc:  # noqa: BLE001 — per pair
+                    record(pair, exc)
+                else:
+                    record(pair, compiled)
 
-        def outcome_for(cell: Cell) -> Union[Program, BaseException]:
-            memo_key = self._memo_key(cell)
-            entry = self._memo_for(cell, batch_memo).get(memo_key)
-            return entry[0] if entry is not None else failed[memo_key]
+        use_refs = self.traces is not None and self.jobs > 1 and len(cells) > 1
 
-        return [outcome_for(cell) for cell in cells]
+        def source(cell: Cell) -> Union[Program, TraceRef, BaseException]:
+            pair = (cell.workload, CompileSignature.from_config(cell.config))
+            entry = self._memo(cell, batch).programs.get(pair)
+            if entry is None:
+                return failed[pair]
+            program, trace_key = entry
+            if use_refs and trace_key is not None:
+                return TraceRef(root=str(self.traces.root), key=trace_key)
+            return program
+
+        return [source(cell) for cell in cells]
 
     @staticmethod
     def _materialise(cell: Cell, key: str, payload: dict,
@@ -1192,27 +1217,19 @@ def make_executor(jobs: int = 1, cache: bool = False,
                   retries: int = 3,
                   backoff_s: float = 0.25,
                   cache_max_bytes: Optional[int] = None,
-                  backend: Union[str, ExecutionBackend, None] = None,
-                  shards: int = 4,
                   sanitize: bool = False
                   ) -> CellExecutor:
     """Build an executor from the CLI-style knobs (--jobs / --no-cache /
     --cache-dir / --progress / --deadline / --retries / --cache-max-bytes
-    / --backend / --shards).
+    / --sanitize).
 
     ``cache=True`` wires both persistent stores: cell results at
     ``cache_dir`` (size-bounded when ``cache_max_bytes`` is set) and
     compiled traces under ``cache_dir/traces``.  ``--no-cache``
     (``cache=False``) disables both — no disk is touched.
-
-    ``backend`` is a flag value (``"auto"`` / ``"inline"`` / ``"pool"`` /
-    ``"shard"``, resolved by :func:`make_backend` together with ``jobs``
-    and ``shards``) or a pre-built :class:`ExecutionBackend` instance.
     """
     from repro.compiler.store import TRACE_SUBDIR
     root = Path(cache_dir)
-    if not isinstance(backend, ExecutionBackend):
-        backend = make_backend(backend or "auto", jobs=jobs, shards=shards)
     return CellExecutor(jobs=jobs,
                         cache=(ResultCache(root, max_bytes=cache_max_bytes)
                                if cache else None),
@@ -1220,4 +1237,4 @@ def make_executor(jobs: int = 1, cache: bool = False,
                         else None,
                         progress=progress, deadline_s=deadline_s,
                         retries=retries, backoff_s=backoff_s,
-                        backend=backend, sanitize=sanitize)
+                        sanitize=sanitize)

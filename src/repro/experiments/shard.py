@@ -3,8 +3,8 @@
 A sweep over a (workload × machine × timing × memory × policy) grid is
 embarrassingly partitionable: every cell is independent and the shared
 content-addressed ``.repro-cache`` is already concurrent-safe (atomic
-writes, checksummed entries).  This module supplies the three pieces
-that turn one grid into N cooperating runs:
+writes, checksummed entries).  This module supplies the two pieces that
+turn one grid into N cooperating runs:
 
 * :func:`shard_of` / :func:`partition` — a deterministic, reorder-stable
   assignment of cells to shards.  The shard of a cell depends only on
@@ -12,25 +12,18 @@ that turn one grid into N cooperating runs:
   hashed with sha256 — never on its position in the grid, the process,
   or the Python hash seed — so every host computes the same partition
   and the shards are disjoint and exhaustive by construction;
-* :func:`merge_stats` / :func:`merge_progress` — associative,
-  commutative, identity-preserving merges of
-  :class:`~repro.experiments.engine.ExecutorStats` /
-  :class:`~repro.experiments.engine.Progress` counters (the
+* :func:`merge_stats` — an associative, commutative,
+  identity-preserving merge of
+  :class:`~repro.experiments.engine.ExecutorStats` counters (the
   ``merge-counters.py`` pattern): per-shard counter files combine into
-  one batch summary in any order;
-* :class:`ShardBackend` — an :class:`~repro.experiments.backends.ExecutionBackend`
-  that runs all N shards of a batch sequentially in one process, each
-  shard as an independent restartable unit over the shared cache.  Its
-  rendered output is byte-identical to an inline or pool run of the same
-  grid: sharding only regroups *scheduling*, results stay keyed by
-  request position.
+  one batch summary in any order.
 
-Cross-host sharding uses the same partition from the CLI instead:
-``repro sweep --shards N --shard-index K`` runs only shard K's cells
-(writing its counters with ``--stats-json``), and ``repro merge``
-combines the per-shard counter files once every shard has landed in the
-shared cache dir — a warm full-sweep rerun then renders the figures with
-zero duplicate simulations.
+From the CLI, ``repro sweep --shards N --shard-index K`` runs only shard
+K's cells (writing its counters with ``--stats-json``), and ``repro
+merge`` combines the per-shard counter files once every shard has landed
+in the shared cache dir — a warm full-sweep rerun then renders the
+figures with zero duplicate simulations.  Resuming a killed shard needs
+nothing more: the streaming cache replays its finished cells as hits.
 """
 
 from __future__ import annotations
@@ -39,13 +32,9 @@ import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
-from repro.experiments.backends import (ExecutionBackend, FailFn,
-                                        InlineBackend, Job, LandFn,
-                                        ProcessPoolBackend)
-from repro.experiments.engine import (Cell, ExecutorStats, Progress,
-                                      _scenario_key)
+from repro.experiments.engine import Cell, ExecutorStats, _scenario_key
 
 #: Schema of the ``--stats-json`` counter files ``repro merge`` consumes.
 STATS_SCHEMA = 1
@@ -57,10 +46,11 @@ STATS_SCHEMA = 1
 def shard_key(cell: Cell) -> str:
     """A cell's shard-assignment identity, as a stable content hash.
 
-    Deliberately *cheaper* than the result-cache key: no compiled-program
-    fingerprint (sharding must not compile), no code fingerprint (all
-    hosts of one sweep run the same code by contract, and the partition
-    must survive code edits so a resumed shard re-runs the same cells).
+    Deliberately *cheaper* than the result-cache key: no workload compile
+    fingerprint (partitioning must not build kernels), no code fingerprint
+    (all hosts of one sweep run the same code by contract, and the
+    partition must survive code edits so a resumed shard re-runs the same
+    cells).
     Two cells that would produce the same result always land in the same
     shard, so the in-batch dedupe keeps working per shard.
     """
@@ -124,113 +114,6 @@ def merge_stats(*stats: ExecutorStats) -> ExecutorStats:
     return merged
 
 
-#: Progress fields that merge by summation (``total`` included: shard
-#: snapshots cover disjoint cell sets).
-_PROGRESS_COUNTERS = ("total", "done", "hits", "misses", "failed",
-                      "retries", "timeouts")
-
-
-def merge_progress(*snapshots: Progress) -> Progress:
-    """Sum per-shard :class:`Progress` snapshots into one batch view.
-
-    The merged snapshot keeps the first labelled shard's label stripped
-    of its ``[shard k/N]`` suffix; the elapsed clock restarts (wall time
-    is not additive across hosts and is never part of the artifacts).
-    """
-    merged = Progress(total=0)
-    for snap in snapshots:
-        if not merged.label and snap.label:
-            merged.label = snap.label.split(" [shard ", 1)[0]
-        for name in _PROGRESS_COUNTERS:
-            setattr(merged, name, getattr(merged, name) + getattr(snap, name))
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# the shard backend
-# ---------------------------------------------------------------------------
-class ShardBackend(ExecutionBackend):
-    """Run a batch as N disjoint shards, sequentially, in one process.
-
-    Each shard is dispatched through an inner inline/pool backend (by
-    ``jobs``) as its own unit: a kill between (or during) shards loses at
-    most the in-flight shard's unfinished cells, because every finished
-    cell already streamed into the shared cache — rerunning resumes with
-    the finished shards replaying as hits.  ``per_shard`` records each
-    shard's execution-side counter *delta* (simulations, retries,
-    timeouts, scheduler counters); their :func:`merge_stats` sum equals
-    the executor's own execution counters, which is the invariant the
-    shard tests pin.
-    """
-
-    name = "shard"
-
-    def __init__(self, shards: int = 4, jobs: int = 1) -> None:
-        super().__init__()
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = shards
-        self.jobs = jobs
-        self._inner = (InlineBackend() if jobs == 1
-                       else ProcessPoolBackend(jobs))
-        #: Execution-counter deltas per shard, refreshed each batch.
-        self.per_shard: List[ExecutorStats] = []
-        #: Cells dispatched per shard in the last batch (pending cells
-        #: only — cache hits are finalised before backends see the batch).
-        self.shard_sizes: List[int] = []
-
-    def bind(self, executor) -> None:
-        super().bind(executor)
-        self._inner.bind(executor)
-
-    def compile_pool(self):
-        return self._inner.compile_pool()
-
-    def discard_pool(self) -> None:
-        self._inner.discard_pool()
-
-    def close(self) -> None:
-        self._inner.close()
-
-    @staticmethod
-    def _snapshot(stats: ExecutorStats) -> ExecutorStats:
-        return ExecutorStats(**{f.name: getattr(stats, f.name)
-                                for f in fields(ExecutorStats)})
-
-    @staticmethod
-    def _delta(before: ExecutorStats, after: ExecutorStats) -> ExecutorStats:
-        return ExecutorStats(**{f.name: (getattr(after, f.name)
-                                         - getattr(before, f.name))
-                                for f in fields(ExecutorStats)})
-
-    def execute(self, jobs_list: List[Job], land: LandFn, fail: FailFn,
-                progress: "Progress") -> None:
-        buckets = partition([cell for cell, _ in jobs_list], self.shards)
-        self.per_shard = []
-        self.shard_sizes = [len(b) for b in buckets]
-        base_label = progress.label
-        executor = self.executor
-        try:
-            for index, bucket in enumerate(buckets):
-                before = self._snapshot(executor.stats)
-                if bucket:
-                    suffix = f"[shard {index + 1}/{self.shards}]"
-                    progress.label = (f"{base_label} {suffix}" if base_label
-                                      else suffix)
-                    sub = [jobs_list[i] for i in bucket]
-                    # Positions are local to the shard inside the inner
-                    # backend; translate back to batch positions so land/
-                    # fail keep finalising by *request* position.
-                    self._inner.execute(
-                        sub,
-                        lambda pos, payload, b=bucket: land(b[pos], payload),
-                        lambda pos, exc, b=bucket: fail(b[pos], exc),
-                        progress)
-                self.per_shard.append(self._delta(before, executor.stats))
-        finally:
-            progress.label = base_label
-
-
 # ---------------------------------------------------------------------------
 # per-shard counter files (`--stats-json` / `repro merge`)
 # ---------------------------------------------------------------------------
@@ -263,6 +146,10 @@ def load_stats_file(path: Union[str, Path]) -> dict:
             or not isinstance(payload.get("stats"), dict)):
         raise ValueError(f"{path} is not a repro stats file "
                          f"(expected schema {STATS_SCHEMA})")
+    try:
+        ExecutorStats.from_dict(payload["stats"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return payload
 
 

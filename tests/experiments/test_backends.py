@@ -1,9 +1,9 @@
 """Execution backends: selection, equivalence, and the CLI surface.
 
-The backend layer's contract: *which* backend runs a batch (inline,
-process pool, or shards) changes scheduling only — never a byte of the
-rendered artifacts, never the cache contents, never the user-visible
-counters a fault-free run reports.
+The backend layer's contract: *which* backend runs a batch (inline or
+process pool, picked by ``jobs``) changes scheduling only — never a byte
+of the rendered artifacts, never the cache contents, never the
+user-visible counters a fault-free run reports.
 """
 
 import json
@@ -13,11 +13,9 @@ import pytest
 from repro.__main__ import main
 from repro.core.config import ava_config, native_config
 from repro.experiments.backends import (ExecutionBackend, InlineBackend,
-                                        ProcessPoolBackend, default_jobs,
-                                        make_backend)
-from repro.experiments.engine import (Cell, CellExecutor, SweepSpec,
-                                      make_executor)
-from repro.experiments.shard import ShardBackend, stats_payload
+                                        ProcessPoolBackend, default_jobs)
+from repro.experiments.engine import CellExecutor, ExecutorStats, SweepSpec
+from repro.experiments.shard import stats_payload
 
 
 @pytest.fixture
@@ -33,30 +31,6 @@ def test_executor_picks_backend_from_jobs():
     with CellExecutor(jobs=2) as parallel:
         assert isinstance(parallel.backend, ProcessPoolBackend)
         assert parallel.backend.jobs == 2
-
-
-def test_make_backend_names():
-    assert isinstance(make_backend("auto", jobs=1), InlineBackend)
-    assert isinstance(make_backend("auto", jobs=3), ProcessPoolBackend)
-    assert isinstance(make_backend("inline", jobs=8), InlineBackend)
-    pool = make_backend("pool", jobs=1)
-    assert isinstance(pool, ProcessPoolBackend)
-    shard = make_backend("shard", jobs=1, shards=6)
-    assert isinstance(shard, ShardBackend)
-    assert shard.shards == 6
-    with pytest.raises(ValueError):
-        make_backend("threads")
-
-
-def test_make_executor_accepts_backend_instance_and_name(tmp_path):
-    backend = ShardBackend(shards=2)
-    executor = make_executor(cache=True, cache_dir=tmp_path / "c",
-                             backend=backend)
-    assert executor.backend is backend
-    named = make_executor(cache=True, cache_dir=tmp_path / "c",
-                          backend="shard", shards=3)
-    assert isinstance(named.backend, ShardBackend)
-    assert named.backend.shards == 3
 
 
 def test_backend_must_be_bound_before_use():
@@ -81,25 +55,21 @@ def test_backends_agree_byte_for_byte():
     inline = CellExecutor().run_spec(spec)
     with CellExecutor(jobs=2) as pooled:
         pool = pooled.run_spec(spec)
-    sharded_ex = CellExecutor(backend=ShardBackend(shards=3))
-    sharded = sharded_ex.run_spec(spec)
-    for a, b, c in zip(inline, pool, sharded):
-        assert a.stats == b.stats == c.stats
-        assert a.energy == b.energy == c.energy
+    for a, b in zip(inline, pool):
+        assert a.stats == b.stats
+        assert a.energy == b.energy
 
 
 def test_figure3_stdout_identical_across_backends(capsys, tmp_path):
     """The headline acceptance: figure3 renders the same bytes whether the
-    grid ran inline, over a pool, or as 4 sequential shards."""
+    grid ran inline (--jobs 1) or over a pool (--jobs 2)."""
     outputs = {}
-    for backend, extra in (("inline", []), ("pool", ["--jobs", "2"]),
-                           ("shard", ["--shards", "4"])):
-        cache = ["--cache-dir", str(tmp_path / backend)]
-        assert main(["figure3", "axpy", "--backend", backend]
-                    + extra + cache) == 0
-        outputs[backend] = capsys.readouterr().out
-    assert outputs["inline"] == outputs["pool"] == outputs["shard"]
-    assert "Figure 3 panel: axpy" in outputs["inline"]
+    for jobs in ("1", "2"):
+        cache = ["--cache-dir", str(tmp_path / jobs)]
+        assert main(["figure3", "axpy", "--jobs", jobs] + cache) == 0
+        outputs[jobs] = capsys.readouterr().out
+    assert outputs["1"] == outputs["2"]
+    assert "Figure 3 panel: axpy" in outputs["1"]
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +97,22 @@ def test_shard_flag_validation(cache_args):
     with pytest.raises(SystemExit):
         main(["sweep", "examples/sweep_smoke.json", "--shard-index", "0"]
              + cache_args)
-    # Out of range, bad counts, and mixing with --backend shard.
+    # Out of range and bad counts.
     with pytest.raises(SystemExit):
         main(["sweep", "examples/sweep_smoke.json", "--shards", "2",
               "--shard-index", "2"] + cache_args)
     with pytest.raises(SystemExit):
         main(["sweep", "examples/sweep_smoke.json", "--shards", "0",
               "--shard-index", "0"] + cache_args)
-    with pytest.raises(SystemExit):
-        main(["sweep", "examples/sweep_smoke.json", "--backend", "shard",
-              "--shards", "2", "--shard-index", "0"] + cache_args)
-    # --shards without anything to shard is a contradiction.
+    # --shards is only valid with sweep --shard-index.
     with pytest.raises(SystemExit):
         main(["table2", "--shards", "4"] + cache_args)
-
-
-def test_bench_rejects_backend_and_stats_json():
     with pytest.raises(SystemExit):
-        main(["bench", "engine", "--backend", "pool"])
+        main(["sweep", "examples/sweep_smoke.json", "--shards", "2"]
+             + cache_args)
+
+
+def test_bench_rejects_stats_json():
     with pytest.raises(SystemExit):
         main(["bench", "engine", "--stats-json", "x.json"])
 
@@ -165,7 +133,6 @@ def test_stats_json_writes_a_mergeable_counter_file(capsys, tmp_path):
 
 
 def test_merge_artifact_sums_counter_files(capsys, tmp_path):
-    from repro.experiments.engine import ExecutorStats
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     a.write_text(json.dumps(stats_payload(
@@ -193,9 +160,25 @@ def test_merge_rejects_missing_and_malformed_files(tmp_path):
         main(["merge", str(bad)])
 
 
+@pytest.mark.parametrize("value", [None, [1, 2], 2.7, -1, True],
+                         ids=["null", "list", "float", "negative", "bool"])
+def test_merge_rejects_a_non_count_counter(capsys, tmp_path, value):
+    """A counter that is not a non-negative int is a usage error naming
+    the file and the field — never a traceback, never a truncation."""
+    path = tmp_path / "shard.json"
+    payload = stats_payload(ExecutorStats(cells_requested=3))
+    payload["stats"]["sims_executed"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["merge", str(path)])
+    assert exit_info.value.code == 2  # parser.error, not a crash
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "sims_executed" in err
+
+
 def test_merge_rejects_stray_run_flags(tmp_path):
     stats = tmp_path / "s.json"
-    from repro.experiments.engine import ExecutorStats
     stats.write_text(json.dumps(stats_payload(ExecutorStats())))
     with pytest.raises(SystemExit):
         # Extra positional FILEs are merge-only.

@@ -54,9 +54,8 @@ def test_figure3_warm_cache_skips_simulation(capsys, cache_args):
 
 
 def test_figure3_warm_cache_reports_memoized_compiles(capsys, cache_args):
-    """Warm replays pay key computation only, and the trace store covers
-    even that: zero compiles, one trace hit per distinct
-    (workload, CompileSignature) pair, zero simulations."""
+    """Warm replays are keyed by compile inputs alone: zero compiles, zero
+    trace-store reads, zero simulations."""
     assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
     cold = capsys.readouterr().err
     # 14 chart configs collapse to 8 distinct (mvl, n_logical) signatures.
@@ -64,8 +63,22 @@ def test_figure3_warm_cache_reports_memoized_compiles(capsys, cache_args):
     assert "8 trace misses" in cold
     assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
     err = capsys.readouterr().err
-    assert "0 simulations executed, 0 kernel compiles" in err
-    assert "8 trace hits, 0 trace misses" in err
+    assert ("0 simulations executed, 0 kernel compiles, "
+            "0 trace hits, 0 trace misses") in err
+
+
+def test_warm_render_survives_a_cleared_trace_store(capsys, cache_args):
+    """A cache hit reads no trace: wiping the trace store must leave the
+    warm render byte-identical with nothing compiled or loaded."""
+    assert main(["figure3", "axpy"] + cache_args) == 0
+    cold = capsys.readouterr().out
+    assert main(["cache", "clear", "--traces"] + cache_args) == 0
+    assert "cleared 8 trace entries" in capsys.readouterr().out
+    assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
+    warm = capsys.readouterr()
+    assert warm.out == cold
+    assert ("14 cache hits, 0 misses, 0 simulations executed, "
+            "0 kernel compiles, 0 trace hits, 0 trace misses") in warm.err
 
 
 def test_figure3_accepts_extended_workload_names(capsys, cache_args):

@@ -20,11 +20,11 @@ from repro.power.mcpat import EnergyReport, McPatModel
 from repro.sim.stats import SimStats
 from repro.vpu.params import TimingParams
 from repro.workloads import get_workload
+from repro.workloads.registry import registered_names
 
 
 def _key(cell: Cell) -> str:
-    program = cell.resolve_workload().compile(cell.config).program
-    return cell_key(cell, program)
+    return cell_key(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,18 @@ def test_cell_key_misses_on_any_input_change():
     assert len(set(keys + [_key(base)])) == len(variants) + 1
 
 
+def test_cell_key_sees_the_workload_compile_inputs():
+    """A resized instance keeps its name and scenario; only its compile
+    fingerprint tells the key apart from the registered kernel."""
+    small = get_workload("axpy")
+    small.n_elements = 128
+    config = native_config(1)
+    named = Cell(workload="axpy", config=config)
+    assert _key(Cell(workload=small, config=config)) != _key(named)
+    assert _key(Cell(workload=get_workload("axpy"), config=config)) == \
+        _key(named)
+
+
 def test_cell_key_includes_the_code_fingerprint(monkeypatch):
     """A package source edit must invalidate every cached result."""
     import repro.experiments.engine as engine
@@ -90,6 +102,37 @@ def test_cell_key_includes_the_code_fingerprint(monkeypatch):
     before = _key(cell)
     monkeypatch.setattr(engine, "_CODE_FINGERPRINT", "simulated-code-edit")
     assert _key(cell) != before
+
+
+def _figure3_signatures():
+    from repro.compiler.signature import CompileSignature
+    from repro.experiments.configs import figure3_series
+    return sorted({CompileSignature.from_config(c) for c in figure3_series()},
+                  key=lambda sig: (sig.mvl, sig.n_logical))
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_compile_fingerprint_pins_the_program(name):
+    """The key hashes the compile fingerprint instead of the program, so
+    equal fingerprints must compile to equal programs — checked against
+    the full program hash for every figure3 compile signature."""
+    signatures = _figure3_signatures()
+    assert len(signatures) == 8
+    first, second = get_workload(name), get_workload(name)
+    assert first.compile_fingerprint() == second.compile_fingerprint()
+    for signature in signatures:
+        assert (program_fingerprint(first.compile(signature).program)
+                == program_fingerprint(second.compile(signature).program))
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("n_elements", 1024), ("fixed_avl", 24), ("loop_alu_insts", 9)])
+def test_compile_fingerprint_sees_the_strip_shape(attribute, value):
+    base = get_workload("axpy")
+    changed = get_workload("axpy")
+    assert getattr(changed, attribute) != value
+    setattr(changed, attribute, value)
+    assert changed.compile_fingerprint() != base.compile_fingerprint()
 
 
 def test_program_fingerprint_ignores_instruction_uids():
@@ -191,11 +234,9 @@ def test_duplicate_cells_in_one_batch_simulate_once():
 
 
 def test_compilation_is_memoized_per_workload_config_pair(tmp_path):
-    """At most one compile per distinct (workload, config) pair, hot or cold.
-
-    Cache hits still need the key (which hashes the compiled program), so
-    one compile per pair is the floor — but a full-batch warm replay must
-    not pay one compile *per cell* like it used to."""
+    """At most one compile per distinct (workload, config) pair cold, and
+    none at all warm: the key hashes compile inputs, so cache hits never
+    need a program."""
     cells = [
         Cell(workload="axpy", config=native_config(1)),
         Cell(workload="axpy", config=native_config(1), warm=False),
@@ -211,10 +252,10 @@ def test_compilation_is_memoized_per_workload_config_pair(tmp_path):
     warm.run(cells)
     assert warm.stats.cache_hits == 4
     assert warm.stats.sims_executed == 0
-    assert warm.stats.compiles == 3  # key computation only
-    # A second batch on the same executor re-uses the memo entirely.
+    assert warm.stats.compiles == 0  # hits are keyed without a program
+    # A second batch on the same executor stays compile-free.
     warm.run(cells)
-    assert warm.stats.compiles == 3
+    assert warm.stats.compiles == 0
 
 
 def test_instance_backed_cells_do_not_share_the_memo():

@@ -1,11 +1,9 @@
-"""Sharded execution: partitioning, counter merging, resume, end-to-end.
+"""Sharded sweeps: partitioning, counter merging, end-to-end fan-out.
 
 The invariants under test: the deterministic partition is disjoint and
-exhaustive; per-shard counter deltas merge (field-wise sums) into
-exactly the executor's own totals; a killed shard costs only its
-unfinished cells — the rerun replays every landed cell from the shared
-cache with zero duplicate simulations — and the rendered output never
-depends on how the grid was sharded.
+exhaustive; per-shard counter files merge (field-wise sums) into the
+single-run totals; and a warm full render over the shards' shared cache
+is byte-identical to an unsharded run, with zero duplicate simulations.
 """
 
 import json
@@ -15,11 +13,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.config import ava_config, native_config
-from repro.experiments.engine import (CellExecutor, ExecutorStats, Progress,
-                                      ResultCache, SweepSpec)
-from repro.experiments.shard import (ShardBackend, merge_progress,
-                                     merge_stats, partition, select_shard,
-                                     shard_of)
+from repro.experiments.engine import ExecutorStats, SweepSpec
+from repro.experiments.shard import partition, select_shard, shard_of
 from repro.vpu.params import DEFAULT_TIMING
 from repro.workloads import get_workload
 
@@ -65,89 +60,6 @@ def test_partition_rejects_bad_shapes():
 def test_single_shard_owns_everything():
     cells = _grid_40().cells()
     assert partition(cells, 1) == [list(range(len(cells)))]
-
-
-# ---------------------------------------------------------------------------
-# counter merging
-# ---------------------------------------------------------------------------
-def test_merge_progress_sums_counters_and_strips_shard_suffix():
-    a = Progress(total=3, label="demo [shard 1/4]", done=3, hits=1, misses=2)
-    b = Progress(total=5, label="demo [shard 2/4]", done=4, hits=0, misses=4,
-                 failed=1, retries=2, timeouts=1)
-    merged = merge_progress(a, b)
-    assert merged.label == "demo"
-    assert (merged.total, merged.done, merged.hits, merged.misses) == \
-        (8, 7, 1, 6)
-    assert (merged.failed, merged.retries, merged.timeouts) == (1, 2, 1)
-    assert merge_progress().total == 0  # identity
-
-
-# ---------------------------------------------------------------------------
-# the ShardBackend
-# ---------------------------------------------------------------------------
-def test_shard_backend_matches_inline_and_accounts_per_shard(tmp_path):
-    spec = SweepSpec(workloads=(_small_axpy(),),
-                     configs=(native_config(1), ava_config(2), ava_config(4),
-                              ava_config(8)))
-    inline = CellExecutor().run_spec(spec)
-
-    backend = ShardBackend(shards=3)
-    executor = CellExecutor(cache=ResultCache(tmp_path / "cache"),
-                            backend=backend)
-    sharded = executor.run_spec(spec)
-    for a, b in zip(inline, sharded):
-        assert a.stats == b.stats
-        assert a.energy == b.energy
-
-    # The per-shard execution deltas are the whole story: their merge
-    # equals the executor's own counters on every execution-side field.
-    assert len(backend.per_shard) == 3
-    assert sum(backend.shard_sizes) == len(spec.cells())
-    merged = merge_stats(*backend.per_shard)
-    for field in ("sims_executed", "sim_cycles", "sim_events_processed",
-                  "retries", "timeouts", "cells_failed"):
-        assert getattr(merged, field) == getattr(executor.stats, field)
-    assert merged.sims_executed == len(spec.cells())
-    assert [s.sims_executed for s in backend.per_shard] == \
-        backend.shard_sizes
-
-
-def test_killed_shard_resumes_with_zero_duplicate_simulations(tmp_path):
-    """The acceptance scenario: a 40-cell grid as 4 shards, one shard
-    killed mid-flight; the rerun must simulate only the lost cells."""
-    spec = _grid_40()
-    buckets = partition(spec.cells(), 4)
-    first_two = len(buckets[0]) + len(buckets[1])
-
-    def kill_in_third_shard(progress: Progress) -> None:
-        # Fires once the 3rd shard has landed a few cells: shards 1-2 are
-        # fully cached, shard 3 is partially cached, shard 4 never ran.
-        if progress.done >= first_two + 2:
-            raise KeyboardInterrupt
-
-    cold = CellExecutor(cache=ResultCache(tmp_path / "cache"),
-                        backend=ShardBackend(shards=4),
-                        progress=kill_in_third_shard)
-    with pytest.raises(KeyboardInterrupt):
-        cold.run_spec(spec)
-    cached = len(list((tmp_path / "cache").glob("*.json")))
-    assert cached >= first_two + 2
-    assert cached < len(spec.cells())
-
-    warm = CellExecutor(cache=ResultCache(tmp_path / "cache"),
-                        backend=ShardBackend(shards=4))
-    results = warm.run_spec(spec)
-    assert len(results) == len(spec.cells())
-    assert warm.stats.cache_hits == cached
-    # Exactly zero duplicate simulations across the kill + resume.
-    assert (cold.stats.sims_executed + warm.stats.sims_executed
-            == len(spec.cells()))
-
-    # The resumed sharded grid matches a plain single-executor run.
-    reference = CellExecutor().run_spec(spec)
-    for a, b in zip(reference, results):
-        assert a.stats == b.stats
-        assert a.energy == b.energy
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +118,6 @@ def test_cli_shard_of_an_empty_bucket_renders_no_cells(capsys, tmp_path):
             assert "(no cells)" in out
             seen_empty = True
     assert seen_empty  # the smoke grid leaves at least one empty shard
-
-
-def test_chaos_runs_under_the_shard_backend(capsys, tmp_path):
-    """Fault injection and sharding compose: the clean/faulted/warm
-    triple stays byte-identical when each phase runs sharded."""
-    assert main(["chaos", SMOKE_SPEC, "--backend", "shard", "--shards", "2",
-                 "--cache-dir", str(tmp_path / "cache")]) == 0
-    out = capsys.readouterr().out
-    assert "byte-identical stdout across clean/faulted/warm runs" in out
 
 
 def test_executor_stats_round_trip():

@@ -105,10 +105,9 @@ def test_memory_presets_produce_distinct_cache_keys():
                   memsys=get_memory_system("slow-dram"))
     cell_c = Cell(workload="axpy", config=native_config(1),
                   memsys=get_memory_system("table2"))
-    program = cell_a.resolve_workload().compile(cell_a.config).program
-    key_a = cell_key(cell_a, program)
-    key_b = cell_key(cell_b, program)
-    key_c = cell_key(cell_c, program)
+    key_a = cell_key(cell_a)
+    key_b = cell_key(cell_b)
+    key_c = cell_key(cell_c)
     assert key_a != key_b
     # memsys=None IS the table2 platform; both must share one cache entry.
     assert key_a == key_c

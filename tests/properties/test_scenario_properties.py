@@ -30,16 +30,9 @@ _POLICIES = st.builds(CellPolicy,
 _scenarios = st.builds(build_scenario, machine=_MACHINES, memory=_MEMORY,
                        timing=_TIMING, policy=_POLICIES)
 
-# One compiled program per machine config is enough for key properties —
-# memoized so Hypothesis examples don't recompile.
-_PROGRAMS = {}
-
-
-def _program_for(scenario: Scenario):
-    config = scenario.machine
-    if config not in _PROGRAMS:
-        _PROGRAMS[config] = get_workload("axpy").compile(config).program
-    return _PROGRAMS[config]
+# The workload side of the key, computed once so Hypothesis examples
+# don't rebuild the kernel.
+_AXPY = get_workload("axpy").compile_fingerprint()
 
 
 @given(scenario=_scenarios)
@@ -54,21 +47,17 @@ def test_scenario_round_trips_through_json(scenario):
 @given(scenario=_scenarios)
 @settings(max_examples=30, deadline=None)
 def test_equal_scenarios_key_identically(scenario):
-    program = _program_for(scenario)
     cell = Cell.from_scenario("axpy", scenario)
     clone = Cell.from_scenario(
         "axpy", Scenario.from_dict(json.loads(
             json.dumps(scenario.to_dict()))))
-    assert cell_key(cell, program) == cell_key(clone, program)
+    assert cell_key(cell, _AXPY) == cell_key(clone, _AXPY)
 
 
 @given(a=_scenarios, b=_scenarios)
 @settings(max_examples=30, deadline=None)
 def test_distinct_scenarios_never_collide(a, b):
-    """Different scenario -> different cache key (same workload/program)."""
-    if a.machine != b.machine:
-        return  # different programs; the program hash already separates them
-    program = _program_for(a)
-    key_a = cell_key(Cell.from_scenario("axpy", a), program)
-    key_b = cell_key(Cell.from_scenario("axpy", b), program)
+    """Different scenario -> different cache key (same workload)."""
+    key_a = cell_key(Cell.from_scenario("axpy", a), _AXPY)
+    key_b = cell_key(Cell.from_scenario("axpy", b), _AXPY)
     assert (key_a == key_b) == (a == b)

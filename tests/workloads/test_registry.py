@@ -165,12 +165,10 @@ def test_registered_kernel_flows_through_spec_and_cache_keys(tmp_path):
         spec = SweepSpec(workloads=("axpy", "tiny-test-kernel"),
                          configs=(config,), check=True)
         cells = spec.cells()
-        executor = CellExecutor()
-        programs = executor._compile_programs(cells, {})
-        keys = [cell_key(c, p) for c, p in zip(cells, programs)]
+        keys = [cell_key(c) for c in cells]
         assert len(set(keys)) == len(keys)  # no collisions across names
 
-        results = executor.run_spec(spec)
+        results = CellExecutor().run_spec(spec)
         assert [r.cell.workload_name for r in results] == [
             "axpy", "tiny-test-kernel"]
         assert all(r.correct is True for r in results)
