@@ -79,14 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("artifact",
                         choices=["table1", "table2", "table3", "table4",
                                  "table5", "figure3", "figure4", "figure5",
-                                 "claims", "bench", "sweep", "sensitivity",
+                                 "claims", "sweep", "sensitivity",
                                  "chaos", "cache", "merge", "lint"])
     parser.add_argument("workload", nargs="?", default=None,
                         help="application for figure3 (a registered name, "
                              "'all' for Table IV, 'extended' for the "
-                             "ten-kernel suite; default: axpy); benchmark "
-                             "name for bench ('engine'); spec file path "
-                             "for sweep and chaos; action for cache "
+                             "ten-kernel suite; default: axpy); spec file "
+                             "path for sweep and chaos; action for cache "
                              "('stats', 'clear' or 'verify'; default: "
                              "stats); first stats file for merge; first "
                              "path to analyze for lint (default: the "
@@ -101,20 +100,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="cache clear: prune only the result store")
     parser.add_argument("--extended", action="store_true",
                         help="run the extended ten-kernel suite "
-                             "(figure3 [all] / figure4 / claims / "
-                             "bench engine)")
+                             "(figure3 [all] / figure4 / claims)")
     parser.add_argument("--workloads", metavar="LIST",
                         help="comma-separated registered workload names: "
                              "the suite for figure3/figure4; for claims, "
                              "extra kernels simulated alongside the fixed "
-                             "claim apps (not applicable to bench)")
-    parser.add_argument("--bench-output", default="BENCH_engine.json",
-                        metavar="FILE",
-                        help="where 'bench engine' writes its JSON record "
-                             "(default: BENCH_engine.json)")
-    parser.add_argument("--profile", action="store_true",
-                        help="bench engine: cProfile one cold grid run and "
-                             "print/save the top cumulative functions")
+                             "claim apps")
     parser.add_argument("--jobs", "-j", default="auto", metavar="N",
                         help="worker processes for simulation cells: a "
                              "count, or 'auto' for the CPUs this process "
@@ -198,8 +189,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rules/--json/--fix apply only to lint")
     if args.sanitize and args.artifact in ("table1", "table2", "table3",
                                            "table4", "table5", "figure5",
-                                           "bench", "chaos", "cache",
-                                           "merge", "lint"):
+                                           "chaos", "cache", "merge",
+                                           "lint"):
         parser.error("--sanitize applies to simulation-backed artifacts "
                      "(figure3, figure4, claims, sweep, sensitivity)")
     if args.shards is not None and args.shard_index is None:
@@ -243,9 +234,9 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         return _cache_command(parser, args)
     if args.traces or args.results:
         parser.error("--traces/--results apply only to 'cache clear'")
-    if args.artifact in ("bench", "chaos") and args.stats_json:
-        parser.error(f"--stats-json does not apply to {args.artifact}")
     if args.artifact == "chaos":
+        if args.stats_json:
+            parser.error("--stats-json does not apply to chaos")
         if not args.workload:
             parser.error("chaos needs a JSON spec file: repro chaos "
                          "examples/sweep_smoke.json")
@@ -271,17 +262,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         if renderer is not None:
             renderer.close()
         return code
-    if args.artifact == "bench":
-        if args.workload != "engine":
-            parser.error("available benchmarks: engine")
-        if args.workloads:
-            parser.error("--workloads does not apply to bench; "
-                         "use --extended for the ten-kernel grid")
-        from repro.experiments.bench import run_bench_engine
-        return run_bench_engine(output=args.bench_output,
-                                extended=args.extended,
-                                profile=args.profile,
-                                progress=renderer)
 
     from repro.workloads.registry import select_workloads
 

@@ -72,6 +72,10 @@ class MachineConfig:
     lmul: int = 1
 
     def __post_init__(self) -> None:
+        for count in ("mvl", "n_logical", "n_vvr", "n_physical", "lanes",
+                      "lmul"):
+            if getattr(self, count) < 1:
+                raise ValueError(f"{count} must be at least 1")
         if self.n_physical > self.n_vvr:
             raise ValueError("physical registers cannot exceed VVRs")
         if self.n_logical > self.n_vvr:

@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+                    get_type_hints)
 
 from repro.core.config import get_machine
 from repro.core.swap import VictimPolicy
@@ -46,6 +47,8 @@ from repro.workloads.registry import registered_names
 #: Sections of a memory-axis override object (everything else is a scalar
 #: field of MemorySystemConfig).
 _MEMORY_SECTIONS = ("l1i", "l1d", "l2", "dram")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,30 @@ def _override_label(base: str, overrides: Dict[str, object]) -> str:
     return f"{base}[{','.join(flat)}]"
 
 
+def _override(base: _T, overrides: Dict[str, object], what: str) -> _T:
+    """``replace(base, **overrides)`` with every value type-checked first.
+
+    A value must be an instance of its field's type; an int also fits a
+    float field, but a bool fits only a bool field (JSON ``true`` is a
+    Python int).  A misfit or an unknown field raises ValueError here,
+    at parse time, instead of simulating a wrong machine or failing
+    mid-grid.
+    """
+    hints = get_type_hints(type(base))
+    for field, value in overrides.items():
+        want = hints.get(field)
+        if want is None:
+            continue  # unknown field: replace() rejects it below
+        fits = isinstance(value, (int, float) if want is float else want)
+        if not fits or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{what} field {field!r} must be "
+                             f"{want.__name__}, got {value!r}")
+    try:
+        return replace(base, **overrides)
+    except TypeError as exc:
+        raise ValueError(f"bad {what} override {overrides!r}: {exc}") from exc
+
+
 def _parse_machine(entry: Union[str, dict]) -> AxisEntry:
     if isinstance(entry, str):
         return AxisEntry(entry, get_machine(entry))
@@ -76,12 +103,7 @@ def _parse_machine(entry: Union[str, dict]) -> AxisEntry:
                          f"got {entry!r}")
     spec = dict(entry)
     base = spec.pop("base", "baseline")
-    config = get_machine(base)
-    if spec:
-        try:
-            config = replace(config, **spec)
-        except TypeError as exc:
-            raise ValueError(f"bad machine override {spec!r}: {exc}") from exc
+    config = _override(get_machine(base), spec, "machine")
     return AxisEntry(_override_label(base, spec), config)
 
 
@@ -101,27 +123,15 @@ def _parse_memory(entry: Union[str, dict]) -> AxisEntry:
                 raise ValueError(
                     f"memory section {section!r} must be an object of "
                     f"field overrides, got {fields!r}")
-            try:
-                overrides[section] = replace(getattr(config, section),
-                                             **fields)
-            except TypeError as exc:
-                raise ValueError(
-                    f"bad {section} override {fields!r}: {exc}") from exc
+            overrides[section] = _override(getattr(config, section),
+                                           fields, section)
         elif section == "vector_interface_bytes":
             overrides[section] = fields
         else:
             raise ValueError(
                 f"unknown memory section {section!r}; known: "
                 f"{_MEMORY_SECTIONS + ('vector_interface_bytes',)}")
-    if overrides:
-        # MemorySystemConfig validates on construction; a wrong-typed
-        # scalar surfaces as TypeError, which must still read as a spec
-        # problem, not a traceback.
-        try:
-            config = replace(config, **overrides)
-        except TypeError as exc:
-            raise ValueError(
-                f"bad memory override {spec!r}: {exc}") from exc
+    config = _override(config, overrides, "memory")
     return AxisEntry(_override_label(base, spec), config)
 
 
@@ -133,12 +143,7 @@ def _parse_timing(entry: Union[str, dict]) -> AxisEntry:
                          f"got {entry!r}")
     spec = dict(entry)
     base = spec.pop("base", "default")
-    params = get_timing(base)
-    if spec:
-        try:
-            params = replace(params, **spec)
-        except TypeError as exc:
-            raise ValueError(f"bad timing override {spec!r}: {exc}") from exc
+    params = _override(get_timing(base), spec, "timing")
     return AxisEntry(_override_label(base, spec), params)
 
 
@@ -150,12 +155,9 @@ def _parse_policy(entry: Union[str, dict]) -> AxisEntry:
                          f"object, got {entry!r}")
     spec = dict(entry)
     victim = VictimPolicy(spec.pop("victim_policy", "rac-min"))
-    aggressive = spec.pop("aggressive_reclamation", True)
-    if spec:
-        raise ValueError(f"unknown policy fields {sorted(spec)}")
-    policy = CellPolicy(victim_policy=victim,
-                        aggressive_reclamation=aggressive)
-    label = victim.value + ("" if aggressive else "[no-reclaim]")
+    policy = _override(CellPolicy(victim_policy=victim), spec, "policy")
+    label = victim.value + ("" if policy.aggressive_reclamation
+                            else "[no-reclaim]")
     return AxisEntry(label, policy)
 
 

@@ -112,9 +112,12 @@ def test_shard_flag_validation(cache_args):
              + cache_args)
 
 
-def test_bench_rejects_stats_json():
-    with pytest.raises(SystemExit):
-        main(["bench", "engine", "--stats-json", "x.json"])
+def test_chaos_rejects_stats_json(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "examples/sweep_smoke.json",
+              "--stats-json", str(tmp_path / "x.json")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_stats_json_writes_a_mergeable_counter_file(capsys, tmp_path):

@@ -420,17 +420,6 @@ def test_progress_renderer_close_terminates_interrupted_lines():
     assert stream.getvalue().count("\n") == 1
 
 
-def test_bench_threads_progress_through_the_executor():
-    from repro.experiments.bench import measure_engine_throughput
-
-    spec = SweepSpec(workloads=(_small_axpy(),), configs=(native_config(1),))
-    snapshots = []
-    measure_engine_throughput(
-        repeats=1, spec=spec,
-        progress=lambda p: snapshots.append((p.label, p.done, p.total)))
-    assert snapshots[-1] == ("bench cold run 1", 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # satellite: orphaned tempfiles are reaped
 # ---------------------------------------------------------------------------

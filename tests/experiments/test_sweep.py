@@ -77,6 +77,15 @@ def test_parse_inline_overrides():
     {**BASE_SPEC, "machines": "native-x1"},
     {**BASE_SPEC, "memory": "table2"},
     {**BASE_SPEC, "memory": []},  # empty axis
+    # Non-positive counts: a modulo by zero, or a machine that fails
+    # inside every cell.
+    {**BASE_SPEC, "machines": [{"base": "ava-x8", "lanes": 0}]},
+    {**BASE_SPEC, "machines": [{"base": "ava-x8", "n_physical": 0}]},
+    # JSON true is not the integer 1, and a count is not a float.
+    {**BASE_SPEC, "machines": [{"base": "ava-x8", "lanes": True}]},
+    {**BASE_SPEC, "timing": [{"rob_entries": True}]},
+    {**BASE_SPEC, "timing": [{"preissue_swap_budget": 1.5}]},
+    {**BASE_SPEC, "memory": [{"dram": {"latency": 45.5}}]},
 ])
 def test_bad_specs_fail_at_parse_time(broken):
     with pytest.raises(ValueError):
