@@ -24,4 +24,8 @@ HOT_PATH_CLASSES = frozenset({
     "RenameTable",      # core.rat ("RAT")
     "VRFMapping",       # core.vrf_mapping
     "Instruction",      # isa.instructions (slots-exempt, with the why)
+    "Cache",            # memory.cache — the L2 behind every vector access
+    "MemorySystem",     # memory.hierarchy
+    "VectorMemoryUnit",  # vpu.vmu
+    "MemoryAccessPlan",  # vpu.vmu — one per vector memory instruction
 })

@@ -1,18 +1,24 @@
 """Set-associative write-back cache with true-LRU replacement.
 
-The model is behavioural: it tracks tag state, hit/miss/writeback counts and
-exposes a per-access boolean (hit?) so the caller can assemble latency.  It
+The model is behavioural: it tracks tag state and hit/miss/writeback
+counts.  Callers stream a batch of line addresses through
+:meth:`Cache.access_lines` and get the batch's miss count back, so a vector
+memory instruction costs one call however many lines it touches.  It
 deliberately has no MSHRs or bank conflicts — the VPU's memory unit is
 in-order and issues line requests back-to-back, so a hit/miss stream plus a
 fixed miss penalty captures the timing behaviour the paper's comparisons
 depend on (vector kernels here are dominated by capacity behaviour in the
 1 MB L2).
+
+Each set is a dict ``tag -> dirty`` kept in recency order: a hit pops its
+tag and re-inserts it at the end, so the first key is always the least
+recently used line and eviction is O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,16 @@ class CacheStats:
 class Cache:
     """One cache level.
 
-    ``access(addr, write)`` returns True on hit.  Replacement is true LRU,
-    implemented with a per-set monotonic timestamp; dirty evictions increment
-    the ``writebacks`` counter (the DRAM model charges them bandwidth).
+    ``access_lines(addrs, write)`` streams byte addresses through the cache
+    in order and returns how many missed; ``access(addr, write)`` is the
+    one-address case and returns True on hit.  Replacement is true LRU and
+    misses write-allocate; dirty evictions increment the ``writebacks``
+    counter, which :class:`repro.memory.hierarchy.MemorySystem` charges to
+    the DRAM.
     """
+
+    __slots__ = ("config", "stats", "_n_sets", "_line_bytes", "_assoc",
+                 "_sets")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -88,10 +100,9 @@ class Cache:
         self._n_sets = config.n_sets
         self._line_bytes = config.line_bytes
         self._assoc = config.associativity
-        # set index -> {tag: (last_use, dirty)}
-        self._sets: List[Dict[int, List]] = [
+        # set index -> {tag: dirty}, least recently used first
+        self._sets: List[Dict[int, bool]] = [
             {} for _ in range(config.n_sets)]
-        self._tick = 0
 
     def _locate(self, addr: int) -> tuple[int, int]:
         line = addr // self._line_bytes
@@ -99,35 +110,36 @@ class Cache:
 
     def access(self, addr: int, write: bool = False) -> bool:
         """Access the byte address ``addr``; returns True on hit."""
-        tick = self._tick = self._tick + 1
-        line = addr // self._line_bytes
-        ways = self._sets[line % self._n_sets]
-        tag = line // self._n_sets
+        return not self.access_lines((addr,), write)
+
+    def access_lines(self, addrs: Iterable[int], write: bool = False) -> int:
+        """Access each byte address in ``addrs`` in order; returns misses."""
+        line_bytes, n_sets, assoc = self._line_bytes, self._n_sets, self._assoc
+        sets = self._sets
+        accesses = misses = writebacks = 0
+        for addr in addrs:
+            accesses += 1
+            line = addr // line_bytes
+            ways = sets[line % n_sets]
+            tag = line // n_sets
+            dirty = ways.pop(tag, None)
+            if dirty is not None:
+                ways[tag] = dirty or write
+                continue
+            misses += 1
+            if len(ways) >= assoc and ways.pop(next(iter(ways))):
+                writebacks += 1
+            # Write-allocate: the line is brought in either way.
+            ways[tag] = write
         stats = self.stats
         if write:
-            stats.writes += 1
+            stats.writes += accesses
+            stats.write_misses += misses
         else:
-            stats.reads += 1
-
-        entry = ways.get(tag)
-        if entry is not None:
-            entry[0] = tick
-            entry[1] = entry[1] or write
-            return True
-
-        if write:
-            stats.write_misses += 1
-        else:
-            stats.read_misses += 1
-
-        if len(ways) >= self._assoc:
-            victim_tag = min(ways, key=lambda t: ways[t][0])
-            if ways[victim_tag][1]:
-                stats.writebacks += 1
-            del ways[victim_tag]
-        # Write-allocate: the line is brought in either way.
-        ways[tag] = [tick, write]
-        return False
+            stats.reads += accesses
+            stats.read_misses += misses
+        stats.writebacks += writebacks
+        return misses
 
     def contains(self, addr: int) -> bool:
         set_idx, tag = self._locate(addr)
@@ -137,7 +149,7 @@ class Cache:
         """Invalidate everything; returns the number of dirty lines flushed."""
         dirty = 0
         for ways in self._sets:
-            dirty += sum(1 for entry in ways.values() if entry[1])
+            dirty += sum(ways.values())
             ways.clear()
         return dirty
 

@@ -2,9 +2,10 @@
 
 The Vector Memory Unit (VMU) bypasses the L1 caches and talks to the L2
 directly over a 512-bit interface, so the central entry point here is
-:meth:`MemorySystem.vector_line_access`: one 512-bit beat into the L2,
-returning the latency contribution of that beat (L2 hit latency, plus the
-DRAM penalty on a miss).
+:meth:`MemorySystem.vector_lines`: the whole line-address stream of one
+vector memory instruction, one 512-bit beat per address, streamed into the
+L2 in order.  It returns the stream's L2 miss count and charges the DRAM
+for the misses' line fills and for the dirty lines they evict.
 
 The scalar side (L1I/L1D) only matters for the scalar-core overhead model
 and the area/energy accounting, but it is a real cache pair and is exercised
@@ -13,7 +14,8 @@ by the scalar-block cost model and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.dram import Dram, DramConfig
@@ -47,6 +49,8 @@ class MemorySystemConfig:
 class MemorySystem:
     """L1I + L1D + unified L2 + DRAM, shared by timing and energy models."""
 
+    __slots__ = ("config", "l1i", "l1d", "l2", "dram")
+
     def __init__(self, config: MemorySystemConfig | None = None) -> None:
         self.config = config or MemorySystemConfig()
         self.l1i = Cache(self.config.l1i)
@@ -55,21 +59,23 @@ class MemorySystem:
         self.dram = Dram(self.config.dram)
 
     # -- vector side (VMU -> L2) ---------------------------------------------
-    def vector_line_access(self, addr: int, write: bool) -> bool:
-        """One 512-bit VMU beat into the L2 at byte address ``addr``.
+    def vector_lines(self, addrs: Iterable[int], write: bool) -> int:
+        """Stream one VMU beat per byte address of ``addrs`` into the L2.
 
-        Returns True on an L2 miss.  The miss's line fill is counted against
-        the DRAM here; how the latency and transfer cost surface in the
-        pipeline (bandwidth-serialised fill beats, once-per-instruction
-        latency) is the VMU's concern — see
+        Returns the number of L2 misses.  The DRAM is charged one line read
+        per miss (write-allocate fills the line either way) and one line
+        write per dirty line evicted.  Writebacks are counted, not timed:
+        the VMU's ``fill_beats`` model fills only.  How the miss latency and
+        transfer cost surface in the pipeline (bandwidth-serialised fill
+        beats, once-per-instruction latency) is the VMU's concern — see
         :class:`repro.vpu.vmu.MemoryAccessPlan`.
         """
-        if self.l2.access(addr, write):
-            return False
-        # Write-allocate: misses fill the line from DRAM either way; dirty
-        # writebacks are charged when the victim line is evicted.
-        self.dram.read_line()
-        return True
+        l2, dram = self.l2, self.dram
+        writebacks = l2.stats.writebacks
+        misses = l2.access_lines(addrs, write)
+        dram.line_reads += misses
+        dram.line_writes += l2.stats.writebacks - writebacks
+        return misses
 
     @property
     def vector_first_latency(self) -> int:
@@ -79,21 +85,22 @@ class MemorySystem:
     # -- scalar side -----------------------------------------------------------
     def scalar_read(self, addr: int) -> int:
         """Scalar load; returns its latency in scalar-core cycles."""
-        if self.l1d.access(addr, write=False):
-            return self.config.l1d.latency
-        if self.l2.access(addr, write=False):
-            return self.config.l1d.latency + self.config.l2.latency
-        return (self.config.l1d.latency + self.config.l2.latency
-                + self.dram.read_line())
+        return self._scalar_access(self.l1d, addr)
 
     def fetch(self, addr: int) -> int:
         """Instruction fetch; returns its latency in scalar-core cycles."""
-        if self.l1i.access(addr, write=False):
-            return self.config.l1i.latency
-        if self.l2.access(addr, write=False):
-            return self.config.l1i.latency + self.config.l2.latency
-        return (self.config.l1i.latency + self.config.l2.latency
-                + self.dram.read_line())
+        return self._scalar_access(self.l1i, addr)
+
+    def _scalar_access(self, l1: Cache, addr: int) -> int:
+        """An L1 read backed by the L2; an L2 miss pays the DRAM line read
+        (an evicted dirty L2 line is counted as a DRAM write, not timed)."""
+        if l1.access(addr):
+            return l1.config.latency
+        latency = l1.config.latency + self.config.l2.latency
+        if self.vector_lines((addr,), False):
+            dram = self.config.dram
+            latency += dram.latency + dram.line_transfer
+        return latency
 
     def reset_stats(self) -> None:
         self.l1i.stats.reset()

@@ -153,6 +153,10 @@ class MemoryLayout:
             idx = np.clip(index[:vl].astype(np.int64), 0, len(buf) - 1)
             buf[idx] = data[:vl]
             return
-        idx = mem.base_elem + np.arange(vl) * mem.stride
+        base = mem.base_elem
+        if mem.stride == 1 and 0 <= base and base + vl <= len(buf):
+            buf[base:base + vl] = data[:vl]
+            return
+        idx = base + np.arange(vl) * mem.stride
         keep = idx < len(buf)
         buf[np.clip(idx, 0, len(buf) - 1)[keep]] = data[:vl][keep]

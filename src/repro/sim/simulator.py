@@ -104,9 +104,9 @@ class Simulator:
         for name, n_elems in self.program.buffers.items():
             base = self.pipeline.layout.base_addr(
                 MemOperand(AddressSpace.DATA, name))
-            for addr in range(base, base + n_elems * ELEMENT_BYTES, 64):
-                self.pipeline.memsys.l2.access(addr, write=False)
-                touched += 1
+            lines = range(base, base + n_elems * ELEMENT_BYTES, 64)
+            self.pipeline.memsys.l2.access_lines(lines)
+            touched += len(lines)
         self.pipeline.memsys.reset_stats()
         return touched
 

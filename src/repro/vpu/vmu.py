@@ -31,7 +31,7 @@ from repro.sim.layout import MemoryLayout
 _LINE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryAccessPlan:
     """Timing consequences of one vector memory instruction.
 
@@ -58,11 +58,11 @@ class MemoryAccessPlan:
 class VectorMemoryUnit:
     """Plans vector memory accesses against the shared L2."""
 
+    __slots__ = ("memsys", "layout")
+
     def __init__(self, memsys: MemorySystem, layout: MemoryLayout) -> None:
         self.memsys = memsys
         self.layout = layout
-        self.beats_total = 0
-        self.lines_total = 0
 
     @property
     def first_element_latency(self) -> int:
@@ -76,10 +76,11 @@ class VectorMemoryUnit:
         (indexed and unit-stride accesses are arithmetic progressions of
         line indices; arbitrary strides fall back to a vectorised
         ``np.unique`` over the line indices) — no per-element Python lists.
-        The per-address L2 probes themselves are inherently sequential (each
-        one advances LRU state and the hit/miss counters the figures
-        report), so they keep the exact per-element access order of the
-        original implementation.
+        The L2 probes are inherently sequential (each one advances LRU state
+        and the hit/miss counters the figures report), so the instruction's
+        whole address stream goes to the L2 in one
+        :meth:`~repro.memory.hierarchy.MemorySystem.vector_lines` call, which
+        probes it in per-element order and returns the miss count.
         """
         mem = inst.mem
         assert mem is not None, "memory instruction without operand"
@@ -112,14 +113,7 @@ class VectorMemoryUnit:
                 addrs = (base,) * vl
                 lines = 1
 
-        access = self.memsys.vector_line_access
-        misses = 0
-        for addr in addrs:
-            if access(addr, write):
-                misses += 1
-
-        self.beats_total += beats
-        self.lines_total += lines
+        misses = self.memsys.vector_lines(addrs, write)
         dram = self.memsys.dram.config
         return MemoryAccessPlan(
             beats=beats,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.rac import RAC_MAX, RegisterAccessCounters
 from repro.core.rat import RenameTable
 from repro.core.vrf_mapping import VRFMapping
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import Cache, CacheConfig, CacheStats
 
 
 @given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)),
@@ -74,7 +74,6 @@ def test_cache_inclusion_of_recent_lines(addrs):
     for a in addrs:
         cache.access(a * 64)
     recent = list(dict.fromkeys(reversed(addrs)))[:4]
-    hits_before = cache.stats.reads - cache.stats.read_misses
     for a in recent:
         assert cache.access(a * 64), f"line {a} should be resident"
 
@@ -91,3 +90,64 @@ def test_cache_counter_consistency(addrs, write_mask):
     assert s.misses <= s.accesses
     assert cache.occupancy <= 8 * 1024 // 64
     assert s.writebacks <= s.writes
+
+
+class TimestampLRUCache:
+    """Oracle: the per-address timestamp-LRU algorithm ``Cache`` replaced.
+
+    Each set maps ``tag -> [last_use, dirty]`` and the victim is the tag
+    with the smallest timestamp; one call per address, no batching.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.stats = CacheStats()
+        self.sets = [{} for _ in range(config.n_sets)]
+        self.tick = 0
+
+    def access(self, addr, write):
+        self.tick += 1
+        line = addr // self.config.line_bytes
+        ways = self.sets[line % self.config.n_sets]
+        tag = line // self.config.n_sets
+        if write:
+            self.stats.writes += 1
+        else:
+            self.stats.reads += 1
+        entry = ways.get(tag)
+        if entry is not None:
+            entry[0] = self.tick
+            entry[1] = entry[1] or write
+            return True
+        if write:
+            self.stats.write_misses += 1
+        else:
+            self.stats.read_misses += 1
+        if len(ways) >= self.config.associativity:
+            victim = min(ways, key=lambda t: ways[t][0])
+            if ways[victim][1]:
+                self.stats.writebacks += 1
+            del ways[victim]
+        ways[tag] = [self.tick, write]
+        return False
+
+
+@given(n_sets=st.integers(1, 4), assoc=st.integers(1, 4),
+       batches=st.lists(st.tuples(st.lists(st.integers(0, 24 * 64 - 1),
+                                           max_size=20),
+                                  st.booleans()),
+                        min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_access_lines_matches_timestamp_lru_oracle(n_sets, assoc, batches):
+    """Batched dict-order LRU == per-address timestamp LRU, batch by batch."""
+    config = CacheConfig("t", n_sets * assoc * 64, 64, assoc)
+    cache, oracle = Cache(config), TimestampLRUCache(config)
+    for addrs, write in batches:
+        expected = sum(not oracle.access(a, write) for a in addrs)
+        assert cache.access_lines(addrs, write) == expected
+        assert cache.stats == oracle.stats
+        resident = {(i, tag, dirty) for i, ways in enumerate(cache._sets)
+                    for tag, dirty in ways.items()}
+        assert resident == {(i, tag, entry[1])
+                            for i, ways in enumerate(oracle.sets)
+                            for tag, entry in ways.items()}

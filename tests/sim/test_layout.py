@@ -56,6 +56,25 @@ def test_functional_roundtrip_unit_stride():
     assert np.allclose(layout.get_data("x")[10:13], [7, 8, 9])
 
 
+def test_unit_stride_store_past_the_end_writes_only_in_range():
+    layout = make_layout()
+    layout.set_data("x", np.arange(100, dtype=float))
+    layout.store(data_ref("x", 98), 4, np.array([7.0, 8.0, 9.0, 10.0]))
+    x = layout.get_data("x")
+    assert np.array_equal(x[98:], [7, 8])
+    assert np.array_equal(x[:98], np.arange(98))
+    assert np.array_equal(layout.get_data("y"), np.zeros(50))
+
+
+def test_unit_stride_store_ending_at_the_buffer_end():
+    layout = make_layout()
+    layout.set_data("x", np.arange(100, dtype=float))
+    layout.store(data_ref("x", 96), 4, np.array([7.0, 8.0, 9.0, 10.0]))
+    x = layout.get_data("x")
+    assert np.array_equal(x[96:], [7, 8, 9, 10])
+    assert np.array_equal(x[:96], np.arange(96))
+
+
 def test_functional_strided_access():
     layout = make_layout()
     layout.set_data("x", np.arange(100, dtype=float))

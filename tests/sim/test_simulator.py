@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Simulator, ava_config, native_config
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import MemorySystem, MemorySystemConfig
 from repro.sim.stats import SimStats
 from tests.conftest import axpy_body, compile_kernel
 
@@ -23,6 +25,17 @@ def test_warm_caches_eliminates_cold_misses():
     assert touched == 2 * n * 8 // 64
     assert warm_stats.dram_accesses < cold_stats.dram_accesses
     assert warm_stats.cycles < cold_stats.cycles
+
+
+def test_dram_accesses_include_l2_writebacks():
+    """axpy's stores dirty lines that a one-line L2 must write back."""
+    config = native_config(1)
+    program = compile_kernel(axpy_body(), config, 64, {"x": 64, "y": 64})
+    memsys = MemorySystem(MemorySystemConfig(l2=CacheConfig("L2", 64, 64, 1)))
+    stats = Simulator(config, program, memsys=memsys).run().stats
+    assert memsys.dram.line_writes == memsys.l2.stats.writebacks > 0
+    assert stats.dram_accesses == (memsys.dram.line_reads
+                                   + memsys.dram.line_writes)
 
 
 def test_result_buffers_only_in_functional_mode():

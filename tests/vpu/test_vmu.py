@@ -39,6 +39,17 @@ def test_strided_access_costs_one_beat_per_element():
     assert plan.lines_touched > 2
 
 
+def test_zero_stride_touches_one_line():
+    vmu, memsys = make_vmu()
+    inst = Instruction(op=Op.VLSE, dst=0, vl=16,
+                       mem=data_ref("x", 5, stride=0))
+    plan = vmu.plan(inst)
+    assert plan.beats == 16
+    assert plan.lines_touched == 1
+    assert plan.misses <= 1
+    assert memsys.l2.stats.reads == 16  # every element is still probed
+
+
 def test_indexed_access_costs_one_beat_per_element():
     vmu, _ = make_vmu(4096)
     inst = Instruction(op=Op.VLXE, dst=0, srcs=(1,), vl=16,
