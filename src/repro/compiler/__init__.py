@@ -5,8 +5,8 @@ higher LMUL halves/quarters/eighths the architectural register count, and the
 compiler inserts MVL-wide spill code when live pressure exceeds the supply.
 This package reproduces that tool-chain stage:
 
-* :mod:`repro.compiler.liveness` — next-use analysis and live-pressure
-  measurement over straight-line (unrolled) vector traces,
+* :mod:`repro.compiler.liveness` — live-pressure measurement over
+  straight-line (unrolled) vector traces,
 * :mod:`repro.compiler.allocator` — a furthest-next-use (Belady / MIN)
   register allocator that inserts ``Spill-Load`` / ``Spill-Store``
   instructions tagged for Figure 3's memory-instruction breakdown,
@@ -22,14 +22,13 @@ architectural registers); Register Grouping configurations execute binaries
 allocated with 32/LMUL registers.
 """
 
-from repro.compiler.liveness import NextUse, live_pressure
+from repro.compiler.liveness import live_pressure
 from repro.compiler.allocator import AllocationResult, allocate
 from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TRACE_SCHEMA, TraceStore
 from repro.compiler.trace import StripSchedule, unroll_kernel
 
 __all__ = [
-    "NextUse",
     "live_pressure",
     "AllocationResult",
     "allocate",

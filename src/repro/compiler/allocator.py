@@ -18,17 +18,26 @@ The eviction policy is furthest-next-use, which is optimal for straight-line
 code and deterministic, making test expectations stable.  SSA input (one
 definition per virtual register) means a spilled value never needs re-storing
 once its slot holds it.
+
+One backward pass records, per position, each source's next read and the
+defined value's first read; the forward pass keeps every live value's next
+read in a dict updated as instructions retire, so each Belady query is O(1).
+The forward pass also yields the diagnostics: MAXLIVE is the peak of a live
+counter bumped at each definition and dropped at each release, and
+``registers_used`` is the set of registers ever handed out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.compiler.liveness import INFINITY, NextUse, max_pressure
 from repro.isa.instructions import Instruction, Tag
 from repro.isa.opcodes import Op
 from repro.isa.operands import spill_ref
+
+#: Sentinel "never read again" position (beyond any trace index).
+INFINITY = 1 << 60
 
 
 @dataclass
@@ -79,19 +88,8 @@ class AllocationResult:
                    registers_used=data["registers_used"])
 
 
-@dataclass
-class _AllocState:
-    """Mutable allocator state."""
-
-    free: List[int]
-    reg_of: Dict[int, int] = field(default_factory=dict)  # vreg -> arch reg
-    slot_of: Dict[int, int] = field(default_factory=dict)  # vreg -> spill slot
-    stored: Set[int] = field(default_factory=set)  # vregs with a valid slot copy
-    next_slot: int = 0
-
-
-def allocate(trace: Sequence[Instruction], n_regs: int, mvl: int,
-             spill_vl: Optional[int] = None) -> AllocationResult:
+def allocate(trace: Sequence[Instruction], n_regs: int,
+             mvl: int) -> AllocationResult:
     """Allocate an SSA virtual-register trace onto ``n_regs`` registers.
 
     Args:
@@ -99,8 +97,7 @@ def allocate(trace: Sequence[Instruction], n_regs: int, mvl: int,
         n_regs: architectural register supply (32 for LMUL=1, 32/LMUL
             under Register Grouping).
         mvl: the configuration's maximum vector length; spill code is
-            emitted with this VL unless ``spill_vl`` overrides it.
-        spill_vl: optional override for spill-instruction VL (test hook).
+            emitted with this VL.
 
     Returns:
         An :class:`AllocationResult` whose ``insts`` never reference a
@@ -108,29 +105,45 @@ def allocate(trace: Sequence[Instruction], n_regs: int, mvl: int,
     """
     if n_regs < 2:
         raise ValueError("allocator needs at least 2 architectural registers")
-    svl = mvl if spill_vl is None else spill_vl
 
-    next_use = NextUse.analyse(trace)
-    state = _AllocState(free=list(range(n_regs - 1, -1, -1)))
+    # Backward pass: for each position, the next read of every source
+    # after it and the first read of the value it defines.
+    src_next: List[Tuple[int, ...]] = [()] * len(trace)
+    dst_next: List[int] = [INFINITY] * len(trace)
+    later: Dict[int, int] = {}
+    for pos in range(len(trace) - 1, -1, -1):
+        inst = trace[pos]
+        if inst.is_scalar:
+            continue
+        if inst.dst is not None:
+            dst_next[pos] = later.get(inst.dst, INFINITY)
+        srcs = inst.srcs
+        if srcs:
+            src_next[pos] = tuple([later.get(src, INFINITY) for src in srcs])
+            for src in srcs:
+                later[src] = pos
+
+    # Forward pass.  ``next_use`` holds each value's next read as of the
+    # instruction being allocated, so a Belady query is one dict lookup.
+    next_use: Dict[int, int] = {}
+    free = list(range(n_regs - 1, -1, -1))
+    reg_of: Dict[int, int] = {}  # vreg -> arch reg
+    slot_of: Dict[int, int] = {}  # vreg -> spill slot (a valid copy: SSA)
+    used: Set[int] = set()
     out: List[Instruction] = []
     spill_loads = spill_stores = 0
-    used_regs: Set[int] = set()
+    live = peak = 0
 
-    def slot_for(vreg: int) -> int:
-        if vreg not in state.slot_of:
-            state.slot_of[vreg] = state.next_slot
-            state.next_slot += 1
-        return state.slot_of[vreg]
-
-    def evict_one(pos: int, pinned: Set[int]) -> int:
-        """Free one register by spilling the furthest-next-use value."""
+    def evict(pinned: Tuple[int, ...]) -> int:
+        """Free one register by spilling the value read furthest in the
+        future."""
         nonlocal spill_stores
         best_vreg = -1
         best_dist = -1
-        for vreg in state.reg_of:
+        for vreg in reg_of:
             if vreg in pinned:
                 continue
-            dist = next_use.peek(vreg, pos)
+            dist = next_use[vreg]
             if dist > best_dist:
                 best_dist = dist
                 best_vreg = vreg
@@ -138,77 +151,81 @@ def allocate(trace: Sequence[Instruction], n_regs: int, mvl: int,
             raise RuntimeError(
                 f"cannot evict: all {n_regs} registers pinned by one "
                 f"instruction (register supply too small for the ISA)")
-        reg = state.reg_of.pop(best_vreg)
-        if best_dist != INFINITY and best_vreg not in state.stored:
+        reg = reg_of.pop(best_vreg)
+        if best_dist != INFINITY and best_vreg not in slot_of:
             # Value is still needed and has no slot copy: store it.
+            slot_of[best_vreg] = len(slot_of)
             out.append(Instruction(
-                op=Op.VSE, srcs=(reg,), vl=svl,
-                mem=spill_ref(slot_for(best_vreg)), tag=Tag.SPILL))
-            state.stored.add(best_vreg)
+                op=Op.VSE, srcs=(reg,), vl=mvl,
+                mem=spill_ref(slot_of[best_vreg]), tag=Tag.SPILL))
             spill_stores += 1
         return reg
-
-    def take_reg(pos: int, pinned: Set[int]) -> int:
-        if state.free:
-            return state.free.pop()
-        return evict_one(pos, pinned)
-
-    def release_if_dead(vreg: int, pos: int) -> None:
-        """Free a register whose value will never be read again."""
-        if vreg in state.reg_of and next_use.peek(vreg, pos) == INFINITY:
-            state.free.append(state.reg_of.pop(vreg))
 
     for pos, inst in enumerate(trace):
         if inst.is_scalar:
             out.append(inst)
             continue
 
-        pinned: Set[int] = set(inst.srcs)
+        srcs = inst.srcs
         # Reload any source currently living only in its spill slot.
-        for src in inst.srcs:
-            if src in state.reg_of:
+        for src in srcs:
+            if src in reg_of:
                 continue
-            if src not in state.stored:
+            if src not in slot_of:
                 raise ValueError(
                     f"use of register {src} before definition at trace "
                     f"position {pos}")
-            reg = take_reg(pos, pinned)
+            reg = free.pop() if free else evict(srcs)
+            used.add(reg)
             out.append(Instruction(
-                op=Op.VLE, dst=reg, vl=svl,
-                mem=spill_ref(state.slot_of[src]), tag=Tag.SPILL))
+                op=Op.VLE, dst=reg, vl=mvl,
+                mem=spill_ref(slot_of[src]), tag=Tag.SPILL))
             spill_loads += 1
-            state.reg_of[src] = reg
+            reg_of[src] = reg
 
-        mapping = {src: state.reg_of[src] for src in inst.srcs}
-        if inst.dst is not None:
-            if inst.dst in state.reg_of or inst.dst in state.stored:
+        dst = inst.dst
+        dst_reg: Optional[int] = None
+        if dst is not None:
+            if dst in reg_of or dst in slot_of:
                 raise ValueError(
-                    f"trace is not SSA: register {inst.dst} redefined at "
+                    f"trace is not SSA: register {dst} redefined at "
                     f"position {pos}")
-            dst_reg = take_reg(pos + 1, pinned)
-            mapping[inst.dst] = dst_reg
-            state.reg_of[inst.dst] = dst_reg
+            dst_reg = free.pop() if free else evict(srcs)
+            used.add(dst_reg)
+            reg_of[dst] = dst_reg
+            next_use[dst] = dst_next[pos]
+            live += 1
+            if live > peak:
+                peak = live
 
-        out.append(inst.remap(mapping))
-        used_regs.update(mapping.values())
+        out.append(inst.with_operands(
+            dst_reg, tuple([reg_of[src] for src in srcs]), inst.vl, inst.mem))
 
         # Sources (and write-once dead destinations) past their last use
         # release their registers immediately, like a compiler's live-range
         # end — pressure tracks MAXLIVE exactly.
         # sorted, not bare set iteration: dedupe then release in register
         # order, so the free-list order downstream is a property of the
-        # program, not of the interpreter's set layout.
-        for src in sorted(set(inst.srcs)):
-            release_if_dead(src, pos + 1)
-        if inst.dst is not None:
-            release_if_dead(inst.dst, pos + 1)
+        # program, not of the interpreter's set layout.  A single source
+        # needs neither.
+        nexts = src_next[pos]
+        for src, nxt in zip(srcs, nexts):
+            next_use[src] = nxt
+        if INFINITY in nexts:
+            for src in sorted(set(srcs)) if len(srcs) > 1 else srcs:
+                if next_use[src] == INFINITY:
+                    free.append(reg_of.pop(src))
+                    live -= 1
+        if dst is not None and next_use[dst] == INFINITY:
+            free.append(reg_of.pop(dst))
+            live -= 1
 
     return AllocationResult(
         insts=out,
         n_regs=n_regs,
         spill_loads=spill_loads,
         spill_stores=spill_stores,
-        spill_slots=state.next_slot,
-        max_pressure=max_pressure(trace),
-        registers_used=len(used_regs),
+        spill_slots=len(slot_of),
+        max_pressure=peak,
+        registers_used=len(used),
     )

@@ -1,61 +1,21 @@
-"""Liveness and next-use analysis over straight-line vector traces.
+"""Live pressure over straight-line vector traces: the reference MAXLIVE.
 
 Traces arriving here are SSA: every virtual register has exactly one
 definition (the strip-mine unroller renames loop-body temporaries per
-iteration).  That keeps both the analysis and the allocator simple — a
-register's live range is [definition, last use] and never has holes we need
-to care about.
+iteration), so a register's live range is [definition, last use] with no
+holes.  :func:`repro.compiler.allocate` derives the same MAXLIVE from its own
+pass (a live counter bumped at each definition and dropped at each release);
+this standalone measure is what kernel characterisation
+(:func:`repro.compiler.trace.body_pressure`) and the allocator's tests check
+against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.isa.instructions import Instruction
-
-#: Sentinel "never used again" position (beyond any trace index).
-INFINITY = 1 << 60
-
-
-@dataclass
-class NextUse:
-    """Per-register next-use positions, consumable in trace order.
-
-    ``peek(reg, pos)`` returns the first use of ``reg`` at or after trace
-    index ``pos`` (or :data:`INFINITY`).  Positions for each register are
-    precomputed and consumed monotonically, so a full allocation pass is
-    O(trace length × operands).
-    """
-
-    _positions: Dict[int, List[int]]
-    _cursor: Dict[int, int]
-
-    @classmethod
-    def analyse(cls, trace: Sequence[Instruction]) -> "NextUse":
-        positions: Dict[int, List[int]] = defaultdict(list)
-        for idx, inst in enumerate(trace):
-            if inst.is_scalar:
-                continue
-            for src in inst.srcs:
-                positions[src].append(idx)
-        return cls(dict(positions), defaultdict(int))
-
-    def peek(self, reg: int, pos: int) -> int:
-        """First use of ``reg`` at trace index >= ``pos``."""
-        uses = self._positions.get(reg)
-        if not uses:
-            return INFINITY
-        cur = self._cursor[reg]
-        while cur < len(uses) and uses[cur] < pos:
-            cur += 1
-        self._cursor[reg] = cur
-        return uses[cur] if cur < len(uses) else INFINITY
-
-    def use_count(self, reg: int) -> int:
-        uses = self._positions.get(reg)
-        return len(uses) if uses else 0
 
 
 def live_pressure(trace: Sequence[Instruction]) -> List[int]:
@@ -65,6 +25,10 @@ def live_pressure(trace: Sequence[Instruction]) -> List[int]:
     list has one entry per trace position; ``max(live_pressure(t))`` is the
     MAXLIVE bound that decides whether a configuration with K architectural
     registers can run the trace spill-free.
+
+    Raises:
+        ValueError: a register is read before its definition (or never
+            defined): the trace is not one the unroller produces.
     """
     last_use: Dict[int, int] = {}
     defined_at: Dict[int, int] = {}
@@ -72,6 +36,10 @@ def live_pressure(trace: Sequence[Instruction]) -> List[int]:
         if inst.is_scalar:
             continue
         for src in inst.srcs:
+            if src not in defined_at:
+                raise ValueError(
+                    f"register {src} is used before its definition at "
+                    f"trace position {idx}")
             last_use[src] = idx
         if inst.dst is not None:
             defined_at[inst.dst] = idx
@@ -83,12 +51,6 @@ def live_pressure(trace: Sequence[Instruction]) -> List[int]:
     for reg, def_idx in defined_at.items():
         events[def_idx] += 1
         events[last_use[reg] + 1] -= 1
-    # Sources defined before the trace (none, in SSA traces from the
-    # unroller) would be handled here; assert instead so bugs surface.
-    for reg in last_use:
-        if reg not in defined_at:
-            raise ValueError(
-                f"register {reg} is used but never defined in this trace")
 
     pressure: List[int] = []
     live = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class AddressSpace(enum.Enum):
@@ -92,8 +91,3 @@ def data_ref(buffer: str, base_elem: int = 0, stride: int = 1,
 def spill_ref(slot: int) -> MemOperand:
     """Memory operand for compiler spill slot ``slot`` (always MVL-wide)."""
     return MemOperand(AddressSpace.SPILL, f"slot{slot}")
-
-
-def mvrf_ref(vvr: int) -> Optional[MemOperand]:
-    """Memory operand for VVR ``vvr``'s home location in the M-VRF."""
-    return MemOperand(AddressSpace.MVRF, "mvrf", base_elem=0)

@@ -105,11 +105,10 @@ class Program:
 
     def registers_used(self) -> set[int]:
         """The set of architectural registers the trace references."""
-        used: set[int] = set()
-        for inst in self.insts:
-            if inst.is_scalar:
-                continue
-            used.update(inst.registers)
+        # Scalar blocks carry no registers (no sources, no destination).
+        used = {src for inst in self.insts for src in inst.srcs}
+        used.update([inst.dst for inst in self.insts
+                     if inst.dst is not None])
         return used
 
     def validate(self, n_logical: int) -> None:
