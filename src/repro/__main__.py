@@ -21,9 +21,6 @@ Artifacts:
   seeded fault plan with worker kills / hangs / cache corruption, then
   warm over the scarred cache) and assert all three render byte-identical
   output with zero failed cells (``--seed`` picks the plan);
-* ``merge <stats.json>...`` — combine per-shard ``--stats-json`` counter
-  files (associative field-wise sums) into one batch summary, the
-  ``merge-counters`` step of a sharded sweep;
 * ``cache stats`` / ``cache clear [--traces|--results]`` /
   ``cache verify`` — inspect, prune or integrity-check the two
   persistent stores (cell results at ``--cache-dir``, compiled traces
@@ -38,10 +35,8 @@ through the experiment-execution engine:
   ``--jobs auto`` — the default — resolves to the CPUs this process may
   actually use (affinity-aware, so containerized CI never
   oversubscribes);
-* ``sweep --shards N --shard-index K`` runs only shard K of the grid
-  (for fanning one sweep out over CI matrix jobs or separate hosts
-  against a shared/synced cache dir); ``--stats-json FILE`` writes the
-  run's engine counters for a later ``repro merge``;
+* ``--stats-json FILE`` writes the run's engine counters as JSON, also
+  when a cell failed;
 * results persist in a content-addressed cache (``--cache-dir``,
   default ``.repro-cache``) keyed by each cell's compile inputs, so
   re-rendering any artifact — or another artifact sharing cells — reads
@@ -51,10 +46,11 @@ through the experiment-execution engine:
 * ``--cache-stats`` prints hit/miss/simulation counters to stderr (plus
   a ``resilience:`` line — retries, timeouts, quarantined/evicted cache
   entries — whenever any of those is nonzero);
-* ``--deadline S`` arms a per-cell deadline (a watchdog kills hung
-  workers and retries the cell), ``--retries N`` bounds how many
-  infrastructure failures a cell may survive (default 3), and
-  ``--cache-max-bytes N`` bounds the result cache with LRU eviction;
+* ``--deadline S`` arms a per-cell deadline on each compile and each
+  simulation (a watchdog kills hung workers and retries the cell),
+  ``--retries N`` bounds how many infrastructure failures a cell may
+  survive (default 3), and ``--cache-max-bytes N`` bounds the result
+  cache with LRU eviction;
 * ``--progress`` / ``--no-progress`` force the live stderr progress line
   on or off (default: on when stderr is a terminal).  Progress never
   touches stdout, so piped artifacts stay byte-identical.
@@ -80,20 +76,17 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["table1", "table2", "table3", "table4",
                                  "table5", "figure3", "figure4", "figure5",
                                  "claims", "sweep", "sensitivity",
-                                 "chaos", "cache", "merge", "lint"])
+                                 "chaos", "cache", "lint"])
     parser.add_argument("workload", nargs="?", default=None,
                         help="application for figure3 (a registered name, "
                              "'all' for Table IV, 'extended' for the "
                              "ten-kernel suite; default: axpy); spec file "
                              "path for sweep and chaos; action for cache "
                              "('stats', 'clear' or 'verify'; default: "
-                             "stats); first stats file for merge; first "
-                             "path to analyze for lint (default: the "
-                             "repro package)")
+                             "stats); first path to analyze for lint "
+                             "(default: the repro package)")
     parser.add_argument("files", nargs="*", default=[], metavar="FILE",
-                        help="merge: further per-shard stats files "
-                             "(written by --stats-json); lint: further "
-                             "paths to analyze")
+                        help="lint: further paths to analyze")
     parser.add_argument("--traces", action="store_true",
                         help="cache clear: prune only the trace store")
     parser.add_argument("--results", action="store_true",
@@ -110,18 +103,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes for simulation cells: a "
                              "count, or 'auto' for the CPUs this process "
                              "may use (affinity-aware; the default)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="sweep: shard count of the --shard-index "
-                             "partition")
-    parser.add_argument("--shard-index", type=int, default=None,
-                        metavar="K",
-                        help="sweep: run only shard K (0-based) of the "
-                             "--shards N partition — for fanning one "
-                             "sweep over several hosts/CI jobs against a "
-                             "shared cache dir")
     parser.add_argument("--stats-json", default=None, metavar="FILE",
                         help="write the run's engine counters to FILE "
-                             "(JSON) for a later 'repro merge'")
+                             "(JSON), also when a cell failed")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the result cache")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -137,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
                              "least-recently-used eviction (default: "
                              "unbounded)")
     parser.add_argument("--deadline", type=float, default=None, metavar="S",
-                        help="per-cell deadline in seconds: hung cells "
+                        help="per-cell deadline in seconds, on each "
+                             "compile and each simulation: hung cells "
                              "are killed and retried (default: none; "
                              "chaos defaults to its own)")
     parser.add_argument("--retries", type=int, default=3, metavar="N",
@@ -182,28 +167,15 @@ def main(argv: list[str] | None = None) -> int:
                          f"got {args.jobs!r}")
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
-    if args.files and args.artifact not in ("merge", "lint"):
-        parser.error("extra positional arguments apply only to merge "
-                     "and lint")
+    if args.files and args.artifact != "lint":
+        parser.error("extra positional arguments apply only to lint")
     if args.artifact != "lint" and (args.rules or args.json or args.fix):
         parser.error("--rules/--json/--fix apply only to lint")
     if args.sanitize and args.artifact in ("table1", "table2", "table3",
                                            "table4", "table5", "figure5",
-                                           "chaos", "cache", "merge",
-                                           "lint"):
+                                           "chaos", "cache", "lint"):
         parser.error("--sanitize applies to simulation-backed artifacts "
                      "(figure3, figure4, claims, sweep, sensitivity)")
-    if args.shards is not None and args.shard_index is None:
-        parser.error("--shards needs --shard-index")
-    if args.shard_index is not None:
-        if args.artifact != "sweep":
-            parser.error("--shard-index applies only to sweep")
-        if args.shards is None:
-            parser.error("--shard-index requires --shards N")
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        if not 0 <= args.shard_index < args.shards:
-            parser.error(f"--shard-index must be in [0, {args.shards})")
 
     show_progress = (args.progress if args.progress is not None
                      else sys.stderr.isatty())
@@ -217,17 +189,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
               renderer: ProgressRenderer | None) -> int:
-    if args.artifact == "merge":
-        from repro.experiments.shard import render_merge
-        paths = ([args.workload] if args.workload else []) + args.files
-        if not paths:
-            parser.error("merge needs at least one stats file: repro "
-                         "merge shard-0.json shard-1.json ...")
-        try:
-            print(render_merge(paths))
-        except ValueError as exc:
-            parser.error(str(exc))
-        return 0
     if args.artifact == "lint":
         return _lint_command(parser, args)
     if args.artifact == "cache":
@@ -288,13 +249,17 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
             # invariant held.  Diagnostics go to stderr so artifact
             # stdout stays byte-identical with and without --sanitize.
             print("sanitize: 0 sanitizer findings", file=sys.stderr)
+        return code
+    finally:
+        # Counters are reported even when a failed cell is propagating
+        # out as CellExecutionError: that is when they matter most.
+        executor.close()
+        if renderer is not None:
+            renderer.close()
         if args.cache_stats:
             print(executor.stats.summary(), file=sys.stderr)
         if args.stats_json:
             _write_stats_json(args, executor.stats)
-        return code
-    finally:
-        executor.close()
 
 
 def _lint_command(parser: argparse.ArgumentParser,
@@ -326,19 +291,17 @@ def _lint_command(parser: argparse.ArgumentParser,
 
 
 def _write_stats_json(args: argparse.Namespace, stats) -> None:
-    """Persist one run's engine counters for a later ``repro merge``."""
+    """Persist one run's engine counters as JSON (``--stats-json``)."""
     import json
     from pathlib import Path
 
-    from repro.experiments.shard import stats_payload
     name = ""
-    if args.artifact in ("sweep", "chaos") and args.workload:
+    if args.artifact == "sweep" and args.workload:
         name = Path(args.workload).stem
     elif args.workload:
         name = args.workload
-    payload = stats_payload(stats, artifact=args.artifact, name=name,
-                            shards=args.shards,
-                            shard_index=args.shard_index)
+    payload = {"schema": 1, "artifact": args.artifact, "name": name,
+               "stats": stats.to_dict()}
     Path(args.stats_json).write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -452,12 +415,7 @@ def _render_artifact(parser: argparse.ArgumentParser,
             parsed = parse_sweep(args.workload)
         except ValueError as exc:
             parser.error(str(exc))
-        if args.shard_index is not None:
-            from repro.experiments.shard import run_sweep_shard
-            print(run_sweep_shard(parsed, executor, shards=args.shards,
-                                  shard_index=args.shard_index))
-        else:
-            print(run_sweep(parsed, executor=executor))
+        print(run_sweep(parsed, executor=executor))
     elif args.artifact == "sensitivity":
         from repro.experiments.sensitivity import (SENSITIVITY_WORKLOAD,
                                                    build_sensitivity)

@@ -11,7 +11,7 @@ answer, or worse, mask nondeterminism).  Two rules keep the split real:
   a bare ``raise`` are exempt: they swallow nothing, and the hazard this
   rule polices is swallowing.  Fixable: ``--fix`` appends a
   ``TODO``-marked scaffold for a human to complete.
-* **F002** — retry-eligibility tuples in the execution backends (names
+* **F002** — retry-eligibility tuples in the cell dispatchers (names
   matching ``*RETRYABLE*``) may only contain exceptions from the
   infrastructure-fault taxonomy exported by :mod:`repro.faults`
   (:data:`~repro.faults.INFRASTRUCTURE_FAULT_NAMES`).  Retrying a

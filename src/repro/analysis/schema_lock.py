@@ -1,7 +1,7 @@
 """The schema lock: the committed manifest S001 diffs the live code against.
 
-``CACHE_SCHEMA`` gates every persistent payload (result cache, trace
-store, shard files).  The rule "any diff-visible change to the stats
+``CACHE_SCHEMA`` gates every persistent payload (result cache and trace
+store).  The rule "any diff-visible change to the stats
 shape bumps the schema" is only enforceable if the *last agreed shape*
 is recorded somewhere the analyzer can read — that record is this
 module.

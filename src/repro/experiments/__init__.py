@@ -5,11 +5,9 @@
 * :mod:`repro.experiments.engine` — the unified execution engine: sweep
   specs, the cell executor and the persistent content-addressed result
   cache every artifact shares;
-* :mod:`repro.experiments.backends` — the execution backends (inline /
-  process pool, picked by ``jobs``) the executor schedules through;
-* :mod:`repro.experiments.shard` — deterministic grid sharding for
-  ``sweep --shard-index`` and ``merge-counters``-style per-shard stat
-  merging;
+* :mod:`repro.experiments.backends` — the two dispatchers (inline /
+  process pool, picked by ``jobs``) the executor runs compiles and
+  simulations through;
 * :mod:`repro.experiments.sweep` — JSON sweep-spec files: named axis
   presets (machine / memory / timing / policy) expanded into engine grids
   behind the ``repro sweep`` CLI artifact;
@@ -26,12 +24,7 @@
 * :mod:`repro.experiments.rendering` — ASCII tables and bar charts.
 """
 
-from repro.experiments.backends import (
-    ExecutionBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    default_jobs,
-)
+from repro.experiments.backends import default_jobs
 from repro.experiments.configs import (
     figure3_series,
     native_series,
@@ -53,12 +46,6 @@ from repro.experiments.engine import (
     make_executor,
 )
 from repro.experiments.sensitivity import build_sensitivity
-from repro.experiments.shard import (
-    merge_stats,
-    partition,
-    select_shard,
-    shard_of,
-)
 from repro.experiments.sweep import parse_sweep, run_sweep
 
 __all__ = [
@@ -81,12 +68,5 @@ __all__ = [
     "build_sensitivity",
     "parse_sweep",
     "run_sweep",
-    "ExecutionBackend",
-    "InlineBackend",
-    "ProcessPoolBackend",
     "default_jobs",
-    "merge_stats",
-    "partition",
-    "select_shard",
-    "shard_of",
 ]

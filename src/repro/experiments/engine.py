@@ -40,7 +40,7 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, TextIO,
@@ -54,8 +54,7 @@ from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
 from repro.experiments.backends import (  # noqa: F401 — re-exported names
-    _RETRYABLE, CellDeadlineExceeded, ExecutionBackend, InlineBackend,
-    ProcessPoolBackend, default_jobs)
+    FailFn, Job, LandFn, WorkerFn, default_jobs, run_inline, run_pool)
 from repro.isa.instructions import fingerprint_line
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystemConfig
@@ -522,16 +521,17 @@ def _run_cell(job: Union[Tuple[Cell, Union[Program, TraceRef]],
     }
 
 
-def _compile_cell(cell: Cell) -> "CompiledWorkload":
+def _compile_cell(job: Tuple[Cell, None, int]) -> "CompiledWorkload":
     """Compile one cell's kernel (module-level so the pool can pickle it).
 
     Compilation is pure — everything it reads is in the cell — so a
     parallel executor fans the distinct (workload, signature) compiles out
-    over the same worker pool that runs the simulations, instead of
-    serializing them in the parent while the workers sit idle.  The full
-    :class:`CompiledWorkload` comes back (not just the program) so the
-    parent can persist it to the trace store.
+    over the same worker pool, through the same dispatcher, that runs the
+    simulations, instead of serializing them in the parent while the
+    workers sit idle.  The full :class:`CompiledWorkload` comes back (not
+    just the program) so the parent can persist it to the trace store.
     """
+    cell = job[0]
     with _gc_paused():
         return cell.resolve_workload().compile(cell.config)
 
@@ -732,21 +732,6 @@ class ExecutorStats:
         """Counters as plain JSON (the ``--stats-json`` payload body)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, int]) -> "ExecutorStats":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored so a
-        newer writer's counter file still merges on an older reader.
-        A known counter that is not a non-negative ``int`` (``bool``
-        excluded) raises ``ValueError`` naming the field."""
-        known = {f.name for f in fields(cls)}
-        counters = {k: v for k, v in payload.items() if k in known}
-        for name, value in counters.items():
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < 0):
-                raise ValueError(f"counter {name!r} must be a non-negative "
-                                 f"integer, got {value!r}")
-        return cls(**counters)
-
     def summary(self) -> str:
         text = (f"engine: {self.cells_requested} cells requested, "
                 f"{self.cache_hits} cache hits, "
@@ -808,17 +793,18 @@ def _cell_error(cell: Cell, key: str, exc: BaseException) -> CellError:
 
 
 class CellExecutor:
-    """Streams cell batches through an inline or process-pool backend.
+    """Streams cell batches inline or over one process pool.
 
-    ``jobs=1`` executes inline (no subprocess, no pickling) through an
-    :class:`InlineBackend`; ``jobs>1`` submits misses to one
-    :class:`ProcessPoolExecutor` (a :class:`ProcessPoolBackend`) that is
-    spun up on first use and reused across batches (``close()`` or the
-    context-manager form shuts it down).  The semantic layer here — cache
-    scan, compile memo, dedupe, position-keyed results, counters — is
-    backend-independent, so rendered artifacts are byte-identical across
-    ``jobs``.  Identical cells within a batch are simulated once.  Results
-    always come back in request order.
+    ``jobs=1`` executes inline (no subprocess, no pickling); ``jobs>1``
+    submits misses to one :class:`ProcessPoolExecutor` that is spun up on
+    first use and reused across batches (``close()`` or the
+    context-manager form shuts it down).  Compiles and simulations go
+    through the same dispatcher (:mod:`repro.experiments.backends`), and
+    the semantic layer here — cache scan, compile memo, dedupe,
+    position-keyed results, counters — does not depend on it, so rendered
+    artifacts are byte-identical across ``jobs``.  Identical cells within
+    a batch are simulated once.  Results always come back in request
+    order.
 
     A batch is keyed first: :func:`cell_key` hashes compile *inputs*,
     with the workload's compile fingerprint memoized — for the executor's
@@ -844,13 +830,14 @@ class CellExecutor:
     and parallel batches ship :class:`TraceRef` pointers to the workers
     instead of pickled programs.
 
-    Resilience knobs: ``deadline_s`` arms a per-cell deadline — in pool
-    mode a watchdog that kills the pool under a cell observed RUNNING for
-    longer than the deadline (finished futures are drained first, and
-    collateral in-flight cells are resubmitted with their attempt counts
-    intact), inline a ``SIGALRM`` timer.  ``retries`` bounds how many
-    *charged* failures a cell may accumulate before it becomes a
-    :class:`CellError`; only infrastructure faults (:data:`_RETRYABLE`)
+    Resilience knobs: ``deadline_s`` arms a per-cell deadline on each
+    compile and each simulation — in pool mode a watchdog that kills the
+    pool under a job observed RUNNING for longer than the deadline
+    (finished futures are drained first, and collateral in-flight jobs
+    are resubmitted with their attempt counts intact), inline a
+    ``SIGALRM`` timer.  ``retries`` bounds how many *charged* failures a
+    cell may accumulate before it becomes a :class:`CellError`; only
+    infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
     charge the budget — deterministic cell exceptions fail fast on the
     first attempt.  Each charged retry backs off exponentially
     (``backoff_s * 2**(attempt-1)``) plus a deterministic per-cell jitter
@@ -885,26 +872,52 @@ class CellExecutor:
         #: (``repro ... --sanitize``); cells already marked stay marked.
         self.sanitize = sanitize
         self.stats = ExecutorStats()
-        self.backend: ExecutionBackend = (
-            InlineBackend() if jobs == 1 else ProcessPoolBackend(jobs))
-        self.backend.bind(self)
+        self._pool: Optional[ProcessPoolExecutor] = None
         # The memo for *named* cells: the registry instantiates a fresh
         # default-shaped instance per lookup, so a name's fingerprint and
         # its (name, signature) programs are pure for the executor's life.
         self._named = _CompileMemo()
 
     # -- worker-pool lifecycle -------------------------------------------------
-    @property
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        """The backend's live worker pool, if it holds one (diagnostics
-        and tests; inline backends always report None)."""
-        return getattr(self.backend, "_pool", None)
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                             initializer=_pool_worker_init)
+        return self._pool
+
+    def _discard_pool(self) -> None:
+        """Drop the pool without waiting — used when it broke or the batch
+        was interrupted; the next parallel batch spins up a fresh one."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+
+    def _kill_pool(self) -> None:
+        """Kill the pool's worker processes, then discard it.
+
+        The watchdog's hammer: a future that is already RUNNING cannot be
+        cancelled, and ``shutdown(wait=False)`` would still leave the
+        interpreter joining a hung worker at exit — so the workers are
+        killed outright (the hung cell with them) before the teardown.
+        Reaches into ``ProcessPoolExecutor._processes``; a stdlib that
+        renamed it degrades to a plain discard, never an error.
+        """
+        pool = self._pool
+        if pool is None:
+            return
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            try:
+                proc.kill()
+            except Exception:  # noqa: BLE001 — already dead is fine
+                pass
+        self._discard_pool()
 
     def close(self) -> None:
-        """Release the backend's scheduling resources (idempotent; the
-        executor stays usable — a later parallel batch starts a new
-        pool)."""
-        self.backend.close()
+        """Shut the worker pool down (idempotent; the executor stays
+        usable — a later parallel batch starts a new pool)."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def __enter__(self) -> "CellExecutor":
         return self
@@ -1015,20 +1028,20 @@ class CellExecutor:
             # Only the misses need programs; a raising compile fails the
             # keys that needed it before anything is dispatched.
             sources = self._compile_programs(
-                [cells[indices[0]] for indices in by_key.values()], batch)
+                [cells[indices[0]] for indices in by_key.values()], batch,
+                progress)
             runnable: List[str] = []
-            jobs_list: List[Tuple[Cell, Union[Program, TraceRef]]] = []
+            jobs_list: List[Job] = []
             for key, source in zip(by_key, sources):
                 if isinstance(source, BaseException):
                     fail(key, source)
                 else:
                     runnable.append(key)
                     jobs_list.append((cells[by_key[key][0]], source))
-            self.backend.execute(
-                jobs_list,
-                lambda pos, payload: land(runnable[pos], payload),
-                lambda pos, exc: fail(runnable[pos], exc),
-                progress)
+            self._dispatch(jobs_list,
+                           lambda pos, payload: land(runnable[pos], payload),
+                           lambda pos, exc: fail(runnable[pos], exc),
+                           progress, _execute_cell)
 
         self._sync_store_counters()
         if failures and errors == "raise":
@@ -1048,6 +1061,17 @@ class CellExecutor:
         return self.run([cell], errors=errors)[0]
 
     # -- internals -------------------------------------------------------------
+    def _dispatch(self, jobs_list: List[Job], land: LandFn, fail: FailFn,
+                  progress: Progress, worker: WorkerFn) -> None:
+        """Run ``worker`` over every job, finalising by position: inline
+        when there is nothing to overlap (``jobs == 1`` or a single job —
+        a subprocess round-trip would only add pickling), else streamed
+        over the pool."""
+        if self.jobs == 1 or len(jobs_list) <= 1:
+            run_inline(self, jobs_list, land, fail, progress, worker)
+        else:
+            run_pool(self, jobs_list, land, fail, progress, worker)
+
     def _emit(self, progress: Progress) -> None:
         if self.progress is not None:
             self.progress(progress)
@@ -1087,7 +1111,8 @@ class CellExecutor:
             fingerprints[cell.workload] = fingerprint
         return fingerprint
 
-    def _compile_programs(self, cells: Sequence[Cell], batch: _CompileMemo
+    def _compile_programs(self, cells: Sequence[Cell], batch: _CompileMemo,
+                          progress: Progress
                           ) -> List[Union[Program, TraceRef, BaseException]]:
         """What to dispatch for each cell — its program, a
         :class:`TraceRef` to it, or the exception its compile raised —
@@ -1102,13 +1127,15 @@ class CellExecutor:
         With a trace store attached, memo misses consult it first —
         signatures compiled by any previous run or process replay from
         disk (``stats.trace_hits``) and only true misses compile.  Those
-        compile over the worker pool when the executor is parallel and
-        are written back to the store.  A raising compile is captured per
-        pair (one bad kernel must not abort the grid), only successful
-        compiles count toward ``stats.compiles``, and failed pairs are
-        never memoized, so the next batch retries them.  Parallel batches
-        of more than one cell get a :class:`TraceRef` wherever the store
-        holds the program, so workers load it instead of unpickling it.
+        go through the same dispatcher as the simulations — over the
+        worker pool when the executor is parallel, with the same deadline
+        and retry budget — and are written back to the store.  A raising
+        compile is captured per pair (one bad kernel must not abort the
+        grid), only successful compiles count toward ``stats.compiles``,
+        and failed pairs are never memoized, so the next batch retries
+        them.  Parallel batches of more than one cell get a
+        :class:`TraceRef` wherever the store holds the program, so workers
+        load it instead of unpickling it.
         """
         todo: Dict[PairKey, Tuple[Cell, Optional[str]]] = {}
         for cell in cells:
@@ -1126,48 +1153,23 @@ class CellExecutor:
                     continue
             todo[pair] = (cell, trace_key)
 
+        pairs = list(todo)
         failed: Dict[PairKey, BaseException] = {}
 
-        def record(pair: PairKey,
-                   outcome: Union[CompiledWorkload, BaseException]) -> None:
-            cell, trace_key = todo[pair]
-            if isinstance(outcome, BaseException):
-                failed[pair] = outcome
-                return
+        def land(pos: int, compiled: CompiledWorkload) -> None:
+            cell, trace_key = todo[pairs[pos]]
             self.stats.compiles += 1
             if trace_key is not None:
                 self.stats.trace_misses += 1
-                self.traces.put_trace(trace_key, outcome)
-            self._memo(cell, batch).programs[pair] = (outcome.program,
-                                                      trace_key)
+                self.traces.put_trace(trace_key, compiled)
+            self._memo(cell, batch).programs[pairs[pos]] = (
+                compiled.program, trace_key)
 
-        pool = self.backend.compile_pool() if len(todo) > 1 else None
-        if pool is not None:
-            futures = [(pair, pool.submit(_compile_cell, cell))
-                       for pair, (cell, _) in todo.items()]
-            broken = False
-            try:
-                for pair, future in futures:
-                    try:
-                        compiled = future.result()
-                    except Exception as exc:  # noqa: BLE001 — per pair
-                        broken = broken or isinstance(exc, BrokenExecutor)
-                        record(pair, exc)
-                    else:
-                        record(pair, compiled)
-            except BaseException:
-                self.backend.discard_pool()
-                raise
-            if broken:
-                self.backend.discard_pool()
-        else:
-            for pair, (cell, _) in todo.items():
-                try:
-                    compiled = _compile_cell(cell)
-                except Exception as exc:  # noqa: BLE001 — per pair
-                    record(pair, exc)
-                else:
-                    record(pair, compiled)
+        def fail(pos: int, exc: BaseException) -> None:
+            failed[pairs[pos]] = exc
+
+        self._dispatch([(cell, None) for cell, _ in todo.values()], land,
+                       fail, progress, _compile_cell)
 
         use_refs = self.traces is not None and self.jobs > 1 and len(cells) > 1
 

@@ -271,10 +271,8 @@ def render_sweep(parsed: ParsedSweep,
 def render_rows(parsed: ParsedSweep,
                 labels: Sequence[Tuple[str, str, str, str, str]],
                 results: Sequence[CellResult]) -> str:
-    """The result table alone (no sweep header) for any subset of the
-    grid's ``(labels, results)`` pairs — shared by the full-sweep render
-    and the per-shard render, so shard outputs keep the full sweep's
-    column layout."""
+    """The result table alone (no sweep header) for the grid's
+    ``(labels, results)`` pairs."""
     if len(labels) != len(results):
         raise ValueError(
             f"expected {len(labels)} results for this spec, "

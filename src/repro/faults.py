@@ -62,17 +62,17 @@ CACHE_KINDS = (CACHE_CORRUPT, CACHE_ENOSPC, CACHE_READONLY)
 
 ALL_KINDS = CELL_KINDS + CACHE_KINDS
 
-#: The infrastructure-fault taxonomy: exception type *names* the execution
-#: backends may treat as retry-eligible.  Everything else that escapes a
+#: The infrastructure-fault taxonomy: exception type *names* the cell
+#: dispatchers may treat as retry-eligible.  Everything else that escapes a
 #: cell is a simulation bug — retrying it would recompute the same wrong
 #: answer (or mask nondeterminism), so the F002 lint rule rejects retry
-#: tuples that stray outside this set.  Names, not classes: the backends'
+#: tuples that stray outside this set.  Names, not classes: the dispatchers'
 #: own exception types (``CellDeadlineExceeded``) and stdlib pool failures
 #: (``BrokenExecutor``) must not be imported here just to be listed.
 INFRASTRUCTURE_FAULT_NAMES = frozenset({
     "TransientFaultError",   # this module's injected transient fault
     "BrokenExecutor",        # concurrent.futures pool collapse
-    "CellDeadlineExceeded",  # per-cell wall-clock deadline (backends)
+    "CellDeadlineExceeded",  # per-cell wall-clock deadline (dispatch)
     "OSError",               # I/O flakes: ENOSPC, EIO, dropped mounts
     "TimeoutError",          # stdlib sibling of the deadline class
     "ConnectionError",       # remote-executor transport failures

@@ -1,21 +1,23 @@
-"""Execution backends: selection, equivalence, and the CLI surface.
+"""Cell dispatch: selection, equivalence, and the CLI surface.
 
-The backend layer's contract: *which* backend runs a batch (inline or
+The dispatch contract: *which* dispatcher runs a batch (inline or
 process pool, picked by ``jobs``) changes scheduling only — never a byte
 of the rendered artifacts, never the cache contents, never the
 user-visible counters a fault-free run reports.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.__main__ import main
 from repro.core.config import ava_config, native_config
-from repro.experiments.backends import (ExecutionBackend, InlineBackend,
-                                        ProcessPoolBackend, default_jobs)
-from repro.experiments.engine import CellExecutor, ExecutorStats, SweepSpec
-from repro.experiments.shard import stats_payload
+from repro.experiments.backends import default_jobs
+from repro.experiments.engine import (Cell, CellExecutor, CellResult,
+                                      ExecutorStats, SweepSpec)
+from repro.workloads import register_workload, unregister_workload
+from repro.workloads.axpy import Axpy
 
 
 @pytest.fixture
@@ -24,21 +26,20 @@ def cache_args(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# backend construction and selection
+# dispatcher selection
 # ---------------------------------------------------------------------------
 def test_executor_picks_backend_from_jobs():
-    assert isinstance(CellExecutor().backend, InlineBackend)
+    # Two workloads x two compile signatures: a multi-compile batch.
+    spec = SweepSpec(workloads=("axpy", "blackscholes"),
+                     configs=(native_config(1), ava_config(8)))
+    inline = CellExecutor()
+    inline.run_spec(spec)
+    assert inline.stats.compiles == 4
+    assert inline._pool is None  # jobs=1 never starts a pool
     with CellExecutor(jobs=2) as parallel:
-        assert isinstance(parallel.backend, ProcessPoolBackend)
-        assert parallel.backend.jobs == 2
-
-
-def test_backend_must_be_bound_before_use():
-    backend = InlineBackend()
-    with pytest.raises(RuntimeError):
-        _ = backend.executor
-    with pytest.raises(NotImplementedError):
-        ExecutionBackend().execute([], None, None, None)
+        assert parallel._pool is None  # started lazily ...
+        parallel.run_spec(spec)
+        assert parallel._pool is not None  # ... by the first fan-out
 
 
 def test_default_jobs_is_a_positive_count():
@@ -46,7 +47,7 @@ def test_default_jobs_is_a_positive_count():
 
 
 # ---------------------------------------------------------------------------
-# cross-backend equivalence (the acceptance invariant)
+# inline-vs-pool equivalence (the acceptance invariant)
 # ---------------------------------------------------------------------------
 def test_backends_agree_byte_for_byte():
     spec = SweepSpec(workloads=("axpy",),
@@ -89,29 +90,6 @@ def test_jobs_flag_validation():
         main(["table2", "--jobs", "0"])
 
 
-def test_shard_flag_validation(cache_args):
-    # --shard-index is sweep-only and needs --shards.
-    with pytest.raises(SystemExit):
-        main(["figure3", "axpy", "--shard-index", "0", "--shards", "2"]
-             + cache_args)
-    with pytest.raises(SystemExit):
-        main(["sweep", "examples/sweep_smoke.json", "--shard-index", "0"]
-             + cache_args)
-    # Out of range and bad counts.
-    with pytest.raises(SystemExit):
-        main(["sweep", "examples/sweep_smoke.json", "--shards", "2",
-              "--shard-index", "2"] + cache_args)
-    with pytest.raises(SystemExit):
-        main(["sweep", "examples/sweep_smoke.json", "--shards", "0",
-              "--shard-index", "0"] + cache_args)
-    # --shards is only valid with sweep --shard-index.
-    with pytest.raises(SystemExit):
-        main(["table2", "--shards", "4"] + cache_args)
-    with pytest.raises(SystemExit):
-        main(["sweep", "examples/sweep_smoke.json", "--shards", "2"]
-             + cache_args)
-
-
 def test_chaos_rejects_stats_json(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["chaos", "examples/sweep_smoke.json",
@@ -120,7 +98,7 @@ def test_chaos_rejects_stats_json(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_stats_json_writes_a_mergeable_counter_file(capsys, tmp_path):
+def test_stats_json_writes_the_run_counters(capsys, tmp_path):
     stats_file = tmp_path / "run.json"
     assert main(["sweep", "examples/sweep_smoke.json",
                  "--stats-json", str(stats_file),
@@ -132,57 +110,123 @@ def test_stats_json_writes_a_mergeable_counter_file(capsys, tmp_path):
     assert payload["name"] == "sweep_smoke"
     assert payload["stats"]["cells_requested"] == 4
     assert payload["stats"]["sims_executed"] == 4
-    assert payload["shard_index"] is None
 
 
-def test_merge_artifact_sums_counter_files(capsys, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps(stats_payload(
-        ExecutorStats(cells_requested=3, cache_misses=3, sims_executed=3),
-        artifact="sweep", name="demo", shards=2, shard_index=0)))
-    b.write_text(json.dumps(stats_payload(
-        ExecutorStats(cells_requested=1, cache_hits=1),
-        artifact="sweep", name="demo", shards=2, shard_index=1)))
-    assert main(["merge", str(a), str(b)]) == 0
-    out = capsys.readouterr().out
-    assert "merged 2 runs" in out
-    assert "a.json (demo, shard 0/2): 3 cells, 0 hits, 3 simulations" in out
-    assert ("engine: 4 cells requested, 1 cache hits, 3 misses, "
-            "3 simulations executed") in out
+class _Unbuildable(Axpy):
+    """A registered kernel whose body raises while it is being built."""
+
+    name = "unbuildable-kernel"
+
+    def build_kernel(self):
+        raise ValueError("kernel does not build")
 
 
-def test_merge_rejects_missing_and_malformed_files(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["merge"])  # nothing to merge
-    with pytest.raises(SystemExit):
-        main(["merge", str(tmp_path / "absent.json")])
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"schema\": 99}")
-    with pytest.raises(SystemExit):
-        main(["merge", str(bad)])
+def test_failed_cell_still_reports_its_counters(capsys, tmp_path):
+    """A failed cell propagates as an error, but --stats-json and
+    --cache-stats still report the run — failure count included."""
+    from repro.experiments.engine import CellExecutionError
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "broken",
+                                "workloads": ["axpy", "unbuildable-kernel"],
+                                "machines": ["native-x1"]}))
+    stats_file = tmp_path / "run.json"
+    register_workload(_Unbuildable)
+    try:
+        with pytest.raises(CellExecutionError):
+            main(["sweep", str(spec), "--jobs", "1", "--cache-stats",
+                  "--stats-json", str(stats_file),
+                  "--cache-dir", str(tmp_path / "cache")])
+    finally:
+        assert unregister_workload("unbuildable-kernel")
+    payload = json.loads(stats_file.read_text())
+    assert payload["stats"]["cells_requested"] == 2
+    assert payload["stats"]["cells_failed"] == 1
+    assert "failures: 1 cells failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [None, [1, 2], 2.7, -1, True],
-                         ids=["null", "list", "float", "negative", "bool"])
-def test_merge_rejects_a_non_count_counter(capsys, tmp_path, value):
-    """A counter that is not a non-negative int is a usage error naming
-    the file and the field — never a traceback, never a truncation."""
-    path = tmp_path / "shard.json"
-    payload = stats_payload(ExecutorStats(cells_requested=3))
-    payload["stats"]["sims_executed"] = value
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["merge", str(path)])
-    assert exit_info.value.code == 2  # parser.error, not a crash
-    err = capsys.readouterr().err
-    assert str(path) in err
-    assert "sims_executed" in err
+def test_extra_positionals_are_lint_only(tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure3", "axpy", str(tmp_path / "extra.json")])
+    assert excinfo.value.code == 2
 
 
-def test_merge_rejects_stray_run_flags(tmp_path):
-    stats = tmp_path / "s.json"
-    stats.write_text(json.dumps(stats_payload(ExecutorStats())))
-    with pytest.raises(SystemExit):
-        # Extra positional FILEs are merge-only.
-        main(["figure3", "axpy", str(stats)])
+
+def test_merge_is_no_longer_an_artifact(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["merge", "x.json"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_stats_json_counters_are_identical_across_jobs(capsys, tmp_path):
+    """A fault-free run reports the same counters inline and pooled."""
+    counters = {}
+    for jobs in ("1", "2"):
+        stats_file = tmp_path / f"jobs-{jobs}.json"
+        assert main(["sweep", "examples/sweep_smoke.json", "--jobs", jobs,
+                     "--stats-json", str(stats_file),
+                     "--cache-dir", str(tmp_path / jobs)]) == 0
+        counters[jobs] = json.loads(stats_file.read_text())
+    capsys.readouterr()
+    assert counters["1"] == counters["2"]
+
+
+def test_stats_json_envelope_is_exactly_the_run_counters(capsys, tmp_path):
+    stats_file = tmp_path / "run.json"
+    assert main(["figure3", "axpy", "--stats-json", str(stats_file),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    capsys.readouterr()
+    payload = json.loads(stats_file.read_text())
+    assert set(payload) == {"schema", "artifact", "name", "stats"}
+    assert payload["artifact"] == "figure3"
+    assert list(payload["stats"]) == [f.name for f in fields(ExecutorStats)]
+    assert all(isinstance(v, int) and v >= 0
+               for v in payload["stats"].values())
+
+
+def test_stats_json_of_a_warm_rerun_counts_only_hits(capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main(["sweep", "examples/sweep_smoke.json"] + cache) == 0
+    stats_file = tmp_path / "warm.json"
+    assert main(["sweep", "examples/sweep_smoke.json",
+                 "--stats-json", str(stats_file)] + cache) == 0
+    capsys.readouterr()
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert stats["cells_requested"] == stats["cache_hits"] == 4
+    assert stats["cache_misses"] == stats["sims_executed"] == 0
+    assert stats["compiles"] == stats["cells_failed"] == 0
+
+
+def test_disjoint_specs_fill_one_shared_cache(capsys, tmp_path):
+    """Cells are keyed by their inputs, so two runs over disjoint halves
+    of a grid fill one cache that the whole grid then replays
+    byte-identically, with no simulation run twice."""
+    smoke = json.loads(open("examples/sweep_smoke.json").read())
+    assert main(["sweep", "examples/sweep_smoke.json",
+                 "--cache-dir", str(tmp_path / "ref")]) == 0
+    reference = capsys.readouterr().out
+
+    cache = ["--cache-dir", str(tmp_path / "shared")]
+    for machine in smoke["machines"]:
+        half = tmp_path / f"{machine}.json"
+        half.write_text(json.dumps(dict(smoke, machines=[machine])))
+        assert main(["sweep", str(half), "--cache-stats"] + cache) == 0
+        assert ("0 cache hits, 2 misses, 2 simulations executed"
+                in capsys.readouterr().err)
+
+    assert main(["sweep", "examples/sweep_smoke.json",
+                 "--cache-stats"] + cache) == 0
+    warm = capsys.readouterr()
+    assert warm.out == reference
+    assert "4 cache hits, 0 misses, 0 simulations executed" in warm.err
+
+
+def test_a_single_job_batch_never_starts_a_pool():
+    """One compile and one simulation: nothing to overlap, so even a
+    parallel executor runs them inline."""
+    with CellExecutor(jobs=2) as executor:
+        result = executor.run_one(Cell(workload="axpy",
+                                       config=native_config(1)))
+        assert executor._pool is None
+    assert isinstance(result, CellResult)
+    assert executor.stats.compiles == executor.stats.sims_executed == 1

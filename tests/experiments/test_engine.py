@@ -361,6 +361,42 @@ def test_parallel_executor_fills_a_shared_cache(tmp_path):
     assert warm.stats.cache_hits == 2
 
 
+def test_disjoint_batches_fill_one_cache_like_a_single_batch(tmp_path):
+    """Keys hash only a cell's inputs, so executors that split a grid
+    between them share one cache: the full grid then replays every cell
+    with results equal to a single cold run's."""
+    cells = SweepSpec(workloads=("axpy",),
+                      configs=(native_config(1), ava_config(2),
+                               ava_config(4), ava_config(8))).cells()
+    reference = CellExecutor().run(cells)
+    shared = tmp_path / "shared"
+    for half in (cells[::2], cells[1::2]):
+        part = CellExecutor(cache=ResultCache(shared))
+        part.run(half)
+        assert part.stats.sims_executed == len(half)
+    warm = CellExecutor(cache=ResultCache(shared))
+    replayed = warm.run(cells)
+    assert warm.stats.cache_hits == len(cells)
+    assert warm.stats.sims_executed == warm.stats.compiles == 0
+    for a, b in zip(reference, replayed):
+        assert a.key == b.key
+        assert a.stats == b.stats
+        assert a.energy == b.energy
+
+
+def test_batch_order_does_not_change_any_result():
+    cells = SweepSpec(workloads=("axpy",),
+                      configs=(native_config(1), ava_config(2),
+                               ava_config(8))).cells()
+    forward = CellExecutor().run(cells)
+    backward = CellExecutor().run(cells[::-1])
+    for a, b in zip(forward, backward[::-1]):
+        assert a.cell == b.cell
+        assert a.key == b.key
+        assert a.stats == b.stats
+        assert a.energy == b.energy
+
+
 def test_check_cells_carry_correctness_through_the_cache(tmp_path):
     cell = Cell(workload="axpy", config=native_config(1), check=True)
     cache = ResultCache(tmp_path / "cache")

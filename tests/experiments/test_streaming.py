@@ -8,13 +8,16 @@ replays the completed cells as hits and re-executes only what is missing.
 
 import io
 import os
+import signal
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.compiler.signature import CompileSignature
 from repro.core.config import ava_config, native_config
+from repro.experiments import engine
 from repro.experiments.engine import (
     Cell,
     CellError,
@@ -58,26 +61,86 @@ class RaisingAxpy(Axpy):
 class DieWhenFlagged(Axpy):
     """Simulates a SIGKILL-ed worker (OOM killer): hard-exits the process.
 
-    While ``flag_path`` exists the workload waits until at least one cache
-    entry has landed in ``watch_dir`` (so the test deterministically has
-    completed-and-cached neighbours), then dies without cleanup.  With the
-    flag removed it behaves exactly like axpy — same kernel, same cache
-    key — which is how the rerun proves the failed cell re-executes.
+    While ``flag_path`` exists the workload waits until ``neighbours``
+    cache entries have landed in ``watch_dir`` (so the test
+    deterministically has completed-and-cached neighbours, and none of
+    them is still in flight to share the crash), then dies without
+    cleanup.  With the flag removed it behaves exactly like axpy — same
+    kernel, same cache key — which is how the rerun proves the failed
+    cell re-executes.
     """
 
     name = "dying-axpy"
     flag_path = ""
     watch_dir = ""
+    neighbours = 1
 
     def init_data(self, rng):
         if self.flag_path and os.path.exists(self.flag_path):
             deadline = time.time() + 30
             while time.time() < deadline:
-                if list(Path(self.watch_dir).glob("*.json")):
+                landed = list(Path(self.watch_dir).glob("*.json"))
+                if len(landed) >= self.neighbours:
                     break
                 time.sleep(0.01)
             os._exit(13)
         return super().init_data(rng)
+
+
+class DieInCompile(Axpy):
+    """Hard-exits the pool worker that compiles it — once.
+
+    The compile deletes ``flag_path`` before ``os._exit``, so the retry
+    after the pool breaks compiles normally and the test stays
+    deterministic.  Inline compiles (the parent process) never die.
+    """
+
+    name = "dying-compile-axpy"
+    flag_path = ""
+
+    def compile(self, target):
+        if (engine._IN_POOL_WORKER and self.flag_path
+                and os.path.exists(self.flag_path)):
+            os.unlink(self.flag_path)
+            os._exit(13)
+        return super().compile(target)
+
+
+class HangInCompile(Axpy):
+    """A compile that never finishes: only a deadline can end it."""
+
+    name = "hanging-compile-axpy"
+
+    def compile(self, target):
+        time.sleep(60)
+        return super().compile(target)
+
+
+class FlakyCompile(Axpy):
+    """A compile that hits a transient I/O error once.
+
+    It deletes ``flag_path`` before raising, so the retry compiles
+    normally wherever it runs (parent or pool worker).
+    """
+
+    name = "flaky-compile-axpy"
+    flag_path = ""
+
+    def compile(self, target):
+        if self.flag_path and os.path.exists(self.flag_path):
+            os.unlink(self.flag_path)
+            raise OSError("transient compile-host hiccup")
+        return super().compile(target)
+
+
+class CompileRaises(Axpy):
+    """Builds its kernel (so the cell has a key), then fails to compile it
+    deterministically."""
+
+    name = "compile-raises-axpy"
+
+    def compile(self, target):
+        raise ValueError("register allocation failed")
 
 
 class CompileBomb(Axpy):
@@ -264,7 +327,7 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     flag = tmp_path / "die.flag"
     flag.write_text("armed")
     dying = _arm(DieWhenFlagged(), flag_path=str(flag),
-                 watch_dir=str(cache_dir))
+                 watch_dir=str(cache_dir), neighbours=4)
 
     goods = [Cell(workload="axpy", config=cfg)
              for cfg in (native_config(1), ava_config(2), ava_config(4),
@@ -277,7 +340,7 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     assert any("BrokenProcessPool" in e.error for e in err.value.errors)
     assert executor._pool is None  # the broken pool was discarded
     cached = len(list(cache_dir.glob("*.json")))
-    assert cached >= 1  # the dying cell waited for a neighbour to land
+    assert cached == 4  # the dying cell waited for its neighbours to land
 
     # The executor survives the death: the next batch gets a fresh pool.
     # (Its two cells use a different key, so `cached` stays grid-only.)
@@ -297,6 +360,90 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     assert warm.stats.cache_misses == len(cells) - cached
     assert warm.stats.cache_misses < len(cells)
     warm.close()
+
+
+def test_worker_death_during_compile_fan_out_is_retried(tmp_path):
+    """A worker killed mid-compile is reclaimed like one killed
+    mid-simulation: every compile in the batch is charged and retried,
+    never failed as collateral."""
+    flag = tmp_path / "die.flag"
+    flag.write_text("armed")
+    dying = DieInCompile()
+    dying.flag_path = str(flag)
+    cells = [Cell(workload=dying, config=native_config(1))] + [
+        Cell(workload="lavamd", config=cfg)
+        for cfg in (native_config(1), ava_config(2), ava_config(4),
+                    ava_config(8))]
+    pairs = {(cell.workload, CompileSignature.from_config(cell.config))
+             for cell in cells}
+    with CellExecutor(jobs=2, retries=3) as executor:
+        results = executor.run(cells, errors="return")
+    assert not flag.exists()  # the poison fired
+    assert all(isinstance(r, CellResult) for r in results)
+    assert executor.stats.retries >= 1
+    assert executor.stats.compiles == len(pairs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deadline_bounds_a_hung_compile(jobs):
+    """The per-cell deadline covers the compile, not just the simulation:
+    inline the alarm interrupts it, pooled the watchdog kills the worker.
+    A healthy compile sharing the batch is collateral, never charged."""
+    cells = [Cell(workload=HangInCompile(), config=native_config(1)),
+             Cell(workload="axpy", config=native_config(1))]
+    with CellExecutor(jobs=jobs, deadline_s=0.5, retries=0) as executor:
+        start = time.monotonic()
+        results = executor.run(cells, errors="return")
+    assert time.monotonic() - start < 30
+    assert isinstance(results[0], CellError)
+    assert results[0].error.startswith("CellDeadlineExceeded")
+    assert isinstance(results[1], CellResult)
+    assert executor.stats.timeouts == 1
+    assert executor.stats.retries == 0
+    assert executor.stats.compiles == 1
+
+
+def test_inline_compile_deadline_disarms_its_alarm():
+    previous = signal.getsignal(signal.SIGALRM)
+    executor = CellExecutor(deadline_s=0.3, retries=0)
+    result = executor.run_one(Cell(workload=HangInCompile(),
+                                   config=native_config(1)), errors="return")
+    assert isinstance(result, CellError)
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_transient_compile_failure_is_retried(jobs, tmp_path):
+    flag = tmp_path / "flaky.flag"
+    flag.write_text("armed")
+    flaky = FlakyCompile()
+    flaky.flag_path = str(flag)
+    cells = [Cell(workload=flaky, config=native_config(1)),
+             Cell(workload="axpy", config=ava_config(8))]
+    with CellExecutor(jobs=jobs, retries=2, backoff_s=0.01) as executor:
+        results = executor.run(cells)
+    assert not flag.exists()  # the fault fired
+    assert all(isinstance(r, CellResult) for r in results)
+    assert executor.stats.retries == 1
+    assert executor.stats.compiles == 2
+    assert executor.stats.sims_executed == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deterministic_compile_failure_fails_fast(jobs):
+    """A compile that raises the same way every time is not charged to
+    the retry budget: it fails on its first attempt."""
+    cells = [Cell(workload=CompileRaises(), config=native_config(1)),
+             Cell(workload="axpy", config=ava_config(8))]
+    with CellExecutor(jobs=jobs, retries=3, backoff_s=0.01) as executor:
+        results = executor.run(cells, errors="return")
+    assert isinstance(results[0], CellError)
+    assert results[0].error == "ValueError: register allocation failed"
+    assert isinstance(results[1], CellResult)
+    assert executor.stats.retries == 0
+    assert executor.stats.compiles == 1
+    assert executor.stats.cells_failed == 1
 
 
 def test_inline_interrupt_preserves_cache_without_a_pool(tmp_path):
