@@ -10,8 +10,8 @@ Artifacts:
   :func:`repro.workloads.register_workload`);
 * ``figure4`` — areas and performance/mm²;
 * ``figure5`` — the two floorplans;
-* ``claims`` — every headline claim, paper vs measured (exit status 1
-  when any claim reads ``NO``);
+* ``claims`` — every paper claim, paper vs measured with its margin to
+  the nearer bound (exit status 1 when any claim reads ``NO``);
 * ``sweep <spec.json>`` — any (workload × machine × memory × timing ×
   policy) grid from a declarative JSON spec file naming per-axis presets
   or inline overrides (see :mod:`repro.experiments.sweep`);
@@ -169,6 +169,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--jobs must be >= 1")
     if args.files and args.artifact != "lint":
         parser.error("extra positional arguments apply only to lint")
+    if args.workload is not None and args.artifact in (
+            "table1", "table2", "table3", "table4", "table5", "figure4",
+            "figure5", "claims"):
+        parser.error(f"{args.artifact} takes no positional argument "
+                     f"(got {args.workload!r})")
     if args.artifact != "lint" and (args.rules or args.json or args.fix):
         parser.error("--rules/--json/--fix apply only to lint")
     if args.sanitize and args.artifact in ("table1", "table2", "table3",

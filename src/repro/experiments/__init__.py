@@ -19,8 +19,8 @@
 * :mod:`repro.experiments.figure4` — component areas + performance/mm²;
 * :mod:`repro.experiments.figure5` — the two floorplans;
 * :mod:`repro.experiments.tables` — Tables I and V;
-* :mod:`repro.experiments.headline` — the paper's headline claims checked
-  in one place (used by EXPERIMENTS.md and the integration tests);
+* :mod:`repro.experiments.headline` — every paper claim as one table of
+  bounded rows, behind ``repro claims``;
 * :mod:`repro.experiments.rendering` — ASCII tables and bar charts.
 """
 

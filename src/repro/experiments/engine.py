@@ -25,9 +25,9 @@ Every artifact of the paper boils down to a grid of independent
   :class:`CellError` instead of discarding the rest of the batch, and an
   interrupted grid resumes by rerunning — finished cells replay as hits.
 
-The figure/table regenerators, the CLI, the benchmarks and the examples
-all route through here, so ``figure3 all``, ``figure4`` and ``claims``
-share cells instead of recomputing them.
+The figure/table regenerators, the claims table, the CLI and the
+examples all route through here, so ``figure3 all``, ``figure4`` and
+``claims`` share cells instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -260,9 +260,10 @@ def average_speedups(per_workload: Dict[str, List[RunRecord]]) -> List[float]:
             f"ragged per-workload series: {lengths} — every workload must "
             f"cover the same configurations")
     n = next(iter(lengths.values()), 0)
-    return [float(np.mean([records[i].speedup
-                           for records in per_workload.values()]))
-            for i in range(n)]
+    # A left-to-right sum, not np.mean (pairwise): the two can differ in
+    # the last bit, and Figure 4's rendered averages must not move.
+    return [sum(records[i].speedup for records in per_workload.values())
+            / len(per_workload) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

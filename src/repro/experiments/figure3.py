@@ -114,12 +114,3 @@ def build_panels(workload_names: Sequence[str],
                                 baseline_index=0)
         panels[name] = Figure3Panel(workload=name, records=records)
     return panels
-
-
-def build_panel(workload_name: str,
-                params: Optional[TimingParams] = None,
-                check: bool = False,
-                executor: Optional[CellExecutor] = None) -> Figure3Panel:
-    """Run all Fig. 3 bars for one application."""
-    return build_panels([workload_name], params=params, check=check,
-                        executor=executor)[workload_name]

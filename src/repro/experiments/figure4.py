@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SCALE_FACTORS, ava_config, native_config
 from repro.experiments.engine import (CellExecutor, RunRecord, SweepSpec,
-                                      fill_speedups, record_from_result)
+                                      average_speedups, fill_speedups,
+                                      record_from_result)
 from repro.experiments.rendering import render_table
 from repro.power.mcpat import AreaReport, McPatModel
 from repro.vpu.params import TimingParams
@@ -107,13 +108,9 @@ def build_figure4(params: Optional[TimingParams] = None,
                                 baseline_index=0)
             for name, chunk in spec.chunk_by_workload(results)}
 
-    n = len(SCALE_FACTORS)
-    avg_native = [
-        sum(records[i].speedup for records in per_workload.values())
-        / len(per_workload) for i in range(n)]
-    avg_ava = [
-        sum(records[n + i].speedup for records in per_workload.values())
-        / len(per_workload) for i in range(n)]
+    averages = average_speedups(per_workload)
+    n = len(native_cfgs)
+    avg_native, avg_ava = averages[:n], averages[n:]
 
     native_areas = [mcpat.area(cfg) for cfg in native_cfgs]
     ava_area = mcpat.area(ava_cfgs[-1])

@@ -1,14 +1,11 @@
 """Figure 5 regenerator: the NATIVE X8 and AVA floorplans.
 
 Floorplans are derived analytically from the configurations (no
-simulation cells), so this artifact takes no engine executor; rendering
-accepts precomputed plans so callers that already built them (benchmarks)
-do not pay twice.
+simulation cells), so this artifact takes no engine executor; the claims
+table checks the plans :func:`build_figure5` returns.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.config import ava_config, native_config
 from repro.power.floorplan import Floorplan, build_floorplan
@@ -19,9 +16,8 @@ def build_figure5() -> tuple[Floorplan, Floorplan]:
     return build_floorplan(native_config(8)), build_floorplan(ava_config(8))
 
 
-def render_figure5(width: int = 64, height: int = 16,
-                   plans: Optional[tuple[Floorplan, Floorplan]] = None) -> str:
-    native, ava = plans if plans is not None else build_figure5()
+def render_figure5(width: int = 64, height: int = 16) -> str:
+    native, ava = build_figure5()
     parts = ["=== Figure 5: post-PnR floorplans ==="]
     for plan in (native, ava):
         parts.append(f"-- {plan.config_name}: "

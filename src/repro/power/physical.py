@@ -17,8 +17,8 @@ that models the mechanisms the paper credits for the differences:
 
 Because the model is anchored, it reproduces Table V exactly at the two
 published points and *extrapolates* the intermediate NATIVE configurations
-(X2–X4), which the paper does not report — a useful extension for the
-benchmarks.
+(X2–X4), which the paper does not report; ``repro table5`` prints them as
+extra rows.
 """
 
 from __future__ import annotations

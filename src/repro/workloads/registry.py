@@ -184,14 +184,16 @@ def select_workloads(selector: Optional[str] = None, *,
     ``None``/``""``/``"all"`` mean the Table-IV six (the ten-kernel builtin
     suite with ``extended=True``); ``"extended"`` always means the ten;
     anything else is a comma-separated list of registered names (a single
-    name is the one-element list).  Unknown names raise ``KeyError``.
+    name is the one-element list; repeats are dropped, keeping
+    first-occurrence order).  Unknown names raise ``KeyError``.
     """
     if selector in (None, "", "all"):
         return list(ALL_WORKLOAD_NAMES if extended else WORKLOAD_NAMES)
     if selector == "extended":
         return list(ALL_WORKLOAD_NAMES)
     assert selector is not None
-    names = [part.strip() for part in selector.split(",") if part.strip()]
+    names = list(dict.fromkeys(part.strip() for part in selector.split(",")
+                               if part.strip()))
     if not names:
         raise KeyError("empty workload selection")
     known = set(registered_names())

@@ -31,8 +31,8 @@ def test_pvrf_registers_bounds():
 
 def test_native_vrf_scales_with_mvl():
     """Table II: VRF 8 KB (X1) through 64 KB (X8)."""
-    sizes = [native_config(s).vrf_bytes // 1024 for s in (1, 2, 3, 4, 8)]
-    assert sizes == [8, 16, 24, 32, 64]
+    sizes = [native_config(s).vrf_bytes for s in (1, 2, 3, 4, 8)]
+    assert sizes == [k * 1024 for k in (8, 16, 24, 32, 64)]
 
 
 def test_ava_vrf_is_always_8kb():

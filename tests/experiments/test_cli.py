@@ -155,8 +155,9 @@ def test_claims_exit_status_follows_the_claims(capsys, cache_args,
                                               monkeypatch):
     """A "NO" row fails the run with exit 1; stdout is the same table."""
     from repro.experiments import headline
-    verdicts = {"holds": [headline.Claim("c", "1x", "1x", True)],
-                "fails": [headline.Claim("c", "1x", "0x", False)]}
+    verdicts = {"holds": [headline.Claim("c", "1x", 1.0, 1.0, 1.0)],
+                "fails": [headline.Claim("c", "1x", headline.below(1.0),
+                                         lo=1.0)]}
     for outcome, code in (("holds", 0), ("fails", 1)):
         claims = verdicts[outcome]
         monkeypatch.setattr(headline, "check_headline_claims",
@@ -172,8 +173,11 @@ def test_unknown_workload_selection_rejected(cache_args):
         main(["figure3", "all", "--workloads", "axpy,doom"] + cache_args)
 
 
-@pytest.mark.parametrize("argv", [["figure7"], ["bench", "engine"]])
-def test_unknown_artifact_rejected(argv):
+@pytest.mark.parametrize("argv", [["figure7"], ["bench", "engine"]] + [
+    [artifact, "bogus"] for artifact in ("table1", "table2", "table3",
+                                         "table4", "table5", "figure4",
+                                         "figure5", "claims")])
+def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

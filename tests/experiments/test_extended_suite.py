@@ -11,7 +11,6 @@ from repro.core.config import ava_config, native_config
 from repro.experiments.engine import Cell, CellExecutor, figure3_spec
 from repro.experiments.figure3 import build_panels
 from repro.experiments.figure4 import build_figure4
-from repro.experiments.headline import CLAIM_WORKLOADS, check_headline_claims
 from repro.workloads import EXTENDED_WORKLOAD_NAMES
 
 #: MVL 16 / 64 / 128 — short, mid and the most swap-intensive point.
@@ -52,11 +51,3 @@ def test_figure4_accepts_a_workload_selection():
     assert fig4.avg_speedups_native[0] == pytest.approx(1.0)
     assert "Figure 4" in fig4.render()
 
-
-def test_headline_claims_with_extra_workloads_share_one_batch():
-    executor = CellExecutor()
-    claims = check_headline_claims(executor=executor,
-                                   extra_workloads=["pathfinder"])
-    assert claims  # the claim set itself is unchanged by the wider batch
-    expected = (len(CLAIM_WORKLOADS) + 1) * 14
-    assert executor.stats.cells_requested == expected

@@ -1,10 +1,10 @@
-"""Figure builders: panels, Figure 4, Figure 5 and headline plumbing."""
+"""Figure builders: panels, Figure 4 and Figure 5."""
 
 import pytest
 
 from repro.experiments.engine import (Cell, CellExecutor, fill_speedups,
                                       record_from_result)
-from repro.experiments.figure3 import build_panel
+from repro.experiments.figure3 import build_panels
 from repro.experiments.figure4 import build_figure4
 from repro.experiments.figure5 import build_figure5, render_figure5
 from repro.core.config import SCALE_FACTORS, ava_config, native_config
@@ -13,7 +13,7 @@ from repro.workloads import get_workload
 
 @pytest.fixture(scope="module")
 def axpy_panel():
-    return build_panel("axpy")
+    return build_panels(["axpy"])["axpy"]
 
 
 def test_panel_has_all_14_bars(axpy_panel):

@@ -655,6 +655,11 @@ def test_average_speedups_rejects_ragged_series():
 def test_average_speedups_still_averages_aligned_series():
     aligned = {"axpy": [_record(2.0)], "somier": [_record(4.0)]}
     assert average_speedups(aligned) == [3.0]
+    # A left-to-right sum, as Figure 4 renders: np.mean differs in the
+    # last bit on these ten.
+    ten = [2.16, 1.31, 2.0, 0.4, 1.34, 1.92, 0.88, 2.39, 2.29, 0.46]
+    assert average_speedups({str(i): [_record(s)] for i, s in enumerate(
+        ten)}) == [sum(ten) / len(ten)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Integration: the paper's key result shapes on reduced problem sizes.
 
-These are the fast cross-checks of the claims the full benchmark harness
-regenerates; each uses a handful of simulations rather than the full
-14-configuration panels.
+These are fast cross-checks of rows in the claims table (``repro
+claims``), which runs the full 14-configuration panels; each uses a
+handful of simulations.
 """
 
 import pytest

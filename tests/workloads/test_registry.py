@@ -188,6 +188,12 @@ def test_select_workloads_views():
     assert select_workloads("somier, jacobi2d") == ["somier", "jacobi2d"]
 
 
+def test_select_workloads_drops_repeats_in_first_occurrence_order():
+    assert select_workloads("axpy,axpy") == ["axpy"]
+    assert select_workloads("somier, axpy,somier ,axpy") == ["somier",
+                                                            "axpy"]
+
+
 def test_select_workloads_rejects_unknown_names():
     with pytest.raises(KeyError, match="doom"):
         select_workloads("axpy,doom")
