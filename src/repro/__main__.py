@@ -167,6 +167,12 @@ def main(argv: list[str] | None = None) -> int:
                          f"got {args.jobs!r}")
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
+    if args.deadline is not None and not args.deadline > 0:
+        parser.error("--deadline must be > 0")
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
+    if args.cache_max_bytes is not None and args.cache_max_bytes < 1:
+        parser.error("--cache-max-bytes must be >= 1")
     if args.files and args.artifact != "lint":
         parser.error("extra positional arguments apply only to lint")
     if args.workload is not None and args.artifact in (

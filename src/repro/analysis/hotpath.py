@@ -7,9 +7,8 @@ The registry keys on class *names* so the rule also applies to test
 fixtures standing in for core code.
 
 A class that deliberately keeps ``__dict__`` opts out with
-``# lint: slots-exempt(<why>)`` on its ``class`` (or decorator) line —
-:class:`repro.isa.instructions.Instruction` does, because its derived-
-attribute cache writes through ``__dict__.update``.
+``# lint: slots-exempt(<why>)`` on its ``class`` (or decorator) line; no
+registry class in ``repro`` needs one today.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ HOT_PATH_CLASSES = frozenset({
     "RegisterAccessCounters",  # core.rac ("RAC")
     "RenameTable",      # core.rat ("RAT")
     "VRFMapping",       # core.vrf_mapping
-    "Instruction",      # isa.instructions (slots-exempt, with the why)
+    "Instruction",      # isa.instructions — one per compiled instruction
+    "MemOperand",       # isa.operands — one per memory instruction
     "Cache",            # memory.cache — the L2 behind every vector access
     "MemorySystem",     # memory.hierarchy
     "VectorMemoryUnit",  # vpu.vmu

@@ -6,8 +6,7 @@ an empty justification is itself a finding.  Three forms exist:
 * ``# lint: key-exempt(<why>)`` — a dataclass field deliberately excluded
   from cache-key hashing (K-rules);
 * ``# lint: slots-exempt(<why>)`` — a hot-path class that intentionally
-  keeps ``__dict__`` (S-rules; e.g. :class:`Instruction`'s shared derived-
-  attribute cache);
+  keeps ``__dict__`` (S-rules);
 * ``# noqa: BLE001 — <reason>`` — the repo's pre-existing justification
   idiom for a deliberate broad ``except Exception`` (F-rules).  A plain
   ASCII ``-`` separator is accepted too.

@@ -130,6 +130,9 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
     reg_of: Dict[int, int] = {}  # vreg -> arch reg
     slot_of: Dict[int, int] = {}  # vreg -> spill slot (a valid copy: SSA)
     used: Set[int] = set()
+    # One tuple object per distinct ``srcs`` value: a program holds few
+    # (lavamd at MVL=16: under a hundred values over ~8k instructions).
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     out: List[Instruction] = []
     spill_loads = spill_stores = 0
     live = peak = 0
@@ -155,8 +158,9 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
         if best_dist != INFINITY and best_vreg not in slot_of:
             # Value is still needed and has no slot copy: store it.
             slot_of[best_vreg] = len(slot_of)
+            spilled = (reg,)
             out.append(Instruction(
-                op=Op.VSE, srcs=(reg,), vl=mvl,
+                op=Op.VSE, srcs=shared.setdefault(spilled, spilled), vl=mvl,
                 mem=spill_ref(slot_of[best_vreg]), tag=Tag.SPILL))
             spill_stores += 1
         return reg
@@ -198,8 +202,10 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
             if live > peak:
                 peak = live
 
+        arch_srcs = tuple([reg_of[src] for src in srcs])
         out.append(inst.with_operands(
-            dst_reg, tuple([reg_of[src] for src in srcs]), inst.vl, inst.mem))
+            dst_reg, shared.setdefault(arch_srcs, arch_srcs), inst.vl,
+            inst.mem))
 
         # Sources (and write-once dead destinations) past their last use
         # release their registers immediately, like a compiler's live-range

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+import math
+from dataclasses import dataclass, field, fields
+from typing import Dict, Optional, Tuple
 
-from repro.isa.opcodes import Op, OpInfo, OpKind, op_info
+from repro.isa.opcodes import OPCODE_INFO, Op, OpInfo, OpKind
 from repro.isa.operands import MemOperand
 
 
@@ -36,12 +37,18 @@ class Tag(enum.Enum):
 
 _seq_counter = itertools.count()
 
-#: Shared per-opcode derived-attribute dicts (see ``_fill_derived``).
-_DERIVED_BY_OP: dict = {}
+#: The six derived slot values per opcode, in declaration order, keyed by
+#: the opcode's string value (``Op.__hash__`` runs in Python; a ``str``
+#: caches its hash).
+_DERIVED_BY_OP = {
+    op.value: (info, info.is_memory, info.kind is OpKind.MEM_LOAD,
+               info.kind is OpKind.MEM_STORE, info.is_arith,
+               info.kind is OpKind.SCALAR)
+    for op, info in OPCODE_INFO.items()}
 
 
-@dataclass(frozen=True)
-class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __dict__.update)
+@dataclass(frozen=True, slots=True)
+class Instruction:
     """One vector (or scalar-overhead) instruction.
 
     Attributes:
@@ -65,51 +72,39 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
     tag: Tag = Tag.NORMAL
     uid: int = field(default_factory=lambda: next(_seq_counter))
 
-    # ``info`` and the ``is_*`` kind flags are plain instance attributes
-    # precomputed in ``__post_init__`` (not dataclass fields, so they stay
-    # out of repr/eq/hash).  The simulator probes them on every evaluated
+    # Pure functions of ``op``, stored in slots of their own (out of
+    # repr/eq/hash) because the simulator probes them on every evaluated
     # cycle; deriving them from the opcode table each time dominated the
     # per-cycle cost before they were cached here.
+    info: OpInfo = field(init=False, repr=False, compare=False)
+    is_memory: bool = field(init=False, repr=False, compare=False)
+    is_load: bool = field(init=False, repr=False, compare=False)
+    is_store: bool = field(init=False, repr=False, compare=False)
+    is_arith: bool = field(init=False, repr=False, compare=False)
+    is_scalar: bool = field(init=False, repr=False, compare=False)
 
-    _DERIVED = ("info", "is_memory", "is_load", "is_store", "is_arith",
-                "is_scalar")
-
-    def _fill_derived(self) -> OpInfo:
-        # Direct __dict__ fill: these are not dataclass fields, and the
-        # frozen-dataclass __setattr__ guard must be bypassed anyway.  The
-        # per-opcode dict is built once and shared — instruction
-        # construction (compile *and* trace replay) is hot enough that
-        # re-deriving six flags per instance showed up in profiles.
-        derived = _DERIVED_BY_OP.get(self.op)
-        if derived is None:
-            info = op_info(self.op)
-            kind = info.kind
-            derived = _DERIVED_BY_OP[self.op] = dict(
-                info=info,
-                is_memory=info.is_memory,
-                is_load=kind is OpKind.MEM_LOAD,
-                is_store=kind is OpKind.MEM_STORE,
-                is_arith=info.is_arith,
-                is_scalar=kind is OpKind.SCALAR,
-            )
-        self.__dict__.update(derived)
-        return derived["info"]
-
-    def __getstate__(self) -> dict:
-        """Exclude the derived attributes: ``OpInfo`` carries evaluator
-        lambdas (unpicklable), and the attributes are pure functions of
-        ``op`` anyway."""
-        return {k: v for k, v in self.__dict__.items()
-                if k not in self._DERIVED}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._fill_derived()
+    def __reduce__(self) -> tuple:
+        """Pickle the eight declared fields only: ``OpInfo`` carries
+        evaluator lambdas (unpicklable), and the derived slots are pure
+        functions of ``op`` anyway.  (``__reduce__`` rather than
+        ``__getstate__``: CPython 3.10's slotted frozen dataclasses
+        overwrite the latter.)"""
+        return (_build, (self.op, self.dst, self.srcs, self.scalar, self.vl,
+                         self.mem, self.tag, self.uid))
 
     def __post_init__(self) -> None:
-        info = self._fill_derived()
-        kind = info.kind
-        if kind is OpKind.SCALAR:
+        info = _fill_derived(self, self.op)
+        if self.tag is not Tag.NORMAL and not info.is_memory:
+            raise ValueError(f"{self.op.value} cannot be tagged "
+                             f"{self.tag.value}: only memory instructions")
+        if info.kind is OpKind.SCALAR:
+            if self.dst is not None or self.srcs or self.mem is not None:
+                raise ValueError(f"{self.op.value} carries no registers "
+                                 f"or memory operand")
+            cost = self.scalar
+            if cost is None or not 0 <= cost < math.inf:
+                raise ValueError(f"{self.op.value} needs a finite, "
+                                 f"non-negative cost, got {cost}")
             return
         if len(self.srcs) != info.n_srcs:
             raise ValueError(
@@ -117,8 +112,12 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
                 f"got {len(self.srcs)}")
         if info.uses_scalar and self.scalar is None:
             raise ValueError(f"{self.op.value} requires a scalar operand")
+        if not info.uses_scalar and self.scalar is not None:
+            raise ValueError(f"{self.op.value} takes no scalar operand")
         if info.is_memory and self.mem is None:
             raise ValueError(f"{self.op.value} requires a memory operand")
+        if not info.is_memory and self.mem is not None:
+            raise ValueError(f"{self.op.value} takes no memory operand")
         if info.kind is OpKind.MEM_STORE and self.dst is not None:
             raise ValueError("stores have no destination register")
         if (info.kind in (OpKind.ARITH, OpKind.MEM_LOAD)
@@ -146,17 +145,8 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
         """
         if vl <= 0:
             raise ValueError("vector instructions need vl >= 1")
-        clone = object.__new__(Instruction)
-        # .copy() keeps the dict key-sharing: 288 B, not 464 B, per copy,
-        # and about half the copy time.
-        d = self.__dict__.copy()
-        d["dst"] = dst
-        d["srcs"] = srcs
-        d["vl"] = vl
-        d["mem"] = mem
-        d["uid"] = next(_seq_counter)
-        object.__setattr__(clone, "__dict__", d)
-        return clone
+        return _build(self.op, dst, srcs, self.scalar, vl, mem, self.tag,
+                      next(_seq_counter))
 
     def remap(self, mapping: dict[int, int],
               mem: Optional[MemOperand] = None,
@@ -195,7 +185,9 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
         return d
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Instruction":
+    def from_dict(cls, data: dict,
+                  shared: Optional[Dict[Tuple[int, ...], Tuple[int, ...]]]
+                  = None) -> "Instruction":
         """Rebuild from :meth:`to_dict` output, trusted (no re-validation).
 
         Traces only reach here through the store's schema gate and
@@ -203,29 +195,23 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
         on freshly built instructions are skipped — loading a stored trace
         must stay much cheaper than recompiling it.  Genuinely mangled
         payloads still fail loudly here (bad opcode/tag names raise) and
-        the store turns that into a miss.
+        the store turns that into a miss.  ``shared`` maps ``srcs`` values
+        to one tuple object, so a program's equal source tuples are stored
+        once.
         """
         mem = data.get("mem")
         tag = data.get("tag")
-        inst = object.__new__(cls)
+        srcs = tuple(data.get("srcs", ()))
+        if shared is not None:
+            srcs = shared.setdefault(srcs, srcs)
         # Member-map lookups instead of enum __call__: this runs once per
         # instruction per trace replay; bad names still raise (KeyError).
-        # The unshared dict ``update`` builds is deliberate here: attribute
-        # loads from a key-sharing dict miss CPython's hinted fast path;
-        # on CPython 3.11 a replayed, simulation-bound sweep ran ~5% slower
-        # with one.
-        inst.__dict__.update(
-            op=Op._value2member_map_[data["op"]],
-            dst=data.get("dst"),
-            srcs=tuple(data.get("srcs", ())),
-            scalar=data.get("scalar"),
-            vl=data["vl"],
-            mem=None if mem is None else MemOperand.from_dict(mem),
-            tag=Tag.NORMAL if tag is None else Tag._value2member_map_[tag],
-            uid=next(_seq_counter),
-        )
-        inst._fill_derived()
-        return inst
+        return _build(
+            Op._value2member_map_[data["op"]], data.get("dst"), srcs,
+            data.get("scalar"), data["vl"],
+            None if mem is None else MemOperand.from_dict(mem),
+            Tag.NORMAL if tag is None else Tag._value2member_map_[tag],
+            next(_seq_counter))
 
     def describe(self) -> str:
         parts = [self.op.value]
@@ -243,6 +229,46 @@ class Instruction:  # lint: slots-exempt(derived-attribute cache installs via __
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.describe()
+
+
+# Each slot's descriptor setter, bound once, in field declaration order.
+_new = object.__new__
+(_set_op, _set_dst, _set_srcs, _set_scalar, _set_vl, _set_mem, _set_tag,
+ _set_uid, _set_info, _set_is_memory, _set_is_load, _set_is_store,
+ _set_is_arith, _set_is_scalar) = [
+    getattr(Instruction, f.name).__set__ for f in fields(Instruction)]
+
+
+def _fill_derived(inst: Instruction, op: Op) -> OpInfo:
+    info, is_memory, is_load, is_store, is_arith, is_scalar = \
+        _DERIVED_BY_OP[op._value_]
+    _set_info(inst, info)
+    _set_is_memory(inst, is_memory)
+    _set_is_load(inst, is_load)
+    _set_is_store(inst, is_store)
+    _set_is_arith(inst, is_arith)
+    _set_is_scalar(inst, is_scalar)
+    return info
+
+
+def _build(op: Op, dst: Optional[int], srcs: Tuple[int, ...],
+           scalar: Optional[float], vl: int, mem: Optional[MemOperand],
+           tag: Tag, uid: int) -> Instruction:
+    """An instruction with its slots filled directly, unvalidated: operand
+    rewrites, trusted trace loads and unpickling.  The bound slot setters
+    bypass the frozen ``__setattr__`` at about half the cost of
+    ``object.__setattr__``."""
+    inst = _new(Instruction)
+    _set_op(inst, op)
+    _set_dst(inst, dst)
+    _set_srcs(inst, srcs)
+    _set_scalar(inst, scalar)
+    _set_vl(inst, vl)
+    _set_mem(inst, mem)
+    _set_tag(inst, tag)
+    _set_uid(inst, uid)
+    _fill_derived(inst, op)
+    return inst
 
 
 def fingerprint_line(inst: Instruction) -> str:
@@ -268,6 +294,4 @@ def scalar_block(cycles: float) -> Instruction:
     The paper's scalar core runs at 2 GHz while the VPU runs at 1 GHz, so the
     simulator halves this cost when converting to VPU cycles.
     """
-    if cycles < 0:
-        raise ValueError("scalar block cost must be non-negative")
     return Instruction(op=Op.SCALAR_BLOCK, scalar=float(cycles))

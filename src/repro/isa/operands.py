@@ -29,7 +29,7 @@ class AddressSpace(enum.Enum):
     MVRF = "mvrf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemOperand:
     """Symbolic description of a vector memory access.
 

@@ -141,9 +141,10 @@ class Program:
         here through the store's schema gate and content-addressed key, and
         replaying a stored trace must stay much cheaper than recompiling.
         """
+        shared: dict = {}
         return cls(
             name=data["name"],
-            insts=[Instruction.from_dict(d) for d in data["insts"]],
+            insts=[Instruction.from_dict(d, shared) for d in data["insts"]],
             buffers=dict(data["buffers"]),
             spill_slots=data["spill_slots"],
             mvl=data["mvl"],

@@ -10,6 +10,6 @@ class MicroOp:
         self.done_at = -1
 
 
-class Instruction:  # lint: slots-exempt(fixture twin of the derived-attribute cache)
+class Instruction:  # lint: slots-exempt(fixture: a justified exemption is honoured)
     def __init__(self, opcode):
         self.opcode = opcode

@@ -183,6 +183,18 @@ def test_usage_errors_exit_2(argv):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--deadline", "0"], ["--retries", "-1"], ["--cache-max-bytes", "0"],
+    ["--cache-max-bytes", "-5"]], ids=["deadline-0", "retries-negative",
+                                       "cache-max-bytes-0",
+                                       "cache-max-bytes-negative"])
+def test_invalid_numeric_flags_are_usage_errors(flags, capsys, cache_args):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure3", "axpy"] + flags + cache_args)
+    assert excinfo.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_cache_stats_reports_both_stores(capsys, cache_args):
     assert main(["figure3", "axpy"] + cache_args) == 0
     capsys.readouterr()

@@ -1,5 +1,10 @@
 """Memory operand value objects."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.isa.operands import (
     AddressSpace,
     MemOperand,
@@ -42,3 +47,16 @@ def test_describe_distinguishes_kinds():
 def test_operands_are_hashable_value_objects():
     assert data_ref("x", 8) == MemOperand(AddressSpace.DATA, "x", 8)
     assert len({data_ref("x"), data_ref("x"), data_ref("y")}) == 2
+
+
+def test_operands_are_slotted_frozen_and_picklable():
+    op = data_ref("x", 8, stride=2, indexed=True)
+    assert not hasattr(op, "__dict__")
+    for f in dataclasses.fields(op):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, f.name, None)
+    copy = pickle.loads(pickle.dumps(op))
+    assert copy == op and hash(copy) == hash(op)
+    assert MemOperand.from_dict(op.to_dict()) == op
+    assert repr(op) == ("MemOperand(space=<AddressSpace.DATA: 'data'>, "
+                        "buffer='x', base_elem=8, stride=2, indexed=True)")
