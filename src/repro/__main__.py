@@ -243,7 +243,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
             return select_workloads(args.workloads or default,
                                     extended=args.extended)
         except KeyError as exc:
-            parser.error(str(exc))
+            parser.error(exc.args[0])  # str(KeyError) would repr-quote it
 
     executor = make_executor(jobs=args.jobs, cache=not args.no_cache,
                              cache_dir=args.cache_dir, progress=renderer,
@@ -296,7 +296,7 @@ def _lint_command(parser: argparse.ArgumentParser,
         result = run_lint(paths, rules=rules, as_json=args.json,
                           fix=args.fix)
     except KeyError as exc:
-        parser.error(str(exc))
+        parser.error(exc.args[0])
     print(result.output)
     return result.exit_code
 

@@ -125,25 +125,19 @@ class MicroOp:
         Called when the uop receives its queue-entry ``seq``; together with
         per-queue in-order issue this guarantees the wait graph is acyclic.
         """
-        if self.seq < 0:
+        seq = self.seq
+        if seq < 0:
             raise AssertionError("validate_ordering before seq assignment")
-        deps = [p for p in self.producers if p is not None]
-        deps.extend(self.reader_guards)
-        if self.store_guard is not None:
-            deps.append(self.store_guard)
-        for dep in deps:
-            if dep.priority:
-                continue  # front-inserted Swap-Stores depend on nothing
-            if dep.seq < 0 or dep.seq >= self.seq:
-                raise AssertionError(
-                    f"dependency ordering violated: uop#{self.seq} depends "
-                    f"on uop#{dep.seq}")
-
-    @property
-    def is_swap(self) -> bool:
-        from repro.isa.instructions import Tag
-
-        return self.inst.tag is Tag.SWAP
+        # Plain loops, not a comprehension: this runs once per uop, and
+        # CPython 3.11 gives every comprehension a frame of its own.
+        for deps in (self.producers, self.reader_guards, (self.store_guard,)):
+            for dep in deps:
+                if dep is None or dep.priority:
+                    continue  # front-inserted Swap-Stores depend on nothing
+                if dep.seq < 0 or dep.seq >= seq:
+                    raise AssertionError(
+                        f"dependency ordering violated: uop#{seq} depends "
+                        f"on uop#{dep.seq}")
 
     @property
     def executed(self) -> bool:

@@ -129,10 +129,23 @@ class VRFMapping:
             if self.sanitizer is not None:
                 self.sanitizer.on_map_release(vvr, None)
             return None
-        preg = self.evict(vvr)
-        self._in_mvrf[vvr] = False
+        # A resident VVR: evict and drop in one frame (this runs once per
+        # committed destination).  The sanitizer sees the evicted state
+        # first, then the released one, as an evict() call would show it.
+        preg = self._prmt[vvr]
+        self._vrlt[vvr] = False
+        self._prmt[vvr] = None
+        self._owner[preg] = None
+        self._pfrl.append(preg)
+        self.vvr_version[vvr] += 1
+        self.stamp += 1
         if self.sanitizer is not None:
+            self._in_mvrf[vvr] = True
+            self.sanitizer.on_map_evict(vvr, preg)
+            self._in_mvrf[vvr] = False
             self.sanitizer.on_map_release(vvr, preg)
+        else:
+            self._in_mvrf[vvr] = False
         return preg
 
     def invariant_check(self) -> None:

@@ -88,6 +88,19 @@ _R_VICTIM = 3
 #: Sentinel wake-up time for "nothing to do until another stage acts".
 _NEVER = float("inf")
 
+# Enum members bound once as module globals.  On CPython 3.11 a method
+# that spells ``UopState.DONE`` pays a global load plus an enum class
+# attribute lookup (~105 ns) where a module global costs ~10 ns, and the
+# scheduler makes up to dozens of such loads per committed uop.  CPython
+# 3.12 specialises class-attribute loads and narrows the gap; the guard in
+# tests/vpu/test_pipeline_structure.py keeps the methods on these names.
+_PRE_ISSUED = UopState.PRE_ISSUED
+_ISSUED = UopState.ISSUED
+_DONE = UopState.DONE
+_COMMITTED = UopState.COMMITTED
+_SWAP = Tag.SWAP
+_SPILL = Tag.SPILL
+
 
 class PipelineModel:
     """The AVA pipeline's state and model semantics, without a scheduler.
@@ -238,9 +251,10 @@ class PipelineModel:
         return self._seq
 
     def _is_done(self, uop: MicroOp) -> bool:
-        if uop.state in (UopState.DONE, UopState.COMMITTED):
+        state = uop.state
+        if state is _DONE or state is _COMMITTED:
             return True
-        return uop.state is UopState.ISSUED and uop.done_at <= self.now
+        return state is _ISSUED and uop.done_at <= self.now
 
     @property
     def finished(self) -> bool:
@@ -258,7 +272,7 @@ class PipelineModel:
         self.stats.mem_beats += plan.beats
         uop.dram_stall = plan.fill_beats + plan.miss_latency
         self._count_issue(uop)
-        if uop.inst.tag is Tag.SWAP:
+        if uop.inst.tag is _SWAP:
             self._queued_swaps.remove(uop)
             self._execute_swap(uop)
         else:
@@ -296,8 +310,9 @@ class PipelineModel:
         last elements likewise.  Occupancy is charged to the unit by the
         caller.
         """
-        uop.state = UopState.ISSUED
-        uop.issued_at = self.now
+        now = self.now
+        uop.state = _ISSUED
+        uop.issued_at = now
         self._issue_stamp += 1
         prod_first = 0
         prod_done = 0
@@ -315,19 +330,27 @@ class PipelineModel:
                 guard_done = g.done_at
         if uop.store_guard is not None and uop.store_guard.done_at > guard_done:
             guard_done = uop.store_guard.done_at
-        first = max(self.now + dead + latency, prod_first + latency)
-        done = max(self.now + occupancy + latency,
-                   prod_done + latency,
-                   guard_done + 1,
-                   first + max(0, occupancy - dead))
+        # Comparisons rather than max(): this runs once per issued uop.
+        first = now + dead + latency
+        if prod_first + latency > first:
+            first = prod_first + latency
+        done = now + occupancy + latency
+        if prod_done + latency > done:
+            done = prod_done + latency
+        if guard_done + 1 > done:
+            done = guard_done + 1
+        stream_end = first + (occupancy - dead if occupancy > dead else 0)
+        if stream_end > done:
+            done = stream_end
         uop.first_ready = first
         uop.done_at = done
         heapq.heappush(self._completions, (done, uop.seq, uop))
 
     def _count_issue(self, uop: MicroOp) -> None:
         inst = uop.inst
+        tag = inst.tag
         stats = self.stats
-        if self._track_swap_state and inst.tag is not Tag.SWAP:
+        if self._track_swap_state and tag is not _SWAP:
             # Swap ops never pass through pre-issue step C, so only regular
             # uops carry queued-reader pins.
             queued_readers = self._vvr_queued_readers
@@ -341,16 +364,16 @@ class PipelineModel:
             stats.arith_insts += 1
             stats.fpu_element_ops += inst.vl
         elif inst.is_load:
-            if inst.tag is Tag.SPILL:
+            if tag is _SPILL:
                 stats.spill_loads += 1
-            elif inst.tag is Tag.SWAP:
+            elif tag is _SWAP:
                 stats.swap_loads += 1
             else:
                 stats.vloads += 1
         else:
-            if inst.tag is Tag.SPILL:
+            if tag is _SPILL:
                 stats.spill_stores += 1
-            elif inst.tag is Tag.SWAP:
+            elif tag is _SWAP:
                 stats.swap_stores += 1
             else:
                 stats.vstores += 1
@@ -402,8 +425,8 @@ class PipelineModel:
     def _emit_swap_store(self, victim: int, front: bool = False) -> None:
         preg = self.mapping.preg_of(victim)
         inst = Instruction(op=Op.VSE, srcs=(0,), vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(victim), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
+                           mem=self.layout.mvrf_operand(victim), tag=_SWAP)
+        uop = MicroOp(inst, seq=self._next_seq(), state=_PRE_ISSUED,
                       src_vvrs=(victim,), src_pregs=(preg,),
                       renamed_at=self.now, pre_issued_at=self.now,
                       priority=front, swap_gen=self.vrf.generation(victim))
@@ -424,8 +447,8 @@ class PipelineModel:
     def _emit_swap_load(self, vvr: int, front: bool = False) -> None:
         preg = self.mapping.allocate(vvr)
         inst = Instruction(op=Op.VLE, dst=0, vl=self.config.mvl,
-                           mem=self.layout.mvrf_operand(vvr), tag=Tag.SWAP)
-        uop = MicroOp(inst, seq=self._next_seq(), state=UopState.PRE_ISSUED,
+                           mem=self.layout.mvrf_operand(vvr), tag=_SWAP)
+        uop = MicroOp(inst, seq=self._next_seq(), state=_PRE_ISSUED,
                       dst_vvr=vvr, dst_preg=preg,
                       renamed_at=self.now, pre_issued_at=self.now,
                       priority=front, swap_gen=self.vrf.generation(vvr))
@@ -556,6 +579,8 @@ class VectorPipeline(PipelineModel):
         # version sum cannot have changed and the re-sum is skipped.
         self._pi_head: Optional[MicroOp] = None
         self._pi_mstamp = -1
+        # (vl, beats per element) -> TimingParams.arith_beats, memoized.
+        self._arith_beats: Dict[Tuple[int, float], int] = {}
 
     # ------------------------------------------------------------------ run
     def run(self, max_cycles: int = 200_000_000) -> SimStats:
@@ -588,7 +613,7 @@ class VectorPipeline(PipelineModel):
         to_commit = self._to_commit
         mapping = self.mapping
         vvr_version = mapping.vvr_version
-        done_state = UopState.DONE
+        done_state = _DONE
         events = 0
         writer_stalls = 0
         queue_stalls = 0
@@ -865,7 +890,7 @@ class VectorPipeline(PipelineModel):
         """
         delay = self._chain_delay
         t = 0.0
-        if uop.inst.tag is not Tag.SWAP:
+        if uop.inst.tag is not _SWAP:
             for p in uop.producers:
                 if p is None:
                     continue
@@ -911,7 +936,7 @@ class VectorPipeline(PipelineModel):
         entries = rob._entries
         retired = 0
         width = rob.commit_width
-        done_state = UopState.DONE
+        done_state = _DONE
         while retired < width and entries:
             head = entries[0]
             if head.state is not done_state or head.done_at > now:
@@ -921,7 +946,7 @@ class VectorPipeline(PipelineModel):
             if self._san is not None:
                 self._san.on_commit(head)
             entries.popleft()
-            head.state = UopState.COMMITTED
+            head.state = _COMMITTED
             head.committed_at = now
             rob.total_committed += 1
             self._retire(head)
@@ -993,7 +1018,7 @@ class VectorPipeline(PipelineModel):
         heappop = heapq.heappop
         valid = self.vrf._valid
         pending_writer = self._pending_writer
-        done_state = UopState.DONE
+        done_state = _DONE
         while completions and completions[0][0] <= now:
             uop = heappop(completions)[2]
             uop.state = done_state
@@ -1003,7 +1028,7 @@ class VectorPipeline(PipelineModel):
                 if pending_writer.get(dst_vvr) is uop:
                     del pending_writer[dst_vvr]
             inst = uop.inst
-            if inst.tag is Tag.SWAP and inst.is_store:
+            if inst.tag is _SWAP and inst.is_store:
                 victim = uop.src_vvrs[0]
                 if self._pending_mvrf_store.get(victim) is uop:
                     del self._pending_mvrf_store[victim]
@@ -1075,7 +1100,7 @@ class VectorPipeline(PipelineModel):
             self._mg_wake = wake
         self._mg_head = head
         self._mg_len = len(self.mem_q)
-        if head.inst.tag is Tag.SWAP:
+        if head.inst.tag is _SWAP:
             self._mg_vsum = -1
         else:
             vvr_version = self.mapping.vvr_version
@@ -1101,7 +1126,7 @@ class VectorPipeline(PipelineModel):
         now = self.now
         for idx in range(1, len(mem_q)):
             cand = mem_q[idx]
-            if cand.inst.tag is not Tag.SWAP:
+            if cand.inst.tag is not _SWAP:
                 continue
             # Memoized readiness: ready iff every dependency issued and the
             # latest wake timestamp has arrived (exactly _ready()).
@@ -1141,7 +1166,10 @@ class VectorPipeline(PipelineModel):
             return False
         self.arith_q.popleft()
         info = uop.inst.info
-        beats = self.params.arith_beats(uop.inst.vl, info.beats_per_element)
+        key = (uop.inst.vl, info.beats_per_element)
+        beats = self._arith_beats.get(key)
+        if beats is None:
+            beats = self._arith_beats[key] = self.params.arith_beats(*key)
         dead = self.params.arith_dead_time
         occupancy = dead + beats
         self._finish_issue(uop, occupancy, dead, info.latency)
@@ -1188,7 +1216,7 @@ class VectorPipeline(PipelineModel):
         now = self.now
         delay = self._chain_delay
         ready = True
-        if uop.inst.tag is not Tag.SWAP:
+        if uop.inst.tag is not _SWAP:
             vvr_version = mapping.vvr_version
             vsum = 0
             for v in uop.src_vvrs:
@@ -1199,10 +1227,8 @@ class VectorPipeline(PipelineModel):
                     p = producers[i]
                     if p is not None:
                         state = p.state
-                        if (state is UopState.DONE
-                                or state is UopState.COMMITTED
-                                or (state is UopState.ISSUED
-                                    and p.done_at <= now)):
+                        if (state is _DONE or state is _COMMITTED
+                                or (state is _ISSUED and p.done_at <= now)):
                             producers[i] = None
                             uop.wake_at = -2.0  # dependency set changed
                         elif p.issued_at < 0 or p.issued_at + delay > now:
@@ -1261,8 +1287,8 @@ class VectorPipeline(PipelineModel):
 
         if uop.dst_vvr is not None and uop.dst_preg is None:
             created = False
-            excluded = list(uop.src_vvrs) + [uop.dst_vvr]
-            if mapping.free_count == 0:
+            if not mapping._pfrl:
+                excluded = [*uop.src_vvrs, uop.dst_vvr]
                 outcome = self._free_one_preg(excluded, front=True)
                 if outcome == _CREATED:
                     created = True
@@ -1449,33 +1475,42 @@ class VectorPipeline(PipelineModel):
             uop.preissue_stall_kind = 1
             return False
 
+        # One pass over the sources records their pregs, producer links and
+        # (on swapping machines) reader pins, and sums their residency
+        # versions to seed the issue-time resolution memo: the links and
+        # pregs recorded here stay correct until a source changes residency.
         prmt = mapping._prmt
-        uop.src_pregs = tuple([prmt[v] for v in uop.src_vvrs])
+        vvr_version = mapping.vvr_version
         now = self.now
         pending_writer = self._pending_writer
+        producers = uop.producers
+        track = self._track_swap_state
+        preg_readers = self._preg_readers
+        queued_readers = self._vvr_queued_readers
+        pregs = []
+        vsum = 0
         for vvr in uop.src_vvrs:
+            preg = prmt[vvr]
+            pregs.append(preg)
+            vsum += vvr_version[vvr]
             producer = pending_writer.get(vvr)
             if producer is not None:
                 state = producer.state
-                if (state is UopState.DONE or state is UopState.COMMITTED
-                        or (state is UopState.ISSUED
-                            and producer.done_at <= now)):
+                if (state is _DONE or state is _COMMITTED
+                        or (state is _ISSUED and producer.done_at <= now)):
                     producer = None
-            uop.producers.append(producer)
-        if self._track_swap_state:
-            for preg in uop.src_pregs:
-                self._preg_readers.setdefault(preg, []).append(uop)
-            queued_readers = self._vvr_queued_readers
-            for vvr in uop.src_vvrs:
+            producers.append(producer)
+            if track:
+                preg_readers.setdefault(preg, []).append(uop)
                 queued_readers[vvr] = queued_readers.get(vvr, 0) + 1
-        # Seed the issue-time resolution memo: the producer links and pregs
-        # just recorded stay correct until a source changes residency.
-        uop.resolved_version = self._src_version_sum(uop)
+        uop.src_pregs = tuple(pregs)
+        uop.resolved_version = vsum
         # The destination physical register is assigned at issue time
         # (_ensure_operands); uop.dst_preg stays None until then.
-        uop.state = UopState.PRE_ISSUED
-        uop.pre_issued_at = self.now
-        uop.seq = self._next_seq()
+        uop.state = _PRE_ISSUED
+        uop.pre_issued_at = now
+        self._seq += 1  # inlined _next_seq
+        uop.seq = self._seq
         uop.validate_ordering()
         self.pre_issue_q.popleft()
         target.append(uop)
@@ -1499,19 +1534,22 @@ class VectorPipeline(PipelineModel):
         # (it runs after rename within the same cycle, as before).
         self._dispatch_wake = 0.0
 
-        # Inlined RAT lookups and saturating RAC increments (semantics of
-        # RenameTable.rename_sources / RegisterAccessCounters.increment):
-        # this is once-per-instruction work on the hot path.
+        # Inlined RAT lookups and saturating RAC updates (semantics of
+        # RenameTable.rename_sources / RegisterAccessCounters.increment and
+        # .decrement): this is once-per-instruction work on the hot path.
         rat_map = rat._rat
         counts = self.rac._counts
         saturated = self.rac._saturated
-        src_vvrs = tuple([rat_map[l] for l in inst.srcs])
-        for vvr in src_vvrs:
+        vvrs = []
+        for logical in inst.srcs:
+            vvr = rat_map[logical]
+            vvrs.append(vvr)
             if not saturated[vvr]:
                 if counts[vvr] >= RAC_MAX:
                     saturated[vvr] = True
                 else:
                     counts[vvr] += 1
+        src_vvrs = tuple(vvrs)
         dst_vvr = old_vvr = None
         if inst.dst is not None:
             # Inlined RenameTable.rename_destination (FRL checked above).
@@ -1525,7 +1563,12 @@ class VectorPipeline(PipelineModel):
                     saturated[dst_vvr] = True
                 else:
                     counts[dst_vvr] += 1
-            self.rac.decrement(old_vvr)
+            if not saturated[old_vvr]:
+                count = counts[old_vvr]
+                if count == 0:
+                    raise RuntimeError(f"RAC underflow on VVR {old_vvr}: "
+                                       f"update protocol violated")
+                counts[old_vvr] = count - 1
             self.vrf._valid[dst_vvr] = False  # mark_pending
             # Aggressive reclamation case 1 at rename time, guarded by the
             # paper's condition (b): no older vector memory instruction may
@@ -1557,35 +1600,37 @@ class VectorPipeline(PipelineModel):
     def _dispatch(self) -> bool:
         """Scalar-core hand-off (gate: instructions remain and the wake-up
         time has arrived)."""
-        progress = False
         insts = self.program.insts
         n = self._n_insts
         dispatch_q = self.dispatch_q
         depth = self.params.dispatch_queue_depth
         ratio = self.params.scalar_clock_ratio
         hand_off = self.params.dispatch_scalar_cycles / ratio
-        while self._fetch_idx < n:
-            inst = insts[self._fetch_idx]
+        now = self.now
+        start = idx = self._fetch_idx
+        scalar_time = self._scalar_time
+        blocks = 0
+        while idx < n:
+            inst = insts[idx]
             if inst.is_scalar:
                 assert inst.scalar is not None
-                self._scalar_time += inst.scalar / ratio
-                self.stats.scalar_blocks += 1
-                self._fetch_idx += 1
-                progress = True
+                scalar_time += inst.scalar / ratio
+                blocks += 1
+                idx += 1
                 continue
-            if len(dispatch_q) >= depth:
-                break
-            if self._scalar_time > self.now:
+            if len(dispatch_q) >= depth or scalar_time > now:
                 break
             dispatch_q.append(inst)
-            self._fetch_idx += 1
-            self._scalar_time += hand_off
-            progress = True
+            idx += 1
+            scalar_time += hand_off
+        self._fetch_idx = idx
+        self._scalar_time = scalar_time
+        self.stats.scalar_blocks += blocks
         # Next wake-up: blocked on the queue -> woken by rename; otherwise
         # the first cycle the scalar core will have handed over the next
         # instruction.  (After the loop the head, if any, is non-scalar.)
-        if self._fetch_idx >= n or len(dispatch_q) >= depth:
+        if idx >= n or len(dispatch_q) >= depth:
             self._dispatch_wake = _NEVER
         else:
-            self._dispatch_wake = math.ceil(self._scalar_time)
-        return progress
+            self._dispatch_wake = math.ceil(scalar_time)
+        return idx > start

@@ -61,6 +61,35 @@ def test_release_clears_everything():
     assert not m.in_mvrf(11)
 
 
+def test_release_of_a_resident_vvr_reports_evict_then_release():
+    """The sanitizer sees a resident release as an eviction followed by a
+    release, each against the mapping state of that step."""
+    m = VRFMapping(64, 8)
+    seen = []
+
+    class Recorder:
+        def _snap(self, event, vvr, preg):
+            seen.append((event, vvr, preg, m.in_pvrf(vvr), m.in_mvrf(vvr),
+                         m.free_count, m.owner_of(preg), m.vvr_version[vvr],
+                         m.stamp))
+
+        def on_map_alloc(self, vvr, preg):
+            pass
+
+        def on_map_evict(self, vvr, preg):
+            self._snap("evict", vvr, preg)
+
+        def on_map_release(self, vvr, preg):
+            self._snap("release", vvr, preg)
+
+    m.sanitizer = Recorder()
+    preg = m.allocate(10)
+    assert m.release(10) == preg
+    assert seen == [("evict", 10, preg, False, True, 8, None, 2, 2),
+                    ("release", 10, preg, False, False, 8, None, 2, 2)]
+    assert not m.in_mvrf(10)
+
+
 def test_reallocation_after_evict_clears_mvrf_flag():
     m = VRFMapping(64, 8)
     m.allocate(10)

@@ -173,6 +173,22 @@ def test_unknown_workload_selection_rejected(cache_args):
         main(["figure3", "all", "--workloads", "axpy,doom"] + cache_args)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["figure3", "nosuch"], "unknown workload 'nosuch'"),
+    (["figure3", "all", "--workloads", ","], "empty workload selection"),
+    (["lint", "--rules", "Z999"], "unknown lint rule 'Z999'")],
+    ids=["unknown-workload", "empty-selection", "unknown-lint-rule"])
+def test_selection_errors_print_the_bare_message(argv, message, capsys,
+                                                 cache_args):
+    """A ``KeyError`` message reaches stderr as written, not repr-quoted."""
+    if argv[0] != "lint":
+        argv = argv + cache_args
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["figure7"], ["bench", "engine"]] + [
     [artifact, "bogus"] for artifact in ("table1", "table2", "table3",
                                          "table4", "table5", "figure4",

@@ -4,7 +4,8 @@
 (per-cycle stepper) share one model in ``PipelineModel``.  These tests keep
 it that way: a model method copied back into both subclasses, or a shared
 method overridden by a subclass, fails here instead of silently splitting
-the model in two.
+the model in two.  A further guard keeps the scheduler's hot methods on
+the module-bound enum members.
 """
 
 import ast
@@ -68,3 +69,25 @@ def test_subclasses_do_not_override_the_shared_model():
 def test_reference_keeps_only_stepper_and_spec_stage_bodies():
     assert set(_methods(ReferencePipeline)) == (REFERENCE_STEPPER
                                                 | REFERENCE_SPEC_STAGES)
+
+
+def _enum_member_loads(func) -> list:
+    """``UopState.X`` / ``Tag.X`` class-attribute loads in ``func``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("UopState", "Tag")]
+
+
+def test_hot_methods_use_module_bound_enum_members():
+    """CPython 3.11 pays an enum class-attribute lookup per
+    ``UopState.DONE``; the pipeline binds the members it needs once, at
+    module level, and every scheduler method uses those names."""
+    loads = {}
+    for cls in (PipelineModel, VectorPipeline):
+        for name, func in _methods(cls).items():
+            found = _enum_member_loads(func)
+            if name != "__init__" and found:
+                loads[f"{cls.__name__}.{name}"] = found
+    assert not loads, loads
