@@ -10,8 +10,9 @@ Public API quick reference::
         Simulator,                                                # run
     )
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+See the README's "Architecture" section for the package layers, and
+``python -m repro claims`` for the paper-versus-measured record of every
+table and figure.
 """
 
 from repro.core.config import (

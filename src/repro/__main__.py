@@ -25,7 +25,8 @@ Artifacts:
   ``cache verify`` — inspect, prune or integrity-check the two
   persistent stores (cell results at ``--cache-dir``, compiled traces
   under its ``traces/`` subdirectory; ``verify`` re-hashes every entry
-  and quarantines corruption).
+  and quarantines corruption).  Neither store is size-bounded:
+  ``cache clear`` is how they shrink.
 
 Simulation-backed artifacts (``figure3``, ``figure4``, ``claims``) run
 through the experiment-execution engine:
@@ -44,13 +45,12 @@ through the experiment-execution engine:
   is cached the moment it completes, so an interrupted grid resumes by
   rerunning: finished cells replay as hits;
 * ``--cache-stats`` prints hit/miss/simulation counters to stderr (plus
-  a ``resilience:`` line — retries, timeouts, quarantined/evicted cache
-  entries — whenever any of those is nonzero);
+  a ``resilience:`` line — retries, timeouts, quarantined cache entries
+  — whenever any of those is nonzero);
 * ``--deadline S`` arms a per-cell deadline on each compile and each
-  simulation (a watchdog kills hung workers and retries the cell),
+  simulation (a watchdog kills hung workers and retries the cell), and
   ``--retries N`` bounds how many infrastructure failures a cell may
-  survive (default 3), and ``--cache-max-bytes N`` bounds the result
-  cache with LRU eviction;
+  survive (default 3);
 * ``--progress`` / ``--no-progress`` force the live stderr progress line
   on or off (default: on when stderr is a terminal).  Progress never
   touches stdout, so piped artifacts stay byte-identical.
@@ -115,11 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-stats", action="store_true",
                         help="print engine cache/simulation counters "
                              "to stderr")
-    parser.add_argument("--cache-max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="bound the result cache to N bytes with "
-                             "least-recently-used eviction (default: "
-                             "unbounded)")
     parser.add_argument("--deadline", type=float, default=None, metavar="S",
                         help="per-cell deadline in seconds, on each "
                              "compile and each simulation: hung cells "
@@ -171,8 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--deadline must be > 0")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.cache_max_bytes is not None and args.cache_max_bytes < 1:
-        parser.error("--cache-max-bytes must be >= 1")
     if args.files and args.artifact != "lint":
         parser.error("extra positional arguments apply only to lint")
     if args.workload is not None and args.artifact in (
@@ -248,7 +241,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
     executor = make_executor(jobs=args.jobs, cache=not args.no_cache,
                              cache_dir=args.cache_dir, progress=renderer,
                              deadline_s=args.deadline, retries=args.retries,
-                             cache_max_bytes=args.cache_max_bytes,
                              sanitize=args.sanitize)
     try:
         code = _render_artifact(parser, args, executor, selection)

@@ -11,12 +11,6 @@ discipline:
   whose bytes rotted (or were damaged by a crashed writer slipping past
   the atomic rename) is *quarantined* — moved to ``quarantine/`` for
   post-mortem — and reads as a miss, never as silently-wrong data;
-* optional size-bounded LRU eviction (``max_bytes``): reads refresh an
-  entry's mtime, writes evict the oldest entries until the store fits.
-  Eviction only ever unlinks committed entries (never ``*.tmp`` files),
-  and a concurrent writer's atomic rename re-commits unscathed, so two
-  executors can evict against each other without losing in-flight
-  writes;
 * graceful degradation when the directory is unwritable (read-only
   filesystem, ENOSPC): the payload lands in an in-process overlay, one
   warning is emitted, and the run keeps going — a broken disk costs
@@ -27,10 +21,11 @@ discipline:
   the process umask, so a shared directory serves every user the umask
   promises to serve.
 
-:class:`AtomicJsonStore` owns all of it; subclasses add only their schema
-check (:meth:`AtomicJsonStore._validate`), payload shapes and a
-:data:`AtomicJsonStore.FAULT_SITE` name for the fault-injection layer
-(:mod:`repro.faults`) to address them by.
+Stores are unbounded: nothing is evicted, and ``repro cache clear``
+prunes them.  :class:`AtomicJsonStore` owns all of it; subclasses add
+only their schema check (:meth:`AtomicJsonStore._validate`), payload
+shapes and a :data:`AtomicJsonStore.FAULT_SITE` name for the
+fault-injection layer (:mod:`repro.faults`) to address them by.
 """
 
 from __future__ import annotations
@@ -43,11 +38,30 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro import faults
 
 _PROCESS_UMASK: Optional[int] = None
+
+
+def source_digest(trees: Sequence[str] = ("",)) -> str:
+    """sha256 over the ``repro`` sources under ``trees`` (package-relative
+    directories; the default is the whole package), the cache keys' code
+    component.
+
+    Each ``*.py`` file contributes its package-relative path, a NUL and
+    its bytes, in sorted order per tree, so equal sources always hash
+    equal and any edit, rename or added file changes the digest.
+    """
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for tree in trees:
+        for path in sorted((root / tree).rglob("*.py")):
+            h.update(str(path.relative_to(root)).encode())
+            h.update(b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 def process_umask() -> int:
@@ -99,14 +113,9 @@ class AtomicJsonStore:
     #: Site name :mod:`repro.faults` cache specs match against.
     FAULT_SITE = "store"
 
-    def __init__(self, root: Union[str, Path],
-                 max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
         self.quarantined = 0
-        self.evicted = 0
         self._swept = False
         self._mem: Dict[str, dict] = {}
         self._warned_unwritable = False
@@ -206,18 +215,7 @@ class AtomicJsonStore:
             return None, "quarantined"
         if not isinstance(payload, dict) or not self._validate(payload):
             return None, "stale"
-        self._touch(path)
         return payload, "ok"
-
-    def _touch(self, path: Path) -> None:
-        """Refresh the entry's mtime so eviction is least-recently-USED,
-        not least-recently-written."""
-        if self.max_bytes is None:
-            return  # unbounded stores skip the syscall on every hit
-        try:
-            os.utime(path)
-        except OSError:
-            pass  # read-only store: LRU degrades to insertion order
 
     def _quarantine(self, key: str) -> bool:
         """Move a damaged entry to the quarantine directory (same
@@ -313,50 +311,6 @@ class AtomicJsonStore:
             except OSError:
                 pass
             raise
-        if self.max_bytes is not None:
-            self._evict(keep=key)
-
-    # -- eviction --------------------------------------------------------------
-    def _evict(self, keep: Optional[str] = None) -> int:
-        """Unlink least-recently-used entries until the store fits
-        ``max_bytes``; returns how many went.
-
-        Never touches ``*.tmp`` files (a concurrent writer's in-flight
-        bytes) and never evicts ``keep`` (the entry just written — with
-        one pathological exception, a single entry larger than the whole
-        budget, the bound holds after every put).  Unlink races with
-        concurrent readers, writers and other evictors are all benign:
-        a reader sees a miss, a writer's ``os.replace`` re-commits.
-        """
-        if self.max_bytes is None or not self.root.is_dir():
-            return 0
-        entries = []
-        total = 0
-        for entry in self.root.glob("*.json"):
-            try:
-                st = entry.stat()
-            except OSError:
-                continue  # evicted by a concurrent executor
-            total += st.st_size
-            entries.append((st.st_mtime, st.st_size, entry))
-        if total <= self.max_bytes:
-            return 0
-        keep_path = self.path(keep) if keep is not None else None
-        removed = 0
-        for mtime, size, entry in sorted(entries, key=lambda e: (e[0],
-                                                                 str(e[2]))):
-            if total <= self.max_bytes:
-                break
-            if keep_path is not None and entry == keep_path:
-                continue
-            try:
-                entry.unlink()
-            except OSError:
-                continue  # already gone: someone else evicted it
-            total -= size
-            removed += 1
-        self.evicted += removed
-        return removed
 
     # -- clear -----------------------------------------------------------------
     def clear(self) -> int:

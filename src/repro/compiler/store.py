@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.cachefs import AtomicJsonStore
+from repro.cachefs import AtomicJsonStore, source_digest
 from repro.compiler.allocator import AllocationResult
 from repro.compiler.signature import CompileSignature
 from repro.isa.program import Program
@@ -63,15 +63,8 @@ def compile_code_fingerprint() -> str:
     """
     global _COMPILE_CODE_FINGERPRINT
     if _COMPILE_CODE_FINGERPRINT is None:
-        import repro
-        root = Path(repro.__file__).parent
-        h = hashlib.sha256()
-        for tree in ("compiler", "isa", "scalar"):
-            for path in sorted((root / tree).rglob("*.py")):
-                h.update(str(path.relative_to(root)).encode())
-                h.update(b"\0")
-                h.update(path.read_bytes())
-        _COMPILE_CODE_FINGERPRINT = h.hexdigest()
+        _COMPILE_CODE_FINGERPRINT = source_digest(
+            ("compiler", "isa", "scalar"))
     return _COMPILE_CODE_FINGERPRINT
 
 
@@ -105,9 +98,8 @@ class TraceStore(AtomicJsonStore):
     #: ``site="results"``.
     FAULT_SITE = "traces"
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_TRACE_DIR,
-                 max_bytes: Optional[int] = None) -> None:
-        super().__init__(root, max_bytes=max_bytes)
+    def __init__(self, root: Union[str, Path] = DEFAULT_TRACE_DIR) -> None:
+        super().__init__(root)
 
     def _validate(self, payload: dict) -> bool:
         return (payload.get("schema") == TRACE_SCHEMA

@@ -5,7 +5,7 @@ with everything the pipeline learns about it: VVR mappings from first-level
 rename, physical registers from pre-issue, swap-rule dependencies, and the
 execution timestamps the chaining model produces.
 
-Ordering invariant (the basis of the deadlock-freedom argument in DESIGN.md):
+Ordering invariant (the basis of the pipeline's deadlock freedom):
 ``seq`` numbers micro-ops by **issue-queue entry order** (hardware swap
 operations enter the memory queue before the instruction they serve, so they
 get smaller sequence numbers than it even though they are created during its

@@ -49,7 +49,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, TextIO,
 import numpy as np
 
 from repro import faults
-from repro.cachefs import AtomicJsonStore
+from repro.cachefs import AtomicJsonStore, source_digest
 from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
@@ -283,14 +283,7 @@ def code_fingerprint() -> str:
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
-        import repro
-        root = Path(repro.__file__).parent
-        h = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            h.update(str(path.relative_to(root)).encode())
-            h.update(b"\0")
-            h.update(path.read_bytes())
-        _CODE_FINGERPRINT = h.hexdigest()
+        _CODE_FINGERPRINT = source_digest()
     return _CODE_FINGERPRINT
 
 
@@ -385,9 +378,8 @@ class ResultCache(AtomicJsonStore):
 
     FAULT_SITE = "results"
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR,
-                 max_bytes: Optional[int] = None) -> None:
-        super().__init__(root, max_bytes=max_bytes)
+    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
+        super().__init__(root)
 
     def _validate(self, payload: dict) -> bool:
         """Valid JSON that lost its ``stats``/``energy`` sections (or
@@ -400,20 +392,6 @@ class ResultCache(AtomicJsonStore):
 # ---------------------------------------------------------------------------
 # cell execution
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceRef:
-    """A pool worker's pointer into a :class:`TraceStore` entry.
-
-    When the executor runs with a trace store, workers receive this tiny
-    (root, key) pair and load the program from disk themselves instead of
-    unpickling a multi-thousand-instruction :class:`Program` over the
-    pipe — the store is the shared transport, the pipe carries ~100 bytes.
-    """
-
-    root: str
-    key: str
-
-
 #: True only in pool worker processes (set by the pool initializer) — an
 #: injected worker crash hard-exits a worker but must merely *raise* when
 #: the cell executes inline, or it would take the CLI down with it.
@@ -447,22 +425,18 @@ def _gc_paused():
         gc.enable()
 
 
-def _execute_cell(job: Union[Tuple[Cell, Union[Program, TraceRef]],
-                             Tuple[Cell, Union[Program, TraceRef], int]]
-                  ) -> dict:
+def _execute_cell(job: Tuple[Cell, Program, int]) -> dict:
     """Simulate and measure one pre-compiled cell; returns the cache payload.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it; must stay
     deterministic — everything it consumes is in the cell (plus
     :data:`DATA_SEED`).  The executor compiled (or loaded) the program
-    when the cell missed the cache, so it is never recompiled here: it
-    arrives either in-memory (inline execution) or as a :class:`TraceRef`
-    into the trace store (pool execution).  A ref whose entry vanished or
-    was damaged between dispatch and execution falls back to an in-worker
-    recompile — a pruned store costs time, never a failed cell.
+    when the cell missed the cache and sends it by value in the job —
+    in-memory inline, pickled to a pool worker — so it is never
+    recompiled here.
 
-    The optional third element is the cell's retry attempt number; an
-    active :class:`~repro.faults.FaultPlan` (chaos testing) gates injected
+    The third element is the cell's retry attempt number; an active
+    :class:`~repro.faults.FaultPlan` (chaos testing) gates injected
     crashes/hangs on it, which is how "fails on attempt 0, succeeds on
     attempt 1" scenarios stay deterministic.
     """
@@ -470,31 +444,15 @@ def _execute_cell(job: Union[Tuple[Cell, Union[Program, TraceRef]],
         return _run_cell(job)
 
 
-def _run_cell(job: Union[Tuple[Cell, Union[Program, TraceRef]],
-                         Tuple[Cell, Union[Program, TraceRef], int]]
-              ) -> dict:
-    cell, source = job[0], job[1]
-    attempt = job[2] if len(job) > 2 else 0
+def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
+    cell, program, attempt = job
     plan = faults.active_plan()
     if plan is not None:
         plan.fire_cell(cell.label(), attempt, in_worker=_IN_POOL_WORKER)
     workload = cell.resolve_workload()
     functional = cell.functional or cell.check
-    sim: Optional[Simulator] = None
-    if isinstance(source, TraceRef):
-        payload = TraceStore(source.root).get(source.key)
-        if payload is not None:
-            try:
-                sim = Simulator.from_trace(cell.scenario(), payload,
-                                           functional=functional,
-                                           sanitize=cell.sanitize)
-            except Exception:  # noqa: BLE001 — damaged entry reads as miss
-                sim = None
-        if sim is None:
-            source = workload.compile(cell.config).program
-    if sim is None:
-        sim = Simulator(cell.scenario(), source, functional=functional,
-                        sanitize=cell.sanitize)
+    sim = Simulator(cell.scenario(), program, functional=functional,
+                    sanitize=cell.sanitize)
     rng = np.random.default_rng(DATA_SEED)
     data = workload.init_data(rng)
     if functional:
@@ -720,14 +678,13 @@ class ExecutorStats:
     sim_spans_charged: int = 0
     sim_span_cycles: int = 0
     #: Resilience counters: charged retry attempts, deadline-exceeded
-    #: attempts, cache entries quarantined on integrity failure and
-    #: entries evicted by the size bound.  ``cache_misses`` stays one per
-    #: cell however many attempts its result took (retry accounting never
-    #: inflates the hit-rate denominators the acceptance greps key on).
+    #: attempts and cache entries quarantined on integrity failure.
+    #: ``cache_misses`` stays one per cell however many attempts its
+    #: result took (retry accounting never inflates the hit-rate
+    #: denominators the acceptance greps key on).
     retries: int = 0
     timeouts: int = 0
     cache_quarantined: int = 0
-    cache_evicted: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """Counters as plain JSON (the ``--stats-json`` payload body)."""
@@ -741,15 +698,13 @@ class ExecutorStats:
                 f"{self.compiles} kernel compiles, "
                 f"{self.trace_hits} trace hits, "
                 f"{self.trace_misses} trace misses")
-        if (self.retries or self.timeouts or self.cache_quarantined
-                or self.cache_evicted):
+        if self.retries or self.timeouts or self.cache_quarantined:
             # On its own line, only when something resilience-related
             # actually happened: the first line's wording is an interface
             # (CI greps it) and a fault-free run's output must not change.
             text += (f"\nresilience: {self.retries} retries, "
                      f"{self.timeouts} timeouts, "
-                     f"{self.cache_quarantined} quarantined cache entries, "
-                     f"{self.cache_evicted} evicted")
+                     f"{self.cache_quarantined} quarantined cache entries")
         if self.cells_failed:
             text += f"\nfailures: {self.cells_failed} cells failed"
         if self.sim_cycles:
@@ -773,17 +728,11 @@ PairKey = Tuple[Union[str, Workload], CompileSignature]
 
 @dataclass
 class _CompileMemo:
-    """Per-workload compile fingerprints and per-pair programs.
-
-    Program entries pair the program with its trace-store key (None
-    without a store), so the dispatcher can hand workers a
-    :class:`TraceRef`.
-    """
+    """Per-workload compile fingerprints and per-pair programs."""
 
     fingerprints: Dict[Union[str, Workload], str] = field(
         default_factory=dict)
-    programs: Dict[PairKey, Tuple[Program, Optional[str]]] = field(
-        default_factory=dict)
+    programs: Dict[PairKey, Program] = field(default_factory=dict)
 
 
 def _cell_error(cell: Cell, key: str, exc: BaseException) -> CellError:
@@ -827,9 +776,9 @@ class CellExecutor:
     :class:`Progress` snapshot as every cell is finalised.
 
     ``traces`` attaches a persistent :class:`TraceStore`: compile-memo
-    misses consult it before compiling, fresh compiles are written back,
-    and parallel batches ship :class:`TraceRef` pointers to the workers
-    instead of pickled programs.
+    misses consult it before compiling, and fresh compiles are written
+    back.  Every simulation job carries its :class:`Program` by value,
+    inline and over the pool alike.
 
     Resilience knobs: ``deadline_s`` arms a per-cell deadline on each
     compile and each simulation — in pool mode a watchdog that kills the
@@ -1028,17 +977,17 @@ class CellExecutor:
 
             # Only the misses need programs; a raising compile fails the
             # keys that needed it before anything is dispatched.
-            sources = self._compile_programs(
+            programs = self._compile_programs(
                 [cells[indices[0]] for indices in by_key.values()], batch,
                 progress)
             runnable: List[str] = []
             jobs_list: List[Job] = []
-            for key, source in zip(by_key, sources):
-                if isinstance(source, BaseException):
-                    fail(key, source)
+            for key, program in zip(by_key, programs):
+                if isinstance(program, BaseException):
+                    fail(key, program)
                 else:
                     runnable.append(key)
-                    jobs_list.append((cells[by_key[key][0]], source))
+                    jobs_list.append((cells[by_key[key][0]], program))
             self._dispatch(jobs_list,
                            lambda pos, payload: land(runnable[pos], payload),
                            lambda pos, exc: fail(runnable[pos], exc),
@@ -1078,15 +1027,11 @@ class CellExecutor:
             self.progress(progress)
 
     def _sync_store_counters(self) -> None:
-        """Mirror the stores' quarantine/eviction counters into the
-        executor's stats, so ``--cache-stats`` reports them."""
-        quarantined = evicted = 0
-        for store in (self.cache, self.traces):
-            if store is not None:
-                quarantined += store.quarantined
-                evicted += store.evicted
-        self.stats.cache_quarantined = quarantined
-        self.stats.cache_evicted = evicted
+        """Mirror the stores' quarantine counters into the executor's
+        stats, so ``--cache-stats`` reports them."""
+        self.stats.cache_quarantined = sum(
+            store.quarantined for store in (self.cache, self.traces)
+            if store is not None)
 
     def _backoff_delay(self, label: str, pos: int, attempt: int) -> float:
         """Exponential backoff plus deterministic per-(cell, attempt)
@@ -1114,9 +1059,8 @@ class CellExecutor:
 
     def _compile_programs(self, cells: Sequence[Cell], batch: _CompileMemo,
                           progress: Progress
-                          ) -> List[Union[Program, TraceRef, BaseException]]:
-        """What to dispatch for each cell — its program, a
-        :class:`TraceRef` to it, or the exception its compile raised —
+                          ) -> List[Union[Program, BaseException]]:
+        """Each cell's program, or the exception its compile raised —
         memoized per (workload, :class:`CompileSignature`).
 
         The signature is the narrowed compile key: configurations that
@@ -1134,9 +1078,7 @@ class CellExecutor:
         compile is captured per pair (one bad kernel must not abort the
         grid), only successful compiles count toward ``stats.compiles``,
         and failed pairs are never memoized, so the next batch retries
-        them.  Parallel batches of more than one cell get a
-        :class:`TraceRef` wherever the store holds the program, so workers
-        load it instead of unpickling it.
+        them.
         """
         todo: Dict[PairKey, Tuple[Cell, Optional[str]]] = {}
         for cell in cells:
@@ -1150,7 +1092,7 @@ class CellExecutor:
                 stored = self.traces.load(trace_key)
                 if stored is not None:
                     self.stats.trace_hits += 1
-                    programs[pair] = (stored.program, trace_key)
+                    programs[pair] = stored.program
                     continue
             todo[pair] = (cell, trace_key)
 
@@ -1163,8 +1105,7 @@ class CellExecutor:
             if trace_key is not None:
                 self.stats.trace_misses += 1
                 self.traces.put_trace(trace_key, compiled)
-            self._memo(cell, batch).programs[pairs[pos]] = (
-                compiled.program, trace_key)
+            self._memo(cell, batch).programs[pairs[pos]] = compiled.program
 
         def fail(pos: int, exc: BaseException) -> None:
             failed[pairs[pos]] = exc
@@ -1172,19 +1113,12 @@ class CellExecutor:
         self._dispatch([(cell, None) for cell, _ in todo.values()], land,
                        fail, progress, _compile_cell)
 
-        use_refs = self.traces is not None and self.jobs > 1 and len(cells) > 1
-
-        def source(cell: Cell) -> Union[Program, TraceRef, BaseException]:
+        def program(cell: Cell) -> Union[Program, BaseException]:
             pair = (cell.workload, CompileSignature.from_config(cell.config))
             entry = self._memo(cell, batch).programs.get(pair)
-            if entry is None:
-                return failed[pair]
-            program, trace_key = entry
-            if use_refs and trace_key is not None:
-                return TraceRef(root=str(self.traces.root), key=trace_key)
-            return program
+            return failed[pair] if entry is None else entry
 
-        return [source(cell) for cell in cells]
+        return [program(cell) for cell in cells]
 
     @staticmethod
     def _materialise(cell: Cell, key: str, payload: dict,
@@ -1219,23 +1153,19 @@ def make_executor(jobs: int = 1, cache: bool = False,
                   deadline_s: Optional[float] = None,
                   retries: int = 3,
                   backoff_s: float = 0.25,
-                  cache_max_bytes: Optional[int] = None,
                   sanitize: bool = False
                   ) -> CellExecutor:
     """Build an executor from the CLI-style knobs (--jobs / --no-cache /
-    --cache-dir / --progress / --deadline / --retries / --cache-max-bytes
-    / --sanitize).
+    --cache-dir / --progress / --deadline / --retries / --sanitize).
 
-    ``cache=True`` wires both persistent stores: cell results at
-    ``cache_dir`` (size-bounded when ``cache_max_bytes`` is set) and
-    compiled traces under ``cache_dir/traces``.  ``--no-cache``
-    (``cache=False``) disables both — no disk is touched.
+    ``cache=True`` wires both persistent stores, unbounded: cell results
+    at ``cache_dir`` and compiled traces under ``cache_dir/traces``.
+    ``--no-cache`` (``cache=False``) disables both — no disk is touched.
     """
     from repro.compiler.store import TRACE_SUBDIR
     root = Path(cache_dir)
     return CellExecutor(jobs=jobs,
-                        cache=(ResultCache(root, max_bytes=cache_max_bytes)
-                               if cache else None),
+                        cache=ResultCache(root) if cache else None,
                         traces=TraceStore(root / TRACE_SUBDIR) if cache
                         else None,
                         progress=progress, deadline_s=deadline_s,

@@ -8,8 +8,8 @@ holds raises so plugins cannot silently shadow the paper's presets.
 This class is that pattern, once; each axis module wraps one instance in
 its public ``register_*``/``get_*`` functions.
 
-(The workload registry keeps its own implementation: it additionally does
-decorator registration and entry-point discovery.)
+(The workload registry keeps its own implementation: it registers
+classes through a decorator, not factories.)
 """
 
 from __future__ import annotations

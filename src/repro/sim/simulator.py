@@ -70,6 +70,7 @@ class Simulator:
             aggressive_reclamation=aggressive_reclamation,
             sanitize=sanitize)
 
+    # No engine path calls this; it stays because perfbench's ledger hooks it.
     @classmethod
     def from_trace(cls, config: "MachineConfig | Scenario", trace: dict,
                    functional: bool = False,

@@ -2,14 +2,12 @@
 
 The six Table-IV applications are rebuilt in the kernel DSL with the
 register usage, live pressure, instruction mix and application vector length
-the paper reports for each (see DESIGN.md §3); four extended RiVEC-style
-kernels (:data:`EXTENDED_WORKLOAD_NAMES`) grow the suite to ten.  Problem
-sizes are scaled to simulator scale; figures report shapes, not absolute
-gem5 counts.
+the paper reports for each; four extended RiVEC-style kernels
+(:data:`EXTENDED_WORKLOAD_NAMES`) grow the suite to ten.  Problem sizes are
+scaled to simulator scale; figures report shapes, not absolute gem5 counts.
 
-New kernels join the suite with the :func:`register_workload` decorator (or
-the ``repro.workloads`` entry-point group) — see the README's "Adding a
-workload" section.
+New kernels join the suite with the :func:`register_workload` decorator —
+see the README's "Adding a workload" section.
 """
 
 from repro.workloads.base import CompiledWorkload, Workload
@@ -18,7 +16,6 @@ from repro.workloads.registry import (
     EXTENDED_WORKLOAD_NAMES,
     WORKLOAD_NAMES,
     all_workloads,
-    discover_workloads,
     get_workload,
     register_workload,
     registered_names,
@@ -42,7 +39,6 @@ __all__ = [
     "Workload",
     "CompiledWorkload",
     "all_workloads",
-    "discover_workloads",
     "get_workload",
     "register_workload",
     "registered_names",

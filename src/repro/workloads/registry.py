@@ -11,18 +11,10 @@ themselves with the :func:`register_workload` decorator::
         ...
 
 and immediately flow through :func:`get_workload`, the experiment engine's
-``SweepSpec`` grids, the result cache (keys hash the compiled program, so a
-third-party kernel can never collide with a builtin one) and the CLI's
-``--workloads`` selector.
-
-Third-party packages can also advertise workloads without importing this
-package first, via the ``repro.workloads`` entry-point group::
-
-    [project.entry-points."repro.workloads"]
-    mykernel = "mypkg.kernels:MyKernel"
-
-Entry points are loaded lazily by :func:`discover_workloads` the first time
-a name lookup misses the in-process registry.
+``SweepSpec`` grids, the result cache (keys hash the workload's compile
+fingerprint, so a new kernel can never collide with a builtin one) and the
+CLI's ``--workloads`` selector.  The decorator is the one way in: a kernel
+joins the suite when the module defining it is imported.
 
 Two views of the suite are exported:
 
@@ -35,16 +27,11 @@ Two views of the suite are exported:
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Type, Union, overload
 
 from repro.workloads.base import Workload
 
-#: Entry-point group third-party packages use to advertise workloads.
-ENTRY_POINT_GROUP = "repro.workloads"
-
 _REGISTRY: Dict[str, Type[Workload]] = {}
-_DISCOVERED = False
 
 
 @overload
@@ -94,50 +81,6 @@ def unregister_workload(name: str) -> bool:
     return _REGISTRY.pop(name, None) is not None
 
 
-def discover_workloads(group: str = ENTRY_POINT_GROUP, *,
-                       force: bool = False) -> List[str]:
-    """Load workloads advertised through entry points; returns new names.
-
-    Runs at most once per process (``force=True`` re-scans).  Broken or
-    colliding entry points are skipped rather than allowed to break the
-    builtin suite.
-    """
-    global _DISCOVERED
-    if _DISCOVERED and not force:
-        return []
-    _DISCOVERED = True
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - importlib.metadata is 3.8+
-        return []
-    try:
-        entry_points = metadata.entry_points()
-        if hasattr(entry_points, "select"):  # Python 3.10+
-            selected = entry_points.select(group=group)
-        else:  # pragma: no cover - legacy dict API
-            selected = entry_points.get(group, ())
-    except Exception as exc:  # noqa: BLE001 — malformed dist metadata raises arbitrarily; discovery is best-effort
-        warnings.warn(
-            f"workload entry-point discovery failed "
-            f"({type(exc).__name__}: {exc}); third-party workloads "
-            f"unavailable this process", RuntimeWarning, stacklevel=2)
-        return []
-    loaded: List[str] = []
-    for entry in selected:
-        try:
-            obj = entry.load()
-            register_workload(obj, name=entry.name)
-        except Exception as exc:  # noqa: BLE001 — entry.load() runs arbitrary plugin import code; one broken plugin must not sink the suite
-            warnings.warn(
-                f"skipping workload entry point {entry.name!r} "
-                f"({getattr(entry, 'value', '?')}): "
-                f"{type(exc).__name__}: {exc}",
-                RuntimeWarning, stacklevel=2)
-            continue
-        loaded.append(entry.name)
-    return loaded
-
-
 #: Paper order (Table IV).  Frozen: figures rendered over this view are
 #: byte-identical regardless of what else gets registered.
 WORKLOAD_NAMES: List[str] = [
@@ -156,16 +99,12 @@ ALL_WORKLOAD_NAMES: List[str] = WORKLOAD_NAMES + EXTENDED_WORKLOAD_NAMES
 
 def registered_names() -> List[str]:
     """Every name the registry currently resolves, sorted."""
-    discover_workloads()
     return sorted(_REGISTRY)
 
 
 def get_workload(name: str) -> Workload:
     """Instantiate a workload by its registered name."""
     cls = _REGISTRY.get(name)
-    if cls is None:
-        discover_workloads()
-        cls = _REGISTRY.get(name)
     if cls is None:
         raise KeyError(
             f"unknown workload {name!r}; known: {sorted(_REGISTRY)}")

@@ -177,18 +177,6 @@ def test_damaged_entries_fall_back_to_a_clean_recompile(tmp_path, damage):
     assert rerun.stats.compiles == 0
 
 
-def test_worker_falls_back_when_a_ref_target_vanishes(tmp_path):
-    """A TraceRef whose entry was pruned between dispatch and execution
-    recompiles in-worker instead of failing the cell."""
-    from repro.experiments.engine import TraceRef, _execute_cell
-
-    cell = Cell(workload="axpy", config=native_config(1))
-    store, key = _warm_store_for(cell, tmp_path / "traces")
-    store.path(key).unlink()
-    payload = _execute_cell((cell, TraceRef(root=str(store.root), key=key)))
-    assert payload["stats"]["cycles"] > 0
-
-
 # ---------------------------------------------------------------------------
 # cross-executor persistence (the whole point)
 # ---------------------------------------------------------------------------

@@ -200,10 +200,8 @@ def test_usage_errors_exit_2(argv):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--deadline", "0"], ["--retries", "-1"], ["--cache-max-bytes", "0"],
-    ["--cache-max-bytes", "-5"]], ids=["deadline-0", "retries-negative",
-                                       "cache-max-bytes-0",
-                                       "cache-max-bytes-negative"])
+    ["--deadline", "0"], ["--retries", "-1"]],
+    ids=["deadline-0", "retries-negative"])
 def test_invalid_numeric_flags_are_usage_errors(flags, capsys, cache_args):
     with pytest.raises(SystemExit) as excinfo:
         main(["figure3", "axpy"] + flags + cache_args)

@@ -37,7 +37,7 @@ _stats = st.builds(ExecutorStats, **{
     f.name: st.integers(min_value=0, max_value=10**9)
     for f in fields(ExecutorStats)})
 
-_RESILIENCE = ("retries", "timeouts", "cache_quarantined", "cache_evicted")
+_RESILIENCE = ("retries", "timeouts", "cache_quarantined")
 
 
 @given(cell=_cells, fingerprint=_fingerprints)

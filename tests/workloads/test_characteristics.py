@@ -1,8 +1,8 @@
 """Workload characterisation: the paper-reported properties of each app.
 
-DESIGN.md §3 pins, for every application, the live register pressure, the
-first spilling LMUL configuration, and the instruction mix; these tests keep
-the kernels honest against those calibration targets.
+:data:`TARGETS` pins, for every Table-IV application, the live register
+pressure, the first spilling LMUL configuration, and the instruction mix;
+these tests keep the kernels honest against those calibration targets.
 """
 
 import pytest

@@ -1,4 +1,4 @@
-"""The pluggable workload registry: decorator, discovery, selection."""
+"""The pluggable workload registry: decorator, lookup, selection."""
 
 from typing import Dict
 
@@ -20,7 +20,6 @@ from repro.workloads import (
     select_workloads,
     unregister_workload,
 )
-from repro.workloads import registry as registry_module
 from repro.workloads.axpy import Axpy
 
 
@@ -112,46 +111,6 @@ def test_register_rejects_non_workloads():
         register_workload(int)
     with pytest.raises(ValueError, match="no 'name'"):
         register_workload(type("Anon", (Workload,), {}))
-
-
-# ---------------------------------------------------------------------------
-# entry-point discovery
-# ---------------------------------------------------------------------------
-class _FakeEntryPoint:
-    def __init__(self, name, obj, broken=False):
-        self.name = name
-        self._obj = obj
-        self._broken = broken
-
-    def load(self):
-        if self._broken:
-            raise ImportError("broken plugin")
-        return self._obj
-
-
-def test_entry_point_discovery(monkeypatch):
-    cls = _tiny_workload_class(workload_name="tiny-entry-point")
-    entries = [_FakeEntryPoint("tiny-entry-point", cls),
-               _FakeEntryPoint("broken", None, broken=True),
-               _FakeEntryPoint("axpy", _tiny_workload_class(
-                   class_name="FakeAxpy", workload_name="axpy"))]
-
-    class _FakeEntryPoints:
-        def select(self, group):
-            assert group == "repro.workloads"
-            return entries
-
-    from importlib import metadata
-    monkeypatch.setattr(metadata, "entry_points", lambda: _FakeEntryPoints())
-    try:
-        loaded = registry_module.discover_workloads(force=True)
-        # The well-formed plugin loads; the broken one and the
-        # builtin-shadowing one are skipped without breaking the suite.
-        assert loaded == ["tiny-entry-point"]
-        assert isinstance(get_workload("tiny-entry-point"), cls)
-        assert isinstance(get_workload("axpy"), Axpy)
-    finally:
-        unregister_workload("tiny-entry-point")
 
 
 # ---------------------------------------------------------------------------
