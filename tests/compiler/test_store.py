@@ -194,3 +194,41 @@ def test_traces_persist_across_executors(tmp_path):
     for a, b in zip(results, replayed):
         assert (json.dumps(a.stats.to_dict(), sort_keys=True)
                 == json.dumps(b.stats.to_dict(), sort_keys=True))
+
+
+def test_pool_workers_take_programs_by_value(tmp_path, monkeypatch):
+    """Over the pool, the parent loads each trace and ships the Program in
+    the job: a worker never reads the store, replays a trace or compiles."""
+    from repro.experiments import engine
+    from repro.workloads.base import Workload
+
+    cells = [Cell(workload="axpy", config=config) for config in MVL_GRID]
+    serial = CellExecutor(traces=TraceStore(tmp_path / "traces")).run(cells)
+
+    def parent_only(name, original):
+        def guarded(*args, **kwargs):
+            if engine._IN_POOL_WORKER:
+                raise AssertionError(f"pool worker called {name}")
+            return original(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(TraceStore, "get",
+                        parent_only("TraceStore.get", TraceStore.get))
+    monkeypatch.setattr(Workload, "compile",
+                        parent_only("Workload.compile", Workload.compile))
+    monkeypatch.setattr(Simulator, "from_trace", classmethod(parent_only(
+        "Simulator.from_trace", Simulator.from_trace.__func__)))
+
+    def no_inline(executor, jobs_list, *rest):
+        if jobs_list:  # the compile pass dispatches nothing: all hits
+            raise AssertionError("jobs ran inline, not over the pool")
+
+    monkeypatch.setattr(engine, "run_inline", no_inline)
+    with CellExecutor(jobs=2, traces=TraceStore(tmp_path / "traces")) as pool:
+        parallel = pool.run(cells)
+        assert pool.stats.compiles == 0
+        assert pool.stats.trace_hits == len(MVL_GRID)
+        assert pool.stats.sims_executed == len(MVL_GRID)
+    for a, b in zip(serial, parallel):
+        assert (json.dumps(a.stats.to_dict(), sort_keys=True)
+                == json.dumps(b.stats.to_dict(), sort_keys=True))

@@ -209,6 +209,23 @@ def test_concurrent_writers_never_tear_an_entry(tmp_path):
     assert counts["quarantined"] == 0
 
 
+def test_store_is_unbounded_and_reads_leave_entries_untouched(tmp_path):
+    """Nothing is evicted however much is written, and a read writes
+    nothing: every entry keeps its bytes and its mtime."""
+    store = ResultCache(tmp_path)
+    keys = [f"k{i}" for i in range(40)]
+    for key in keys:
+        store.put(key, _payload(key))
+    before = {key: (store.path(key).stat().st_mtime_ns,
+                    store.path(key).read_bytes()) for key in keys}
+    time.sleep(0.01)
+    for key in keys:
+        assert store.get(key)["pad"] == _payload(key)["pad"]
+    assert store.stats()[0] == len(keys)
+    assert {key: (store.path(key).stat().st_mtime_ns,
+                  store.path(key).read_bytes()) for key in keys} == before
+
+
 def test_clear_spares_entries_committed_after_it_started(tmp_path):
     import os
     store = ResultCache(tmp_path)
