@@ -35,7 +35,8 @@ def main() -> None:
 
     spec = SweepSpec(workloads=WORKLOAD_NAMES,
                      configs=[ava_config(s) for s in SCALE_FACTORS])
-    results = executor.run_spec(spec)
+    with executor:
+        results = executor.run_spec(spec)
 
     rows = []
     for name, sweep in spec.chunk_by_workload(results):

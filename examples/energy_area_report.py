@@ -50,7 +50,8 @@ def main() -> None:
     print("\n== energy: baseline vs best AVA reconfiguration ==")
     spec = SweepSpec(workloads=WORKLOAD_NAMES,
                      configs=[ava_config(s) for s in SCALE_FACTORS])
-    results = executor.run_spec(spec)
+    with executor:
+        results = executor.run_spec(spec)
     rows = []
     for name, sweep in spec.chunk_by_workload(results):
         base = sweep[0]

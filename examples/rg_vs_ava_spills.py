@@ -35,8 +35,9 @@ def main() -> None:
     workload = get_workload("blackscholes")
     print(f"workload: {workload.describe()}")
 
-    results = executor.run_spec(
-        SweepSpec(workloads=("blackscholes",), configs=CONFIGS))
+    with executor:
+        results = executor.run_spec(
+            SweepSpec(workloads=("blackscholes",), configs=CONFIGS))
     baseline = results[0].stats.cycles
 
     rows = []

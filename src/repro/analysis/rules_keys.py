@@ -73,6 +73,7 @@ def _key_payload_names() -> Set[str]:
     from repro.compiler.store import trace_key_payload
     from repro.core.config import ava_config
     from repro.experiments.engine import Cell, cell_key_payload
+    from repro.sim.scenario import Scenario
 
     def flatten(value, out: Set[str]) -> None:
         if isinstance(value, dict):
@@ -82,7 +83,7 @@ def _key_payload_names() -> Set[str]:
 
     config = ava_config(2)
     names: Set[str] = set()
-    flatten(cell_key_payload(Cell(workload="axpy", config=config),
+    flatten(cell_key_payload(Cell("axpy", Scenario(machine=config)),
                              "compile-fingerprint"), names)
     flatten(trace_key_payload("compile-fingerprint",
                               CompileSignature.from_config(config)), names)

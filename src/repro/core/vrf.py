@@ -158,10 +158,6 @@ class TwoLevelVRF:
         self._generation[vvr] += 1
 
     # -- diagnostics -----------------------------------------------------------
-    def peek_preg(self, preg: int) -> Optional[np.ndarray]:
-        buf = self._pvrf.get(preg)
-        return None if buf is None else buf.copy()
-
     @property
     def total_element_traffic(self) -> int:
         return (self.pvrf_reads + self.pvrf_writes

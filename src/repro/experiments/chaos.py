@@ -44,10 +44,6 @@ DEFAULT_DEADLINE_S = 5.0
 HANG_S = 30.0
 
 
-class ChaosDivergence(AssertionError):
-    """The faulted (or warm) run's stdout diverged from the clean run's."""
-
-
 def _run_phase(parsed: ParsedSweep, cache_dir: Path, *, jobs: int,
                deadline_s: Optional[float], retries: int, backoff_s: float,
                progress: Optional[ProgressCallback]

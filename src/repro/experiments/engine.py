@@ -1,13 +1,17 @@
 """Unified experiment-execution engine.
 
 Every artifact of the paper boils down to a grid of independent
-(workload × configuration × timing-params × policy-knob) simulation
-*cells*.  This module makes that grid explicit and executes it once:
+(workload × scenario) simulation *cells*, where a
+:class:`~repro.sim.scenario.Scenario` bundles the machine config, timing
+params, memory system and policy knobs.  This module makes that grid
+explicit and executes it once:
 
-* :class:`Cell` — one simulation, fully described by data: a workload
-  plus the machine-side scenario axes (machine config, timing params,
-  memory system, policy);
-* :class:`SweepSpec` — a declarative grid that enumerates cells in a
+* :class:`Cell` — one simulation, fully described by data: a workload,
+  its scenario (the only machine-side input, handed to the
+  :class:`~repro.sim.simulator.Simulator` as is) and the execution flags;
+* :class:`SweepSpec` — a declarative grid over the per-axis values that
+  resolves each cell's scenario with
+  :func:`~repro.sim.scenario.build_scenario` and enumerates cells in a
   deterministic order, so new sweeps are data, not new code;
 * :class:`ResultCache` — a persistent, content-addressed store of
   :class:`repro.sim.stats.SimStats` / :class:`repro.power.mcpat.EnergyReport`
@@ -59,10 +63,10 @@ from repro.isa.instructions import fingerprint_line
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystemConfig
 from repro.power.mcpat import EnergyReport, McPatModel
-from repro.sim.scenario import CellPolicy, Scenario
+from repro.sim.scenario import CellPolicy, Scenario, build_scenario
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
-from repro.vpu.params import DEFAULT_TIMING, TimingParams
+from repro.vpu.params import TimingParams
 from repro.workloads.base import CompiledWorkload, Workload
 from repro.workloads.registry import get_workload
 
@@ -97,17 +101,15 @@ class Cell:
     ``workload`` is normally a Table-IV registry name; passing a
     :class:`~repro.workloads.base.Workload` instance is allowed for
     out-of-registry kernels (the cache key hashes the workload's compile
-    fingerprint, so the name is never trusted on its own).
-    ``params``/``memsys`` left at ``None`` mean the paper's defaults —
-    :meth:`scenario` folds all four machine-side axes into one frozen
-    bundle.
+    fingerprint, so the name is never trusted on its own).  ``scenario``
+    is the only machine-side input: machine config, timing, memory system
+    and policy in one frozen bundle (build one with
+    :func:`~repro.sim.scenario.build_scenario`, which resolves ``None``
+    axes to the paper's defaults).
     """
 
     workload: Union[str, Workload]
-    config: MachineConfig
-    params: Optional[TimingParams] = None
-    policy: CellPolicy = CellPolicy()
-    memsys: Optional[MemorySystemConfig] = None
+    scenario: Scenario
     functional: bool = False
     warm: bool = True
     check: bool = False
@@ -115,6 +117,11 @@ class Cell:
     # a sanitized run must prove the invariants held for *this* cell, not
     # inherit a result computed without them.
     sanitize: bool = False
+
+    @property
+    def config(self) -> MachineConfig:
+        """The scenario's machine configuration."""
+        return self.scenario.machine
 
     @property
     def workload_name(self) -> str:
@@ -129,25 +136,6 @@ class Cell:
         if isinstance(self.workload, str):
             return get_workload(self.workload)
         return self.workload
-
-    def scenario(self) -> Scenario:
-        """The cell's machine-side axes as one frozen scenario."""
-        return Scenario(
-            machine=self.config,
-            timing=self.params if self.params is not None else DEFAULT_TIMING,
-            memory=(self.memsys if self.memsys is not None
-                    else MemorySystemConfig()),
-            policy=self.policy)
-
-    @classmethod
-    def from_scenario(cls, workload: Union[str, Workload],
-                      scenario: Scenario, *, functional: bool = False,
-                      warm: bool = True, check: bool = False) -> "Cell":
-        """Build a cell from a scenario bundle (inverse of :meth:`scenario`)."""
-        return cls(workload=workload, config=scenario.machine,
-                   params=scenario.timing, policy=scenario.policy,
-                   memsys=scenario.memory, functional=functional,
-                   warm=warm, check=check)
 
 
 @dataclass
@@ -169,8 +157,8 @@ class SweepSpec:
     check: bool = False
 
     def cells(self) -> List[Cell]:
-        return [Cell(workload=w, config=cfg, params=p, memsys=mem,
-                     policy=pol, functional=self.functional, warm=self.warm,
+        return [Cell(w, build_scenario(cfg, p, mem, pol),
+                     functional=self.functional, warm=self.warm,
                      check=self.check)
                 for w in self.workloads
                 for cfg in self.configs
@@ -339,7 +327,7 @@ def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
         "data_seed": DATA_SEED,
         "workload": cell.workload_name,
         "compile": compile_fingerprint,
-        "scenario": _scenario_key(cell.scenario()),
+        "scenario": _scenario_key(cell.scenario),
         "functional": cell.functional or cell.check,
         "warm": cell.warm,
         "check": cell.check,
@@ -451,7 +439,7 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
         plan.fire_cell(cell.label(), attempt, in_worker=_IN_POOL_WORKER)
     workload = cell.resolve_workload()
     functional = cell.functional or cell.check
-    sim = Simulator(cell.scenario(), program, functional=functional,
+    sim = Simulator(cell.scenario, program, functional=functional,
                     sanitize=cell.sanitize)
     rng = np.random.default_rng(DATA_SEED)
     data = workload.init_data(rng)
@@ -1133,9 +1121,7 @@ class CellExecutor:
         )
 
 
-def figure3_spec(workloads: Sequence[Union[str, Workload]],
-                 params: Optional[TimingParams] = None,
-                 check: bool = False) -> SweepSpec:
+def figure3_spec(workloads: Sequence[Union[str, Workload]]) -> SweepSpec:
     """The Figure-3 grid — all 14 chart configurations — over ``workloads``.
 
     The shared declarative spec behind ``figure3``, ``claims`` and the
@@ -1143,8 +1129,7 @@ def figure3_spec(workloads: Sequence[Union[str, Workload]],
     cells in the same order (and therefore shares them through the cache).
     """
     from repro.experiments.configs import figure3_series
-    return SweepSpec(workloads=list(workloads), configs=figure3_series(),
-                     params=(params,), check=check)
+    return SweepSpec(workloads=list(workloads), configs=figure3_series())
 
 
 def make_executor(jobs: int = 1, cache: bool = False,

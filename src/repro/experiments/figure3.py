@@ -19,7 +19,6 @@ from repro.experiments.engine import (CellExecutor, RunRecord,
                                       figure3_spec, fill_speedups,
                                       record_from_result)
 from repro.experiments.rendering import render_bars, render_table
-from repro.vpu.params import TimingParams
 
 
 @dataclass
@@ -93,8 +92,6 @@ class Figure3Panel:
 
 
 def build_panels(workload_names: Sequence[str],
-                 params: Optional[TimingParams] = None,
-                 check: bool = False,
                  executor: Optional[CellExecutor] = None,
                  label: str = "figure3") -> Dict[str, Figure3Panel]:
     """Run the Fig. 3 grid for several applications as ONE cell batch.
@@ -105,7 +102,7 @@ def build_panels(workload_names: Sequence[str],
     ``label`` names the batch in the executor's progress reporting.
     """
     executor = executor or CellExecutor()
-    spec = figure3_spec(workload_names, params=params, check=check)
+    spec = figure3_spec(workload_names)
     results = executor.run_spec(spec, label=label)
 
     panels: Dict[str, Figure3Panel] = {}

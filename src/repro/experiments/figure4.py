@@ -18,7 +18,6 @@ from repro.experiments.engine import (CellExecutor, RunRecord, SweepSpec,
                                       record_from_result)
 from repro.experiments.rendering import render_table
 from repro.power.mcpat import AreaReport, McPatModel
-from repro.vpu.params import TimingParams
 from repro.workloads.registry import WORKLOAD_NAMES
 
 
@@ -80,8 +79,7 @@ class Figure4:
         return "\n".join(parts)
 
 
-def build_figure4(params: Optional[TimingParams] = None,
-                  per_workload: Optional[Dict[str, List[RunRecord]]] = None,
+def build_figure4(per_workload: Optional[Dict[str, List[RunRecord]]] = None,
                   executor: Optional[CellExecutor] = None,
                   workload_names: Optional[Sequence[str]] = None) -> Figure4:
     """Compute Fig. 4; re-runs the applications unless records are given.
@@ -101,7 +99,7 @@ def build_figure4(params: Optional[TimingParams] = None,
         # is shared with figure3/claims through the result cache.
         executor = executor or CellExecutor()
         spec = SweepSpec(workloads=list(workload_names or WORKLOAD_NAMES),
-                         configs=native_cfgs + ava_cfgs, params=(params,))
+                         configs=native_cfgs + ava_cfgs)
         results = executor.run_spec(spec, label="figure4")
         per_workload = {
             name: fill_speedups([record_from_result(r) for r in chunk],

@@ -41,6 +41,7 @@ from repro.experiments.engine import (Cell, CellExecutor, CellPolicy,
                                       CellResult)
 from repro.experiments.rendering import render_table
 from repro.memory.presets import get_memory_system
+from repro.sim.scenario import build_scenario
 from repro.vpu.params import TimingParams, get_timing
 from repro.workloads.registry import registered_names
 
@@ -181,8 +182,7 @@ class ParsedSweep:
         from the cell it describes (the render path runs these cells
         directly rather than relying on the engine's enumeration order)."""
         return [((w, m.label, t.label, mem.label, p.label),
-                 Cell(workload=w, config=m.value, params=t.value,
-                      memsys=mem.value, policy=p.value,
+                 Cell(w, build_scenario(m.value, t.value, mem.value, p.value),
                       warm=self.warm, check=self.check))
                 for w in self.workloads
                 for m in self.machines
@@ -261,13 +261,6 @@ def parse_sweep(data: Union[dict, str, Path]) -> ParsedSweep:
     return parsed
 
 
-def render_sweep(parsed: ParsedSweep,
-                 results: Sequence[CellResult]) -> str:
-    """The grid as one fixed-width table, in :meth:`labelled_cells` order."""
-    return _render(parsed, [label for label, _ in parsed.labelled_cells()],
-                   results)
-
-
 def render_rows(parsed: ParsedSweep,
                 labels: Sequence[Tuple[str, str, str, str, str]],
                 results: Sequence[CellResult]) -> str:
@@ -304,18 +297,6 @@ def render_rows(parsed: ParsedSweep,
     return render_table(headers, rows)
 
 
-def _render(parsed: ParsedSweep,
-            labels: Sequence[Tuple[str, str, str, str, str]],
-            results: Sequence[CellResult]) -> str:
-    header = (f"=== sweep: {parsed.name} === "
-              f"({len(parsed.workloads)} workloads x "
-              f"{len(parsed.machines)} machines x "
-              f"{len(parsed.timing)} timing x "
-              f"{len(parsed.memory)} memory x "
-              f"{len(parsed.policies)} policies = {len(parsed)} cells)")
-    return header + "\n" + render_rows(parsed, labels, results)
-
-
 def run_sweep(spec: Union[str, Path, dict, ParsedSweep],
               executor: Optional[CellExecutor] = None) -> str:
     """Parse (unless given a :class:`ParsedSweep`), execute and render a
@@ -324,4 +305,11 @@ def run_sweep(spec: Union[str, Path, dict, ParsedSweep],
     pairs = parsed.labelled_cells()
     executor = executor or CellExecutor()
     results = executor.run([cell for _, cell in pairs], label=parsed.name)
-    return _render(parsed, [label for label, _ in pairs], results)
+    header = (f"=== sweep: {parsed.name} === "
+              f"({len(parsed.workloads)} workloads x "
+              f"{len(parsed.machines)} machines x "
+              f"{len(parsed.timing)} timing x "
+              f"{len(parsed.memory)} memory x "
+              f"{len(parsed.policies)} policies = {len(parsed)} cells)")
+    return header + "\n" + render_rows(
+        parsed, [label for label, _ in pairs], results)

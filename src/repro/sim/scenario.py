@@ -134,9 +134,9 @@ def build_scenario(
     Strings go through the axis registries (for ``policy``, a
     :class:`~repro.core.swap.VictimPolicy` name like ``"fifo"``); ``None``
     means the paper's default for that axis.  This is the single
-    resolution point the sweep spec parser, the sensitivity study and
-    user code share — a wrong-typed axis fails here, not deep inside the
-    pipeline.
+    resolution point the sweep spec parser, every engine
+    :class:`~repro.experiments.engine.SweepSpec` grid and user code share
+    — a wrong-typed axis fails here, not deep inside the pipeline.
     """
     if isinstance(machine, str):
         machine = get_machine(machine)

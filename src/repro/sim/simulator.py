@@ -11,17 +11,14 @@ a result object, so the common flow is three lines::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.core.config import MachineConfig
-from repro.core.swap import VictimPolicy
 from repro.isa.program import Program
-from repro.memory.hierarchy import MemorySystem
 from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
-from repro.vpu.params import TimingParams
 from repro.vpu.pipeline import VectorPipeline
 
 
@@ -41,34 +38,22 @@ class SimResult:
 
 
 class Simulator:
-    """One (configuration, program) simulation.
+    """One (scenario, program) simulation.
 
-    The first argument is either a bare :class:`MachineConfig` (paper
-    defaults for every other machine axis) or a full
-    :class:`~repro.sim.scenario.Scenario` bundling machine, timing, memory
-    system and policy.
+    The first argument is a :class:`~repro.sim.scenario.Scenario` bundling
+    machine, timing, memory system and policy, or a bare
+    :class:`MachineConfig`, which means ``Scenario(machine=config)`` (paper
+    defaults for every other machine axis).  ``sanitize`` is debug
+    instrumentation, not a machine axis.
     """
 
     def __init__(self, config: "MachineConfig | Scenario", program: Program,
-                 params: Optional[TimingParams] = None,
-                 functional: bool = False,
-                 memsys: Optional[MemorySystem] = None,
-                 victim_policy: VictimPolicy = VictimPolicy.RAC_MIN,
-                 aggressive_reclamation: bool = True,
-                 sanitize: bool = False) -> None:
-        self.config = (config.machine if isinstance(config, Scenario)
-                       else config)
+                 functional: bool = False, sanitize: bool = False) -> None:
         self.program = program
         self.functional = functional
-        # The pipeline owns the only scenario-vs-loose-kwargs guard:
-        # forwarding everything keeps a single source of truth for the
-        # "not both" rule.  ``sanitize`` is debug instrumentation, not a
-        # machine axis, so it composes with a Scenario freely.
-        self.pipeline = VectorPipeline(
-            config, program, params=params, memsys=memsys,
-            functional=functional, victim_policy=victim_policy,
-            aggressive_reclamation=aggressive_reclamation,
-            sanitize=sanitize)
+        self.pipeline = VectorPipeline(config, program, functional=functional,
+                                       sanitize=sanitize)
+        self.config = self.pipeline.config
 
     # No engine path calls this; it stays because perfbench's ledger hooks it.
     @classmethod

@@ -35,11 +35,6 @@ class TraceEvent:
     first_ready: int
     done_at: int
 
-    @property
-    def issue_latency(self) -> int:
-        """Cycles from rename to issue (queueing + operand waits)."""
-        return self.issued_at - self.renamed_at
-
     def describe(self) -> str:
         return (f"#{self.seq:<5d} {self.opcode:<10s} {self.tag:<6s} "
                 f"vl={self.vl:<3d} "

@@ -64,7 +64,6 @@ from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.layout import MemoryLayout
 from repro.sim.stats import SimStats
-from repro.vpu.params import TimingParams
 from repro.vpu.vmu import VectorMemoryUnit
 
 
@@ -120,43 +119,27 @@ class PipelineModel:
     #: Appended to sanitizer finding labels to name the implementation.
     _sanitizer_tag = ""
 
-    def __init__(self, config, program: Program,
-                 params: Optional[TimingParams] = None,
-                 memsys: Optional[MemorySystem] = None,
-                 functional: bool = False,
-                 victim_policy: VictimPolicy = VictimPolicy.RAC_MIN,
-                 aggressive_reclamation: bool = True,
+    def __init__(self, config, program: Program, functional: bool = False,
                  sanitize: bool = False) -> None:
-        """``config`` is a :class:`MachineConfig` or a full
-        :class:`~repro.sim.scenario.Scenario` (which pins every other
-        machine-side argument)."""
+        """``config`` is a :class:`~repro.sim.scenario.Scenario` (machine,
+        timing, memory system and policy) or a bare :class:`MachineConfig`,
+        which means ``Scenario(machine=config)``: the paper's defaults for
+        every other machine-side axis."""
         # Imported lazily: repro.sim.scenario pulls repro.vpu.params in
         # through the vpu package, so a module-level import here would be
         # circular.
         from repro.sim.scenario import Scenario
-        if isinstance(config, Scenario):
-            # A scenario pins every machine-side axis; mixing it with the
-            # loose per-axis keywords would make two sources of truth.
-            if (params is not None or memsys is not None
-                    or victim_policy is not VictimPolicy.RAC_MIN
-                    or aggressive_reclamation is not True):
-                raise ValueError(
-                    "pass either a Scenario or loose params/memsys/"
-                    "victim_policy/aggressive_reclamation, not both")
-            scenario = config
-            config = scenario.machine
-            params = scenario.timing
-            memsys = MemorySystem(scenario.memory)
-            victim_policy = scenario.policy.victim_policy
-            aggressive_reclamation = scenario.policy.aggressive_reclamation
+        scenario = (config if isinstance(config, Scenario)
+                    else Scenario(machine=config))
+        config = scenario.machine
         program.validate(config.n_logical)
         self.config = config
         self.program = program
-        self.params = params or TimingParams()
+        self.params = scenario.timing
         self.functional = functional
-        self.aggressive_reclamation = aggressive_reclamation
+        self.aggressive_reclamation = scenario.policy.aggressive_reclamation
 
-        self.memsys = memsys or MemorySystem()
+        self.memsys = MemorySystem(scenario.memory)
         self.layout = MemoryLayout(program, config, functional=functional)
         self.vmu = VectorMemoryUnit(self.memsys, self.layout)
 
@@ -171,7 +154,7 @@ class PipelineModel:
         self.vrf = TwoLevelVRF(config.n_vvr, config.n_physical, config.mvl,
                                functional=functional)
         self.swap_logic = SwapLogic(self.mapping, self.rac, self.vrf,
-                                    policy=victim_policy)
+                                    policy=scenario.policy.victim_policy)
         self.rob = ReorderBuffer(self.params.rob_entries,
                                  self.params.commit_width)
 

@@ -5,14 +5,15 @@ import json
 
 from repro.core.config import ava_config
 from repro.experiments.engine import Cell, cell_key, make_executor
+from repro.sim.scenario import Scenario
 
 
 def test_sanitize_is_part_of_the_cell_key():
     """A cached plain result proves nothing about the invariants, so a
     sanitized run must never hit it."""
     config = ava_config(2)
-    plain = Cell(workload="axpy", config=config)
-    checked = Cell(workload="axpy", config=config, sanitize=True)
+    plain = Cell("axpy", Scenario(config))
+    checked = Cell("axpy", Scenario(config), sanitize=True)
     assert cell_key(plain) != cell_key(checked)
 
 
@@ -20,7 +21,7 @@ def test_executor_sanitize_flag_upgrades_every_cell(tmp_path):
     """make_executor(sanitize=True) semantics: results are byte-identical
     to the plain run, but land under sanitized cache keys."""
     config = ava_config(2)
-    cells = [Cell(workload="axpy", config=config)]
+    cells = [Cell("axpy", Scenario(config))]
     with make_executor(cache=True, cache_dir=tmp_path / "plain") as plain_ex:
         plain = plain_ex.run(cells)
     with make_executor(cache=True, cache_dir=tmp_path / "checked",
@@ -34,7 +35,7 @@ def test_executor_sanitize_flag_upgrades_every_cell(tmp_path):
 
 def test_sanitized_cell_result_replays_from_cache(tmp_path):
     config = ava_config(2)
-    cells = [Cell(workload="axpy", config=config, sanitize=True)]
+    cells = [Cell("axpy", Scenario(config), sanitize=True)]
     with make_executor(cache=True, cache_dir=tmp_path / "c") as ex:
         first = ex.run(cells)
         second = ex.run(cells)

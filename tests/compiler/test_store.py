@@ -18,6 +18,7 @@ from repro.compiler.store import TRACE_SCHEMA, TraceStore, trace_key
 from repro.core.config import ava_config, native_config
 from repro.experiments.engine import (Cell, CellExecutor,
                                       program_fingerprint)
+from repro.sim.scenario import Scenario
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, get_workload
 
@@ -159,7 +160,7 @@ def _bitrot(path):
 ], ids=["garbage", "truncated", "bitrot", "stale-schema", "mangled-program",
         "legacy-unwrapped"])
 def test_damaged_entries_fall_back_to_a_clean_recompile(tmp_path, damage):
-    cell = Cell(workload="axpy", config=native_config(1))
+    cell = Cell("axpy", Scenario(native_config(1)))
     store, key = _warm_store_for(cell, tmp_path / "traces")
     damage(store.path(key))
     assert store.load(key) is None  # a miss, not an exception
@@ -181,7 +182,7 @@ def test_damaged_entries_fall_back_to_a_clean_recompile(tmp_path, damage):
 # cross-executor persistence (the whole point)
 # ---------------------------------------------------------------------------
 def test_traces_persist_across_executors(tmp_path):
-    cells = [Cell(workload="axpy", config=config) for config in MVL_GRID]
+    cells = [Cell("axpy", Scenario(config)) for config in MVL_GRID]
     first = CellExecutor(traces=TraceStore(tmp_path / "traces"))
     results = first.run(cells)
     assert first.stats.compiles == len(MVL_GRID)
@@ -202,7 +203,7 @@ def test_pool_workers_take_programs_by_value(tmp_path, monkeypatch):
     from repro.experiments import engine
     from repro.workloads.base import Workload
 
-    cells = [Cell(workload="axpy", config=config) for config in MVL_GRID]
+    cells = [Cell("axpy", Scenario(config)) for config in MVL_GRID]
     serial = CellExecutor(traces=TraceStore(tmp_path / "traces")).run(cells)
 
     def parent_only(name, original):

@@ -16,6 +16,7 @@ from repro.core.config import ava_config, native_config
 from repro.experiments.backends import default_jobs
 from repro.experiments.engine import (Cell, CellExecutor, CellResult,
                                       ExecutorStats, SweepSpec)
+from repro.sim.scenario import Scenario
 from repro.workloads import register_workload, unregister_workload
 from repro.workloads.axpy import Axpy
 
@@ -225,8 +226,8 @@ def test_a_single_job_batch_never_starts_a_pool():
     """One compile and one simulation: nothing to overlap, so even a
     parallel executor runs them inline."""
     with CellExecutor(jobs=2) as executor:
-        result = executor.run_one(Cell(workload="axpy",
-                                       config=native_config(1)))
+        result = executor.run_one(Cell("axpy",
+                                       Scenario(native_config(1))))
         assert executor._pool is None
     assert isinstance(result, CellResult)
     assert executor.stats.compiles == executor.stats.sims_executed == 1

@@ -30,13 +30,14 @@ from repro.experiments.engine import (CACHE_SCHEMA, Cell,
                                       CellResult, ResultCache)
 from repro.faults import (CACHE_CORRUPT, CACHE_ENOSPC, CACHE_READONLY,
                           CELL_HANG, WORKER_CRASH, FaultPlan, FaultSpec)
+from repro.sim.scenario import Scenario
 
 from tests.experiments.test_streaming import _small_axpy
 
 
 def _cell(config=None, n_elements: int = 256) -> Cell:
-    return Cell(workload=_small_axpy(n_elements),
-                config=config or native_config(1))
+    return Cell(_small_axpy(n_elements),
+                Scenario(config or native_config(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +267,8 @@ def test_deterministic_cell_errors_fail_fast(tmp_path):
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"),
                             retries=3, backoff_s=0.0)
     with pytest.raises(CellExecutionError):
-        executor.run_one(Cell(workload=_arm(RaisingAxpy(), armed=True),
-                              config=native_config(1)))
+        executor.run_one(Cell(_arm(RaisingAxpy(), armed=True),
+                              Scenario(native_config(1))))
     assert executor.stats.retries == 0  # no budget burned reproducing it
 
 

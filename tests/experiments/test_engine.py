@@ -17,6 +17,7 @@ from repro.experiments.engine import (
     program_fingerprint,
 )
 from repro.power.mcpat import EnergyReport, McPatModel
+from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
 from repro.vpu.params import TimingParams
 from repro.workloads import get_workload
@@ -63,18 +64,21 @@ def test_chunk_by_workload_owns_the_stride_arithmetic():
 # cache keying
 # ---------------------------------------------------------------------------
 def test_cell_key_is_stable_across_recompiles():
-    cell = Cell(workload="axpy", config=native_config(1))
+    cell = Cell("axpy", Scenario(native_config(1)))
     assert _key(cell) == _key(cell)
 
 
 def test_cell_key_misses_on_any_input_change():
-    base = Cell(workload="axpy", config=ava_config(8))
+    base = Cell("axpy", Scenario(ava_config(8)))
     variants = [
-        Cell(workload="axpy", config=ava_config(4)),  # config field
-        Cell(workload="blackscholes", config=ava_config(8)),  # program
-        replace(base, params=replace(TimingParams(), arith_dead_time=4)),
-        replace(base, policy=CellPolicy(victim_policy=VictimPolicy.FIFO)),
-        replace(base, policy=CellPolicy(aggressive_reclamation=False)),
+        Cell("axpy", Scenario(ava_config(4))),  # config field
+        Cell("blackscholes", Scenario(ava_config(8))),  # program
+        Cell("axpy", Scenario(ava_config(8), timing=replace(
+            TimingParams(), arith_dead_time=4))),
+        Cell("axpy", Scenario(ava_config(8), policy=CellPolicy(
+            victim_policy=VictimPolicy.FIFO))),
+        Cell("axpy", Scenario(ava_config(8), policy=CellPolicy(
+            aggressive_reclamation=False))),
         replace(base, check=True),
         replace(base, warm=False),
     ]
@@ -88,9 +92,9 @@ def test_cell_key_sees_the_workload_compile_inputs():
     small = get_workload("axpy")
     small.n_elements = 128
     config = native_config(1)
-    named = Cell(workload="axpy", config=config)
-    assert _key(Cell(workload=small, config=config)) != _key(named)
-    assert _key(Cell(workload=get_workload("axpy"), config=config)) == \
+    named = Cell("axpy", Scenario(config))
+    assert _key(Cell(small, Scenario(config))) != _key(named)
+    assert _key(Cell(get_workload("axpy"), Scenario(config))) == \
         _key(named)
 
 
@@ -98,7 +102,7 @@ def test_cell_key_includes_the_code_fingerprint(monkeypatch):
     """A package source edit must invalidate every cached result."""
     import repro.experiments.engine as engine
 
-    cell = Cell(workload="axpy", config=native_config(1))
+    cell = Cell("axpy", Scenario(native_config(1)))
     before = _key(cell)
     monkeypatch.setattr(engine, "_CODE_FINGERPRINT", "simulated-code-edit")
     assert _key(cell) != before
@@ -170,7 +174,7 @@ def test_energy_report_roundtrip_is_exact():
 # ---------------------------------------------------------------------------
 def test_cache_hit_and_miss_counters(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    cell = Cell(workload="axpy", config=native_config(1))
+    cell = Cell("axpy", Scenario(native_config(1)))
 
     cold = CellExecutor(cache=cache)
     first = cold.run_one(cell)
@@ -190,9 +194,9 @@ def test_cache_hit_and_miss_counters(tmp_path):
 def test_changed_knob_is_a_cache_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     executor = CellExecutor(cache=cache)
-    executor.run_one(Cell(workload="axpy", config=native_config(1)))
-    executor.run_one(Cell(workload="axpy", config=native_config(1),
-                          policy=CellPolicy(aggressive_reclamation=False)))
+    executor.run_one(Cell("axpy", Scenario(native_config(1))))
+    executor.run_one(Cell("axpy", Scenario(
+        native_config(1), policy=CellPolicy(aggressive_reclamation=False))))
     assert executor.stats.sims_executed == 2
     assert executor.stats.cache_hits == 0
 
@@ -200,7 +204,7 @@ def test_changed_knob_is_a_cache_miss(tmp_path):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     executor = CellExecutor(cache=cache)
-    result = executor.run_one(Cell(workload="axpy", config=native_config(1)))
+    result = executor.run_one(Cell("axpy", Scenario(native_config(1))))
     # Both syntactically broken and structurally truncated entries must
     # re-simulate, never crash the render.
     for corruption in ("{not json", '{"schema": 1}', '[1, 2]'):
@@ -224,7 +228,7 @@ def test_program_fingerprint_sees_tiny_scalar_differences():
 
 def test_duplicate_cells_in_one_batch_simulate_once():
     executor = CellExecutor()
-    cell = Cell(workload="axpy", config=native_config(1))
+    cell = Cell("axpy", Scenario(native_config(1)))
     results = executor.run([cell, cell, cell])
     assert executor.stats.sims_executed == 1
     assert results[0].stats == results[1].stats == results[2].stats
@@ -238,10 +242,10 @@ def test_compilation_is_memoized_per_workload_config_pair(tmp_path):
     none at all warm: the key hashes compile inputs, so cache hits never
     need a program."""
     cells = [
-        Cell(workload="axpy", config=native_config(1)),
-        Cell(workload="axpy", config=native_config(1), warm=False),
-        Cell(workload="axpy", config=ava_config(2)),
-        Cell(workload="blackscholes", config=native_config(1)),
+        Cell("axpy", Scenario(native_config(1))),
+        Cell("axpy", Scenario(native_config(1)), warm=False),
+        Cell("axpy", Scenario(ava_config(2))),
+        Cell("blackscholes", Scenario(native_config(1))),
     ]
     cold = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     cold.run(cells)
@@ -264,8 +268,8 @@ def test_instance_backed_cells_do_not_share_the_memo():
     small.n_elements = 128
     executor = CellExecutor()
     config = native_config(1)
-    results = executor.run([Cell(workload=small, config=config),
-                            Cell(workload="axpy", config=config)])
+    results = executor.run([Cell(small, Scenario(config)),
+                            Cell("axpy", Scenario(config))])
     assert executor.stats.compiles == 2
     assert (results[0].stats.cycles != results[1].stats.cycles)
 
@@ -276,14 +280,14 @@ def test_instance_memo_lives_per_batch_only():
     workload = get_workload("axpy")
     config = native_config(1)
     executor = CellExecutor()
-    cell = Cell(workload=workload, config=config)
+    cell = Cell(workload, Scenario(config))
     first = executor.run([cell, cell])  # one compile for both
     assert executor.stats.compiles == 1
 
     workload.n_elements = 128
     second = executor.run_one(cell)
     assert executor.stats.compiles == 2  # recompiled after the mutation
-    fresh = CellExecutor().run_one(Cell(workload=workload, config=config))
+    fresh = CellExecutor().run_one(Cell(workload, Scenario(config)))
     assert second.stats.cycles == fresh.stats.cycles
     assert second.stats.cycles != first[0].stats.cycles
 
@@ -291,8 +295,8 @@ def test_instance_memo_lives_per_batch_only():
 def test_stats_are_consistent_without_a_cache():
     """cache=None is 'every cell misses', not '0 misses, N simulated'."""
     executor = CellExecutor()
-    executor.run([Cell(workload="axpy", config=native_config(1)),
-                  Cell(workload="axpy", config=ava_config(2))])
+    executor.run([Cell("axpy", Scenario(native_config(1))),
+                  Cell("axpy", Scenario(ava_config(2)))])
     stats = executor.stats
     assert stats.cells_requested == 2
     assert stats.cache_hits == 0
@@ -316,7 +320,7 @@ def test_cache_entries_honor_the_umask(tmp_path, monkeypatch):
     try:
         cache = ResultCache(tmp_path / "cache")
         CellExecutor(cache=cache).run_one(
-            Cell(workload="axpy", config=native_config(1)))
+            Cell("axpy", Scenario(native_config(1))))
         entries = list((tmp_path / "cache").glob("*.json"))
         assert len(entries) == 1
         mode = stat.S_IMODE(entries[0].stat().st_mode)
@@ -328,7 +332,7 @@ def test_cache_entries_honor_the_umask(tmp_path, monkeypatch):
 def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     CellExecutor(cache=cache).run_one(
-        Cell(workload="axpy", config=native_config(1)))
+        Cell("axpy", Scenario(native_config(1))))
     assert cache.clear() == 1
     assert cache.clear() == 0
 
@@ -398,7 +402,7 @@ def test_batch_order_does_not_change_any_result():
 
 
 def test_check_cells_carry_correctness_through_the_cache(tmp_path):
-    cell = Cell(workload="axpy", config=native_config(1), check=True)
+    cell = Cell("axpy", Scenario(native_config(1)), check=True)
     cache = ResultCache(tmp_path / "cache")
     first = CellExecutor(cache=cache).run_one(cell)
     assert first.correct is True

@@ -11,6 +11,7 @@ from repro.core.config import ava_config, native_config
 from repro.experiments.engine import Cell, CellExecutor, figure3_spec
 from repro.experiments.figure3 import build_panels
 from repro.experiments.figure4 import build_figure4
+from repro.sim.scenario import Scenario
 from repro.workloads import EXTENDED_WORKLOAD_NAMES
 
 #: MVL 16 / 64 / 128 — short, mid and the most swap-intensive point.
@@ -20,7 +21,7 @@ MVL_GRID = [native_config(1), ava_config(4), ava_config(8)]
 @pytest.mark.parametrize("name", EXTENDED_WORKLOAD_NAMES)
 def test_new_workloads_check_true_across_the_mvl_grid(name):
     executor = CellExecutor()
-    cells = [Cell(workload=name, config=config, check=True)
+    cells = [Cell(name, Scenario(config), check=True)
              for config in MVL_GRID]
     results = executor.run(cells)
     for result in results:

@@ -8,6 +8,7 @@ from repro.experiments.figure3 import build_panels
 from repro.experiments.figure4 import build_figure4
 from repro.experiments.figure5 import build_figure5, render_figure5
 from repro.core.config import SCALE_FACTORS, ava_config, native_config
+from repro.sim.scenario import Scenario
 from repro.workloads import get_workload
 
 
@@ -42,7 +43,7 @@ def test_figure4_from_precomputed_records():
     cfgs = ([native_config(s) for s in SCALE_FACTORS]
             + [ava_config(s) for s in SCALE_FACTORS])
     results = CellExecutor().run(
-        [Cell(workload=get_workload("axpy"), config=cfg) for cfg in cfgs])
+        [Cell(get_workload("axpy"), Scenario(cfg)) for cfg in cfgs])
     records = {"axpy": fill_speedups(
         [record_from_result(r) for r in results])}
     fig4 = build_figure4(per_workload=records)

@@ -20,6 +20,7 @@ from repro.experiments.tables import (
     render_table5,
 )
 from repro.core.config import native_config
+from repro.sim.scenario import Scenario
 from repro.workloads import get_workload
 
 
@@ -42,7 +43,7 @@ def test_x3_has_no_rg_equivalent():
 
 def test_engine_cell_with_check():
     result = CellExecutor().run_one(
-        Cell(workload=get_workload("axpy"), config=native_config(1),
+        Cell(get_workload("axpy"), Scenario(native_config(1)),
              check=True))
     record = record_from_result(result)
     assert record.correct is True
@@ -52,7 +53,7 @@ def test_engine_cell_with_check():
 
 def test_fill_speedups_normalises_against_the_baseline():
     results = CellExecutor().run(
-        [Cell(workload="axpy", config=cfg)
+        [Cell("axpy", Scenario(cfg))
          for cfg in (native_config(1), native_config(8))])
     records = fill_speedups([record_from_result(r) for r in results])
     assert records[0].speedup == pytest.approx(1.0)

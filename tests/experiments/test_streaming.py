@@ -32,6 +32,7 @@ from repro.experiments.engine import (
     average_speedups,
 )
 from repro.power.mcpat import McPatModel
+from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
 from repro.vpu.params import DEFAULT_TIMING
 from repro.workloads import get_workload
@@ -181,10 +182,10 @@ def _grid_40() -> SweepSpec:
 # failure isolation: a raising cell becomes a CellError
 # ---------------------------------------------------------------------------
 def test_raising_cell_does_not_discard_the_batch(tmp_path):
-    cells = [Cell(workload="axpy", config=native_config(1)),
-             Cell(workload=_arm(RaisingAxpy(), armed=True),
-                  config=native_config(1)),
-             Cell(workload="axpy", config=ava_config(2))]
+    cells = [Cell("axpy", Scenario(native_config(1))),
+             Cell(_arm(RaisingAxpy(), armed=True),
+                  Scenario(native_config(1))),
+             Cell("axpy", Scenario(ava_config(2)))]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     with pytest.raises(CellExecutionError) as err:
         executor.run(cells)
@@ -207,9 +208,9 @@ def test_raising_cell_does_not_discard_the_batch(tmp_path):
 
 
 def test_errors_return_mode_yields_cell_errors_in_place(tmp_path):
-    cells = [Cell(workload="axpy", config=native_config(1)),
-             Cell(workload=_arm(RaisingAxpy(), armed=True),
-                  config=native_config(1))]
+    cells = [Cell("axpy", Scenario(native_config(1))),
+             Cell(_arm(RaisingAxpy(), armed=True),
+                  Scenario(native_config(1)))]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     results = executor.run(cells, errors="return")
     assert isinstance(results[0], CellResult)
@@ -220,10 +221,10 @@ def test_errors_return_mode_yields_cell_errors_in_place(tmp_path):
 
 
 def test_raising_cell_is_isolated_under_a_parallel_pool(tmp_path):
-    cells = [Cell(workload="axpy", config=cfg)
+    cells = [Cell("axpy", Scenario(cfg))
              for cfg in (native_config(1), ava_config(2), ava_config(4))]
-    cells.insert(1, Cell(workload=_arm(RaisingAxpy(), armed=True),
-                         config=native_config(1)))
+    cells.insert(1, Cell(_arm(RaisingAxpy(), armed=True),
+                         Scenario(native_config(1))))
     with CellExecutor(jobs=2, cache=ResultCache(tmp_path / "cache")) as ex:
         results = ex.run(cells, errors="return")
         assert sum(isinstance(r, CellError) for r in results) == 1
@@ -237,9 +238,9 @@ def test_compile_failure_is_isolated_per_cell(tmp_path):
     sharing the failing (workload, config) pair share one CellError while
     the reported counts stay per cell."""
     bomb = CompileBomb()
-    cells = [Cell(workload="axpy", config=native_config(1)),
-             Cell(workload=bomb, config=native_config(1)),
-             Cell(workload=bomb, config=native_config(1), warm=False)]
+    cells = [Cell("axpy", Scenario(native_config(1))),
+             Cell(bomb, Scenario(native_config(1))),
+             Cell(bomb, Scenario(native_config(1)), warm=False)]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     results = executor.run(cells, errors="return")
     assert isinstance(results[0], CellResult)
@@ -262,9 +263,9 @@ def test_compile_failure_is_isolated_per_cell(tmp_path):
 
 
 def test_compile_failure_is_isolated_under_a_parallel_pool(tmp_path):
-    cells = [Cell(workload="axpy", config=cfg)
+    cells = [Cell("axpy", Scenario(cfg))
              for cfg in (native_config(1), ava_config(2))]
-    cells.append(Cell(workload=CompileBomb(), config=native_config(1)))
+    cells.append(Cell(CompileBomb(), Scenario(native_config(1))))
     with CellExecutor(jobs=2, cache=ResultCache(tmp_path / "cache")) as ex:
         results = ex.run(cells, errors="return")
         assert [isinstance(r, CellError) for r in results] == [
@@ -329,10 +330,10 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     dying = _arm(DieWhenFlagged(), flag_path=str(flag),
                  watch_dir=str(cache_dir), neighbours=4)
 
-    goods = [Cell(workload="axpy", config=cfg)
+    goods = [Cell("axpy", Scenario(cfg))
              for cfg in (native_config(1), ava_config(2), ava_config(4),
                          ava_config(8))]
-    cells = goods + [Cell(workload=dying, config=native_config(1))]
+    cells = goods + [Cell(dying, Scenario(native_config(1)))]
 
     executor = CellExecutor(jobs=2, cache=ResultCache(cache_dir))
     with pytest.raises(CellExecutionError) as err:
@@ -345,7 +346,7 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     # The executor survives the death: the next batch gets a fresh pool.
     # (Its two cells use a different key, so `cached` stays grid-only.)
     survivors = executor.run(
-        [Cell(workload=_small_axpy(128), config=cfg)
+        [Cell(_small_axpy(128), Scenario(cfg))
          for cfg in (native_config(1), ava_config(2))])
     assert all(isinstance(r, CellResult) for r in survivors)
     executor.close()
@@ -370,8 +371,8 @@ def test_worker_death_during_compile_fan_out_is_retried(tmp_path):
     flag.write_text("armed")
     dying = DieInCompile()
     dying.flag_path = str(flag)
-    cells = [Cell(workload=dying, config=native_config(1))] + [
-        Cell(workload="lavamd", config=cfg)
+    cells = [Cell(dying, Scenario(native_config(1)))] + [
+        Cell("lavamd", Scenario(cfg))
         for cfg in (native_config(1), ava_config(2), ava_config(4),
                     ava_config(8))]
     pairs = {(cell.workload, CompileSignature.from_config(cell.config))
@@ -389,8 +390,8 @@ def test_deadline_bounds_a_hung_compile(jobs):
     """The per-cell deadline covers the compile, not just the simulation:
     inline the alarm interrupts it, pooled the watchdog kills the worker.
     A healthy compile sharing the batch is collateral, never charged."""
-    cells = [Cell(workload=HangInCompile(), config=native_config(1)),
-             Cell(workload="axpy", config=native_config(1))]
+    cells = [Cell(HangInCompile(), Scenario(native_config(1))),
+             Cell("axpy", Scenario(native_config(1)))]
     with CellExecutor(jobs=jobs, deadline_s=0.5, retries=0) as executor:
         start = time.monotonic()
         results = executor.run(cells, errors="return")
@@ -406,8 +407,8 @@ def test_deadline_bounds_a_hung_compile(jobs):
 def test_inline_compile_deadline_disarms_its_alarm():
     previous = signal.getsignal(signal.SIGALRM)
     executor = CellExecutor(deadline_s=0.3, retries=0)
-    result = executor.run_one(Cell(workload=HangInCompile(),
-                                   config=native_config(1)), errors="return")
+    result = executor.run_one(Cell(HangInCompile(), Scenario(native_config(1))),
+                              errors="return")
     assert isinstance(result, CellError)
     assert signal.getsignal(signal.SIGALRM) is previous
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
@@ -419,8 +420,8 @@ def test_transient_compile_failure_is_retried(jobs, tmp_path):
     flag.write_text("armed")
     flaky = FlakyCompile()
     flaky.flag_path = str(flag)
-    cells = [Cell(workload=flaky, config=native_config(1)),
-             Cell(workload="axpy", config=ava_config(8))]
+    cells = [Cell(flaky, Scenario(native_config(1))),
+             Cell("axpy", Scenario(ava_config(8)))]
     with CellExecutor(jobs=jobs, retries=2, backoff_s=0.01) as executor:
         results = executor.run(cells)
     assert not flag.exists()  # the fault fired
@@ -434,8 +435,8 @@ def test_transient_compile_failure_is_retried(jobs, tmp_path):
 def test_deterministic_compile_failure_fails_fast(jobs):
     """A compile that raises the same way every time is not charged to
     the retry budget: it fails on its first attempt."""
-    cells = [Cell(workload=CompileRaises(), config=native_config(1)),
-             Cell(workload="axpy", config=ava_config(8))]
+    cells = [Cell(CompileRaises(), Scenario(native_config(1))),
+             Cell("axpy", Scenario(ava_config(8)))]
     with CellExecutor(jobs=jobs, retries=3, backoff_s=0.01) as executor:
         results = executor.run(cells, errors="return")
     assert isinstance(results[0], CellError)

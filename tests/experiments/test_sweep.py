@@ -11,6 +11,7 @@ from repro.experiments.engine import (Cell, CellExecutor, ResultCache,
                                       cell_key)
 from repro.experiments.sweep import parse_sweep, run_sweep
 from repro.memory.presets import get_memory_system
+from repro.sim.scenario import Scenario, build_scenario
 
 
 BASE_SPEC = {
@@ -35,7 +36,7 @@ def test_parse_resolves_presets_and_counts_cells():
     for (workload, machine, _, memory, _), cell in pairs:
         assert cell.workload_name == workload
         assert cell.config.name == get_machine(machine).name
-        assert cell.memsys == get_memory_system(memory)
+        assert cell.scenario.memory == get_memory_system(memory)
 
 
 def test_parse_inline_overrides():
@@ -109,16 +110,16 @@ def test_parse_from_file_uses_the_stem_as_name(tmp_path):
 def test_memory_presets_produce_distinct_cache_keys():
     """The memory system must be visible to the key: same workload, same
     machine, different preset -> different entry."""
-    cell_a = Cell(workload="axpy", config=native_config(1))
-    cell_b = Cell(workload="axpy", config=native_config(1),
-                  memsys=get_memory_system("slow-dram"))
-    cell_c = Cell(workload="axpy", config=native_config(1),
-                  memsys=get_memory_system("table2"))
+    cell_a = Cell("axpy", Scenario(native_config(1)))
+    cell_b = Cell("axpy", build_scenario(native_config(1),
+                                         memory="slow-dram"))
+    cell_c = Cell("axpy", build_scenario(native_config(1), memory="table2"))
     key_a = cell_key(cell_a)
     key_b = cell_key(cell_b)
     key_c = cell_key(cell_c)
     assert key_a != key_b
-    # memsys=None IS the table2 platform; both must share one cache entry.
+    # The default scenario IS the table2 platform; both must share one
+    # cache entry.
     assert key_a == key_c
 
 

@@ -15,7 +15,7 @@ from repro.core.config import machine_names
 from repro.experiments.engine import (Cell, ExecutorStats, cell_key,
                                       cell_key_payload)
 from repro.memory.presets import memory_system_names
-from repro.sim.scenario import build_scenario
+from repro.sim.scenario import Scenario, build_scenario
 from repro.vpu.params import timing_names
 
 # Sample the registries once so the strategies stay stable across examples.
@@ -24,7 +24,7 @@ _scenarios = st.builds(build_scenario,
                        memory=st.sampled_from(memory_system_names()),
                        timing=st.sampled_from(timing_names()))
 
-_cells = st.builds(Cell.from_scenario,
+_cells = st.builds(Cell,
                    st.sampled_from(["axpy", "blackscholes", "somier"]),
                    _scenarios,
                    warm=st.booleans(),
@@ -45,9 +45,10 @@ _RESILIENCE = ("retries", "timeouts", "cache_quarantined")
 def test_cell_key_survives_a_scenario_round_trip(cell, fingerprint):
     key = cell_key(cell, fingerprint)
     assert cell_key(cell, fingerprint) == key  # no per-process hash seed
-    clone = Cell.from_scenario(cell.workload_name, cell.scenario(),
-                               functional=cell.functional, warm=cell.warm,
-                               check=cell.check)
+    scenario = Scenario.from_dict(json.loads(
+        json.dumps(cell.scenario.to_dict())))
+    clone = Cell(cell.workload_name, scenario, functional=cell.functional,
+                 warm=cell.warm, check=cell.check)
     assert cell_key(clone, fingerprint) == key
 
 

@@ -47,10 +47,9 @@ def test_scenario_round_trips_through_json(scenario):
 @given(scenario=_scenarios)
 @settings(max_examples=30, deadline=None)
 def test_equal_scenarios_key_identically(scenario):
-    cell = Cell.from_scenario("axpy", scenario)
-    clone = Cell.from_scenario(
-        "axpy", Scenario.from_dict(json.loads(
-            json.dumps(scenario.to_dict()))))
+    cell = Cell("axpy", scenario)
+    clone = Cell("axpy", Scenario.from_dict(json.loads(
+        json.dumps(scenario.to_dict()))))
     assert cell_key(cell, _AXPY) == cell_key(clone, _AXPY)
 
 
@@ -58,6 +57,6 @@ def test_equal_scenarios_key_identically(scenario):
 @settings(max_examples=30, deadline=None)
 def test_distinct_scenarios_never_collide(a, b):
     """Different scenario -> different cache key (same workload)."""
-    key_a = cell_key(Cell.from_scenario("axpy", a), _AXPY)
-    key_b = cell_key(Cell.from_scenario("axpy", b), _AXPY)
+    key_a = cell_key(Cell("axpy", a), _AXPY)
+    key_b = cell_key(Cell("axpy", b), _AXPY)
     assert (key_a == key_b) == (a == b)

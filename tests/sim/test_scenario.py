@@ -30,7 +30,6 @@ from repro.vpu.params import (
     timing_names,
     unregister_timing,
 )
-from repro.vpu.pipeline import VectorPipeline
 from repro.workloads import get_workload
 
 
@@ -167,34 +166,11 @@ def test_simulator_accepts_a_scenario():
     assert result.stats.cycles != default.stats.cycles
 
 
-def test_scenario_equals_equivalent_loose_arguments():
-    """A default-memory scenario is byte-identical to the loose-kwargs path."""
+def test_bare_config_equals_the_default_scenario():
+    """A bare MachineConfig means ``Scenario(machine=config)``: the paper
+    defaults for every other axis, byte-identical statistics."""
     config = ava_config(8)
     program = get_workload("blackscholes").compile(config).program
     via_scenario = Simulator(build_scenario(config), program).run()
-    via_kwargs = Simulator(config, program).run()
-    assert via_scenario.stats.to_dict() == via_kwargs.stats.to_dict()
-
-
-def test_pipeline_rejects_scenario_plus_loose_arguments():
-    scenario = build_scenario("native-x1")
-    program = get_workload("axpy").compile(scenario.machine).program
-    with pytest.raises(ValueError):
-        VectorPipeline(scenario, program, params=DEFAULT_TIMING)
-    with pytest.raises(ValueError):
-        VectorPipeline(scenario, program,
-                       victim_policy=VictimPolicy.FIFO)
-    with pytest.raises(ValueError):
-        VectorPipeline(scenario, program, aggressive_reclamation=False)
-
-
-def test_simulator_rejects_scenario_plus_loose_arguments():
-    """Loose kwargs must never be silently shadowed by the scenario."""
-    scenario = build_scenario("native-x1")
-    program = get_workload("axpy").compile(scenario.machine).program
-    with pytest.raises(ValueError):
-        Simulator(scenario, program, params=DEFAULT_TIMING)
-    with pytest.raises(ValueError):
-        Simulator(scenario, program, victim_policy=VictimPolicy.FIFO)
-    with pytest.raises(ValueError):
-        Simulator(scenario, program, aggressive_reclamation=False)
+    via_config = Simulator(config, program).run()
+    assert via_scenario.stats.to_dict() == via_config.stats.to_dict()

@@ -5,7 +5,8 @@ import pytest
 
 from repro import Simulator, ava_config, native_config
 from repro.memory.cache import CacheConfig
-from repro.memory.hierarchy import MemorySystem, MemorySystemConfig
+from repro.memory.hierarchy import MemorySystemConfig
+from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
 from tests.conftest import axpy_body, compile_kernel
 
@@ -31,8 +32,10 @@ def test_dram_accesses_include_l2_writebacks():
     """axpy's stores dirty lines that a one-line L2 must write back."""
     config = native_config(1)
     program = compile_kernel(axpy_body(), config, 64, {"x": 64, "y": 64})
-    memsys = MemorySystem(MemorySystemConfig(l2=CacheConfig("L2", 64, 64, 1)))
-    stats = Simulator(config, program, memsys=memsys).run().stats
+    one_line_l2 = MemorySystemConfig(l2=CacheConfig("L2", 64, 64, 1))
+    sim = Simulator(Scenario(config, memory=one_line_l2), program)
+    stats = sim.run().stats
+    memsys = sim.pipeline.memsys
     assert memsys.dram.line_writes == memsys.l2.stats.writebacks > 0
     assert stats.dram_accesses == (memsys.dram.line_reads
                                    + memsys.dram.line_writes)

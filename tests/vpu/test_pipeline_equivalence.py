@@ -27,9 +27,9 @@ from repro.core.config import (ava_config, native_config, rg_config,
 from repro.core.swap import VictimPolicy
 from repro.isa.builder import KernelBuilder
 from repro.memory.hierarchy import MemorySystemConfig
-from repro.sim.scenario import build_scenario
+from repro.sim.scenario import CellPolicy, build_scenario
 from repro.sim.trace import TraceRecorder
-from repro.vpu.params import DEFAULT_TIMING, get_timing, timing_names
+from repro.vpu.params import DEFAULT_TIMING, timing_names
 from repro.vpu.pipeline import VectorPipeline
 from repro.vpu.reference import ReferencePipeline
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, get_workload
@@ -50,12 +50,8 @@ def _compile_small(name, config):
     return workload, workload.compile(config).program
 
 
-def _run(cls, workload, program, config, *, functional=True,
-         victim_policy=VictimPolicy.RAC_MIN, aggressive_reclamation=True,
-         params=None):
-    pipe = cls(config, program, params=params, functional=functional,
-               victim_policy=victim_policy,
-               aggressive_reclamation=aggressive_reclamation)
+def _run(cls, workload, program, scenario, functional):
+    pipe = cls(scenario, program, functional=functional)
     recorder = TraceRecorder(pipe)
     data = workload.init_data(np.random.default_rng(42))
     if functional:
@@ -68,13 +64,15 @@ def _run(cls, workload, program, config, *, functional=True,
     return stats, buffers, recorder.events
 
 
-def _assert_equivalent(workload, program, config, **kwargs):
-    """``config`` is a MachineConfig or a Scenario (both pipelines take
-    either)."""
+def _assert_equivalent(workload, program, config, *, functional=True,
+                       **axes):
+    """Run both pipelines on one scenario: ``config`` plus the
+    :func:`build_scenario` axes (``timing``, ``memory``, ``policy``)."""
+    scenario = build_scenario(config, **axes)
     ref_stats, ref_bufs, ref_events = _run(ReferencePipeline, workload,
-                                           program, config, **kwargs)
+                                           program, scenario, functional)
     new_stats, new_bufs, new_events = _run(VectorPipeline, workload,
-                                           program, config, **kwargs)
+                                           program, scenario, functional)
     ref_json = json.dumps(ref_stats.to_dict(), sort_keys=True)
     new_json = json.dumps(new_stats.to_dict(), sort_keys=True)
     assert new_json == ref_json, (
@@ -121,7 +119,8 @@ def test_scheduler_matches_reference(name, config, functional):
 def test_scheduler_matches_reference_victim_policies(policy):
     config = ava_config(8)
     workload, program = _compile_small("blackscholes", config)
-    _assert_equivalent(workload, program, config, victim_policy=policy)
+    _assert_equivalent(workload, program, config,
+                       policy=CellPolicy(victim_policy=policy))
 
 
 @pytest.mark.parametrize("timing_name", timing_names())
@@ -132,15 +131,14 @@ def test_scheduler_matches_reference_timing_presets(timing_name):
     the calibrated default (deep/shallow queues, single/wide swap)."""
     config = ava_config(8)
     workload, program = _compile_small("blackscholes", config)
-    _assert_equivalent(workload, program, config,
-                       params=get_timing(timing_name))
+    _assert_equivalent(workload, program, config, timing=timing_name)
 
 
 def test_scheduler_matches_reference_without_reclamation():
     config = ava_config(8)
     workload, program = _compile_small("blackscholes", config)
     _assert_equivalent(workload, program, config,
-                       aggressive_reclamation=False)
+                       policy=CellPolicy(aggressive_reclamation=False))
 
 
 def test_scheduler_matches_reference_preg_ablation():
@@ -163,14 +161,12 @@ SCENARIO_WORKLOADS = ("jacobi2d", "pathfinder", "spmv", "streamcluster")
 SCENARIO_MACHINES = [ava_config(4), ava_config(8), native_config(8)]
 
 
-def _scenario(machine, memory, budget):
+def _scenario_axes(memory, budget):
     l2, dram = SCENARIO_MEMORY[memory]
     base = MemorySystemConfig()
-    return build_scenario(
-        machine,
-        timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget),
-        memory=replace(base, l2=replace(base.l2, latency=l2),
-                       dram=replace(base.dram, latency=dram)))
+    return {"timing": replace(DEFAULT_TIMING, preissue_swap_budget=budget),
+            "memory": replace(base, l2=replace(base.l2, latency=l2),
+                              dram=replace(base.dram, latency=dram))}
 
 
 @pytest.mark.parametrize("budget", SCENARIO_BUDGETS,
@@ -183,9 +179,9 @@ def test_scheduler_matches_reference_scenarios(name, machine, memory,
     """Both pipelines built from one Scenario: memory latency stretches the
     stall spans the scheduler charges in one step, and the swap budget
     changes how many swap ops pre-issue inserts per cycle."""
-    scenario = _scenario(machine, memory, budget)
-    workload, program = _compile_small(name, scenario.machine)
-    _assert_equivalent(workload, program, scenario)
+    workload, program = _compile_small(name, machine)
+    _assert_equivalent(workload, program, machine,
+                       **_scenario_axes(memory, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro import Simulator, ava_config, native_config
+from repro.sim.scenario import CellPolicy, Scenario
 from tests.conftest import compile_kernel, high_pressure_body
 
 
@@ -67,10 +68,11 @@ def test_reclamation_reduces_swap_traffic():
     config = ava_config(8)
     body = high_pressure_body(18)
     program = compile_kernel(body, config, 256, {"x": 256, "out": 256})
-    on = Simulator(config, program, aggressive_reclamation=True)
+    on = Simulator(config, program)
     on.warm_caches()
     on_stats = on.run().stats
-    off = Simulator(config, program, aggressive_reclamation=False)
+    off = Simulator(Scenario(config, policy=CellPolicy(
+        aggressive_reclamation=False)), program)
     off.warm_caches()
     off_stats = off.run().stats
     assert on_stats.swap_insts <= off_stats.swap_insts
