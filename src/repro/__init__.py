@@ -13,52 +13,53 @@ Public API quick reference::
 See the README's "Architecture" section for the package layers, and
 ``python -m repro claims`` for the paper-versus-measured record of every
 table and figure.
+
+Every public name resolves on first access (PEP 562), so ``import repro``
+loads neither numpy nor the simulator until a caller asks for them.
 """
 
-from repro.core.config import (
-    MachineConfig,
-    MachineMode,
-    ava_config,
-    baseline_config,
-    get_machine,
-    machine_names,
-    native_config,
-    pvrf_registers,
-    register_machine,
-    rg_config,
-    table1_rows,
-)
-from repro.compiler import AllocationResult, StripSchedule, allocate, unroll_kernel
-from repro.isa import Instruction, KernelBuilder, Program
-from repro.sim import CellPolicy, Scenario, SimResult, Simulator, SimStats, build_scenario
-from repro.vpu import TimingParams
-from repro._version import __version__
+from __future__ import annotations
 
-__all__ = [
-    "MachineConfig",
-    "MachineMode",
-    "ava_config",
-    "baseline_config",
-    "native_config",
-    "rg_config",
-    "get_machine",
-    "machine_names",
-    "register_machine",
-    "pvrf_registers",
-    "table1_rows",
-    "CellPolicy",
-    "Scenario",
-    "build_scenario",
-    "AllocationResult",
-    "StripSchedule",
-    "allocate",
-    "unroll_kernel",
-    "Instruction",
-    "KernelBuilder",
-    "Program",
-    "SimResult",
-    "Simulator",
-    "SimStats",
-    "TimingParams",
-    "__version__",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "MachineConfig": "repro.core.config",
+    "MachineMode": "repro.core.config",
+    "ava_config": "repro.core.config",
+    "baseline_config": "repro.core.config",
+    "native_config": "repro.core.config",
+    "rg_config": "repro.core.config",
+    "get_machine": "repro.core.config",
+    "machine_names": "repro.core.config",
+    "register_machine": "repro.core.config",
+    "pvrf_registers": "repro.core.config",
+    "table1_rows": "repro.core.config",
+    "CellPolicy": "repro.sim.scenario",
+    "Scenario": "repro.sim.scenario",
+    "build_scenario": "repro.sim.scenario",
+    "AllocationResult": "repro.compiler.allocator",
+    "StripSchedule": "repro.compiler.trace",
+    "allocate": "repro.compiler.allocator",
+    "unroll_kernel": "repro.compiler.trace",
+    "Instruction": "repro.isa.instructions",
+    "KernelBuilder": "repro.isa.builder",
+    "Program": "repro.isa.program",
+    "SimResult": "repro.sim.simulator",
+    "Simulator": "repro.sim.simulator",
+    "SimStats": "repro.sim.stats",
+    "TimingParams": "repro.vpu.params",
+    "__version__": "repro._version",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

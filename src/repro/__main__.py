@@ -60,9 +60,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from repro.experiments.engine import (DEFAULT_CACHE_DIR, ProgressRenderer,
-                                      default_jobs, make_executor)
+from repro.cachefs import DEFAULT_CACHE_DIR
+
+if TYPE_CHECKING:
+    from repro.experiments.engine import ProgressRenderer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
                         action="store_false",
                         help="disable the live progress line")
     args = parser.parse_args(argv)
+    # Imported only now, so --version and --help load nothing heavy.
+    from repro.experiments.engine import ProgressRenderer, default_jobs
     if args.jobs == "auto":
         args.jobs = default_jobs()
     else:
@@ -238,6 +243,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         except KeyError as exc:
             parser.error(exc.args[0])  # str(KeyError) would repr-quote it
 
+    from repro.experiments.engine import make_executor
     executor = make_executor(jobs=args.jobs, cache=not args.no_cache,
                              cache_dir=args.cache_dir, progress=renderer,
                              deadline_s=args.deadline, retries=args.retries,

@@ -1,16 +1,15 @@
 """Single-source package version.
 
-The authoritative version lives in ``pyproject.toml``.  Installed copies
-read it back through importlib metadata; source checkouts run with
-``PYTHONPATH=src`` (no dist-info on disk), so the fallback parses the
-sibling ``pyproject.toml`` directly.  Either way there is exactly one
-place to bump.
+The authoritative version lives in ``pyproject.toml``.  Source checkouts
+(``PYTHONPATH=src``) read it from the sibling ``pyproject.toml``; only an
+installed copy, which has no such file beside it, imports
+:mod:`importlib.metadata` to read it back from the dist-info.  Either way
+there is exactly one place to bump.
 """
 
 from __future__ import annotations
 
 import re
-from importlib import metadata
 from pathlib import Path
 
 _DIST_NAME = "repro-ava"
@@ -27,10 +26,14 @@ def _from_pyproject() -> str | None:
 
 
 def _resolve() -> str:
+    version = _from_pyproject()
+    if version is not None:
+        return version
+    from importlib import metadata
     try:
         return metadata.version(_DIST_NAME)
     except metadata.PackageNotFoundError:
-        return _from_pyproject() or "0.0.0+unknown"
+        return "0.0.0+unknown"
 
 
 __version__ = _resolve()

@@ -42,6 +42,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro import faults
 
+#: Default on-disk location of the persistent result cache.
+DEFAULT_CACHE_DIR = ".repro-cache"
+
 _PROCESS_UMASK: Optional[int] = None
 
 

@@ -21,20 +21,3 @@ AVA and NATIVE configurations always execute the LMUL=1 binary (32
 architectural registers); Register Grouping configurations execute binaries
 allocated with 32/LMUL registers.
 """
-
-from repro.compiler.liveness import live_pressure
-from repro.compiler.allocator import AllocationResult, allocate
-from repro.compiler.signature import CompileSignature
-from repro.compiler.store import TRACE_SCHEMA, TraceStore
-from repro.compiler.trace import StripSchedule, unroll_kernel
-
-__all__ = [
-    "live_pressure",
-    "AllocationResult",
-    "allocate",
-    "CompileSignature",
-    "TRACE_SCHEMA",
-    "TraceStore",
-    "StripSchedule",
-    "unroll_kernel",
-]

@@ -3,9 +3,9 @@
 Traces arriving here are SSA: every virtual register has exactly one
 definition (the strip-mine unroller renames loop-body temporaries per
 iteration), so a register's live range is [definition, last use] with no
-holes.  :func:`repro.compiler.allocate` derives the same MAXLIVE from its own
-pass (a live counter bumped at each definition and dropped at each release);
-this standalone measure is what kernel characterisation
+holes.  :func:`repro.compiler.allocator.allocate` derives the same MAXLIVE
+from its own pass (a live counter bumped at each definition and dropped at
+each release); this standalone measure is what kernel characterisation
 (:func:`repro.compiler.trace.body_pressure`) and the allocator's tests check
 against.
 """

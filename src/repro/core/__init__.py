@@ -19,36 +19,3 @@ Everything Figure 1 highlights lives here:
 The cycle-by-cycle stage interplay (pre-issue swap generation, dual in-order
 queues, chaining) is composed in :mod:`repro.vpu.pipeline`.
 """
-
-from repro.core.config import (
-    MachineConfig,
-    MachineMode,
-    ava_config,
-    native_config,
-    pvrf_registers,
-    rg_config,
-)
-from repro.core.rat import RenameTable
-from repro.core.rac import RegisterAccessCounters
-from repro.core.vrf_mapping import VRFMapping
-from repro.core.vrf import TwoLevelVRF
-from repro.core.swap import SwapLogic
-from repro.core.rob import ReorderBuffer
-from repro.core.uop import MicroOp, UopState
-
-__all__ = [
-    "MachineConfig",
-    "MachineMode",
-    "ava_config",
-    "native_config",
-    "rg_config",
-    "pvrf_registers",
-    "RenameTable",
-    "RegisterAccessCounters",
-    "VRFMapping",
-    "TwoLevelVRF",
-    "SwapLogic",
-    "ReorderBuffer",
-    "MicroOp",
-    "UopState",
-]

@@ -20,11 +20,13 @@ paper's RAC-guided choice against FIFO and round-robin eviction.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Container, Iterable, Optional,
+                    Sequence)
 
-from repro.core.rac import RegisterAccessCounters
-from repro.core.vrf import TwoLevelVRF
-from repro.core.vrf_mapping import VRFMapping
+if TYPE_CHECKING:
+    from repro.core.rac import RegisterAccessCounters
+    from repro.core.vrf import TwoLevelVRF
+    from repro.core.vrf_mapping import VRFMapping
 
 
 class VictimPolicy(enum.Enum):

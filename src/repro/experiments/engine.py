@@ -50,10 +50,8 @@ from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, TextIO,
                     Tuple, Union)
 
-import numpy as np
-
 from repro import faults
-from repro.cachefs import AtomicJsonStore, source_digest
+from repro.cachefs import DEFAULT_CACHE_DIR, AtomicJsonStore, source_digest
 from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
@@ -62,9 +60,8 @@ from repro.experiments.backends import (  # noqa: F401 — re-exported names
 from repro.isa.instructions import fingerprint_line
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystemConfig
-from repro.power.mcpat import EnergyReport, McPatModel
+from repro.power.mcpat import EnergyReport
 from repro.sim.scenario import CellPolicy, Scenario, build_scenario
-from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 from repro.vpu.params import TimingParams
 from repro.workloads.base import CompiledWorkload, Workload
@@ -86,9 +83,6 @@ DATA_SEED = 42
 #: Schema 5: keys hash the workload's compile fingerprint (the compiler's
 #: inputs) instead of the compiled program (its output).
 CACHE_SCHEMA = 5
-
-#: Default on-disk location of the persistent result cache.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +427,11 @@ def _execute_cell(job: Tuple[Cell, Program, int]) -> dict:
 
 
 def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
+    import numpy as np
+
+    from repro.power.mcpat import McPatModel
+    from repro.sim.simulator import Simulator
+
     cell, program, attempt = job
     plan = faults.active_plan()
     if plan is not None:
@@ -443,6 +442,11 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
                     sanitize=cell.sanitize)
     rng = np.random.default_rng(DATA_SEED)
     data = workload.init_data(rng)
+    shapes = {name: len(values) for name, values in data.items()}
+    if shapes != program.buffers:
+        raise ValueError(
+            f"workload {workload.name!r}: init_data returned buffers "
+            f"{shapes}, but its program declares {program.buffers}")
     if functional:
         for name, values in data.items():
             sim.set_data(name, values)
@@ -819,6 +823,10 @@ class CellExecutor:
     # -- worker-pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Workers fork from this process: importing the simulation
+            # stack here lets every worker inherit it instead of each
+            # importing numpy and the pipeline on its first cell.
+            import repro.sim.simulator  # noqa: F401
             self._pool = ProcessPoolExecutor(max_workers=self.jobs,
                                              initializer=_pool_worker_init)
         return self._pool

@@ -10,8 +10,8 @@ depends on the processing stage:
 
 * straight out of :class:`repro.isa.builder.KernelBuilder` they are *virtual*
   registers (unbounded),
-* after :func:`repro.compiler.allocate` they are *architectural* registers
-  (0..31, or 0..32/LMUL-1 under Register Grouping),
+* after :func:`repro.compiler.allocator.allocate` they are *architectural*
+  registers (0..31, or 0..32/LMUL-1 under Register Grouping),
 * the simulator renames them again onto VVRs and physical registers.
 """
 

@@ -1,4 +1,4 @@
-"""Vector opcodes, their timing classes and functional semantics.
+"""Vector opcodes and their timing classes.
 
 Each opcode carries an :class:`OpInfo` record describing
 
@@ -8,21 +8,16 @@ Each opcode carries an :class:`OpInfo` record describing
 * its pipeline latency in VPU cycles (cycles until the first result element
   is available for chaining), and
 * its throughput cost as ``beats_per_element`` — 1.0 for fully pipelined
-  units, >1 for iterative units such as divide and square root,
-* an optional numpy evaluator used by the functional execution mode.
+  units, >1 for iterative units such as divide and square root.
 
-Integer/bitwise opcodes operate on the 64-bit integer reinterpretation of the
-register contents, which is how the ParticleFilter kernel implements its
-linear congruential generator.
+The numpy evaluators behind the functional execution mode live in
+:mod:`repro.isa.semantics`, so compiling and keying never import numpy.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 
 class OpKind(enum.Enum):
@@ -87,9 +82,6 @@ class Op(enum.Enum):
     SCALAR_BLOCK = "scalar"
 
 
-Evaluator = Callable[[Sequence[np.ndarray], Optional[float]], np.ndarray]
-
-
 @dataclass(frozen=True)
 class OpInfo:
     """Static properties of one opcode.
@@ -104,7 +96,6 @@ class OpInfo:
     uses_scalar: bool
     latency: int
     beats_per_element: float
-    evaluate: Optional[Evaluator]
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -113,25 +104,9 @@ class OpInfo:
         object.__setattr__(self, "is_arith", self.kind is OpKind.ARITH)
 
 
-def _as_int(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.int64)
-
-
-def _as_f64(a: np.ndarray) -> np.ndarray:
-    return a.astype(np.float64)
-
-
-def _safe_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    nz = b != 0
-    out[nz] = a[nz] / b[nz]
-    out[~nz] = 0.0
-    return out
-
-
-def _arith(n_srcs: int, latency: int, fn: Evaluator, *, scalar: bool = False,
+def _arith(n_srcs: int, latency: int, *, scalar: bool = False,
            beats: float = 1.0) -> OpInfo:
-    return OpInfo(OpKind.ARITH, n_srcs, scalar, latency, beats, fn)
+    return OpInfo(OpKind.ARITH, n_srcs, scalar, latency, beats)
 
 
 #: Pipeline latency of the simple FP ops (add-class) in VPU cycles.
@@ -151,98 +126,54 @@ LAT_RED = 8
 
 
 OPCODE_INFO: dict[Op, OpInfo] = {
-    Op.VADD: _arith(2, LAT_SIMPLE, lambda s, f: s[0] + s[1]),
-    Op.VSUB: _arith(2, LAT_SIMPLE, lambda s, f: s[0] - s[1]),
-    Op.VMUL: _arith(2, LAT_MUL, lambda s, f: s[0] * s[1]),
-    Op.VDIV: _arith(2, LAT_DIV, lambda s, f: _safe_div(s[0], s[1]),
-                    beats=BEATS_DIV),
-    Op.VSQRT: _arith(1, LAT_DIV, lambda s, f: np.sqrt(np.abs(s[0])),
-                     beats=BEATS_DIV),
-    Op.VFMADD: _arith(3, LAT_FMA, lambda s, f: s[0] * s[1] + s[2]),
-    Op.VFMADD_VF: _arith(2, LAT_FMA, lambda s, f: f * s[0] + s[1],
-                         scalar=True),
-    Op.VADD_VF: _arith(1, LAT_SIMPLE, lambda s, f: s[0] + f, scalar=True),
-    Op.VSUB_VF: _arith(1, LAT_SIMPLE, lambda s, f: s[0] - f, scalar=True),
-    Op.VRSUB_VF: _arith(1, LAT_SIMPLE, lambda s, f: f - s[0], scalar=True),
-    Op.VMUL_VF: _arith(1, LAT_MUL, lambda s, f: s[0] * f, scalar=True),
-    Op.VDIV_VF: _arith(1, LAT_DIV,
-                       lambda s, f: s[0] / f if f else np.zeros_like(s[0]),
-                       scalar=True, beats=BEATS_DIV),
-    Op.VMAX: _arith(2, LAT_SIMPLE, lambda s, f: np.maximum(s[0], s[1])),
-    Op.VMIN: _arith(2, LAT_SIMPLE, lambda s, f: np.minimum(s[0], s[1])),
-    Op.VMAX_VF: _arith(1, LAT_SIMPLE, lambda s, f: np.maximum(s[0], f),
-                       scalar=True),
-    Op.VMIN_VF: _arith(1, LAT_SIMPLE, lambda s, f: np.minimum(s[0], f),
-                       scalar=True),
-    Op.VABS: _arith(1, LAT_SIMPLE, lambda s, f: np.abs(s[0])),
-    Op.VNEG: _arith(1, LAT_SIMPLE, lambda s, f: -s[0]),
-    Op.VRECIP: _arith(1, LAT_RECIP, lambda s, f: _safe_div(
-        np.ones_like(s[0]), s[0]), beats=BEATS_RECIP),
-    Op.VRSQRT: _arith(1, LAT_RECIP, lambda s, f: _safe_div(
-        np.ones_like(s[0]), np.sqrt(np.abs(s[0]))), beats=BEATS_RECIP),
-    Op.VAND: _arith(2, LAT_SIMPLE,
-                    lambda s, f: _as_f64(_as_int(s[0]) & _as_int(s[1]))),
-    Op.VOR: _arith(2, LAT_SIMPLE,
-                   lambda s, f: _as_f64(_as_int(s[0]) | _as_int(s[1]))),
-    Op.VXOR: _arith(2, LAT_SIMPLE,
-                    lambda s, f: _as_f64(_as_int(s[0]) ^ _as_int(s[1]))),
-    Op.VAND_VI: _arith(1, LAT_SIMPLE,
-                       lambda s, f: _as_f64(_as_int(s[0]) & int(f)),
-                       scalar=True),
-    Op.VSLL_VI: _arith(1, LAT_SIMPLE,
-                       lambda s, f: _as_f64(_as_int(s[0]) << int(f)),
-                       scalar=True),
-    Op.VSRL_VI: _arith(1, LAT_SIMPLE,
-                       lambda s, f: _as_f64(_as_int(s[0]) >> int(f)),
-                       scalar=True),
-    Op.VMFLT: _arith(2, LAT_SIMPLE,
-                     lambda s, f: (s[0] < s[1]).astype(np.float64)),
-    Op.VMFLE: _arith(2, LAT_SIMPLE,
-                     lambda s, f: (s[0] <= s[1]).astype(np.float64)),
-    Op.VMFEQ: _arith(2, LAT_SIMPLE,
-                     lambda s, f: (s[0] == s[1]).astype(np.float64)),
-    Op.VMERGE: _arith(3, LAT_SIMPLE,
-                      lambda s, f: np.where(s[0] != 0.0, s[1], s[2])),
-    Op.VREDSUM: _arith(1, LAT_RED,
-                       lambda s, f: np.full_like(s[0], s[0].sum())),
-    Op.VREDMAX: _arith(1, LAT_RED,
-                       lambda s, f: np.full_like(s[0], s[0].max())),
-    Op.VREDMIN: _arith(1, LAT_RED,
-                       lambda s, f: np.full_like(s[0], s[0].min())),
-    Op.VMV: _arith(1, LAT_SIMPLE, lambda s, f: s[0].copy()),
-    Op.VFMV_VF: _arith(0, LAT_SIMPLE, None, scalar=True),
-    Op.VID: _arith(0, LAT_SIMPLE, None),
+    Op.VADD: _arith(2, LAT_SIMPLE),
+    Op.VSUB: _arith(2, LAT_SIMPLE),
+    Op.VMUL: _arith(2, LAT_MUL),
+    Op.VDIV: _arith(2, LAT_DIV, beats=BEATS_DIV),
+    Op.VSQRT: _arith(1, LAT_DIV, beats=BEATS_DIV),
+    Op.VFMADD: _arith(3, LAT_FMA),
+    Op.VFMADD_VF: _arith(2, LAT_FMA, scalar=True),
+    Op.VADD_VF: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VSUB_VF: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VRSUB_VF: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VMUL_VF: _arith(1, LAT_MUL, scalar=True),
+    Op.VDIV_VF: _arith(1, LAT_DIV, scalar=True, beats=BEATS_DIV),
+    Op.VMAX: _arith(2, LAT_SIMPLE),
+    Op.VMIN: _arith(2, LAT_SIMPLE),
+    Op.VMAX_VF: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VMIN_VF: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VABS: _arith(1, LAT_SIMPLE),
+    Op.VNEG: _arith(1, LAT_SIMPLE),
+    Op.VRECIP: _arith(1, LAT_RECIP, beats=BEATS_RECIP),
+    Op.VRSQRT: _arith(1, LAT_RECIP, beats=BEATS_RECIP),
+    Op.VAND: _arith(2, LAT_SIMPLE),
+    Op.VOR: _arith(2, LAT_SIMPLE),
+    Op.VXOR: _arith(2, LAT_SIMPLE),
+    Op.VAND_VI: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VSLL_VI: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VSRL_VI: _arith(1, LAT_SIMPLE, scalar=True),
+    Op.VMFLT: _arith(2, LAT_SIMPLE),
+    Op.VMFLE: _arith(2, LAT_SIMPLE),
+    Op.VMFEQ: _arith(2, LAT_SIMPLE),
+    Op.VMERGE: _arith(3, LAT_SIMPLE),
+    Op.VREDSUM: _arith(1, LAT_RED),
+    Op.VREDMAX: _arith(1, LAT_RED),
+    Op.VREDMIN: _arith(1, LAT_RED),
+    Op.VMV: _arith(1, LAT_SIMPLE),
+    Op.VFMV_VF: _arith(0, LAT_SIMPLE, scalar=True),
+    Op.VID: _arith(0, LAT_SIMPLE),
     # Memory latency is supplied by the memory hierarchy at simulation time;
     # the `latency` recorded here is only the address-generation overhead.
-    Op.VLE: OpInfo(OpKind.MEM_LOAD, 0, False, 0, 1.0, None),
-    Op.VSE: OpInfo(OpKind.MEM_STORE, 1, False, 0, 1.0, None),
-    Op.VLSE: OpInfo(OpKind.MEM_LOAD, 0, False, 0, 1.0, None),
-    Op.VSSE: OpInfo(OpKind.MEM_STORE, 1, False, 0, 1.0, None),
-    Op.VLXE: OpInfo(OpKind.MEM_LOAD, 1, False, 0, 1.0, None),
-    Op.VSXE: OpInfo(OpKind.MEM_STORE, 2, False, 0, 1.0, None),
-    Op.SCALAR_BLOCK: OpInfo(OpKind.SCALAR, 0, True, 0, 0.0, None),
+    Op.VLE: OpInfo(OpKind.MEM_LOAD, 0, False, 0, 1.0),
+    Op.VSE: OpInfo(OpKind.MEM_STORE, 1, False, 0, 1.0),
+    Op.VLSE: OpInfo(OpKind.MEM_LOAD, 0, False, 0, 1.0),
+    Op.VSSE: OpInfo(OpKind.MEM_STORE, 1, False, 0, 1.0),
+    Op.VLXE: OpInfo(OpKind.MEM_LOAD, 1, False, 0, 1.0),
+    Op.VSXE: OpInfo(OpKind.MEM_STORE, 2, False, 0, 1.0),
+    Op.SCALAR_BLOCK: OpInfo(OpKind.SCALAR, 0, True, 0, 0.0),
 }
 
 
 def op_info(op: Op) -> OpInfo:
     """Look up the :class:`OpInfo` for ``op`` (raises ``KeyError`` if absent)."""
     return OPCODE_INFO[op]
-
-
-def evaluate_arith(op: Op, srcs: Sequence[np.ndarray],
-                   scalar: Optional[float], vl: int) -> np.ndarray:
-    """Functionally evaluate an arithmetic opcode over ``vl`` elements.
-
-    The zero-source generator opcodes (``vfmv``, ``vid``) are handled here
-    because their result depends only on ``vl`` and the scalar operand.
-    """
-    info = OPCODE_INFO[op]
-    if not info.is_arith:
-        raise ValueError(f"{op} is not an arithmetic opcode")
-    if op is Op.VFMV_VF:
-        return np.full(vl, float(scalar), dtype=np.float64)
-    if op is Op.VID:
-        return np.arange(vl, dtype=np.float64)
-    assert info.evaluate is not None
-    clipped = [np.asarray(s[:vl], dtype=np.float64) for s in srcs]
-    return info.evaluate(clipped, scalar)

@@ -10,27 +10,3 @@ a flat-latency DRAM model, and the composed :class:`MemorySystem` the
 simulator and the energy model share (the energy model consumes the access
 counters).
 """
-
-from repro.memory.cache import Cache, CacheConfig, CacheStats
-from repro.memory.dram import Dram, DramConfig
-from repro.memory.hierarchy import MemorySystem, MemorySystemConfig
-from repro.memory.presets import (
-    get_memory_system,
-    memory_system_names,
-    register_memory_system,
-    unregister_memory_system,
-)
-
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "CacheStats",
-    "Dram",
-    "DramConfig",
-    "MemorySystem",
-    "MemorySystemConfig",
-    "get_memory_system",
-    "memory_system_names",
-    "register_memory_system",
-    "unregister_memory_system",
-]

@@ -11,25 +11,3 @@ Three layers:
 * :mod:`repro.power.physical` / :mod:`repro.power.floorplan` — the
   synthesis/place-and-route surrogate behind Table V and Figure 5.
 """
-
-from repro.power.technology import Technology, TECH_22NM
-from repro.power.sram import SramMacro, sram_area_mm2, sram_leakage_mw, sram_access_energy_pj
-from repro.power.mcpat import AreaReport, EnergyReport, McPatModel
-from repro.power.physical import PhysicalDesignModel, PnrResult
-from repro.power.floorplan import Floorplan, build_floorplan
-
-__all__ = [
-    "Technology",
-    "TECH_22NM",
-    "SramMacro",
-    "sram_area_mm2",
-    "sram_leakage_mw",
-    "sram_access_energy_pj",
-    "AreaReport",
-    "EnergyReport",
-    "McPatModel",
-    "PhysicalDesignModel",
-    "PnrResult",
-    "Floorplan",
-    "build_floorplan",
-]

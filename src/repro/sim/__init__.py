@@ -10,23 +10,3 @@
 It wires a :class:`repro.vpu.pipeline.VectorPipeline` to a memory layout and
 collects :class:`repro.sim.stats.SimStats`.
 """
-
-from repro.sim.layout import MemoryLayout
-from repro.sim.scenario import CellPolicy, Scenario, build_scenario
-from repro.sim.stats import SimStats
-from repro.sim.simulator import Simulator, SimResult
-from repro.sim.golden import GoldenExecutor
-from repro.sim.trace import TraceEvent, TraceRecorder
-
-__all__ = [
-    "MemoryLayout",
-    "CellPolicy",
-    "Scenario",
-    "build_scenario",
-    "SimStats",
-    "Simulator",
-    "SimResult",
-    "GoldenExecutor",
-    "TraceEvent",
-    "TraceRecorder",
-]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.config import MachineConfig
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import evaluate_arith
+from repro.isa.semantics import evaluate_arith
 from repro.isa.program import Program
 from repro.sim.layout import MemoryLayout
 

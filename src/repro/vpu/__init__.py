@@ -7,15 +7,3 @@ and memory queues.  :class:`repro.vpu.pipeline.VectorPipeline` composes the
 :mod:`repro.core` structures into that machine and advances it cycle by
 cycle.
 """
-
-from repro.vpu.params import TimingParams
-from repro.vpu.vmu import VectorMemoryUnit, MemoryAccessPlan
-from repro.vpu.pipeline import VectorPipeline, DeadlockError
-
-__all__ = [
-    "TimingParams",
-    "VectorMemoryUnit",
-    "MemoryAccessPlan",
-    "VectorPipeline",
-    "DeadlockError",
-]

@@ -59,7 +59,8 @@ from repro.core.uop import MicroOp, UopState
 from repro.core.vrf import TwoLevelVRF
 from repro.core.vrf_mapping import VRFMapping
 from repro.isa.instructions import Instruction, Tag
-from repro.isa.opcodes import Op, evaluate_arith
+from repro.isa.opcodes import Op
+from repro.isa.semantics import evaluate_arith
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.layout import MemoryLayout

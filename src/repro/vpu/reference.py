@@ -55,7 +55,7 @@ from typing import List, Optional
 
 from repro.core.uop import MicroOp, UopState
 from repro.isa.instructions import Tag
-from repro.isa.opcodes import evaluate_arith
+from repro.isa.semantics import evaluate_arith
 from repro.sim.stats import SimStats
 from repro.vpu.pipeline import (_CREATED, _OK, _STALL_VICTIM, DeadlockError,
                                 PipelineModel)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.isa.instructions import Instruction
 from repro.isa.registers import ELEMENT_BYTES
 from repro.memory.hierarchy import MemorySystem
@@ -73,9 +71,8 @@ class VectorMemoryUnit:
         """Compute the access plan for ``inst`` (mutates cache state).
 
         Beat and unique-line counts come from line-index span arithmetic
-        (indexed and unit-stride accesses are arithmetic progressions of
-        line indices; arbitrary strides fall back to a vectorised
-        ``np.unique`` over the line indices) — no per-element Python lists.
+        (the line indices of every access are a monotonic progression, so
+        their distinct count is closed-form) — no per-element Python lists.
         The L2 probes are inherently sequential (each one advances LRU state
         and the hit/miss counters the figures report), so the instruction's
         whole address stream goes to the L2 in one
@@ -106,9 +103,14 @@ class VectorMemoryUnit:
             beats = vl
             if step:
                 addrs = range(base, base + vl * step, step)
-                lines = int(np.unique(
-                    (base + np.arange(vl, dtype=np.int64) * step)
-                    // _LINE).size)
+                # A step of a line or more gives every element its own
+                # line; a shorter one visits every line between the first
+                # and the last element's.
+                if abs(step) >= _LINE:
+                    lines = vl
+                else:
+                    lines = abs((base + (vl - 1) * step) // _LINE
+                                - base // _LINE) + 1
             else:  # degenerate stride: every element hits the same address
                 addrs = (base,) * vl
                 lines = 1

@@ -7,13 +7,14 @@ speedup when reconfiguring AVA X1 to AVA X8 (Fig. 3-a).
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The BLAS alpha used throughout (arbitrary, nonzero).
 ALPHA = 2.5

@@ -20,9 +20,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.compiler.allocator import AllocationResult, allocate
 from repro.compiler.signature import CompileSignature
@@ -30,8 +28,12 @@ from repro.compiler.trace import StripSchedule, unroll_kernel
 from repro.core.config import MachineConfig
 from repro.isa.builder import KernelBody
 from repro.isa.instructions import fingerprint_line
+from repro.isa.operands import AddressSpace
 from repro.isa.program import Program
 from repro.scalar.core import loop_scalar_cycles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -65,9 +67,6 @@ class Workload(ABC):
 
     def __init__(self) -> None:
         self._body: Optional[KernelBody] = None
-        #: (n_elements, shape dict) pair backing :attr:`buffers`; keyed on
-        #: ``n_elements`` so tests that shrink an instance recompute it.
-        self._buffer_shapes: Optional[Tuple[int, Dict[str, int]]] = None
 
     # -- kernel ---------------------------------------------------------------
     @abstractmethod
@@ -83,7 +82,8 @@ class Workload(ABC):
     # -- data / oracle -----------------------------------------------------------
     @abstractmethod
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
-        """Input (and output placeholder) arrays, keyed by buffer name."""
+        """The arrays of :attr:`buffers` — exactly those names, lengths and
+        order — holding the inputs and output placeholders."""
 
     @abstractmethod
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -91,19 +91,18 @@ class Workload(ABC):
 
     @property
     def buffers(self) -> Dict[str, int]:
-        """Buffer name -> element count (most buffers hold ``n_elements``).
+        """Buffer name -> element count: the DATA buffers the kernel body
+        references, in first-reference order, each ``n_elements`` long.
 
-        The shapes come from one throwaway :meth:`init_data` call, cached
-        per instance: compiling the same workload for every configuration of
-        a sweep must not re-allocate every data array just to read lengths.
+        The memory layout places buffers in this order, and both the
+        compile fingerprint and every compiled :class:`Program` read it, so
+        compiling never needs the data.  Override it only for another
+        layout order or other sizes.
         """
-        cached = self._buffer_shapes
-        if cached is not None and cached[0] == self.n_elements:
-            return cached[1]
-        rng = np.random.default_rng(0)
-        shapes = {name: len(arr) for name, arr in self.init_data(rng).items()}
-        self._buffer_shapes = (self.n_elements, shapes)
-        return shapes
+        return dict.fromkeys(
+            (inst.mem.buffer for inst in self.body.insts
+             if inst.mem is not None and inst.mem.space is AddressSpace.DATA),
+            self.n_elements)
 
     # -- strip mining -----------------------------------------------------------
     def effective_vl(self, mvl: int) -> int:
@@ -133,8 +132,8 @@ class Workload(ABC):
         parts = [f"{self.name}|n={self.n_elements}|avl={self.fixed_avl}"
                  f"|alu={self.loop_alu_insts}|pre={body.n_preamble}"
                  f"|vregs={body.n_vregs}\n"]
-        for name in sorted(self.buffers):
-            parts.append(f"buf {name}:{self.buffers[name]}\n")
+        for name, n_elems in sorted(self.buffers.items()):
+            parts.append(f"buf {name}:{n_elems}\n")
         parts.extend(fingerprint_line(inst) for inst in body.insts)
         return hashlib.sha256("".join(parts).encode()).hexdigest()
 
@@ -155,7 +154,7 @@ class Workload(ABC):
         program = Program(
             name=f"{self.name}@{signature.label}",
             insts=allocation.insts,
-            buffers=dict(self.buffers),
+            buffers=self.buffers,
             spill_slots=allocation.spill_slots,
             mvl=signature.mvl,
             logical_regs=allocation.registers_used,

@@ -9,9 +9,7 @@ physical registers, which are always double compared to LMUL", §V).
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
@@ -25,6 +23,9 @@ from repro.workloads.mathlib import (
     poly_exp,
     poly_ln,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Risk-free rate (constant in the RiVEC kernel too).
 RISK_FREE = 0.02
@@ -95,6 +96,7 @@ class Blackscholes(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "spot": rng.uniform(80.0, 120.0, n),

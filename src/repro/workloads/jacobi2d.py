@@ -15,13 +15,14 @@ swap machinery's load/store port contention.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Jacobi relaxation weight: the plain 5-point average.
 WEIGHT = 0.2
@@ -49,12 +50,14 @@ class Jacobi2D(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         return {
             "grid": rng.uniform(0.0, 100.0, self.n_elements),
             "out": np.zeros(self.n_elements),
         }
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         grid = data["grid"]
         idx = np.arange(len(grid))
 

@@ -14,14 +14,15 @@ LavaMD potential ``v = exp(-a2·r²)`` and accumulating force components.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
 from repro.workloads.mathlib import BuilderMath, NumpyMath, poly_exp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Particles per box: the fixed Application Vector Length (§V).
 BOX_SIZE = 48
@@ -88,6 +89,7 @@ class LavaMD(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "px": rng.uniform(0.0, 1.0, n),

@@ -15,8 +15,6 @@ backends:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.isa.builder import KernelBuilder
 
 
@@ -44,9 +42,11 @@ class NumpyMath:
     """Numpy backend; mirrors the vector semantics exactly."""
 
     def sqrt(self, a):
+        import numpy as np
         return np.sqrt(np.abs(a))
 
     def recip(self, a):
+        import numpy as np
         out = np.zeros_like(a)
         nz = a != 0
         out[nz] = 1.0 / a[nz]
@@ -56,6 +56,7 @@ class NumpyMath:
         return value
 
     def vmax(self, a, scalar: float):
+        import numpy as np
         return np.maximum(a, scalar)
 
 

@@ -12,14 +12,15 @@ gather (indexed load) models the resampling table lookup.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
 from repro.workloads.mathlib import BuilderMath, NumpyMath, poly_exp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: ZX81-style LCG constants: products stay exact in float64.
 LCG_A = 75
@@ -69,6 +70,7 @@ class ParticleFilter(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "posx": rng.uniform(-1.0, 1.0, n),
@@ -79,6 +81,7 @@ class ParticleFilter(Workload):
         }
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         m = NumpyMath()
         x = data["posx"]
         w = data["weight"]

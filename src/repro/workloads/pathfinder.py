@@ -15,13 +15,14 @@ vector-length-agnostic and the numpy oracle is exact on every MVL.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @register_workload
@@ -43,6 +44,7 @@ class Pathfinder(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "src": rng.uniform(0.0, 50.0, n),
@@ -51,6 +53,7 @@ class Pathfinder(Workload):
         }
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         src = data["src"]
         idx = np.arange(len(src))
         left = src[np.clip(idx - 1, 0, len(src) - 1)]

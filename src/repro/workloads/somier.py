@@ -13,13 +13,14 @@ separate output arrays to keep strips independent.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Spring stiffness, damping, node mass reciprocal, timestep.
 STIFFNESS = 4.0
@@ -54,6 +55,7 @@ class Somier(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "pos": rng.uniform(-0.1, 0.1, n) + np.arange(n) * 0.0,
@@ -64,6 +66,7 @@ class Somier(Workload):
         }
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         pos = data["pos"]
         vel = data["vel"]
         # The vector loads clamp at the array ends (the kernel's boundary

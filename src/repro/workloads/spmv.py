@@ -19,13 +19,14 @@ does.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Nonzeros per matrix row (the ELL width).
 NNZ_PER_ROW = 4
@@ -51,7 +52,16 @@ class SpMV(Workload):
         kb.store(acc, "y")
         return kb.build()
 
+    @property
+    def buffers(self) -> Dict[str, int]:
+        """Keeps the layout order the kernel's first references would
+        change (it gathers from ``x`` only after loading ``col0``/``val0``)."""
+        names = ["x", "y"] + [f"{stream}{k}" for k in range(NNZ_PER_ROW)
+                              for stream in ("col", "val")]
+        return dict.fromkeys(names, self.n_elements)
+
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         data: Dict[str, np.ndarray] = {
             "x": rng.standard_normal(n),
@@ -63,6 +73,7 @@ class SpMV(Workload):
         return data
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         x = data["x"]
         y = None
         for k in range(NNZ_PER_ROW):

@@ -28,13 +28,14 @@ high-pressure application next to Blackscholes/Swaptions.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The K candidate centres (fixed across the sweep, like one streamcluster
 #: speedy() round evaluates a fixed candidate set).
@@ -79,6 +80,7 @@ class StreamCluster(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "px": rng.uniform(-1.0, 1.0, n),
@@ -90,6 +92,7 @@ class StreamCluster(Workload):
         }
 
     def reference(self, data: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        import numpy as np
         px = data["px"]
         py = data["py"]
         cost = data["cost"]

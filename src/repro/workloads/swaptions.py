@@ -11,14 +11,15 @@ coefficients), then the payoff is discounted and max'd against zero.
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.isa.builder import KernelBody, KernelBuilder
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
 from repro.workloads.mathlib import BuilderMath, NumpyMath, poly_exp_small
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Per-timestep drift and volatility-scale coefficients (hoisted).
 DRIFTS = (0.0012, 0.0010, 0.0009)
@@ -83,6 +84,7 @@ class Swaptions(Workload):
         return kb.build()
 
     def init_data(self, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        import numpy as np
         n = self.n_elements
         return {
             "fwd": rng.uniform(0.02, 0.08, n),

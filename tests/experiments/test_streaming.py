@@ -45,9 +45,9 @@ from repro.workloads.axpy import Axpy
 class RaisingAxpy(Axpy):
     """Compiles like axpy, then raises instead of simulating.
 
-    ``armed`` starts False so the compile-time buffer-shape probe (which
-    also calls ``init_data``) can run; :func:`_arm` caches the shapes and
-    then flips it, so the poison only fires inside ``_execute_cell``.
+    Compiling never calls ``init_data``, so the poison only fires inside
+    ``_execute_cell``; ``armed`` starts False so an unarmed instance
+    simulates like axpy, and :func:`_arm` flips it.
     """
 
     name = "raising-axpy"
@@ -144,6 +144,17 @@ class CompileRaises(Axpy):
         raise ValueError("register allocation failed")
 
 
+class MissingBufferAxpy(Axpy):
+    """Its ``init_data`` omits a buffer the kernel references."""
+
+    name = "missing-buffer-axpy"
+
+    def init_data(self, rng):
+        data = super().init_data(rng)
+        del data["y"]
+        return data
+
+
 class CompileBomb(Axpy):
     """A kernel whose *compile* raises — isolation must start before any
     simulation, not just inside ``_execute_cell``."""
@@ -155,8 +166,7 @@ class CompileBomb(Axpy):
 
 
 def _arm(workload: Axpy, **attributes) -> Axpy:
-    """Cache the compile-time buffer shapes, then enable the poison."""
-    _ = workload.buffers
+    """Enable the poison."""
     for name, value in attributes.items():
         setattr(workload, name, value)
     return workload
@@ -181,6 +191,16 @@ def _grid_40() -> SweepSpec:
 # ---------------------------------------------------------------------------
 # failure isolation: a raising cell becomes a CellError
 # ---------------------------------------------------------------------------
+def test_init_data_not_matching_the_buffers_fails_the_cell():
+    """A missing array must not silently stay zero in functional mode."""
+    cell = Cell(MissingBufferAxpy(), Scenario(native_config(1)),
+                functional=True)
+    with pytest.raises(CellExecutionError) as err:
+        CellExecutor().run_one(cell)
+    assert ("ValueError: workload 'missing-buffer-axpy': init_data returned"
+            in str(err.value))
+
+
 def test_raising_cell_does_not_discard_the_batch(tmp_path):
     cells = [Cell("axpy", Scenario(native_config(1))),
              Cell(_arm(RaisingAxpy(), armed=True),

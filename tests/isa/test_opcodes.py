@@ -7,9 +7,9 @@ from repro.isa.opcodes import (
     OPCODE_INFO,
     Op,
     OpKind,
-    evaluate_arith,
     op_info,
 )
+from repro.isa.semantics import evaluate_arith
 
 
 def test_every_opcode_has_info():

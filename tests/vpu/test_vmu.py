@@ -1,5 +1,8 @@
 """Vector Memory Unit access planning."""
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from repro.core.config import native_config
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
@@ -87,3 +90,16 @@ def test_store_allocates_lines():
 def test_first_element_latency_is_l2_latency():
     vmu, memsys = make_vmu()
     assert vmu.first_element_latency == memsys.config.l2.latency
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.integers(0, 4096), stride=st.integers(-40, 40),
+       vl=st.integers(1, 64))
+def test_strided_line_count_matches_unique_lines(base, stride, vl):
+    """The closed-form line count equals the distinct line indices."""
+    vmu, _ = make_vmu(4096)
+    inst = Instruction(op=Op.VLSE, dst=0, vl=vl,
+                       mem=data_ref("x", base, stride=stride))
+    addr = vmu.layout.base_addr(inst.mem)
+    lines = (addr + np.arange(vl, dtype=np.int64) * stride * 8) // 64
+    assert vmu.plan(inst).lines_touched == np.unique(lines).size

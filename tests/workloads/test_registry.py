@@ -67,6 +67,16 @@ def test_table_iv_view_is_frozen():
     assert set(ALL_WORKLOAD_NAMES) <= set(registered_names())
 
 
+def test_init_data_returns_exactly_the_buffers():
+    """Every registered kernel's data matches its buffers: the same names,
+    in the same order, with the same lengths."""
+    for name in registered_names():
+        workload = get_workload(name)
+        data = workload.init_data(np.random.default_rng(0))
+        assert ([(buf, len(values)) for buf, values in data.items()]
+                == list(workload.buffers.items())), name
+
+
 # ---------------------------------------------------------------------------
 # decorator API
 # ---------------------------------------------------------------------------
