@@ -22,7 +22,7 @@ instead of a debugging session.
 from __future__ import annotations
 
 #: ``CACHE_SCHEMA`` value the manifest below was generated against.
-LOCKED_CACHE_SCHEMA = 5
+LOCKED_CACHE_SCHEMA = 6
 
 #: ``SimStats`` dataclass fields, in declaration order.
 LOCKED_SIMSTATS_FIELDS = (

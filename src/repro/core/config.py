@@ -68,12 +68,11 @@ class MachineConfig:
     n_logical: int
     n_vvr: int
     n_physical: int
+    #: Vector lanes; each contributes one 64-bit element per beat (Table II).
     lanes: int = 8
-    lmul: int = 1
 
     def __post_init__(self) -> None:
-        for count in ("mvl", "n_logical", "n_vvr", "n_physical", "lanes",
-                      "lmul"):
+        for count in ("mvl", "n_logical", "n_vvr", "n_physical", "lanes"):
             if getattr(self, count) < 1:
                 raise ValueError(f"{count} must be at least 1")
         if self.n_physical > self.n_vvr:
@@ -85,13 +84,24 @@ class MachineConfig:
 
     @property
     def two_level(self) -> bool:
-        """True when an M-VRF backs the P-VRF (AVA with fewer P-regs than VVRs)."""
-        return self.mode is MachineMode.AVA and self.n_physical < self.n_vvr
+        """True when an M-VRF backs the P-VRF (fewer P-regs than VVRs)."""
+        return self.n_physical < self.n_vvr
 
     @property
     def vrf_bytes(self) -> int:
-        """Size of the physical VRF SRAM."""
+        """Bytes the physical registers hold at this MVL."""
         return self.n_physical * self.mvl * ELEMENT_BYTES
+
+    @property
+    def pvrf_bytes(self) -> int:
+        """Physical VRF SRAM the machine builds.
+
+        NATIVE builds the register file its registers need (8–64 KB); AVA
+        and RG reconfigure the baseline 8 KB P-VRF whatever their MVL.
+        """
+        if self.mode is MachineMode.NATIVE:
+            return self.vrf_bytes
+        return PVRF_ELEMENTS * ELEMENT_BYTES
 
     @property
     def mvrf_bytes(self) -> int:
@@ -154,7 +164,6 @@ def rg_config(lmul: int) -> MachineConfig:
         n_logical=NUM_LOGICAL_VREGS // lmul,
         n_vvr=BASE_RENAMED_REGS // lmul,
         n_physical=BASE_RENAMED_REGS // lmul,
-        lmul=lmul,
     )
 
 

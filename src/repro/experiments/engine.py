@@ -44,11 +44,10 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import (Callable, Dict, List, Optional, Sequence, TextIO,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    TextIO, Tuple, Union)
 
 from repro import faults
 from repro.cachefs import DEFAULT_CACHE_DIR, AtomicJsonStore, source_digest
@@ -67,6 +66,9 @@ from repro.vpu.params import TimingParams
 from repro.workloads.base import CompiledWorkload, Workload
 from repro.workloads.registry import get_workload
 
+if TYPE_CHECKING:  # the pool loads multiprocessing; only _ensure_pool may
+    from concurrent.futures import ProcessPoolExecutor
+
 #: Seed used by every experiment so figures are reproducible.  Part of the
 #: cache key: changing it invalidates every cached cell.
 DATA_SEED = 42
@@ -82,7 +84,9 @@ DATA_SEED = 42
 #: ``spans_charged`` / ``span_cycles`` counters.
 #: Schema 5: keys hash the workload's compile fingerprint (the compiler's
 #: inputs) instead of the compiled program (its output).
-CACHE_SCHEMA = 5
+#: Schema 6: the scenario drops the knobs no model read (the L1 caches,
+#: the VMU interface width, ``MachineConfig.lmul``, ``TimingParams.lanes``).
+CACHE_SCHEMA = 6
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +831,7 @@ class CellExecutor:
             # stack here lets every worker inherit it instead of each
             # importing numpy and the pipeline on its first cell.
             import repro.sim.simulator  # noqa: F401
+            from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(max_workers=self.jobs,
                                              initializer=_pool_worker_init)
         return self._pool

@@ -17,7 +17,7 @@ Axis entries are either registry names (machine / memory / timing presets)
 or inline-override objects.  An override object may carry a ``"base"`` key
 naming the preset to start from (default: the paper's platform); every
 other key is a field override — nested per section for the memory axis
-(``l1i`` / ``l1d`` / ``l2`` / ``dram`` / ``vector_interface_bytes``), flat
+(``l2`` and ``dram``, the memory system the VMU touches), flat
 :class:`~repro.vpu.params.TimingParams` fields for the timing axis, flat
 :class:`~repro.core.config.MachineConfig` fields for the machine axis.
 Policies take ``victim_policy`` (name) and ``aggressive_reclamation``.
@@ -45,9 +45,8 @@ from repro.sim.scenario import build_scenario
 from repro.vpu.params import TimingParams, get_timing
 from repro.workloads.registry import registered_names
 
-#: Sections of a memory-axis override object (everything else is a scalar
-#: field of MemorySystemConfig).
-_MEMORY_SECTIONS = ("l1i", "l1d", "l2", "dram")
+#: Sections of a memory-axis override object: the MemorySystemConfig fields.
+_MEMORY_SECTIONS = ("l2", "dram")
 
 _T = TypeVar("_T")
 
@@ -119,19 +118,15 @@ def _parse_memory(entry: Union[str, dict]) -> AxisEntry:
     config = get_memory_system(base)
     overrides: Dict[str, object] = {}
     for section, fields in spec.items():
-        if section in _MEMORY_SECTIONS:
-            if not isinstance(fields, dict):
-                raise ValueError(
-                    f"memory section {section!r} must be an object of "
-                    f"field overrides, got {fields!r}")
-            overrides[section] = _override(getattr(config, section),
-                                           fields, section)
-        elif section == "vector_interface_bytes":
-            overrides[section] = fields
-        else:
+        if section not in _MEMORY_SECTIONS:
+            raise ValueError(f"unknown memory section {section!r}; "
+                             f"known: {_MEMORY_SECTIONS}")
+        if not isinstance(fields, dict):
             raise ValueError(
-                f"unknown memory section {section!r}; known: "
-                f"{_MEMORY_SECTIONS + ('vector_interface_bytes',)}")
+                f"memory section {section!r} must be an object of "
+                f"field overrides, got {fields!r}")
+        overrides[section] = _override(getattr(config, section),
+                                       fields, section)
     config = _override(config, overrides, "memory")
     return AxisEntry(_override_label(base, spec), config)
 

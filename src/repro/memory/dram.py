@@ -27,21 +27,11 @@ class DramConfig:
 
 @dataclass
 class Dram:
-    """Access counter + latency provider for the main memory."""
+    """Line read/write counters of the main memory; ``config`` times it."""
 
     config: DramConfig = DramConfig()
     line_reads: int = 0
     line_writes: int = 0
-
-    def read_line(self) -> int:
-        """Fetch one line; returns the service latency in cycles."""
-        self.line_reads += 1
-        return self.config.latency + self.config.line_transfer
-
-    def write_line(self) -> int:
-        """Write back one line; returns the occupancy cost in cycles."""
-        self.line_writes += 1
-        return self.config.line_transfer
 
     @property
     def accesses(self) -> int:

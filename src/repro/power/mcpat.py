@@ -119,7 +119,7 @@ class McPatModel:
         has_ava = config.mode is MachineMode.AVA
         return AreaReport(
             config_name=config.name,
-            vrf=sram_area_mm2(self._pvrf_bytes(config), ports=tech.vrf_ports,
+            vrf=sram_area_mm2(config.pvrf_bytes, ports=tech.vrf_ports,
                               tech=tech),
             fpus=tech.fpu_mm2_per_lane * config.lanes,
             ava_structs=tech.ava_structs_mm2 if has_ava else 0.0,
@@ -128,21 +128,6 @@ class McPatModel:
             l1d=tech.l1d_mm2,
             l2=tech.l2_mm2,
         )
-
-    @staticmethod
-    def _pvrf_bytes(config: MachineConfig) -> int:
-        """Physical SRAM the configuration instantiates.
-
-        AVA and RG always build the baseline 8 KB structure regardless of the
-        MVL they are reconfigured to; NATIVE machines build the full-width
-        register file (8–64 KB).
-        """
-        if config.mode is MachineMode.NATIVE:
-            return config.vrf_bytes
-        from repro.core.config import BASE_MVL, BASE_RENAMED_REGS
-        from repro.isa.registers import ELEMENT_BYTES
-
-        return BASE_RENAMED_REGS * BASE_MVL * ELEMENT_BYTES
 
     def performance_per_mm2(self, config: MachineConfig,
                             avg_speedup: float) -> float:
@@ -153,7 +138,7 @@ class McPatModel:
     def energy(self, config: MachineConfig, stats: SimStats) -> EnergyReport:
         tech = self.tech
         seconds = stats.cycles / VPU_HZ
-        pvrf_bytes = self._pvrf_bytes(config)
+        pvrf_bytes = config.pvrf_bytes
 
         l2_dyn = (stats.l2_reads + stats.l2_writes) * tech.l2_pj_per_access
         dram_dyn = stats.dram_accesses * tech.dram_pj_per_access

@@ -74,14 +74,9 @@ class PhysicalDesignModel:
     def __init__(self, tech: Technology = TECH_22NM) -> None:
         self.tech = tech
 
-    def _vrf_kb(self, config: MachineConfig) -> float:
-        if config.mode is MachineMode.NATIVE:
-            return config.vrf_bytes / 1024.0
-        return 8.0  # AVA and RG implement the baseline 8 KB P-VRF
-
     def evaluate(self, config: MachineConfig) -> PnrResult:
         tech = self.tech
-        kb = self._vrf_kb(config)
+        kb = config.pvrf_bytes / 1024.0
         macro_area = tech.pnr_macro_area_coeff * kb ** tech.pnr_macro_area_exp
         macro_power = (tech.pnr_macro_power_coeff
                        * kb ** tech.pnr_macro_power_exp)

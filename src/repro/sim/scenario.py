@@ -71,23 +71,13 @@ def _machine_from_dict(data: dict) -> MachineConfig:
 
 
 def _memory_to_dict(config: MemorySystemConfig) -> dict:
-    return {
-        "l1i": _scalars_to_dict(config.l1i),
-        "l1d": _scalars_to_dict(config.l1d),
-        "l2": _scalars_to_dict(config.l2),
-        "dram": _scalars_to_dict(config.dram),
-        "vector_interface_bytes": config.vector_interface_bytes,
-    }
+    return {"l2": _scalars_to_dict(config.l2),
+            "dram": _scalars_to_dict(config.dram)}
 
 
 def _memory_from_dict(data: dict) -> MemorySystemConfig:
-    return MemorySystemConfig(
-        l1i=CacheConfig(**data["l1i"]),
-        l1d=CacheConfig(**data["l1d"]),
-        l2=CacheConfig(**data["l2"]),
-        dram=DramConfig(**data["dram"]),
-        vector_interface_bytes=data["vector_interface_bytes"],
-    )
+    return MemorySystemConfig(l2=CacheConfig(**data["l2"]),
+                              dram=DramConfig(**data["dram"]))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Timing parameters of the behavioural VPU model.
 
-Structural parameters (lane count, queue depths) come straight from
-Table II.  The two *dead-time* constants are the *calibrated* behavioural
-knobs: they lump together the per-instruction overheads a cycle-accurate
-pipeline exposes implicitly (issue handshake, VRF address setup, pipeline
-drain between dependent groups).  They were tuned once so the baseline
+Structural parameters (queue depths) come straight from Table II; the lane
+count belongs to the machine (:attr:`repro.core.config.MachineConfig.lanes`).
+The two *dead-time* constants are the *calibrated* behavioural knobs: they
+lump together the per-instruction overheads a cycle-accurate pipeline
+exposes implicitly (issue handshake, VRF address setup, pipeline drain
+between dependent groups).  They were tuned once so the baseline
 anchor reproduces the paper's headline — axpy at AVA X8 speeds up ~2× over
 NATIVE X1 (paper: 2.03×) — and are frozen; every experiment uses the same
 values for every machine family, so comparisons stay honest.
@@ -23,8 +24,6 @@ from repro.registry import PresetRegistry
 class TimingParams:
     """Knobs of the VPU timing model (cycles are 1 GHz VPU cycles)."""
 
-    #: Vector lanes; each contributes one 64-bit element per beat (Table II).
-    lanes: int = 8
     #: Per-instruction startup overhead of the arithmetic pipeline.
     arith_dead_time: int = 3
     #: Per-instruction startup overhead of the memory unit (address setup).
@@ -54,8 +53,6 @@ class TimingParams:
     preissue_swap_budget: int = 2
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ValueError("need at least one lane")
         if self.scalar_clock_ratio <= 0:
             raise ValueError("scalar clock ratio must be positive")
         for knob in ("dispatch_queue_depth", "pre_issue_depth",
@@ -66,13 +63,14 @@ class TimingParams:
         if self.arith_dead_time < 0 or self.mem_dead_time < 0:
             raise ValueError("dead times cannot be negative")
 
-    def arith_beats(self, vl: int, beats_per_element: float) -> int:
-        """Cycles the arithmetic unit is occupied by a ``vl``-element op."""
-        return max(1, math.ceil(vl / self.lanes * beats_per_element))
-
     def scalar_to_vpu(self, scalar_cycles: float) -> float:
         """Convert 2 GHz scalar-core cycles into 1 GHz VPU cycles."""
         return scalar_cycles / self.scalar_clock_ratio
+
+
+def arith_beats(vl: int, beats_per_element: float, lanes: int) -> int:
+    """Cycles ``lanes`` arithmetic lanes are busy with a ``vl``-element op."""
+    return max(1, math.ceil(vl / lanes * beats_per_element))
 
 
 #: Default parameter set shared by every experiment.

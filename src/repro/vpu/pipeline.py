@@ -65,6 +65,7 @@ from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.layout import MemoryLayout
 from repro.sim.stats import SimStats
+from repro.vpu.params import arith_beats
 from repro.vpu.vmu import VectorMemoryUnit
 
 
@@ -192,7 +193,7 @@ class PipelineModel:
         # returns to the free list only after all its readers committed, and
         # victim selection is never consulted.  The reader-tracking side
         # tables stay empty and their maintenance is skipped.
-        self._track_swap_state = config.n_physical < config.n_vvr
+        self._track_swap_state = config.two_level
 
         # Scheduler side-records kept by the shared model methods.  Issue
         # stamp: bumped on every _finish_issue.  A wake-up memo that
@@ -563,7 +564,7 @@ class VectorPipeline(PipelineModel):
         # version sum cannot have changed and the re-sum is skipped.
         self._pi_head: Optional[MicroOp] = None
         self._pi_mstamp = -1
-        # (vl, beats per element) -> TimingParams.arith_beats, memoized.
+        # (vl, beats per element) -> arith_beats at this machine's lanes.
         self._arith_beats: Dict[Tuple[int, float], int] = {}
 
     # ------------------------------------------------------------------ run
@@ -1153,7 +1154,8 @@ class VectorPipeline(PipelineModel):
         key = (uop.inst.vl, info.beats_per_element)
         beats = self._arith_beats.get(key)
         if beats is None:
-            beats = self._arith_beats[key] = self.params.arith_beats(*key)
+            beats = self._arith_beats[key] = arith_beats(*key,
+                                                         self.config.lanes)
         dead = self.params.arith_dead_time
         occupancy = dead + beats
         self._finish_issue(uop, occupancy, dead, info.latency)

@@ -57,6 +57,7 @@ from repro.core.uop import MicroOp, UopState
 from repro.isa.instructions import Tag
 from repro.isa.semantics import evaluate_arith
 from repro.sim.stats import SimStats
+from repro.vpu.params import arith_beats
 from repro.vpu.pipeline import (_CREATED, _OK, _STALL_VICTIM, DeadlockError,
                                 PipelineModel)
 
@@ -274,7 +275,8 @@ class ReferencePipeline(PipelineModel):
             return False
         self.arith_q.popleft()
         info = uop.inst.info
-        beats = self.params.arith_beats(uop.inst.vl, info.beats_per_element)
+        beats = arith_beats(uop.inst.vl, info.beats_per_element,
+                            self.config.lanes)
         dead = self.params.arith_dead_time
         occupancy = dead + beats
         self._finish_issue(uop, occupancy, dead, info.latency)

@@ -70,6 +70,23 @@ def test_rg_divides_architectural_registers():
         assert not cfg.two_level
 
 
+def test_two_level_follows_the_register_counts_not_the_mode():
+    """Fewer P-regs than VVRs swaps on any machine family."""
+    for cfg in (native_config(8), rg_config(2)):
+        fewer = with_physical_registers(cfg, cfg.n_vvr // 2)
+        assert fewer.mode is cfg.mode
+        assert fewer.two_level
+        assert fewer.mvrf_bytes == (fewer.n_vvr // 2) * cfg.mvl * 8
+        assert "M-VRF" in fewer.describe()
+
+
+def test_pvrf_bytes_is_the_built_sram():
+    """NATIVE builds what its registers need; AVA and RG the 8 KB P-VRF."""
+    assert [native_config(s).pvrf_bytes for s in (1, 8)] == [8192, 65536]
+    for cfg in (ava_config(3), ava_config(8), rg_config(4)):
+        assert cfg.pvrf_bytes == 8 * 1024
+
+
 def test_rg_rejects_illegal_lmul():
     with pytest.raises(ValueError):
         rg_config(3)

@@ -87,6 +87,11 @@ def test_parse_inline_overrides():
     {**BASE_SPEC, "timing": [{"rob_entries": True}]},
     {**BASE_SPEC, "timing": [{"preissue_swap_budget": 1.5}]},
     {**BASE_SPEC, "memory": [{"dram": {"latency": 45.5}}]},
+    # Knobs no model read are gone: naming one is an unknown field.
+    {**BASE_SPEC, "memory": [{"l1d": {"latency": 40}}]},
+    {**BASE_SPEC, "memory": [{"l1i": {"latency": 4}}]},
+    {**BASE_SPEC, "timing": [{"lanes": 4}]},
+    {**BASE_SPEC, "machines": [{"base": "ava-x8", "lmul": 2}]},
 ])
 def test_bad_specs_fail_at_parse_time(broken):
     with pytest.raises(ValueError):

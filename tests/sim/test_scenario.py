@@ -1,6 +1,7 @@
 """The scenario layer: axis registries, the frozen bundle, JSON round-trip."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.memory.presets import (
     register_memory_system,
     unregister_memory_system,
 )
+from repro.power.mcpat import McPatModel
 from repro.sim.scenario import CellPolicy, Scenario, build_scenario
 from repro.sim.simulator import Simulator
 from repro.core.swap import VictimPolicy
@@ -153,6 +155,18 @@ def test_scenario_json_round_trip_is_exact():
     assert through_json == scenario
 
 
+def _leaves(data: dict) -> int:
+    return sum(_leaves(v) if isinstance(v, dict) else 1
+               for v in data.values())
+
+
+def test_scenario_serialises_only_the_knobs_a_model_reads():
+    data = Scenario(native_config(1)).to_dict()
+    assert _leaves(data) == 28
+    assert set(data["memory"]) == {"l2", "dram"}
+    assert "lanes" not in data["timing"] and "lmul" not in data["machine"]
+
+
 # ---------------------------------------------------------------------------
 # the stack consumes scenarios end-to-end
 # ---------------------------------------------------------------------------
@@ -174,3 +188,16 @@ def test_bare_config_equals_the_default_scenario():
     via_scenario = Simulator(build_scenario(config), program).run()
     via_config = Simulator(config, program).run()
     assert via_scenario.stats.to_dict() == via_config.stats.to_dict()
+
+
+def test_machine_lanes_drive_both_timing_and_area():
+    """One lane count: halving it slows the arithmetic unit and halves
+    the FPU area the power model prices."""
+    eight = ava_config(8)
+    four = replace(eight, lanes=4)
+    program = get_workload("axpy").compile(eight).program
+    slow = Simulator(four, program).run().stats
+    fast = Simulator(eight, program).run().stats
+    assert slow.arith_busy_cycles > fast.arith_busy_cycles
+    model = McPatModel()
+    assert model.area(four).fpus == model.area(eight).fpus / 2

@@ -1,5 +1,6 @@
-"""Import hygiene: start-up and a warm render load neither numpy nor the
-simulator, and the lazily resolved public API is complete."""
+"""Import hygiene: start-up and a warm render load neither numpy, the
+simulator nor the process pool, and the lazily resolved public API is
+complete."""
 
 import os
 import subprocess
@@ -13,8 +14,9 @@ from repro.__main__ import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Modules only a compile-and-simulate cell may pay for.
-HEAVY = ("numpy", "repro.vpu.pipeline", "repro.sim.simulator")
+#: Modules only a compile-and-simulate cell (or its worker pool) may pay for.
+HEAVY = ("numpy", "repro.vpu.pipeline", "repro.sim.simulator",
+         "multiprocessing")
 
 _PROBE = f"""
 import sys
@@ -40,8 +42,9 @@ def test_version_imports_nothing_heavy(tmp_path):
     assert _heavy_modules_loaded(["--version"], tmp_path) == "loaded: []"
 
 
-def test_warm_render_imports_nothing_heavy(tmp_path, capsys):
-    argv = ["figure3", "axpy", "--jobs", "1", "--no-progress",
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_warm_render_imports_nothing_heavy(tmp_path, capsys, jobs):
+    argv = ["figure3", "axpy", "--jobs", jobs, "--no-progress",
             "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0  # the cold fill compiles and simulates
     capsys.readouterr()
