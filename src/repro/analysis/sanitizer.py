@@ -25,6 +25,11 @@ indirectly:
 * **Span-accounting conservation** — ``span_cycles == spans_charged +
   cycles_skipped`` after *every* fast-forward interval, not just at the end
   of the run.
+* **Single-level runs never swap** — a machine whose ``two_level`` is
+  false holds every VVR in its P-VRF, so its run ends with no Swap-Load or
+  Swap-Store.  The result cache keys such a machine with its swap-only
+  knobs at their defaults (:meth:`repro.sim.scenario.Scenario.simulated`),
+  and this end-of-run check is where that premise is tested.
 
 The sanitizer is wired through two kinds of probe points: ``sanitizer``
 attributes on the core structures (:class:`VRFMapping`,
@@ -71,12 +76,14 @@ class SanitizerError(RuntimeError):
 class PipelineSanitizer:
     """Shadow state and invariant checks for one pipeline instance."""
 
-    __slots__ = ("label", "_clock", "_rat", "_mapping", "_preg",
-                 "_last_write", "_pending_swap_reads", "_commits",
+    __slots__ = ("label", "two_level", "_clock", "_rat", "_mapping",
+                 "_preg", "_last_write", "_pending_swap_reads", "_commits",
                  "checks_run")
 
-    def __init__(self, label: str = "") -> None:
+    def __init__(self, label: str = "", two_level: bool = True) -> None:
         self.label = label
+        #: The machine's ``two_level``: a single-level run must not swap.
+        self.two_level = two_level
         self._clock: Callable[[], int] = lambda: -1
         self._rat = None
         self._mapping = None
@@ -253,3 +260,8 @@ class PipelineSanitizer:
             self._fail("span-conservation",
                        f"fast_forward_cycles={stats.fast_forward_cycles} "
                        f"!= cycles_skipped={stats.cycles_skipped}")
+        if not self.two_level and stats.swap_insts:
+            self._fail("single-level-swap",
+                       f"a single-level machine issued "
+                       f"{stats.swap_loads} swap-loads and "
+                       f"{stats.swap_stores} swap-stores")

@@ -301,7 +301,7 @@ _KEY_CACHE: Dict[Scenario, dict] = {}
 def _scenario_key(scenario: Scenario) -> dict:
     key = _KEY_CACHE.get(scenario)
     if key is None:
-        key = scenario.to_dict()
+        key = scenario.simulated().to_dict()
         _KEY_CACHE[scenario] = key
     return key
 
@@ -311,10 +311,19 @@ def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
     the cell's results.
 
     The machine-side inputs are hashed as the cell's *full scenario* —
-    machine config, timing params, memory-system config and policy — so
-    entries can never collide across memory or timing presets.  The
-    program side is hashed as its compile inputs: the scenario's machine
-    config carries the :class:`CompileSignature`, ``compile_fingerprint``
+    machine config, timing params, memory-system config and policy — in
+    its :meth:`~repro.sim.scenario.Scenario.simulated` form, so entries
+    never collide across memory or timing presets, yet cells differing
+    only in a knob no model reads share one key.  On a single-level
+    machine that is the swap-only pair (pre-issue swap budget, victim
+    policy), keyed at its defaults: the batch dedupe and the result
+    cache simulate and store such cells once, and each
+    :class:`CellResult` keeps its own cell.  Every knob stays in the
+    payload.
+
+    The program side is hashed as its compile inputs: the scenario's
+    machine config carries the :class:`CompileSignature`,
+    ``compile_fingerprint``
     (:meth:`~repro.workloads.base.Workload.compile_fingerprint`) the
     workload half, and :func:`code_fingerprint` the compiler itself —
     together they pin the compiled program, so no program is needed.

@@ -22,7 +22,7 @@ spec files and inside the result cache's content-addressed keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Union
 
 from repro.core.config import MachineConfig, MachineMode, get_machine
@@ -53,6 +53,12 @@ class CellPolicy:
         return cls(victim_policy=VictimPolicy(data["victim_policy"]),
                    aggressive_reclamation=bool(
                        data["aggressive_reclamation"]))
+
+
+#: The swap-only knobs' defaults, which :meth:`Scenario.simulated` keys a
+#: single-level machine at.
+_DEFAULT_SWAP_BUDGET = DEFAULT_TIMING.preissue_swap_budget
+_DEFAULT_VICTIM = CellPolicy().victim_policy
 
 
 def _scalars_to_dict(obj: Any) -> dict:
@@ -94,6 +100,30 @@ class Scenario:
     timing: TimingParams = DEFAULT_TIMING
     memory: MemorySystemConfig = MemorySystemConfig()
     policy: CellPolicy = CellPolicy()
+
+    def simulated(self) -> "Scenario":
+        """The scenario as the simulator's models read it.
+
+        Only a two-level VRF has a Swap Mechanism.  A single-level machine
+        (NATIVE, RG, AVA X1: ``machine.two_level`` is false) holds every
+        VVR in its P-VRF, so a free P-reg always exists and no swap is
+        ever generated: nothing reads ``timing.preissue_swap_budget`` or
+        ``policy.victim_policy``.  On such a machine both are reset to
+        their defaults, so scenarios differing only there compare equal
+        here; :func:`~repro.experiments.engine.cell_key_payload` hashes
+        this form.  Returns ``self`` when the machine is two-level or both
+        knobs already hold their defaults.  ``aggressive_reclamation`` is
+        kept: single-level machines read it.
+        """
+        timing, policy = self.timing, self.policy
+        if self.machine.two_level or (
+                timing.preissue_swap_budget == _DEFAULT_SWAP_BUDGET
+                and policy.victim_policy is _DEFAULT_VICTIM):
+            return self
+        return replace(
+            self,
+            timing=replace(timing, preissue_swap_budget=_DEFAULT_SWAP_BUDGET),
+            policy=replace(policy, victim_policy=_DEFAULT_VICTIM))
 
     def to_dict(self) -> dict:
         """Plain-JSON form; exact inverse of :meth:`from_dict`."""

@@ -222,7 +222,8 @@ class PipelineModel:
         from repro.analysis.sanitizer import PipelineSanitizer
         san = PipelineSanitizer(label=f"{self.config.name}/"
                                       f"{self.program.name}"
-                                      f"{self._sanitizer_tag}")
+                                      f"{self._sanitizer_tag}",
+                                two_level=self.config.two_level)
         san.bind(lambda: self.now, rat=self.rat, mapping=self.mapping)
         self.mapping.sanitizer = san
         self.vrf.sanitizer = san

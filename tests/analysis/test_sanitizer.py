@@ -4,6 +4,10 @@ hand-crafted violation, and the clean path accumulates evidence."""
 import pytest
 
 from repro.analysis.sanitizer import PipelineSanitizer, SanitizerError
+from repro.core.config import ava_config, native_config
+from repro.vpu.pipeline import VectorPipeline
+from repro.vpu.reference import ReferencePipeline
+from repro.workloads import get_workload
 
 
 class _Inst:
@@ -27,11 +31,17 @@ class _Uop:
 
 class _Stats:
     def __init__(self, span_cycles=0, spans_charged=0, cycles_skipped=0,
-                 fast_forward_cycles=0):
+                 fast_forward_cycles=0, swap_loads=0, swap_stores=0):
         self.span_cycles = span_cycles
         self.spans_charged = spans_charged
         self.cycles_skipped = cycles_skipped
         self.fast_forward_cycles = fast_forward_cycles
+        self.swap_loads = swap_loads
+        self.swap_stores = swap_stores
+
+    @property
+    def swap_insts(self):
+        return self.swap_loads + self.swap_stores
 
 
 class _Rat:
@@ -40,8 +50,8 @@ class _Rat:
         self._frl = frl
 
 
-def _sanitizer(cycle=100):
-    san = PipelineSanitizer(label="unit")
+def _sanitizer(cycle=100, two_level=True):
+    san = PipelineSanitizer(label="unit", two_level=two_level)
     san.bind(lambda: cycle)
     return san
 
@@ -213,3 +223,37 @@ def test_run_end_checks_the_fast_forward_alias():
         san.on_run_end(_Stats(span_cycles=10, spans_charged=2,
                               cycles_skipped=8, fast_forward_cycles=7))
     _check(exc, "span-conservation")
+
+
+# ---------------------------------------------------------------------------
+# Single-level runs never swap (the premise of their swap-knob-blind key).
+# ---------------------------------------------------------------------------
+def test_single_level_run_with_swaps_fails():
+    san = _sanitizer(two_level=False)
+    san.on_run_end(_Stats())
+    for swaps in ({"swap_loads": 1}, {"swap_stores": 2}):
+        with pytest.raises(SanitizerError) as exc:
+            san.on_run_end(_Stats(**swaps))
+        _check(exc, "single-level-swap")
+
+
+@pytest.mark.parametrize("pipeline", [VectorPipeline, ReferencePipeline])
+def test_pipelines_check_the_single_level_premise_at_run_end(pipeline):
+    """The sanitizer learns ``two_level`` from the machine when installed,
+    and both pipelines hand it the final stats: a swapping run that claims
+    a single-level machine fails."""
+    assert pipeline(native_config(2), _lavamd(native_config(2)),
+                    sanitize=True)._san.two_level is False
+    config = ava_config(8)
+    pipe = pipeline(config, _lavamd(config), sanitize=True)
+    assert pipe._san.two_level is True
+    pipe._san.two_level = False
+    with pytest.raises(SanitizerError) as exc:
+        pipe.run()
+    assert exc.value.check == "single-level-swap"
+
+
+def _lavamd(config):
+    workload = get_workload("lavamd")
+    workload.n_elements = 512
+    return workload.compile(config).program

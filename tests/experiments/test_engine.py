@@ -17,9 +17,9 @@ from repro.experiments.engine import (
     program_fingerprint,
 )
 from repro.power.mcpat import EnergyReport, McPatModel
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.stats import SimStats
-from repro.vpu.params import TimingParams
+from repro.vpu.params import DEFAULT_TIMING, TimingParams
 from repro.workloads import get_workload
 from repro.workloads.registry import registered_names
 
@@ -199,6 +199,47 @@ def test_changed_knob_is_a_cache_miss(tmp_path):
         native_config(1), policy=CellPolicy(aggressive_reclamation=False))))
     assert executor.stats.sims_executed == 2
     assert executor.stats.cache_hits == 0
+
+
+def _swap_knob_cells(machine: str, budgets=(1, 6),
+                     victims=(VictimPolicy.RAC_MIN, VictimPolicy.FIFO)):
+    return [Cell("axpy", build_scenario(
+                machine,
+                timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget),
+                policy=CellPolicy(victim_policy=victim)))
+            for budget in budgets for victim in victims]
+
+
+def test_single_level_machine_simulates_once_across_swap_only_knobs(
+        tmp_path):
+    """NATIVE X8 never swaps, so the pre-issue swap budget and the victim
+    policy are keyed at their defaults: four cells, one simulation, one
+    cache entry — and each result still carries its own cell."""
+    cells = _swap_knob_cells("native-x8")
+    executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
+    results = executor.run(cells)
+    assert executor.stats.cache_misses == 4
+    assert executor.stats.sims_executed == 1
+    assert [r.cell for r in results] == cells
+    assert all(r.stats == results[0].stats for r in results)
+    assert len({r.key for r in results}) == 1
+
+    rerun = CellExecutor(cache=ResultCache(tmp_path / "cache"))
+    [unseen_budget] = _swap_knob_cells("native-x8", budgets=(4,),
+                                       victims=(VictimPolicy.ROUND_ROBIN,))
+    hit = rerun.run_one(unseen_budget)
+    assert rerun.stats.cache_hits == 1
+    assert rerun.stats.sims_executed == 0
+    assert hit.cell == unseen_budget
+    assert hit.stats == results[0].stats
+
+
+def test_two_level_machine_keys_every_swap_only_knob():
+    """AVA X8 has a Swap Mechanism: the same four knob settings are four
+    simulations."""
+    executor = CellExecutor()
+    executor.run(_swap_knob_cells("ava-x8"))
+    assert executor.stats.sims_executed == 4
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):

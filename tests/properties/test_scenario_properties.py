@@ -3,11 +3,15 @@
 The contract the result cache rests on: any scenario assembled from
 registry names survives ``registry name -> Scenario -> cache key -> JSON
 -> equal Scenario`` without drift — equal scenarios key identically, and
-the JSON form is a lossless inverse.
+the JSON form is a lossless inverse.  The key hashes the scenario as
+simulated (:meth:`Scenario.simulated`), so scenarios differing only in a
+knob their machine never reads share a key.
 """
 
 import json
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import machine_names
@@ -15,7 +19,7 @@ from repro.core.swap import VictimPolicy
 from repro.experiments.engine import Cell, cell_key
 from repro.memory.presets import memory_system_names
 from repro.sim.scenario import CellPolicy, Scenario, build_scenario
-from repro.vpu.params import timing_names
+from repro.vpu.params import DEFAULT_TIMING, timing_names
 from repro.workloads import get_workload
 
 # The registries are populated at import time; sampling the name lists
@@ -56,7 +60,38 @@ def test_equal_scenarios_key_identically(scenario):
 @given(a=_scenarios, b=_scenarios)
 @settings(max_examples=30, deadline=None)
 def test_distinct_scenarios_never_collide(a, b):
-    """Different scenario -> different cache key (same workload)."""
+    """Two keys (same workload) collide exactly when the scenarios are
+    equal as simulated: a single-level machine keys its swap-only knobs at
+    their defaults, every other difference keys apart."""
     key_a = cell_key(Cell("axpy", a), _AXPY)
     key_b = cell_key(Cell("axpy", b), _AXPY)
-    assert (key_a == key_b) == (a == b)
+    assert (key_a == key_b) == (a.simulated() == b.simulated())
+
+
+@pytest.mark.parametrize("machine", ["ava-x4", "ava-x8"])
+@pytest.mark.parametrize("knob", [
+    {"timing": replace(DEFAULT_TIMING, preissue_swap_budget=1)},
+    {"policy": CellPolicy(victim_policy=VictimPolicy.FIFO)},
+    {"policy": CellPolicy(victim_policy=VictimPolicy.ROUND_ROBIN)},
+])
+def test_two_level_machines_key_apart_on_each_swap_only_knob(machine, knob):
+    base = build_scenario(machine)
+    varied = Scenario(**{"machine": base.machine, **knob})
+    assert varied.simulated() is varied
+    assert (cell_key(Cell("axpy", varied), _AXPY)
+            != cell_key(Cell("axpy", base), _AXPY))
+
+
+@pytest.mark.parametrize("machine", machine_names())
+def test_simulated_resets_only_what_a_single_level_machine_ignores(machine):
+    default = build_scenario(machine)
+    assert default.simulated() is default  # the default-knob fast path
+    varied = build_scenario(
+        machine, timing=replace(DEFAULT_TIMING, preissue_swap_budget=5),
+        policy=CellPolicy(victim_policy=VictimPolicy.FIFO,
+                          aggressive_reclamation=False))
+    if default.machine.two_level:
+        assert varied.simulated() is varied
+    else:
+        assert varied.simulated() == replace(
+            default, policy=CellPolicy(aggressive_reclamation=False))
