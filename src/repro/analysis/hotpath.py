@@ -27,5 +27,4 @@ HOT_PATH_CLASSES = frozenset({
     "Cache",            # memory.cache — the L2 behind every vector access
     "MemorySystem",     # memory.hierarchy
     "VectorMemoryUnit",  # vpu.vmu
-    "MemoryAccessPlan",  # vpu.vmu — one per vector memory instruction
 })

@@ -12,7 +12,8 @@ get smaller sequence numbers than it even though they are created during its
 pre-issue).  Every dependency recorded on a micro-op — producers, swap-store
 guards, swap-load reader sets — references a strictly earlier entrant
 (``dep.seq < self.seq``); :meth:`MicroOp.validate_ordering` checks this when
-the micro-op enters its queue, which is what makes pipeline deadlock
+the micro-op enters its queue (the scheduler's pre-issue runs the same check
+inside its producer loop), which is what makes pipeline deadlock
 structurally impossible.
 """
 
@@ -33,27 +34,40 @@ class UopState(enum.Enum):
     COMMITTED = "committed"
 
 
-@dataclass(slots=True)
+def ordering_error(seq: int, dep_seq: int) -> AssertionError:
+    """The error for uop ``seq`` depending on a uop that did not enter an
+    issue queue before it (shared by :meth:`MicroOp.validate_ordering` and
+    the scheduler's inlined pre-issue check)."""
+    return AssertionError(
+        f"dependency ordering violated: uop#{seq} depends on uop#{dep_seq}")
+
+
+@dataclass(slots=True, eq=False)
 class MicroOp:
     """One vector instruction in flight.
 
     ``slots=True``: simulations create one of these per dynamic instruction
     and the pipeline probes their fields on every evaluated cycle, so the
-    per-instance dict is pure overhead.
+    per-instance dict is pure overhead.  ``eq=False``: equality and hashing
+    are identity, so ``in`` / ``remove`` on the pipeline's reader and swap
+    lists find that exact object without comparing every field.  The
+    fields rename fills come first, so rename passes them positionally.
     """
 
     inst: Instruction
+
+    # -- first-level rename (logical -> VVR) ---------------------------------
+    src_vvrs: Tuple[int, ...] = ()
+    dst_vvr: Optional[int] = None
+    old_dst_vvr: Optional[int] = None
+    renamed_at: int = -1  # VPU cycle of first-level rename
+
     seq: int = -1  # issue-queue entry order; -1 until the uop enters a queue
     state: UopState = UopState.RENAMED
     #: True for Swap-Stores inserted at the memory-queue *front* to free a
     #: register for an issuing instruction; they depend on nothing and are
     #: exempt from entry-order accounting.
     priority: bool = False
-
-    # -- first-level rename (logical -> VVR) ---------------------------------
-    src_vvrs: Tuple[int, ...] = ()
-    dst_vvr: Optional[int] = None
-    old_dst_vvr: Optional[int] = None
 
     # -- second-level mapping (VVR -> physical register) ---------------------
     src_pregs: Tuple[int, ...] = ()
@@ -70,8 +84,6 @@ class MicroOp:
     reader_guards: List["MicroOp"] = field(default_factory=list)
 
     # -- execution timestamps (VPU cycles) ------------------------------------
-    renamed_at: int = -1
-    pre_issued_at: int = -1
     issued_at: int = -1
     first_ready: int = -1  # first result element available for chaining
     done_at: int = -1  # last element written back (valid bit set)
@@ -79,8 +91,6 @@ class MicroOp:
 
     # -- bookkeeping ----------------------------------------------------------
     rob_index: int = -1
-    #: stall cycles this op's beats spent waiting on DRAM (memory ops).
-    dram_stall: int = 0
     #: VVR renaming generation a swap operation was created for; if the
     #: generation died before the op executes, its data movement is squashed.
     swap_gen: int = -1
@@ -135,13 +145,7 @@ class MicroOp:
                 if dep is None or dep.priority:
                     continue  # front-inserted Swap-Stores depend on nothing
                 if dep.seq < 0 or dep.seq >= seq:
-                    raise AssertionError(
-                        f"dependency ordering violated: uop#{seq} depends "
-                        f"on uop#{dep.seq}")
-
-    @property
-    def executed(self) -> bool:
-        return self.state in (UopState.DONE, UopState.COMMITTED)
+                    raise ordering_error(seq, dep.seq)
 
     def describe(self) -> str:
         return (f"uop#{self.seq} [{self.state.value}] {self.inst.describe()} "

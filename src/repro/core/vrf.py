@@ -84,10 +84,10 @@ class TwoLevelVRF:
         if not self.functional:
             return
         buf = self._pvrf.get(preg)
-        if buf is None or len(buf) != self.mvl:
-            buf = np.zeros(self.mvl, dtype=np.float64)
-            self._pvrf[preg] = buf
-        buf[:vl] = np.asarray(value, dtype=np.float64)[:vl]
+        if buf is None:
+            buf = self._pvrf[preg] = np.zeros(self.mvl, dtype=np.float64)
+        assert value is not None, "functional write without a value"
+        buf[:vl] = value[:vl]  # converts to float64 in place
 
     def read_preg(self, preg: int, vl: int) -> Optional[np.ndarray]:
         """Read ``vl`` elements from a physical register."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig, ava_config, native_config
-from repro.experiments.engine import CellExecutor, CellResult, SweepSpec
+from repro.experiments.engine import Cell, CellExecutor, CellResult, SweepSpec
 from repro.experiments.rendering import render_bars, render_table
 from repro.memory.dram import DramConfig
 from repro.memory.hierarchy import MemorySystemConfig
@@ -150,24 +150,22 @@ def build_sensitivity(executor: Optional[CellExecutor] = None,
     executor = executor or CellExecutor()
     machines = _machines()
 
-    def sweep(axis: str,
-              memsys: Sequence[Optional[MemorySystemConfig]] = (None,),
-              params: Sequence[Optional[TimingParams]] = (None,)
-              ) -> List[CellResult]:
-        return executor.run_spec(SweepSpec(
-            workloads=[workload], configs=machines,
-            params=params, memsys=memsys),
-            label=f"sensitivity[{axis}]")
+    def grid(memsys: Sequence[Optional[MemorySystemConfig]] = (None,),
+             params: Sequence[Optional[TimingParams]] = (None,)
+             ) -> List[Cell]:
+        return SweepSpec(workloads=[workload], configs=machines,
+                         params=params, memsys=memsys).cells()
 
-    l2 = sweep("l2", memsys=[_memory_with_l2_latency(v)
-                             for v in L2_LATENCIES])
-    dram = sweep("dram", memsys=[_memory_with_dram_latency(v)
-                                 for v in DRAM_LATENCIES])
-    swap = sweep("swap", params=[_timing_with_swap_budget(v)
-                                 for v in SWAP_BUDGETS])
+    l2 = grid(memsys=[_memory_with_l2_latency(v) for v in L2_LATENCIES])
+    dram = grid(memsys=[_memory_with_dram_latency(v) for v in DRAM_LATENCIES])
+    swap = grid(params=[_timing_with_swap_budget(v) for v in SWAP_BUDGETS])
+    # One batch: the executor dedupes equal cells within a batch, so the
+    # paper-default point all three axes share simulates once per machine.
+    results = executor.run(l2 + dram + swap, label="sensitivity")
+    split = len(l2) + len(dram)
 
     return SensitivityStudy(
         workload=workload,
-        l2_rows=_rows(L2_LATENCIES, l2),
-        dram_rows=_rows(DRAM_LATENCIES, dram),
-        swap_rows=_rows(SWAP_BUDGETS, swap))
+        l2_rows=_rows(L2_LATENCIES, results[:len(l2)]),
+        dram_rows=_rows(DRAM_LATENCIES, results[len(l2):split]),
+        swap_rows=_rows(SWAP_BUDGETS, results[split:]))

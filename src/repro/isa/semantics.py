@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.isa.opcodes import OPCODE_INFO, Op
+from repro.isa.opcodes import Op
 
 Evaluator = Callable[[Sequence[np.ndarray], Optional[float]], np.ndarray]
 
@@ -36,8 +36,10 @@ def _safe_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-#: The evaluator of every arithmetic opcode that reads vector sources.
-_EVALUATORS: dict[Op, Evaluator] = {
+#: The evaluator of every arithmetic opcode that reads vector sources, keyed
+#: by the opcode's string value (``Op.__hash__`` runs in Python; a ``str``
+#: caches its hash).
+_EVALUATORS: dict[str, Evaluator] = {op.value: fn for op, fn in {
     Op.VADD: lambda s, f: s[0] + s[1],
     Op.VSUB: lambda s, f: s[0] - s[1],
     Op.VMUL: lambda s, f: s[0] * s[1],
@@ -73,21 +75,26 @@ _EVALUATORS: dict[Op, Evaluator] = {
     Op.VREDMAX: lambda s, f: np.full_like(s[0], s[0].max()),
     Op.VREDMIN: lambda s, f: np.full_like(s[0], s[0].min()),
     Op.VMV: lambda s, f: s[0].copy(),
-}
+}.items()}
 
 
 def evaluate_arith(op: Op, srcs: Sequence[np.ndarray],
                    scalar: Optional[float], vl: int) -> np.ndarray:
     """Functionally evaluate an arithmetic opcode over ``vl`` elements.
 
-    The zero-source generator opcodes (``vfmv``, ``vid``) are handled here
-    because their result depends only on ``vl`` and the scalar operand.
+    ``srcs`` are float64 arrays of at least ``vl`` elements (register
+    contents); each is clipped to ``vl``.  The zero-source generator
+    opcodes (``vfmv``, ``vid``) are handled here because their result
+    depends only on ``vl`` and the scalar operand.
     """
-    if not OPCODE_INFO[op].is_arith:
-        raise ValueError(f"{op} is not an arithmetic opcode")
+    evaluator = _EVALUATORS.get(op._value_)
+    if evaluator is not None:
+        clipped = []  # a plain loop: a comprehension costs a frame on 3.11
+        for s in srcs:
+            clipped.append(s[:vl])
+        return evaluator(clipped, scalar)
     if op is Op.VFMV_VF:
         return np.full(vl, float(scalar), dtype=np.float64)
     if op is Op.VID:
         return np.arange(vl, dtype=np.float64)
-    clipped = [np.asarray(s[:vl], dtype=np.float64) for s in srcs]
-    return _EVALUATORS[op](clipped, scalar)
+    raise ValueError(f"{op} is not an arithmetic opcode")

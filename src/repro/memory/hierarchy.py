@@ -58,7 +58,7 @@ class MemorySystem:
         the VMU's ``fill_beats`` model fills only.  How the miss latency and
         transfer cost surface in the pipeline (bandwidth-serialised fill
         beats, once-per-instruction latency) is the VMU's concern — see
-        :class:`repro.vpu.vmu.MemoryAccessPlan`.
+        :meth:`repro.vpu.vmu.VectorMemoryUnit.plan`.
         """
         l2, dram = self.l2, self.dram
         writebacks = l2.stats.writebacks

@@ -26,10 +26,23 @@ from repro.isa.registers import ELEMENT_BYTES
 #: Base byte address of the layout (arbitrary, nonzero to catch bugs).
 LAYOUT_BASE = 0x1_0000
 _LINE = 64
+# Bound once: address resolution runs per vector memory uop, and a module
+# global is cheaper than an enum class-attribute load on CPython 3.11.
+_DATA = AddressSpace.DATA
+_SPILL = AddressSpace.SPILL
+_MVRF = AddressSpace.MVRF
 
 
 def _align(addr: int, alignment: int = _LINE) -> int:
     return (addr + alignment - 1) // alignment * alignment
+
+
+def _clamp(idx: np.ndarray, hi: int) -> np.ndarray:
+    """``np.clip(idx, 0, hi)`` in place on a fresh integer array, without
+    ``np.clip``'s Python-level dispatch (it runs per gather/strided access
+    in functional mode)."""
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, hi, out=idx)
 
 
 class MemoryLayout:
@@ -51,6 +64,10 @@ class MemoryLayout:
             if functional:
                 self._data[name] = np.zeros(n_elems, dtype=np.float64)
         self._spill_base = addr
+        # Declared spill-slot operand names ("slotN" -> N), so resolving a
+        # spill address parses no string.
+        self._spill_slots = {f"slot{i}": i
+                             for i in range(program.spill_slots)}
         addr = _align(addr + program.spill_slots * config.mvl * ELEMENT_BYTES)
         self._mvrf_base = addr
         self.total_bytes = (addr + config.n_vvr * config.mvl * ELEMENT_BYTES
@@ -59,12 +76,13 @@ class MemoryLayout:
     # -- address resolution ---------------------------------------------------
     def base_addr(self, mem: MemOperand) -> int:
         """Byte address of element 0 of a memory operand."""
-        if mem.space is AddressSpace.DATA:
+        space = mem.space
+        if space is _DATA:
             base = self._data_base.get(mem.buffer)
             if base is None:
                 raise KeyError(f"program declares no buffer {mem.buffer!r}")
             return base + mem.base_elem * ELEMENT_BYTES
-        if mem.space is AddressSpace.SPILL:
+        if space is _SPILL:
             slot = self._slot_index(mem.buffer)
             return (self._spill_base
                     + (slot * self.config.mvl + mem.base_elem) * ELEMENT_BYTES)
@@ -73,14 +91,14 @@ class MemoryLayout:
 
     def mvrf_operand(self, vvr: int) -> MemOperand:
         """The home M-VRF slot of a VVR, as a unit-stride operand."""
-        return MemOperand(AddressSpace.MVRF, "mvrf",
+        return MemOperand(_MVRF, "mvrf",
                           base_elem=vvr * self.config.mvl)
 
-    @staticmethod
-    def _slot_index(buffer: str) -> int:
-        if not buffer.startswith("slot"):
-            raise KeyError(f"not a spill slot: {buffer!r}")
-        return int(buffer[4:])
+    def _slot_index(self, buffer: str) -> int:
+        slot = self._spill_slots.get(buffer)
+        if slot is None:
+            raise KeyError(f"not a declared spill slot: {buffer!r}")
+        return slot
 
     # -- functional data -------------------------------------------------------
     def set_data(self, name: str, values: np.ndarray) -> None:
@@ -103,7 +121,7 @@ class MemoryLayout:
     def load(self, mem: MemOperand, vl: int,
              index: Optional[np.ndarray] = None) -> np.ndarray:
         """Functionally read ``vl`` elements described by ``mem``."""
-        if mem.space is AddressSpace.SPILL:
+        if mem.space is _SPILL:
             slot = self._slot_index(mem.buffer)
             data = self._spill.get(slot)
             if data is None:
@@ -112,11 +130,10 @@ class MemoryLayout:
         buf = self._data[mem.buffer]
         if mem.indexed:
             assert index is not None, "indexed load needs index values"
-            idx = np.clip(index[:vl].astype(np.int64), 0, len(buf) - 1)
-            return buf[idx].copy()
-        idx = mem.base_elem + np.arange(vl) * mem.stride
-        idx = np.clip(idx, 0, len(buf) - 1)
-        return buf[idx].copy()
+            idx = _clamp(index[:vl].astype(np.int64), len(buf) - 1)
+            return buf[idx]  # fancy indexing copies
+        idx = _clamp(mem.base_elem + np.arange(vl) * mem.stride, len(buf) - 1)
+        return buf[idx]  # fancy indexing copies
 
     def load_view(self, mem: MemOperand, vl: int) -> np.ndarray:
         """Zero-copy :meth:`load` for read-only consumers.
@@ -125,7 +142,7 @@ class MemoryLayout:
         in-bounds unit-stride window (or a spill-slot read); falls back to
         :meth:`load` for gathers, strided accesses and clamped tails.
         """
-        if mem.space is AddressSpace.SPILL:
+        if mem.space is _SPILL:
             slot = self._slot_index(mem.buffer)
             data = self._spill.get(slot)
             if data is None:
@@ -141,7 +158,7 @@ class MemoryLayout:
     def store(self, mem: MemOperand, vl: int, data: np.ndarray,
               index: Optional[np.ndarray] = None) -> None:
         """Functionally write ``vl`` elements described by ``mem``."""
-        if mem.space is AddressSpace.SPILL:
+        if mem.space is _SPILL:
             slot = self._slot_index(mem.buffer)
             arr = self._spill.setdefault(
                 slot, np.zeros(self.config.mvl, dtype=np.float64))
@@ -150,7 +167,7 @@ class MemoryLayout:
         buf = self._data[mem.buffer]
         if mem.indexed:
             assert index is not None, "indexed store needs index values"
-            idx = np.clip(index[:vl].astype(np.int64), 0, len(buf) - 1)
+            idx = _clamp(index[:vl].astype(np.int64), len(buf) - 1)
             buf[idx] = data[:vl]
             return
         base = mem.base_elem
@@ -159,4 +176,4 @@ class MemoryLayout:
             return
         idx = base + np.arange(vl) * mem.stride
         keep = idx < len(buf)
-        buf[np.clip(idx, 0, len(buf) - 1)[keep]] = data[:vl][keep]
+        buf[_clamp(idx, len(buf) - 1)[keep]] = data[:vl][keep]

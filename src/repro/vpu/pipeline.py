@@ -55,7 +55,7 @@ from repro.core.rac import RAC_MAX, RegisterAccessCounters
 from repro.core.rat import RenameTable
 from repro.core.rob import ReorderBuffer
 from repro.core.swap import SwapLogic, VictimPolicy
-from repro.core.uop import MicroOp, UopState
+from repro.core.uop import MicroOp, UopState, ordering_error
 from repro.core.vrf import TwoLevelVRF
 from repro.core.vrf_mapping import VRFMapping
 from repro.isa.instructions import Instruction, Tag
@@ -144,6 +144,8 @@ class PipelineModel:
         self.memsys = MemorySystem(scenario.memory)
         self.layout = MemoryLayout(program, config, functional=functional)
         self.vmu = VectorMemoryUnit(self.memsys, self.layout)
+        self._mem_dead_time = self.params.mem_dead_time
+        self._mem_first_latency = self.vmu.first_element_latency
 
         self.rat = RenameTable(config.n_logical, config.n_vvr)
         self.rac = RegisterAccessCounters(config.n_vvr)
@@ -248,15 +250,15 @@ class PipelineModel:
 
     # ------------------------------------------------------------------ issue
     def _issue_memory_uop(self, uop: MicroOp) -> None:
-        plan = self.vmu.plan(uop.inst)
-        dead = self.params.mem_dead_time
-        latency = self.vmu.first_element_latency + plan.miss_latency
-        occupancy = dead + plan.occupancy
-        self._finish_issue(uop, occupancy, dead, latency)
+        beats, fill_beats, miss_latency = self.vmu.plan(uop.inst)
+        dead = self._mem_dead_time
+        occupancy = dead + beats + fill_beats
+        self._finish_issue(uop, occupancy, dead,
+                           self._mem_first_latency + miss_latency)
         self._mem_busy_until = self.now + occupancy
-        self.stats.mem_busy_cycles += occupancy
-        self.stats.mem_beats += plan.beats
-        uop.dram_stall = plan.fill_beats + plan.miss_latency
+        stats = self.stats
+        stats.mem_busy_cycles += occupancy
+        stats.mem_beats += beats
         self._count_issue(uop)
         if uop.inst.tag is _SWAP:
             self._queued_swaps.remove(uop)
@@ -414,8 +416,8 @@ class PipelineModel:
                            mem=self.layout.mvrf_operand(victim), tag=_SWAP)
         uop = MicroOp(inst, seq=self._next_seq(), state=_PRE_ISSUED,
                       src_vvrs=(victim,), src_pregs=(preg,),
-                      renamed_at=self.now, pre_issued_at=self.now,
-                      priority=front, swap_gen=self.vrf.generation(victim))
+                      renamed_at=self.now, priority=front,
+                      swap_gen=self.vrf.generation(victim))
         if self._san is not None:
             self._san.on_swap_store_emitted(preg)
         self.mapping.evict(victim)
@@ -435,8 +437,7 @@ class PipelineModel:
         inst = Instruction(op=Op.VLE, dst=0, vl=self.config.mvl,
                            mem=self.layout.mvrf_operand(vvr), tag=_SWAP)
         uop = MicroOp(inst, seq=self._next_seq(), state=_PRE_ISSUED,
-                      dst_vvr=vvr, dst_preg=preg,
-                      renamed_at=self.now, pre_issued_at=self.now,
+                      dst_vvr=vvr, dst_preg=preg, renamed_at=self.now,
                       priority=front, swap_gen=self.vrf.generation(vvr))
         self._attach_write_guards(uop, preg)
         # The load reads the M-VRF home slot; if the Swap-Store filling that
@@ -537,6 +538,10 @@ class VectorPipeline(PipelineModel):
         self._pre_issue_depth = self.params.pre_issue_depth
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
+        self._dispatch_depth = self.params.dispatch_queue_depth
+        self._scalar_ratio = self.params.scalar_clock_ratio
+        self._hand_off = (self.params.dispatch_scalar_cycles
+                          / self._scalar_ratio)
         # Scalar dispatch wake-up: the earliest cycle _dispatch could make
         # progress again; _NEVER while blocked on a full dispatch queue
         # (rename resets it when it pops).
@@ -1323,9 +1328,12 @@ class VectorPipeline(PipelineModel):
         # Zero-copy source views: every evaluator builds a fresh output
         # array, and write_preg copies, so no view outlives this call.
         vrf = self.vrf
-        values = [vrf.read_preg_view(p, inst.vl) for p in uop.src_pregs]
-        result = evaluate_arith(inst.op, values, inst.scalar, inst.vl)
-        vrf.write_preg(uop.dst_preg, result, inst.vl)
+        vl = inst.vl
+        values = []
+        for preg in uop.src_pregs:
+            values.append(vrf.read_preg_view(preg, vl))
+        vrf.write_preg(uop.dst_preg,
+                       evaluate_arith(inst.op, values, inst.scalar, vl), vl)
 
     def _execute_memory(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -1466,6 +1474,10 @@ class VectorPipeline(PipelineModel):
         # (on swapping machines) reader pins, and sums their residency
         # versions to seed the issue-time resolution memo: the links and
         # pregs recorded here stay correct until a source changes residency.
+        # It also checks validate_ordering's invariant for the uop's
+        # queue-entry seq: guards attach only at issue, so the producers
+        # are its only dependencies here.
+        seq = self._seq + 1  # inlined _next_seq
         prmt = mapping._prmt
         vvr_version = mapping.vvr_version
         now = self.now
@@ -1486,6 +1498,9 @@ class VectorPipeline(PipelineModel):
                 if (state is _DONE or state is _COMMITTED
                         or (state is _ISSUED and producer.done_at <= now)):
                     producer = None
+                elif not producer.priority and (producer.seq < 0
+                                                or producer.seq >= seq):
+                    raise ordering_error(seq, producer.seq)
             producers.append(producer)
             if track:
                 preg_readers.setdefault(preg, []).append(uop)
@@ -1495,10 +1510,7 @@ class VectorPipeline(PipelineModel):
         # The destination physical register is assigned at issue time
         # (_ensure_operands); uop.dst_preg stays None until then.
         uop.state = _PRE_ISSUED
-        uop.pre_issued_at = now
-        self._seq += 1  # inlined _next_seq
-        uop.seq = self._seq
-        uop.validate_ordering()
+        self._seq = uop.seq = seq
         self.pre_issue_q.popleft()
         target.append(uop)
         return True
@@ -1569,9 +1581,7 @@ class VectorPipeline(PipelineModel):
                 self.swap_logic.note_release(old_vvr)
                 self.vrf.drop_mvrf(old_vvr)  # generation is dead
 
-        uop = MicroOp(inst, src_vvrs=src_vvrs,
-                      dst_vvr=dst_vvr, old_dst_vvr=old_vvr,
-                      renamed_at=self.now)
+        uop = MicroOp(inst, src_vvrs, dst_vvr, old_vvr, self.now)
         if dst_vvr is not None:
             self._pending_writer[dst_vvr] = uop
         # Inlined ReorderBuffer.allocate (capacity was checked above).
@@ -1590,9 +1600,9 @@ class VectorPipeline(PipelineModel):
         insts = self.program.insts
         n = self._n_insts
         dispatch_q = self.dispatch_q
-        depth = self.params.dispatch_queue_depth
-        ratio = self.params.scalar_clock_ratio
-        hand_off = self.params.dispatch_scalar_cycles / ratio
+        depth = self._dispatch_depth
+        ratio = self._scalar_ratio
+        hand_off = self._hand_off
         now = self.now
         start = idx = self._fetch_idx
         scalar_time = self._scalar_time

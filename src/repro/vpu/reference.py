@@ -472,7 +472,6 @@ class ReferencePipeline(PipelineModel):
         # The destination physical register is assigned at issue time
         # (_ensure_dst_preg); uop.dst_preg stays None until then.
         uop.state = UopState.PRE_ISSUED
-        uop.pre_issued_at = self.now
         uop.seq = self._next_seq()
         uop.validate_ordering()
         self.pre_issue_q.popleft()

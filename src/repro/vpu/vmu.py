@@ -1,9 +1,17 @@
 """Vector Memory Unit: 512-bit interface onto the L2 bus (Table II).
 
-For each vector memory instruction the VMU produces a
-:class:`MemoryAccessPlan`: how many interface beats the access occupies and
-how many extra stall cycles its L2 misses contribute.  Planning performs the
-actual cache-state accesses, so calling it is a timing side effect.
+For each vector memory instruction the VMU produces an access plan: how
+many interface beats the access occupies and how many extra stall cycles its
+L2 misses contribute.  Planning performs the actual cache-state accesses, so
+calling it is a timing side effect.
+
+Miss handling separates *bandwidth* from *latency*, modelling the
+memory-level parallelism of a streaming VMU: every missing line costs its
+DRAM transfer slots on the interface (``fill_beats``, serialised — the
+bandwidth bound), while the DRAM access latency is paid once per instruction
+and overlaps with other work (``miss_latency``, added to the instruction's
+completion, not to unit occupancy).  The unit is busy for ``beats +
+fill_beats`` cycles of data movement.
 
 Beat accounting:
 
@@ -19,7 +27,7 @@ Beat accounting:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.registers import ELEMENT_BYTES
@@ -28,54 +36,36 @@ from repro.sim.layout import MemoryLayout
 
 _LINE = 64
 
-
-@dataclass(frozen=True, slots=True)
-class MemoryAccessPlan:
-    """Timing consequences of one vector memory instruction.
-
-    Miss handling separates *bandwidth* from *latency*, modelling the
-    memory-level parallelism of a streaming VMU: every missing line costs its
-    DRAM transfer slots on the interface (``fill_beats``, serialised — the
-    bandwidth bound), while the DRAM access latency is paid once per
-    instruction and overlaps with other work (``miss_latency``, added to the
-    instruction's completion, not to unit occupancy).
-    """
-
-    beats: int
-    misses: int
-    fill_beats: int
-    miss_latency: int
-    lines_touched: int
-
-    @property
-    def occupancy(self) -> int:
-        """Memory-unit busy cycles contributed by data movement."""
-        return self.beats + self.fill_beats
+#: ``(beats, fill_beats, miss_latency)`` of one vector memory instruction.
+#: A plain tuple: the pipeline unpacks one per issued memory uop, and a
+#: record class would cost a construction each.
+AccessPlan = Tuple[int, int, int]
 
 
 class VectorMemoryUnit:
     """Plans vector memory accesses against the shared L2."""
 
-    __slots__ = ("memsys", "layout")
+    __slots__ = ("memsys", "layout", "_line_transfer", "_dram_latency")
 
     def __init__(self, memsys: MemorySystem, layout: MemoryLayout) -> None:
         self.memsys = memsys
         self.layout = layout
+        dram = memsys.dram.config
+        self._line_transfer = dram.line_transfer
+        self._dram_latency = dram.latency
 
     @property
     def first_element_latency(self) -> int:
         """Pipeline latency from issue to the first element (L2 hit path)."""
         return self.memsys.vector_first_latency
 
-    def plan(self, inst: Instruction) -> MemoryAccessPlan:
-        """Compute the access plan for ``inst`` (mutates cache state).
+    def plan(self, inst: Instruction) -> AccessPlan:
+        """Compute the :data:`AccessPlan` of ``inst`` (mutates cache state).
 
-        Beat and unique-line counts come from line-index span arithmetic
-        (the line indices of every access are a monotonic progression, so
-        their distinct count is closed-form) — no per-element Python lists.
-        The L2 probes are inherently sequential (each one advances LRU state
-        and the hit/miss counters the figures report), so the instruction's
-        whole address stream goes to the L2 in one
+        Beat counts come from line-index span arithmetic — no per-element
+        Python lists.  The L2 probes are inherently sequential (each one
+        advances LRU state and the hit/miss counters the figures report), so
+        the instruction's whole address stream goes to the L2 in one
         :meth:`~repro.memory.hierarchy.MemorySystem.vector_lines` call, which
         probes it in per-element order and returns the miss count.
         """
@@ -87,39 +77,23 @@ class VectorMemoryUnit:
 
         if mem.indexed:
             # Deterministic worst case: one distinct line per element, so
-            # the line-address sequence is an arithmetic progression and
-            # every element touches its own line.
+            # the line-address sequence is an arithmetic progression.
             addrs = range(base, base + vl * _LINE, _LINE)
             beats = vl
-            lines = vl
         elif mem.stride == 1:
             first = base // _LINE
             last = (base + vl * ELEMENT_BYTES - 1) // _LINE
             beats = last - first + 1
             addrs = range(first * _LINE, (last + 1) * _LINE, _LINE)
-            lines = beats
         else:
             step = mem.stride * ELEMENT_BYTES
             beats = vl
             if step:
                 addrs = range(base, base + vl * step, step)
-                # A step of a line or more gives every element its own
-                # line; a shorter one visits every line between the first
-                # and the last element's.
-                if abs(step) >= _LINE:
-                    lines = vl
-                else:
-                    lines = abs((base + (vl - 1) * step) // _LINE
-                                - base // _LINE) + 1
             else:  # degenerate stride: every element hits the same address
                 addrs = (base,) * vl
-                lines = 1
 
         misses = self.memsys.vector_lines(addrs, write)
-        dram = self.memsys.dram.config
-        return MemoryAccessPlan(
-            beats=beats,
-            misses=misses,
-            fill_beats=misses * dram.line_transfer,
-            miss_latency=dram.latency if misses else 0,
-            lines_touched=lines)
+        if misses:
+            return beats, misses * self._line_transfer, self._dram_latency
+        return beats, 0, 0

@@ -55,3 +55,18 @@ def test_describe_shows_rename_state():
     u.dst_vvr = 42
     text = u.describe()
     assert "(40, 41)" in text and "42" in text
+
+
+def test_equality_is_identity():
+    """A micro-op is one in-flight instance: two built from the same
+    instruction with equal fields are distinct, and list membership and
+    removal find the exact object."""
+    inst = Instruction(op=Op.VADD, dst=0, srcs=(1, 2), vl=8)
+    a = MicroOp(inst, seq=4)
+    b = MicroOp(inst, seq=4)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    readers = [a, b]
+    readers.remove(b)
+    assert len(readers) == 1 and readers[0] is a
+    assert a in readers and b not in readers

@@ -26,6 +26,14 @@ def test_compiles_once_per_distinct_compile_signature(study, executor):
     assert executor.stats.compiles == 2
 
 
+def test_shared_default_point_simulates_once_per_machine(study, executor):
+    """The three axes run as one batch, so the executor's in-batch dedupe
+    simulates the paper-default point they share (L2 12, DRAM 80, budget
+    2) once per machine: 40 cells, 28 distinct simulations."""
+    assert executor.stats.cells_requested == 40
+    assert executor.stats.sims_executed == 28
+
+
 def test_study_covers_every_axis_point(study):
     assert [r.axis_value for r in study.l2_rows] == list(L2_LATENCIES)
     assert [r.axis_value for r in study.dram_rows] == list(DRAM_LATENCIES)

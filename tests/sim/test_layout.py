@@ -105,6 +105,17 @@ def test_spill_slots_roundtrip():
     assert np.allclose(layout.load(spill_ref(0), 4), np.zeros(4))
 
 
+def test_undeclared_spill_slots_are_rejected():
+    """Only the program's declared slots resolve: slot 2 of a two-slot
+    program would land past the spill region, in the M-VRF."""
+    layout = make_layout(spill_slots=2)
+    for mem in (spill_ref(2), MemOperand(AddressSpace.SPILL, "spare")):
+        with pytest.raises(KeyError, match="not a declared spill slot"):
+            layout.base_addr(mem)
+        with pytest.raises(KeyError, match="not a declared spill slot"):
+            layout.load(mem, 4)
+
+
 def test_non_functional_layout_rejects_data_access():
     layout = make_layout(functional=False)
     with pytest.raises(RuntimeError):

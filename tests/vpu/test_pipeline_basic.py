@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro import Simulator, ava_config, native_config
+from repro.core.uop import MicroOp, UopState
+from repro.isa.instructions import Instruction
+from repro.isa.opcodes import Op
+from repro.isa.program import Program
 from repro.vpu.pipeline import VectorPipeline
 from tests.conftest import axpy_body, compile_kernel
 
@@ -91,3 +95,58 @@ def test_busy_accounting_is_consistent():
     assert 0 < s.arith_busy_cycles <= s.cycles
     # axpy is memory bound: the memory unit dominates.
     assert s.mem_busy_cycles > s.arith_busy_cycles
+
+
+def _renamed_add(config):
+    """A pipeline whose pre-issue head is a renamed ``vadd`` with both
+    sources resident, so pre-issue runs straight through to queue entry."""
+    pipe = VectorPipeline(config, Program(name="t"))
+    pipe.dispatch_q.append(Instruction(op=Op.VADD, dst=3, srcs=(1, 2), vl=8))
+    assert pipe._rename()
+    uop = pipe.pre_issue_q[0]
+    for vvr in uop.src_vvrs:
+        pipe.mapping.allocate(vvr)
+    return pipe, uop
+
+
+@pytest.mark.parametrize("offset", [1, 2, None])
+def test_pre_issue_rejects_a_producer_that_entered_no_earlier(offset):
+    """Pre-issue checks the queue-entry ordering invariant inside its
+    producer loop: a pending producer whose seq is not below the entering
+    uop's (or that never entered a queue) is a broken invariant."""
+    pipe, uop = _renamed_add(native_config(1))
+    entering = pipe._seq + 1
+    seq = -1 if offset is None else pipe._seq + offset
+    forged = MicroOp(uop.inst, seq=seq, state=UopState.PRE_ISSUED)
+    pipe._pending_writer[uop.src_vvrs[0]] = forged
+    with pytest.raises(AssertionError,
+                       match=f"^dependency ordering violated: "
+                             f"uop#{entering} depends on uop#{seq}$"):
+        pipe._pre_issue()
+
+
+def test_pre_issue_accepts_an_older_producer():
+    pipe, uop = _renamed_add(native_config(1))
+    older = MicroOp(uop.inst, seq=pipe._seq, state=UopState.PRE_ISSUED)
+    pipe._pending_writer[uop.src_vvrs[0]] = older
+    assert pipe._pre_issue()
+    assert uop.producers[0] is older and uop.seq == older.seq + 1
+
+
+def test_both_swap_emits_validate_ordering(monkeypatch):
+    """Only regular uops get the check folded into pre-issue; swap
+    operations still run :meth:`MicroOp.validate_ordering` on entry."""
+    checked = []
+    validate = MicroOp.validate_ordering
+
+    def spy(uop):
+        checked.append(uop)
+        validate(uop)
+
+    monkeypatch.setattr(MicroOp, "validate_ordering", spy)
+    pipe = VectorPipeline(ava_config(8), Program(name="t"))
+    pipe.mapping.allocate(5)
+    pipe._emit_swap_store(5)
+    pipe._emit_swap_load(5)
+    assert [u.inst.op for u in checked] == [Op.VSE, Op.VLE]
+    assert checked == list(pipe.mem_q)

@@ -4,16 +4,22 @@
 (per-cycle stepper) share one model in ``PipelineModel``.  These tests keep
 it that way: a model method copied back into both subclasses, or a shared
 method overridden by a subclass, fails here instead of silently splitting
-the model in two.  A further guard keeps the scheduler's hot methods on
-the module-bound enum members.
+the model in two.  A further guard keeps the scheduler's hot methods, and
+the per-access helpers they call, on module-bound enum members and
+value-keyed opcode tables.
 """
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 
+from repro.core.uop import MicroOp
+from repro.isa.semantics import evaluate_arith
+from repro.sim.layout import MemoryLayout
 from repro.vpu.pipeline import PipelineModel, VectorPipeline
 from repro.vpu.reference import ReferencePipeline
+from repro.vpu.vmu import VectorMemoryUnit
 
 #: What the reference keeps: its per-cycle stepper and the un-inlined stage
 #: bodies the scheduler's inlined copies are checked against.
@@ -71,23 +77,68 @@ def test_reference_keeps_only_stepper_and_spec_stage_bodies():
                                                 | REFERENCE_SPEC_STAGES)
 
 
+#: Per-access helpers the scheduler calls, held to the same rules.
+HOT_HELPERS = {"MemoryLayout.base_addr": MemoryLayout.base_addr,
+               "VectorMemoryUnit.plan": VectorMemoryUnit.plan,
+               "evaluate_arith": evaluate_arith}
+
+
+def _tree(func) -> ast.AST:
+    return ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+
+
 def _enum_member_loads(func) -> list:
-    """``UopState.X`` / ``Tag.X`` class-attribute loads in ``func``."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    return [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+    """``UopState.X`` / ``Tag.X`` / ``AddressSpace.X`` class-attribute
+    loads in ``func``."""
+    return [f"{node.value.id}.{node.attr}" for node in ast.walk(_tree(func))
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in ("UopState", "Tag")]
+            and node.value.id in ("UopState", "Tag", "AddressSpace")]
+
+
+def _op_keyed_lookups(func) -> list:
+    """``d[key]`` / ``d.get(key)`` where ``key`` is an ``Op`` member: a
+    parameter annotated ``Op``, an ``x.op`` attribute or ``Op.X``."""
+    tree = _tree(func)
+    op_params = {arg.arg for arg in tree.args.args
+                 if isinstance(arg.annotation, ast.Name)
+                 and arg.annotation.id == "Op"}
+
+    def is_op(key) -> bool:
+        if isinstance(key, ast.Name):
+            return key.id in op_params
+        return isinstance(key, ast.Attribute) and (
+            key.attr == "op" or (isinstance(key.value, ast.Name)
+                                 and key.value.id == "Op"))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_op(node.slice):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args
+              and is_op(node.args[0])):
+            found.append(ast.unparse(node))
+    return found
 
 
 def test_hot_methods_use_module_bound_enum_members():
     """CPython 3.11 pays an enum class-attribute lookup per
-    ``UopState.DONE``; the pipeline binds the members it needs once, at
-    module level, and every scheduler method uses those names."""
-    loads = {}
-    for cls in (PipelineModel, VectorPipeline):
-        for name, func in _methods(cls).items():
-            found = _enum_member_loads(func)
-            if name != "__init__" and found:
-                loads[f"{cls.__name__}.{name}"] = found
+    ``UopState.DONE`` and runs ``Op.__hash__`` in Python; the scheduler and
+    its per-access helpers bind the members they need once, at module
+    level, and key opcode tables by ``op._value_``.  Micro-ops compare by
+    identity: a generated field-by-field ``__eq__`` would run on every
+    ``in`` / ``remove`` over the pipeline's uop lists."""
+    funcs = {f"{cls.__name__}.{name}": func
+             for cls in (PipelineModel, VectorPipeline)
+             for name, func in _methods(cls).items() if name != "__init__"}
+    funcs.update(HOT_HELPERS)
+    loads = {name: found for name, func in funcs.items()
+             if (found := _enum_member_loads(func) + _op_keyed_lookups(func))}
     assert not loads, loads
+    assert MicroOp.__eq__ is object.__eq__
+    assert MicroOp.__hash__ is object.__hash__
+    # VectorPipeline._rename passes these positionally.
+    assert [f.name for f in dataclasses.fields(MicroOp)][:5] == [
+        "inst", "src_vvrs", "dst_vvr", "old_dst_vvr", "renamed_at"]
