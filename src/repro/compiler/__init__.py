@@ -11,7 +11,8 @@ This package reproduces that tool-chain stage:
   register allocator that inserts ``Spill-Load`` / ``Spill-Store``
   instructions tagged for Figure 3's memory-instruction breakdown,
 * :mod:`repro.compiler.trace` — strip-mine unrolling of kernel bodies into
-  SSA traces with per-iteration vector lengths and memory rebasing,
+  SSA traces of light operand tuples with per-iteration vector lengths and
+  memory rebasing (the allocator builds each final instruction once),
 * :mod:`repro.compiler.signature` — the (mvl, n_logical) compile signature
   that fully determines a compiled program,
 * :mod:`repro.compiler.store` — the persistent content-addressed trace

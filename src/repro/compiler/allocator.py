@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.compiler.trace import TraceOp
 from repro.isa.instructions import Instruction, Tag
 from repro.isa.opcodes import Op
 from repro.isa.operands import spill_ref
@@ -88,12 +89,14 @@ class AllocationResult:
                    registers_used=data["registers_used"])
 
 
-def allocate(trace: Sequence[Instruction], n_regs: int,
+def allocate(trace: Sequence[TraceOp], n_regs: int,
              mvl: int) -> AllocationResult:
     """Allocate an SSA virtual-register trace onto ``n_regs`` registers.
 
     Args:
-        trace: straight-line SSA trace from the strip-mine unroller.
+        trace: straight-line SSA trace from the strip-mine unroller, in its
+            light operand-tuple form; each output instruction is built
+            once, with its architectural registers.
         n_regs: architectural register supply (32 for LMUL=1, 32/LMUL
             under Register Grouping).
         mvl: the configuration's maximum vector length; spill code is
@@ -111,13 +114,11 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
     src_next: List[Tuple[int, ...]] = [()] * len(trace)
     dst_next: List[int] = [INFINITY] * len(trace)
     later: Dict[int, int] = {}
+    # (Scalar blocks carry no registers.)
     for pos in range(len(trace) - 1, -1, -1):
-        inst = trace[pos]
-        if inst.is_scalar:
-            continue
-        if inst.dst is not None:
-            dst_next[pos] = later.get(inst.dst, INFINITY)
-        srcs = inst.srcs
+        _, dst, srcs, _, _ = trace[pos]
+        if dst is not None:
+            dst_next[pos] = later.get(dst, INFINITY)
         if srcs:
             src_next[pos] = tuple([later.get(src, INFINITY) for src in srcs])
             for src in srcs:
@@ -165,12 +166,11 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
             spill_stores += 1
         return reg
 
-    for pos, inst in enumerate(trace):
+    for pos, (inst, dst, srcs, vl, mem) in enumerate(trace):
         if inst.is_scalar:
-            out.append(inst)
+            out.append(inst)  # built by the unroller, register-free
             continue
 
-        srcs = inst.srcs
         # Reload any source currently living only in its spill slot.
         for src in srcs:
             if src in reg_of:
@@ -187,7 +187,6 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
             spill_loads += 1
             reg_of[src] = reg
 
-        dst = inst.dst
         dst_reg: Optional[int] = None
         if dst is not None:
             if dst in reg_of or dst in slot_of:
@@ -204,8 +203,7 @@ def allocate(trace: Sequence[Instruction], n_regs: int,
 
         arch_srcs = tuple([reg_of[src] for src in srcs])
         out.append(inst.with_operands(
-            dst_reg, shared.setdefault(arch_srcs, arch_srcs), inst.vl,
-            inst.mem))
+            dst_reg, shared.setdefault(arch_srcs, arch_srcs), vl, mem))
 
         # Sources (and write-once dead destinations) past their last use
         # release their registers immediately, like a compiler's live-range

@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Sequence
 
-from repro.isa.instructions import Instruction
+from repro.compiler.trace import TraceOp
 
 
-def live_pressure(trace: Sequence[Instruction]) -> List[int]:
+def live_pressure(trace: Sequence[TraceOp]) -> List[int]:
     """Number of simultaneously-live registers before each instruction.
 
     A register is live from its definition until its last use.  The returned
@@ -32,20 +32,19 @@ def live_pressure(trace: Sequence[Instruction]) -> List[int]:
     """
     last_use: Dict[int, int] = {}
     defined_at: Dict[int, int] = {}
-    for idx, inst in enumerate(trace):
-        if inst.is_scalar:
-            continue
-        for src in inst.srcs:
+    # (Scalar blocks carry no registers.)
+    for idx, (_, dst, srcs, _, _) in enumerate(trace):
+        for src in srcs:
             if src not in defined_at:
                 raise ValueError(
                     f"register {src} is used before its definition at "
                     f"trace position {idx}")
             last_use[src] = idx
-        if inst.dst is not None:
-            defined_at[inst.dst] = idx
+        if dst is not None:
+            defined_at[dst] = idx
             # A value that is never read still occupies its register for the
             # defining instruction itself.
-            last_use.setdefault(inst.dst, idx)
+            last_use.setdefault(dst, idx)
 
     events: Dict[int, int] = defaultdict(int)
     for reg, def_idx in defined_at.items():
@@ -60,7 +59,7 @@ def live_pressure(trace: Sequence[Instruction]) -> List[int]:
     return pressure
 
 
-def max_pressure(trace: Sequence[Instruction]) -> int:
+def max_pressure(trace: Sequence[TraceOp]) -> int:
     """Convenience wrapper: the MAXLIVE of a trace (0 for empty traces)."""
     if not trace:
         return 0

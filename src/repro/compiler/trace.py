@@ -1,4 +1,4 @@
-"""Strip-mine unrolling: kernel bodies -> SSA instruction traces.
+"""Strip-mine unrolling: kernel bodies -> SSA traces of light operand tuples.
 
 Vector-length-agnostic kernels process ``n_elements`` in strips of at most
 the effective MVL (Application Vector Length for fixed-VL kernels such as
@@ -11,16 +11,20 @@ LavaMD2).  The unroller:
 * stamps each instruction with the strip's vector length,
 * inserts a scalar-overhead block per iteration modelling ``vsetvl``,
   address bumps and the loop branch on the 2 GHz dual-issue scalar core.
+
+It builds no instruction copies: each trace entry is a :class:`TraceOp`
+pointing at its kernel-body instruction, and the register allocator
+builds every final instruction once, with its architectural registers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.isa.builder import KernelBody
 from repro.isa.instructions import Instruction, scalar_block
-from repro.isa.operands import AddressSpace
+from repro.isa.operands import AddressSpace, MemOperand
 
 
 @dataclass(frozen=True)
@@ -68,42 +72,55 @@ class StripSchedule:
         return sum(s.vl for s in self.strips)
 
 
+class TraceOp(NamedTuple):
+    """One unrolled instruction, in the light form the allocator consumes.
+
+    ``inst`` is the kernel-body instruction (or the strip's scalar block)
+    and supplies the opcode, scalar operand and tag; the other fields are
+    this copy's operands, in virtual registers.  The allocator builds each
+    final :class:`~repro.isa.instructions.Instruction` once, from these.
+    """
+
+    inst: Instruction
+    dst: Optional[int]
+    srcs: Tuple[int, ...]
+    vl: int
+    mem: Optional[MemOperand]
+
+
+_op = tuple.__new__  # TraceOp(...) without its Python-level __new__
+
+
 def unroll_kernel(body: KernelBody, schedule: StripSchedule,
-                  mvl: int) -> List[Instruction]:
+                  mvl: int) -> List[TraceOp]:
     """Unroll ``body`` over ``schedule`` into a straight-line SSA trace."""
-    preamble = body.insts[:body.n_preamble]
-    loop = body.insts[body.n_preamble:]
-    n_body_regs = body.n_vregs - body.n_preamble
-    out: List[Instruction] = []
-
-    identity = {vid: vid for vid in range(body.n_vregs)}
-    for inst in preamble:
-        out.append(inst.remap(identity, vl=mvl))
-
     n_pre = body.n_preamble
-    # Which operands shift is a property of the instruction, not the strip:
-    # loop-body temporaries (id >= n_preamble) move by the per-iteration
-    # offset, preamble registers (loop invariants) keep their ids.  Decide
-    # once per loop instruction here instead of rebuilding a remap dict for
-    # every strip — only the additive offset varies across iterations.
-    templates = [(inst,
-                  inst.dst is not None and inst.dst >= n_pre,
-                  tuple(s >= n_pre for s in inst.srcs),
+    n_body_regs = body.n_vregs - n_pre
+    out: List[TraceOp] = [_op(TraceOp, (inst, inst.dst, inst.srcs, mvl,
+                                        inst.mem))
+                          for inst in body.insts[:n_pre]]
+    # Loop-body temporaries (id >= n_preamble) move by the per-iteration
+    # offset, preamble registers (loop invariants) keep their ids; only
+    # data-memory operands move with the strip.
+    templates = [(inst, inst.dst is not None and inst.dst >= n_pre,
+                  inst.srcs,
                   inst.mem is not None and inst.mem.space is AddressSpace.DATA)
-                 for inst in loop]
+                 for inst in body.insts[n_pre:]]
     for it, strip in enumerate(schedule.strips):
-        out.append(scalar_block(schedule.scalar_cycles))
+        block = scalar_block(schedule.scalar_cycles)
+        out.append(_op(TraceOp, (block, None, (), block.vl, None)))
         offset = it * n_body_regs
         start = strip.start
         vl = strip.vl
-        for inst, dst_shifts, src_shifts, data_mem in templates:
+        for inst, dst_shifts, srcs, data_mem in templates:
             mem = inst.mem
             if data_mem:
                 mem = mem.with_base(start * mem.stride + mem.base_elem)
-            dst = inst.dst + offset if dst_shifts else inst.dst
-            srcs = tuple(s + offset if shifts else s
-                         for s, shifts in zip(inst.srcs, src_shifts))
-            out.append(inst.with_operands(dst, srcs, vl, mem))
+            if srcs:
+                srcs = tuple([s + offset if s >= n_pre else s for s in srcs])
+            out.append(_op(TraceOp, (
+                inst, inst.dst + offset if dst_shifts else inst.dst, srcs, vl,
+                mem)))
     return out
 
 

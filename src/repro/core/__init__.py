@@ -13,8 +13,10 @@ Everything Figure 1 highlights lives here:
 * :mod:`repro.core.swap` — the Swap Logic's victim selection,
 * :mod:`repro.core.rob` — the reorder buffer,
 * :mod:`repro.core.uop` — the in-flight micro-op record the pipeline stages
-  annotate,
-* :mod:`repro.core.recovery` — commit-time checkpointing (§III.D).
+  annotate.
+
+§III.D's commit-time recovery checkpoint is not modelled: no simulated
+program squashes, so nothing could read it.
 
 The cycle-by-cycle stage interplay (pre-issue swap generation, dual in-order
 queues, chaining) is composed in :mod:`repro.vpu.pipeline`.

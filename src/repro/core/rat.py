@@ -6,22 +6,20 @@ List (FRL) of available VVRs.  A destination rename pops a VVR from the FRL
 and records the previous mapping as the *old destination*, which returns to
 the FRL when the renaming instruction commits.
 
-A retirement copy of the RAT is maintained at commit for §III.D recovery —
-AVA keeps exactly one checkpoint, updated every time a vector instruction
-commits, which is what :meth:`commit` does here.
+The §III.D recovery checkpoint (a retirement copy of the RAT) is not
+modelled: no simulated program squashes, so no result could read it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 
 class RenameTable:
     """RAT + FRL over ``n_vvr`` virtual vector registers."""
 
-    __slots__ = ("n_logical", "n_vvr", "_rat", "_frl", "_retirement_rat",
-                 "sanitizer")
+    __slots__ = ("n_logical", "n_vvr", "_rat", "_frl", "sanitizer")
 
     def __init__(self, n_logical: int, n_vvr: int) -> None:
         if n_vvr < n_logical:
@@ -31,7 +29,6 @@ class RenameTable:
         # Identity initial mapping; the remaining VVRs start free.
         self._rat: List[int] = list(range(n_logical))
         self._frl: Deque[int] = deque(range(n_logical, n_vvr))
-        self._retirement_rat: List[int] = list(self._rat)
         #: Optional sanitizer probe; destination renames report through it.
         self.sanitizer = None
 
@@ -70,30 +67,10 @@ class RenameTable:
             self.sanitizer.on_rename()
         return new, old
 
-    # -- commit / recovery ---------------------------------------------------------
-    def commit(self, logical: Optional[int], new_vvr: Optional[int],
-               old_vvr: Optional[int]) -> None:
-        """Retire one instruction: free its old destination VVR.
-
-        Updates the single retirement checkpoint (§III.D): after this call
-        the retirement RAT reflects the committed architectural state.
-        """
-        if logical is None:
-            return
-        if new_vvr is None or old_vvr is None:
-            raise ValueError("destination commits need both VVR ids")
-        self._retirement_rat[logical] = new_vvr
+    # -- commit ------------------------------------------------------------------
+    def commit(self, old_vvr: int) -> None:
+        """Retire a destination rename: its old VVR returns to the FRL."""
         self._frl.append(old_vvr)
-
-    def recover(self) -> None:
-        """Roll back to the retirement state after a squash (§III.D).
-
-        The speculative RAT becomes the retirement RAT; every VVR not mapped
-        by the retirement RAT is free again (FRL pointers reset).
-        """
-        self._rat = list(self._retirement_rat)
-        live = set(self._rat)
-        self._frl = deque(v for v in range(self.n_vvr) if v not in live)
 
     def live_vvrs(self) -> set[int]:
         """VVRs currently mapped by the speculative RAT."""

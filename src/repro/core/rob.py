@@ -58,14 +58,13 @@ class ReorderBuffer:
                 break
         return ready
 
-    def retire(self, uop: MicroOp, now: int) -> None:
+    def retire(self, uop: MicroOp) -> None:
         head = self._entries.popleft()
         if head is not uop:
             raise RuntimeError("out-of-order retire attempted")
         if self.sanitizer is not None:
             self.sanitizer.on_commit(uop)
         uop.state = UopState.COMMITTED
-        uop.committed_at = now
         self.total_committed += 1
 
     def oldest_uncommitted_memory(self) -> Optional[MicroOp]:
@@ -80,9 +79,3 @@ class ReorderBuffer:
 
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self._entries)
-
-    def flush(self) -> List[MicroOp]:
-        """Squash every in-flight entry (recovery); returns them oldest-first."""
-        squashed = list(self._entries)
-        self._entries.clear()
-        return squashed

@@ -20,8 +20,7 @@ paper's RAC-guided choice against FIFO and round-robin eviction.
 from __future__ import annotations
 
 import enum
-from typing import (TYPE_CHECKING, Callable, Container, Iterable, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.core.rac import RegisterAccessCounters
@@ -82,7 +81,7 @@ class SwapLogic:
     # -- victim selection --------------------------------------------------------------
     def select_victim(self, excluded: Sequence[int],
                       has_queued_reader: Optional[Callable[[int], bool]] = None,
-                      rat_live: Optional[Container[int]] = None,
+                      rat_live: Optional[Iterable[int]] = None,
                       is_clean: Optional[Callable[[int], bool]] = None,
                       ) -> Optional[int]:
         """The VVR to Swap-Store, or None if no legal candidate exists.
@@ -99,9 +98,10 @@ class SwapLogic:
         * ``has_queued_reader(vvr)`` — evicting a VVR some queued instruction
           is about to read forces an immediate Swap-Load back, so such VVRs
           are deprioritised;
-        * ``rat_live`` — a VVR that has been architecturally overwritten and
-          has no queued readers will never be reloaded (its Swap-Store is
-          pure writeback), making it a cheap victim;
+        * ``rat_live`` — the VVRs the RAT maps (any iterable): a VVR that
+          has been architecturally overwritten and has no queued readers
+          will never be reloaded (its Swap-Store is pure writeback), making
+          it a cheap victim;
         * ``is_clean(vvr)`` — a VVR whose M-VRF slot already holds its value
           can be evicted without any Swap-Store at all (the dirty-bit
           optimisation), making it the cheapest victim of all.
@@ -115,9 +115,12 @@ class SwapLogic:
         if not candidates:
             return None
         if self.policy is VictimPolicy.RAC_MIN:
+            if len(candidates) == 1:
+                return candidates[0]
             queued = has_queued_reader or (lambda vvr: False)
             clean = is_clean or (lambda vvr: False)
-            live = rat_live if rat_live is not None else frozenset()
+            # One set per ranking, however the caller holds the RAT.
+            live = set(rat_live) if rat_live is not None else frozenset()
 
             def rank(vvr: int) -> tuple:
                 return (queued(vvr),  # False sorts first: no reload pressure

@@ -87,7 +87,6 @@ class MicroOp:
     issued_at: int = -1
     first_ready: int = -1  # first result element available for chaining
     done_at: int = -1  # last element written back (valid bit set)
-    committed_at: int = -1
 
     # -- bookkeeping ----------------------------------------------------------
     rob_index: int = -1

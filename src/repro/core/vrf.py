@@ -49,7 +49,6 @@ class TwoLevelVRF:
         self.pvrf_writes = 0
         self.mvrf_reads = 0
         self.mvrf_writes = 0
-        self._retired_valid: List[bool] = [True] * n_vvr
         #: Optional sanitizer probe; swap data movement reports through it.
         self.sanitizer = None
 
@@ -64,13 +63,6 @@ class TwoLevelVRF:
     def mark_valid(self, vvr: int) -> None:
         """The producer of ``vvr`` completed write-back."""
         self._valid[vvr] = True
-
-    def commit_valid(self, vvr: int) -> None:
-        """Update the retirement copy of the valid bit (§III.D)."""
-        self._retired_valid[vvr] = self._valid[vvr]
-
-    def recover_valid(self) -> None:
-        self._valid = list(self._retired_valid)
 
     # -- functional value transport ---------------------------------------------
     def write_preg(self, preg: int, value: Optional[np.ndarray],

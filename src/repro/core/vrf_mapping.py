@@ -80,8 +80,11 @@ class VRFMapping:
         return self._owner[preg]
 
     def resident_vvrs(self) -> List[int]:
-        """All VVRs currently mapped in the P-VRF."""
-        return [v for v in range(self.n_vvr) if self._vrlt[v]]
+        """All VVRs currently mapped in the P-VRF, in ascending order.
+
+        Walks the ``n_physical`` owner entries, not all ``n_vvr`` VVRs:
+        the Swap Logic asks once per physical register it frees."""
+        return sorted([v for v in self._owner if v is not None])
 
     # -- transitions -----------------------------------------------------------------
     def allocate(self, vvr: int) -> int:

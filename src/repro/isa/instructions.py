@@ -140,27 +140,13 @@ class Instruction:
         Rewriting operands cannot change the instruction's shape (operand
         counts, opcode kind, dst presence), so the copy is built directly
         instead of re-running ``__init__`` validation — this is the
-        compiler's hottest loop (one copy per instruction per strip-mine
-        iteration).  :meth:`remap` layers the mapping-dict form on top.
+        compiler's hottest loop: the allocator builds every compiled
+        instruction this way, once, from a kernel-body instruction.
         """
         if vl <= 0:
             raise ValueError("vector instructions need vl >= 1")
         return _build(self.op, dst, srcs, self.scalar, vl, mem, self.tag,
                       next(_seq_counter))
-
-    def remap(self, mapping: dict[int, int],
-              mem: Optional[MemOperand] = None,
-              vl: Optional[int] = None) -> "Instruction":
-        """Return a copy with registers rewritten through ``mapping``.
-
-        Used by the register allocator (virtual -> architectural) and by the
-        strip-mining trace emitter (rebasing memory operands per iteration).
-        """
-        return self.with_operands(
-            dst=None if self.dst is None else mapping[self.dst],
-            srcs=tuple(mapping[s] for s in self.srcs),
-            vl=self.vl if vl is None else vl,
-            mem=self.mem if mem is None else mem)
 
     def to_dict(self) -> dict:
         """Exact JSON form for the trace store.

@@ -398,7 +398,7 @@ class PipelineModel:
         return self.swap_logic.select_victim(
             excluded,
             has_queued_reader=lambda v: self._vvr_queued_readers.get(v, 0) > 0,
-            rat_live=self.rat.live_vvrs(),
+            rat_live=self.rat._rat,
             is_clean=self.vrf.has_mvrf_copy)
 
     def _clean_evict(self, victim: int) -> None:
@@ -605,145 +605,168 @@ class VectorPipeline(PipelineModel):
         mapping = self.mapping
         vvr_version = mapping.vvr_version
         done_state = _DONE
+        # Counters charged in locals and added to ``stats`` once, when the
+        # run ends or aborts; the span counters are also flushed before
+        # each sanitizer span check, which reads them.
         events = 0
         writer_stalls = 0
         queue_stalls = 0
         rob_stalls = 0
         frl_stalls = 0
-        while rob.total_committed < to_commit:
-            now = self.now
-            if now > max_cycles:
-                stats.events_processed += events
-                stats.preissue_writer_stalls += writer_stalls
-                stats.preissue_queue_stalls += queue_stalls
-                stats.rename_rob_stalls += rob_stalls
-                stats.rename_frl_stalls += frl_stalls
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"(now={now}, {rob.total_committed}/"
-                    f"{to_commit} committed)")
-            events += 1
-            progress = False
-            if rob_entries and rob_entries[0].state is done_state:
-                progress = self._commit()
-            if completions and completions[0][0] <= now:
-                self._complete()
-                progress = True
-            if mem_q and self._mem_busy_until <= now:
-                # Memoized blocked gate: while the queue composition is
-                # unchanged, the head's wake has not arrived (or no issue
-                # happened since an unissued dependency was observed), and
-                # no source changed residency, the gate must still report
-                # "blocked, nothing to count" — skip the stage body.
-                head = mem_q[0]
-                blocked = False
-                if head is self._mg_head and len(mem_q) == self._mg_len:
-                    wake = self._mg_wake
-                    if (now < wake if wake >= 0.0
-                            else self._issue_stamp == self._mg_istamp):
-                        if mapping.stamp == self._mg_mstamp:
-                            blocked = True
-                        else:
-                            vsum = self._mg_vsum
-                            if vsum < 0:  # swap head: mapping-independent
+        skipped = 0  # cycles jumped over
+        spans = 0  # jumps
+        now = self.now
+        try:
+            while rob.total_committed < to_commit:
+                if now > max_cycles:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_cycles} cycles "
+                        f"(now={now}, {rob.total_committed}/"
+                        f"{to_commit} committed)")
+                events += 1
+                progress = False
+                if rob_entries and rob_entries[0].state is done_state:
+                    progress = self._commit()
+                if completions and completions[0][0] <= now:
+                    self._complete()
+                    progress = True
+                if mem_q and self._mem_busy_until <= now:
+                    # Memoized blocked gate: while the queue composition is
+                    # unchanged, the head's wake has not arrived (or no
+                    # issue happened since an unissued dependency was
+                    # observed), and no source changed residency, the gate
+                    # must still report "blocked, nothing to count" — skip
+                    # the stage body.
+                    head = mem_q[0]
+                    blocked = False
+                    if head is self._mg_head and len(mem_q) == self._mg_len:
+                        wake = self._mg_wake
+                        if (now < wake if wake >= 0.0
+                                else self._issue_stamp == self._mg_istamp):
+                            if mapping.stamp == self._mg_mstamp:
+                                blocked = True
+                            else:
+                                vsum = self._mg_vsum
+                                if vsum < 0:  # swap head: mapping-independent
+                                    blocked = True
+                                else:
+                                    s = 0
+                                    for v in head.src_vvrs:
+                                        s += vvr_version[v]
+                                    blocked = s == vsum
+                                if blocked:
+                                    self._mg_mstamp = mapping.stamp
+                    if not blocked:
+                        progress |= self._issue_memory()
+                if arith_q and self._arith_busy_until <= now:
+                    head = arith_q[0]
+                    blocked = False
+                    if head is self._ag_head:
+                        wake = self._ag_wake
+                        if (now < wake if wake >= 0.0
+                                else self._issue_stamp == self._ag_istamp):
+                            if mapping.stamp == self._ag_mstamp:
                                 blocked = True
                             else:
                                 s = 0
                                 for v in head.src_vvrs:
                                     s += vvr_version[v]
-                                blocked = s == vsum
-                            if blocked:
-                                self._mg_mstamp = mapping.stamp
-                if not blocked:
-                    progress |= self._issue_memory()
-            if arith_q and self._arith_busy_until <= now:
-                head = arith_q[0]
-                blocked = False
-                if head is self._ag_head:
-                    wake = self._ag_wake
-                    if (now < wake if wake >= 0.0
-                            else self._issue_stamp == self._ag_istamp):
-                        if mapping.stamp == self._ag_mstamp:
-                            blocked = True
+                                blocked = s == self._ag_vsum
+                                if blocked:
+                                    self._ag_mstamp = mapping.stamp
+                    if not blocked:
+                        progress |= self._issue_arith()
+                if pre_issue_q:
+                    # Inlined pre-issue stall memo (both kinds): re-count
+                    # the stall while no source of the head changed
+                    # residency, without entering the stage.  The mapping
+                    # stamp shortcut skips even the version re-sum on quiet
+                    # cycles.
+                    head = pre_issue_q[0]
+                    pk = head.preissue_stall_version
+                    if pk >= 0:
+                        if (head is self._pi_head
+                                and mapping.stamp == self._pi_mstamp):
+                            same = True
                         else:
                             s = 0
                             for v in head.src_vvrs:
                                 s += vvr_version[v]
-                            blocked = s == self._ag_vsum
-                            if blocked:
-                                self._ag_mstamp = mapping.stamp
-                if not blocked:
-                    progress |= self._issue_arith()
-            if pre_issue_q:
-                # Inlined pre-issue stall memo (both kinds): re-count the
-                # stall while no source of the head changed residency,
-                # without entering the stage.  The mapping stamp shortcut
-                # skips even the version re-sum on quiet cycles.
-                head = pre_issue_q[0]
-                pk = head.preissue_stall_version
-                if pk >= 0:
-                    if (head is self._pi_head
-                            and mapping.stamp == self._pi_mstamp):
-                        same = True
-                    else:
-                        s = 0
-                        for v in head.src_vvrs:
-                            s += vvr_version[v]
-                        same = s == pk
+                            same = s == pk
+                            if same:
+                                self._pi_head = head
+                                self._pi_mstamp = mapping.stamp
                         if same:
-                            self._pi_head = head
-                            self._pi_mstamp = mapping.stamp
-                    if same:
-                        if head.preissue_stall_kind == 0:
-                            writer_stalls += 1
-                        elif (len(mem_q) >= mem_depth
-                              if head.inst.is_memory
-                              else len(arith_q) >= arith_depth):
-                            queue_stalls += 1
+                            if head.preissue_stall_kind == 0:
+                                writer_stalls += 1
+                            elif (len(mem_q) >= mem_depth
+                                  if head.inst.is_memory
+                                  else len(arith_q) >= arith_depth):
+                                queue_stalls += 1
+                            else:
+                                head.preissue_stall_version = -1
+                                progress |= self._pre_issue()
                         else:
                             head.preissue_stall_version = -1
                             progress |= self._pre_issue()
                     else:
-                        head.preissue_stall_version = -1
                         progress |= self._pre_issue()
+                if dispatch_q and len(pre_issue_q) < pre_issue_depth:
+                    # Inlined rename stall charging (the stage's two
+                    # no-progress early returns, re-checked in O(1)).
+                    if len(rob_entries) >= rob_capacity:
+                        rob_stalls += 1
+                    elif dispatch_q[0].dst is not None and not rat_frl:
+                        frl_stalls += 1
+                    else:
+                        progress |= self._rename()
+                if self._fetch_idx < n_insts and now >= self._dispatch_wake:
+                    progress |= self._dispatch()
+                if progress:
+                    self.now = now = now + 1
                 else:
-                    progress |= self._pre_issue()
-            if dispatch_q and len(pre_issue_q) < pre_issue_depth:
-                # Inlined rename stall charging (the stage's two
-                # no-progress early returns, re-checked in O(1)).
-                if len(rob_entries) >= rob_capacity:
-                    rob_stalls += 1
-                elif dispatch_q[0].dst is not None and not rat_frl:
-                    frl_stalls += 1
-                else:
-                    progress |= self._rename()
-            if self._fetch_idx < n_insts and now >= self._dispatch_wake:
-                progress |= self._dispatch()
-            if progress:
-                self.now = now + 1
-            else:
-                # No stage can act: jump straight to the next event.  The
-                # budget is re-checked at the loop top — one jump can leap
-                # far past max_cycles and must not execute a cycle there.
-                self._fast_forward()
-        stats.events_processed += events
-        stats.preissue_writer_stalls += writer_stalls
-        stats.preissue_queue_stalls += queue_stalls
-        stats.rename_rob_stalls += rob_stalls
-        stats.rename_frl_stalls += frl_stalls
+                    # No stage can act: jump straight to the next event.
+                    # The budget is re-checked at the loop top — one jump
+                    # can leap far past max_cycles and must not execute a
+                    # cycle there.  Span accounting: the covered span is
+                    # the evaluated probe cycle plus the jump.
+                    target = self._fast_forward()
+                    skipped += target - now
+                    spans += 1
+                    self.now = now = target
+                    if self._san is not None:
+                        stats.fast_forward_cycles += skipped
+                        stats.cycles_skipped += skipped
+                        stats.spans_charged += spans
+                        stats.span_cycles += skipped + spans
+                        skipped = spans = 0
+                        self._san.on_span(stats)
+        finally:
+            stats.events_processed += events
+            stats.preissue_writer_stalls += writer_stalls
+            stats.preissue_queue_stalls += queue_stalls
+            stats.rename_rob_stalls += rob_stalls
+            stats.rename_frl_stalls += frl_stalls
+            stats.fast_forward_cycles += skipped
+            stats.cycles_skipped += skipped
+            stats.spans_charged += spans
+            stats.span_cycles += skipped + spans
         self._harvest()
         if self._san is not None:
             self._san.on_run_end(self.stats)
         return self.stats
 
-    def _fast_forward(self) -> None:
-        """Jump ``now`` to the earliest future event in the unified set.
+    def _fast_forward(self) -> int:
+        """The earliest future event in the unified set: where ``run``
+        jumps ``now`` when no stage can act.
 
         Every queue-head / queued-swap candidate comes from the memoized
-        per-uop wake timestamps (:meth:`_ready_wake`), and the swap
-        candidates come from the maintained side list instead of a rescan
-        of the whole memory queue — one jump is O(queued swaps) with O(1)
-        per candidate, and O(1) when the memos hold.
+        per-uop wake timestamps (:meth:`_ready_wake`, whose final-memo hit
+        is read in place), and the swap candidates come from the
+        maintained side list instead of a rescan of the whole memory queue
+        — one jump is O(queued swaps) with O(1) per candidate, and O(1)
+        when the memos hold.  The caller moves the clock and charges the
+        span counters, so an idle event writes no ``SimStats`` field.
         """
         now = self.now
         best = _NEVER
@@ -751,24 +774,33 @@ class VectorPipeline(PipelineModel):
             c = self._completions[0][0]
             if now < c < best:
                 best = c
-        if self.mem_q:
+        mem_q = self.mem_q
+        if mem_q:
             c = self._mem_busy_until
             if now < c < best:
                 best = c
-            wait = self._ready_wake(self.mem_q[0])
+            head = mem_q[0]
+            wait = head.wake_at
+            if wait < 0.0:
+                wait = self._ready_wake(head)
             if wait is not None and now < wait < best:
                 best = wait
             # Swap ops can issue out of order past a blocked head.  (A
             # swap head contributes twice; the min is unaffected.)
             for queued in self._queued_swaps:
-                wait = self._ready_wake(queued)
+                wait = queued.wake_at
+                if wait < 0.0:
+                    wait = self._ready_wake(queued)
                 if wait is not None and now < wait < best:
                     best = wait
         if self.arith_q:
             c = self._arith_busy_until
             if now < c < best:
                 best = c
-            wait = self._ready_wake(self.arith_q[0])
+            head = self.arith_q[0]
+            wait = head.wake_at
+            if wait < 0.0:
+                wait = self._ready_wake(head)
             if wait is not None and now < wait < best:
                 best = wait
         if self._fetch_idx < self._n_insts:
@@ -777,17 +809,7 @@ class VectorPipeline(PipelineModel):
                 best = c
         if best is _NEVER:
             raise DeadlockError(self._dump())
-        target = int(best)
-        stats = self.stats
-        stats.fast_forward_cycles += target - now
-        stats.cycles_skipped += target - now
-        # Span accounting: one stalled interval disposed of in one step.
-        # The covered span is the evaluated probe cycle plus the jump.
-        stats.spans_charged += 1
-        stats.span_cycles += target - now + 1
-        self.now = target
-        if self._san is not None:
-            self._san.on_span(stats)
+        return int(best)
 
     def _ready_wake(self, uop: MicroOp) -> Optional[float]:
         """Memoized :meth:`_head_wait_time`: earliest readiness timestamp.
@@ -938,7 +960,6 @@ class VectorPipeline(PipelineModel):
                 self._san.on_commit(head)
             entries.popleft()
             head.state = _COMMITTED
-            head.committed_at = now
             rob.total_committed += 1
             self._retire(head)
             retired += 1
@@ -947,14 +968,15 @@ class VectorPipeline(PipelineModel):
     def _retire(self, uop: MicroOp) -> None:
         # Inlined RAC decrement + reclamation test (saturating-counter
         # semantics exactly as RegisterAccessCounters.decrement /
-        # is_reclaimable), and inlined VRF/RAT commit bookkeeping
-        # (drop_mvrf / reset / mark_valid / commit_valid / RAT.commit):
-        # this runs once per committed instruction and dominated commit
-        # cost as method calls.
+        # is_reclaimable), and the old destination's release inlined
+        # (VRFMapping.release / drop_mvrf / reset / mark_valid / the FRL
+        # return of RenameTable.commit): this runs once per committed
+        # instruction and dominated commit cost as method calls.
         vrf = self.vrf
         counts = self.rac._counts
         saturated = self.rac._saturated
-        vrlt = self.mapping._vrlt
+        mapping = self.mapping
+        vrlt = mapping._vrlt
         valid = vrf._valid
         generation = vrf._generation
         mvrf_valid = vrf._mvrf_valid
@@ -970,18 +992,33 @@ class VectorPipeline(PipelineModel):
                     f"RAC underflow on VVR {vvr}: update protocol violated")
             counts[vvr] = count = count - 1
             if count == 0 and aggressive and vrlt[vvr] and valid[vvr]:
-                self.mapping.release(vvr)
+                mapping.release(vvr)
                 if fifo:
                     self.swap_logic.note_release(vvr)
                 # drop_mvrf: the generation is dead.
                 mvrf.pop(vvr, None)
                 mvrf_valid.discard(vvr)
                 generation[vvr] += 1
-        if uop.dst_vvr is not None:
-            assert uop.old_dst_vvr is not None
-            old = uop.old_dst_vvr
-            dst = uop.dst_vvr
-            self.mapping.release(old)
+        old = uop.old_dst_vvr  # set exactly when dst_vvr is
+        if old is not None:
+            # VRFMapping.release: the sanitizer sees the evicted state
+            # first, then the released one, as release() shows it.
+            prmt = mapping._prmt
+            preg = prmt[old]  # None unless the VVR is resident
+            if preg is not None:
+                vrlt[old] = False
+                mapping._owner[preg] = None
+                mapping._pfrl.append(preg)
+                prmt[old] = None
+            mapping.vvr_version[old] += 1
+            mapping.stamp += 1
+            san = self._san
+            if san is not None and preg is not None:
+                mapping._in_mvrf[old] = True
+                san.on_map_evict(old, preg)
+            mapping._in_mvrf[old] = False
+            if san is not None:
+                san.on_map_release(old, preg)
             if fifo:
                 self.swap_logic.note_release(old)
             mvrf.pop(old, None)  # drop_mvrf
@@ -990,13 +1027,7 @@ class VectorPipeline(PipelineModel):
             counts[old] = 0  # RAC reset
             saturated[old] = False
             valid[old] = True  # mark_valid
-            retired_valid = vrf._retired_valid  # commit_valid x2
-            retired_valid[old] = True
-            retired_valid[dst] = valid[dst]
-            # RAT.commit: retirement checkpoint + FRL release.
-            rat = self.rat
-            rat._retirement_rat[uop.inst.dst] = dst
-            rat._frl.append(old)
+            self.rat._frl.append(old)  # RenameTable.commit
         if uop.inst.is_memory:
             self._inflight_mem -= 1
         self.stats.committed += 1

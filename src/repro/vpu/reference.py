@@ -161,7 +161,7 @@ class ReferencePipeline(PipelineModel):
         return True
 
     def _retire(self, uop: MicroOp) -> None:
-        self.rob.retire(uop, self.now)
+        self.rob.retire(uop)
         for vvr in uop.src_vvrs:
             self.rac.decrement(vvr)
             if (self.aggressive_reclamation and self.rac.is_reclaimable(vvr)
@@ -178,9 +178,7 @@ class ReferencePipeline(PipelineModel):
             self.vrf.drop_mvrf(old)
             self.rac.reset(old)
             self.vrf.mark_valid(old)
-            self.vrf.commit_valid(old)
-            self.vrf.commit_valid(uop.dst_vvr)
-            self.rat.commit(uop.inst.dst, uop.dst_vvr, old)
+            self.rat.commit(old)
         if uop.inst.is_memory:
             self._inflight_mem -= 1
         self.stats.committed += 1

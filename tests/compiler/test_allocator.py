@@ -7,6 +7,7 @@ from repro.compiler.liveness import max_pressure
 from repro.isa.instructions import Instruction, Tag
 from repro.isa.opcodes import Op
 from repro.isa.operands import AddressSpace, data_ref
+from tests.conftest import trace_ops
 
 
 def chain(n_values: int, fan_in: int = 2):
@@ -21,7 +22,7 @@ def chain(n_values: int, fan_in: int = 2):
         acc += 1
     trace.append(Instruction(op=Op.VSE, srcs=(prev,), vl=8,
                              mem=data_ref("x")))
-    return trace
+    return trace_ops(trace)
 
 
 def test_no_spills_when_supply_covers_pressure():
@@ -62,7 +63,7 @@ def test_allocated_trace_preserves_instruction_order():
     trace = chain(5)
     result = allocate(trace, n_regs=8, mvl=16)
     kept = [i for i in result.insts if i.tag is Tag.NORMAL]
-    assert [i.op for i in kept] == [i.op for i in trace]
+    assert [i.op for i in kept] == [op.inst.op for op in trace]
 
 
 def test_ssa_violation_rejected():
@@ -73,13 +74,13 @@ def test_ssa_violation_rejected():
              Instruction(op=Op.VADD, dst=2, srcs=(0, 1), vl=8),
              Instruction(op=Op.VSE, srcs=(2,), vl=8, mem=data_ref("x"))]
     with pytest.raises(ValueError):
-        allocate(trace, n_regs=8, mvl=16)
+        allocate(trace_ops(trace), n_regs=8, mvl=16)
 
 
 def test_use_before_def_rejected():
     trace = [Instruction(op=Op.VSE, srcs=(3,), vl=8, mem=data_ref("x"))]
     with pytest.raises(ValueError):
-        allocate(trace, n_regs=8, mvl=16)
+        allocate(trace_ops(trace), n_regs=8, mvl=16)
 
 
 def test_minimum_register_supply_enforced():
@@ -99,7 +100,7 @@ def test_value_spilled_once_reloaded_many_times():
         trace.append(Instruction(op=Op.VSE, srcs=(vid + 1,), vl=8,
                                  mem=data_ref("x")))
         vid += 2
-    result = allocate(trace, n_regs=3, mvl=16)
+    result = allocate(trace_ops(trace), n_regs=3, mvl=16)
     # SSA values keep their slot copy valid forever, so reload traffic
     # dominates store traffic.
     assert result.spill_loads >= result.spill_stores

@@ -6,6 +6,7 @@ from repro.compiler.liveness import live_pressure, max_pressure
 from repro.isa.instructions import Instruction, scalar_block
 from repro.isa.opcodes import Op
 from repro.isa.operands import data_ref
+from tests.conftest import trace_ops
 
 
 def seq(*defs):
@@ -22,7 +23,7 @@ def seq(*defs):
             out.append(Instruction(op=Op.VMV, dst=dst, srcs=srcs, vl=4))
         else:
             out.append(Instruction(op=Op.VADD, dst=dst, srcs=srcs[:2], vl=4))
-    return out
+    return trace_ops(out)
 
 
 def test_live_pressure_simple_chain():
@@ -46,7 +47,7 @@ def test_never_read_value_still_occupies_register():
 
 
 def test_scalar_blocks_are_transparent():
-    trace = [scalar_block(4.0)] + seq((0, ()), (None, (0,)))
+    trace = trace_ops([scalar_block(4.0)]) + seq((0, ()), (None, (0,)))
     assert max_pressure(trace) == 1
 
 

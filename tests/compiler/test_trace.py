@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.compiler.trace import StripSchedule, body_pressure, unroll_kernel
+from repro.compiler.trace import (StripSchedule, TraceOp, body_pressure,
+                                  unroll_kernel)
 from repro.isa.builder import KernelBuilder
 from repro.isa.opcodes import Op
 
@@ -29,10 +30,21 @@ def test_schedule_rejects_bad_inputs():
         StripSchedule.for_elements(16, 0)
 
 
+def test_unroll_emits_light_ops_around_body_instructions():
+    """The unroller copies no instruction: each op points at its body
+    instruction (or the strip's scalar block) and carries its own
+    operands; the allocator builds the final instructions."""
+    body = simple_body()
+    trace = unroll_kernel(body, StripSchedule.for_elements(32, 16), 16)
+    assert all(isinstance(op, TraceOp) for op in trace)
+    vector = [op for op in trace if not op.inst.is_scalar]
+    assert all(any(op.inst is inst for inst in body.insts) for op in vector)
+
+
 def test_unroll_emits_preamble_once():
     body = simple_body()
     trace = unroll_kernel(body, StripSchedule.for_elements(64, 16), 16)
-    vfmvs = [i for i in trace if i.op is Op.VFMV_VF]
+    vfmvs = [i for i in trace if i.inst.op is Op.VFMV_VF]
     assert len(vfmvs) == 1
     assert vfmvs[0].vl == 16  # preamble runs MVL wide
 
@@ -47,8 +59,8 @@ def test_unroll_is_ssa():
 def test_invariants_shared_across_iterations():
     body = simple_body()
     trace = unroll_kernel(body, StripSchedule.for_elements(48, 16), 16)
-    const_reg = next(i.dst for i in trace if i.op is Op.VFMV_VF)
-    adds = [i for i in trace if i.op is Op.VADD_VF or i.op is Op.VADD]
+    const_reg = next(i.dst for i in trace if i.inst.op is Op.VFMV_VF)
+    adds = [i for i in trace if i.inst.op is Op.VADD_VF or i.inst.op is Op.VADD]
     assert adds
     assert all(const_reg in i.srcs for i in adds)
 
@@ -56,7 +68,7 @@ def test_invariants_shared_across_iterations():
 def test_memory_rebased_per_strip():
     body = simple_body()
     trace = unroll_kernel(body, StripSchedule.for_elements(48, 16), 16)
-    loads = [i for i in trace if i.op is Op.VLE]
+    loads = [i for i in trace if i.inst.op is Op.VLE]
     assert [ld.mem.base_elem for ld in loads] == [0, 16, 32]
 
 
@@ -65,14 +77,14 @@ def test_strided_memory_rebased_by_stride():
     v = kb.load("m", stride=3)
     kb.store(v, "out")
     trace = unroll_kernel(kb.build(), StripSchedule.for_elements(32, 16), 16)
-    loads = [i for i in trace if i.op is Op.VLSE]
+    loads = [i for i in trace if i.inst.op is Op.VLSE]
     assert [ld.mem.base_elem for ld in loads] == [0, 48]
 
 
 def test_vl_stamped_per_strip():
     body = simple_body()
     trace = unroll_kernel(body, StripSchedule.for_elements(40, 16), 16)
-    stores = [i for i in trace if i.op is Op.VSE]
+    stores = [i for i in trace if i.inst.op is Op.VSE]
     assert [s.vl for s in stores] == [16, 16, 8]
 
 
@@ -80,9 +92,9 @@ def test_scalar_blocks_inserted_per_iteration():
     body = simple_body()
     sched = StripSchedule.for_elements(64, 16, scalar_cycles=5.0)
     trace = unroll_kernel(body, sched, 16)
-    blocks = [i for i in trace if i.is_scalar]
+    blocks = [i for i in trace if i.inst.is_scalar]
     assert len(blocks) == 4
-    assert all(b.scalar == 5.0 for b in blocks)
+    assert all(b.inst.scalar == 5.0 for b in blocks)
 
 
 def test_body_pressure_includes_invariants():

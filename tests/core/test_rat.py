@@ -40,25 +40,11 @@ def test_commit_recycles_old_vvr():
     rat = RenameTable(4, 8)
     new, old = rat.rename_destination(1)
     before = rat.free_count
-    rat.commit(1, new, old)
+    rat.commit(old)
     assert rat.free_count == before + 1
     # The recycled VVR comes back around eventually.
     seen = {rat.rename_destination(0)[0] for _ in range(before + 1)}
     assert old in seen
-
-
-def test_recover_restores_retirement_state():
-    rat = RenameTable(4, 16)
-    committed_new, committed_old = rat.rename_destination(0)
-    rat.commit(0, committed_new, committed_old)
-    # Two speculative renames that never commit.
-    rat.rename_destination(0)
-    rat.rename_destination(1)
-    rat.recover()
-    assert rat.lookup(0) == committed_new
-    assert rat.lookup(1) == 1
-    # Every VVR not mapped by the retirement RAT is free again.
-    assert rat.free_count == 16 - 4
 
 
 def test_live_vvrs():

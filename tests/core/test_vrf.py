@@ -14,16 +14,6 @@ def test_valid_bit_lifecycle():
     assert vrf.is_valid(3)
 
 
-def test_valid_bit_recovery_checkpoint():
-    """§III.D: the retirement copy is updated at commit, restored on squash."""
-    vrf = TwoLevelVRF(8, 4, 16)
-    vrf.mark_pending(1)
-    vrf.commit_valid(1)  # retirement says pending
-    vrf.mark_valid(1)  # speculative completion
-    vrf.recover_valid()
-    assert not vrf.is_valid(1)
-
-
 def test_functional_value_roundtrip_through_mvrf():
     vrf = TwoLevelVRF(8, 4, 8, functional=True)
     data = np.arange(8, dtype=float)

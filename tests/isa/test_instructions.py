@@ -59,25 +59,19 @@ def test_uids_are_unique():
     assert a.uid != b.uid
 
 
-def test_remap_rewrites_registers():
-    inst = Instruction(op=Op.VFMADD, dst=2, srcs=(0, 1, 2), vl=8, scalar=None)
-    out = inst.remap({0: 10, 1: 11, 2: 12})
-    assert out.dst == 12
-    assert out.srcs == (10, 11, 12)
-    assert out.vl == 8
-
-
-def test_remap_overrides_vl_and_mem():
+def test_with_operands_rewrites_registers_vl_and_mem():
     inst = Instruction(op=Op.VLE, dst=1, vl=1, mem=data_ref("x", 0))
-    out = inst.remap({1: 5}, mem=data_ref("x", 64), vl=16)
+    out = inst.with_operands(5, (), 16, data_ref("x", 64))
+    assert out.dst == 5
     assert out.vl == 16
     assert out.mem is not None and out.mem.base_elem == 64
+    assert out.uid != inst.uid
 
 
-def test_spill_tag_survives_remap():
+def test_spill_tag_survives_with_operands():
     inst = Instruction(op=Op.VSE, srcs=(1,), vl=16, mem=spill_ref(0),
                        tag=Tag.SPILL)
-    assert inst.remap({1: 2}).tag is Tag.SPILL
+    assert inst.with_operands(None, (2,), 16, inst.mem).tag is Tag.SPILL
 
 
 def test_scalar_block():

@@ -12,6 +12,7 @@ from repro.compiler.liveness import max_pressure
 from repro.isa.instructions import Instruction, Tag
 from repro.isa.opcodes import Op
 from repro.isa.operands import data_ref, spill_ref
+from tests.conftest import trace_ops
 
 
 @st.composite
@@ -53,7 +54,7 @@ def ssa_traces(draw):
 @given(trace=ssa_traces(), n_regs=st.integers(min_value=4, max_value=32))
 @settings(max_examples=80, deadline=None)
 def test_allocation_respects_register_supply(trace, n_regs):
-    result = allocate(trace, n_regs=n_regs, mvl=16)
+    result = allocate(trace_ops(trace), n_regs=n_regs, mvl=16)
     for inst in result.insts:
         for reg in inst.registers:
             assert 0 <= reg < n_regs
@@ -62,19 +63,19 @@ def test_allocation_respects_register_supply(trace, n_regs):
 @given(trace=ssa_traces(), n_regs=st.integers(min_value=4, max_value=32))
 @settings(max_examples=80, deadline=None)
 def test_spill_free_iff_pressure_fits(trace, n_regs):
-    result = allocate(trace, n_regs=n_regs, mvl=16)
-    if max_pressure(trace) <= n_regs:
+    result = allocate(trace_ops(trace), n_regs=n_regs, mvl=16)
+    if max_pressure(trace_ops(trace)) <= n_regs:
         assert result.spill_free
     # (The converse — spills imply pressure > supply — holds for Belady on
     # straight-line code:)
     if not result.spill_free:
-        assert max_pressure(trace) > n_regs
+        assert max_pressure(trace_ops(trace)) > n_regs
 
 
 @given(trace=ssa_traces(), n_regs=st.integers(min_value=4, max_value=16))
 @settings(max_examples=60, deadline=None)
 def test_original_instructions_preserved_in_order(trace, n_regs):
-    result = allocate(trace, n_regs=n_regs, mvl=16)
+    result = allocate(trace_ops(trace), n_regs=n_regs, mvl=16)
     kept = [i.op for i in result.insts if i.tag is Tag.NORMAL]
     assert kept == [i.op for i in trace]
 
@@ -88,7 +89,7 @@ def test_dataflow_preserved_through_spills(trace, n_regs):
     instruction that produced them; spill slots must transport the same
     value the virtual registers carried.
     """
-    result = allocate(trace, n_regs=n_regs, mvl=16)
+    result = allocate(trace_ops(trace), n_regs=n_regs, mvl=16)
 
     # Virtual execution: virtual reg -> producing instruction index.
     virt_values = {}
@@ -239,7 +240,9 @@ def oracle_allocate(trace, n_regs: int, mvl: int) -> AllocationResult:
             dst_reg = take_reg(pos + 1, pinned)
             mapping[inst.dst] = dst_reg
             state.reg_of[inst.dst] = dst_reg
-        out.append(inst.remap(mapping))
+        out.append(inst.with_operands(
+            None if inst.dst is None else mapping[inst.dst],
+            tuple(mapping[src] for src in inst.srcs), inst.vl, inst.mem))
         used_regs.update(mapping.values())
         for src in sorted(set(inst.srcs)):
             release_if_dead(src, pos + 1)
@@ -249,7 +252,8 @@ def oracle_allocate(trace, n_regs: int, mvl: int) -> AllocationResult:
     return AllocationResult(
         insts=out, n_regs=n_regs, spill_loads=spill_loads,
         spill_stores=spill_stores, spill_slots=state.next_slot,
-        max_pressure=max_pressure(trace), registers_used=len(used_regs))
+        max_pressure=max_pressure(trace_ops(trace)),
+        registers_used=len(used_regs))
 
 
 def _shape(insts):
@@ -275,11 +279,11 @@ def test_allocator_matches_oracle(trace, n_regs, mvl, undefined_read):
         expected = oracle_allocate(trace, n_regs, mvl)
     except (ValueError, RuntimeError) as exc:
         with pytest.raises(type(exc)):
-            allocate(trace, n_regs, mvl)
+            allocate(trace_ops(trace), n_regs, mvl)
         return
-    result = allocate(trace, n_regs, mvl)
+    result = allocate(trace_ops(trace), n_regs, mvl)
     assert _shape(result.insts) == _shape(expected.insts)
     assert result.to_dict() == expected.to_dict()
-    assert result.max_pressure == max_pressure(trace)
+    assert result.max_pressure == max_pressure(trace_ops(trace))
     assert result.registers_used == len(
         {reg for inst in result.insts for reg in inst.registers})

@@ -24,7 +24,7 @@ def test_rat_frl_conservation(ops):
         if kind <= 1 and rat.can_rename_dst():
             in_flight.append((logical, *rat.rename_destination(logical)))
         elif kind == 2 and in_flight:
-            rat.commit(*in_flight.pop(0))
+            rat.commit(in_flight.pop(0)[2])
         mapped = rat.live_vvrs()
         olds = {old for _, _, old in in_flight}
         assert len(mapped) == 8

@@ -235,15 +235,35 @@ def test_random_programs_match_reference(body, scale):
     assert np.array_equal(new_out, ref_out)
 
 
-def test_max_cycles_guard_reports_position():
-    """The budget error is raised promptly after event jumps and names the
-    cycle it stopped at."""
-    config = ava_config(2)
-    workload, program = _compile_small("axpy", config)
-    pipe = VectorPipeline(config, program)
-    with pytest.raises(RuntimeError, match=r"now="):
-        pipe.run(max_cycles=10)
+@pytest.mark.parametrize("budget", [10, 300, 2000])
+@pytest.mark.parametrize("name", ["axpy", "lavamd"])
+@pytest.mark.parametrize("config", [ava_config(2), ava_config(8),
+                                    native_config(1)],
+                         ids=lambda c: c.name)
+def test_max_cycles_guard_reports_position(config, name, budget):
+    """The budget error is raised promptly after event jumps, names the
+    cycle it stopped at, and leaves the counters the reference stepper
+    leaves: every counter the scheduler keeps in a local is charged before
+    the error propagates.  (axpy finishes inside the largest budget; the
+    finished runs are compared the same way.)"""
+    _, program = _compile_small(name, config)
+    outcomes = []
+    for cls in (ReferencePipeline, VectorPipeline):
+        pipe = cls(config, program)
+        try:
+            pipe.run(max_cycles=budget)
+            error = None
+        except RuntimeError as exc:
+            error = str(exc)
+        outcomes.append((pipe, error))
+    (ref, ref_error), (pipe, error) = outcomes
+    assert error == ref_error
+    assert error is not None or budget == 2000
+    assert error is None or "now=" in error
+    assert pipe.stats.to_dict() == ref.stats.to_dict()
+    stats = pipe.stats
+    assert stats.span_cycles == stats.spans_charged + stats.cycles_skipped
     # The budget check runs before any cycle beyond the jump target is
     # evaluated, so the pipeline cannot have advanced deep past the budget
     # doing work: the overshoot is bounded by a single event jump.
-    assert pipe.stats.events_processed <= pipe.now + 1
+    assert stats.events_processed <= pipe.now + 1
