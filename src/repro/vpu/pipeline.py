@@ -536,6 +536,9 @@ class VectorPipeline(PipelineModel):
         super().__init__(*args, **kwargs)
         self._n_insts = len(self.program.insts)
         self._pre_issue_depth = self.params.pre_issue_depth
+        self._mem_depth = self.params.mem_queue_depth
+        self._arith_depth = self.params.arith_queue_depth
+        self._swap_budget = self.params.preissue_swap_budget
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
         self._dispatch_depth = self.params.dispatch_queue_depth
@@ -598,8 +601,8 @@ class VectorPipeline(PipelineModel):
         pre_issue_q = self.pre_issue_q
         dispatch_q = self.dispatch_q
         pre_issue_depth = self._pre_issue_depth
-        mem_depth = self.params.mem_queue_depth
-        arith_depth = self.params.arith_queue_depth
+        mem_depth = self._mem_depth
+        arith_depth = self._arith_depth
         n_insts = self._n_insts
         to_commit = self._to_commit
         mapping = self.mapping
@@ -1407,49 +1410,33 @@ class VectorPipeline(PipelineModel):
     # ------------------------------------------------------------------ pre-issue
     def _pre_issue(self) -> bool:
         """Advance the second-level mapping (gate: pre-issue queue
-        non-empty).
+        non-empty, and no stall memo on the head).
 
-        Stalled heads are memoized against their sources' residency
+        A stall is memoized against the head's sources' residency
         versions: a head waiting on an unissued producer cannot unblock
         until that source is allocated a physical register (which bumps its
         version), and a head stalled on a full issue queue re-checks only
-        the queue depth.  While the memo holds, the stall is re-counted —
-        exactly what a full re-evaluation would do — without re-walking the
-        mapping.
+        the queue depth.  While the memo holds, :meth:`run` re-counts the
+        stall — exactly what a full re-evaluation would do — without
+        entering the stage, and it clears a memo that no longer holds
+        before entering.
         """
         uop = self.pre_issue_q[0]
         mapping = self.mapping
-        if uop.preissue_stall_version >= 0:
-            vvr_version = mapping.vvr_version
-            vsum = 0
-            for v in uop.src_vvrs:
-                vsum += vvr_version[v]
-            if vsum == uop.preissue_stall_version:
-                if uop.preissue_stall_kind == 0:
-                    self.stats.preissue_writer_stalls += 1
-                    return False
-                # Queue-full stall: sources are fully mapped (step A falls
-                # through unchanged); only the target depth can vary.
-                target = (self.mem_q if uop.inst.is_memory else self.arith_q)
-                depth = (self.params.mem_queue_depth if uop.inst.is_memory
-                         else self.params.arith_queue_depth)
-                if len(target) >= depth:
-                    self.stats.preissue_queue_stalls += 1
-                    return False
-            uop.preissue_stall_version = -1
+        src_vvrs = uop.src_vvrs
         excluded: Optional[List[int]] = None  # built lazily; contents fixed
 
         # Step A: map sources; evicted sources need a Swap-Load each.  Swap
         # generation is combinational with the mapping update, so mapping can
         # complete in the same cycle as dispatch, but the memory queue
         # accepts at most `preissue_swap_budget` inserted swap ops per cycle.
-        budget = self.params.preissue_swap_budget
+        budget = self._swap_budget
         vrlt = mapping._vrlt
-        for vvr in uop.src_vvrs:
+        for vvr in src_vvrs:
             if vrlt[vvr]:
                 continue
             if excluded is None:
-                excluded = list(uop.src_vvrs)
+                excluded = list(src_vvrs)
                 if uop.dst_vvr is not None:
                     excluded.append(uop.dst_vvr)
             if mapping._in_mvrf[vvr]:
@@ -1491,11 +1478,14 @@ class VectorPipeline(PipelineModel):
             self.swap_logic.note_allocation(vvr)
 
         # Step B (destination mapping) happens at issue time — see
-        # _ensure_operands.  Step C: dispatch into the issue queue.
-        target = self.mem_q if uop.inst.is_memory else self.arith_q
-        depth = (self.params.mem_queue_depth if uop.inst.is_memory
-                 else self.params.arith_queue_depth)
-        if len(target) >= depth:
+        # _resolve_head.  Step C: dispatch into the issue queue.
+        if uop.inst.is_memory:
+            target = self.mem_q
+            full = len(target) >= self._mem_depth
+        else:
+            target = self.arith_q
+            full = len(target) >= self._arith_depth
+        if full:
             self.stats.preissue_queue_stalls += 1
             uop.preissue_stall_version = self._src_version_sum(uop)
             uop.preissue_stall_kind = 1
@@ -1519,7 +1509,7 @@ class VectorPipeline(PipelineModel):
         queued_readers = self._vvr_queued_readers
         pregs = []
         vsum = 0
-        for vvr in uop.src_vvrs:
+        for vvr in src_vvrs:
             preg = prmt[vvr]
             pregs.append(preg)
             vsum += vvr_version[vvr]
@@ -1539,7 +1529,7 @@ class VectorPipeline(PipelineModel):
         uop.src_pregs = tuple(pregs)
         uop.resolved_version = vsum
         # The destination physical register is assigned at issue time
-        # (_ensure_operands); uop.dst_preg stays None until then.
+        # (_resolve_head); uop.dst_preg stays None until then.
         uop.state = _PRE_ISSUED
         self._seq = uop.seq = seq
         self.pre_issue_q.popleft()
@@ -1549,17 +1539,12 @@ class VectorPipeline(PipelineModel):
     # ------------------------------------------------------------------ rename
     def _rename(self) -> bool:
         """First-level rename of the dispatch-queue head (gate: queue
-        non-empty and pre-issue queue not full)."""
+        non-empty, pre-issue queue not full, and neither of the stage's
+        stalls — a full ROB, or an empty FRL for a destination — which
+        :meth:`run` charges itself)."""
         rob = self.rob
-        if len(rob._entries) >= rob.capacity:
-            self.stats.rename_rob_stalls += 1
-            return False
-        inst = self.dispatch_q[0]
         rat = self.rat
-        if inst.dst is not None and not rat._frl:
-            self.stats.rename_frl_stalls += 1
-            return False
-        self.dispatch_q.popleft()
+        inst = self.dispatch_q.popleft()
         # A dispatch-queue slot opened up: let the scalar core re-evaluate
         # (it runs after rename within the same cycle, as before).
         self._dispatch_wake = 0.0
@@ -1653,7 +1638,8 @@ class VectorPipeline(PipelineModel):
             scalar_time += hand_off
         self._fetch_idx = idx
         self._scalar_time = scalar_time
-        self.stats.scalar_blocks += blocks
+        if blocks:
+            self.stats.scalar_blocks += blocks
         # Next wake-up: blocked on the queue -> woken by rename; otherwise
         # the first cycle the scalar core will have handed over the next
         # instruction.  (After the loop the head, if any, is non-scalar.)
