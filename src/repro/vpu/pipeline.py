@@ -101,6 +101,8 @@ _DONE = UopState.DONE
 _COMMITTED = UopState.COMMITTED
 _SWAP = Tag.SWAP
 _SPILL = Tag.SPILL
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class PipelineModel:
@@ -332,7 +334,7 @@ class PipelineModel:
             done = stream_end
         uop.first_ready = first
         uop.done_at = done
-        heapq.heappush(self._completions, (done, uop.seq, uop))
+        _heappush(self._completions, (done, uop.seq, uop))
 
     def _count_issue(self, uop: MicroOp) -> None:
         inst = uop.inst
@@ -539,6 +541,7 @@ class VectorPipeline(PipelineModel):
         self._mem_depth = self.params.mem_queue_depth
         self._arith_depth = self.params.arith_queue_depth
         self._swap_budget = self.params.preissue_swap_budget
+        self._arith_dead = self.params.arith_dead_time
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
         self._dispatch_depth = self.params.dispatch_queue_depth
@@ -1040,7 +1043,7 @@ class VectorPipeline(PipelineModel):
         """Flip due micro-ops to DONE (gate: completion heap top is due)."""
         completions = self._completions
         now = self.now
-        heappop = heapq.heappop
+        heappop = _heappop
         valid = self.vrf._valid
         pending_writer = self._pending_writer
         done_state = _DONE
@@ -1190,18 +1193,30 @@ class VectorPipeline(PipelineModel):
             self._ag_mstamp = self.mapping.stamp
             return False
         self.arith_q.popleft()
-        info = uop.inst.info
-        key = (uop.inst.vl, info.beats_per_element)
+        inst = uop.inst
+        info = inst.info
+        key = (inst.vl, info.beats_per_element)
         beats = self._arith_beats.get(key)
         if beats is None:
             beats = self._arith_beats[key] = arith_beats(*key,
                                                          self.config.lanes)
-        dead = self.params.arith_dead_time
+        dead = self._arith_dead
         occupancy = dead + beats
         self._finish_issue(uop, occupancy, dead, info.latency)
         self._arith_busy_until = self.now + occupancy
-        self.stats.arith_busy_cycles += occupancy
-        self._count_issue(uop)
+        # Inlined _count_issue for an arithmetic uop.
+        stats = self.stats
+        stats.arith_busy_cycles += occupancy
+        if self._track_swap_state:
+            queued_readers = self._vvr_queued_readers
+            for vvr in uop.src_vvrs:
+                remaining = queued_readers.get(vvr, 0) - 1
+                if remaining > 0:
+                    queued_readers[vvr] = remaining
+                else:
+                    queued_readers.pop(vvr, None)
+        stats.arith_insts += 1
+        stats.fpu_element_ops += inst.vl
         self._execute_arith(uop)
         return True
 
@@ -1249,8 +1264,7 @@ class VectorPipeline(PipelineModel):
                 vsum += vvr_version[v]
             if uop.resolved_version == vsum:
                 producers = uop.producers
-                for i in range(len(producers)):
-                    p = producers[i]
+                for i, p in enumerate(producers):
                     if p is not None:
                         state = p.state
                         if (state is _DONE or state is _COMMITTED
@@ -1320,7 +1334,20 @@ class VectorPipeline(PipelineModel):
                     created = True
                 elif outcome != _OK:
                     return _R_VICTIM
-            preg = mapping.allocate(uop.dst_vvr)
+            # Inlined VRFMapping.allocate (the PFRL is non-empty here).
+            dst = uop.dst_vvr
+            if mapping._vrlt[dst]:
+                raise RuntimeError(f"VVR {dst} is already mapped in the "
+                                   f"P-VRF")
+            preg = mapping._pfrl.popleft()
+            mapping._prmt[dst] = preg
+            mapping._vrlt[dst] = True
+            mapping._in_mvrf[dst] = False
+            mapping._owner[preg] = dst
+            mapping.vvr_version[dst] += 1
+            mapping.stamp += 1
+            if self._san is not None:
+                self._san.on_map_alloc(dst, preg)
             if self._track_swap_state:
                 self._attach_write_guards(uop, preg)
             uop.dst_preg = preg
