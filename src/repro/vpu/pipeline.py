@@ -606,7 +606,6 @@ class VectorPipeline(PipelineModel):
         pre_issue_depth = self._pre_issue_depth
         mem_depth = self._mem_depth
         arith_depth = self._arith_depth
-        n_insts = self._n_insts
         to_commit = self._to_commit
         mapping = self.mapping
         vvr_version = mapping.vvr_version
@@ -726,7 +725,7 @@ class VectorPipeline(PipelineModel):
                         frl_stalls += 1
                     else:
                         progress |= self._rename()
-                if self._fetch_idx < n_insts and now >= self._dispatch_wake:
+                if now >= self._dispatch_wake:  # _NEVER once all fetched
                     progress |= self._dispatch()
                 if progress:
                     self.now = now = now + 1
@@ -1638,8 +1637,11 @@ class VectorPipeline(PipelineModel):
 
     # ------------------------------------------------------------------ dispatch
     def _dispatch(self) -> bool:
-        """Scalar-core hand-off (gate: instructions remain and the wake-up
-        time has arrived)."""
+        """Scalar-core hand-off (gate: the wake-up time has arrived).
+
+        The wake-up is ``_NEVER`` once every instruction is fetched; a
+        rename that frees a queue slot re-arms it, and the call that
+        finds nothing left to fetch is a no-progress no-op."""
         insts = self.program.insts
         n = self._n_insts
         dispatch_q = self.dispatch_q
