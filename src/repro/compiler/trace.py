@@ -12,15 +12,15 @@ LavaMD2).  The unroller:
 * inserts a scalar-overhead block per iteration modelling ``vsetvl``,
   address bumps and the loop branch on the 2 GHz dual-issue scalar core.
 
-It builds no instruction copies: each trace entry is a :class:`TraceOp`
-pointing at its kernel-body instruction, and the register allocator
+It builds no instruction copies: each trace entry is a :data:`TraceOp`
+tuple pointing at its kernel-body instruction, and the register allocator
 builds every final instruction once, with its architectural registers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.builder import KernelBody
 from repro.isa.instructions import Instruction, scalar_block
@@ -72,23 +72,16 @@ class StripSchedule:
         return sum(s.vl for s in self.strips)
 
 
-class TraceOp(NamedTuple):
-    """One unrolled instruction, in the light form the allocator consumes.
-
-    ``inst`` is the kernel-body instruction (or the strip's scalar block)
-    and supplies the opcode, scalar operand and tag; the other fields are
-    this copy's operands, in virtual registers.  The allocator builds each
-    final :class:`~repro.isa.instructions.Instruction` once, from these.
-    """
-
-    inst: Instruction
-    dst: Optional[int]
-    srcs: Tuple[int, ...]
-    vl: int
-    mem: Optional[MemOperand]
-
-
-_op = tuple.__new__  # TraceOp(...) without its Python-level __new__
+#: One unrolled instruction, in the light form the allocator consumes: the
+#: plain tuple ``(inst, dst, srcs, vl, mem)``.  ``inst`` is the kernel-body
+#: instruction (or the strip's scalar block) and supplies the opcode,
+#: scalar operand and tag; the rest are this copy's operands, in virtual
+#: registers.  The allocator builds each final
+#: :class:`~repro.isa.instructions.Instruction` once, from these.  (A
+#: plain tuple, not a ``NamedTuple``: CPython specialises unpacking only
+#: for exact tuples, and a trace holds one per dynamic instruction.)
+TraceOp = Tuple[Instruction, Optional[int], Tuple[int, ...], int,
+                Optional[MemOperand]]
 
 
 def unroll_kernel(body: KernelBody, schedule: StripSchedule,
@@ -96,8 +89,7 @@ def unroll_kernel(body: KernelBody, schedule: StripSchedule,
     """Unroll ``body`` over ``schedule`` into a straight-line SSA trace."""
     n_pre = body.n_preamble
     n_body_regs = body.n_vregs - n_pre
-    out: List[TraceOp] = [_op(TraceOp, (inst, inst.dst, inst.srcs, mvl,
-                                        inst.mem))
+    out: List[TraceOp] = [(inst, inst.dst, inst.srcs, mvl, inst.mem)
                           for inst in body.insts[:n_pre]]
     # Loop-body temporaries (id >= n_preamble) move by the per-iteration
     # offset, preamble registers (loop invariants) keep their ids; only
@@ -108,7 +100,7 @@ def unroll_kernel(body: KernelBody, schedule: StripSchedule,
                  for inst in body.insts[n_pre:]]
     for it, strip in enumerate(schedule.strips):
         block = scalar_block(schedule.scalar_cycles)
-        out.append(_op(TraceOp, (block, None, (), block.vl, None)))
+        out.append((block, None, (), block.vl, None))
         offset = it * n_body_regs
         start = strip.start
         vl = strip.vl
@@ -118,9 +110,8 @@ def unroll_kernel(body: KernelBody, schedule: StripSchedule,
                 mem = mem.with_base(start * mem.stride + mem.base_elem)
             if srcs:
                 srcs = tuple([s + offset if s >= n_pre else s for s in srcs])
-            out.append(_op(TraceOp, (
-                inst, inst.dst + offset if dst_shifts else inst.dst, srcs, vl,
-                mem)))
+            out.append((inst, inst.dst + offset if dst_shifts else inst.dst,
+                        srcs, vl, mem))
     return out
 
 

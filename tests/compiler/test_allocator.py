@@ -63,7 +63,7 @@ def test_allocated_trace_preserves_instruction_order():
     trace = chain(5)
     result = allocate(trace, n_regs=8, mvl=16)
     kept = [i for i in result.insts if i.tag is Tag.NORMAL]
-    assert [i.op for i in kept] == [op.inst.op for op in trace]
+    assert [i.op for i in kept] == [inst.op for inst, *_ in trace]
 
 
 def test_ssa_violation_rejected():

@@ -14,13 +14,12 @@ from repro import (
     native_config,
     unroll_kernel,
 )
-from repro.compiler.trace import TraceOp
 from repro.core.config import MachineConfig
 
 
 def trace_ops(insts) -> list:
     """Ready-built instructions in the allocator's light trace form."""
-    return [TraceOp(i, i.dst, i.srcs, i.vl, i.mem) for i in insts]
+    return [(i, i.dst, i.srcs, i.vl, i.mem) for i in insts]
 
 
 def compile_kernel(body, config: MachineConfig, n_elements: int,
