@@ -116,7 +116,7 @@ def allocate(trace: Sequence[TraceOp], n_regs: int,
     later: Dict[int, int] = {}
     # (Scalar blocks carry no registers.)
     for pos in range(len(trace) - 1, -1, -1):
-        _, dst, srcs, _, _ = trace[pos]
+        _inst, dst, srcs, _vl, _mem = trace[pos]
         if dst is not None:
             dst_next[pos] = later.get(dst, INFINITY)
         if srcs:

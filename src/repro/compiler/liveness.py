@@ -33,7 +33,7 @@ def live_pressure(trace: Sequence[TraceOp]) -> List[int]:
     last_use: Dict[int, int] = {}
     defined_at: Dict[int, int] = {}
     # (Scalar blocks carry no registers.)
-    for idx, (_, dst, srcs, _, _) in enumerate(trace):
+    for idx, (_inst, dst, srcs, _vl, _mem) in enumerate(trace):
         for src in srcs:
             if src not in defined_at:
                 raise ValueError(
