@@ -76,25 +76,6 @@ def load_source(path: Path) -> SourceFile:
                       subpackage=subpackage, lines=text.splitlines())
 
 
-def collect_sources(paths: List[Path]) -> List[SourceFile]:
-    """Expand files/directories into parsed sources, sorted by path."""
-    files: List[Path] = []
-    for p in paths:
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        else:
-            files.append(p)
-    seen = set()
-    sources = []
-    for f in files:
-        resolved = f.resolve()
-        if resolved in seen:
-            continue
-        seen.add(resolved)
-        sources.append(load_source(f))
-    return sources
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []

@@ -22,7 +22,7 @@ below saturation, and a unit test pins the saturation behaviour.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 #: 3-bit counters.
 RAC_MAX = 7
@@ -71,24 +71,3 @@ class RegisterAccessCounters:
     def is_reclaimable(self, vvr: int) -> bool:
         """True when the count is zero and trustworthy."""
         return self._counts[vvr] == 0 and not self._saturated[vvr]
-
-    def min_positive(self, candidates: Iterable[int]) -> int | None:
-        """The candidate VVR with the lowest positive, unsaturated count.
-
-        This is the Swap Logic's selection rule: 1 is the lowest count for
-        swaps (0 means aggressive reclamation applies instead).  Ties break
-        toward the lowest VVR index, keeping the model deterministic.
-        """
-        best: int | None = None
-        best_count = RAC_MAX + 1
-        for vvr in candidates:
-            if self._saturated[vvr]:
-                continue
-            c = self._counts[vvr]
-            if c <= 0:
-                continue
-            if c < best_count or (c == best_count
-                                  and best is not None and vvr < best):
-                best = vvr
-                best_count = c
-        return best

@@ -10,7 +10,7 @@ issue rules.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List
 
 from repro.core.uop import MicroOp, UopState
 
@@ -66,16 +66,6 @@ class ReorderBuffer:
             self.sanitizer.on_commit(uop)
         uop.state = UopState.COMMITTED
         self.total_committed += 1
-
-    def oldest_uncommitted_memory(self) -> Optional[MicroOp]:
-        """Oldest in-flight vector memory instruction (reclamation rule b)."""
-        for uop in self._entries:
-            if uop.inst.is_memory:
-                return uop
-        return None
-
-    def has_inflight_memory(self) -> bool:
-        return self.oldest_uncommitted_memory() is not None
 
     def __iter__(self) -> Iterator[MicroOp]:
         return iter(self._entries)

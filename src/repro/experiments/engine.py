@@ -19,15 +19,17 @@ explicit and executes it once:
   *inputs* — the workload's compile fingerprint, the full scenario, the
   execution flags, the package code and :data:`DATA_SEED` — any change to
   any of them is a miss, and a hit never needs a compiled program;
-* :class:`CellExecutor` — runs cells inline or streamed over one
-  persistent :class:`concurrent.futures.ProcessPoolExecutor` that lives
-  for the executor's lifetime, compiling only the cells that miss the
-  cache.  Results are keyed by their position in the request, never by
-  completion order, so the output is byte-identical
-  regardless of scheduling and of ``jobs``.  Each result is written to
-  the cache the moment it lands, a raising cell becomes a
-  :class:`CellError` instead of discarding the rest of the batch, and an
-  interrupted grid resumes by rerunning — finished cells replay as hits.
+* :class:`CellExecutor` — plans a batch (keys it, reads the cache once
+  per distinct key) and then executes the plan inline or streamed over
+  one persistent :class:`concurrent.futures.ProcessPoolExecutor`,
+  compiling only what the misses need, once per batch.  A command that
+  needs several grids runs them as one batch.  Results are keyed by
+  their position in the request, never by completion order, so the
+  output is byte-identical regardless of scheduling and of ``jobs``.
+  Each result is written to the cache the moment it lands, a raising
+  cell becomes a :class:`CellError` instead of discarding the rest of
+  the batch, and an interrupted grid resumes by rerunning — finished
+  cells replay as hits.
 
 The figure/table regenerators, the claims table, the CLI and the
 examples all route through here, so ``figure3 all``, ``figure4`` and
@@ -654,19 +656,16 @@ class ExecutorStats:
     ``compiles`` counts actual kernel compilations.  Keys hash compile
     *inputs*, so only cache misses need a program: a cache hit reads no
     trace and compiles nothing, and a fully warm result cache reports
-    ``0 kernel compiles, 0 trace hits, 0 trace misses``.  Among the
-    misses, the per-(workload, :class:`CompileSignature`) memo keeps
-    ``compiles`` at the number of *distinct* pairs — configurations
-    differing only in simulation-side axes share one compile.  Named
-    cells memoize for the executor's lifetime; instance-backed cells only
-    within one batch, because the caller owns the instance and may mutate
-    it between batches.  With a trace store attached, ``trace_hits``
+    ``0 kernel compiles, 0 trace hits, 0 trace misses``.  A batch's
+    misses compile each *distinct* (workload, :class:`CompileSignature`)
+    pair at most once — configurations differing only in simulation-side
+    axes share one compile.  With a trace store attached, ``trace_hits``
     counts missing pairs replayed from disk instead of compiled and
     ``trace_misses`` counts pairs that had to compile (and were then
     stored) — so ``trace_misses == compiles`` on store-backed executors.
-    ``sim_*`` counters aggregate the event-driven scheduler's
-    efficiency over the simulations this executor actually ran (cache hits
-    replay stored results and schedule nothing).
+    ``sim_*`` counters aggregate the event-driven scheduler's efficiency
+    over the simulations this executor actually ran (cache hits replay
+    stored results and schedule nothing).
     """
 
     cells_requested: int = 0
@@ -726,18 +725,31 @@ class ExecutorStats:
         return text
 
 
-#: A compile-memo key: workload identity (registry name or instance) plus
-#: the (mvl, n_logical) signature — never the full machine config.
+#: A compile key: workload identity (registry name or instance) plus the
+#: (mvl, n_logical) signature — never the full machine config.
 PairKey = Tuple[Union[str, Workload], CompileSignature]
 
 
 @dataclass
-class _CompileMemo:
-    """Per-workload compile fingerprints and per-pair programs."""
+class Plan:
+    """One batch, worked out before anything runs: data only.
 
-    fingerprints: Dict[Union[str, Workload], str] = field(
+    ``keys[i]`` is ``cells[i]``'s :func:`cell_key`, or ``""`` when its
+    workload could not be fingerprinted (``unkeyable`` holds the one
+    :class:`CellError` such a workload shares).  ``hits`` maps each cached
+    key to its payload, ``misses`` each other key to the positions that
+    request it — one simulation per key — and ``compiles`` each
+    (workload, :class:`CompileSignature`) pair the misses need to the
+    first cell that needs it.
+    """
+
+    cells: List[Cell]
+    keys: List[str] = field(default_factory=list)
+    unkeyable: Dict[Union[str, Workload], CellError] = field(
         default_factory=dict)
-    programs: Dict[PairKey, Program] = field(default_factory=dict)
+    hits: Dict[str, dict] = field(default_factory=dict)
+    misses: Dict[str, List[int]] = field(default_factory=dict)
+    compiles: Dict[PairKey, Cell] = field(default_factory=dict)
 
 
 def _cell_error(cell: Cell, key: str, exc: BaseException) -> CellError:
@@ -761,13 +773,14 @@ class CellExecutor:
     a batch are simulated once.  Results always come back in request
     order.
 
-    A batch is keyed first: :func:`cell_key` hashes compile *inputs*,
-    with the workload's compile fingerprint memoized — for the executor's
-    lifetime for named cells, per batch for instance-backed cells (the
-    caller owns the instance and may mutate it between batches).  Cache
-    hits are final at that point; only the misses are compiled, once per
-    distinct (workload, :class:`CompileSignature`) pair under the same
-    memo policy, and dispatched.
+    :meth:`run` is :meth:`execute` of :meth:`plan`.  The plan keys the
+    batch — :func:`cell_key` hashes compile *inputs*, each workload
+    fingerprinted once — and reads the cache once per distinct key, so
+    cache hits are final before anything runs.  :meth:`execute` compiles
+    only the misses, once per distinct (workload,
+    :class:`CompileSignature`) pair, and dispatches them.  That compile
+    memo lives for one batch, so a command that needs several grids runs
+    them as one batch.
 
     Execution is *streaming*: every payload is written to the cache the
     moment its simulation lands, so interrupting a grid — Ctrl-C, an
@@ -780,9 +793,9 @@ class CellExecutor:
     their result positions instead).  ``progress`` is called with a
     :class:`Progress` snapshot as every cell is finalised.
 
-    ``traces`` attaches a persistent :class:`TraceStore`: compile-memo
-    misses consult it before compiling, and fresh compiles are written
-    back.  Every simulation job carries its :class:`Program` by value,
+    ``traces`` attaches a persistent :class:`TraceStore`: every pair a
+    batch needs consults it before compiling, and fresh compiles are
+    written back.  Every simulation job carries its :class:`Program` by value,
     inline and over the pool alike.
 
     Resilience knobs: ``deadline_s`` arms a per-cell deadline on each
@@ -828,10 +841,6 @@ class CellExecutor:
         self.sanitize = sanitize
         self.stats = ExecutorStats()
         self._pool: Optional[ProcessPoolExecutor] = None
-        # The memo for *named* cells: the registry instantiates a fresh
-        # default-shaped instance per lookup, so a name's fingerprint and
-        # its (name, signature) programs are pure for the executor's life.
-        self._named = _CompileMemo()
 
     # -- worker-pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -886,10 +895,49 @@ class CellExecutor:
         self.close()
 
     # -- public API ------------------------------------------------------------
-    def run(self, cells: Sequence[Cell], label: str = "",
-            errors: str = "raise"
-            ) -> List[Union[CellResult, CellError]]:
-        """Execute a batch; element ``i`` of the result matches ``cells[i]``.
+    def plan(self, cells: Sequence[Cell]) -> Plan:
+        """Key a batch and read the cache; compile, simulate and store
+        nothing.
+
+        Each workload is fingerprinted once; one that raises makes every
+        cell requesting it unkeyable (there is no key to cache under, so
+        those cells re-execute next run).  The cache is read once per
+        distinct key, and a read still quarantines a corrupt entry.
+        """
+        if self.sanitize:
+            cells = [cell if cell.sanitize else replace(cell, sanitize=True)
+                     for cell in cells]
+        plan = Plan(cells=list(cells))
+        fingerprints: Dict[Union[str, Workload], str] = {}
+        for cell in plan.cells:
+            workload = cell.workload
+            if workload not in fingerprints and workload not in plan.unkeyable:
+                try:
+                    fingerprints[workload] = (
+                        cell.resolve_workload().compile_fingerprint())
+                except Exception as exc:  # noqa: BLE001 — per workload
+                    plan.unkeyable[workload] = _cell_error(cell, "", exc)
+            fingerprint = fingerprints.get(workload)
+            plan.keys.append("" if fingerprint is None
+                             else cell_key(cell, fingerprint))
+        for i, key in enumerate(plan.keys):
+            if key in plan.misses:
+                plan.misses[key].append(i)
+            elif key and key not in plan.hits:
+                payload = self.cache.get(key) if self.cache else None
+                if payload is not None:
+                    plan.hits[key] = payload
+                    continue
+                plan.misses[key] = [i]
+                cell = plan.cells[i]
+                plan.compiles.setdefault(
+                    (cell.workload, CompileSignature.from_config(cell.config)),
+                    cell)
+        return plan
+
+    def execute(self, plan: Plan, label: str = "", errors: str = "raise"
+                ) -> List[Union[CellResult, CellError]]:
+        """Run a plan; element ``i`` of the result is ``plan.cells[i]``'s.
 
         ``label`` names the batch in progress snapshots.  ``errors``
         selects what a failed cell does once the batch has drained:
@@ -901,103 +949,70 @@ class CellExecutor:
         if errors not in ("raise", "return"):
             raise ValueError(f"errors must be 'raise' or 'return', "
                              f"got {errors!r}")
-        if self.sanitize:
-            cells = [cell if cell.sanitize else replace(cell, sanitize=True)
-                     for cell in cells]
-        self.stats.cells_requested += len(cells)
-        batch = _CompileMemo()
-
+        cells, by_key = plan.cells, plan.misses
         progress = Progress(total=len(cells), label=label)
         results: Dict[int, Union[CellResult, CellError]] = {}
-        failures: List[CellError] = []
-        pending: List[int] = []
-        keys: List[str] = []
-        # One shared CellError per workload whose fingerprint raised (its
-        # kernel does not build), however many cells requested it.  There
-        # is no key to cache under, so those cells re-execute next run.
-        unkeyable: Dict[Union[str, Workload], CellError] = {}
-        for i, cell in enumerate(cells):
-            error = unkeyable.get(cell.workload)
-            if error is None:
-                try:
-                    fingerprint = self._fingerprint(cell, batch)
-                except Exception as exc:  # noqa: BLE001 — per workload
-                    error = unkeyable[cell.workload] = _cell_error(
-                        cell, "", exc)
-                    failures.append(error)
-            if error is not None:
-                keys.append("")
-                results[i] = error
-                self.stats.cache_misses += 1
-                self.stats.cells_failed += 1
-                progress.misses += 1
-                progress.done += 1
+        failures: List[CellError] = list(plan.unkeyable.values())
+        for i, key in enumerate(plan.keys):
+            if not key:
+                results[i] = plan.unkeyable[cells[i].workload]
                 progress.failed += 1
-                continue
-            key = cell_key(cell, fingerprint)
-            keys.append(key)
-            payload = self.cache.get(key) if self.cache else None
-            if payload is not None:
-                self.stats.cache_hits += 1
+                progress.done += 1
+            elif key in plan.hits:
+                results[i] = self._materialise(cells[i], key, plan.hits[key],
+                                               from_cache=True)
                 progress.hits += 1
                 progress.done += 1
-                results[i] = self._materialise(cell, key, payload,
-                                               from_cache=True)
-            else:
-                self.stats.cache_misses += 1
-                progress.misses += 1
-                pending.append(i)
+        progress.misses = len(cells) - progress.hits
+        self.stats.cells_requested += len(cells)
+        self.stats.cache_hits += progress.hits
+        self.stats.cache_misses += progress.misses
+        self.stats.cells_failed += progress.failed
         self._emit(progress)
 
-        if pending:
-            # Dedupe identical cells inside the batch: one simulation each.
-            by_key: Dict[str, List[int]] = {}
-            for i in pending:
-                by_key.setdefault(keys[i], []).append(i)
+        def land(key: str, payload: dict) -> None:
+            """Finalise one simulation: cache first, then materialise."""
+            self.stats.sims_executed += 1
+            sim_stats = payload["stats"]
+            self.stats.sim_cycles += sim_stats["cycles"]
+            self.stats.sim_events_processed += sim_stats["events_processed"]
+            self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
+            self.stats.sim_spans_charged += sim_stats.get("spans_charged", 0)
+            self.stats.sim_span_cycles += sim_stats.get("span_cycles", 0)
+            if self.cache is not None:
+                self.cache.put(key, payload)
+            for i in by_key[key]:
+                results[i] = self._materialise(cells[i], key, payload,
+                                               from_cache=False)
+                progress.done += 1
+            self._emit(progress)
 
-            def land(key: str, payload: dict) -> None:
-                """Finalise one simulation: cache first, then materialise."""
-                self.stats.sims_executed += 1
-                sim_stats = payload["stats"]
-                self.stats.sim_cycles += sim_stats["cycles"]
-                self.stats.sim_events_processed += (
-                    sim_stats["events_processed"])
-                self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
-                self.stats.sim_spans_charged += sim_stats.get(
-                    "spans_charged", 0)
-                self.stats.sim_span_cycles += sim_stats.get("span_cycles", 0)
-                if self.cache is not None:
-                    self.cache.put(key, payload)
-                for i in by_key[key]:
-                    results[i] = self._materialise(cells[i], key, payload,
-                                                   from_cache=False)
-                    progress.done += 1
-                self._emit(progress)
+        def fail(key: str, exc: BaseException) -> None:
+            """Capture one failed key without stopping the rest."""
+            error = _cell_error(cells[by_key[key][0]], key, exc)
+            failures.append(error)
+            for i in by_key[key]:
+                results[i] = error
+                progress.done += 1
+                progress.failed += 1
+                self.stats.cells_failed += 1
+            self._emit(progress)
 
-            def fail(key: str, exc: BaseException) -> None:
-                """Capture one failed key without stopping the rest."""
-                error = _cell_error(cells[by_key[key][0]], key, exc)
-                failures.append(error)
-                for i in by_key[key]:
-                    results[i] = error
-                    progress.done += 1
-                    progress.failed += 1
-                    self.stats.cells_failed += 1
-                self._emit(progress)
-
-            # Only the misses need programs; a raising compile fails the
-            # keys that needed it before anything is dispatched.
-            programs = self._compile_programs(
-                [cells[indices[0]] for indices in by_key.values()], batch,
-                progress)
+        if by_key:
+            # A raising compile fails the keys that needed it before
+            # anything is dispatched.
+            programs = self._compile_programs(plan.compiles, progress)
             runnable: List[str] = []
             jobs_list: List[Job] = []
-            for key, program in zip(by_key, programs):
+            for key, indices in by_key.items():
+                cell = cells[indices[0]]
+                program = programs[
+                    (cell.workload, CompileSignature.from_config(cell.config))]
                 if isinstance(program, BaseException):
                     fail(key, program)
                 else:
                     runnable.append(key)
-                    jobs_list.append((cells[by_key[key][0]], program))
+                    jobs_list.append((cell, program))
             self._dispatch(jobs_list,
                            lambda pos, payload: land(runnable[pos], payload),
                            lambda pos, exc: fail(runnable[pos], exc),
@@ -1009,6 +1024,12 @@ class CellExecutor:
                 failures, completed=len(cells) - progress.failed,
                 total=len(cells))
         return [results[i] for i in range(len(cells))]
+
+    def run(self, cells: Sequence[Cell], label: str = "",
+            errors: str = "raise"
+            ) -> List[Union[CellResult, CellError]]:
+        """Plan and execute one batch (see :meth:`execute`)."""
+        return self.execute(self.plan(cells), label=label, errors=errors)
 
     def run_spec(self, spec: SweepSpec, label: str = "",
                  errors: str = "raise"
@@ -1052,50 +1073,25 @@ class CellExecutor:
             0.0, self.backoff_s)
         return base + jitter
 
-    def _memo(self, cell: Cell, batch: _CompileMemo) -> _CompileMemo:
-        """Named cells memoize for the executor's life, instances per
-        batch."""
-        return self._named if isinstance(cell.workload, str) else batch
-
-    def _fingerprint(self, cell: Cell, batch: _CompileMemo) -> str:
-        """The cell's memoized workload compile fingerprint (raises what
-        building the kernel raises; failures are never memoized)."""
-        fingerprints = self._memo(cell, batch).fingerprints
-        fingerprint = fingerprints.get(cell.workload)
-        if fingerprint is None:
-            fingerprint = cell.resolve_workload().compile_fingerprint()
-            fingerprints[cell.workload] = fingerprint
-        return fingerprint
-
-    def _compile_programs(self, cells: Sequence[Cell], batch: _CompileMemo,
+    def _compile_programs(self, pairs: Dict[PairKey, Cell],
                           progress: Progress
-                          ) -> List[Union[Program, BaseException]]:
-        """Each cell's program, or the exception its compile raised —
-        memoized per (workload, :class:`CompileSignature`).
+                          ) -> Dict[PairKey, Union[Program, BaseException]]:
+        """Each of a plan's ``compiles`` pairs mapped to its program, or
+        to the exception its compile raised.
 
         The signature is the narrowed compile key: configurations that
         differ only in simulation-side axes (NATIVE/AVA mode, physical
-        VRF, VVR count, lanes, timing) share one compile, so a machine-
-        axis grid compiles each workload once per distinct
-        (mvl, n_logical), not once per machine config.
-
-        With a trace store attached, memo misses consult it first —
-        signatures compiled by any previous run or process replay from
-        disk (``stats.trace_hits``) and only true misses compile.  Those
-        go through the same dispatcher as the simulations — over the
-        worker pool when the executor is parallel, with the same deadline
-        and retry budget — and are written back to the store.  A raising
-        compile is captured per pair (one bad kernel must not abort the
-        grid), only successful compiles count toward ``stats.compiles``,
-        and failed pairs are never memoized, so the next batch retries
-        them.
+        VRF, VVR count, lanes, timing) share one compile.  With a trace
+        store attached, each pair consults it first (``stats.trace_hits``)
+        and only true misses compile — through the same dispatcher,
+        deadline and retry budget as the simulations — and are written
+        back.  A raising compile is captured per pair, so one bad kernel
+        cannot abort the grid; only successful compiles count toward
+        ``stats.compiles``.
         """
-        todo: Dict[PairKey, Tuple[Cell, Optional[str]]] = {}
-        for cell in cells:
-            pair = (cell.workload, CompileSignature.from_config(cell.config))
-            programs = self._memo(cell, batch).programs
-            if pair in programs or pair in todo:
-                continue
+        programs: Dict[PairKey, Union[Program, BaseException]] = {}
+        todo: List[Tuple[PairKey, Cell, Optional[str]]] = []
+        for pair, cell in pairs.items():
             trace_key = None
             if self.traces is not None:
                 trace_key = self.traces.key(cell.resolve_workload(), pair[1])
@@ -1104,31 +1100,22 @@ class CellExecutor:
                     self.stats.trace_hits += 1
                     programs[pair] = stored.program
                     continue
-            todo[pair] = (cell, trace_key)
-
-        pairs = list(todo)
-        failed: Dict[PairKey, BaseException] = {}
+            todo.append((pair, cell, trace_key))
 
         def land(pos: int, compiled: CompiledWorkload) -> None:
-            cell, trace_key = todo[pairs[pos]]
+            pair, _, trace_key = todo[pos]
             self.stats.compiles += 1
             if trace_key is not None:
                 self.stats.trace_misses += 1
                 self.traces.put_trace(trace_key, compiled)
-            self._memo(cell, batch).programs[pairs[pos]] = compiled.program
+            programs[pair] = compiled.program
 
         def fail(pos: int, exc: BaseException) -> None:
-            failed[pairs[pos]] = exc
+            programs[todo[pos][0]] = exc
 
-        self._dispatch([(cell, None) for cell, _ in todo.values()], land,
-                       fail, progress, _compile_cell)
-
-        def program(cell: Cell) -> Union[Program, BaseException]:
-            pair = (cell.workload, CompileSignature.from_config(cell.config))
-            entry = self._memo(cell, batch).programs.get(pair)
-            return failed[pair] if entry is None else entry
-
-        return [program(cell) for cell in cells]
+        self._dispatch([(cell, None) for _, cell, _ in todo], land, fail,
+                       progress, _compile_cell)
+        return programs
 
     @staticmethod
     def _materialise(cell: Cell, key: str, payload: dict,

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.engine import (CellExecutor, RunRecord,
-                                      figure3_spec, fill_speedups,
-                                      record_from_result)
+from repro.experiments.engine import (CellExecutor, CellResult, RunRecord,
+                                      SweepSpec, figure3_spec,
+                                      fill_speedups, record_from_result)
 from repro.experiments.rendering import render_bars, render_table
 
 
@@ -103,8 +103,13 @@ def build_panels(workload_names: Sequence[str],
     """
     executor = executor or CellExecutor()
     spec = figure3_spec(workload_names)
-    results = executor.run_spec(spec, label=label)
+    return assemble_panels(spec, executor.run_spec(spec, label=label))
 
+
+def assemble_panels(spec: SweepSpec, results: Sequence[CellResult]
+                    ) -> Dict[str, Figure3Panel]:
+    """Fold a :func:`figure3_spec` grid's results into one panel per
+    application."""
     panels: Dict[str, Figure3Panel] = {}
     for name, chunk in spec.chunk_by_workload(results):
         records = fill_speedups([record_from_result(r) for r in chunk],

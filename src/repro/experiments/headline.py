@@ -11,26 +11,31 @@ Figures 4 and 5, Tables IV and V (§VI–VII), the sensitivity study and
 four ablations of the paper's design choices: A1 RAC-guided swap
 victims vs FIFO and round-robin, A2 aggressive register reclamation, A3
 issue-queue depth (Table II: 32) and A4 the P-reg count at MVL 128
-(Table I: 8).  One executor runs every grid; the Figure-3 grid is the
-spec of ``figure3 all``, so the two share cells through the cache.
+(Table I: 8).  Every grid runs as one executor batch, so a cell two
+grids share simulates once; the Figure-3 grid is the spec of ``figure3
+all``, so the two share cells through the cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import (ava_config, native_config,
                                with_physical_registers)
 from repro.core.swap import VictimPolicy
 from repro.experiments.configs import ava_series, native_series
-from repro.experiments.engine import CellExecutor, CellPolicy, SweepSpec
-from repro.experiments.figure3 import build_panels
+from repro.experiments.engine import (Cell, CellExecutor, CellPolicy,
+                                      SweepSpec, figure3_spec)
+from repro.experiments.figure3 import assemble_panels
 from repro.experiments.figure4 import build_figure4
 from repro.experiments.figure5 import build_figure5
 from repro.experiments.rendering import render_table
-from repro.experiments.sensitivity import build_sensitivity
+from repro.experiments.sensitivity import (SENSITIVITY_WORKLOAD,
+                                           assemble_sensitivity,
+                                           sensitivity_cells)
 from repro.experiments.tables import render_table4
 from repro.power.physical import PhysicalDesignModel
 from repro.vpu.params import DEFAULT_TIMING
@@ -101,23 +106,38 @@ class Claim:
                 margin, "yes" if self.holds else "NO"]
 
 
+def claims_grids(extra_workloads: Sequence[str] = ()
+                 ) -> Tuple[SweepSpec, List[List[Cell]]]:
+    """The Figure-3 spec and every grid the claims read: Figure 3, the
+    :data:`ABLATIONS` in order, then the sensitivity study.
+
+    ``extra_workloads`` widens the Figure-3 grid (the CLI's
+    ``--extended`` passes the full ten-kernel suite), warming the shared
+    cache without changing which claims are evaluated.
+    """
+    names = list(WORKLOAD_NAMES) + [n for n in extra_workloads
+                                    if n not in WORKLOAD_NAMES]
+    figure3 = figure3_spec(names)
+    return figure3, [figure3.cells(),
+                     *(spec.cells() for spec in ABLATIONS.values()),
+                     sensitivity_cells()]
+
+
 def check_headline_claims(executor: Optional[CellExecutor] = None,
                           extra_workloads: Sequence[str] = ()
                           ) -> List[Claim]:
-    """Run every grid the claims need and evaluate the claim table.
-
-    ``extra_workloads`` widens the Figure-3 batch (the CLI's
-    ``--extended`` passes the full ten-kernel grid), warming the shared
-    cache without changing which claims are evaluated.
-    """
+    """Run :func:`claims_grids` as one batch and evaluate the claim
+    table."""
     executor = executor or CellExecutor()
-    names = list(WORKLOAD_NAMES) + [n for n in extra_workloads
-                                    if n not in WORKLOAD_NAMES]
-    panels = build_panels(names, executor=executor, label="claims")
-    runs = {name: [r.stats for r in executor.run_spec(
-                spec, label=f"claims[{name}]")]
-            for name, spec in ABLATIONS.items()}
-    study = build_sensitivity(executor=executor)
+    figure3, grids = claims_grids(extra_workloads)
+    results = iter(executor.run([cell for grid in grids for cell in grid],
+                                label="claims"))
+    figure3_results, *ablations, sensitivity = [
+        list(islice(results, len(grid))) for grid in grids]
+    panels = assemble_panels(figure3, figure3_results)
+    runs = {name: [r.stats for r in rows]
+            for name, rows in zip(ABLATIONS, ablations)}
+    study = assemble_sensitivity(SENSITIVITY_WORKLOAD, sensitivity)
 
     def st(app: str, config: str):
         return panels[app].record(config).stats

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 
 def render_table(headers: Sequence[str],
@@ -36,25 +36,3 @@ def render_bars(items: Sequence[Tuple[str, float]], width: int = 40,
         lines.append(f"{label.ljust(label_w)} | {bar.ljust(width)} "
                      f"{fmt.format(value)}{unit}")
     return "\n".join(lines)
-
-
-def render_stacked(items: Sequence[Tuple[str, Sequence[Tuple[str, float]]]],
-                   width: int = 40) -> List[str]:
-    """Stacked bars: each item is (label, [(component, value), ...])."""
-    totals = [sum(v for _, v in parts) for _, parts in items]
-    peak = max(totals) if totals else 1.0
-    peak = peak or 1.0
-    label_w = max(len(label) for label, _ in items) if items else 0
-    glyphs = "#=+*ox%@"
-    lines = []
-    for (label, parts), total in zip(items, totals):
-        bar = ""
-        for i, (_, value) in enumerate(parts):
-            bar += glyphs[i % len(glyphs)] * int(round(value / peak * width))
-        lines.append(f"{label.ljust(label_w)} | {bar.ljust(width)} "
-                     f"{total:,.1f}")
-    if items:
-        legend = "  ".join(f"{glyphs[i % len(glyphs)]}={name}"
-                           for i, (name, _) in enumerate(items[0][1]))
-        lines.append(f"{' ' * label_w}   {legend}")
-    return lines

@@ -143,11 +143,11 @@ def _timing_with_swap_budget(budget: int) -> TimingParams:
     return replace(DEFAULT_TIMING, preissue_swap_budget=budget)
 
 
-def build_sensitivity(executor: Optional[CellExecutor] = None,
-                      workload: str = SENSITIVITY_WORKLOAD
-                      ) -> SensitivityStudy:
-    """Run the three sweeps as engine grids (cache-shared, ``--jobs``-able)."""
-    executor = executor or CellExecutor()
+def sensitivity_cells(workload: str = SENSITIVITY_WORKLOAD) -> List[Cell]:
+    """The three sweeps' cells: L2, then DRAM, then swap budget, each
+    (machine × axis)-ordered.  Run them as one batch: the executor
+    dedupes equal cells within a batch, so the paper-default point all
+    three axes share simulates once per machine."""
     machines = _machines()
 
     def grid(memsys: Sequence[Optional[MemorySystemConfig]] = (None,),
@@ -156,16 +156,31 @@ def build_sensitivity(executor: Optional[CellExecutor] = None,
         return SweepSpec(workloads=[workload], configs=machines,
                          params=params, memsys=memsys).cells()
 
-    l2 = grid(memsys=[_memory_with_l2_latency(v) for v in L2_LATENCIES])
-    dram = grid(memsys=[_memory_with_dram_latency(v) for v in DRAM_LATENCIES])
-    swap = grid(params=[_timing_with_swap_budget(v) for v in SWAP_BUDGETS])
-    # One batch: the executor dedupes equal cells within a batch, so the
-    # paper-default point all three axes share simulates once per machine.
-    results = executor.run(l2 + dram + swap, label="sensitivity")
-    split = len(l2) + len(dram)
+    return (grid(memsys=[_memory_with_l2_latency(v) for v in L2_LATENCIES])
+            + grid(memsys=[_memory_with_dram_latency(v)
+                           for v in DRAM_LATENCIES])
+            + grid(params=[_timing_with_swap_budget(v)
+                           for v in SWAP_BUDGETS]))
 
+
+def assemble_sensitivity(workload: str, results: Sequence[CellResult]
+                         ) -> SensitivityStudy:
+    """Fold :func:`sensitivity_cells`-ordered results into the study."""
+    n_machines = len(_machines())
+    l2 = n_machines * len(L2_LATENCIES)
+    dram = l2 + n_machines * len(DRAM_LATENCIES)
     return SensitivityStudy(
         workload=workload,
-        l2_rows=_rows(L2_LATENCIES, results[:len(l2)]),
-        dram_rows=_rows(DRAM_LATENCIES, results[len(l2):split]),
-        swap_rows=_rows(SWAP_BUDGETS, results[split:]))
+        l2_rows=_rows(L2_LATENCIES, results[:l2]),
+        dram_rows=_rows(DRAM_LATENCIES, results[l2:dram]),
+        swap_rows=_rows(SWAP_BUDGETS, results[dram:]))
+
+
+def build_sensitivity(executor: Optional[CellExecutor] = None,
+                      workload: str = SENSITIVITY_WORKLOAD
+                      ) -> SensitivityStudy:
+    """Run the three sweeps as one engine batch (cache-shared,
+    ``--jobs``-able)."""
+    executor = executor or CellExecutor()
+    results = executor.run(sensitivity_cells(workload), label="sensitivity")
+    return assemble_sensitivity(workload, results)

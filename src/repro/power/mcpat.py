@@ -129,11 +129,6 @@ class McPatModel:
             l2=tech.l2_mm2,
         )
 
-    def performance_per_mm2(self, config: MachineConfig,
-                            avg_speedup: float) -> float:
-        """The paper's Fig. 4 right axis: average speedup per VPU mm²."""
-        return avg_speedup / self.area(config).vpu
-
     # ---- energy (Fig. 3 column 4) ----------------------------------------------
     def energy(self, config: MachineConfig, stats: SimStats) -> EnergyReport:
         tech = self.tech

@@ -48,12 +48,6 @@ class PnrResult:
     def meets_timing(self) -> bool:
         return self.wns_ns >= 0.0
 
-    @property
-    def achievable_ghz(self) -> float:
-        """Highest clock the critical path supports."""
-        period = 1.0 - self.wns_ns  # target period minus slack = path delay
-        return 1.0 / period if period > 0 else float("inf")
-
     def rows(self) -> list[tuple[str, str]]:
         return [
             ("WNS (ns)", f"{self.wns_ns:+.3f}"),

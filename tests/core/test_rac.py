@@ -38,26 +38,7 @@ def test_saturation_at_3_bits():
     rac.decrement(1)
     assert rac.count(1) == RAC_MAX
     assert not rac.is_reclaimable(1)
-    assert rac.min_positive([1]) is None
     # ...until it is reset.
     rac.reset(1)
     assert rac.count(1) == 0
     assert rac.is_reclaimable(1)
-
-
-def test_min_positive_selection():
-    """'1 is the lowest count for swaps, 0 is aggressive reclamation.'"""
-    rac = RegisterAccessCounters(8)
-    for vvr, count in ((0, 0), (1, 3), (2, 1), (3, 2)):
-        for _ in range(count):
-            rac.increment(vvr)
-    assert rac.min_positive([0, 1, 2, 3]) == 2
-    assert rac.min_positive([0]) is None  # zero counts are not swap victims
-    assert rac.min_positive([]) is None
-
-
-def test_min_positive_tie_breaks_deterministically():
-    rac = RegisterAccessCounters(8)
-    rac.increment(5)
-    rac.increment(2)
-    assert rac.min_positive([5, 2]) == 2

@@ -74,12 +74,3 @@ def test_retire_updates_counters_and_state():
     assert rob.total_committed == 1
     assert rob.occupancy == 0
     assert list(rob) == []
-
-
-def test_inflight_memory_scan():
-    rob = ReorderBuffer()
-    rob.allocate(uop(memory=False))
-    assert not rob.has_inflight_memory()
-    m = uop(memory=True)
-    rob.allocate(m)
-    assert rob.oldest_uncommitted_memory() is m

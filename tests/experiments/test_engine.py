@@ -7,9 +7,11 @@ import pytest
 from repro.core.config import ava_config, native_config
 from repro.core.swap import VictimPolicy
 from repro.experiments.engine import (
+    CACHE_SCHEMA,
     Cell,
     CellExecutor,
     CellPolicy,
+    ExecutorStats,
     ResultCache,
     SweepSpec,
     cell_key,
@@ -276,6 +278,56 @@ def test_duplicate_cells_in_one_batch_simulate_once():
     # ... and compile once: identical (workload, config) pairs share one
     # program through the executor's compilation memo.
     assert executor.stats.compiles == 1
+
+
+def test_plan_gives_duplicate_cells_one_miss_entry():
+    """Equal cells share one miss (one simulation); cells whose machines
+    share a compile signature share one compile; planning runs nothing."""
+    executor = CellExecutor()
+    native = Cell("axpy", Scenario(native_config(2)))
+    ava = Cell("axpy", Scenario(ava_config(2)))
+    plan = executor.plan([native, ava, native])
+    assert plan.keys == [_key(native), _key(ava), _key(native)]
+    assert plan.misses == {_key(native): [0, 2], _key(ava): [1]}
+    assert plan.hits == {} and plan.unkeyable == {}
+    assert list(plan.compiles.values()) == [native]
+    assert executor.stats == ExecutorStats()
+
+
+def test_plan_reads_a_cached_key_once(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    cell = Cell("axpy", Scenario(native_config(1)))
+    payload = {"schema": CACHE_SCHEMA, "stats": {}, "energy": {}}
+    cache.put(_key(cell), payload)
+    reads = []
+    get = cache.get
+    cache.get = lambda key: reads.append(key) or get(key)
+    plan = CellExecutor(cache=cache).plan([cell] * 3)
+    assert reads == [_key(cell)]
+    assert plan.hits == {_key(cell): payload}
+    assert plan.misses == {} and plan.compiles == {}
+
+
+def test_plan_marks_cells_of_an_unbuildable_workload_unkeyable():
+    class Unbuildable(type(get_workload("axpy"))):
+        def build_kernel(self):
+            raise ValueError("no kernel")
+
+    bad = Unbuildable()
+    good = Cell("axpy", Scenario(native_config(1)))
+    plan = CellExecutor().plan([Cell(bad, Scenario(native_config(1))), good,
+                                Cell(bad, Scenario(ava_config(2)))])
+    assert plan.keys == ["", _key(good), ""]
+    assert list(plan.unkeyable) == [bad]
+    assert plan.unkeyable[bad].error == "ValueError: no kernel"
+    assert list(plan.misses) == [_key(good)]
+
+
+def test_plan_marks_every_cell_for_the_sanitizer():
+    cell = Cell("axpy", Scenario(native_config(1)))
+    plan = CellExecutor(sanitize=True).plan([cell])
+    assert plan.cells == [replace(cell, sanitize=True)]
+    assert plan.keys == [_key(replace(cell, sanitize=True))]
 
 
 def test_compilation_is_memoized_per_workload_config_pair(tmp_path):

@@ -11,7 +11,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.engine import (Cell, CellExecutor, fill_speedups,
                                       record_from_result)
-from repro.experiments.rendering import render_bars, render_stacked, render_table
+from repro.experiments.rendering import render_bars, render_table
 from repro.experiments.tables import (
     render_table1,
     render_table2,
@@ -81,11 +81,6 @@ def test_render_table_alignment():
 def test_render_bars():
     text = render_bars([("one", 1.0), ("two", 2.0)])
     assert text.splitlines()[1].count("#") > text.splitlines()[0].count("#")
-
-
-def test_render_stacked_has_legend():
-    lines = render_stacked([("cfg", [("dyn", 1.0), ("leak", 2.0)])])
-    assert any("dyn" in l for l in lines)
 
 
 def test_static_tables_render():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.experiments import headline
-from repro.experiments.engine import CellExecutor, figure3_spec
+from repro.experiments.engine import CellExecutor, cell_key, figure3_spec
 from repro.experiments.headline import Claim, above, below
 from repro.experiments.sensitivity import (DRAM_LATENCIES, L2_LATENCIES,
                                            SWAP_BUDGETS)
@@ -16,13 +16,26 @@ from repro.workloads.registry import WORKLOAD_NAMES
 N_CLAIMS = 62
 
 
+class PlanRecorder(CellExecutor):
+    """An executor that keeps every plan it makes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.plans = []
+
+    def plan(self, cells):
+        plan = super().plan(cells)
+        self.plans.append(plan)
+        return plan
+
+
 @pytest.fixture(scope="module")
 def run():
     """One full claims run, with an extra kernel widening the batch."""
-    with CellExecutor(jobs=2) as executor:
+    with PlanRecorder(jobs=2) as executor:
         claims = headline.check_headline_claims(
             executor=executor, extra_workloads=["pathfinder"])
-    return claims, executor.stats
+    return claims, executor.stats, executor.plans
 
 
 @pytest.mark.parametrize("value, lo, hi, margin", [
@@ -64,3 +77,15 @@ def test_extra_workloads_join_the_figure3_batch(run):
     sensitivity = 4 * (len(L2_LATENCIES) + len(DRAM_LATENCIES)
                        + len(SWAP_BUDGETS))
     assert run[1].cells_requested == figure3 + ablations + sensitivity
+
+
+def test_claims_simulate_each_distinct_key_once(run):
+    """Every grid joins one plan, so a cell two grids share (the default
+    blackscholes points of Figure 3, the ablations and the sensitivity
+    study) simulates once, not once per grid."""
+    stats, plans = run[1], run[2]
+    assert len(plans) == 1
+    assert [cell for grid in headline.claims_grids(["pathfinder"])[1]
+            for cell in grid] == plans[0].cells
+    assert stats.cache_hits == 0
+    assert stats.sims_executed == len({cell_key(c) for c in plans[0].cells})

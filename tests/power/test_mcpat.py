@@ -41,13 +41,6 @@ def test_vpu_reduction_53_percent(model):
     assert 1 - ava / native == pytest.approx(0.52, abs=0.03)
 
 
-def test_performance_per_mm2(model):
-    # Same average speedup, smaller VPU -> higher density for AVA.
-    native = model.performance_per_mm2(native_config(8), 2.0)
-    ava = model.performance_per_mm2(ava_config(8), 2.0)
-    assert ava > native
-
-
 def _stats(cycles=10_000, **kw):
     base = dict(fpu_element_ops=4096, vrf_reads=8192, vrf_writes=4096,
                 l2_reads=512, l2_writes=256, dram_accesses=16)

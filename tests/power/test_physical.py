@@ -51,13 +51,6 @@ def test_rg_shares_the_baseline_physical_design(model):
     assert rg.vrf_macro_area_mm2 == native1.vrf_macro_area_mm2
 
 
-def test_achievable_frequency(model):
-    ava = model.evaluate(ava_config(8))
-    native = model.evaluate(native_config(8))
-    assert ava.achievable_ghz > 1.0
-    assert native.achievable_ghz < 1.0
-
-
 def test_rows_render(model):
     rows = model.evaluate(ava_config(8)).rows()
     assert any("WNS" in k for k, _ in rows)
