@@ -427,7 +427,7 @@ def _render_artifact(parser: argparse.ArgumentParser,
         print(run_sweep(parsed, executor=executor))
     elif args.artifact == "sensitivity":
         from repro.experiments.sensitivity import (SENSITIVITY_WORKLOAD,
-                                                   build_sensitivity)
+                                                   build_studies)
         if args.extended:
             parser.error("--extended does not apply to sensitivity")
         if args.workload in ("all", "extended"):
@@ -436,9 +436,8 @@ def _render_artifact(parser: argparse.ArgumentParser,
             parser.error("sensitivity runs specific applications; pass a "
                          "registered name (or --workloads a,b)")
         names = selection(default=args.workload or SENSITIVITY_WORKLOAD)
-        for name in names:
-            print(build_sensitivity(executor=executor,
-                                    workload=name).render())
+        for study in build_studies(names, executor=executor):
+            print(study.render())
     else:
         from repro.experiments.headline import (check_headline_claims,
                                                 render_claims)

@@ -22,51 +22,49 @@
 * :mod:`repro.experiments.headline` — every paper claim as one table of
   bounded rows, behind ``repro claims``;
 * :mod:`repro.experiments.rendering` — ASCII tables and bar charts.
+
+Every name in ``__all__`` resolves on first access (PEP 562), so importing
+one submodule — ``engine`` or ``figure3`` for a warm render — loads
+neither ``sweep`` nor ``sensitivity``.
 """
 
-from repro.experiments.backends import default_jobs
-from repro.experiments.configs import (
-    figure3_series,
-    native_series,
-    ava_series,
-    rg_series,
-)
-from repro.experiments.engine import (
-    Cell,
-    CellError,
-    CellExecutionError,
-    CellExecutor,
-    CellPolicy,
-    CellResult,
-    Progress,
-    ProgressRenderer,
-    ResultCache,
-    RunRecord,
-    SweepSpec,
-    make_executor,
-)
-from repro.experiments.sensitivity import build_sensitivity
-from repro.experiments.sweep import parse_sweep, run_sweep
+from __future__ import annotations
 
-__all__ = [
-    "figure3_series",
-    "native_series",
-    "ava_series",
-    "rg_series",
-    "Cell",
-    "CellError",
-    "CellExecutionError",
-    "CellExecutor",
-    "CellPolicy",
-    "CellResult",
-    "Progress",
-    "ProgressRenderer",
-    "ResultCache",
-    "SweepSpec",
-    "make_executor",
-    "RunRecord",
-    "build_sensitivity",
-    "parse_sweep",
-    "run_sweep",
-    "default_jobs",
-]
+import importlib
+from typing import Any
+
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "figure3_series": "repro.experiments.configs",
+    "native_series": "repro.experiments.configs",
+    "ava_series": "repro.experiments.configs",
+    "rg_series": "repro.experiments.configs",
+    "Cell": "repro.experiments.engine",
+    "CellError": "repro.experiments.engine",
+    "CellExecutionError": "repro.experiments.engine",
+    "CellExecutor": "repro.experiments.engine",
+    "CellPolicy": "repro.experiments.engine",
+    "CellResult": "repro.experiments.engine",
+    "Progress": "repro.experiments.engine",
+    "ProgressRenderer": "repro.experiments.engine",
+    "ResultCache": "repro.experiments.engine",
+    "SweepSpec": "repro.experiments.engine",
+    "make_executor": "repro.experiments.engine",
+    "RunRecord": "repro.experiments.engine",
+    "build_sensitivity": "repro.experiments.sensitivity",
+    "parse_sweep": "repro.experiments.sweep",
+    "run_sweep": "repro.experiments.sweep",
+    "default_jobs": "repro.experiments.backends",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.experiments' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -11,6 +11,8 @@ and simulations alike, goes through one of two functions here, picked by
 * :func:`run_pool` — the streaming dispatcher over the executor's
   :class:`concurrent.futures.ProcessPoolExecutor`, with the watchdog that
   kills hung workers, broken-pool reclamation and the same retry budget.
+  Only the pool path imports :mod:`concurrent.futures`, so an inline
+  or all-hit batch never loads it.
 
 Both take the same ``(jobs_list, land, fail, progress, worker)``
 contract: call ``worker((cell, arg, attempt))`` for each ``(cell, arg)``
@@ -27,13 +29,14 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set,
                     Tuple)
 
 from repro import faults
 
 if TYPE_CHECKING:  # pragma: no cover — type names only, no import cycle
+    from concurrent.futures import Future
+
     from repro.experiments.engine import CellExecutor, Progress
 
 #: One dispatchable unit: ``(cell, worker argument)``.
@@ -79,13 +82,14 @@ class CellDeadlineExceeded(RuntimeError):
     """
 
 
-#: Failure types the retry budget covers: infrastructure faults (a dead
-#: worker, a deadline-killed hang, transient I/O) where a fresh attempt
-#: can plausibly succeed.  Deterministic cell exceptions — a raising
+#: Failure types the retry budget covers: infrastructure faults (a
+#: deadline-killed hang, transient I/O) where a fresh attempt can
+#: plausibly succeed.  Deterministic cell exceptions — a raising
 #: workload, a bad config — fail fast instead: retrying them burns the
-#: budget reproducing the same traceback.
-_RETRYABLE = (BrokenExecutor, CellDeadlineExceeded,
-              faults.TransientFaultError, OSError)
+#: budget reproducing the same traceback.  A dead pool worker
+#: (``BrokenExecutor``) is retryable too, but only :func:`run_pool` can
+#: see one, and it catches it on its own branch.
+_RETRYABLE = (CellDeadlineExceeded, faults.TransientFaultError, OSError)
 
 
 def _execute_deadlined(executor: "CellExecutor", worker: WorkerFn,
@@ -173,6 +177,8 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
     Everything that completed before an interruption was already
     cached by ``land``, so Ctrl-C keeps its resume-by-rerun contract.
     """
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
     attempts = [0] * len(jobs_list)
     inflight: Dict[Future, int] = {}
     first_running: Dict[Future, float] = {}

@@ -805,8 +805,8 @@ class CellExecutor:
     are resubmitted with their attempt counts intact), inline a
     ``SIGALRM`` timer.  ``retries`` bounds how many *charged* failures a
     cell may accumulate before it becomes a :class:`CellError`; only
-    infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
-    charge the budget — deterministic cell exceptions fail fast on the
+    infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`
+    and, in pool mode, a broken pool) charge the budget — deterministic cell exceptions fail fast on the
     first attempt.  Each charged retry backs off exponentially
     (``backoff_s * 2**(attempt-1)``) plus a deterministic per-cell jitter
     in ``[0, backoff_s)``, so a wave of retries against a shared cache

@@ -24,7 +24,8 @@ adaptability).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import List, Optional, Sequence
 
 from repro.core.config import MachineConfig, ava_config, native_config
 from repro.experiments.engine import Cell, CellExecutor, CellResult, SweepSpec
@@ -181,6 +182,17 @@ def build_sensitivity(executor: Optional[CellExecutor] = None,
                       ) -> SensitivityStudy:
     """Run the three sweeps as one engine batch (cache-shared,
     ``--jobs``-able)."""
+    return build_studies([workload], executor)[0]
+
+
+def build_studies(workloads: Sequence[str],
+                  executor: Optional[CellExecutor] = None
+                  ) -> List[SensitivityStudy]:
+    """One study per application, all of them run as ONE engine batch
+    and sliced back in order."""
     executor = executor or CellExecutor()
-    results = executor.run(sensitivity_cells(workload), label="sensitivity")
-    return assemble_sensitivity(workload, results)
+    grids = [sensitivity_cells(name) for name in workloads]
+    results = iter(executor.run([cell for grid in grids for cell in grid],
+                                label="sensitivity"))
+    return [assemble_sensitivity(name, list(islice(results, len(grid))))
+            for name, grid in zip(workloads, grids)]

@@ -8,16 +8,23 @@ Reproduces the two McPAT products the paper uses:
   contributors the paper reports: L2 dynamic/leakage, VRF dynamic/leakage
   (AVA's bookkeeping energy is folded into the VRF bars, as the paper
   describes), and FPU dynamic/leakage.
+
+The SRAM and technology models load when a :class:`McPatModel` is built
+or used, so reading a cached :class:`EnergyReport` never imports them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.config import MachineConfig, MachineMode
-from repro.power.sram import sram_access_energy_pj, sram_area_mm2, sram_leakage_mw
-from repro.power.technology import TECH_22NM, Technology
-from repro.sim.stats import SimStats, VPU_HZ
+from repro.core.config import MachineMode
+from repro.sim.stats import VPU_HZ
+
+if TYPE_CHECKING:
+    from repro.core.config import MachineConfig
+    from repro.power.technology import Technology
+    from repro.sim.stats import SimStats
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,16 @@ class EnergyReport:
 class McPatModel:
     """Area/energy model over machine configurations and run statistics."""
 
-    def __init__(self, tech: Technology = TECH_22NM) -> None:
+    def __init__(self, tech: Optional[Technology] = None) -> None:
+        if tech is None:
+            from repro.power.technology import TECH_22NM
+            tech = TECH_22NM
         self.tech = tech
 
     # ---- area (Fig. 4) -------------------------------------------------------
     def area(self, config: MachineConfig) -> AreaReport:
+        from repro.power.sram import sram_area_mm2
+
         tech = self.tech
         has_ava = config.mode is MachineMode.AVA
         return AreaReport(
@@ -131,6 +143,8 @@ class McPatModel:
 
     # ---- energy (Fig. 3 column 4) ----------------------------------------------
     def energy(self, config: MachineConfig, stats: SimStats) -> EnergyReport:
+        from repro.power.sram import sram_access_energy_pj, sram_leakage_mw
+
         tech = self.tech
         seconds = stats.cycles / VPU_HZ
         pvrf_bytes = config.pvrf_bytes

@@ -30,7 +30,6 @@ from repro.isa.builder import KernelBody
 from repro.isa.instructions import fingerprint_line
 from repro.isa.operands import AddressSpace
 from repro.isa.program import Program
-from repro.scalar.core import loop_scalar_cycles
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,6 +112,8 @@ class Workload(ABC):
 
     def schedule(self, config: Union[MachineConfig, CompileSignature]
                  ) -> StripSchedule:
+        from repro.scalar.core import loop_scalar_cycles
+
         vl = self.effective_vl(config.mvl)
         return StripSchedule.for_elements(
             self.n_elements, vl,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.engine import CellExecutor
+from repro.experiments.engine import CellExecutor, make_executor
 from repro.experiments.sensitivity import (DRAM_LATENCIES, L2_LATENCIES,
                                            SWAP_BUDGETS, build_sensitivity)
 
@@ -69,20 +69,20 @@ def test_cli_sensitivity_renders_the_study(monkeypatch, capsys, tmp_path):
         def render(self):
             return "fake sensitivity table"
 
-    def fake_build(executor=None, workload=None):
-        calls.append(workload)
-        return FakeStudy()
+    def fake_build(workloads, executor=None):
+        calls.append(list(workloads))
+        return [FakeStudy() for _ in workloads]
 
-    monkeypatch.setattr(sensitivity, "build_sensitivity", fake_build)
+    monkeypatch.setattr(sensitivity, "build_studies", fake_build)
     assert main(["sensitivity",
                  "--cache-dir", str(tmp_path / "cache")]) == 0
     assert "fake sensitivity table" in capsys.readouterr().out
-    assert calls == ["blackscholes"]
+    assert calls == [["blackscholes"]]
 
     assert main(["sensitivity", "lavamd",
                  "--cache-dir", str(tmp_path / "cache")]) == 0
     capsys.readouterr()
-    assert calls[-1] == "lavamd"
+    assert calls[-1] == ["lavamd"]
 
     with pytest.raises(SystemExit):
         main(["sensitivity", "doom"])
@@ -93,3 +93,29 @@ def test_cli_sensitivity_renders_the_study(monkeypatch, capsys, tmp_path):
         main(["sensitivity", "all"])
     with pytest.raises(SystemExit):
         main(["sensitivity", "--extended"])
+
+
+def test_several_applications_run_as_one_batch(monkeypatch, capsys,
+                                               tmp_path):
+    """``sensitivity --workloads a,b`` submits every study's cells as one
+    batch and slices the results back: one ``CellExecutor.run`` call, and
+    the same text as each study built on its own."""
+    batches = []
+    real_run = CellExecutor.run
+
+    def spy(self, cells, *args, **kwargs):
+        batches.append(len(cells))
+        return real_run(self, cells, *args, **kwargs)
+
+    monkeypatch.setattr(CellExecutor, "run", spy)
+    cache = str(tmp_path / "cache")
+    assert main(["sensitivity", "--workloads", "axpy,lavamd", "--jobs", "1",
+                 "--no-progress", "--cache-dir", cache]) == 0
+    out = capsys.readouterr().out
+    assert batches == [80]
+
+    executor = make_executor(jobs=1, cache=True, cache_dir=cache)
+    alone = [build_sensitivity(executor=executor, workload=name).render()
+             for name in ("axpy", "lavamd")]
+    assert out == "".join(text + "\n" for text in alone)
+    assert executor.stats.sims_executed == 0  # every cell was a hit

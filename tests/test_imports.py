@@ -1,6 +1,12 @@
 """Import hygiene: start-up and a warm render load neither numpy, the
-simulator nor the process pool, and the lazily resolved public API is
-complete."""
+simulator nor the process pool, a warm render loads nothing that only a
+compile, a power-model build or another command reads, and the lazily
+resolved public API is complete.
+
+``repro`` and ``repro.experiments`` resolve their public names on first
+access (PEP 562), so every check here runs the CLI in a fresh
+interpreter: in-process tests share one ``sys.modules`` and would hide a
+module that some earlier test already loaded."""
 
 import os
 import subprocess
@@ -10,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.experiments
 from repro.__main__ import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -18,28 +25,37 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy", "repro.vpu.pipeline", "repro.sim.simulator",
          "multiprocessing")
 
-_PROBE = f"""
+#: Modules that serve a process pool, a power-model build, a compile or
+#: another command: a warm (all-hit) render reads none of them.
+WARM_RENDER_SKIPS = ("concurrent.futures", "repro.power.sram",
+                     "repro.power.technology", "repro.scalar.core",
+                     "repro.experiments.sweep",
+                     "repro.experiments.sensitivity")
+
+_PROBE = """
 import sys
 from repro.__main__ import main
+watched = sys.argv[1].split(",")
 try:
-    main(sys.argv[1:])
+    main(sys.argv[2:])
 except SystemExit:
     pass
-print("loaded:", [m for m in {HEAVY!r} if m in sys.modules])
+print("loaded:", [m for m in watched if m in sys.modules])
 """
 
 
-def _heavy_modules_loaded(argv, cwd):
-    """Run the CLI in a fresh interpreter; the heavy modules it loaded."""
+def _modules_loaded(argv, cwd, watched=HEAVY):
+    """Run the CLI in a fresh interpreter; which of ``watched`` it
+    loaded."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True,
-        text=True, cwd=cwd, check=True,
+        [sys.executable, "-c", _PROBE, ",".join(watched), *argv],
+        capture_output=True, text=True, cwd=cwd, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)})
     return proc.stdout.splitlines()[-1]
 
 
 def test_version_imports_nothing_heavy(tmp_path):
-    assert _heavy_modules_loaded(["--version"], tmp_path) == "loaded: []"
+    assert _modules_loaded(["--version"], tmp_path) == "loaded: []"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -48,7 +64,8 @@ def test_warm_render_imports_nothing_heavy(tmp_path, capsys, jobs):
             "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 0  # the cold fill compiles and simulates
     capsys.readouterr()
-    assert _heavy_modules_loaded(argv, tmp_path) == "loaded: []"
+    watched = HEAVY + WARM_RENDER_SKIPS
+    assert _modules_loaded(argv, tmp_path, watched) == "loaded: []"
 
 
 def test_every_public_name_resolves():
@@ -56,3 +73,10 @@ def test_every_public_name_resolves():
         assert getattr(repro, name) is not None, name
     with pytest.raises(AttributeError):
         getattr(repro, "NoSuchName")
+
+
+def test_every_experiments_name_resolves():
+    for name in repro.experiments.__all__:
+        assert getattr(repro.experiments, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(repro.experiments, "NoSuchName")
