@@ -1,10 +1,11 @@
 """Result-cache keys pinned across commits.
 
 ``data/key_payloads.json`` records, for every cell of the figure3 grid
-over all ten kernels, each claims ablation grid and the two example
-sweep specs, the sha256 of :func:`cell_key_payload` with its ``"code"``
-entry removed (the package hash changes with every edit; the rest of the
-payload must not).  A refactor of :class:`Cell`, :class:`SweepSpec` or the
+over all ten kernels, each claims ablation grid and the three example
+sweep specs (``functional_smoke`` is the one with ``check`` set), the
+sha256 of :func:`cell_key_payload` with its ``"code"`` entry removed
+(the package hash changes with every edit; the rest of the payload must
+not).  A refactor of :class:`Cell`, :class:`SweepSpec` or the
 sweep parser that moves one key byte fails here, because every cached
 result keyed under the old layout would silently miss.
 
@@ -34,7 +35,7 @@ def _grids() -> Dict[str, List[Cell]]:
     grids = {"figure3": figure3_spec(ALL_WORKLOAD_NAMES).cells()}
     for name, spec in ABLATIONS.items():
         grids[f"ablation-{name}"] = spec.cells()
-    for name in ("sweep_smoke", "sensitivity"):
+    for name in ("sweep_smoke", "sensitivity", "functional_smoke"):
         parsed = parse_sweep(EXAMPLES / f"{name}.json")
         grids[name] = [cell for _, cell in parsed.labelled_cells()]
     return grids
