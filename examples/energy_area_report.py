@@ -51,7 +51,7 @@ def main() -> None:
     spec = SweepSpec(workloads=WORKLOAD_NAMES,
                      configs=[ava_config(s) for s in SCALE_FACTORS])
     with executor:
-        results = executor.run_spec(spec)
+        results = executor.run(spec.cells())
     rows = []
     for name, sweep in spec.chunk_by_workload(results):
         base = sweep[0]

@@ -36,8 +36,8 @@ def main() -> None:
     print(f"workload: {workload.describe()}")
 
     with executor:
-        results = executor.run_spec(
-            SweepSpec(workloads=("blackscholes",), configs=CONFIGS))
+        results = executor.run(
+            SweepSpec(workloads=("blackscholes",), configs=CONFIGS).cells())
     baseline = results[0].stats.cycles
 
     rows = []

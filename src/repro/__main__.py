@@ -62,8 +62,6 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from repro.cachefs import DEFAULT_CACHE_DIR
-
 if TYPE_CHECKING:
     from repro.experiments.engine import ProgressRenderer
 
@@ -111,10 +109,11 @@ def main(argv: list[str] | None = None) -> int:
                              "(JSON), also when a cell failed")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the result cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
+    # The default resolves after parsing, so --version never loads the
+    # cache layer; the help text names repro.cachefs.DEFAULT_CACHE_DIR.
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
+                             "(default: .repro-cache)")
     parser.add_argument("--cache-stats", action="store_true",
                         help="print engine cache/simulation counters "
                              "to stderr")
@@ -156,7 +155,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="disable the live progress line")
     args = parser.parse_args(argv)
     # Imported only now, so --version and --help load nothing heavy.
+    from repro.cachefs import DEFAULT_CACHE_DIR
     from repro.experiments.engine import ProgressRenderer, default_jobs
+    if args.cache_dir is None:
+        args.cache_dir = DEFAULT_CACHE_DIR
     if args.jobs == "auto":
         args.jobs = default_jobs()
     else:

@@ -50,7 +50,6 @@ _EXPORTS = {
     "ResultCache": "repro.experiments.engine",
     "SweepSpec": "repro.experiments.engine",
     "make_executor": "repro.experiments.engine",
-    "RunRecord": "repro.experiments.engine",
     "build_sensitivity": "repro.experiments.sensitivity",
     "parse_sweep": "repro.experiments.sweep",
     "run_sweep": "repro.experiments.sweep",

@@ -110,8 +110,9 @@ class Cell:
 
     workload: Union[str, Workload]
     scenario: Scenario
-    functional: bool = False
     warm: bool = True
+    # Execute functionally and compare the outputs with the workload's
+    # reference; the result's ``correct`` holds the verdict.
     check: bool = False
     # Run under the microarchitectural sanitizer.  Part of the cache key:
     # a sanitized run must prove the invariants held for *this* cell, not
@@ -152,23 +153,14 @@ class SweepSpec:
     params: Sequence[Optional[TimingParams]] = (None,)
     memsys: Sequence[Optional[MemorySystemConfig]] = (None,)
     policies: Sequence[CellPolicy] = (CellPolicy(),)
-    functional: bool = False
-    warm: bool = True
-    check: bool = False
 
     def cells(self) -> List[Cell]:
-        return [Cell(w, build_scenario(cfg, p, mem, pol),
-                     functional=self.functional, warm=self.warm,
-                     check=self.check)
+        return [Cell(w, build_scenario(cfg, p, mem, pol))
                 for w in self.workloads
                 for cfg in self.configs
                 for p in self.params
                 for mem in self.memsys
                 for pol in self.policies]
-
-    def __len__(self) -> int:
-        return (len(self.workloads) * len(self.configs) * len(self.params)
-                * len(self.memsys) * len(self.policies))
 
     def chunk_by_workload(self, results: Sequence["CellResult"]
                           ) -> List[Tuple[str, List["CellResult"]]]:
@@ -200,49 +192,22 @@ class CellResult:
     from_cache: bool = False
 
 
-@dataclass
-class RunRecord:
-    """One rendered cell: statistics decorated with a relative speedup.
-
-    Historically the result type of the long-removed
-    ``repro.experiments.runner`` module; the figure renderers consume it,
-    so it lives with the engine.
-    """
-
-    config: MachineConfig
-    stats: SimStats
-    energy: EnergyReport
-    correct: Optional[bool] = None
-    speedup: float = field(default=1.0)
-
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
+def speedups(results: Sequence[CellResult]) -> List[float]:
+    """Each result's speedup over the first (the series baseline); a
+    result of zero cycles reads 0.0."""
+    base = results[0].stats.cycles
+    return [base / r.stats.cycles if r.stats.cycles else 0.0
+            for r in results]
 
 
-def record_from_result(result: CellResult) -> RunRecord:
-    """Adapt an engine result to the renderers' record type."""
-    return RunRecord(config=result.cell.config, stats=result.stats,
-                     energy=result.energy, correct=result.correct)
-
-
-def fill_speedups(records: List[RunRecord],
-                  baseline_index: int = 0) -> List[RunRecord]:
-    """Decorate records with speedups vs the baseline entry, in place."""
-    base_cycles = records[baseline_index].cycles
-    for record in records:
-        record.speedup = base_cycles / record.cycles if record.cycles else 0.0
-    return records
-
-
-def average_speedups(per_workload: Dict[str, List[RunRecord]]) -> List[float]:
+def average_speedups(per_workload: Dict[str, List[float]]) -> List[float]:
     """Geometric-mean-free average speedup per series position (Fig. 4).
 
     Every workload must report the same series; ragged inputs mean a
     renderer lost (or duplicated) a configuration somewhere upstream, so
     they raise instead of silently averaging a truncated prefix.
     """
-    lengths = {name: len(records) for name, records in per_workload.items()}
+    lengths = {name: len(series) for name, series in per_workload.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(
             f"ragged per-workload series: {lengths} — every workload must "
@@ -250,7 +215,7 @@ def average_speedups(per_workload: Dict[str, List[RunRecord]]) -> List[float]:
     n = next(iter(lengths.values()), 0)
     # A left-to-right sum, not np.mean (pairwise): the two can differ in
     # the last bit, and Figure 4's rendered averages must not move.
-    return [sum(records[i].speedup for records in per_workload.values())
+    return [sum(series[i] for series in per_workload.values())
             / len(per_workload) for i in range(n)]
 
 
@@ -337,7 +302,9 @@ def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
         "workload": cell.workload_name,
         "compile": compile_fingerprint,
         "scenario": _scenario_key(cell.scenario),
-        "functional": cell.functional or cell.check,
+        # Always equal to "check", which implies functional execution;
+        # kept so that no key byte moves.
+        "functional": cell.check,
         "warm": cell.warm,
         "check": cell.check,
         # Sanitized runs re-simulate even when a plain result is cached:
@@ -452,8 +419,7 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
     if plan is not None:
         plan.fire_cell(cell.label(), attempt, in_worker=_IN_POOL_WORKER)
     workload = cell.resolve_workload()
-    functional = cell.functional or cell.check
-    sim = Simulator(cell.scenario, program, functional=functional,
+    sim = Simulator(cell.scenario, program, functional=cell.check,
                     sanitize=cell.sanitize)
     rng = np.random.default_rng(DATA_SEED)
     data = workload.init_data(rng)
@@ -462,7 +428,7 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
         raise ValueError(
             f"workload {workload.name!r}: init_data returned buffers "
             f"{shapes}, but its program declares {program.buffers}")
-    if functional:
+    if cell.check:
         for name, values in data.items():
             sim.set_data(name, values)
     if cell.warm:
@@ -788,10 +754,9 @@ class CellExecutor:
     already finished; rerunning replays them as cache hits and
     re-executes only what is missing.  A raising cell is captured as a
     :class:`CellError` while the rest of the batch keeps going; after the
-    batch drains, failures raise :class:`CellExecutionError` (pass
-    ``errors="return"`` to receive the :class:`CellError` objects in
-    their result positions instead).  ``progress`` is called with a
-    :class:`Progress` snapshot as every cell is finalised.
+    batch drains, failures raise :class:`CellExecutionError`.
+    ``progress`` is called with a :class:`Progress` snapshot as every
+    cell is finalised.
 
     ``traces`` attaches a persistent :class:`TraceStore`: every pair a
     batch needs consults it before compiling, and fresh compiles are
@@ -935,27 +900,19 @@ class CellExecutor:
                     cell)
         return plan
 
-    def execute(self, plan: Plan, label: str = "", errors: str = "raise"
-                ) -> List[Union[CellResult, CellError]]:
+    def execute(self, plan: Plan, label: str = "") -> List[CellResult]:
         """Run a plan; element ``i`` of the result is ``plan.cells[i]``'s.
 
-        ``label`` names the batch in progress snapshots.  ``errors``
-        selects what a failed cell does once the batch has drained:
-        ``"raise"`` (the default) raises :class:`CellExecutionError`,
-        ``"return"`` yields the :class:`CellError` in the failed cell's
-        result position.  Either way every completed cell was already
-        cached when the failure surfaced.
+        ``label`` names the batch in progress snapshots.  A failed cell
+        raises :class:`CellExecutionError` once the batch has drained,
+        when every completed cell is already cached.
         """
-        if errors not in ("raise", "return"):
-            raise ValueError(f"errors must be 'raise' or 'return', "
-                             f"got {errors!r}")
         cells, by_key = plan.cells, plan.misses
         progress = Progress(total=len(cells), label=label)
-        results: Dict[int, Union[CellResult, CellError]] = {}
+        results: Dict[int, CellResult] = {}
         failures: List[CellError] = list(plan.unkeyable.values())
         for i, key in enumerate(plan.keys):
             if not key:
-                results[i] = plan.unkeyable[cells[i].workload]
                 progress.failed += 1
                 progress.done += 1
             elif key in plan.hits:
@@ -989,13 +946,10 @@ class CellExecutor:
 
         def fail(key: str, exc: BaseException) -> None:
             """Capture one failed key without stopping the rest."""
-            error = _cell_error(cells[by_key[key][0]], key, exc)
-            failures.append(error)
-            for i in by_key[key]:
-                results[i] = error
-                progress.done += 1
-                progress.failed += 1
-                self.stats.cells_failed += 1
+            failures.append(_cell_error(cells[by_key[key][0]], key, exc))
+            progress.done += len(by_key[key])
+            progress.failed += len(by_key[key])
+            self.stats.cells_failed += len(by_key[key])
             self._emit(progress)
 
         if by_key:
@@ -1019,27 +973,16 @@ class CellExecutor:
                            progress, _execute_cell)
 
         self._sync_store_counters()
-        if failures and errors == "raise":
+        if failures:
             raise CellExecutionError(
                 failures, completed=len(cells) - progress.failed,
                 total=len(cells))
         return [results[i] for i in range(len(cells))]
 
-    def run(self, cells: Sequence[Cell], label: str = "",
-            errors: str = "raise"
-            ) -> List[Union[CellResult, CellError]]:
+    def run(self, cells: Sequence[Cell], label: str = ""
+            ) -> List[CellResult]:
         """Plan and execute one batch (see :meth:`execute`)."""
-        return self.execute(self.plan(cells), label=label, errors=errors)
-
-    def run_spec(self, spec: SweepSpec, label: str = "",
-                 errors: str = "raise"
-                 ) -> List[Union[CellResult, CellError]]:
-        """Expand a sweep spec and execute its grid."""
-        return self.run(spec.cells(), label=label, errors=errors)
-
-    def run_one(self, cell: Cell, errors: str = "raise"
-                ) -> Union[CellResult, CellError]:
-        return self.run([cell], errors=errors)[0]
+        return self.execute(self.plan(cells), label=label)
 
     # -- internals -------------------------------------------------------------
     def _dispatch(self, jobs_list: List[Job], land: LandFn, fail: FailFn,

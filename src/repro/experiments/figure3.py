@@ -15,45 +15,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.engine import (CellExecutor, CellResult, RunRecord,
-                                      SweepSpec, figure3_spec,
-                                      fill_speedups, record_from_result)
+from repro.experiments.engine import (CellExecutor, CellResult, SweepSpec,
+                                      figure3_spec, speedups)
 from repro.experiments.rendering import render_bars, render_table
 
 
 @dataclass
 class Figure3Panel:
-    """One application's full panel."""
+    """One application's full panel: its results in series order and each
+    one's speedup over the first (NATIVE X1)."""
 
     workload: str
-    records: List[RunRecord]
+    results: List[CellResult]
+    speedups: List[float]
 
     def memory_breakdown_rows(self) -> List[List[object]]:
         rows = []
-        for r in self.records:
+        for r in self.results:
             s = r.stats
-            rows.append([r.config.name, s.vloads, s.vstores, s.spill_loads,
-                         s.spill_stores, s.swap_loads, s.swap_stores,
-                         s.memory_insts])
+            rows.append([r.cell.config.name, s.vloads, s.vstores,
+                         s.spill_loads, s.spill_stores, s.swap_loads,
+                         s.swap_stores, s.memory_insts])
         return rows
 
     def mix_rows(self) -> List[List[object]]:
-        return [[r.config.name,
+        return [[r.cell.config.name,
                  f"{r.stats.arith_fraction:.1%}",
                  f"{r.stats.memory_fraction:.1%}"]
-                for r in self.records]
+                for r in self.results]
 
     def performance_rows(self) -> List[List[object]]:
-        return [[r.config.name, r.stats.cycles,
+        return [[r.cell.config.name, r.stats.cycles,
                  f"{r.stats.seconds * 1e6:.2f}",
-                 f"{r.speedup:.2f}"]
-                for r in self.records]
+                 f"{speedup:.2f}"]
+                for r, speedup in zip(self.results, self.speedups)]
 
     def energy_rows(self) -> List[List[object]]:
         rows = []
-        for r in self.records:
+        for r in self.results:
             e = r.energy
-            rows.append([r.config.name,
+            rows.append([r.cell.config.name,
                          f"{e.l2_dynamic:.0f}", f"{e.l2_leakage:.0f}",
                          f"{e.vrf_dynamic:.0f}", f"{e.vrf_leakage:.0f}",
                          f"{e.fpu_dynamic:.0f}", f"{e.fpu_leakage:.0f}",
@@ -74,9 +75,10 @@ class Figure3Panel:
         parts.append(render_table(
             ["config", "cycles", "time (us)", "speedup vs NATIVE X1"],
             self.performance_rows()))
-        parts.append(render_bars([(r.config.name, r.speedup)
-                                  for r in self.records], fmt="{:.2f}",
-                                 unit="x"))
+        parts.append(render_bars(
+            [(r.cell.config.name, speedup)
+             for r, speedup in zip(self.results, self.speedups)],
+            fmt="{:.2f}", unit="x"))
         parts.append(f"-- ({self.workload}4) energy (nJ) --")
         parts.append(render_table(
             ["config", "L2 dyn", "L2 leak", "VRF dyn", "VRF leak",
@@ -84,11 +86,17 @@ class Figure3Panel:
             self.energy_rows()))
         return "\n".join(parts)
 
-    def record(self, config_name: str) -> RunRecord:
-        for r in self.records:
-            if r.config.name == config_name:
-                return r
+    def _index(self, config_name: str) -> int:
+        for i, r in enumerate(self.results):
+            if r.cell.config.name == config_name:
+                return i
         raise KeyError(config_name)
+
+    def record(self, config_name: str) -> CellResult:
+        return self.results[self._index(config_name)]
+
+    def speedup(self, config_name: str) -> float:
+        return self.speedups[self._index(config_name)]
 
 
 def build_panels(workload_names: Sequence[str],
@@ -103,16 +111,12 @@ def build_panels(workload_names: Sequence[str],
     """
     executor = executor or CellExecutor()
     spec = figure3_spec(workload_names)
-    return assemble_panels(spec, executor.run_spec(spec, label=label))
+    return assemble_panels(spec, executor.run(spec.cells(), label=label))
 
 
 def assemble_panels(spec: SweepSpec, results: Sequence[CellResult]
                     ) -> Dict[str, Figure3Panel]:
     """Fold a :func:`figure3_spec` grid's results into one panel per
     application."""
-    panels: Dict[str, Figure3Panel] = {}
-    for name, chunk in spec.chunk_by_workload(results):
-        records = fill_speedups([record_from_result(r) for r in chunk],
-                                baseline_index=0)
-        panels[name] = Figure3Panel(workload=name, records=records)
-    return panels
+    return {name: Figure3Panel(name, chunk, speedups(chunk))
+            for name, chunk in spec.chunk_by_workload(results)}

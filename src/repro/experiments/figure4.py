@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SCALE_FACTORS, ava_config, native_config
-from repro.experiments.engine import (CellExecutor, RunRecord, SweepSpec,
-                                      average_speedups, fill_speedups,
-                                      record_from_result)
+from repro.experiments.engine import (CellExecutor, SweepSpec,
+                                      average_speedups, speedups)
 from repro.experiments.rendering import render_table
 from repro.power.mcpat import AreaReport, McPatModel
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -79,10 +78,11 @@ class Figure4:
         return "\n".join(parts)
 
 
-def build_figure4(per_workload: Optional[Dict[str, List[RunRecord]]] = None,
+def build_figure4(per_workload: Optional[Dict[str, List[float]]] = None,
                   executor: Optional[CellExecutor] = None,
                   workload_names: Optional[Sequence[str]] = None) -> Figure4:
-    """Compute Fig. 4; re-runs the applications unless records are given.
+    """Compute Fig. 4; re-runs the applications unless each one's
+    speedups over NATIVE X1 (NATIVE then AVA series) are given.
 
     The performance-per-mm² averages run over ``workload_names`` — Table
     IV's six by default, or any registry selection (the CLI's
@@ -100,11 +100,9 @@ def build_figure4(per_workload: Optional[Dict[str, List[RunRecord]]] = None,
         executor = executor or CellExecutor()
         spec = SweepSpec(workloads=list(workload_names or WORKLOAD_NAMES),
                          configs=native_cfgs + ava_cfgs)
-        results = executor.run_spec(spec, label="figure4")
-        per_workload = {
-            name: fill_speedups([record_from_result(r) for r in chunk],
-                                baseline_index=0)
-            for name, chunk in spec.chunk_by_workload(results)}
+        results = executor.run(spec.cells(), label="figure4")
+        per_workload = {name: speedups(chunk)
+                        for name, chunk in spec.chunk_by_workload(results)}
 
     averages = average_speedups(per_workload)
     n = len(native_cfgs)

@@ -143,7 +143,7 @@ def check_headline_claims(executor: Optional[CellExecutor] = None,
         return panels[app].record(config).stats
 
     def sp(app: str, config: str) -> float:
-        return panels[app].record(config).speedup
+        return panels[app].speedup(config)
 
     def vs(app: str, a: str, b: str) -> float:
         return sp(app, a) / sp(app, b)
@@ -151,11 +151,11 @@ def check_headline_claims(executor: Optional[CellExecutor] = None,
     def named(plan, name: str) -> int:
         return sum(b.name.startswith(name) for b in plan.blocks)
 
-    axpy = [r.stats for r in panels["axpy"].records]
+    axpy = [r.stats for r in panels["axpy"].results]
     energy = {c: panels["axpy"].record(c).energy.total
               for c in ("NATIVE X1", "AVA X8")}
     fig4 = build_figure4(per_workload={
-        name: [panels[name].record(c.name)
+        name: [panels[name].speedup(c.name)
                for c in native_series() + ava_series()]
         for name in WORKLOAD_NAMES})
     plans = native_plan, ava_plan = build_figure5()

@@ -16,7 +16,6 @@ Fig. 4 points exactly (8 KB -> 0.18 mm², 64 KB -> 1.41 mm²).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.power.technology import TECH_22NM, Technology
 
@@ -53,29 +52,3 @@ def sram_access_energy_pj(size_bytes: int, element_bytes: int = 8,
     scale = math.sqrt(kb / _REF_KB) * (element_bytes / 8.0)
     return tech.vrf_pj_per_element * scale
 
-
-@dataclass(frozen=True)
-class SramMacro:
-    """A named SRAM instance with its derived physical properties."""
-
-    name: str
-    size_bytes: int
-    ports: int = 6
-    tech: Technology = TECH_22NM
-
-    @property
-    def area_mm2(self) -> float:
-        return sram_area_mm2(self.size_bytes, self.ports, self.tech)
-
-    @property
-    def leakage_mw(self) -> float:
-        return sram_leakage_mw(self.size_bytes, self.ports, self.tech)
-
-    @property
-    def access_energy_pj(self) -> float:
-        return sram_access_energy_pj(self.size_bytes, tech=self.tech)
-
-    def describe(self) -> str:
-        return (f"{self.name}: {self.size_bytes // 1024} KB, {self.ports} "
-                f"ports, {self.area_mm2:.3f} mm², {self.leakage_mw:.2f} mW "
-                f"leak, {self.access_energy_pj:.2f} pJ/access")

@@ -166,14 +166,14 @@ def test_damaged_entries_fall_back_to_a_clean_recompile(tmp_path, damage):
     assert store.load(key) is None  # a miss, not an exception
 
     executor = CellExecutor(traces=store)
-    result = executor.run_one(cell)
+    result = executor.run([cell])[0]
     assert result.stats.cycles > 0
     assert executor.stats.trace_hits == 0
     assert executor.stats.trace_misses == 1  # counted as a miss...
     assert executor.stats.compiles == 1  # ...and recompiled cleanly
     # The recompile overwrote the damaged entry: the next executor hits.
     rerun = CellExecutor(traces=TraceStore(store.root))
-    rerun.run_one(cell)
+    rerun.run([cell])
     assert rerun.stats.trace_hits == 1
     assert rerun.stats.compiles == 0
 

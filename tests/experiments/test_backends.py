@@ -34,12 +34,12 @@ def test_executor_picks_backend_from_jobs():
     spec = SweepSpec(workloads=("axpy", "blackscholes"),
                      configs=(native_config(1), ava_config(8)))
     inline = CellExecutor()
-    inline.run_spec(spec)
+    inline.run(spec.cells())
     assert inline.stats.compiles == 4
     assert inline._pool is None  # jobs=1 never starts a pool
     with CellExecutor(jobs=2) as parallel:
         assert parallel._pool is None  # started lazily ...
-        parallel.run_spec(spec)
+        parallel.run(spec.cells())
         assert parallel._pool is not None  # ... by the first fan-out
 
 
@@ -54,9 +54,9 @@ def test_backends_agree_byte_for_byte():
     spec = SweepSpec(workloads=("axpy",),
                      configs=(native_config(1), ava_config(2), ava_config(4),
                               ava_config(8)))
-    inline = CellExecutor().run_spec(spec)
+    inline = CellExecutor().run(spec.cells())
     with CellExecutor(jobs=2) as pooled:
-        pool = pooled.run_spec(spec)
+        pool = pooled.run(spec.cells())
     for a, b in zip(inline, pool):
         assert a.stats == b.stats
         assert a.energy == b.energy
@@ -226,8 +226,7 @@ def test_a_single_job_batch_never_starts_a_pool():
     """One compile and one simulation: nothing to overlap, so even a
     parallel executor runs them inline."""
     with CellExecutor(jobs=2) as executor:
-        result = executor.run_one(Cell("axpy",
-                                       Scenario(native_config(1))))
+        [result] = executor.run([Cell("axpy", Scenario(native_config(1)))])
         assert executor._pool is None
     assert isinstance(result, CellResult)
     assert executor.stats.compiles == executor.stats.sims_executed == 1

@@ -154,10 +154,10 @@ def test_corrupt_write_is_quarantined_then_resimulated(tmp_path):
     cell = _cell()
     first = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     with faults.injected(plan):
-        poisoned = first.run_one(cell)
+        poisoned = first.run([cell])[0]
 
     second = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    replayed = second.run_one(cell)
+    replayed = second.run([cell])[0]
     assert second.stats.cache_hits == 0  # the corrupt entry was no hit
     assert second.stats.cache_quarantined == 1
     assert replayed.stats.cycles == poisoned.stats.cycles
@@ -165,7 +165,7 @@ def test_corrupt_write_is_quarantined_then_resimulated(tmp_path):
     assert len(list(quarantine.glob("*.json"))) == 1
 
     third = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    assert isinstance(third.run_one(cell), CellResult)
+    assert isinstance(third.run([cell])[0], CellResult)
     assert third.stats.cache_hits == 1  # the rewrite healed the store
 
 
@@ -254,7 +254,7 @@ def test_transient_fault_retries_and_counts_one_miss(tmp_path):
                             progress=lambda p: snapshots.append(
                                 (p.misses, p.retries)))
     with faults.injected(plan):
-        result = executor.run_one(cell)
+        result = executor.run([cell])[0]
     assert isinstance(result, CellResult)
     assert executor.stats.retries == 1
     assert executor.stats.cache_misses == 1  # ONE miss, not one per attempt
@@ -267,8 +267,8 @@ def test_deterministic_cell_errors_fail_fast(tmp_path):
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"),
                             retries=3, backoff_s=0.0)
     with pytest.raises(CellExecutionError):
-        executor.run_one(Cell(_arm(RaisingAxpy(), armed=True),
-                              Scenario(native_config(1))))
+        executor.run([Cell(_arm(RaisingAxpy(), armed=True),
+                           Scenario(native_config(1)))])
     assert executor.stats.retries == 0  # no budget burned reproducing it
 
 
@@ -277,8 +277,9 @@ def test_retry_budget_exhausts_into_a_cell_error():
                                       times=99)])
     executor = CellExecutor(retries=2, backoff_s=0.0)
     with faults.injected(plan):
-        errors = executor.run([_cell()], errors="return")
-    assert errors[0].error.startswith("TransientFaultError")
+        with pytest.raises(CellExecutionError) as err:
+            executor.run([_cell()])
+    assert err.value.errors[0].error.startswith("TransientFaultError")
     assert executor.stats.retries == 2  # the whole budget, then fail
     assert executor.stats.cells_failed == 1
 
@@ -292,7 +293,7 @@ def test_inline_deadline_interrupts_a_hang_and_the_retry_lands():
     executor = CellExecutor(deadline_s=0.3, retries=1, backoff_s=0.0)
     started = time.monotonic()
     with faults.injected(plan):
-        result = executor.run_one(_cell())
+        result = executor.run([_cell()])[0]
     assert time.monotonic() - started < 10  # the hang died at ~0.3s
     assert isinstance(result, CellResult)
     assert executor.stats.timeouts == 1

@@ -40,7 +40,7 @@ def test_sweep_spec_enumerates_full_grid_deterministically():
         policies=(CellPolicy(), CellPolicy(aggressive_reclamation=False)),
     )
     cells = spec.cells()
-    assert len(cells) == len(spec) == 8
+    assert len(cells) == 8
     # Workload outermost, policy innermost, always the same order.
     assert cells[0].workload_name == "axpy"
     assert cells[-1].workload_name == "blackscholes"
@@ -179,13 +179,13 @@ def test_cache_hit_and_miss_counters(tmp_path):
     cell = Cell("axpy", Scenario(native_config(1)))
 
     cold = CellExecutor(cache=cache)
-    first = cold.run_one(cell)
+    first = cold.run([cell])[0]
     assert cold.stats.sims_executed == 1
     assert cold.stats.cache_misses == 1
     assert not first.from_cache
 
     warm = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    second = warm.run_one(cell)
+    second = warm.run([cell])[0]
     assert warm.stats.sims_executed == 0
     assert warm.stats.cache_hits == 1
     assert second.from_cache
@@ -196,9 +196,9 @@ def test_cache_hit_and_miss_counters(tmp_path):
 def test_changed_knob_is_a_cache_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     executor = CellExecutor(cache=cache)
-    executor.run_one(Cell("axpy", Scenario(native_config(1))))
-    executor.run_one(Cell("axpy", Scenario(
-        native_config(1), policy=CellPolicy(aggressive_reclamation=False))))
+    executor.run([Cell("axpy", Scenario(native_config(1)))])
+    executor.run([Cell("axpy", Scenario(
+        native_config(1), policy=CellPolicy(aggressive_reclamation=False)))])
     assert executor.stats.sims_executed == 2
     assert executor.stats.cache_hits == 0
 
@@ -229,7 +229,7 @@ def test_single_level_machine_simulates_once_across_swap_only_knobs(
     rerun = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     [unseen_budget] = _swap_knob_cells("native-x8", budgets=(4,),
                                        victims=(VictimPolicy.ROUND_ROBIN,))
-    hit = rerun.run_one(unseen_budget)
+    hit = rerun.run([unseen_budget])[0]
     assert rerun.stats.cache_hits == 1
     assert rerun.stats.sims_executed == 0
     assert hit.cell == unseen_budget
@@ -247,13 +247,13 @@ def test_two_level_machine_keys_every_swap_only_knob():
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     executor = CellExecutor(cache=cache)
-    result = executor.run_one(Cell("axpy", Scenario(native_config(1))))
+    result = executor.run([Cell("axpy", Scenario(native_config(1)))])[0]
     # Both syntactically broken and structurally truncated entries must
     # re-simulate, never crash the render.
     for corruption in ("{not json", '{"schema": 1}', '[1, 2]'):
         cache.path(result.key).write_text(corruption)
         rerun = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-        again = rerun.run_one(result.cell)
+        again = rerun.run([result.cell])[0]
         assert rerun.stats.sims_executed == 1
         assert again.stats == result.stats
 
@@ -378,9 +378,9 @@ def test_instance_memo_lives_per_batch_only():
     assert executor.stats.compiles == 1
 
     workload.n_elements = 128
-    second = executor.run_one(cell)
+    second = executor.run([cell])[0]
     assert executor.stats.compiles == 2  # recompiled after the mutation
-    fresh = CellExecutor().run_one(Cell(workload, Scenario(config)))
+    fresh = CellExecutor().run([Cell(workload, Scenario(config))])[0]
     assert second.stats.cycles == fresh.stats.cycles
     assert second.stats.cycles != first[0].stats.cycles
 
@@ -412,8 +412,8 @@ def test_cache_entries_honor_the_umask(tmp_path, monkeypatch):
     monkeypatch.setattr(cachefs, "_PROCESS_UMASK", None)
     try:
         cache = ResultCache(tmp_path / "cache")
-        CellExecutor(cache=cache).run_one(
-            Cell("axpy", Scenario(native_config(1))))
+        CellExecutor(cache=cache).run(
+            [Cell("axpy", Scenario(native_config(1)))])
         entries = list((tmp_path / "cache").glob("*.json"))
         assert len(entries) == 1
         mode = stat.S_IMODE(entries[0].stat().st_mode)
@@ -424,8 +424,8 @@ def test_cache_entries_honor_the_umask(tmp_path, monkeypatch):
 
 def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    CellExecutor(cache=cache).run_one(
-        Cell("axpy", Scenario(native_config(1))))
+    CellExecutor(cache=cache).run(
+        [Cell("axpy", Scenario(native_config(1)))])
     assert cache.clear() == 1
     assert cache.clear() == 0
 
@@ -436,8 +436,8 @@ def test_cache_clear(tmp_path):
 def test_parallel_matches_serial_on_a_small_grid():
     spec = SweepSpec(workloads=("axpy",),
                      configs=(native_config(1), ava_config(2), ava_config(8)))
-    serial = CellExecutor(jobs=1).run_spec(spec)
-    parallel = CellExecutor(jobs=4).run_spec(spec)
+    serial = CellExecutor(jobs=1).run(spec.cells())
+    parallel = CellExecutor(jobs=4).run(spec.cells())
     assert len(serial) == len(parallel) == 3
     for a, b in zip(serial, parallel):
         assert a.cell.config.name == b.cell.config.name
@@ -449,11 +449,11 @@ def test_parallel_executor_fills_a_shared_cache(tmp_path):
     spec = SweepSpec(workloads=("axpy",),
                      configs=(native_config(1), ava_config(8)))
     cold = make_executor(jobs=2, cache=True, cache_dir=tmp_path / "cache")
-    cold.run_spec(spec)
+    cold.run(spec.cells())
     assert cold.stats.sims_executed == 2
 
     warm = make_executor(jobs=2, cache=True, cache_dir=tmp_path / "cache")
-    warm.run_spec(spec)
+    warm.run(spec.cells())
     assert warm.stats.sims_executed == 0
     assert warm.stats.cache_hits == 2
 
@@ -497,10 +497,10 @@ def test_batch_order_does_not_change_any_result():
 def test_check_cells_carry_correctness_through_the_cache(tmp_path):
     cell = Cell("axpy", Scenario(native_config(1)), check=True)
     cache = ResultCache(tmp_path / "cache")
-    first = CellExecutor(cache=cache).run_one(cell)
+    first = CellExecutor(cache=cache).run([cell])[0]
     assert first.correct is True
     warm = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    assert warm.run_one(cell).correct is True
+    assert warm.run([cell])[0].correct is True
     assert warm.stats.sims_executed == 0
 
 

@@ -34,16 +34,16 @@ def test_new_workloads_check_true_across_the_mvl_grid(name):
 
 def test_figure3_spec_covers_the_extended_grid():
     spec = figure3_spec(EXTENDED_WORKLOAD_NAMES)
-    assert len(spec) == len(EXTENDED_WORKLOAD_NAMES) * 14
     names = [cell.workload_name for cell in spec.cells()]
+    assert len(names) == len(EXTENDED_WORKLOAD_NAMES) * 14
     assert names[0] == "jacobi2d" and names[-1] == "streamcluster"
 
 
 def test_figure3_panels_for_a_new_workload():
     panels = build_panels(["pathfinder"])
     panel = panels["pathfinder"]
-    assert len(panel.records) == 14
-    assert panel.record("NATIVE X1").speedup == pytest.approx(1.0)
+    assert len(panel.results) == 14
+    assert panel.speedup("NATIVE X1") == pytest.approx(1.0)
     assert "Figure 3 panel: pathfinder" in panel.render()
 
 

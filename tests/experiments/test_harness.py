@@ -1,5 +1,7 @@
 """Experiment harness: configs, rendering, tables."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.configs import (
@@ -9,8 +11,7 @@ from repro.experiments.configs import (
     native_series,
     rg_series,
 )
-from repro.experiments.engine import (Cell, CellExecutor, fill_speedups,
-                                      record_from_result)
+from repro.experiments.engine import Cell, CellExecutor, speedups
 from repro.experiments.rendering import render_bars, render_table
 from repro.experiments.tables import (
     render_table1,
@@ -21,6 +22,7 @@ from repro.experiments.tables import (
 )
 from repro.core.config import native_config
 from repro.sim.scenario import Scenario
+from repro.sim.stats import SimStats
 from repro.workloads import get_workload
 
 
@@ -42,22 +44,23 @@ def test_x3_has_no_rg_equivalent():
 
 
 def test_engine_cell_with_check():
-    result = CellExecutor().run_one(
-        Cell(get_workload("axpy"), Scenario(native_config(1)),
-             check=True))
-    record = record_from_result(result)
-    assert record.correct is True
-    assert record.stats.cycles > 0
-    assert record.energy.total > 0
+    [result] = CellExecutor().run(
+        [Cell(get_workload("axpy"), Scenario(native_config(1)), check=True)])
+    assert result.correct is True
+    assert result.stats.cycles > 0
+    assert result.energy.total > 0
 
 
-def test_fill_speedups_normalises_against_the_baseline():
+def test_speedups_normalise_against_the_baseline():
     results = CellExecutor().run(
         [Cell("axpy", Scenario(cfg))
          for cfg in (native_config(1), native_config(8))])
-    records = fill_speedups([record_from_result(r) for r in results])
-    assert records[0].speedup == pytest.approx(1.0)
-    assert records[1].speedup > 1.0
+    base, wide = speedups(results)
+    assert base == 1.0
+    assert wide == results[0].stats.cycles / results[1].stats.cycles > 1.0
+    # A zero-cycle result reads 0.0 instead of dividing by zero.
+    stalled = replace(results[1], stats=SimStats(cycles=0))
+    assert speedups([results[0], stalled]) == [1.0, 0.0]
 
 
 def test_runner_stub_is_gone():

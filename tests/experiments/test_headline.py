@@ -72,8 +72,9 @@ def test_every_claim_holds(run):
 def test_extra_workloads_join_the_figure3_batch(run):
     """The extra kernel widens the Figure-3 grid; the ablation and
     sensitivity grids are fixed."""
-    figure3 = len(figure3_spec(WORKLOAD_NAMES + ["pathfinder"]))
-    ablations = sum(len(spec) for spec in headline.ABLATIONS.values())
+    figure3 = len(figure3_spec(WORKLOAD_NAMES + ["pathfinder"]).cells())
+    ablations = sum(len(spec.cells())
+                    for spec in headline.ABLATIONS.values())
     sensitivity = 4 * (len(L2_LATENCIES) + len(DRAM_LATENCIES)
                        + len(SWAP_BUDGETS))
     assert run[1].cells_requested == figure3 + ablations + sensitivity

@@ -20,18 +20,15 @@ from repro.core.config import ava_config, native_config
 from repro.experiments import engine
 from repro.experiments.engine import (
     Cell,
-    CellError,
     CellExecutionError,
     CellExecutor,
     CellResult,
     Progress,
     ProgressRenderer,
     ResultCache,
-    RunRecord,
     SweepSpec,
     average_speedups,
 )
-from repro.power.mcpat import McPatModel
 from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
 from repro.vpu.params import DEFAULT_TIMING
@@ -193,10 +190,9 @@ def _grid_40() -> SweepSpec:
 # ---------------------------------------------------------------------------
 def test_init_data_not_matching_the_buffers_fails_the_cell():
     """A missing array must not silently stay zero in functional mode."""
-    cell = Cell(MissingBufferAxpy(), Scenario(native_config(1)),
-                functional=True)
+    cell = Cell(MissingBufferAxpy(), Scenario(native_config(1)), check=True)
     with pytest.raises(CellExecutionError) as err:
-        CellExecutor().run_one(cell)
+        CellExecutor().run([cell])
     assert ("ValueError: workload 'missing-buffer-axpy': init_data returned"
             in str(err.value))
 
@@ -227,17 +223,18 @@ def test_raising_cell_does_not_discard_the_batch(tmp_path):
     assert warm.stats.sims_executed == 0  # the raise happens mid-simulation
 
 
-def test_errors_return_mode_yields_cell_errors_in_place(tmp_path):
+def test_cell_error_names_the_failed_cell_and_its_traceback(tmp_path):
     cells = [Cell("axpy", Scenario(native_config(1))),
              Cell(_arm(RaisingAxpy(), armed=True),
                   Scenario(native_config(1)))]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    results = executor.run(cells, errors="return")
-    assert isinstance(results[0], CellResult)
-    assert isinstance(results[1], CellError)
-    assert results[1].error == "RuntimeError: injected failure"
-    assert "injected failure" in results[1].tb  # worker traceback captured
-    assert results[1].key  # the key is known, so a rerun can resume
+    with pytest.raises(CellExecutionError) as err:
+        executor.run(cells)
+    [error] = err.value.errors
+    assert error.cell is cells[1]
+    assert error.error == "RuntimeError: injected failure"
+    assert "injected failure" in error.tb  # worker traceback captured
+    assert error.key  # the key is known, so a rerun can resume
 
 
 def test_raising_cell_is_isolated_under_a_parallel_pool(tmp_path):
@@ -246,9 +243,9 @@ def test_raising_cell_is_isolated_under_a_parallel_pool(tmp_path):
     cells.insert(1, Cell(_arm(RaisingAxpy(), armed=True),
                          Scenario(native_config(1))))
     with CellExecutor(jobs=2, cache=ResultCache(tmp_path / "cache")) as ex:
-        results = ex.run(cells, errors="return")
-        assert sum(isinstance(r, CellError) for r in results) == 1
-        assert isinstance(results[1], CellError)
+        with pytest.raises(CellExecutionError) as err:
+            ex.run(cells)
+        assert [e.cell for e in err.value.errors] == [cells[1]]
         assert len(list((tmp_path / "cache").glob("*.json"))) == 3
     assert ex._pool is None  # the context manager shut the pool down
 
@@ -262,12 +259,12 @@ def test_compile_failure_is_isolated_per_cell(tmp_path):
              Cell(bomb, Scenario(native_config(1))),
              Cell(bomb, Scenario(native_config(1)), warm=False)]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    results = executor.run(cells, errors="return")
-    assert isinstance(results[0], CellResult)
-    assert isinstance(results[1], CellError)
-    assert results[2] is results[1]  # one compile attempt, one shared error
-    assert results[1].error == "ValueError: kernel does not build"
-    assert results[1].key == ""  # no program, hence nothing to cache under
+    with pytest.raises(CellExecutionError) as err:
+        executor.run(cells)
+    [error] = err.value.errors  # one compile attempt, one shared error
+    assert "2 of 3 cells failed" in str(err.value)
+    assert error.error == "ValueError: kernel does not build"
+    assert error.key == ""  # no program, hence nothing to cache under
     assert executor.stats.compiles == 1  # only the successful axpy compile
     assert executor.stats.cells_failed == 2
     assert executor.stats.sims_executed == 1
@@ -287,24 +284,10 @@ def test_compile_failure_is_isolated_under_a_parallel_pool(tmp_path):
              for cfg in (native_config(1), ava_config(2))]
     cells.append(Cell(CompileBomb(), Scenario(native_config(1))))
     with CellExecutor(jobs=2, cache=ResultCache(tmp_path / "cache")) as ex:
-        results = ex.run(cells, errors="return")
-        assert [isinstance(r, CellError) for r in results] == [
-            False, False, True]
+        with pytest.raises(CellExecutionError) as err:
+            ex.run(cells)
+        assert [e.cell for e in err.value.errors] == [cells[2]]
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
-
-
-def test_run_spec_and_run_one_expose_the_errors_knob():
-    spec = SweepSpec(workloads=(_arm(RaisingAxpy(), armed=True),),
-                     configs=(native_config(1),))
-    results = CellExecutor().run_spec(spec, errors="return")
-    assert isinstance(results[0], CellError)
-    one = CellExecutor().run_one(spec.cells()[0], errors="return")
-    assert isinstance(one, CellError)
-
-
-def test_run_rejects_unknown_errors_mode():
-    with pytest.raises(ValueError):
-        CellExecutor().run([], errors="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +302,7 @@ def test_interrupted_40_cell_grid_resumes_from_cache(tmp_path):
     the rerun must replay exactly those 10 cells as hits and re-execute
     the remaining 30 — ``cache_misses`` strictly below the grid size.
     """
-    spec = _grid_40()
+    cells = _grid_40().cells()
 
     def interrupt_after_10(progress: Progress) -> None:
         if progress.done >= 10:
@@ -328,17 +311,16 @@ def test_interrupted_40_cell_grid_resumes_from_cache(tmp_path):
     cold = CellExecutor(jobs=4, cache=ResultCache(tmp_path / "cache"),
                         progress=interrupt_after_10)
     with pytest.raises(KeyboardInterrupt):
-        cold.run_spec(spec)
+        cold.run(cells)
     assert cold._pool is None  # interrupted pool was discarded
     cached = len(list((tmp_path / "cache").glob("*.json")))
     assert cached == 10
 
     warm = CellExecutor(jobs=4, cache=ResultCache(tmp_path / "cache"))
-    results = warm.run_spec(spec)
+    results = warm.run(cells)
     assert len(results) == 40
     assert warm.stats.cache_hits == 10
     assert warm.stats.cache_misses == 30
-    assert warm.stats.cache_misses < len(spec)
     warm.close()
 
 
@@ -398,9 +380,9 @@ def test_worker_death_during_compile_fan_out_is_retried(tmp_path):
     pairs = {(cell.workload, CompileSignature.from_config(cell.config))
              for cell in cells}
     with CellExecutor(jobs=2, retries=3) as executor:
-        results = executor.run(cells, errors="return")
+        results = executor.run(cells)
     assert not flag.exists()  # the poison fired
-    assert all(isinstance(r, CellResult) for r in results)
+    assert len(results) == len(cells)
     assert executor.stats.retries >= 1
     assert executor.stats.compiles == len(pairs)
 
@@ -414,11 +396,13 @@ def test_deadline_bounds_a_hung_compile(jobs):
              Cell("axpy", Scenario(native_config(1)))]
     with CellExecutor(jobs=jobs, deadline_s=0.5, retries=0) as executor:
         start = time.monotonic()
-        results = executor.run(cells, errors="return")
+        with pytest.raises(CellExecutionError) as err:
+            executor.run(cells)
     assert time.monotonic() - start < 30
-    assert isinstance(results[0], CellError)
-    assert results[0].error.startswith("CellDeadlineExceeded")
-    assert isinstance(results[1], CellResult)
+    [error] = err.value.errors
+    assert error.cell is cells[0]
+    assert error.error.startswith("CellDeadlineExceeded")
+    assert err.value.completed == 1
     assert executor.stats.timeouts == 1
     assert executor.stats.retries == 0
     assert executor.stats.compiles == 1
@@ -427,9 +411,8 @@ def test_deadline_bounds_a_hung_compile(jobs):
 def test_inline_compile_deadline_disarms_its_alarm():
     previous = signal.getsignal(signal.SIGALRM)
     executor = CellExecutor(deadline_s=0.3, retries=0)
-    result = executor.run_one(Cell(HangInCompile(), Scenario(native_config(1))),
-                              errors="return")
-    assert isinstance(result, CellError)
+    with pytest.raises(CellExecutionError):
+        executor.run([Cell(HangInCompile(), Scenario(native_config(1)))])
     assert signal.getsignal(signal.SIGALRM) is previous
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
@@ -458,10 +441,12 @@ def test_deterministic_compile_failure_fails_fast(jobs):
     cells = [Cell(CompileRaises(), Scenario(native_config(1))),
              Cell("axpy", Scenario(ava_config(8)))]
     with CellExecutor(jobs=jobs, retries=3, backoff_s=0.01) as executor:
-        results = executor.run(cells, errors="return")
-    assert isinstance(results[0], CellError)
-    assert results[0].error == "ValueError: register allocation failed"
-    assert isinstance(results[1], CellResult)
+        with pytest.raises(CellExecutionError) as err:
+            executor.run(cells)
+    [error] = err.value.errors
+    assert error.cell is cells[0]
+    assert error.error == "ValueError: register allocation failed"
+    assert err.value.completed == 1
     assert executor.stats.retries == 0
     assert executor.stats.compiles == 1
     assert executor.stats.cells_failed == 1
@@ -469,9 +454,9 @@ def test_deterministic_compile_failure_fails_fast(jobs):
 
 def test_inline_interrupt_preserves_cache_without_a_pool(tmp_path):
     """jobs=1 streams too: each inline cell is cached as it completes."""
-    spec = SweepSpec(workloads=(_small_axpy(),),
-                     configs=(native_config(1), ava_config(2),
-                              ava_config(4), ava_config(8)))
+    cells = SweepSpec(workloads=(_small_axpy(),),
+                      configs=(native_config(1), ava_config(2),
+                               ava_config(4), ava_config(8))).cells()
 
     def interrupt_after_2(progress: Progress) -> None:
         if progress.done >= 2:
@@ -480,11 +465,11 @@ def test_inline_interrupt_preserves_cache_without_a_pool(tmp_path):
     cold = CellExecutor(cache=ResultCache(tmp_path / "cache"),
                         progress=interrupt_after_2)
     with pytest.raises(KeyboardInterrupt):
-        cold.run_spec(spec)
+        cold.run(cells)
     assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     warm = CellExecutor(cache=ResultCache(tmp_path / "cache"))
-    warm.run_spec(spec)
+    warm.run(cells)
     assert warm.stats.cache_hits == 2
     assert warm.stats.cache_misses == 2
 
@@ -496,11 +481,11 @@ def test_pool_persists_across_batches_and_closes():
     executor = CellExecutor(jobs=2)
     spec = SweepSpec(workloads=(_small_axpy(),),
                      configs=(native_config(1), ava_config(2)))
-    executor.run_spec(spec)
+    executor.run(spec.cells())
     pool = executor._pool
     assert pool is not None
-    executor.run_spec(SweepSpec(workloads=(_small_axpy(),),
-                                configs=(ava_config(4), ava_config(8))))
+    executor.run(SweepSpec(workloads=(_small_axpy(),),
+                           configs=(ava_config(4), ava_config(8))).cells())
     assert executor._pool is pool  # reused, not respawned per batch
     executor.close()
     assert executor._pool is None
@@ -511,9 +496,9 @@ def test_parallel_compiles_match_serial_results_and_counts(tmp_path):
     spec = SweepSpec(workloads=("axpy", "blackscholes"),
                      configs=(native_config(1), ava_config(8)))
     serial = CellExecutor()
-    serial_results = serial.run_spec(spec)
+    serial_results = serial.run(spec.cells())
     with CellExecutor(jobs=2) as parallel:
-        parallel_results = parallel.run_spec(spec)
+        parallel_results = parallel.run(spec.cells())
         # Fanning compiles over the pool must not change the accounting:
         # one compile per distinct (workload, config) pair ...
         assert parallel.stats.compiles == serial.stats.compiles == 4
@@ -537,7 +522,7 @@ def test_progress_callback_sees_every_landing(tmp_path):
 
     cold = CellExecutor(cache=ResultCache(tmp_path / "cache"),
                         progress=record)
-    cold.run_spec(spec, label="demo")
+    cold.run(spec.cells(), label="demo")
     assert snapshots[0] == ("demo", 0, 0, 2, 0)  # post-scan snapshot
     assert snapshots[-1] == ("demo", 2, 0, 2, 0)
     assert [s[1] for s in snapshots] == sorted(s[1] for s in snapshots)
@@ -545,7 +530,7 @@ def test_progress_callback_sees_every_landing(tmp_path):
     snapshots.clear()
     warm = CellExecutor(cache=ResultCache(tmp_path / "cache"),
                         progress=record)
-    warm.run_spec(spec, label="replay")
+    warm.run(spec.cells(), label="replay")
     # A full-hit batch is done at the scan: one final snapshot.
     assert snapshots == [("replay", 2, 2, 0, 0)]
 
@@ -658,28 +643,17 @@ def test_put_never_flips_the_umask_after_the_first_read(tmp_path,
 # ---------------------------------------------------------------------------
 # satellite: ragged Figure-4 series are a renderer bug, not an average
 # ---------------------------------------------------------------------------
-def _record(speedup: float) -> RunRecord:
-    stats = SimStats(cycles=100)
-    record = RunRecord(config=native_config(1), stats=stats,
-                       energy=McPatModel().energy(native_config(1), stats))
-    record.speedup = speedup
-    return record
-
-
 def test_average_speedups_rejects_ragged_series():
-    ragged = {"axpy": [_record(1.0), _record(2.0)],
-              "somier": [_record(1.5)]}
     with pytest.raises(ValueError, match="ragged"):
-        average_speedups(ragged)
+        average_speedups({"axpy": [1.0, 2.0], "somier": [1.5]})
 
 
 def test_average_speedups_still_averages_aligned_series():
-    aligned = {"axpy": [_record(2.0)], "somier": [_record(4.0)]}
-    assert average_speedups(aligned) == [3.0]
+    assert average_speedups({"axpy": [2.0], "somier": [4.0]}) == [3.0]
     # A left-to-right sum, as Figure 4 renders: np.mean differs in the
     # last bit on these ten.
     ten = [2.16, 1.31, 2.0, 0.4, 1.34, 1.92, 0.88, 2.39, 2.29, 0.46]
-    assert average_speedups({str(i): [_record(s)] for i, s in enumerate(
+    assert average_speedups({str(i): [s] for i, s in enumerate(
         ten)}) == [sum(ten) / len(ten)]
 
 

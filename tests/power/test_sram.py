@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.power.sram import (
-    SramMacro,
     sram_access_energy_pj,
     sram_area_mm2,
     sram_leakage_mw,
@@ -37,12 +36,6 @@ def test_access_energy_sqrt_scaling():
     e8 = sram_access_energy_pj(8 * 1024)
     e32 = sram_access_energy_pj(32 * 1024)
     assert e32 == pytest.approx(e8 * math.sqrt(4))
-
-
-def test_macro_wrapper():
-    macro = SramMacro("P-VRF", 8 * 1024)
-    assert macro.area_mm2 > 0
-    assert "8 KB" in macro.describe()
 
 
 def test_negative_size_rejected():

@@ -47,8 +47,8 @@ def test_cell_key_survives_a_scenario_round_trip(cell, fingerprint):
     assert cell_key(cell, fingerprint) == key  # no per-process hash seed
     scenario = Scenario.from_dict(json.loads(
         json.dumps(cell.scenario.to_dict())))
-    clone = Cell(cell.workload_name, scenario, functional=cell.functional,
-                 warm=cell.warm, check=cell.check)
+    clone = Cell(cell.workload_name, scenario, warm=cell.warm,
+                 check=cell.check)
     assert cell_key(clone, fingerprint) == key
 
 

@@ -55,7 +55,15 @@ def _modules_loaded(argv, cwd, watched=HEAVY):
 
 
 def test_version_imports_nothing_heavy(tmp_path):
-    assert _modules_loaded(["--version"], tmp_path) == "loaded: []"
+    watched = HEAVY + ("repro.cachefs", "repro.faults")
+    assert _modules_loaded(["--version"], tmp_path, watched) == "loaded: []"
+
+
+def test_help_names_the_default_cache_dir(capsys):
+    from repro.cachefs import DEFAULT_CACHE_DIR
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"(default: {DEFAULT_CACHE_DIR})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

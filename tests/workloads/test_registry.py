@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import native_config
-from repro.experiments.engine import Cell, CellExecutor, SweepSpec, cell_key
+from repro.experiments.engine import Cell, CellExecutor, cell_key
 from repro.isa.builder import KernelBody, KernelBuilder
+from repro.sim.scenario import Scenario
 from repro.workloads import (
     ALL_WORKLOAD_NAMES,
     EXTENDED_WORKLOAD_NAMES,
@@ -130,14 +131,12 @@ def test_registered_kernel_flows_through_spec_and_cache_keys(tmp_path):
     cls = _tiny_workload_class()
     register_workload(cls)
     try:
-        config = native_config(1)
-        spec = SweepSpec(workloads=("axpy", "tiny-test-kernel"),
-                         configs=(config,), check=True)
-        cells = spec.cells()
+        cells = [Cell(name, Scenario(native_config(1)), check=True)
+                 for name in ("axpy", "tiny-test-kernel")]
         keys = [cell_key(c) for c in cells]
         assert len(set(keys)) == len(keys)  # no collisions across names
 
-        results = CellExecutor().run_spec(spec)
+        results = CellExecutor().run(cells)
         assert [r.cell.workload_name for r in results] == [
             "axpy", "tiny-test-kernel"]
         assert all(r.correct is True for r in results)
