@@ -290,6 +290,29 @@ def test_compile_failure_is_isolated_under_a_parallel_pool(tmp_path):
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
+def test_failed_spec_cell_raises_under_its_batch_label():
+    """A sweep runs as ``run(spec.cells(), label=...)``; its failed cell
+    raises after the drain and the last snapshot counts it under the
+    batch's label."""
+    spec = SweepSpec(workloads=(_arm(RaisingAxpy(), armed=True),),
+                     configs=(native_config(1),))
+    snapshots = []
+    executor = CellExecutor(progress=lambda p: snapshots.append(
+        (p.label, p.done, p.failed)))
+    with pytest.raises(CellExecutionError) as err:
+        executor.run(spec.cells(), label="spec")
+    assert [e.cell for e in err.value.errors] == spec.cells()
+    assert snapshots[-1] == ("spec", 1, 1)
+    assert executor.stats.cells_failed == 1
+
+
+def test_empty_batch_returns_no_results():
+    executor = CellExecutor()
+    assert executor.run([]) == []
+    assert executor.stats.cells_requested == 0
+    assert executor.stats.sims_executed == 0
+
+
 # ---------------------------------------------------------------------------
 # interrupt / resume: finished cells replay as hits
 # ---------------------------------------------------------------------------
