@@ -47,10 +47,10 @@ through the experiment-execution engine:
 * ``--cache-stats`` prints hit/miss/simulation counters to stderr (plus
   a ``resilience:`` line — retries, timeouts, quarantined cache entries
   — whenever any of those is nonzero);
-* ``--deadline S`` arms a per-cell deadline on each compile and each
-  simulation (a watchdog kills hung workers and retries the cell), and
-  ``--retries N`` bounds how many infrastructure failures a cell may
-  survive (default 3);
+* ``--deadline S`` arms a deadline on each job — one compile plus the
+  cells that share its program (a watchdog kills hung workers and
+  retries the job), and ``--retries N`` bounds how many infrastructure
+  failures a job may survive (default 3);
 * ``--progress`` / ``--no-progress`` force the live stderr progress line
   on or off (default: on when stderr is a terminal).  Progress never
   touches stdout, so piped artifacts stay byte-identical.
@@ -118,13 +118,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="print engine cache/simulation counters "
                              "to stderr")
     parser.add_argument("--deadline", type=float, default=None, metavar="S",
-                        help="per-cell deadline in seconds, on each "
-                             "compile and each simulation: hung cells "
-                             "are killed and retried (default: none; "
-                             "chaos defaults to its own)")
+                        help="deadline in seconds on each job, that is "
+                             "one compile plus the cells that share its "
+                             "program: hung jobs are killed and retried "
+                             "(default: none; chaos defaults to its own)")
     parser.add_argument("--retries", type=int, default=3, metavar="N",
                         help="how many infrastructure failures (worker "
-                             "death, timeout, transient I/O) one cell may "
+                             "death, timeout, transient I/O) one job may "
                              "survive before failing (default: 3)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="chaos: seed selecting the injected fault "

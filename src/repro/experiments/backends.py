@@ -1,13 +1,14 @@
 """Cell dispatch: *where* a batch's jobs run, split from *what* runs.
 
 :class:`~repro.experiments.engine.CellExecutor` owns the semantic side of
-a batch — cache scan, compile memo, dedupe, result ordering, counters —
-and its one persistent worker pool.  Every batch it dispatches, compiles
-and simulations alike, goes through one of two functions here, picked by
-``jobs`` and the batch size:
+a batch — cache scan, dedupe, result ordering, counters — and its one
+persistent worker pool.  It dispatches a batch as one job per (workload,
+compile signature) pair, each compiling its program and simulating its
+cells, through one of two functions here, picked by ``jobs`` and the
+number of jobs:
 
 * :func:`run_inline` — in-process execution (no subprocess, no
-  pickling), with the per-cell ``SIGALRM`` deadline and the retry budget;
+  pickling), with the per-job ``SIGALRM`` deadline and the retry budget;
 * :func:`run_pool` — the streaming dispatcher over the executor's
   :class:`concurrent.futures.ProcessPoolExecutor`, with the watchdog that
   kills hung workers, broken-pool reclamation and the same retry budget.
@@ -70,15 +71,15 @@ def default_jobs() -> int:
 
 
 class CellDeadlineExceeded(RuntimeError):
-    """A cell ran past the executor's per-cell deadline.
+    """A job — one compile plus its cells — ran past the deadline.
 
-    Pool mode: the watchdog observed the cell RUNNING for longer than
+    Pool mode: the watchdog observed the job RUNNING for longer than
     ``deadline_s`` and killed the worker pool out from under it (a hung
     future cannot be cancelled).  Inline mode: a ``SIGALRM`` timer
     interrupted the simulation or the compile.  Classified as an
     *infrastructure* failure — retried within the budget, never failed
     fast — because a hang is a property of the worker's environment
-    (wedged filesystem, livelocked I/O), not of the cell.
+    (wedged filesystem, livelocked I/O), not of the cells.
     """
 
 
@@ -94,10 +95,10 @@ _RETRYABLE = (CellDeadlineExceeded, faults.TransientFaultError, OSError)
 
 def _execute_deadlined(executor: "CellExecutor", worker: WorkerFn,
                        job: Tuple[Any, Any, int]) -> Any:
-    """Inline execution under the per-cell deadline (``SIGALRM``).
+    """Inline execution under the per-job deadline (``SIGALRM``).
 
     The alarm only exists on the main thread of a POSIX process;
-    anywhere else the deadline degrades to unenforced — inline cells
+    anywhere else the deadline degrades to unenforced — inline jobs
     are the executor's own computation, and there is no second thread
     to cut them short from.
     """
@@ -109,7 +110,7 @@ def _execute_deadlined(executor: "CellExecutor", worker: WorkerFn,
 
     def on_alarm(signum: int, frame: object) -> None:
         raise CellDeadlineExceeded(
-            f"cell {cell.label()} exceeded its {deadline:.3g}s deadline "
+            f"job of {cell.label()} exceeded its {deadline:.3g}s deadline "
             f"(attempt {attempt})")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
@@ -132,7 +133,7 @@ def run_inline(executor: "CellExecutor", jobs_list: List[Job],
             try:
                 payload = _execute_deadlined(executor, worker,
                                              (cell, arg, attempt))
-            except Exception as exc:  # noqa: BLE001 — isolated per cell
+            except Exception as exc:  # noqa: BLE001 — isolated per job
                 if isinstance(exc, CellDeadlineExceeded):
                     executor.stats.timeouts += 1
                     progress.timeouts += 1
@@ -156,11 +157,11 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
     the infrastructure dying under the batch.
 
     Three failure channels feed the shared retry budget
-    (``attempts[pos]`` counts *charged* failures per position; a cell
+    (``attempts[pos]`` counts *charged* failures per position; a job
     fails for real only once it exceeds the executor's ``retries``):
 
     * a **retryable worker exception** (transient I/O, an injected
-      fault) charges that cell and resubmits it after backoff;
+      fault) charges that job and resubmits it after backoff;
     * a **broken pool** (OOM-killed / segfaulted worker) fails every
       in-flight future at once with no way to identify the culprit —
       futures that finished before the break are drained and cached
@@ -169,11 +170,11 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
     * a **deadline expiry** — the watchdog tracks when each future is
       first observed RUNNING and, once one overstays ``deadline_s``,
       kills the pool (a running future cannot be cancelled).  Only the
-      overdue cells are charged (and counted as timeouts); collateral
-      in-flight cells are resubmitted *uncharged*, attempt counts
+      overdue jobs are charged (and counted as timeouts); collateral
+      in-flight jobs are resubmitted *uncharged*, attempt counts
       preserved — they did nothing wrong.
 
-    Deterministic cell exceptions bypass the budget and fail fast.
+    Deterministic exceptions bypass the budget and fail fast.
     Everything that completed before an interruption was already
     cached by ``land``, so Ctrl-C keeps its resume-by-rerun contract.
     """
@@ -274,7 +275,7 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
                     # drain before anything is charged.
                     broken = exc
                     broken_pos.add(pos)
-                except Exception as exc:  # noqa: BLE001 — per cell
+                except Exception as exc:  # noqa: BLE001 — per job
                     if isinstance(exc, _RETRYABLE):
                         charge(pos, exc)
                     else:
@@ -283,7 +284,7 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
                     land(pos, payload)
             if broken is not None:
                 executor._discard_pool()
-                # No way to tell which cell killed the worker: every
+                # No way to tell which job killed the worker: every
                 # victim is charged one attempt.  A deterministic
                 # crasher exhausts its budget within `retries` waves;
                 # innocents ride along well inside theirs.
@@ -303,7 +304,7 @@ def run_pool(executor: "CellExecutor", jobs_list: List[Job], land: LandFn,
                            and now - seen >= executor.deadline_s}
                 if overdue:
                     exc_t = CellDeadlineExceeded(
-                        f"cell exceeded its {executor.deadline_s:.3g}s "
+                        f"job exceeded its {executor.deadline_s:.3g}s "
                         f"deadline")
                     executor._kill_pool()
                     reclaim(exc_t, overdue)

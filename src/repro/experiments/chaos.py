@@ -8,7 +8,7 @@ sweep spec three times:
 1. **clean** — a fresh cache directory, no faults: the reference stdout;
 2. **faulted** — another fresh cache directory, under a seeded
    :func:`repro.faults.seeded_plan` (a worker kill, a hung cell, a slow
-   cell, a corrupted result write and an ENOSPC write), with a per-cell
+   cell, a corrupted result write and an ENOSPC write), with a per-job
    deadline armed so the hang dies to the watchdog instead of stalling
    the sweep;
 3. **warm** — the faulted run's cache directory again, faults off: the
@@ -35,7 +35,7 @@ from repro.experiments.engine import (DEFAULT_CACHE_DIR, CellExecutionError,
                                       make_executor)
 from repro.experiments.sweep import ParsedSweep, parse_sweep, run_sweep
 
-#: Per-cell deadline for chaos runs: far above any real cell in the smoke
+#: Per-job deadline for chaos runs: far above any real job in the smoke
 #: grids (they run in milliseconds), far below the injected hang.
 DEFAULT_DEADLINE_S = 5.0
 

@@ -20,10 +20,12 @@ explicit and executes it once:
   execution flags, the package code and :data:`DATA_SEED` — any change to
   any of them is a miss, and a hit never needs a compiled program;
 * :class:`CellExecutor` — plans a batch (keys it, reads the cache once
-  per distinct key) and then executes the plan inline or streamed over
-  one persistent :class:`concurrent.futures.ProcessPoolExecutor`,
-  compiling only what the misses need, once per batch.  A command that
-  needs several grids runs them as one batch.  Results are keyed by
+  per distinct key) and then executes the plan as one job per
+  (workload, compile signature) pair of its misses, inline or streamed
+  over one persistent :class:`concurrent.futures.ProcessPoolExecutor`.
+  A job compiles its program (or loads it from the trace store) where
+  it simulates, so no program crosses a process boundary.  A command
+  that needs several grids runs them as one batch.  Results are keyed by
   their position in the request, never by completion order, so the
   output is byte-identical regardless of scheduling and of ``jobs``.
   Each result is written to the cache the moment it lands, a raising
@@ -57,7 +59,8 @@ from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
 from repro.experiments.backends import (  # noqa: F401 — re-exported names
-    FailFn, Job, LandFn, WorkerFn, default_jobs, run_inline, run_pool)
+    _RETRYABLE, FailFn, Job, LandFn, WorkerFn, default_jobs, run_inline,
+    run_pool)
 from repro.isa.instructions import fingerprint_line
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystemConfig
@@ -65,7 +68,7 @@ from repro.power.mcpat import EnergyReport
 from repro.sim.scenario import CellPolicy, Scenario, build_scenario
 from repro.sim.stats import SimStats
 from repro.vpu.params import TimingParams
-from repro.workloads.base import CompiledWorkload, Workload
+from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
 if TYPE_CHECKING:  # the pool loads multiprocessing; only _ensure_pool may
@@ -188,8 +191,6 @@ class CellResult:
     stats: SimStats
     energy: EnergyReport
     correct: Optional[bool] = None
-    key: str = ""
-    from_cache: bool = False
 
 
 def speedups(results: Sequence[CellResult]) -> List[float]:
@@ -369,7 +370,7 @@ def _pool_worker_init() -> None:
 
 @contextlib.contextmanager
 def _gc_paused():
-    """Pause the cyclic collector over one cell's compile / simulate.
+    """Pause the cyclic collector over one pair job's compile and cells.
 
     A cell run churns hundreds of thousands of short-lived acyclic
     objects (micro-ops, renamed instructions, numpy views) that reference
@@ -389,23 +390,81 @@ def _gc_paused():
         gc.enable()
 
 
-def _execute_cell(job: Tuple[Cell, Program, int]) -> dict:
-    """Simulate and measure one pre-compiled cell; returns the cache payload.
+#: A pair job's argument: the trace store (or ``None``) and each miss key
+#: that needs the pair's program, with the first cell requesting it.
+PairWork = Tuple[Optional[TraceStore], Tuple[Tuple[str, Cell], ...]]
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it; must stay
-    deterministic — everything it consumes is in the cell (plus
-    :data:`DATA_SEED`).  The executor compiled (or loaded) the program
-    when the cell missed the cache and sends it by value in the job —
-    in-memory inline, pickled to a pool worker — so it is never
-    recompiled here.
+#: A key that failed inside a job: ``(Type: message, traceback text)``.
+Failure = Tuple[str, str]
 
-    The third element is the cell's retry attempt number; an active
+
+def _failure(exc: BaseException) -> Failure:
+    return (f"{type(exc).__name__}: {exc}",
+            "".join(traceback.format_exception(type(exc), exc,
+                                               exc.__traceback__)))
+
+
+def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
+    """Run one (workload, compile signature) pair job; returns its outcome.
+
+    Module-level so :class:`ProcessPoolExecutor` can pickle it.  The job
+    carries cells, never a program: it gets the pair's program
+    (:func:`_pair_program`), then simulates each miss key through
+    :func:`_run_cell`, so one program is alive per job and the parent
+    never holds one.  ``results`` has one entry per key, in job order:
+    the cache payload, or a :data:`Failure`.  A compile that raises fails
+    every key of the pair, a simulation that raises only its own key.
+    Infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
+    propagate, so the dispatcher retries the whole job.
+
+    The third element is the job's retry attempt number; an active
     :class:`~repro.faults.FaultPlan` (chaos testing) gates injected
     crashes/hangs on it, which is how "fails on attempt 0, succeeds on
     attempt 1" scenarios stay deterministic.
     """
+    cell, (traces, todo), attempt = job
+    outcome: dict = {"compiled": False, "trace_hit": False,
+                     "quarantined": 0, "results": []}
     with _gc_paused():
-        return _run_cell(job)
+        try:
+            program = _pair_program(cell, traces, outcome)
+        except _RETRYABLE:
+            raise
+        except Exception as exc:  # noqa: BLE001 — fails this pair's keys
+            outcome["results"] = [_failure(exc)] * len(todo)
+            return outcome
+        for _, key_cell in todo:
+            try:
+                result = _run_cell((key_cell, program, attempt))
+            except _RETRYABLE:
+                raise
+            except Exception as exc:  # noqa: BLE001 — fails its key only
+                result = _failure(exc)
+            outcome["results"].append(result)
+    return outcome
+
+
+def _pair_program(cell: Cell, traces: Optional[TraceStore],
+                  outcome: dict) -> Program:
+    """``cell``'s program: a stored trace when ``traces`` holds one, else
+    a fresh compile, written back to ``traces``.  ``outcome`` records
+    which, and how many damaged entries the load quarantined."""
+    workload = cell.resolve_workload()
+    trace_key = None
+    if traces is not None:
+        trace_key = traces.key(workload,
+                               CompileSignature.from_config(cell.config))
+        quarantined = traces.quarantined
+        stored = traces.load(trace_key)
+        outcome["quarantined"] = traces.quarantined - quarantined
+        if stored is not None:
+            outcome["trace_hit"] = True
+            return stored.program
+    compiled = workload.compile(cell.config)
+    outcome["compiled"] = True
+    if trace_key is not None:
+        traces.put_trace(trace_key, compiled)
+    return compiled.program
 
 
 def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
@@ -451,21 +510,6 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
         "energy": energy.to_dict(),
         "correct": correct,
     }
-
-
-def _compile_cell(job: Tuple[Cell, None, int]) -> "CompiledWorkload":
-    """Compile one cell's kernel (module-level so the pool can pickle it).
-
-    Compilation is pure — everything it reads is in the cell — so a
-    parallel executor fans the distinct (workload, signature) compiles out
-    over the same worker pool, through the same dispatcher, that runs the
-    simulations, instead of serializing them in the parent while the
-    workers sit idle.  The full :class:`CompiledWorkload` comes back (not
-    just the program) so the parent can persist it to the trace store.
-    """
-    cell = job[0]
-    with _gc_paused():
-        return cell.resolve_workload().compile(cell.config)
 
 
 @dataclass
@@ -531,7 +575,7 @@ class Progress:
     #: ``misses`` counts cells whose result had to be computed, not how
     #: many tries the infrastructure needed to compute it.
     retries: int = 0
-    #: Cells whose attempt ran past the per-cell deadline (each such
+    #: Job attempts that ran past the per-job deadline (each such
     #: attempt also charges one retry, until the budget runs out).
     timeouts: int = 0
     _started: float = field(default_factory=time.perf_counter, repr=False)
@@ -624,11 +668,12 @@ class ExecutorStats:
     trace and compiles nothing, and a fully warm result cache reports
     ``0 kernel compiles, 0 trace hits, 0 trace misses``.  A batch's
     misses compile each *distinct* (workload, :class:`CompileSignature`)
-    pair at most once — configurations differing only in simulation-side
-    axes share one compile.  With a trace store attached, ``trace_hits``
-    counts missing pairs replayed from disk instead of compiled and
-    ``trace_misses`` counts pairs that had to compile (and were then
-    stored) — so ``trace_misses == compiles`` on store-backed executors.
+    pair at most once, in that pair's job — configurations differing
+    only in simulation-side axes share one compile.  With a trace store
+    attached, ``trace_hits`` counts missing pairs replayed from disk
+    instead of compiled and ``trace_misses`` counts pairs that had to
+    compile (and were then stored) — so ``trace_misses == compiles`` on
+    store-backed executors.
     ``sim_*`` counters aggregate the event-driven scheduler's efficiency
     over the simulations this executor actually ran (cache hits replay
     stored results and schedule nothing).
@@ -704,9 +749,9 @@ class Plan:
     workload could not be fingerprinted (``unkeyable`` holds the one
     :class:`CellError` such a workload shares).  ``hits`` maps each cached
     key to its payload, ``misses`` each other key to the positions that
-    request it — one simulation per key — and ``compiles`` each
-    (workload, :class:`CompileSignature`) pair the misses need to the
-    first cell that needs it.
+    request it — one simulation per key — and ``pairs`` each
+    (workload, :class:`CompileSignature`) pair the misses need to its
+    miss keys: one job per pair, one compile per job.
     """
 
     cells: List[Cell]
@@ -715,38 +760,31 @@ class Plan:
         default_factory=dict)
     hits: Dict[str, dict] = field(default_factory=dict)
     misses: Dict[str, List[int]] = field(default_factory=dict)
-    compiles: Dict[PairKey, Cell] = field(default_factory=dict)
-
-
-def _cell_error(cell: Cell, key: str, exc: BaseException) -> CellError:
-    return CellError(cell=cell, key=key,
-                     error=f"{type(exc).__name__}: {exc}",
-                     tb="".join(traceback.format_exception(
-                         type(exc), exc, exc.__traceback__)))
+    pairs: Dict[PairKey, List[str]] = field(default_factory=dict)
 
 
 class CellExecutor:
     """Streams cell batches inline or over one process pool.
 
     ``jobs=1`` executes inline (no subprocess, no pickling); ``jobs>1``
-    submits misses to one :class:`ProcessPoolExecutor` that is spun up on
+    submits jobs to one :class:`ProcessPoolExecutor` that is spun up on
     first use and reused across batches (``close()`` or the
-    context-manager form shuts it down).  Compiles and simulations go
-    through the same dispatcher (:mod:`repro.experiments.backends`), and
-    the semantic layer here — cache scan, compile memo, dedupe,
-    position-keyed results, counters — does not depend on it, so rendered
-    artifacts are byte-identical across ``jobs``.  Identical cells within
-    a batch are simulated once.  Results always come back in request
-    order.
+    context-manager form shuts it down).  Jobs go through a dispatcher
+    (:mod:`repro.experiments.backends`), and the semantic layer here —
+    cache scan, dedupe, position-keyed results, counters — does not
+    depend on it, so rendered artifacts are byte-identical across
+    ``jobs``.  Identical cells within a batch are simulated once.
+    Results always come back in request order.
 
     :meth:`run` is :meth:`execute` of :meth:`plan`.  The plan keys the
     batch — :func:`cell_key` hashes compile *inputs*, each workload
     fingerprinted once — and reads the cache once per distinct key, so
-    cache hits are final before anything runs.  :meth:`execute` compiles
-    only the misses, once per distinct (workload,
-    :class:`CompileSignature`) pair, and dispatches them.  That compile
-    memo lives for one batch, so a command that needs several grids runs
-    them as one batch.
+    cache hits are final before anything runs.  :meth:`execute` runs one
+    job per distinct (workload, :class:`CompileSignature`) pair of the
+    misses (:func:`_run_pair`): the job compiles the pair's program once
+    and simulates every miss key that needs it, so at ``jobs=1`` one
+    program is alive at a time, and over the pool no program is pickled.
+    A command that needs several grids runs them as one batch.
 
     Execution is *streaming*: every payload is written to the cache the
     moment its simulation lands, so interrupting a grid — Ctrl-C, an
@@ -758,24 +796,26 @@ class CellExecutor:
     ``progress`` is called with a :class:`Progress` snapshot as every
     cell is finalised.
 
-    ``traces`` attaches a persistent :class:`TraceStore`: every pair a
-    batch needs consults it before compiling, and fresh compiles are
-    written back.  Every simulation job carries its :class:`Program` by value,
-    inline and over the pool alike.
+    ``traces`` attaches a persistent :class:`TraceStore`: each pair job
+    consults it before compiling and writes a fresh compile back, in
+    whichever process runs the job.
 
-    Resilience knobs: ``deadline_s`` arms a per-cell deadline on each
-    compile and each simulation — in pool mode a watchdog that kills the
+    Resilience knobs: ``deadline_s`` arms a deadline on each pair job —
+    one compile plus its cells — in pool mode a watchdog that kills the
     pool under a job observed RUNNING for longer than the deadline
     (finished futures are drained first, and collateral in-flight jobs
     are resubmitted with their attempt counts intact), inline a
     ``SIGALRM`` timer.  ``retries`` bounds how many *charged* failures a
-    cell may accumulate before it becomes a :class:`CellError`; only
+    job may accumulate before each of its keys fails as a
+    :class:`CellError`; only
     infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`
-    and, in pool mode, a broken pool) charge the budget — deterministic cell exceptions fail fast on the
-    first attempt.  Each charged retry backs off exponentially
-    (``backoff_s * 2**(attempt-1)``) plus a deterministic per-cell jitter
-    in ``[0, backoff_s)``, so a wave of retries against a shared cache
-    never stampedes in lockstep.
+    and, in pool mode, a broken pool) charge the budget, and each retries
+    the whole job.  Deterministic exceptions fail fast on the first
+    attempt, and only the keys they hit: a raising compile fails its
+    pair's keys, a raising simulation its own key.  Each charged retry
+    backs off exponentially (``backoff_s * 2**(attempt-1)``) plus a
+    deterministic per-job jitter in ``[0, backoff_s)``, so a wave of
+    retries against a shared cache never stampedes in lockstep.
     """
 
     def __init__(self, jobs: int = 1,
@@ -805,6 +845,9 @@ class CellExecutor:
         #: (``repro ... --sanitize``); cells already marked stay marked.
         self.sanitize = sanitize
         self.stats = ExecutorStats()
+        #: Trace-store entries the pair jobs quarantined (they may run in
+        #: workers, so the parent's store object never sees them).
+        self._trace_quarantined = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- worker-pool lifecycle -------------------------------------------------
@@ -881,7 +924,8 @@ class CellExecutor:
                     fingerprints[workload] = (
                         cell.resolve_workload().compile_fingerprint())
                 except Exception as exc:  # noqa: BLE001 — per workload
-                    plan.unkeyable[workload] = _cell_error(cell, "", exc)
+                    plan.unkeyable[workload] = CellError(cell, "",
+                                                         *_failure(exc))
             fingerprint = fingerprints.get(workload)
             plan.keys.append("" if fingerprint is None
                              else cell_key(cell, fingerprint))
@@ -895,9 +939,9 @@ class CellExecutor:
                     continue
                 plan.misses[key] = [i]
                 cell = plan.cells[i]
-                plan.compiles.setdefault(
+                plan.pairs.setdefault(
                     (cell.workload, CompileSignature.from_config(cell.config)),
-                    cell)
+                    []).append(key)
         return plan
 
     def execute(self, plan: Plan, label: str = "") -> List[CellResult]:
@@ -916,8 +960,7 @@ class CellExecutor:
                 progress.failed += 1
                 progress.done += 1
             elif key in plan.hits:
-                results[i] = self._materialise(cells[i], key, plan.hits[key],
-                                               from_cache=True)
+                results[i] = self._materialise(cells[i], plan.hits[key])
                 progress.hits += 1
                 progress.done += 1
         progress.misses = len(cells) - progress.hits
@@ -939,38 +982,50 @@ class CellExecutor:
             if self.cache is not None:
                 self.cache.put(key, payload)
             for i in by_key[key]:
-                results[i] = self._materialise(cells[i], key, payload,
-                                               from_cache=False)
+                results[i] = self._materialise(cells[i], payload)
                 progress.done += 1
             self._emit(progress)
 
-        def fail(key: str, exc: BaseException) -> None:
+        def fail(key: str, failure: Failure) -> None:
             """Capture one failed key without stopping the rest."""
-            failures.append(_cell_error(cells[by_key[key][0]], key, exc))
+            failures.append(CellError(cells[by_key[key][0]], key, *failure))
             progress.done += len(by_key[key])
             progress.failed += len(by_key[key])
             self.stats.cells_failed += len(by_key[key])
             self._emit(progress)
 
-        if by_key:
-            # A raising compile fails the keys that needed it before
-            # anything is dispatched.
-            programs = self._compile_programs(plan.compiles, progress)
-            runnable: List[str] = []
-            jobs_list: List[Job] = []
-            for key, indices in by_key.items():
-                cell = cells[indices[0]]
-                program = programs[
-                    (cell.workload, CompileSignature.from_config(cell.config))]
-                if isinstance(program, BaseException):
-                    fail(key, program)
+        pair_keys = list(plan.pairs.values())
+
+        def land_job(pos: int, outcome: dict) -> None:
+            """Count how the job got its program, then land each key."""
+            if outcome["trace_hit"]:
+                self.stats.trace_hits += 1
+            elif outcome["compiled"]:
+                self.stats.compiles += 1
+                if self.traces is not None:
+                    self.stats.trace_misses += 1
+            self._trace_quarantined += outcome["quarantined"]
+            for key, result in zip(pair_keys[pos], outcome["results"]):
+                if isinstance(result, dict):
+                    land(key, result)
                 else:
-                    runnable.append(key)
-                    jobs_list.append((cell, program))
-            self._dispatch(jobs_list,
-                           lambda pos, payload: land(runnable[pos], payload),
-                           lambda pos, exc: fail(runnable[pos], exc),
-                           progress, _execute_cell)
+                    fail(key, result)
+
+        def fail_job(pos: int, exc: BaseException) -> None:
+            failure = _failure(exc)
+            for key in pair_keys[pos]:
+                fail(key, failure)
+
+        jobs_list: List[Job] = [
+            (cells[by_key[keys[0]][0]],
+             (self.traces, tuple((key, cells[by_key[key][0]])
+                                 for key in keys)))
+            for keys in pair_keys]
+        # Inline when there is nothing to overlap: a subprocess round-trip
+        # would only add pickling.
+        dispatch = (run_inline if self.jobs == 1 or len(jobs_list) <= 1
+                    else run_pool)
+        dispatch(self, jobs_list, land_job, fail_job, progress, _run_pair)
 
         self._sync_store_counters()
         if failures:
@@ -985,17 +1040,6 @@ class CellExecutor:
         return self.execute(self.plan(cells), label=label)
 
     # -- internals -------------------------------------------------------------
-    def _dispatch(self, jobs_list: List[Job], land: LandFn, fail: FailFn,
-                  progress: Progress, worker: WorkerFn) -> None:
-        """Run ``worker`` over every job, finalising by position: inline
-        when there is nothing to overlap (``jobs == 1`` or a single job —
-        a subprocess round-trip would only add pickling), else streamed
-        over the pool."""
-        if self.jobs == 1 or len(jobs_list) <= 1:
-            run_inline(self, jobs_list, land, fail, progress, worker)
-        else:
-            run_pool(self, jobs_list, land, fail, progress, worker)
-
     def _emit(self, progress: Progress) -> None:
         if self.progress is not None:
             self.progress(progress)
@@ -1003,9 +1047,8 @@ class CellExecutor:
     def _sync_store_counters(self) -> None:
         """Mirror the stores' quarantine counters into the executor's
         stats, so ``--cache-stats`` reports them."""
-        self.stats.cache_quarantined = sum(
-            store.quarantined for store in (self.cache, self.traces)
-            if store is not None)
+        self.stats.cache_quarantined = self._trace_quarantined + (
+            self.cache.quarantined if self.cache is not None else 0)
 
     def _backoff_delay(self, label: str, pos: int, attempt: int) -> float:
         """Exponential backoff plus deterministic per-(cell, attempt)
@@ -1016,60 +1059,13 @@ class CellExecutor:
             0.0, self.backoff_s)
         return base + jitter
 
-    def _compile_programs(self, pairs: Dict[PairKey, Cell],
-                          progress: Progress
-                          ) -> Dict[PairKey, Union[Program, BaseException]]:
-        """Each of a plan's ``compiles`` pairs mapped to its program, or
-        to the exception its compile raised.
-
-        The signature is the narrowed compile key: configurations that
-        differ only in simulation-side axes (NATIVE/AVA mode, physical
-        VRF, VVR count, lanes, timing) share one compile.  With a trace
-        store attached, each pair consults it first (``stats.trace_hits``)
-        and only true misses compile — through the same dispatcher,
-        deadline and retry budget as the simulations — and are written
-        back.  A raising compile is captured per pair, so one bad kernel
-        cannot abort the grid; only successful compiles count toward
-        ``stats.compiles``.
-        """
-        programs: Dict[PairKey, Union[Program, BaseException]] = {}
-        todo: List[Tuple[PairKey, Cell, Optional[str]]] = []
-        for pair, cell in pairs.items():
-            trace_key = None
-            if self.traces is not None:
-                trace_key = self.traces.key(cell.resolve_workload(), pair[1])
-                stored = self.traces.load(trace_key)
-                if stored is not None:
-                    self.stats.trace_hits += 1
-                    programs[pair] = stored.program
-                    continue
-            todo.append((pair, cell, trace_key))
-
-        def land(pos: int, compiled: CompiledWorkload) -> None:
-            pair, _, trace_key = todo[pos]
-            self.stats.compiles += 1
-            if trace_key is not None:
-                self.stats.trace_misses += 1
-                self.traces.put_trace(trace_key, compiled)
-            programs[pair] = compiled.program
-
-        def fail(pos: int, exc: BaseException) -> None:
-            programs[todo[pos][0]] = exc
-
-        self._dispatch([(cell, None) for _, cell, _ in todo], land, fail,
-                       progress, _compile_cell)
-        return programs
-
     @staticmethod
-    def _materialise(cell: Cell, key: str, payload: dict,
-                     from_cache: bool) -> CellResult:
+    def _materialise(cell: Cell, payload: dict) -> CellResult:
         return CellResult(
             cell=cell,
             stats=SimStats.from_dict(payload["stats"]),
             energy=EnergyReport.from_dict(payload["energy"]),
             correct=payload.get("correct"),
-            key=key,
-            from_cache=from_cache,
         )
 
 

@@ -10,10 +10,11 @@ on demand, deterministically, from a seed.
 A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers:
 
 * **cell faults** (``worker-crash`` / ``cell-hang`` / ``slow-cell``) fire
-  inside :func:`repro.experiments.engine._execute_cell`, matched by cell
-  label and gated by attempt number — a crash spec gated on attempt 0
-  kills the first execution and lets the retry through, which is exactly
-  the transient-infrastructure-fault shape the retry budget exists for;
+  inside :func:`repro.experiments.engine._run_cell`, matched by cell
+  label and gated by the attempt number of the cell's pair job — a crash
+  spec gated on attempt 0 kills the job's first execution and lets the
+  retry through, which is exactly the transient-infrastructure-fault
+  shape the retry budget exists for;
 * **cache faults** (``cache-corrupt`` / ``cache-enospc`` /
   ``cache-readonly``) fire inside :meth:`repro.cachefs.AtomicJsonStore.
   put`, matched by store site (``results`` / ``traces``) and gated by the
@@ -72,7 +73,7 @@ ALL_KINDS = CELL_KINDS + CACHE_KINDS
 INFRASTRUCTURE_FAULT_NAMES = frozenset({
     "TransientFaultError",   # this module's injected transient fault
     "BrokenExecutor",        # concurrent.futures pool collapse
-    "CellDeadlineExceeded",  # per-cell wall-clock deadline (dispatch)
+    "CellDeadlineExceeded",  # per-job wall-clock deadline (dispatch)
     "OSError",               # I/O flakes: ENOSPC, EIO, dropped mounts
     "TimeoutError",          # stdlib sibling of the deadline class
     "ConnectionError",       # remote-executor transport failures

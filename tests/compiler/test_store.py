@@ -197,32 +197,31 @@ def test_traces_persist_across_executors(tmp_path):
                 == json.dumps(b.stats.to_dict(), sort_keys=True))
 
 
-def test_pool_workers_take_programs_by_value(tmp_path, monkeypatch):
-    """Over the pool, the parent loads each trace and ships the Program in
-    the job: a worker never reads the store, replays a trace or compiles."""
+def test_pool_workers_load_traces_in_their_pair_jobs(tmp_path, monkeypatch):
+    """Over the pool, each pair job reads the store where it simulates:
+    the parent never reads the store, replays a trace or compiles."""
     from repro.experiments import engine
     from repro.workloads.base import Workload
 
     cells = [Cell("axpy", Scenario(config)) for config in MVL_GRID]
     serial = CellExecutor(traces=TraceStore(tmp_path / "traces")).run(cells)
 
-    def parent_only(name, original):
+    def worker_only(name, original):
         def guarded(*args, **kwargs):
-            if engine._IN_POOL_WORKER:
-                raise AssertionError(f"pool worker called {name}")
+            if not engine._IN_POOL_WORKER:
+                raise AssertionError(f"the parent called {name}")
             return original(*args, **kwargs)
         return guarded
 
     monkeypatch.setattr(TraceStore, "get",
-                        parent_only("TraceStore.get", TraceStore.get))
+                        worker_only("TraceStore.get", TraceStore.get))
     monkeypatch.setattr(Workload, "compile",
-                        parent_only("Workload.compile", Workload.compile))
-    monkeypatch.setattr(Simulator, "from_trace", classmethod(parent_only(
+                        worker_only("Workload.compile", Workload.compile))
+    monkeypatch.setattr(Simulator, "from_trace", classmethod(worker_only(
         "Simulator.from_trace", Simulator.from_trace.__func__)))
 
     def no_inline(executor, jobs_list, *rest):
-        if jobs_list:  # the compile pass dispatches nothing: all hits
-            raise AssertionError("jobs ran inline, not over the pool")
+        raise AssertionError("jobs ran inline, not over the pool")
 
     monkeypatch.setattr(engine, "run_inline", no_inline)
     with CellExecutor(jobs=2, traces=TraceStore(tmp_path / "traces")) as pool:

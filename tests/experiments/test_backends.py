@@ -40,7 +40,7 @@ def test_executor_picks_backend_from_jobs():
     with CellExecutor(jobs=2) as parallel:
         assert parallel._pool is None  # started lazily ...
         parallel.run(spec.cells())
-        assert parallel._pool is not None  # ... by the first fan-out
+        assert parallel._pool is not None  # ... by the first pooled batch
 
 
 def test_default_jobs_is_a_positive_count():

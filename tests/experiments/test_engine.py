@@ -182,13 +182,13 @@ def test_cache_hit_and_miss_counters(tmp_path):
     first = cold.run([cell])[0]
     assert cold.stats.sims_executed == 1
     assert cold.stats.cache_misses == 1
-    assert not first.from_cache
+    assert cold.stats.cache_hits == 0
 
     warm = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     second = warm.run([cell])[0]
     assert warm.stats.sims_executed == 0
     assert warm.stats.cache_hits == 1
-    assert second.from_cache
+    assert warm.stats.cache_misses == 0
     assert second.stats == first.stats
     assert second.energy == first.energy
 
@@ -224,7 +224,7 @@ def test_single_level_machine_simulates_once_across_swap_only_knobs(
     assert executor.stats.sims_executed == 1
     assert [r.cell for r in results] == cells
     assert all(r.stats == results[0].stats for r in results)
-    assert len({r.key for r in results}) == 1
+    assert len({cell_key(r.cell) for r in results}) == 1
 
     rerun = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     [unseen_budget] = _swap_knob_cells("native-x8", budgets=(4,),
@@ -251,7 +251,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     # Both syntactically broken and structurally truncated entries must
     # re-simulate, never crash the render.
     for corruption in ("{not json", '{"schema": 1}', '[1, 2]'):
-        cache.path(result.key).write_text(corruption)
+        cache.path(cell_key(result.cell)).write_text(corruption)
         rerun = CellExecutor(cache=ResultCache(tmp_path / "cache"))
         again = rerun.run([result.cell])[0]
         assert rerun.stats.sims_executed == 1
@@ -282,7 +282,8 @@ def test_duplicate_cells_in_one_batch_simulate_once():
 
 def test_plan_gives_duplicate_cells_one_miss_entry():
     """Equal cells share one miss (one simulation); cells whose machines
-    share a compile signature share one compile; planning runs nothing."""
+    share a compile signature share one pair job, hence one compile;
+    planning runs nothing."""
     executor = CellExecutor()
     native = Cell("axpy", Scenario(native_config(2)))
     ava = Cell("axpy", Scenario(ava_config(2)))
@@ -290,7 +291,7 @@ def test_plan_gives_duplicate_cells_one_miss_entry():
     assert plan.keys == [_key(native), _key(ava), _key(native)]
     assert plan.misses == {_key(native): [0, 2], _key(ava): [1]}
     assert plan.hits == {} and plan.unkeyable == {}
-    assert list(plan.compiles.values()) == [native]
+    assert list(plan.pairs.values()) == [[_key(native), _key(ava)]]
     assert executor.stats == ExecutorStats()
 
 
@@ -305,7 +306,7 @@ def test_plan_reads_a_cached_key_once(tmp_path):
     plan = CellExecutor(cache=cache).plan([cell] * 3)
     assert reads == [_key(cell)]
     assert plan.hits == {_key(cell): payload}
-    assert plan.misses == {} and plan.compiles == {}
+    assert plan.misses == {} and plan.pairs == {}
 
 
 def test_plan_marks_cells_of_an_unbuildable_workload_unkeyable():
@@ -476,7 +477,7 @@ def test_disjoint_batches_fill_one_cache_like_a_single_batch(tmp_path):
     assert warm.stats.cache_hits == len(cells)
     assert warm.stats.sims_executed == warm.stats.compiles == 0
     for a, b in zip(reference, replayed):
-        assert a.key == b.key
+        assert cell_key(a.cell) == cell_key(b.cell)
         assert a.stats == b.stats
         assert a.energy == b.energy
 
@@ -489,7 +490,7 @@ def test_batch_order_does_not_change_any_result():
     backward = CellExecutor().run(cells[::-1])
     for a, b in zip(forward, backward[::-1]):
         assert a.cell == b.cell
-        assert a.key == b.key
+        assert cell_key(a.cell) == cell_key(b.cell)
         assert a.stats == b.stats
         assert a.energy == b.energy
 

@@ -1,11 +1,16 @@
 """The claim table behind ``repro claims``."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import headline
-from repro.experiments.engine import CellExecutor, cell_key, figure3_spec
+from repro.experiments.engine import (CellExecutor, ResultCache, cell_key,
+                                      figure3_spec)
 from repro.experiments.headline import Claim, above, below
 from repro.experiments.sensitivity import (DRAM_LATENCIES, L2_LATENCIES,
                                            SWAP_BUDGETS)
@@ -29,13 +34,19 @@ class PlanRecorder(CellExecutor):
         return plan
 
 
+#: The pinned stdout digests CI checks with ``sha256sum -c``.
+STDOUT_DIGESTS = Path(__file__).parents[2] / ".github" / "stdout.sha256"
+
+
 @pytest.fixture(scope="module")
-def run():
-    """One full claims run, with an extra kernel widening the batch."""
-    with PlanRecorder(jobs=2) as executor:
+def run(tmp_path_factory):
+    """One full claims run, with an extra kernel widening the batch; its
+    results stay in a cache (the fourth element's directory)."""
+    cache_dir = tmp_path_factory.mktemp("claims-cache")
+    with PlanRecorder(jobs=2, cache=ResultCache(cache_dir)) as executor:
         claims = headline.check_headline_claims(
             executor=executor, extra_workloads=["pathfinder"])
-    return claims, executor.stats, executor.plans
+    return claims, executor.stats, executor.plans, cache_dir
 
 
 @pytest.mark.parametrize("value, lo, hi, margin", [
@@ -90,3 +101,21 @@ def test_claims_simulate_each_distinct_key_once(run):
             for cell in grid] == plans[0].cells
     assert stats.cache_hits == 0
     assert stats.sims_executed == len({cell_key(c) for c in plans[0].cells})
+
+
+def test_claims_stdout_matches_its_pinned_digest(run, capsys, tmp_path):
+    """Tier-1 sees what CI's stdout contract sees: ``repro claims``
+    replayed from the fixture's cache prints exactly the pinned bytes,
+    ablation values included, and simulates nothing."""
+    stats_file = tmp_path / "claims.json"
+    assert main(["claims", "--jobs", "1", "--no-progress",
+                 "--cache-dir", str(run[3]),
+                 "--stats-json", str(stats_file)]) == 0
+    stdout = capsys.readouterr().out
+    stats = json.loads(stats_file.read_text())["stats"]
+    assert stats["sims_executed"] == 0
+    assert stats["cache_hits"] == stats["cells_requested"] == 143
+    pinned = dict(reversed(line.split()) for line in
+                  STDOUT_DIGESTS.read_text().splitlines())
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == pinned["claims-cold.out"])

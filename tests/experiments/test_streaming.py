@@ -8,8 +8,10 @@ replays the completed cells as hits and re-executes only what is missing.
 
 import io
 import os
+import pickle
 import signal
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,12 +30,16 @@ from repro.experiments.engine import (
     ResultCache,
     SweepSpec,
     average_speedups,
+    figure3_spec,
 )
+from repro.isa.program import Program
 from repro.sim.scenario import Scenario
+from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 from repro.vpu.params import DEFAULT_TIMING
 from repro.workloads import get_workload
 from repro.workloads.axpy import Axpy
+from repro.workloads.base import Workload
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +49,7 @@ class RaisingAxpy(Axpy):
     """Compiles like axpy, then raises instead of simulating.
 
     Compiling never calls ``init_data``, so the poison only fires inside
-    ``_execute_cell``; ``armed`` starts False so an unarmed instance
+    ``_run_cell``; ``armed`` starts False so an unarmed instance
     simulates like axpy, and :func:`_arm` flips it.
     """
 
@@ -141,6 +147,16 @@ class CompileRaises(Axpy):
         raise ValueError("register allocation failed")
 
 
+class RaisingReference(Axpy):
+    """Simulates like axpy, but its reference raises, so only a checked
+    cell fails — a cell sharing its program stays healthy."""
+
+    name = "raising-reference-axpy"
+
+    def reference(self, data):
+        raise RuntimeError("reference failed")
+
+
 class MissingBufferAxpy(Axpy):
     """Its ``init_data`` omits a buffer the kernel references."""
 
@@ -154,7 +170,7 @@ class MissingBufferAxpy(Axpy):
 
 class CompileBomb(Axpy):
     """A kernel whose *compile* raises — isolation must start before any
-    simulation, not just inside ``_execute_cell``."""
+    simulation, not just inside ``_run_cell``."""
 
     name = "compile-bomb"
 
@@ -248,6 +264,29 @@ def test_raising_cell_is_isolated_under_a_parallel_pool(tmp_path):
         assert [e.cell for e in err.value.errors] == [cells[1]]
         assert len(list((tmp_path / "cache").glob("*.json"))) == 3
     assert ex._pool is None  # the context manager shut the pool down
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_simulation_fails_only_its_key_in_a_pair_job(jobs,
+                                                             tmp_path):
+    """Two keys share one pair job; the one whose simulation raises fails
+    alone, and the other is cached."""
+    workload = RaisingReference()
+    cells = [Cell(workload, Scenario(native_config(1)), check=True),
+             Cell(workload, Scenario(native_config(1))),
+             Cell("axpy", Scenario(ava_config(8)))]
+    with CellExecutor(jobs=jobs,
+                      cache=ResultCache(tmp_path / "cache")) as executor:
+        with pytest.raises(CellExecutionError) as err:
+            executor.run(cells)
+    [error] = err.value.errors
+    assert error.cell is cells[0]
+    assert error.error == "RuntimeError: reference failed"
+    assert "reference failed" in error.tb
+    assert executor.stats.compiles == 2
+    assert executor.stats.sims_executed == 2
+    assert executor.stats.retries == 0
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
 def test_compile_failure_is_isolated_per_cell(tmp_path):
@@ -388,9 +427,9 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     warm.close()
 
 
-def test_worker_death_during_compile_fan_out_is_retried(tmp_path):
+def test_worker_death_during_a_pair_compile_is_retried(tmp_path):
     """A worker killed mid-compile is reclaimed like one killed
-    mid-simulation: every compile in the batch is charged and retried,
+    mid-simulation: every pair job in flight is charged and retried,
     never failed as collateral."""
     flag = tmp_path / "die.flag"
     flag.write_text("armed")
@@ -412,9 +451,9 @@ def test_worker_death_during_compile_fan_out_is_retried(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_deadline_bounds_a_hung_compile(jobs):
-    """The per-cell deadline covers the compile, not just the simulation:
+    """The job deadline covers the compile, not just the simulations:
     inline the alarm interrupts it, pooled the watchdog kills the worker.
-    A healthy compile sharing the batch is collateral, never charged."""
+    A healthy pair job sharing the batch is collateral, never charged."""
     cells = [Cell(HangInCompile(), Scenario(native_config(1))),
              Cell("axpy", Scenario(native_config(1)))]
     with CellExecutor(jobs=jobs, deadline_s=0.5, retries=0) as executor:
@@ -498,8 +537,64 @@ def test_inline_interrupt_preserves_cache_without_a_pool(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# persistent pool + fanned-out compiles
+# persistent pool + pair jobs
 # ---------------------------------------------------------------------------
+def test_inline_jobs_hold_one_program_at_a_time(monkeypatch):
+    """At jobs=1 each pair job compiles its program where it simulates,
+    so no Simulator is ever built while another job's program lives."""
+    programs = []
+    alive_at_build = []
+    compile_, init = Workload.compile, Simulator.__init__
+
+    def tracked_compile(self, target):
+        compiled = compile_(self, target)
+        programs.append(weakref.ref(compiled.program))
+        return compiled
+
+    def counted_init(self, *args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in programs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Workload, "compile", tracked_compile)
+    monkeypatch.setattr(Simulator, "__init__", counted_init)
+    executor = CellExecutor()
+    executor.run(figure3_spec([_small_axpy()]).cells())
+    assert executor.stats.compiles == len(programs) == 8
+    assert len(alive_at_build) == executor.stats.sims_executed == 14
+    assert max(alive_at_build) == 1
+
+
+class _ProgramFinder(pickle.Pickler):
+    """Pickles an object graph and counts the Programs inside it."""
+
+    found = 0
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Program):
+            self.found += 1
+        return NotImplemented
+
+
+def test_pool_jobs_carry_cells_not_programs(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def spy(self, fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    spec = SweepSpec(workloads=(_small_axpy(),),
+                     configs=(native_config(1), ava_config(2), ava_config(8)))
+    with CellExecutor(jobs=2) as executor:
+        executor.run(spec.cells())
+    finder = _ProgramFinder(io.BytesIO())
+    finder.dump(submitted)
+    assert finder.found == 0
+    assert len(submitted) == executor.stats.compiles == 3  # one per pair
+
 def test_pool_persists_across_batches_and_closes():
     executor = CellExecutor(jobs=2)
     spec = SweepSpec(workloads=(_small_axpy(),),
@@ -522,8 +617,8 @@ def test_parallel_compiles_match_serial_results_and_counts(tmp_path):
     serial_results = serial.run(spec.cells())
     with CellExecutor(jobs=2) as parallel:
         parallel_results = parallel.run(spec.cells())
-        # Fanning compiles over the pool must not change the accounting:
-        # one compile per distinct (workload, config) pair ...
+        # Compiling in pair jobs over the pool must not change the
+        # accounting: one compile per distinct (workload, config) pair ...
         assert parallel.stats.compiles == serial.stats.compiles == 4
     # ... or any byte of the results.
     for a, b in zip(serial_results, parallel_results):
