@@ -79,8 +79,3 @@ def all_rules() -> List[Rule]:
 
 def rule_codes() -> List[str]:
     return sorted(_RULES)
-
-
-def _reset_for_tests() -> Dict[str, Rule]:
-    """Testing hook: snapshot the registry (callers restore it manually)."""
-    return dict(_RULES)

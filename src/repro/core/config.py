@@ -206,11 +206,6 @@ def register_machine(name: str,
     _MACHINE_REGISTRY.register(name, factory)
 
 
-def unregister_machine(name: str) -> bool:
-    """Remove ``name`` from the registry (plugin/test cleanup hook)."""
-    return _MACHINE_REGISTRY.unregister(name)
-
-
 def get_machine(name: str) -> MachineConfig:
     """Instantiate a machine preset by its registered name."""
     return _MACHINE_REGISTRY.get(name)

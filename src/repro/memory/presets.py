@@ -36,11 +36,6 @@ def register_memory_system(name: str,
     _MEMORY_REGISTRY.register(name, factory)
 
 
-def unregister_memory_system(name: str) -> bool:
-    """Remove ``name`` from the registry (plugin/test cleanup hook)."""
-    return _MEMORY_REGISTRY.unregister(name)
-
-
 def get_memory_system(name: str) -> MemorySystemConfig:
     """Instantiate a memory-hierarchy preset by its registered name."""
     return _MEMORY_REGISTRY.get(name)

@@ -33,9 +33,6 @@ class PresetRegistry(Generic[T]):
                 f"{self.kind} {name!r} is already registered")
         self._factories[name] = factory
 
-    def unregister(self, name: str) -> bool:
-        return self._factories.pop(name, None) is not None
-
     def get(self, name: str) -> T:
         factory = self._factories.get(name)
         if factory is None:

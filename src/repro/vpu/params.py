@@ -93,11 +93,6 @@ def register_timing(name: str, factory: Callable[[], TimingParams]) -> None:
     _TIMING_REGISTRY.register(name, factory)
 
 
-def unregister_timing(name: str) -> bool:
-    """Remove ``name`` from the registry (plugin/test cleanup hook)."""
-    return _TIMING_REGISTRY.unregister(name)
-
-
 def get_timing(name: str) -> TimingParams:
     """Instantiate a timing preset by its registered name."""
     return _TIMING_REGISTRY.get(name)

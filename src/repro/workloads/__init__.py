@@ -20,7 +20,6 @@ from repro.workloads.registry import (
     register_workload,
     registered_names,
     select_workloads,
-    unregister_workload,
 )
 
 # Importing the kernel modules registers the builtin suite.
@@ -43,7 +42,6 @@ __all__ = [
     "register_workload",
     "registered_names",
     "select_workloads",
-    "unregister_workload",
     "WORKLOAD_NAMES",
     "EXTENDED_WORKLOAD_NAMES",
     "ALL_WORKLOAD_NAMES",

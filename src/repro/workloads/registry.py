@@ -76,11 +76,6 @@ def register_workload(cls: Optional[Type[Workload]] = None, *,
     return wrap(cls) if cls is not None else wrap
 
 
-def unregister_workload(name: str) -> bool:
-    """Remove ``name`` from the registry (plugin/test cleanup hook)."""
-    return _REGISTRY.pop(name, None) is not None
-
-
 #: Paper order (Table IV).  Frozen: figures rendered over this view are
 #: byte-identical regardless of what else gets registered.
 WORKLOAD_NAMES: List[str] = [

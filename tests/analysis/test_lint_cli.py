@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import (LINT_JSON_SCHEMA, default_lint_paths,
                             register_rule, rule_codes, run_lint)
-from repro.analysis.registry import _reset_for_tests
+from repro.analysis.registry import get_rule
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -146,10 +146,13 @@ def test_fix_leaves_clean_files_alone(tmp_path):
 # ---------------------------------------------------------------------------
 # Registry: collisions fail loudly, like workload registration.
 # ---------------------------------------------------------------------------
-def test_duplicate_rule_code_is_rejected():
-    snapshot = _reset_for_tests()
+def test_duplicate_rule_code_is_rejected(registries):
+    before = rule_codes()
+    original = get_rule("D001")
     with pytest.raises(ValueError, match="already registered"):
         @register_rule("D001", name="imposter", summary="shadowing")
         def imposter(sources):
             return []
-    assert _reset_for_tests() == snapshot  # failed registration mutated nothing
+    # The failed registration mutated nothing.
+    assert rule_codes() == before
+    assert get_rule("D001") is original

@@ -65,3 +65,31 @@ def ava_x8():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def registries():
+    """Snapshot the workload, machine, timing, memory and lint-rule
+    registries, and restore them when the test ends: a name a test
+    registers is gone again afterwards.  Yields the restore function, so a
+    test can also restore early and check the lookup fails."""
+    import repro.analysis  # noqa: F401  (registers the builtin rules)
+    import repro.workloads  # noqa: F401  (registers the builtin suite)
+    from repro.analysis import registry as rules
+    from repro.core import config
+    from repro.memory import presets
+    from repro.vpu import params
+    from repro.workloads import registry as workloads
+
+    tables = (workloads._REGISTRY, config._MACHINE_REGISTRY._factories,
+              params._TIMING_REGISTRY._factories,
+              presets._MEMORY_REGISTRY._factories, rules._RULES)
+    saved = [dict(table) for table in tables]
+
+    def restore():
+        for table, snapshot in zip(tables, saved):
+            table.clear()
+            table.update(snapshot)
+
+    yield restore
+    restore()

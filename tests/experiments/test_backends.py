@@ -17,7 +17,7 @@ from repro.experiments.backends import default_jobs
 from repro.experiments.engine import (Cell, CellExecutor, CellResult,
                                       ExecutorStats, SweepSpec)
 from repro.sim.scenario import Scenario
-from repro.workloads import register_workload, unregister_workload
+from repro.workloads import register_workload
 from repro.workloads.axpy import Axpy
 
 
@@ -78,17 +78,19 @@ def test_figure3_stdout_identical_across_backends(capsys, tmp_path):
 # CLI flag surface
 # ---------------------------------------------------------------------------
 def test_jobs_auto_is_the_default_and_spelled_form(capsys, cache_args):
-    assert main(["table2"] + cache_args) == 0
+    sweep = ["sweep", "examples/sweep_smoke.json"]
+    assert main(sweep + cache_args) == 0
     first = capsys.readouterr().out
-    assert main(["table2", "--jobs", "auto"] + cache_args) == 0
+    assert main(sweep + ["--jobs", "auto"] + cache_args) == 0
     assert capsys.readouterr().out == first
 
 
-def test_jobs_flag_validation():
-    with pytest.raises(SystemExit):
-        main(["table2", "--jobs", "many"])
-    with pytest.raises(SystemExit):
-        main(["table2", "--jobs", "0"])
+def test_jobs_flag_validation(capsys):
+    for jobs in ("many", "0"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "examples/sweep_smoke.json", "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_chaos_rejects_stats_json(tmp_path):
@@ -122,7 +124,8 @@ class _Unbuildable(Axpy):
         raise ValueError("kernel does not build")
 
 
-def test_failed_cell_still_reports_its_counters(capsys, tmp_path):
+def test_failed_cell_still_reports_its_counters(capsys, tmp_path,
+                                                 registries):
     """A failed cell propagates as an error, but --stats-json and
     --cache-stats still report the run — failure count included."""
     from repro.experiments.engine import CellExecutionError
@@ -132,13 +135,10 @@ def test_failed_cell_still_reports_its_counters(capsys, tmp_path):
                                 "machines": ["native-x1"]}))
     stats_file = tmp_path / "run.json"
     register_workload(_Unbuildable)
-    try:
-        with pytest.raises(CellExecutionError):
-            main(["sweep", str(spec), "--jobs", "1", "--cache-stats",
-                  "--stats-json", str(stats_file),
-                  "--cache-dir", str(tmp_path / "cache")])
-    finally:
-        assert unregister_workload("unbuildable-kernel")
+    with pytest.raises(CellExecutionError):
+        main(["sweep", str(spec), "--jobs", "1", "--cache-stats",
+              "--stats-json", str(stats_file),
+              "--cache-dir", str(tmp_path / "cache")])
     payload = json.loads(stats_file.read_text())
     assert payload["stats"]["cells_requested"] == 2
     assert payload["stats"]["cells_failed"] == 1

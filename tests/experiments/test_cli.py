@@ -1,8 +1,13 @@
 """The `python -m repro` command-line regenerators."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SMOKE_SPEC = str(REPO_ROOT / "examples" / "sweep_smoke.json")
 
 
 @pytest.fixture
@@ -11,16 +16,16 @@ def cache_args(tmp_path):
     return ["--cache-dir", str(tmp_path / "cache")]
 
 
-def test_table_artifacts(capsys, cache_args):
+def test_table_artifacts(capsys):
     for artifact, marker in (("table1", "P-Regs"), ("table2", "NATIVE X8"),
                              ("table3", "RG-LMUL8"), ("table4", "somier"),
                              ("table5", "WNS")):
-        assert main([artifact] + cache_args) == 0
+        assert main([artifact]) == 0
         assert marker in capsys.readouterr().out
 
 
-def test_figure5_artifact(capsys, cache_args):
-    assert main(["figure5"] + cache_args) == 0
+def test_figure5_artifact(capsys):
+    assert main(["figure5"]) == 0
     out = capsys.readouterr().out
     assert "floorplans" in out and "lane" in out
 
@@ -197,6 +202,42 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--jobs", "2"],
+    ["figure5", "--cache-stats"],
+    ["lint", str(REPO_ROOT / "src" / "repro"), "--cache-dir", "unused"],
+    ["figure3", "axpy", "--seed", "3"],
+    ["cache", "--sanitize"],
+    ["sensitivity", "--extended"],
+    ["chaos", SMOKE_SPEC, "--stats-json", "unused.json"],
+    ["sweep", SMOKE_SPEC, "--workloads", "axpy"]],
+    ids=["table1-jobs", "figure5-cache-stats", "lint-cache-dir",
+         "figure3-seed", "cache-sanitize", "sensitivity-extended",
+         "chaos-stats-json", "sweep-workloads"])
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys, tmp_path,
+                                                  monkeypatch):
+    """Each command declares only the flags it reads; any other one is a
+    usage error, never silently ignored, and nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    "table1", "table2", "table3", "table4", "table5", "figure3", "figure4",
+    "figure5", "claims", "sweep", "sensitivity", "chaos", "cache", "lint"])
+def test_every_command_has_its_own_help(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert f"usage: python -m repro {command}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [

@@ -12,14 +12,12 @@ from repro.core.config import (
     native_config,
     register_machine,
     rg_config,
-    unregister_machine,
 )
 from repro.memory.hierarchy import MemorySystemConfig
 from repro.memory.presets import (
     get_memory_system,
     memory_system_names,
     register_memory_system,
-    unregister_memory_system,
 )
 from repro.power.mcpat import McPatModel
 from repro.sim.scenario import CellPolicy, Scenario, build_scenario
@@ -30,7 +28,6 @@ from repro.vpu.params import (
     get_timing,
     register_timing,
     timing_names,
-    unregister_timing,
 )
 from repro.workloads import get_workload
 
@@ -51,21 +48,20 @@ def test_machine_registry_covers_the_paper_matrix():
     assert get_machine("baseline") == native_config(1)
 
 
-def test_machine_registry_rejects_unknown_and_collisions():
+def test_machine_registry_rejects_unknown_and_collisions(registries):
     with pytest.raises(KeyError):
         get_machine("cray-1")
     with pytest.raises(ValueError):
         register_machine("native-x8", lambda: native_config(1))
     # Plugin flow: register, resolve, clean up.
     register_machine("test-tiny", lambda: native_config(1))
-    try:
-        assert get_machine("test-tiny") == native_config(1)
-    finally:
-        assert unregister_machine("test-tiny")
-    assert not unregister_machine("test-tiny")
+    assert get_machine("test-tiny") == native_config(1)
+    registries()
+    with pytest.raises(KeyError):
+        get_machine("test-tiny")
 
 
-def test_memory_presets():
+def test_memory_presets(registries):
     assert "table2" in memory_system_names()
     table2 = get_memory_system("table2")
     assert table2 == MemorySystemConfig()
@@ -79,13 +75,13 @@ def test_memory_presets():
     with pytest.raises(ValueError):
         register_memory_system("table2", MemorySystemConfig)
     register_memory_system("test-mem", MemorySystemConfig)
-    try:
-        assert get_memory_system("test-mem") == MemorySystemConfig()
-    finally:
-        assert unregister_memory_system("test-mem")
+    assert get_memory_system("test-mem") == MemorySystemConfig()
+    registries()
+    with pytest.raises(KeyError):
+        get_memory_system("test-mem")
 
 
-def test_timing_presets():
+def test_timing_presets(registries):
     assert "default" in timing_names()
     assert get_timing("default") == DEFAULT_TIMING
     assert get_timing("single-swap").preissue_swap_budget == 1
@@ -96,10 +92,10 @@ def test_timing_presets():
     with pytest.raises(ValueError):
         register_timing("default", lambda: DEFAULT_TIMING)
     register_timing("test-timing", lambda: DEFAULT_TIMING)
-    try:
-        assert get_timing("test-timing") == DEFAULT_TIMING
-    finally:
-        assert unregister_timing("test-timing")
+    assert get_timing("test-timing") == DEFAULT_TIMING
+    registries()
+    with pytest.raises(KeyError):
+        get_timing("test-timing")
 
 
 # ---------------------------------------------------------------------------

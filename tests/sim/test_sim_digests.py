@@ -5,7 +5,10 @@
 count, the scheduler's evaluated events, the swap traffic and a hash of the
 full statistics.  The pipeline-equivalence suite compares the two schedulers
 with each other, so it cannot see a change to code they share (the
-``PipelineModel`` methods, the VRF mapping, the RAC); this file can.
+``PipelineModel`` methods, the VRF mapping, the RAC, victim selection); this
+file can.  Every cell that swaps under the paper's defaults is also pinned
+under the ablations' other victim policies (``fifo``, ``round-robin``) and
+swap budgets (1, 4), keyed ``<workload>@<config> <variant>``.
 
 A deliberate timing-model or workload change regenerates the file in the
 same change, from the repository root::
@@ -13,13 +16,18 @@ same change, from the repository root::
     PYTHONPATH=src python -m tests.sim.test_sim_digests
 """
 
+import functools
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.core.swap import VictimPolicy
 from repro.experiments.configs import figure3_series
+from repro.sim.scenario import CellPolicy, Scenario
+from repro.vpu.params import DEFAULT_TIMING
 from repro.vpu.pipeline import VectorPipeline
 from repro.workloads import get_workload
 from repro.workloads.registry import registered_names
@@ -29,29 +37,70 @@ DIGESTS = Path(__file__).parent / "data" / "sim_digests.json"
 #: Shrunken problem size, as in the pipeline-equivalence suite.
 SMALL_N = 512
 
+#: The ablations' non-default swap knobs, as scenario fields.
+VARIANTS = {
+    "fifo": {"policy": CellPolicy(victim_policy=VictimPolicy.FIFO)},
+    "round-robin": {"policy": CellPolicy(
+        victim_policy=VictimPolicy.ROUND_ROBIN)},
+    "budget=1": {"timing": replace(DEFAULT_TIMING, preissue_swap_budget=1)},
+    "budget=4": {"timing": replace(DEFAULT_TIMING, preissue_swap_budget=4)},
+}
 
-def _digests(name: str) -> dict:
-    workload = get_workload(name)
-    workload.n_elements = SMALL_N
-    digests = {}
-    for config in figure3_series():
-        program = workload.compile(config).program
-        stats = VectorPipeline(config, program).run()
-        payload = json.dumps(stats.to_dict(), sort_keys=True)
-        digests[f"{name}@{config.name}"] = {
-            "cycles": stats.cycles,
+
+def _row(stats) -> dict:
+    payload = json.dumps(stats.to_dict(), sort_keys=True)
+    return {"cycles": stats.cycles,
             "events_processed": stats.events_processed,
             "swap_loads": stats.swap_loads,
             "swap_stores": stats.swap_stores,
             "stats_sha256": hashlib.sha256(payload.encode()).hexdigest()}
+
+
+@functools.cache
+def _digests(name: str) -> dict:
+    """Every row of ``name``: one per figure3 configuration, plus one per
+    :data:`VARIANTS` entry for each configuration that swaps at the
+    defaults.  Both tests read it, so each program compiles once."""
+    workload = get_workload(name)
+    workload.n_elements = SMALL_N
+    digests = {}
+    for config in figure3_series():
+        cell = f"{name}@{config.name}"
+        program = workload.compile(config).program
+        default = digests[cell] = _row(VectorPipeline(config, program).run())
+        if not default["swap_loads"] + default["swap_stores"]:
+            continue
+        for label, fields in VARIANTS.items():
+            scenario = Scenario(machine=config, **fields)
+            digests[f"{cell} {label}"] = _row(
+                VectorPipeline(scenario, program).run())
     return digests
+
+
+def _is_variant(key: str) -> bool:
+    return key.rpartition(" ")[2] in VARIANTS
 
 
 @pytest.mark.parametrize("name", registered_names())
 def test_simulation_matches_pinned_digest(name):
     pinned = json.loads(DIGESTS.read_text())
-    digests = _digests(name)
+    digests = {key: digest for key, digest in _digests(name).items()
+               if not _is_variant(key)}
     assert len(digests) == len(figure3_series())
+    for key, digest in digests.items():
+        assert digest == pinned[key], key
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_swap_variants_match_pinned_digest(name):
+    """Victim policies and swap budgets other than the paper's: a bug in
+    a policy the default never runs still fails a named test."""
+    pinned = json.loads(DIGESTS.read_text())
+    digests = {key: digest for key, digest in _digests(name).items()
+               if _is_variant(key)}
+    assert sorted(digests) == sorted(
+        key for key in pinned if key.startswith(f"{name}@")
+        and _is_variant(key))
     for key, digest in digests.items():
         assert digest == pinned[key], key
 

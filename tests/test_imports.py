@@ -59,10 +59,16 @@ def test_version_imports_nothing_heavy(tmp_path):
     assert _modules_loaded(["--version"], tmp_path, watched) == "loaded: []"
 
 
+def test_static_artifact_loads_no_engine(tmp_path):
+    """A table renders without building an executor."""
+    watched = ("repro.experiments.engine", "repro.cachefs")
+    assert _modules_loaded(["table1"], tmp_path, watched) == "loaded: []"
+
+
 def test_help_names_the_default_cache_dir(capsys):
     from repro.cachefs import DEFAULT_CACHE_DIR
     with pytest.raises(SystemExit):
-        main(["--help"])
+        main(["figure3", "--help"])
     assert f"(default: {DEFAULT_CACHE_DIR})" in capsys.readouterr().out
 
 

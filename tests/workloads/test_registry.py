@@ -19,7 +19,6 @@ from repro.workloads import (
     register_workload,
     registered_names,
     select_workloads,
-    unregister_workload,
 )
 from repro.workloads.axpy import Axpy
 
@@ -81,27 +80,22 @@ def test_init_data_returns_exactly_the_buffers():
 # ---------------------------------------------------------------------------
 # decorator API
 # ---------------------------------------------------------------------------
-def test_register_workload_roundtrip():
+def test_register_workload_roundtrip(registries):
     cls = _tiny_workload_class()
     register_workload(cls)
-    try:
-        instance = get_workload("tiny-test-kernel")
-        assert isinstance(instance, cls)
-        assert "tiny-test-kernel" in registered_names()
-        assert "tiny-test-kernel" not in WORKLOAD_NAMES  # paper view frozen
-    finally:
-        assert unregister_workload("tiny-test-kernel")
+    instance = get_workload("tiny-test-kernel")
+    assert isinstance(instance, cls)
+    assert "tiny-test-kernel" in registered_names()
+    assert "tiny-test-kernel" not in WORKLOAD_NAMES  # paper view frozen
+    registries()  # restore: the name is gone again
     with pytest.raises(KeyError):
         get_workload("tiny-test-kernel")
 
 
-def test_register_workload_with_explicit_name():
+def test_register_workload_with_explicit_name(registries):
     cls = _tiny_workload_class()
     register_workload(name="tiny-alias")(cls)
-    try:
-        assert isinstance(get_workload("tiny-alias"), cls)
-    finally:
-        unregister_workload("tiny-alias")
+    assert isinstance(get_workload("tiny-alias"), cls)
 
 
 def test_reregistering_the_same_class_is_idempotent():
@@ -127,21 +121,17 @@ def test_register_rejects_non_workloads():
 # ---------------------------------------------------------------------------
 # plugins flow through the engine
 # ---------------------------------------------------------------------------
-def test_registered_kernel_flows_through_spec_and_cache_keys(tmp_path):
-    cls = _tiny_workload_class()
-    register_workload(cls)
-    try:
-        cells = [Cell(name, Scenario(native_config(1)), check=True)
-                 for name in ("axpy", "tiny-test-kernel")]
-        keys = [cell_key(c) for c in cells]
-        assert len(set(keys)) == len(keys)  # no collisions across names
+def test_registered_kernel_flows_through_spec_and_cache_keys(registries):
+    register_workload(_tiny_workload_class())
+    cells = [Cell(name, Scenario(native_config(1)), check=True)
+             for name in ("axpy", "tiny-test-kernel")]
+    keys = [cell_key(c) for c in cells]
+    assert len(set(keys)) == len(keys)  # no collisions across names
 
-        results = CellExecutor().run(cells)
-        assert [r.cell.workload_name for r in results] == [
-            "axpy", "tiny-test-kernel"]
-        assert all(r.correct is True for r in results)
-    finally:
-        unregister_workload("tiny-test-kernel")
+    results = CellExecutor().run(cells)
+    assert [r.cell.workload_name for r in results] == [
+        "axpy", "tiny-test-kernel"]
+    assert all(r.correct is True for r in results)
 
 
 # ---------------------------------------------------------------------------
