@@ -36,7 +36,13 @@ from repro.vpu.params import DEFAULT_TIMING, TimingParams, get_timing
 
 @dataclass(frozen=True)
 class CellPolicy:
-    """The simulator policy knobs the ablations sweep."""
+    """The simulator policy knobs the ablations sweep.
+
+    Both drive the Swap Mechanism, so only a two-level machine reads them:
+    ``victim_policy`` picks the VVR a full P-VRF evicts, and
+    ``aggressive_reclamation`` frees the P-reg of a dead value (RAC == 0)
+    early.  A single-level machine never reclaims, whatever the flag says.
+    """
 
     victim_policy: VictimPolicy = VictimPolicy.RAC_MIN
     aggressive_reclamation: bool = True
@@ -112,8 +118,10 @@ class Scenario:
         their defaults, so scenarios differing only there compare equal
         here; :func:`~repro.experiments.engine.cell_key_payload` hashes
         this form.  Returns ``self`` when the machine is two-level or both
-        knobs already hold their defaults.  ``aggressive_reclamation`` is
-        kept: single-level machines read it.
+        knobs already hold their defaults.  A single-level machine does not
+        read ``policy.aggressive_reclamation`` either (it never reclaims),
+        but the knob stays as given: resetting it would move the hashes
+        ``tests/experiments/data/key_payloads.json`` pins.
         """
         timing, policy = self.timing, self.policy
         if self.machine.two_level or (

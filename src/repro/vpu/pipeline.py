@@ -141,7 +141,12 @@ class PipelineModel:
         self.program = program
         self.params = scenario.timing
         self.functional = functional
-        self.aggressive_reclamation = scenario.policy.aggressive_reclamation
+        # Reclamation frees a P-reg early so that a later allocation need
+        # not evict.  A single-level machine (one P-reg per VVR) always
+        # finds a free one, so it never reclaims: reclaiming there changes
+        # no statistic, only which P-regs its issue timeline names.
+        self.aggressive_reclamation = (
+            scenario.policy.aggressive_reclamation and config.two_level)
 
         self.memsys = MemorySystem(scenario.memory)
         self.layout = MemoryLayout(program, config, functional=functional)
@@ -192,11 +197,16 @@ class PipelineModel:
         self._inflight_mem = 0  # uncommitted vector memory instructions
         self._to_commit = sum(1 for i in program.insts if not i.is_scalar)
         # Single-level configurations (every VVR has a physical register)
-        # can never evict, so no Swap Mechanism bookkeeping is reachable:
-        # sources are always resident at pre-issue, every physical register
-        # returns to the free list only after all its readers committed, and
-        # victim selection is never consulted.  The reader-tracking side
-        # tables stay empty and their maintenance is skipped.
+        # can never evict and never reclaim, so no Swap Mechanism
+        # bookkeeping is reachable: sources are always resident at
+        # pre-issue and keep their residency until they issue, every
+        # physical register returns to the free list only after all its
+        # readers committed, and victim selection is never consulted.  The
+        # reader-tracking side tables stay empty, and VectorPipeline skips
+        # their maintenance, the RAC updates, M-VRF drops, generation
+        # bumps and FIFO notes, and the source-residency version sums of
+        # its issue memos.  The reference stepper keeps the RAC (and its
+        # underflow check) on every machine.
         self._track_swap_state = config.two_level
 
         # Scheduler side-records kept by the shared model methods.  Issue
@@ -559,7 +569,9 @@ class VectorPipeline(PipelineModel):
         # entered at all.  Validity: same head object, (mem only) same
         # queue length, wake not yet reached (or, when some dependency was
         # unissued, no issue since), and either no mapping transition since
-        # (stamp) or the head's source-residency version sum unchanged.
+        # (stamp) or the head's source-residency version sum unchanged.  A
+        # version sum of -1 marks a head whose sources cannot change
+        # residency: a swap op, or any head on a single-level machine.
         self._mg_head: Optional[MicroOp] = None  # memory gate
         self._mg_len = -1
         self._mg_wake = -1.0
@@ -652,7 +664,7 @@ class VectorPipeline(PipelineModel):
                                 blocked = True
                             else:
                                 vsum = self._mg_vsum
-                                if vsum < 0:  # swap head: mapping-independent
+                                if vsum < 0:  # sources cannot move
                                     blocked = True
                                 else:
                                     s = 0
@@ -673,12 +685,16 @@ class VectorPipeline(PipelineModel):
                             if mapping.stamp == self._ag_mstamp:
                                 blocked = True
                             else:
-                                s = 0
-                                for v in head.src_vvrs:
-                                    s += vvr_version[v]
-                                blocked = s == self._ag_vsum
-                                if blocked:
-                                    self._ag_mstamp = mapping.stamp
+                                vsum = self._ag_vsum
+                                if vsum < 0:  # sources cannot move
+                                    blocked = True
+                                else:
+                                    s = 0
+                                    for v in head.src_vvrs:
+                                        s += vvr_version[v]
+                                    blocked = s == vsum
+                                    if blocked:
+                                        self._ag_mstamp = mapping.stamp
                     if not blocked:
                         progress |= self._issue_arith()
                 if pre_issue_q:
@@ -976,34 +992,39 @@ class VectorPipeline(PipelineModel):
         # is_reclaimable), and the old destination's release inlined
         # (VRFMapping.release / drop_mvrf / reset / mark_valid / the FRL
         # return of RenameTable.commit): this runs once per committed
-        # instruction and dominated commit cost as method calls.
+        # instruction and dominated commit cost as method calls.  A
+        # single-level machine keeps only the mapping release, the valid
+        # bit and the FRL return: nothing there reads the RAC, the M-VRF,
+        # the generations or the FIFO order.
         vrf = self.vrf
-        counts = self.rac._counts
-        saturated = self.rac._saturated
         mapping = self.mapping
         vrlt = mapping._vrlt
         valid = vrf._valid
-        generation = vrf._generation
-        mvrf_valid = vrf._mvrf_valid
-        mvrf = vrf._mvrf
-        fifo = self._fifo_policy
-        aggressive = self.aggressive_reclamation
-        for vvr in uop.src_vvrs:
-            if saturated[vvr]:
-                continue  # saturated: no decrement, never reclaimable
-            count = counts[vvr]
-            if count == 0:
-                raise RuntimeError(
-                    f"RAC underflow on VVR {vvr}: update protocol violated")
-            counts[vvr] = count = count - 1
-            if count == 0 and aggressive and vrlt[vvr] and valid[vvr]:
-                mapping.release(vvr)
-                if fifo:
-                    self.swap_logic.note_release(vvr)
-                # drop_mvrf: the generation is dead.
-                mvrf.pop(vvr, None)
-                mvrf_valid.discard(vvr)
-                generation[vvr] += 1
+        track = self._track_swap_state
+        if track:
+            counts = self.rac._counts
+            saturated = self.rac._saturated
+            generation = vrf._generation
+            mvrf_valid = vrf._mvrf_valid
+            mvrf = vrf._mvrf
+            fifo = self._fifo_policy
+            aggressive = self.aggressive_reclamation
+            for vvr in uop.src_vvrs:
+                if saturated[vvr]:
+                    continue  # saturated: no decrement, never reclaimable
+                count = counts[vvr]
+                if count == 0:
+                    raise RuntimeError(f"RAC underflow on VVR {vvr}: "
+                                       f"update protocol violated")
+                counts[vvr] = count = count - 1
+                if count == 0 and aggressive and vrlt[vvr] and valid[vvr]:
+                    mapping.release(vvr)
+                    if fifo:
+                        self.swap_logic.note_release(vvr)
+                    # drop_mvrf: the generation is dead.
+                    mvrf.pop(vvr, None)
+                    mvrf_valid.discard(vvr)
+                    generation[vvr] += 1
         old = uop.old_dst_vvr  # set exactly when dst_vvr is
         if old is not None:
             # VRFMapping.release: the sanitizer sees the evicted state
@@ -1024,13 +1045,14 @@ class VectorPipeline(PipelineModel):
             mapping._in_mvrf[old] = False
             if san is not None:
                 san.on_map_release(old, preg)
-            if fifo:
-                self.swap_logic.note_release(old)
-            mvrf.pop(old, None)  # drop_mvrf
-            mvrf_valid.discard(old)
-            generation[old] += 1
-            counts[old] = 0  # RAC reset
-            saturated[old] = False
+            if track:
+                if fifo:
+                    self.swap_logic.note_release(old)
+                mvrf.pop(old, None)  # drop_mvrf
+                mvrf_valid.discard(old)
+                generation[old] += 1
+                counts[old] = 0  # RAC reset
+                saturated[old] = False
             valid[old] = True  # mark_valid
             self.rat._frl.append(old)  # RenameTable.commit
         if uop.inst.is_memory:
@@ -1127,7 +1149,7 @@ class VectorPipeline(PipelineModel):
             self._mg_wake = wake
         self._mg_head = head
         self._mg_len = len(self.mem_q)
-        if head.inst.tag is _SWAP:
+        if head.inst.tag is _SWAP or not self._track_swap_state:
             self._mg_vsum = -1
         else:
             vvr_version = self.mapping.vvr_version
@@ -1184,11 +1206,14 @@ class VectorPipeline(PipelineModel):
             else:
                 self._ag_wake = wake
             self._ag_head = uop
-            vvr_version = self.mapping.vvr_version
-            s = 0
-            for v in uop.src_vvrs:
-                s += vvr_version[v]
-            self._ag_vsum = s
+            if self._track_swap_state:
+                vvr_version = self.mapping.vvr_version
+                s = 0
+                for v in uop.src_vvrs:
+                    s += vvr_version[v]
+                self._ag_vsum = s
+            else:
+                self._ag_vsum = -1  # sources cannot change residency
             self._ag_mstamp = self.mapping.stamp
             return False
         self.arith_q.popleft()
@@ -1250,18 +1275,25 @@ class VectorPipeline(PipelineModel):
         could have is replacing now-completed producers with ``None``, which
         the fast path performs directly.  Destination allocation may evict
         *other* VVRs (sources are excluded), so it never invalidates the
-        uop's own memo.
+        uop's own memo.  A single-level machine never evicts or reclaims,
+        so there the fast path always applies and no version is summed.
         """
         mapping = self.mapping
         now = self.now
         delay = self._chain_delay
         ready = True
         if uop.inst.tag is not _SWAP:
-            vvr_version = mapping.vvr_version
-            vsum = 0
-            for v in uop.src_vvrs:
-                vsum += vvr_version[v]
-            if uop.resolved_version == vsum:
+            if self._track_swap_state:
+                vvr_version = mapping.vvr_version
+                vsum = 0
+                for v in uop.src_vvrs:
+                    vsum += vvr_version[v]
+                fresh = uop.resolved_version == vsum
+            else:
+                # Single-level: pre-issue mapped every source, and none can
+                # change residency before this uop issues.
+                fresh = True
+            if fresh:
                 producers = uop.producers
                 for i, p in enumerate(producers):
                     if p is not None:
@@ -1501,7 +1533,8 @@ class VectorPipeline(PipelineModel):
                 # legal, not a read-before-write.
                 self._san.on_reset_alloc(preg)
             self._attach_write_guards(None, preg)  # drop stale guards
-            self.swap_logic.note_allocation(vvr)
+            if self._track_swap_state:
+                self.swap_logic.note_allocation(vvr)
 
         # Step B (destination mapping) happens at issue time — see
         # _resolve_head.  Step C: dispatch into the issue queue.
@@ -1517,10 +1550,11 @@ class VectorPipeline(PipelineModel):
             uop.preissue_stall_kind = 1
             return False
 
-        # One pass over the sources records their pregs, producer links and
-        # (on swapping machines) reader pins, and sums their residency
-        # versions to seed the issue-time resolution memo: the links and
-        # pregs recorded here stay correct until a source changes residency.
+        # One pass over the sources records their pregs and producer links
+        # and, on swapping machines, their reader pins and the sum of their
+        # residency versions that seeds the issue-time resolution memo: the
+        # links and pregs recorded here stay correct until a source changes
+        # residency, which only a two-level machine can make happen.
         # It also checks validate_ordering's invariant for the uop's
         # queue-entry seq: guards attach only at issue, so the producers
         # are its only dependencies here.
@@ -1538,7 +1572,6 @@ class VectorPipeline(PipelineModel):
         for vvr in src_vvrs:
             preg = prmt[vvr]
             pregs.append(preg)
-            vsum += vvr_version[vvr]
             producer = pending_writer.get(vvr)
             if producer is not None:
                 state = producer.state
@@ -1550,10 +1583,12 @@ class VectorPipeline(PipelineModel):
                     raise ordering_error(seq, producer.seq)
             producers.append(producer)
             if track:
+                vsum += vvr_version[vvr]
                 preg_readers.setdefault(preg, []).append(uop)
                 queued_readers[vvr] = queued_readers.get(vvr, 0) + 1
         uop.src_pregs = tuple(pregs)
-        uop.resolved_version = vsum
+        if track:
+            uop.resolved_version = vsum
         # The destination physical register is assigned at issue time
         # (_resolve_head); uop.dst_preg stays None until then.
         uop.state = _PRE_ISSUED
@@ -1578,18 +1613,25 @@ class VectorPipeline(PipelineModel):
         # Inlined RAT lookups and saturating RAC updates (semantics of
         # RenameTable.rename_sources / RegisterAccessCounters.increment and
         # .decrement): this is once-per-instruction work on the hot path.
+        # Only the Swap Mechanism reads the RAC, so a single-level machine
+        # skips it.
         rat_map = rat._rat
+        track = self._track_swap_state
         counts = self.rac._counts
         saturated = self.rac._saturated
         vvrs = []
-        for logical in inst.srcs:
-            vvr = rat_map[logical]
-            vvrs.append(vvr)
-            if not saturated[vvr]:
-                if counts[vvr] >= RAC_MAX:
-                    saturated[vvr] = True
-                else:
-                    counts[vvr] += 1
+        if track:
+            for logical in inst.srcs:
+                vvr = rat_map[logical]
+                vvrs.append(vvr)
+                if not saturated[vvr]:
+                    if counts[vvr] >= RAC_MAX:
+                        saturated[vvr] = True
+                    else:
+                        counts[vvr] += 1
+        else:
+            for logical in inst.srcs:
+                vvrs.append(rat_map[logical])
         src_vvrs = tuple(vvrs)
         dst_vvr = old_vvr = None
         if inst.dst is not None:
@@ -1599,29 +1641,31 @@ class VectorPipeline(PipelineModel):
             rat_map[inst.dst] = dst_vvr
             if self._san is not None:
                 self._san.on_rename()
-            if not saturated[dst_vvr]:
-                if counts[dst_vvr] >= RAC_MAX:
-                    saturated[dst_vvr] = True
-                else:
-                    counts[dst_vvr] += 1
-            if not saturated[old_vvr]:
-                count = counts[old_vvr]
-                if count == 0:
-                    raise RuntimeError(f"RAC underflow on VVR {old_vvr}: "
-                                       f"update protocol violated")
-                counts[old_vvr] = count - 1
             self.vrf._valid[dst_vvr] = False  # mark_pending
-            # Aggressive reclamation case 1 at rename time, guarded by the
-            # paper's condition (b): no older vector memory instruction may
-            # be in flight (they are the recovery-event sources).
-            if (self.aggressive_reclamation
-                    and self._inflight_mem == 0
-                    and not saturated[old_vvr] and counts[old_vvr] == 0
-                    and self.mapping._vrlt[old_vvr]
-                    and self.vrf._valid[old_vvr]):
-                self.mapping.release(old_vvr)
-                self.swap_logic.note_release(old_vvr)
-                self.vrf.drop_mvrf(old_vvr)  # generation is dead
+            if track:
+                if not saturated[dst_vvr]:
+                    if counts[dst_vvr] >= RAC_MAX:
+                        saturated[dst_vvr] = True
+                    else:
+                        counts[dst_vvr] += 1
+                if not saturated[old_vvr]:
+                    count = counts[old_vvr]
+                    if count == 0:
+                        raise RuntimeError(f"RAC underflow on VVR {old_vvr}: "
+                                           f"update protocol violated")
+                    counts[old_vvr] = count - 1
+                # Aggressive reclamation case 1 at rename time, guarded by
+                # the paper's condition (b): no older vector memory
+                # instruction may be in flight (they are the recovery-event
+                # sources).
+                if (self.aggressive_reclamation
+                        and self._inflight_mem == 0
+                        and not saturated[old_vvr] and counts[old_vvr] == 0
+                        and self.mapping._vrlt[old_vvr]
+                        and self.vrf._valid[old_vvr]):
+                    self.mapping.release(old_vvr)
+                    self.swap_logic.note_release(old_vvr)
+                    self.vrf.drop_mvrf(old_vvr)  # generation is dead
 
         uop = MicroOp(inst, src_vvrs, dst_vvr, old_vvr, self.now)
         if dst_vvr is not None:

@@ -1,14 +1,17 @@
-"""The premise behind keying single-level cells at default swap knobs.
+"""The premises behind treating single-level machines as swap-free.
 
 :meth:`repro.sim.scenario.Scenario.simulated` resets the pre-issue swap
 budget and the victim policy on any machine whose ``two_level`` is false,
 so the result cache simulates such cells once across those knobs.  That is
 sound only if the timing model never reads either knob there: a machine
 with every VVR in its P-VRF always finds a free P-reg, so it never swaps.
-This property checks the premise outside the keying fast path, on the
-registered single-level presets and on drawn NATIVE-, RG- and
-AVA-X1-shaped configurations, by simulating each workload under two knob
-settings and comparing the full statistics.
+The pipeline model also never reclaims on such a machine, which is sound
+only if early reclamation there changes no statistic.  These properties
+check both premises outside the scheduler's fast paths, on the registered
+single-level presets and on drawn NATIVE-, RG- and AVA-X1-shaped
+configurations: each workload runs under two knob settings, and on the
+reference stepper with and without forced reclamation, and each pair of
+runs must give the same statistics.
 """
 
 from dataclasses import replace
@@ -21,6 +24,7 @@ from repro.core.swap import VictimPolicy
 from repro.sim.scenario import CellPolicy, Scenario
 from repro.vpu.params import DEFAULT_TIMING
 from repro.vpu.pipeline import VectorPipeline
+from repro.vpu.reference import ReferencePipeline
 from repro.workloads import get_workload
 from repro.workloads.registry import registered_names
 
@@ -78,3 +82,37 @@ def test_single_level_stats_ignore_swap_only_knobs(machine, name, first,
     stats = _stats(machine, program, *first)
     assert stats["swap_loads"] == stats["swap_stores"] == 0
     assert stats == _stats(machine, program, *second)
+
+
+def _reference_run(machine, program, reclaim: bool) -> ReferencePipeline:
+    pipe = ReferencePipeline(machine, program)
+    assert not pipe.aggressive_reclamation
+    # The reference stepper keeps the RAC on every machine, so setting the
+    # flag after construction makes it reclaim as a two-level machine does.
+    pipe.aggressive_reclamation = reclaim
+    pipe.run()
+    return pipe
+
+
+@given(machine=_MACHINES, name=st.sampled_from(registered_names()))
+@settings(max_examples=30, deadline=None)
+def test_single_level_stats_ignore_reclamation(machine, name):
+    workload = get_workload(name)
+    workload.n_elements = SMALL_N
+    program = workload.compile(machine).program
+    default = _reference_run(machine, program, reclaim=False)
+    forced = _reference_run(machine, program, reclaim=True)
+    assert forced.stats.to_dict() == default.stats.to_dict()
+
+
+def test_forced_reclamation_reclaims_on_a_single_level_machine():
+    """Keeps the property above from passing vacuously: forced
+    reclamation does free registers early.  Each reclaim drops its VVR's
+    generation, so the generations sum higher than in the default run."""
+    machine = get_machine("native-x1")
+    workload = get_workload("blackscholes")
+    workload.n_elements = SMALL_N
+    program = workload.compile(machine).program
+    default = _reference_run(machine, program, reclaim=False)
+    forced = _reference_run(machine, program, reclaim=True)
+    assert sum(forced.vrf._generation) > sum(default.vrf._generation)

@@ -134,11 +134,21 @@ def test_scheduler_matches_reference_timing_presets(timing_name):
     _assert_equivalent(workload, program, config, timing=timing_name)
 
 
-def test_scheduler_matches_reference_without_reclamation():
-    config = ava_config(8)
+@pytest.mark.parametrize("config", [ava_config(8), rg_config(4)],
+                         ids=lambda c: c.name)
+def test_scheduler_matches_reference_without_reclamation(config):
     workload, program = _compile_small("blackscholes", config)
     _assert_equivalent(workload, program, config,
                        policy=CellPolicy(aggressive_reclamation=False))
+
+
+def test_scheduler_matches_reference_ava_x1():
+    """AVA X1 runs in AVA mode, but at MVL 16 its P-VRF holds every
+    VVR: a single-level machine, on which neither scheduler reclaims or
+    swaps."""
+    config = ava_config(1)
+    workload, program = _compile_small("lavamd", config)
+    _assert_equivalent(workload, program, config)
 
 
 def test_scheduler_matches_reference_preg_ablation():

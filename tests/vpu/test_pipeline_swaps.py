@@ -1,9 +1,12 @@
 """Swap mechanism behaviour on register-starved configurations."""
 
 import numpy as np
+import pytest
 
 from repro import Simulator, ava_config, native_config
+from repro.core.config import rg_config
 from repro.sim.scenario import CellPolicy, Scenario
+from repro.vpu.pipeline import VectorPipeline
 from tests.conftest import compile_kernel, high_pressure_body
 
 
@@ -84,3 +87,41 @@ def test_victim_stall_counters_populate():
     # The starved configuration exercises the pre-issue/issue stall paths.
     assert s.swap_insts > 0
     assert s.preissue_writer_stalls + s.issue_victim_stalls >= 0
+
+
+class _UnusedSwapLogic:
+    """Stands in for a pipeline's SwapLogic: any use fails the run."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"SwapLogic.{name} used")
+
+
+def _hp_pipeline(config):
+    body = high_pressure_body(18)
+    program = compile_kernel(body, config, 256, {"x": 256, "out": 256})
+    return VectorPipeline(config, program)
+
+
+@pytest.mark.parametrize("config",
+                         [native_config(8), rg_config(4), ava_config(1)],
+                         ids=lambda c: c.name)
+def test_single_level_run_skips_the_swap_mechanism(config):
+    """A machine with a P-reg per VVR never reclaims and never swaps, so
+    the scheduler leaves the RAC at its initial counts and never enters
+    the Swap Logic."""
+    pipe = _hp_pipeline(config)
+    assert pipe.aggressive_reclamation is False
+    initial = pipe.rac.counts()
+    pipe.swap_logic = _UnusedSwapLogic()
+    pipe.run()
+    assert pipe.rac.counts() == initial
+    assert not any(pipe.rac._saturated)
+
+
+def test_two_level_run_updates_the_rac():
+    pipe = _hp_pipeline(ava_config(8))
+    assert pipe.aggressive_reclamation is True
+    initial = pipe.rac.counts()
+    pipe.run()
+    assert pipe.stats.swap_insts > 0
+    assert pipe.rac.counts() != initial
