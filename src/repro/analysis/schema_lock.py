@@ -22,7 +22,7 @@ instead of a debugging session.
 from __future__ import annotations
 
 #: ``CACHE_SCHEMA`` value the manifest below was generated against.
-LOCKED_CACHE_SCHEMA = 6
+LOCKED_CACHE_SCHEMA = 7
 
 #: ``SimStats`` dataclass fields, in declaration order.
 LOCKED_SIMSTATS_FIELDS = (
@@ -33,13 +33,12 @@ LOCKED_SIMSTATS_FIELDS = (
     "dram_accesses", "mem_beats", "rename_frl_stalls", "rename_rob_stalls",
     "preissue_victim_stalls", "preissue_queue_stalls",
     "preissue_writer_stalls", "issue_victim_stalls", "arith_busy_cycles",
-    "mem_busy_cycles", "fast_forward_cycles", "events_processed",
-    "cycles_skipped", "spans_charged", "span_cycles", "config_name",
-    "program_name", "meta",
+    "mem_busy_cycles", "events_processed", "cycles_skipped",
+    "spans_charged", "config_name", "program_name",
 )
 
 #: Top-level keys of the per-cell result payload (``_run_cell``'s return).
-LOCKED_RESULT_KEYS = ("schema", "label", "stats", "energy", "correct")
+LOCKED_RESULT_KEYS = ("schema", "stats", "energy", "correct")
 
 
 def current_manifest() -> dict:

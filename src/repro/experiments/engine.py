@@ -91,7 +91,13 @@ DATA_SEED = 42
 #: inputs) instead of the compiled program (its output).
 #: Schema 6: the scenario drops the knobs no model read (the L1 caches,
 #: the VMU interface width, ``MachineConfig.lmul``, ``TimingParams.lanes``).
-CACHE_SCHEMA = 6
+#: Schema 7: each fact is stored once.  ``stats`` drops
+#: ``fast_forward_cycles`` (a copy of ``cycles_skipped``), ``span_cycles``
+#: (``spans_charged + cycles_skipped``) and the never-written ``meta``;
+#: the payload drops ``label`` and the key ``functional`` (a copy of
+#: ``check``); single-level machines key ``aggressive_reclamation`` at
+#: its default.
+CACHE_SCHEMA = 7
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +289,11 @@ def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
     its :meth:`~repro.sim.scenario.Scenario.simulated` form, so entries
     never collide across memory or timing presets, yet cells differing
     only in a knob no model reads share one key.  On a single-level
-    machine that is the swap-only pair (pre-issue swap budget, victim
-    policy), keyed at its defaults: the batch dedupe and the result
-    cache simulate and store such cells once, and each
-    :class:`CellResult` keeps its own cell.  Every knob stays in the
-    payload.
+    machine those are the three swap-only knobs (pre-issue swap budget,
+    victim policy, aggressive reclamation), keyed at their defaults: the
+    batch dedupe and the result cache simulate and store such cells
+    once, and each :class:`CellResult` keeps its own cell.  Every knob
+    stays in the payload.
 
     The program side is hashed as its compile inputs: the scenario's
     machine config carries the :class:`CompileSignature`,
@@ -303,9 +309,6 @@ def cell_key_payload(cell: Cell, compile_fingerprint: str) -> dict:
         "workload": cell.workload_name,
         "compile": compile_fingerprint,
         "scenario": _scenario_key(cell.scenario),
-        # Always equal to "check", which implies functional execution;
-        # kept so that no key byte moves.
-        "functional": cell.check,
         "warm": cell.warm,
         "check": cell.check,
         # Sanitized runs re-simulate even when a plain result is cached:
@@ -505,7 +508,6 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
     energy = McPatModel().energy(cell.config, result.stats)
     return {
         "schema": CACHE_SCHEMA,
-        "label": cell.label(),
         "stats": result.stats.to_dict(),
         "energy": energy.to_dict(),
         "correct": correct,
@@ -977,8 +979,9 @@ class CellExecutor:
             self.stats.sim_cycles += sim_stats["cycles"]
             self.stats.sim_events_processed += sim_stats["events_processed"]
             self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
-            self.stats.sim_spans_charged += sim_stats.get("spans_charged", 0)
-            self.stats.sim_span_cycles += sim_stats.get("span_cycles", 0)
+            self.stats.sim_spans_charged += sim_stats["spans_charged"]
+            self.stats.sim_span_cycles += (sim_stats["spans_charged"]
+                                           + sim_stats["cycles_skipped"])
             if self.cache is not None:
                 self.cache.put(key, payload)
             for i in by_key[key]:

@@ -15,9 +15,13 @@ registry-backed preset:
   ``single-swap``, ``wide-swap``, ``deep-queues``, ``shallow-queues``);
 * policy — the :class:`CellPolicy` knobs the ablations sweep.
 
-Scenarios serialise to plain JSON (:meth:`Scenario.to_dict` /
-:meth:`Scenario.from_dict`, exact round-trip) so they can live in sweep
-spec files and inside the result cache's content-addressed keys.
+Sweep spec files name a preset (plus field overrides) per axis, and the
+sweep parser resolves them through :func:`build_scenario`.  A scenario
+serialises to plain JSON with :meth:`Scenario.to_dict` (exact inverse:
+:meth:`Scenario.from_dict`).  The result cache hashes that form of
+:meth:`Scenario.simulated` into every cell key: every field is keyed,
+except that a single-level machine's swap-only knobs are keyed at their
+defaults.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class CellPolicy:
     ``victim_policy`` picks the VVR a full P-VRF evicts, and
     ``aggressive_reclamation`` frees the P-reg of a dead value (RAC == 0)
     early.  A single-level machine never reclaims, whatever the flag says.
+    Both are keyed as given on a two-level machine and at their defaults
+    on a single-level one (:meth:`Scenario.simulated`).
     """
 
     victim_policy: VictimPolicy = VictimPolicy.RAC_MIN
@@ -64,7 +70,7 @@ class CellPolicy:
 #: The swap-only knobs' defaults, which :meth:`Scenario.simulated` keys a
 #: single-level machine at.
 _DEFAULT_SWAP_BUDGET = DEFAULT_TIMING.preissue_swap_budget
-_DEFAULT_VICTIM = CellPolicy().victim_policy
+_DEFAULT_POLICY = CellPolicy()
 
 
 def _scalars_to_dict(obj: Any) -> dict:
@@ -108,30 +114,29 @@ class Scenario:
     policy: CellPolicy = CellPolicy()
 
     def simulated(self) -> "Scenario":
-        """The scenario as the simulator's models read it.
+        """The scenario as the simulator's models read it: the form the
+        result cache keys.
 
         Only a two-level VRF has a Swap Mechanism.  A single-level machine
         (NATIVE, RG, AVA X1: ``machine.two_level`` is false) holds every
-        VVR in its P-VRF, so a free P-reg always exists and no swap is
-        ever generated: nothing reads ``timing.preissue_swap_budget`` or
-        ``policy.victim_policy``.  On such a machine both are reset to
-        their defaults, so scenarios differing only there compare equal
-        here; :func:`~repro.experiments.engine.cell_key_payload` hashes
-        this form.  Returns ``self`` when the machine is two-level or both
-        knobs already hold their defaults.  A single-level machine does not
-        read ``policy.aggressive_reclamation`` either (it never reclaims),
-        but the knob stays as given: resetting it would move the hashes
-        ``tests/experiments/data/key_payloads.json`` pins.
+        VVR in its P-VRF, so a free P-reg always exists: no swap is ever
+        generated and no register is reclaimed early.  Nothing reads
+        ``timing.preissue_swap_budget``, ``policy.victim_policy`` or
+        ``policy.aggressive_reclamation`` there, so on such a machine all
+        three are reset to their defaults, and scenarios differing only
+        there compare equal here.  Every other field is kept.  Returns
+        ``self`` when the machine is two-level or the three knobs already
+        hold their defaults.
         """
-        timing, policy = self.timing, self.policy
+        timing = self.timing
         if self.machine.two_level or (
                 timing.preissue_swap_budget == _DEFAULT_SWAP_BUDGET
-                and policy.victim_policy is _DEFAULT_VICTIM):
+                and self.policy == _DEFAULT_POLICY):
             return self
         return replace(
             self,
             timing=replace(timing, preissue_swap_budget=_DEFAULT_SWAP_BUDGET),
-            policy=replace(policy, victim_policy=_DEFAULT_VICTIM))
+            policy=_DEFAULT_POLICY)
 
     def to_dict(self) -> dict:
         """Plain-JSON form; exact inverse of :meth:`from_dict`."""

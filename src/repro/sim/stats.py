@@ -14,7 +14,7 @@ The mapping onto Figure 3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 #: VPU clock (Table II).
 VPU_HZ = 1_000_000_000
@@ -58,34 +58,32 @@ class SimStats:
     issue_victim_stalls: int = 0
     arith_busy_cycles: int = 0
     mem_busy_cycles: int = 0
-    fast_forward_cycles: int = 0
 
     # Scheduler efficiency: cycles the event-driven scheduler actually
     # evaluated (``events_processed``) versus cycles it jumped over between
     # events (``cycles_skipped``).  A no-progress probe cycle is evaluated
     # and then jumped over, so the counters overlap by the probe count:
-    # events <= cycles <= events + skipped.  ``fast_forward_cycles`` keeps
-    # its historical name and value (it counts the same skipped cycles) so
-    # downstream consumers stay stable.
+    # events <= cycles <= events + skipped.
     events_processed: int = 0
     cycles_skipped: int = 0
 
     # Span charging: every fast-forward disposes of one stalled interval in
-    # a single step instead of cycle-by-cycle.  ``spans_charged`` counts
-    # those intervals and ``span_cycles`` the cycles they cover (the
-    # evaluated probe plus the jumped cycles), so
-    # ``span_cycles == spans_charged + cycles_skipped``.  Both pipelines
-    # compute them from the same structural events, so they are pinned
-    # byte-identical by the equivalence suite like every other counter.
+    # a single step instead of cycle-by-cycle; ``spans_charged`` counts
+    # those intervals.  Both pipelines compute it from the same structural
+    # events, so the equivalence suite pins it like every other counter.
     spans_charged: int = 0
-    span_cycles: int = 0
 
     # Provenance.
     config_name: str = ""
     program_name: str = ""
-    meta: dict = field(default_factory=dict)
 
     # -- derived ---------------------------------------------------------------
+    @property
+    def span_cycles(self) -> int:
+        """Cycles the charged spans cover: each span's evaluated probe
+        cycle plus the cycles jumped after it."""
+        return self.spans_charged + self.cycles_skipped
+
     @property
     def memory_insts(self) -> int:
         """All vector memory instructions, Fig. 3 column-1 total."""
@@ -129,25 +127,15 @@ class SimStats:
     # -- serialisation ---------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-safe mapping of every counter (derived values excluded)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["meta"] = dict(self.meta)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimStats":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected.
-
-        ``meta`` is copied on the way in, mirroring :meth:`to_dict`'s copy
-        on the way out — mutating a materialised instance must never
-        corrupt the caller's dict (e.g. a cached payload shared by every
-        cell that replays it).
-        """
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown SimStats fields: {sorted(unknown)}")
-        if "meta" in data:
-            data = {**data, "meta": dict(data["meta"])}
         return cls(**data)
 
     def summary(self) -> str:

@@ -29,11 +29,10 @@ are evaluated (and in inlining the stage bodies that stepper spells out):
 
 The scheduler is required to be **observationally invisible**: identical
 :class:`~repro.sim.stats.SimStats` (including per-evaluated-cycle stall
-counters and the ``fast_forward_cycles`` accounting, now rebased onto
-skipped-event cycles), identical functional-mode buffers, and identical
-result-cache payloads versus the reference stepper.  ``events_processed``
-counts evaluated cycles and ``cycles_skipped`` counts jumped ones (a
-no-progress probe is evaluated and then jumped over, so
+counters and the span accounting), identical functional-mode buffers, and
+identical result-cache payloads versus the reference stepper.
+``events_processed`` counts evaluated cycles and ``cycles_skipped`` counts
+jumped ones (a no-progress probe is evaluated and then jumped over, so
 ``events <= cycles <= events + skipped``).  The golden-equivalence suite
 (``tests/vpu/test_pipeline_equivalence.py``) enforces all of this across
 every registered workload and a grid of machine configurations.
@@ -113,11 +112,12 @@ class PipelineModel:
     constructor (including :class:`~repro.sim.scenario.Scenario`
     handling), and the model methods whose semantics do not depend on
     *when* a stage is evaluated — swap emission, victim selection, write
-    guards, issue stamping and counting, swap execution, harvest and the
-    deadlock dump.  :class:`VectorPipeline` adds the span-charging
-    scheduler; :class:`repro.vpu.reference.ReferencePipeline` adds the
-    per-cycle stepper and the un-inlined stage bodies the scheduler is
-    checked against.  A model fix made here reaches both.
+    guards, chaining readiness, issue stamping and counting, swap
+    execution, harvest and the deadlock dump.  :class:`VectorPipeline`
+    adds the span-charging scheduler;
+    :class:`repro.vpu.reference.ReferencePipeline` adds the per-cycle
+    stepper and the un-inlined stage bodies the scheduler is checked
+    against.  A model fix made here reaches both.
     """
 
     #: Appended to sanitizer finding labels to name the implementation.
@@ -261,6 +261,47 @@ class PipelineModel:
         return self.rob.total_committed >= self._to_commit
 
     # ------------------------------------------------------------------ issue
+    def _ready(self, uop: MicroOp) -> bool:
+        """Chaining readiness: producers and guards issued.
+
+        Producers: elements will stream in as this op consumes them.
+        Guards (swap rules 1 and 2): the old value's Swap-Store / readers
+        drain the register at stream rate one beat ahead of the new owner's
+        writes, so issue may chain behind them too; the completion clamp in
+        :meth:`_finish_issue` keeps the new owner's write-back behind their
+        reads in time.  The stepper polls it; the scheduler reaches the
+        same verdict through :meth:`VectorPipeline._resolve_head` and the
+        memoized wake times.
+        """
+        delay = self.params.chain_issue_delay
+        deps = list(uop.producers) + list(uop.reader_guards)
+        if uop.store_guard is not None:
+            deps.append(uop.store_guard)
+        for p in deps:
+            if p is None:
+                continue
+            if p.issued_at < 0 or p.issued_at + delay > self.now:
+                return False
+        return True
+
+    def _head_wait_time(self, uop: MicroOp) -> Optional[float]:
+        """Earliest cycle the queue head could become ready, if timestamped."""
+        t = 0.0
+        for p in uop.producers:
+            if p is None:
+                continue
+            if p.issued_at < 0:
+                return None  # producer not issued yet; no timestamp exists
+            t = max(t, p.issued_at + self.params.chain_issue_delay)
+        guards = list(uop.reader_guards)
+        if uop.store_guard is not None:
+            guards.append(uop.store_guard)
+        for g in guards:
+            if g.issued_at < 0:
+                return None
+            t = max(t, g.issued_at + self.params.chain_issue_delay)
+        return t
+
     def _issue_memory_uop(self, uop: MicroOp) -> None:
         beats, fill_beats, miss_latency = self.vmu.plan(uop.inst)
         dead = self._mem_dead_time
@@ -623,8 +664,7 @@ class VectorPipeline(PipelineModel):
         vvr_version = mapping.vvr_version
         done_state = _DONE
         # Counters charged in locals and added to ``stats`` once, when the
-        # run ends or aborts; the span counters are also flushed before
-        # each sanitizer span check, which reads them.
+        # run ends or aborts.
         events = 0
         writer_stalls = 0
         queue_stalls = 0
@@ -755,23 +795,14 @@ class VectorPipeline(PipelineModel):
                     skipped += target - now
                     spans += 1
                     self.now = now = target
-                    if self._san is not None:
-                        stats.fast_forward_cycles += skipped
-                        stats.cycles_skipped += skipped
-                        stats.spans_charged += spans
-                        stats.span_cycles += skipped + spans
-                        skipped = spans = 0
-                        self._san.on_span(stats)
         finally:
             stats.events_processed += events
             stats.preissue_writer_stalls += writer_stalls
             stats.preissue_queue_stalls += queue_stalls
             stats.rename_rob_stalls += rob_stalls
             stats.rename_frl_stalls += frl_stalls
-            stats.fast_forward_cycles += skipped
             stats.cycles_skipped += skipped
             stats.spans_charged += spans
-            stats.span_cycles += skipped + spans
         self._harvest()
         if self._san is not None:
             self._san.on_run_end(self.stats)
@@ -876,37 +907,6 @@ class VectorPipeline(PipelineModel):
             if issued + delay > t:
                 t = issued + delay
         uop.wake_at = t
-        return t
-
-    def _head_wait_time(self, uop: MicroOp) -> Optional[float]:
-        """Earliest cycle the queue head could become ready, if timestamped.
-
-        Unmemoized form, kept for diagnostic use; the scheduler itself
-        goes through :meth:`_ready_wake`.
-        """
-        delay = self._chain_delay
-        t = 0.0
-        for p in uop.producers:
-            if p is None:
-                continue
-            issued = p.issued_at
-            if issued < 0:
-                return None  # producer not issued yet; no timestamp exists
-            if issued + delay > t:
-                t = issued + delay
-        for g in uop.reader_guards:
-            issued = g.issued_at
-            if issued < 0:
-                return None
-            if issued + delay > t:
-                t = issued + delay
-        g = uop.store_guard
-        if g is not None:
-            issued = g.issued_at
-            if issued < 0:
-                return None
-            if issued + delay > t:
-                t = issued + delay
         return t
 
     def _gate_wake(self, uop: MicroOp) -> Optional[float]:
@@ -1083,29 +1083,6 @@ class VectorPipeline(PipelineModel):
                     del self._pending_mvrf_store[victim]
 
     # ------------------------------------------------------------------ issue
-    def _ready(self, uop: MicroOp) -> bool:
-        """Chaining readiness: producers and guards issued.
-
-        Producers: elements will stream in as this op consumes them.
-        Guards (swap rules 1 and 2): the old value's Swap-Store / readers
-        drain the register at stream rate one beat ahead of the new owner's
-        writes, so issue may chain behind them too; the completion clamp in
-        :meth:`_finish_issue` keeps the new owner's write-back behind their
-        reads in time.
-        """
-        delay = self._chain_delay
-        now = self.now
-        for p in uop.producers:
-            if p is not None and (p.issued_at < 0 or p.issued_at + delay > now):
-                return False
-        for g in uop.reader_guards:
-            if g.issued_at < 0 or g.issued_at + delay > now:
-                return False
-        g = uop.store_guard
-        if g is not None and (g.issued_at < 0 or g.issued_at + delay > now):
-            return False
-        return True
-
     def _issue_memory(self) -> bool:
         """Issue the memory-queue head (gate: queue non-empty, unit free)."""
         uop = self.mem_q[0]

@@ -4,7 +4,8 @@
 scheduler in :class:`repro.vpu.pipeline.VectorPipeline`.  Both subclass
 :class:`repro.vpu.pipeline.PipelineModel`, which owns the machine state and
 the shared model methods (swap emission, victim selection, write guards,
-issue stamping and counting, harvest), so a model fix lands once.  What
+chaining readiness, issue stamping and counting, harvest), so a model fix
+lands once.  What
 this module keeps is what the scheduler must be checked against:
 
 * the naive per-cycle stepper — every stage is re-evaluated every stepped
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.core.uop import MicroOp, UopState
 from repro.isa.instructions import Tag
@@ -123,33 +124,10 @@ class ReferencePipeline(PipelineModel):
         if not future:
             raise DeadlockError(self._dump())
         target = int(min(future))
-        self.stats.fast_forward_cycles += target - self.now
         self.stats.cycles_skipped += target - self.now
         # Span accounting: one stalled interval disposed of in one step.
-        # The covered span is the evaluated probe cycle plus the jump.
         self.stats.spans_charged += 1
-        self.stats.span_cycles += target - self.now + 1
         self.now = target
-        if self._san is not None:
-            self._san.on_span(self.stats)
-
-    def _head_wait_time(self, uop: MicroOp) -> Optional[float]:
-        """Earliest cycle the queue head could become ready, if timestamped."""
-        t = 0.0
-        for p in uop.producers:
-            if p is None:
-                continue
-            if p.issued_at < 0:
-                return None  # producer not issued yet; no timestamp exists
-            t = max(t, p.issued_at + self.params.chain_issue_delay)
-        guards = list(uop.reader_guards)
-        if uop.store_guard is not None:
-            guards.append(uop.store_guard)
-        for g in guards:
-            if g.issued_at < 0:
-                return None
-            t = max(t, g.issued_at + self.params.chain_issue_delay)
-        return t
 
     # ------------------------------------------------------------------ commit
     def _commit(self) -> bool:
@@ -201,27 +179,6 @@ class ReferencePipeline(PipelineModel):
         return progress
 
     # ------------------------------------------------------------------ issue
-    def _ready(self, uop: MicroOp) -> bool:
-        """Chaining readiness: producers and guards issued.
-
-        Producers: elements will stream in as this op consumes them.
-        Guards (swap rules 1 and 2): the old value's Swap-Store / readers
-        drain the register at stream rate one beat ahead of the new owner's
-        writes, so issue may chain behind them too; the completion clamp in
-        :meth:`_finish_issue` keeps the new owner's write-back behind their
-        reads in time.
-        """
-        delay = self.params.chain_issue_delay
-        deps = list(uop.producers) + list(uop.reader_guards)
-        if uop.store_guard is not None:
-            deps.append(uop.store_guard)
-        for p in deps:
-            if p is None:
-                continue
-            if p.issued_at < 0 or p.issued_at + delay > self.now:
-                return False
-        return True
-
     def _issue_memory(self) -> bool:
         if not self.mem_q or self._mem_busy_until > self.now:
             return False

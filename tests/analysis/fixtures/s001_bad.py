@@ -13,5 +13,4 @@ class SimStats:
 
 
 def _run_cell(cell):
-    return {"schema": 4, "label": "x", "stats": {}, "energy": {},
-            "is_correct": True}
+    return {"schema": 4, "stats": {}, "energy": {}, "is_correct": True}

@@ -8,5 +8,5 @@ CACHE_SCHEMA = 4
 
 
 def _run_cell(cell):
-    return {"schema": CACHE_SCHEMA, "label": "x", "stats": {}, "energy": {},
+    return {"schema": CACHE_SCHEMA, "stats": {}, "energy": {},
             "correct": True}

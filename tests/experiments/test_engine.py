@@ -155,7 +155,7 @@ def test_program_fingerprint_ignores_instruction_uids():
 # ---------------------------------------------------------------------------
 def test_simstats_roundtrip():
     stats = SimStats(cycles=123, vloads=4, swap_loads=2, config_name="c",
-                     program_name="p", meta={"k": 1})
+                     program_name="p")
     assert SimStats.from_dict(stats.to_dict()) == stats
     with pytest.raises(ValueError):
         SimStats.from_dict({"cycles": 1, "bogus": 2})
@@ -196,9 +196,9 @@ def test_cache_hit_and_miss_counters(tmp_path):
 def test_changed_knob_is_a_cache_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     executor = CellExecutor(cache=cache)
-    executor.run([Cell("axpy", Scenario(native_config(1)))])
+    executor.run([Cell("axpy", Scenario(ava_config(8)))])
     executor.run([Cell("axpy", Scenario(
-        native_config(1), policy=CellPolicy(aggressive_reclamation=False)))])
+        ava_config(8), policy=CellPolicy(aggressive_reclamation=False)))])
     assert executor.stats.sims_executed == 2
     assert executor.stats.cache_hits == 0
 
@@ -234,6 +234,20 @@ def test_single_level_machine_simulates_once_across_swap_only_knobs(
     assert rerun.stats.sims_executed == 0
     assert hit.cell == unseen_budget
     assert hit.stats == results[0].stats
+
+
+def test_single_level_machine_simulates_once_across_reclamation():
+    """NATIVE X1 never reclaims early, so cells differing only in
+    ``aggressive_reclamation`` are one simulation with two results."""
+    cells = [Cell("axpy", build_scenario(
+                 "native-x1", policy=CellPolicy(aggressive_reclamation=on)))
+             for on in (True, False)]
+    executor = CellExecutor()
+    results = executor.run(cells)
+    assert executor.stats.cache_misses == 2
+    assert executor.stats.sims_executed == 1
+    assert [r.cell for r in results] == cells
+    assert results[0].stats == results[1].stats
 
 
 def test_two_level_machine_keys_every_swap_only_knob():

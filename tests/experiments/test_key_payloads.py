@@ -72,6 +72,17 @@ def test_every_pinned_grid_is_checked():
     assert set(json.loads(PAYLOADS.read_text())) == set(_grids())
 
 
+@pytest.mark.parametrize("grid", sorted(_grids()))
+def test_pinned_hashes_neither_merge_nor_split_cells(grid):
+    """A regenerated pin keys apart exactly the cells that simulate
+    differently: one hash per distinct (workload, simulated scenario,
+    check, sanitize)."""
+    pinned = json.loads(PAYLOADS.read_text())[grid]
+    distinct = {(cell.workload_name, cell.scenario.simulated(), cell.check,
+                 cell.sanitize) for cell in _grids()[grid]}
+    assert len(set(pinned)) == len(distinct)
+
+
 if __name__ == "__main__":
     PAYLOADS.parent.mkdir(exist_ok=True)
     PAYLOADS.write_text(json.dumps(_all_hashes(), indent=1, sort_keys=True)

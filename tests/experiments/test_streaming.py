@@ -35,7 +35,6 @@ from repro.experiments.engine import (
 from repro.isa.program import Program
 from repro.sim.scenario import Scenario
 from repro.sim.simulator import Simulator
-from repro.sim.stats import SimStats
 from repro.vpu.params import DEFAULT_TIMING
 from repro.workloads import get_workload
 from repro.workloads.axpy import Axpy
@@ -773,14 +772,3 @@ def test_average_speedups_still_averages_aligned_series():
     ten = [2.16, 1.31, 2.0, 0.4, 1.34, 1.92, 0.88, 2.39, 2.29, 0.46]
     assert average_speedups({str(i): [s] for i, s in enumerate(
         ten)}) == [sum(ten) / len(ten)]
-
-
-# ---------------------------------------------------------------------------
-# satellite: SimStats.from_dict copies meta both ways
-# ---------------------------------------------------------------------------
-def test_simstats_from_dict_copies_meta():
-    source = {"cycles": 7, "meta": {"shared": 1}}
-    stats = SimStats.from_dict(source)
-    stats.meta["shared"] = 2
-    assert source["meta"]["shared"] == 1  # the caller's dict is never aliased
-    assert "meta" in source  # and from_dict never mutates its argument

@@ -73,6 +73,7 @@ def test_distinct_scenarios_never_collide(a, b):
     {"timing": replace(DEFAULT_TIMING, preissue_swap_budget=1)},
     {"policy": CellPolicy(victim_policy=VictimPolicy.FIFO)},
     {"policy": CellPolicy(victim_policy=VictimPolicy.ROUND_ROBIN)},
+    {"policy": CellPolicy(aggressive_reclamation=False)},
 ])
 def test_two_level_machines_key_apart_on_each_swap_only_knob(machine, knob):
     base = build_scenario(machine)
@@ -84,14 +85,32 @@ def test_two_level_machines_key_apart_on_each_swap_only_knob(machine, knob):
 
 @pytest.mark.parametrize("machine", machine_names())
 def test_simulated_resets_only_what_a_single_level_machine_ignores(machine):
-    default = build_scenario(machine)
+    default = build_scenario(machine, memory="slow-dram")
     assert default.simulated() is default  # the default-knob fast path
     varied = build_scenario(
-        machine, timing=replace(DEFAULT_TIMING, preissue_swap_budget=5),
+        machine, memory="slow-dram",
+        timing=replace(DEFAULT_TIMING, preissue_swap_budget=5),
         policy=CellPolicy(victim_policy=VictimPolicy.FIFO,
                           aggressive_reclamation=False))
     if default.machine.two_level:
         assert varied.simulated() is varied
     else:
-        assert varied.simulated() == replace(
-            default, policy=CellPolicy(aggressive_reclamation=False))
+        assert varied.simulated() == default
+
+
+_SWAP_KNOBS = st.tuples(st.integers(1, 6), _POLICIES)
+
+
+@given(machine=_MACHINES, first=_SWAP_KNOBS, second=_SWAP_KNOBS)
+@settings(max_examples=60, deadline=None)
+def test_simulated_merges_exactly_the_single_level_swap_knobs(machine, first,
+                                                             second):
+    """Single-level scenarios that differ in any of the three swap-only
+    knobs simulate as one value; two-level scenarios come back as given."""
+    a, b = (build_scenario(machine, policy=policy, timing=replace(
+                DEFAULT_TIMING, preissue_swap_budget=budget))
+            for budget, policy in (first, second))
+    if a.machine.two_level:
+        assert a.simulated() is a and b.simulated() is b
+    else:
+        assert a.simulated() == b.simulated()

@@ -1,11 +1,12 @@
 """The premises behind treating single-level machines as swap-free.
 
 :meth:`repro.sim.scenario.Scenario.simulated` resets the pre-issue swap
-budget and the victim policy on any machine whose ``two_level`` is false,
-so the result cache simulates such cells once across those knobs.  That is
-sound only if the timing model never reads either knob there: a machine
-with every VVR in its P-VRF always finds a free P-reg, so it never swaps.
-The pipeline model also never reclaims on such a machine, which is sound
+budget, the victim policy and aggressive reclamation on any machine whose
+``two_level`` is false, so the result cache simulates such cells once
+across those knobs.  That is sound only if the timing model never reads
+them there: a machine with every VVR in its P-VRF always finds a free
+P-reg, so it never swaps.  The pipeline model also never reclaims on such
+a machine (it gates the flag on ``two_level`` itself), which is sound
 only if early reclamation there changes no statistic.  These properties
 check both premises outside the scheduler's fast paths, on the registered
 single-level presets and on drawn NATIVE-, RG- and AVA-X1-shaped
@@ -59,14 +60,16 @@ def _shaped_machines(draw):
 
 _MACHINES = st.one_of(st.sampled_from(_SINGLE_LEVEL_PRESETS).map(get_machine),
                       _shaped_machines())
-_SWAP_KNOBS = st.tuples(st.integers(1, 6), st.sampled_from(list(VictimPolicy)))
+_SWAP_KNOBS = st.tuples(st.integers(1, 6), st.sampled_from(list(VictimPolicy)),
+                        st.booleans())
 
 
-def _stats(machine, program, budget, victim) -> dict:
+def _stats(machine, program, budget, victim, reclaim) -> dict:
     scenario = Scenario(
         machine=machine,
         timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget),
-        policy=CellPolicy(victim_policy=victim))
+        policy=CellPolicy(victim_policy=victim,
+                          aggressive_reclamation=reclaim))
     return VectorPipeline(scenario, program).run().to_dict()
 
 

@@ -23,9 +23,8 @@ from repro.vpu.vmu import VectorMemoryUnit
 
 #: What the reference keeps: its per-cycle stepper and the un-inlined stage
 #: bodies the scheduler's inlined copies are checked against.
-REFERENCE_STEPPER = {"run", "_step", "_fast_forward", "_head_wait_time",
-                     "_ready", "_issue_memory", "_issue_arith",
-                     "_issue_swap_bypass", "_ensure_operands"}
+REFERENCE_STEPPER = {"run", "_step", "_fast_forward", "_issue_memory",
+                     "_issue_arith", "_issue_swap_bypass", "_ensure_operands"}
 REFERENCE_SPEC_STAGES = {"_rename", "_dispatch", "_pre_issue", "_commit",
                          "_retire", "_complete", "_execute_arith",
                          "_execute_memory"}
