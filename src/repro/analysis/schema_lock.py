@@ -44,13 +44,18 @@ LOCKED_RESULT_KEYS = ("schema", "stats", "energy", "correct")
 def current_manifest() -> dict:
     """The live shape, reflected from the running code."""
     from dataclasses import fields
+    from pathlib import Path
 
-    from repro.experiments.engine import CACHE_SCHEMA
+    from repro.analysis.rules_schema import _run_cell_payload_keys
+    from repro.analysis.walker import load_source
+    from repro.experiments import engine
     from repro.sim.stats import SimStats
 
     return {
-        "cache_schema": CACHE_SCHEMA,
+        "cache_schema": engine.CACHE_SCHEMA,
         "simstats_fields": tuple(f.name for f in fields(SimStats)),
+        "result_keys": tuple(_run_cell_payload_keys(
+            load_source(Path(engine.__file__))) or ()),
     }
 
 
@@ -60,5 +65,7 @@ def render_lock() -> str:
     lines = [f"LOCKED_CACHE_SCHEMA = {live['cache_schema']}", "",
              "LOCKED_SIMSTATS_FIELDS = ("]
     lines.extend(f"    {name!r}," for name in live["simstats_fields"])
+    lines += [")", "", "LOCKED_RESULT_KEYS = ("]
+    lines.extend(f"    {name!r}," for name in live["result_keys"])
     lines.append(")")
     return "\n".join(lines)

@@ -5,7 +5,8 @@ The P-VRF is the 8 KB multi-ported SRAM distributed across the eight lanes
 ``set_virtual_vrf`` intrinsic.  This class models both levels' *state*:
 
 * the value arrays (optional — ``functional=True`` moves real numpy data so
-  the swap mechanism's correctness is observable end to end),
+  the swap mechanism's correctness is observable end to end; only a
+  functional instance loads numpy, so a timing-only run never imports it),
 * the per-VVR valid bits (set to 0 when a VVR is allocated at rename, set to
   1 when the producing instruction completes write-back),
 * element read/write counters per level, consumed by the energy model.
@@ -16,9 +17,10 @@ the execution model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TwoLevelVRF:
@@ -26,6 +28,11 @@ class TwoLevelVRF:
 
     def __init__(self, n_vvr: int, n_physical: int, mvl: int,
                  functional: bool = False) -> None:
+        if functional:
+            # Bound module-wide by the first functional instance; the
+            # value paths below run only in functional mode.
+            global np
+            import numpy as np
         self.n_vvr = n_vvr
         self.n_physical = n_physical
         self.mvl = mvl

@@ -120,8 +120,10 @@ class Cell:
     workload: Union[str, Workload]
     scenario: Scenario
     warm: bool = True
-    # Execute functionally and compare the outputs with the workload's
-    # reference; the result's ``correct`` holds the verdict.
+    # Load the workload's data, execute functionally and compare the
+    # outputs with its reference; the result's ``correct`` holds the
+    # verdict.  Only checked cells import numpy: a timing-only cell
+    # simulates without data, and its ``correct`` stays ``None``.
     check: bool = False
     # Run under the microarchitectural sanitizer.  Part of the cache key:
     # a sanitized run must prove the invariants held for *this* cell, not
@@ -471,8 +473,16 @@ def _pair_program(cell: Cell, traces: Optional[TraceStore],
 
 
 def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
-    import numpy as np
+    """Simulate one cell on its pair's program; returns its cache payload.
 
+    Timing does not depend on data values (a gather is charged its
+    worst-case one-line-per-element pattern), so a timing-only cell
+    simulates straight from the program: it imports no numpy, seeds no
+    RNG and builds no arrays.  Only a checked cell loads
+    ``init_data``'s arrays (after checking they match the program's
+    buffers), executes functionally and compares the outputs with the
+    workload's reference.
+    """
     from repro.power.mcpat import McPatModel
     from repro.sim.simulator import Simulator
 
@@ -480,17 +490,18 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
     plan = faults.active_plan()
     if plan is not None:
         plan.fire_cell(cell.label(), attempt, in_worker=_IN_POOL_WORKER)
-    workload = cell.resolve_workload()
     sim = Simulator(cell.scenario, program, functional=cell.check,
                     sanitize=cell.sanitize)
-    rng = np.random.default_rng(DATA_SEED)
-    data = workload.init_data(rng)
-    shapes = {name: len(values) for name, values in data.items()}
-    if shapes != program.buffers:
-        raise ValueError(
-            f"workload {workload.name!r}: init_data returned buffers "
-            f"{shapes}, but its program declares {program.buffers}")
     if cell.check:
+        import numpy as np
+
+        workload = cell.resolve_workload()
+        data = workload.init_data(np.random.default_rng(DATA_SEED))
+        shapes = {name: len(values) for name, values in data.items()}
+        if shapes != program.buffers:
+            raise ValueError(
+                f"workload {workload.name!r}: init_data returned buffers "
+                f"{shapes}, but its program declares {program.buffers}")
         for name, values in data.items():
             sim.set_data(name, values)
     if cell.warm:
@@ -851,14 +862,21 @@ class CellExecutor:
         #: workers, so the parent's store object never sees them).
         self._trace_quarantined = 0
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Whether the executing batch holds a checked cell (a pool it
+        #: starts pre-imports numpy for the workers to inherit).
+        self._batch_checks = False
 
     # -- worker-pool lifecycle -------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             # Workers fork from this process: importing the simulation
             # stack here lets every worker inherit it instead of each
-            # importing numpy and the pipeline on its first cell.
+            # importing the pipeline on its first cell.  numpy serves
+            # only checked cells, so it is pre-imported only when the
+            # batch holds one; a timing-only pool never loads it.
             import repro.sim.simulator  # noqa: F401
+            if self._batch_checks:
+                import numpy  # noqa: F401
             from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(max_workers=self.jobs,
                                              initializer=_pool_worker_init)
@@ -1024,6 +1042,8 @@ class CellExecutor:
              (self.traces, tuple((key, cells[by_key[key][0]])
                                  for key in keys)))
             for keys in pair_keys]
+        self._batch_checks = any(cells[by_key[key][0]].check
+                                 for keys in pair_keys for key in keys)
         # Inline when there is nothing to overlap: a subprocess round-trip
         # would only add pickling.
         dispatch = (run_inline if self.jobs == 1 or len(jobs_list) <= 1

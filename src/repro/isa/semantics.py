@@ -1,8 +1,9 @@
 """Functional semantics of the arithmetic opcodes (numpy evaluators).
 
-Only the functional execution mode reads data values, so only the
-simulator and the golden model import this module; compiling and keying
-a cell need just the timing records in :mod:`repro.isa.opcodes`.
+Only the functional execution mode reads data values, so only a
+functional pipeline (when it is built) and the golden model import this
+module; compiling, keying and simulating a timing-only cell need just
+the timing records in :mod:`repro.isa.opcodes`.
 
 Integer/bitwise opcodes operate on the 64-bit integer reinterpretation of the
 register contents, which is how the ParticleFilter kernel implements its

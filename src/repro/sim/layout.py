@@ -9,19 +9,21 @@ Three regions are laid out back to back, 64-byte aligned:
 
 With ``functional=True`` the layout also owns the numpy arrays behind the
 DATA and SPILL regions, so loads/stores move real values and workloads can
-verify results against a pure-numpy reference.
+verify results against a pure-numpy reference.  Only a functional layout
+loads numpy: a timing-only run resolves addresses and never imports it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import MachineConfig
 from repro.isa.operands import AddressSpace, MemOperand
 from repro.isa.program import Program
 from repro.isa.registers import ELEMENT_BYTES
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Base byte address of the layout (arbitrary, nonzero to catch bugs).
 LAYOUT_BASE = 0x1_0000
@@ -50,6 +52,11 @@ class MemoryLayout:
 
     def __init__(self, program: Program, config: MachineConfig,
                  functional: bool = False) -> None:
+        if functional:
+            # Bound module-wide by the first functional layout; the data
+            # paths below run only in functional mode.
+            global np
+            import numpy as np
         self.program = program
         self.config = config
         self.functional = functional

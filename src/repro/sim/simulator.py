@@ -11,15 +11,16 @@ a result object, so the common flow is three lines::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from repro.core.config import MachineConfig
 from repro.isa.program import Program
 from repro.sim.scenario import Scenario
 from repro.sim.stats import SimStats
 from repro.vpu.pipeline import VectorPipeline
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

@@ -59,7 +59,6 @@ from repro.core.vrf import TwoLevelVRF
 from repro.core.vrf_mapping import VRFMapping
 from repro.isa.instructions import Instruction, Tag
 from repro.isa.opcodes import Op
-from repro.isa.semantics import evaluate_arith
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.layout import MemoryLayout
@@ -141,6 +140,11 @@ class PipelineModel:
         self.program = program
         self.params = scenario.timing
         self.functional = functional
+        if functional:
+            # The numpy evaluators serve only functional runs, so a
+            # timing-only pipeline never imports numpy.
+            from repro.isa.semantics import evaluate_arith
+            self._evaluate_arith = evaluate_arith
         # Reclamation frees a P-reg early so that a later allocation need
         # not evict.  A single-level machine (one P-reg per VVR) always
         # finds a free one, so it never reclaims: reclaiming there changes
@@ -1402,7 +1406,8 @@ class VectorPipeline(PipelineModel):
         for preg in uop.src_pregs:
             values.append(vrf.read_preg_view(preg, vl))
         vrf.write_preg(uop.dst_preg,
-                       evaluate_arith(inst.op, values, inst.scalar, vl), vl)
+                       self._evaluate_arith(inst.op, values, inst.scalar, vl),
+                       vl)
 
     def _execute_memory(self, uop: MicroOp) -> None:
         inst = uop.inst

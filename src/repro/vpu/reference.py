@@ -56,7 +56,6 @@ from typing import List
 
 from repro.core.uop import MicroOp, UopState
 from repro.isa.instructions import Tag
-from repro.isa.semantics import evaluate_arith
 from repro.sim.stats import SimStats
 from repro.vpu.params import arith_beats
 from repro.vpu.pipeline import (_CREATED, _OK, _STALL_VICTIM, DeadlockError,
@@ -315,7 +314,8 @@ class ReferencePipeline(PipelineModel):
         values = [self.vrf.read_preg(p, inst.vl) for p in uop.src_pregs]
         assert uop.dst_preg is not None
         if self.functional:
-            result = evaluate_arith(inst.op, values, inst.scalar, inst.vl)
+            result = self._evaluate_arith(inst.op, values, inst.scalar,
+                                          inst.vl)
             self.vrf.write_preg(uop.dst_preg, result, inst.vl)
         else:
             self.vrf.write_preg(uop.dst_preg, None, inst.vl)  # counters only

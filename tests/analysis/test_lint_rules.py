@@ -80,6 +80,19 @@ def test_s001_flags_a_stale_lock_after_a_bump():
     assert "regenerate the schema lock" in findings[0].message
 
 
+def test_rendered_schema_lock_reproduces_every_locked_constant():
+    """Pasting ``render_lock()``'s output over the lock leaves all three
+    constants S001 reads as they are committed (the tree is in sync)."""
+    from repro.analysis import schema_lock
+    rendered: dict = {}
+    exec(schema_lock.render_lock(), {}, rendered)
+    assert rendered == {
+        "LOCKED_CACHE_SCHEMA": schema_lock.LOCKED_CACHE_SCHEMA,
+        "LOCKED_SIMSTATS_FIELDS": schema_lock.LOCKED_SIMSTATS_FIELDS,
+        "LOCKED_RESULT_KEYS": schema_lock.LOCKED_RESULT_KEYS,
+    }
+
+
 def test_s002_flags_the_slotless_hot_path_class():
     _, findings = _findings("s002_bad.py", ["S002"])
     assert len(findings) == 1

@@ -268,7 +268,7 @@ def test_deterministic_cell_errors_fail_fast(tmp_path):
                             retries=3, backoff_s=0.0)
     with pytest.raises(CellExecutionError):
         executor.run([Cell(_arm(RaisingAxpy(), armed=True),
-                           Scenario(native_config(1)))])
+                           Scenario(native_config(1)), check=True)])
     assert executor.stats.retries == 0  # no budget burned reproducing it
 
 

@@ -47,9 +47,10 @@ from repro.workloads.base import Workload
 class RaisingAxpy(Axpy):
     """Compiles like axpy, then raises instead of simulating.
 
-    Compiling never calls ``init_data``, so the poison only fires inside
-    ``_run_cell``; ``armed`` starts False so an unarmed instance
-    simulates like axpy, and :func:`_arm` flips it.
+    Compiling never calls ``init_data``, and only a checked cell loads
+    data, so the poison fires only inside a checked cell's ``_run_cell``;
+    ``armed`` starts False so an unarmed instance simulates like axpy,
+    and :func:`_arm` flips it.
     """
 
     name = "raising-axpy"
@@ -64,6 +65,7 @@ class RaisingAxpy(Axpy):
 class DieWhenFlagged(Axpy):
     """Simulates a SIGKILL-ed worker (OOM killer): hard-exits the process.
 
+    The poison sits in ``init_data``, so it fires only in a checked cell.
     While ``flag_path`` exists the workload waits until ``neighbours``
     cache entries have landed in ``watch_dir`` (so the test
     deterministically has completed-and-cached neighbours, and none of
@@ -215,7 +217,7 @@ def test_init_data_not_matching_the_buffers_fails_the_cell():
 def test_raising_cell_does_not_discard_the_batch(tmp_path):
     cells = [Cell("axpy", Scenario(native_config(1))),
              Cell(_arm(RaisingAxpy(), armed=True),
-                  Scenario(native_config(1))),
+                  Scenario(native_config(1)), check=True),
              Cell("axpy", Scenario(ava_config(2)))]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     with pytest.raises(CellExecutionError) as err:
@@ -241,7 +243,7 @@ def test_raising_cell_does_not_discard_the_batch(tmp_path):
 def test_cell_error_names_the_failed_cell_and_its_traceback(tmp_path):
     cells = [Cell("axpy", Scenario(native_config(1))),
              Cell(_arm(RaisingAxpy(), armed=True),
-                  Scenario(native_config(1)))]
+                  Scenario(native_config(1)), check=True)]
     executor = CellExecutor(cache=ResultCache(tmp_path / "cache"))
     with pytest.raises(CellExecutionError) as err:
         executor.run(cells)
@@ -256,7 +258,7 @@ def test_raising_cell_is_isolated_under_a_parallel_pool(tmp_path):
     cells = [Cell("axpy", Scenario(cfg))
              for cfg in (native_config(1), ava_config(2), ava_config(4))]
     cells.insert(1, Cell(_arm(RaisingAxpy(), armed=True),
-                         Scenario(native_config(1))))
+                         Scenario(native_config(1)), check=True))
     with CellExecutor(jobs=2, cache=ResultCache(tmp_path / "cache")) as ex:
         with pytest.raises(CellExecutionError) as err:
             ex.run(cells)
@@ -331,15 +333,16 @@ def test_compile_failure_is_isolated_under_a_parallel_pool(tmp_path):
 def test_failed_spec_cell_raises_under_its_batch_label():
     """A sweep runs as ``run(spec.cells(), label=...)``; its failed cell
     raises after the drain and the last snapshot counts it under the
-    batch's label."""
+    batch's label.  The poison needs data, so the spec's cell is checked."""
     spec = SweepSpec(workloads=(_arm(RaisingAxpy(), armed=True),),
                      configs=(native_config(1),))
+    cells = [replace(cell, check=True) for cell in spec.cells()]
     snapshots = []
     executor = CellExecutor(progress=lambda p: snapshots.append(
         (p.label, p.done, p.failed)))
     with pytest.raises(CellExecutionError) as err:
-        executor.run(spec.cells(), label="spec")
-    assert [e.cell for e in err.value.errors] == spec.cells()
+        executor.run(cells, label="spec")
+    assert [e.cell for e in err.value.errors] == cells
     assert snapshots[-1] == ("spec", 1, 1)
     assert executor.stats.cells_failed == 1
 
@@ -396,7 +399,7 @@ def test_worker_death_preserves_completed_cells_and_resumes(tmp_path):
     goods = [Cell("axpy", Scenario(cfg))
              for cfg in (native_config(1), ava_config(2), ava_config(4),
                          ava_config(8))]
-    cells = goods + [Cell(dying, Scenario(native_config(1)))]
+    cells = goods + [Cell(dying, Scenario(native_config(1)), check=True)]
 
     executor = CellExecutor(jobs=2, cache=ResultCache(cache_dir))
     with pytest.raises(CellExecutionError) as err:

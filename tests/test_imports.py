@@ -1,7 +1,8 @@
 """Import hygiene: start-up and a warm render load neither numpy, the
 simulator nor the process pool, a warm render loads nothing that only a
-compile, a power-model build or another command reads, and the lazily
-resolved public API is complete.
+compile, a power-model build or another command reads, a cold
+timing-only run simulates without numpy (only checked cells load data),
+and the lazily resolved public API is complete.
 
 ``repro`` and ``repro.experiments`` resolve their public names on first
 access (PEP 562), so every check here runs the CLI in a fresh
@@ -21,7 +22,8 @@ from repro.__main__ import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Modules only a compile-and-simulate cell (or its worker pool) may pay for.
+#: Modules only a compile-and-simulate cell (or its worker pool) may pay
+#: for; numpy only a checked (functional) cell.
 HEAVY = ("numpy", "repro.vpu.pipeline", "repro.sim.simulator",
          "multiprocessing")
 
@@ -44,14 +46,19 @@ print("loaded:", [m for m in watched if m in sys.modules])
 """
 
 
-def _modules_loaded(argv, cwd, watched=HEAVY):
-    """Run the CLI in a fresh interpreter; which of ``watched`` it
-    loaded."""
+def _probe(argv, cwd, watched=HEAVY):
+    """Run the CLI in a fresh interpreter; its stdout lines, the last of
+    which names the modules of ``watched`` it loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, ",".join(watched), *argv],
         capture_output=True, text=True, cwd=cwd, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)})
-    return proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()
+
+
+def _modules_loaded(argv, cwd, watched=HEAVY):
+    """Which of ``watched`` the CLI loaded in a fresh interpreter."""
+    return _probe(argv, cwd, watched)[-1]
 
 
 def test_version_imports_nothing_heavy(tmp_path):
@@ -80,6 +87,34 @@ def test_warm_render_imports_nothing_heavy(tmp_path, capsys, jobs):
     capsys.readouterr()
     watched = HEAVY + WARM_RENDER_SKIPS
     assert _modules_loaded(argv, tmp_path, watched) == "loaded: []"
+
+
+EXAMPLES = SRC.parent / "examples"
+
+#: A cold run whose cells simulate in the probed process itself.
+COLD_INLINE = ["--no-cache", "--no-progress", "--jobs", "1"]
+
+#: What a cold run loads: the pipeline always, numpy only to check data.
+SIMULATION = ("numpy", "repro.vpu.pipeline")
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure3", "axpy"],
+    ["sweep", str(EXAMPLES / "sweep_smoke.json")],
+], ids=["figure3", "sweep"])
+def test_cold_timing_only_run_simulates_without_numpy(tmp_path, argv):
+    """Timing does not read data, so cells that check none load none."""
+    loaded = _modules_loaded(argv + COLD_INLINE, tmp_path, SIMULATION)
+    assert loaded == "loaded: ['repro.vpu.pipeline']"
+
+
+def test_checked_sweep_loads_numpy_and_verifies_every_cell(tmp_path):
+    argv = ["sweep", str(EXAMPLES / "functional_smoke.json")] + COLD_INLINE
+    lines = _probe(argv, tmp_path, SIMULATION)
+    rows = [line for line in lines if line.startswith(("spmv ", "lavamd "))]
+    assert len(rows) == 4
+    assert all(row.split("|")[-1].strip() == "yes" for row in rows)
+    assert lines[-1] == "loaded: ['numpy', 'repro.vpu.pipeline']"
 
 
 def test_every_public_name_resolves():
