@@ -101,12 +101,18 @@ class MicroOp:
     resolved_version: int = -1
     #: Same residency-version sum, taken when pre-issue last stalled on this
     #: uop; while it is unchanged the stall outcome cannot have changed and
-    #: the scheduler only re-counts the stall.  -1 = no memoized stall.
+    #: the scheduler only re-counts the stall.  -1 = no memoized stall.  A
+    #: single-level machine's sources never change residency, so there it
+    #: is 0 while a stall is memoized and no version is summed.
     preissue_stall_version: int = -1
-    #: Which pre-issue stall was memoized: 0 = waiting on an unissued
-    #: producer (source has no physical register yet), 1 = target issue
-    #: queue full at dispatch step C.
-    preissue_stall_kind: int = 0
+    #: Which pre-issue stall was memoized: the unissued producer a source
+    #: waits on (the source has no physical register yet), or None when
+    #: the target issue queue was full at dispatch step C.  On a
+    #: single-level machine a writer stall ends exactly when this producer
+    #: is given its destination P-reg (``dst_preg`` is set at its first
+    #: issue probe, which may precede its issue).  Cleared with the memo,
+    #: so a finished stall keeps no older uop alive.
+    preissue_stall_on: Optional["MicroOp"] = None
     #: Memoized earliest-ready wake-up (the scheduler's cached
     #: ``_head_wait_time``): -2.0 = no memo; -1.0 = known-unknown (some
     #: dependency has not issued), valid while ``wake_stamp`` matches the

@@ -32,16 +32,18 @@ class VRFMapping:
             raise ValueError("more physical registers than VVRs is senseless")
         self.n_vvr = n_vvr
         self.n_physical = n_physical
-        #: Per-VVR residency version, bumped on every transition of that
-        #: VVR (allocate / evict / release); the pipeline memoizes stalled
+        #: Per-VVR residency version, bumped by every transition method
+        #: here (allocate / evict / release); the pipeline memoizes stalled
         #: probes against exactly the VVRs they depend on.  Versions only
         #: ever increase, so a sum over a fixed VVR set is unchanged iff
-        #: every member is unchanged.
+        #: every member is unchanged.  The scheduler's inlined allocate and
+        #: release bump it only on a two-level machine: a single-level one
+        #: never moves a uop's sources, so nothing there reads it.
         self.vvr_version: List[int] = [0] * n_vvr
-        #: Global transition counter: bumped on *every* mapping transition
-        #: (any VVR's allocate / evict / release).  An unchanged stamp
-        #: proves every per-VVR version sum is unchanged, so the scheduler
-        #: can revalidate whole memoized stall outcomes in O(1) instead of
+        #: Global transition counter, bumped wherever a version is (any
+        #: VVR's allocate / evict / release).  An unchanged stamp proves
+        #: every per-VVR version sum is unchanged, so the scheduler can
+        #: revalidate whole memoized stall outcomes in O(1) instead of
         #: re-summing versions over each uop's source set.
         self.stamp: int = 0
         self._prmt: List[Optional[int]] = [None] * n_vvr

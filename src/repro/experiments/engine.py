@@ -873,10 +873,15 @@ class CellExecutor:
             # stack here lets every worker inherit it instead of each
             # importing the pipeline on its first cell.  numpy serves
             # only checked cells, so it is pre-imported only when the
-            # batch holds one; a timing-only pool never loads it.
+            # batch holds one; a timing-only pool never loads it.  The
+            # pre-import only saves time: without numpy each checked cell
+            # fails in its worker, as it does inline.
             import repro.sim.simulator  # noqa: F401
             if self._batch_checks:
-                import numpy  # noqa: F401
+                try:
+                    import numpy  # noqa: F401
+                except ImportError:
+                    pass
             from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(max_workers=self.jobs,
                                              initializer=_pool_worker_init)

@@ -25,7 +25,13 @@ are evaluated (and in inlining the stage bodies that stepper spells out):
   mapping's version counter: while no VVR changes residency, a stalled
   head's re-probe collapses to pruning completed producers (exactly what
   the full re-resolution would compute) instead of re-walking the mapping
-  and reader bookkeeping every cycle.
+  and reader bookkeeping every cycle;
+* a stalled pre-issue head is memoized too.  On a two-level machine the
+  memo holds while its sources' residency versions are unchanged.  On a
+  single-level machine sources never change residency, so a writer stall
+  holds while the awaited producer has no P-reg and a queue-full stall
+  while the queue is full; no residency version is read or maintained
+  there.
 
 The scheduler is required to be **observationally invisible**: identical
 :class:`~repro.sim.stats.SimStats` (including per-evaluated-cycle stall
@@ -628,9 +634,10 @@ class VectorPipeline(PipelineModel):
         self._ag_istamp = -1
         self._ag_mstamp = -1
         self._ag_vsum = -1
-        # Pre-issue memo revalidation shortcut: while the mapping stamp is
-        # unchanged since the head's stall memo last validated, the source
-        # version sum cannot have changed and the re-sum is skipped.
+        # Pre-issue memo revalidation shortcut (two-level machines): while
+        # the mapping stamp is unchanged since the head's stall memo last
+        # validated, the source version sum cannot have changed and the
+        # re-sum is skipped.
         self._pi_head: Optional[MicroOp] = None
         self._pi_mstamp = -1
         # (vl, beats per element) -> arith_beats at this machine's lanes.
@@ -666,6 +673,7 @@ class VectorPipeline(PipelineModel):
         to_commit = self._to_commit
         mapping = self.mapping
         vvr_version = mapping.vvr_version
+        track = self._track_swap_state
         done_state = _DONE
         # Counters charged in locals and added to ``stats`` once, when the
         # run ends or aborts.
@@ -743,36 +751,41 @@ class VectorPipeline(PipelineModel):
                         progress |= self._issue_arith()
                 if pre_issue_q:
                     # Inlined pre-issue stall memo (both kinds): re-count
-                    # the stall while no source of the head changed
-                    # residency, without entering the stage.  The mapping
-                    # stamp shortcut skips even the version re-sum on quiet
-                    # cycles.
+                    # the stall while it provably still holds, without
+                    # entering the stage.  A single-level machine's sources
+                    # never change residency, so its writer stall holds
+                    # exactly while the awaited producer has no P-reg.  A
+                    # two-level machine's holds while no source of the head
+                    # changed residency; the mapping stamp shortcut skips
+                    # even the version re-sum on quiet cycles.
                     head = pre_issue_q[0]
                     pk = head.preissue_stall_version
                     if pk >= 0:
-                        if (head is self._pi_head
+                        # None: the stall is a full issue queue.
+                        producer = head.preissue_stall_on
+                        if not track:
+                            held = (producer is None
+                                    or producer.dst_preg is None)
+                        elif (head is self._pi_head
                                 and mapping.stamp == self._pi_mstamp):
-                            same = True
+                            held = True
                         else:
                             s = 0
                             for v in head.src_vvrs:
                                 s += vvr_version[v]
-                            same = s == pk
-                            if same:
+                            held = s == pk
+                            if held:
                                 self._pi_head = head
                                 self._pi_mstamp = mapping.stamp
-                        if same:
-                            if head.preissue_stall_kind == 0:
-                                writer_stalls += 1
-                            elif (len(mem_q) >= mem_depth
-                                  if head.inst.is_memory
-                                  else len(arith_q) >= arith_depth):
-                                queue_stalls += 1
-                            else:
-                                head.preissue_stall_version = -1
-                                progress |= self._pre_issue()
+                        if held and producer is not None:
+                            writer_stalls += 1
+                        elif held and (len(mem_q) >= mem_depth
+                                       if head.inst.is_memory
+                                       else len(arith_q) >= arith_depth):
+                            queue_stalls += 1
                         else:
                             head.preissue_stall_version = -1
+                            head.preissue_stall_on = None
                             progress |= self._pre_issue()
                     else:
                         progress |= self._pre_issue()
@@ -1040,8 +1053,6 @@ class VectorPipeline(PipelineModel):
                 mapping._owner[preg] = None
                 mapping._pfrl.append(preg)
                 prmt[old] = None
-            mapping.vvr_version[old] += 1
-            mapping.stamp += 1
             san = self._san
             if san is not None and preg is not None:
                 mapping._in_mvrf[old] = True
@@ -1050,6 +1061,8 @@ class VectorPipeline(PipelineModel):
             if san is not None:
                 san.on_map_release(old, preg)
             if track:
+                mapping.vvr_version[old] += 1
+                mapping.stamp += 1
                 if fifo:
                     self.swap_logic.note_release(old)
                 mvrf.pop(old, None)  # drop_mvrf
@@ -1356,11 +1369,11 @@ class VectorPipeline(PipelineModel):
             mapping._vrlt[dst] = True
             mapping._in_mvrf[dst] = False
             mapping._owner[preg] = dst
-            mapping.vvr_version[dst] += 1
-            mapping.stamp += 1
             if self._san is not None:
                 self._san.on_map_alloc(dst, preg)
             if self._track_swap_state:
+                mapping.vvr_version[dst] += 1
+                mapping.stamp += 1
                 self._attach_write_guards(uop, preg)
             uop.dst_preg = preg
             if created:
@@ -1452,12 +1465,15 @@ class VectorPipeline(PipelineModel):
         """Advance the second-level mapping (gate: pre-issue queue
         non-empty, and no stall memo on the head).
 
-        A stall is memoized against the head's sources' residency
-        versions: a head waiting on an unissued producer cannot unblock
-        until that source is allocated a physical register (which bumps its
-        version), and a head stalled on a full issue queue re-checks only
-        the queue depth.  While the memo holds, :meth:`run` re-counts the
-        stall — exactly what a full re-evaluation would do — without
+        A head waiting on an unissued producer cannot unblock until that
+        source is allocated a physical register, and a head stalled on a
+        full issue queue re-checks only the queue depth.  On a two-level
+        machine the stall is memoized against the head's sources' residency
+        versions (an allocation bumps the source's version; an eviction may
+        move another source).  On a single-level machine no source ever
+        moves, so the memo records the awaited producer and holds while its
+        ``dst_preg`` is unset.  While the memo holds, :meth:`run` re-counts
+        the stall — exactly what a full re-evaluation would do — without
         entering the stage, and it clears a memo that no longer holds
         before entering.
         """
@@ -1494,13 +1510,16 @@ class VectorPipeline(PipelineModel):
                 self._emit_swap_load(vvr)
                 budget -= 1
                 continue
-            if vvr in self._pending_writer:
+            producer = self._pending_writer.get(vvr)
+            if producer is not None:
                 # The producer has not issued yet, so the VVR has no physical
                 # register (destinations are assigned at issue time).  Wait
                 # in order; the producer sits ahead in an issue queue.
                 self.stats.preissue_writer_stalls += 1
-                uop.preissue_stall_version = self._src_version_sum(uop)
-                uop.preissue_stall_kind = 0
+                uop.preissue_stall_version = (
+                    self._src_version_sum(uop) if self._track_swap_state
+                    else 0)
+                uop.preissue_stall_on = producer
                 return False
             # Never-defined source: allocate and read the SRAM reset state.
             outcome = self._acquire_preg(excluded)
@@ -1528,8 +1547,8 @@ class VectorPipeline(PipelineModel):
             full = len(target) >= self._arith_depth
         if full:
             self.stats.preissue_queue_stalls += 1
-            uop.preissue_stall_version = self._src_version_sum(uop)
-            uop.preissue_stall_kind = 1
+            uop.preissue_stall_version = (
+                self._src_version_sum(uop) if self._track_swap_state else 0)
             return False
 
         # One pass over the sources records their pregs and producer links

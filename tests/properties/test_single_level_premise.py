@@ -10,9 +10,11 @@ a machine (it gates the flag on ``two_level`` itself), which is sound
 only if early reclamation there changes no statistic.  These properties
 check both premises outside the scheduler's fast paths, on the registered
 single-level presets and on drawn NATIVE-, RG- and AVA-X1-shaped
-configurations: each workload runs under two knob settings, and on the
-reference stepper with and without forced reclamation, and each pair of
-runs must give the same statistics.
+configurations under drawn chaining delays and dead times: each workload
+runs under two knob settings, and on the reference stepper with and
+without forced reclamation, and each pair of runs must give the same
+statistics.  The scheduler, which on such a machine keeps no RAC and no
+residency versions, must match the reference stepper as well.
 """
 
 from dataclasses import replace
@@ -62,33 +64,43 @@ _MACHINES = st.one_of(st.sampled_from(_SINGLE_LEVEL_PRESETS).map(get_machine),
                       _shaped_machines())
 _SWAP_KNOBS = st.tuples(st.integers(1, 6), st.sampled_from(list(VictimPolicy)),
                         st.booleans())
+#: A slow chain or short dead times let a producer take its P-reg at an
+#: issue probe cycles before it issues; the pre-issue stall waiting on it
+#: must end at the former.
+_TIMINGS = st.builds(
+    lambda delay, arith, mem: replace(DEFAULT_TIMING, chain_issue_delay=delay,
+                                      arith_dead_time=arith,
+                                      mem_dead_time=mem),
+    st.integers(1, 8), st.integers(0, 3), st.integers(0, 3))
 
 
-def _stats(machine, program, budget, victim, reclaim) -> dict:
+def _stats(machine, program, timing, budget, victim, reclaim) -> dict:
     scenario = Scenario(
         machine=machine,
-        timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget),
+        timing=replace(timing, preissue_swap_budget=budget),
         policy=CellPolicy(victim_policy=victim,
                           aggressive_reclamation=reclaim))
     return VectorPipeline(scenario, program).run().to_dict()
 
 
 @given(machine=_MACHINES, name=st.sampled_from(registered_names()),
-       first=_SWAP_KNOBS, second=_SWAP_KNOBS)
+       timing=_TIMINGS, first=_SWAP_KNOBS, second=_SWAP_KNOBS)
 @settings(max_examples=40, deadline=None)
-def test_single_level_stats_ignore_swap_only_knobs(machine, name, first,
-                                                   second):
+def test_single_level_stats_ignore_swap_only_knobs(machine, name, timing,
+                                                   first, second):
     assert not machine.two_level
     workload = get_workload(name)
     workload.n_elements = SMALL_N
     program = workload.compile(machine).program
-    stats = _stats(machine, program, *first)
+    stats = _stats(machine, program, timing, *first)
     assert stats["swap_loads"] == stats["swap_stores"] == 0
-    assert stats == _stats(machine, program, *second)
+    assert stats == _stats(machine, program, timing, *second)
 
 
-def _reference_run(machine, program, reclaim: bool) -> ReferencePipeline:
-    pipe = ReferencePipeline(machine, program)
+def _reference_run(machine, program, timing,
+                   reclaim: bool) -> ReferencePipeline:
+    pipe = ReferencePipeline(Scenario(machine=machine, timing=timing),
+                             program)
     assert not pipe.aggressive_reclamation
     # The reference stepper keeps the RAC on every machine, so setting the
     # flag after construction makes it reclaim as a two-level machine does.
@@ -97,15 +109,19 @@ def _reference_run(machine, program, reclaim: bool) -> ReferencePipeline:
     return pipe
 
 
-@given(machine=_MACHINES, name=st.sampled_from(registered_names()))
+@given(machine=_MACHINES, name=st.sampled_from(registered_names()),
+       timing=_TIMINGS)
 @settings(max_examples=30, deadline=None)
-def test_single_level_stats_ignore_reclamation(machine, name):
+def test_single_level_stats_ignore_reclamation(machine, name, timing):
     workload = get_workload(name)
     workload.n_elements = SMALL_N
     program = workload.compile(machine).program
-    default = _reference_run(machine, program, reclaim=False)
-    forced = _reference_run(machine, program, reclaim=True)
+    default = _reference_run(machine, program, timing, reclaim=False)
+    forced = _reference_run(machine, program, timing, reclaim=True)
     assert forced.stats.to_dict() == default.stats.to_dict()
+    scheduled = VectorPipeline(Scenario(machine=machine, timing=timing),
+                               program).run()
+    assert scheduled.to_dict() == default.stats.to_dict()
 
 
 def test_forced_reclamation_reclaims_on_a_single_level_machine():
@@ -116,6 +132,6 @@ def test_forced_reclamation_reclaims_on_a_single_level_machine():
     workload = get_workload("blackscholes")
     workload.n_elements = SMALL_N
     program = workload.compile(machine).program
-    default = _reference_run(machine, program, reclaim=False)
-    forced = _reference_run(machine, program, reclaim=True)
+    default = _reference_run(machine, program, DEFAULT_TIMING, reclaim=False)
+    forced = _reference_run(machine, program, DEFAULT_TIMING, reclaim=True)
     assert sum(forced.vrf._generation) > sum(default.vrf._generation)

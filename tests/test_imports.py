@@ -117,6 +117,42 @@ def test_checked_sweep_loads_numpy_and_verifies_every_cell(tmp_path):
     assert lines[-1] == "loaded: ['numpy', 'repro.vpu.pipeline']"
 
 
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # an interpreter without numpy
+from repro.__main__ import main
+from repro.experiments.engine import CellExecutionError
+try:
+    main(sys.argv[1:])
+except CellExecutionError as exc:
+    print(str(exc).split(" (")[0])
+    for error in exc.errors:
+        print(error.label(), error.error)
+    raise
+"""
+
+
+def test_checked_sweep_without_numpy_fails_alike_at_every_jobs(tmp_path):
+    """numpy serves only checked cells, so without it each checked cell
+    fails as a CellError, whether it runs inline or in a pool worker: the
+    parent's numpy pre-import before forking must not fail on its own."""
+    outcomes = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, "sweep",
+             str(EXAMPLES / "functional_smoke.json"), "--no-cache",
+             "--no-progress", "--jobs", jobs],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        outcomes.append((proc.returncode, proc.stdout.splitlines()))
+    assert outcomes[0] == outcomes[1]
+    code, lines = outcomes[0]
+    assert code == 1
+    assert lines[0] == "4 of 4 cells failed"
+    assert len(lines) == 5
+    assert all("ModuleNotFoundError" in line for line in lines[1:])
+
+
 def test_every_public_name_resolves():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name

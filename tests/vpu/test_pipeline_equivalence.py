@@ -132,6 +132,23 @@ def test_scheduler_matches_reference_timing_presets(timing_name):
     _assert_equivalent(workload, program, config, timing=timing_name)
 
 
+#: A slow chain with no arithmetic dead time.  A producer is given its
+#: destination P-reg at its first issue probe, and here that probe often
+#: comes cycles before the producer issues, so a pre-issue stall waiting
+#: on it must end at the allocation, not at the issue.
+SLOW_CHAIN = replace(DEFAULT_TIMING, chain_issue_delay=4, arith_dead_time=0)
+
+
+@pytest.mark.parametrize("config", [native_config(1), native_config(2),
+                                    rg_config(4), ava_config(8)],
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("name", ["blackscholes", "lavamd",
+                                  "particlefilter"])
+def test_scheduler_matches_reference_slow_chain(name, config):
+    workload, program = _compile_small(name, config)
+    _assert_equivalent(workload, program, config, timing=SLOW_CHAIN)
+
+
 @pytest.mark.parametrize("config", [ava_config(8), rg_config(4)],
                          ids=lambda c: c.name)
 def test_scheduler_matches_reference_without_reclamation(config):
