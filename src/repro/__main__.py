@@ -220,15 +220,20 @@ def _chaos_command(parser: argparse.ArgumentParser,
 def _simulated(render: Callable[[argparse.ArgumentParser,
                                  argparse.Namespace, CellExecutor], int]):
     """The handler that runs ``render`` on an executor built from the
-    engine and simulation flags, reporting its counters as asked."""
+    engine and simulation flags, reporting its counters as asked.
+
+    A batch with failed cells exits 1 with a report on stderr, not a
+    traceback: one line per :class:`CellError`, then the ``N of M cells
+    failed`` summary as the last line."""
     def run(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> int:
         renderer = _engine_options(parser, args)
-        from repro.experiments.engine import make_executor
+        from repro.experiments.engine import CellExecutionError, make_executor
         executor = make_executor(jobs=args.jobs, cache=not args.no_cache,
                                  cache_dir=args.cache_dir, progress=renderer,
                                  deadline_s=args.deadline,
                                  retries=args.retries, sanitize=args.sanitize)
+        failed = None
         try:
             code = render(parser, args, executor)
             if renderer is not None:
@@ -239,10 +244,11 @@ def _simulated(render: Callable[[argparse.ArgumentParser,
                 # checked invariant held.  Diagnostics go to stderr so
                 # stdout stays byte-identical with and without --sanitize.
                 print("sanitize: 0 sanitizer findings", file=sys.stderr)
-            return code
+        except CellExecutionError as exc:
+            failed, code = exc, 1
         finally:
-            # Counters are reported even when a failed cell is propagating
-            # out as CellExecutionError: that is when they matter most.
+            # Counters are reported for a failed batch too: that is when
+            # they matter most.
             executor.close()
             if renderer is not None:
                 renderer.close()
@@ -250,6 +256,12 @@ def _simulated(render: Callable[[argparse.ArgumentParser,
                 print(executor.stats.summary(), file=sys.stderr)
             if args.stats_json:
                 _write_stats_json(args, executor.stats)
+        if failed is not None:
+            for error in failed.errors:
+                print(f"failed: {error.label()}: {error.error}",
+                      file=sys.stderr)
+            print(failed, file=sys.stderr)
+        return code
     return run
 
 

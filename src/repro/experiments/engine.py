@@ -409,6 +409,15 @@ def _failure(exc: BaseException) -> Failure:
                                                exc.__traceback__)))
 
 
+def _budget_group(cell: Cell) -> tuple:
+    """What a key's simulation reads, except its pre-issue swap budget:
+    cells of one pair job with equal groups differ at most there."""
+    scenario = cell.scenario.simulated()
+    return (replace(scenario, timing=replace(scenario.timing,
+                                             preissue_swap_budget=1)),
+            cell.warm, cell.check, cell.sanitize)
+
+
 def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     """Run one (workload, compile signature) pair job; returns its outcome.
 
@@ -417,35 +426,61 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     (:func:`_pair_program`), then simulates each miss key through
     :func:`_run_cell`, so one program is alive per job and the parent
     never holds one.  ``results`` has one entry per key, in job order:
-    the cache payload, or a :data:`Failure`.  A compile that raises fails
+    the cache payload, a :data:`Failure`, or the position of an earlier
+    key whose run this key provably equals.  A compile that raises fails
     every key of the pair, a simulation that raises only its own key.
     Infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
     propagate, so the dispatcher retries the whole job.
 
+    Keys that differ only in ``preissue_swap_budget`` simulate once when
+    the budget never binds: a run no budget check stopped is the same
+    run at every budget >= its swap-budget demand
+    (:attr:`~repro.vpu.pipeline.VectorPipeline.swap_demand`), so a later
+    key of its :func:`_budget_group` whose budget covers that demand
+    reuses its payload instead of simulating.
+
     The third element is the job's retry attempt number; an active
-    :class:`~repro.faults.FaultPlan` (chaos testing) gates injected
-    crashes/hangs on it, which is how "fails on attempt 0, succeeds on
-    attempt 1" scenarios stay deterministic.
+    :class:`~repro.faults.FaultPlan` (chaos testing) fires its cell
+    faults before each key simulates or reuses a run, gated on it, which
+    is how "fails on attempt 0, succeeds on attempt 1" scenarios stay
+    deterministic.
     """
     cell, (traces, todo), attempt = job
     outcome: dict = {"compiled": False, "trace_hit": False,
                      "quarantined": 0, "results": []}
+    results = outcome["results"]
     with _gc_paused():
         try:
             program = _pair_program(cell, traces, outcome)
         except _RETRYABLE:
             raise
         except Exception as exc:  # noqa: BLE001 — fails this pair's keys
-            outcome["results"] = [_failure(exc)] * len(todo)
+            results.extend([_failure(exc)] * len(todo))
             return outcome
-        for _, key_cell in todo:
+        # Budget group -> (demand, position) of its simulated key with the
+        # smallest swap-budget demand; a bound run's demand is infinite.
+        reusable: Dict[tuple, Tuple[float, int]] = {}
+        for pos, (_, key_cell) in enumerate(todo):
+            group = _budget_group(key_cell)
+            equal = reusable.get(group)
+            budget = key_cell.scenario.timing.preissue_swap_budget
+            run: dict = {}
             try:
-                result = _run_cell((key_cell, program, attempt))
+                plan = faults.active_plan()
+                if plan is not None:
+                    plan.fire_cell(key_cell.label(), attempt,
+                                   in_worker=_IN_POOL_WORKER)
+                if equal is not None and equal[0] <= budget:
+                    results.append(equal[1])
+                    continue
+                result = _run_cell(key_cell, program, run)
             except _RETRYABLE:
                 raise
             except Exception as exc:  # noqa: BLE001 — fails its key only
                 result = _failure(exc)
-            outcome["results"].append(result)
+            if run and (equal is None or run["swap_demand"] < equal[0]):
+                reusable[group] = (run["swap_demand"], pos)
+            results.append(result)
     return outcome
 
 
@@ -472,8 +507,11 @@ def _pair_program(cell: Cell, traces: Optional[TraceStore],
     return compiled.program
 
 
-def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
+def _run_cell(cell: Cell, program: Program, run: dict) -> dict:
     """Simulate one cell on its pair's program; returns its cache payload.
+
+    ``run`` receives the run's telemetry, which never enters the payload:
+    its ``swap_demand`` once the simulation has finished.
 
     Timing does not depend on data values (a gather is charged its
     worst-case one-line-per-element pattern), so a timing-only cell
@@ -486,10 +524,6 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
     from repro.power.mcpat import McPatModel
     from repro.sim.simulator import Simulator
 
-    cell, program, attempt = job
-    plan = faults.active_plan()
-    if plan is not None:
-        plan.fire_cell(cell.label(), attempt, in_worker=_IN_POOL_WORKER)
     sim = Simulator(cell.scenario, program, functional=cell.check,
                     sanitize=cell.sanitize)
     if cell.check:
@@ -517,6 +551,7 @@ def _run_cell(job: Tuple[Cell, Program, int]) -> dict:
             for name, expected in reference.items())
 
     energy = McPatModel().energy(cell.config, result.stats)
+    run["swap_demand"] = sim.pipeline.swap_demand
     return {
         "schema": CACHE_SCHEMA,
         "stats": result.stats.to_dict(),
@@ -687,9 +722,15 @@ class ExecutorStats:
     instead of compiled and ``trace_misses`` counts pairs that had to
     compile (and were then stored) — so ``trace_misses == compiles`` on
     store-backed executors.
+    ``sims_reused`` counts miss keys that landed the payload of an
+    equal simulation instead of running their own: keys of one pair job
+    that differ only in a ``preissue_swap_budget`` the other run's
+    budget checks never reached (:func:`_run_pair`).  Each is cached
+    under its own key, and ``sims_executed + sims_reused`` is the number
+    of miss keys that did not fail.
     ``sim_*`` counters aggregate the event-driven scheduler's efficiency
     over the simulations this executor actually ran (cache hits replay
-    stored results and schedule nothing).
+    stored results and reused payloads schedule nothing).
     """
 
     cells_requested: int = 0
@@ -697,6 +738,7 @@ class ExecutorStats:
     cache_misses: int = 0
     cells_failed: int = 0
     sims_executed: int = 0
+    sims_reused: int = 0
     compiles: int = 0
     trace_hits: int = 0
     trace_misses: int = 0
@@ -726,6 +768,9 @@ class ExecutorStats:
                 f"{self.compiles} kernel compiles, "
                 f"{self.trace_hits} trace hits, "
                 f"{self.trace_misses} trace misses")
+        if self.sims_reused:
+            # Its own line, only when non-zero, like the lines below.
+            text += f"\nreuse: {self.sims_reused} simulations reused"
         if self.retries or self.timeouts or self.cache_quarantined:
             # On its own line, only when something resilience-related
             # actually happened: the first line's wording is an interface
@@ -762,7 +807,7 @@ class Plan:
     workload could not be fingerprinted (``unkeyable`` holds the one
     :class:`CellError` such a workload shares).  ``hits`` maps each cached
     key to its payload, ``misses`` each other key to the positions that
-    request it — one simulation per key — and ``pairs`` each
+    request it — at most one simulation per key — and ``pairs`` each
     (workload, :class:`CompileSignature`) pair the misses need to its
     miss keys: one job per pair, one compile per job.
     """
@@ -786,8 +831,10 @@ class CellExecutor:
     (:mod:`repro.experiments.backends`), and the semantic layer here —
     cache scan, dedupe, position-keyed results, counters — does not
     depend on it, so rendered artifacts are byte-identical across
-    ``jobs``.  Identical cells within a batch are simulated once.
-    Results always come back in request order.
+    ``jobs``.  Identical cells within a batch are simulated once, and so
+    are keys of one job that differ only in a swap budget their run
+    never reached (:func:`_run_pair`).  Results always come back in
+    request order.
 
     :meth:`run` is :meth:`execute` of :meth:`plan`.  The plan keys the
     batch — :func:`cell_key` hashes compile *inputs*, each workload
@@ -995,16 +1042,21 @@ class CellExecutor:
         self.stats.cells_failed += progress.failed
         self._emit(progress)
 
-        def land(key: str, payload: dict) -> None:
-            """Finalise one simulation: cache first, then materialise."""
-            self.stats.sims_executed += 1
-            sim_stats = payload["stats"]
-            self.stats.sim_cycles += sim_stats["cycles"]
-            self.stats.sim_events_processed += sim_stats["events_processed"]
-            self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
-            self.stats.sim_spans_charged += sim_stats["spans_charged"]
-            self.stats.sim_span_cycles += (sim_stats["spans_charged"]
-                                           + sim_stats["cycles_skipped"])
+        def land(key: str, payload: dict, reused: bool = False) -> None:
+            """Finalise one key's payload, simulated or reused from the
+            run it provably equals: cache first, then materialise."""
+            if reused:
+                self.stats.sims_reused += 1
+            else:
+                self.stats.sims_executed += 1
+                sim_stats = payload["stats"]
+                self.stats.sim_cycles += sim_stats["cycles"]
+                self.stats.sim_events_processed += (
+                    sim_stats["events_processed"])
+                self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
+                self.stats.sim_spans_charged += sim_stats["spans_charged"]
+                self.stats.sim_span_cycles += (sim_stats["spans_charged"]
+                                               + sim_stats["cycles_skipped"])
             if self.cache is not None:
                 self.cache.put(key, payload)
             for i in by_key[key]:
@@ -1031,8 +1083,11 @@ class CellExecutor:
                 if self.traces is not None:
                     self.stats.trace_misses += 1
             self._trace_quarantined += outcome["quarantined"]
-            for key, result in zip(pair_keys[pos], outcome["results"]):
-                if isinstance(result, dict):
+            results = outcome["results"]
+            for key, result in zip(pair_keys[pos], results):
+                if isinstance(result, int):
+                    land(key, results[result], reused=True)
+                elif isinstance(result, dict):
                     land(key, result)
                 else:
                     fail(key, result)
@@ -1057,6 +1112,9 @@ class CellExecutor:
 
         self._sync_store_counters()
         if failures:
+            # Request order, not landing order: the report is the same at
+            # every ``jobs``.
+            failures.sort(key=lambda error: cells.index(error.cell))
             raise CellExecutionError(
                 failures, completed=len(cells) - progress.failed,
                 total=len(cells))

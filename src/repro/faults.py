@@ -10,7 +10,8 @@ on demand, deterministically, from a seed.
 A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers:
 
 * **cell faults** (``worker-crash`` / ``cell-hang`` / ``slow-cell``) fire
-  inside :func:`repro.experiments.engine._run_cell`, matched by cell
+  inside :func:`repro.experiments.engine._run_pair` before each miss key
+  simulates or reuses a run, matched by cell
   label and gated by the attempt number of the cell's pair job — a crash
   spec gated on attempt 0 kills the job's first execution and lets the
   retry through, which is exactly the transient-infrastructure-fault

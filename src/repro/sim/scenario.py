@@ -17,11 +17,10 @@ registry-backed preset:
 
 Sweep spec files name a preset (plus field overrides) per axis, and the
 sweep parser resolves them through :func:`build_scenario`.  A scenario
-serialises to plain JSON with :meth:`Scenario.to_dict` (exact inverse:
-:meth:`Scenario.from_dict`).  The result cache hashes that form of
-:meth:`Scenario.simulated` into every cell key: every field is keyed,
-except that a single-level machine's swap-only knobs are keyed at their
-defaults.
+serialises to plain JSON with :meth:`Scenario.to_dict`.  The result cache
+hashes that form of :meth:`Scenario.simulated` into every cell key: every
+field is keyed, except that a single-level machine's swap-only knobs are
+keyed at their defaults.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Optional, Union
 
-from repro.core.config import MachineConfig, MachineMode, get_machine
+from repro.core.config import MachineConfig, get_machine
 from repro.core.swap import VictimPolicy
-from repro.memory.dram import DramConfig
-from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import MemorySystemConfig
 from repro.memory.presets import get_memory_system
 from repro.vpu.params import DEFAULT_TIMING, TimingParams, get_timing
@@ -60,12 +57,6 @@ class CellPolicy:
     # ``to_key`` predates the scenario layer and is its exact JSON form.
     to_dict = to_key
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellPolicy":
-        return cls(victim_policy=VictimPolicy(data["victim_policy"]),
-                   aggressive_reclamation=bool(
-                       data["aggressive_reclamation"]))
-
 
 #: The swap-only knobs' defaults, which :meth:`Scenario.simulated` keys a
 #: single-level machine at.
@@ -84,18 +75,9 @@ def _machine_to_dict(config: MachineConfig) -> dict:
     return data
 
 
-def _machine_from_dict(data: dict) -> MachineConfig:
-    return MachineConfig(**{**data, "mode": MachineMode(data["mode"])})
-
-
 def _memory_to_dict(config: MemorySystemConfig) -> dict:
     return {"l2": _scalars_to_dict(config.l2),
             "dram": _scalars_to_dict(config.dram)}
-
-
-def _memory_from_dict(data: dict) -> MemorySystemConfig:
-    return MemorySystemConfig(l2=CacheConfig(**data["l2"]),
-                              dram=DramConfig(**data["dram"]))
 
 
 @dataclass(frozen=True)
@@ -139,22 +121,13 @@ class Scenario:
             policy=_DEFAULT_POLICY)
 
     def to_dict(self) -> dict:
-        """Plain-JSON form; exact inverse of :meth:`from_dict`."""
+        """Plain-JSON form: what the result cache hashes."""
         return {
             "machine": _machine_to_dict(self.machine),
             "timing": _scalars_to_dict(self.timing),
             "memory": _memory_to_dict(self.memory),
             "policy": self.policy.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            machine=_machine_from_dict(data["machine"]),
-            timing=TimingParams(**data["timing"]),
-            memory=_memory_from_dict(data["memory"]),
-            policy=CellPolicy.from_dict(data["policy"]),
-        )
 
 
 def build_scenario(

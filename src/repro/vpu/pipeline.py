@@ -602,6 +602,14 @@ class VectorPipeline(PipelineModel):
         self._mem_depth = self.params.mem_queue_depth
         self._arith_depth = self.params.arith_queue_depth
         self._swap_budget = self.params.preissue_swap_budget
+        #: The run's swap-budget demand: the smallest
+        #: ``preissue_swap_budget`` that reproduces it, one more than the
+        #: most swap ops a pre-issue call had inserted at a budget check
+        #: (0 while no Swap-Load was needed).  ``_NEVER`` once a check
+        #: stopped a call: the run is *bound* by its budget.  A run that
+        #: never bound is the same run at every budget >= its demand,
+        #: since nothing but those checks reads the budget.
+        self.swap_demand: float = 0
         self._arith_dead = self.params.arith_dead_time
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
@@ -1497,13 +1505,20 @@ class VectorPipeline(PipelineModel):
                     excluded.append(uop.dst_vvr)
             if mapping._in_mvrf[vvr]:
                 if budget <= 0:
+                    self.swap_demand = _NEVER
                     return True  # resume next cycle
                 outcome = self._acquire_preg(excluded)
                 if outcome == _CREATED:
                     budget -= 1
                     if budget <= 0:
+                        self.swap_demand = _NEVER
                         return True
                     outcome = self._acquire_preg(excluded)
+                # Every budget check of this Swap-Load passed; at the last
+                # one the call had inserted ``_swap_budget - budget`` ops.
+                demand = self._swap_budget - budget + 1
+                if demand > self.swap_demand:
+                    self.swap_demand = demand
                 if outcome != _OK:
                     self._count_preissue_stall(outcome)
                     return False

@@ -126,23 +126,26 @@ class _Unbuildable(Axpy):
 
 def test_failed_cell_still_reports_its_counters(capsys, tmp_path,
                                                  registries):
-    """A failed cell propagates as an error, but --stats-json and
-    --cache-stats still report the run — failure count included."""
-    from repro.experiments.engine import CellExecutionError
+    """A failed cell exits 1 with a failure report on stderr, and
+    --stats-json and --cache-stats still report the run — failure count
+    included."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"name": "broken",
                                 "workloads": ["axpy", "unbuildable-kernel"],
                                 "machines": ["native-x1"]}))
     stats_file = tmp_path / "run.json"
     register_workload(_Unbuildable)
-    with pytest.raises(CellExecutionError):
-        main(["sweep", str(spec), "--jobs", "1", "--cache-stats",
-              "--stats-json", str(stats_file),
-              "--cache-dir", str(tmp_path / "cache")])
+    assert main(["sweep", str(spec), "--jobs", "1", "--cache-stats",
+                 "--stats-json", str(stats_file),
+                 "--cache-dir", str(tmp_path / "cache")]) == 1
     payload = json.loads(stats_file.read_text())
     assert payload["stats"]["cells_requested"] == 2
     assert payload["stats"]["cells_failed"] == 1
-    assert "failures: 1 cells failed" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert "failures: 1 cells failed" in err
+    assert ("failed: unbuildable-kernel@NATIVE X1: ValueError: kernel "
+            "does not build") in err
+    assert err[-1].startswith("1 of 2 cells failed")
 
 
 def test_extra_positionals_are_lint_only(tmp_path):

@@ -250,12 +250,65 @@ def test_single_level_machine_simulates_once_across_reclamation():
     assert results[0].stats == results[1].stats
 
 
-def test_two_level_machine_keys_every_swap_only_knob():
+def test_two_level_machine_keys_every_swap_only_knob(tmp_path):
     """AVA X8 has a Swap Mechanism: the same four knob settings are four
-    simulations."""
+    keys and four cache entries.  axpy never swaps, so its budget never
+    binds: each victim policy simulates once and its other budget reuses
+    that run."""
+    cells = _swap_knob_cells("ava-x8")
+    cache = ResultCache(tmp_path / "cache")
+    executor = CellExecutor(cache=cache)
+    executor.run(cells)
+    assert len({cell_key(cell) for cell in cells}) == 4
+    assert cache.stats()[0] == 4
+    assert executor.stats.sims_executed == 2
+    assert executor.stats.sims_reused == 2
+
+
+def _budget_cells(workload: str, budgets=(1, 4)):
+    return [Cell(workload, build_scenario(
+                "ava-x8",
+                timing=replace(DEFAULT_TIMING, preissue_swap_budget=budget)))
+            for budget in budgets]
+
+
+def test_budget_that_never_binds_simulates_once(tmp_path):
+    """axpy never swaps on AVA X8, so no budget check is ever reached:
+    the budget-4 key lands the budget-1 run's payload under its own key."""
+    cells = _budget_cells("axpy")
+    cache = ResultCache(tmp_path / "cache")
+    executor = CellExecutor(cache=cache)
+    results = executor.run(cells)
+    assert [r.cell for r in results] == cells
+    assert executor.stats.sims_executed == 1
+    assert executor.stats.sims_reused == 1
+    assert cache.stats()[0] == 2
+    stored = [cache.get(cell_key(cell)) for cell in cells]
+    assert stored[0]["stats"] == stored[1]["stats"]
+    assert results[0].stats == results[1].stats
+    assert results[0].stats.swap_loads == 0
+
+
+def test_budget_that_binds_simulates_each_key():
+    """blackscholes swaps on AVA X8 and a budget of 1 stops pre-issue, so
+    its run says nothing about budget 4: both keys simulate."""
     executor = CellExecutor()
-    executor.run(_swap_knob_cells("ava-x8"))
-    assert executor.stats.sims_executed == 4
+    results = executor.run(_budget_cells("blackscholes"))
+    assert executor.stats.sims_executed == 2
+    assert executor.stats.sims_reused == 0
+    assert results[0].stats != results[1].stats
+
+
+def test_reuse_needs_a_budget_that_covers_the_demand():
+    """blackscholes on AVA X8 at budget 3 never binds, but one of its
+    pre-issue calls inserts two swap ops before a budget check: its
+    demand is 3.  Budget 2 falls short of it and simulates; budget 5
+    covers it and reuses the budget-3 run."""
+    executor = CellExecutor()
+    results = executor.run(_budget_cells("blackscholes", budgets=(3, 2, 5)))
+    assert executor.stats.sims_executed == 2
+    assert executor.stats.sims_reused == 1
+    assert results[0].stats == results[2].stats != results[1].stats
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):

@@ -29,9 +29,12 @@ def test_compiles_once_per_distinct_compile_signature(study, executor):
 def test_shared_default_point_simulates_once_per_machine(study, executor):
     """The three axes run as one batch, so the executor's in-batch dedupe
     simulates the paper-default point they share (L2 12, DRAM 80, budget
-    2) once per machine: 40 cells, 28 distinct simulations."""
+    2) once per machine: 40 cells, 28 distinct keys.  On AVA X4 the
+    default point's budget never binds and its demand is within budget
+    4, so that key reuses its run: 27 simulations."""
     assert executor.stats.cells_requested == 40
-    assert executor.stats.sims_executed == 28
+    assert executor.stats.sims_executed == 27
+    assert executor.stats.sims_reused == 1
 
 
 def test_study_covers_every_axis_point(study):

@@ -1,11 +1,12 @@
 """Property tests for the executor's cache keys and counters.
 
 The contracts a shared result cache rests on: a cell's key is a pure
-function of its inputs (deterministic, unchanged by a round-trip through
-its scenario, equal exactly when the hashed inputs are equal), and the
+function of its inputs (deterministic, equal for an equal copy of its
+scenario, equal exactly when the hashed inputs are equal), and the
 ``--stats-json`` body carries every counter unchanged through JSON.
 """
 
+import copy
 import json
 from dataclasses import fields
 
@@ -15,7 +16,7 @@ from repro.core.config import machine_names
 from repro.experiments.engine import (Cell, ExecutorStats, cell_key,
                                       cell_key_payload)
 from repro.memory.presets import memory_system_names
-from repro.sim.scenario import Scenario, build_scenario
+from repro.sim.scenario import build_scenario
 from repro.vpu.params import timing_names
 
 # Sample the registries once so the strategies stay stable across examples.
@@ -42,13 +43,11 @@ _RESILIENCE = ("retries", "timeouts", "cache_quarantined")
 
 @given(cell=_cells, fingerprint=_fingerprints)
 @settings(max_examples=40, deadline=None)
-def test_cell_key_survives_a_scenario_round_trip(cell, fingerprint):
+def test_cell_key_is_a_pure_function_of_the_cell(cell, fingerprint):
     key = cell_key(cell, fingerprint)
     assert cell_key(cell, fingerprint) == key  # no per-process hash seed
-    scenario = Scenario.from_dict(json.loads(
-        json.dumps(cell.scenario.to_dict())))
-    clone = Cell(cell.workload_name, scenario, warm=cell.warm,
-                 check=cell.check)
+    clone = Cell(cell.workload_name, copy.deepcopy(cell.scenario),
+                 warm=cell.warm, check=cell.check)
     assert cell_key(clone, fingerprint) == key
 
 
@@ -86,6 +85,7 @@ def test_summary_adds_lines_only_for_what_happened(stats):
     prefixes = [line.split(":")[0] for line in lines[1:]]
     assert ("resilience" in prefixes) == any(
         getattr(stats, name) for name in _RESILIENCE)
+    assert ("reuse" in prefixes) == bool(stats.sims_reused)
     assert ("failures" in prefixes) == bool(stats.cells_failed)
     assert ("scheduler" in prefixes) == bool(stats.sim_cycles)
     assert ("spans" in prefixes) == bool(stats.sim_cycles

@@ -1,14 +1,13 @@
-"""Property tests for the scenario layer's round-trip guarantees.
+"""Property tests for the scenario layer's key guarantees.
 
 The contract the result cache rests on: any scenario assembled from
-registry names survives ``registry name -> Scenario -> cache key -> JSON
--> equal Scenario`` without drift — equal scenarios key identically, and
-the JSON form is a lossless inverse.  The key hashes the scenario as
-simulated (:meth:`Scenario.simulated`), so scenarios differing only in a
-knob their machine never reads share a key.
+registry names keys without drift — equal scenarios key identically,
+however they were built.  The key hashes the scenario as simulated
+(:meth:`Scenario.simulated`), so scenarios differing only in a knob their
+machine never reads share a key.
 """
 
-import json
+import copy
 from dataclasses import replace
 
 import pytest
@@ -40,20 +39,11 @@ _AXPY = get_workload("axpy").compile_fingerprint()
 
 
 @given(scenario=_scenarios)
-@settings(max_examples=60, deadline=None)
-def test_scenario_round_trips_through_json(scenario):
-    wire = json.dumps(scenario.to_dict(), sort_keys=True)
-    assert Scenario.from_dict(json.loads(wire)) == scenario
-    # Serialisation is deterministic: equal scenarios, equal wire form.
-    assert json.dumps(scenario.to_dict(), sort_keys=True) == wire
-
-
-@given(scenario=_scenarios)
 @settings(max_examples=30, deadline=None)
 def test_equal_scenarios_key_identically(scenario):
     cell = Cell("axpy", scenario)
-    clone = Cell("axpy", Scenario.from_dict(json.loads(
-        json.dumps(scenario.to_dict()))))
+    clone = Cell("axpy", copy.deepcopy(scenario))
+    assert clone.scenario is not scenario
     assert cell_key(cell, _AXPY) == cell_key(clone, _AXPY)
 
 

@@ -1,6 +1,5 @@
-"""The scenario layer: axis registries, the frozen bundle, JSON round-trip."""
+"""The scenario layer: axis registries, the frozen bundle, its JSON form."""
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -138,17 +137,6 @@ def test_scenario_is_frozen_and_hashable():
     assert a != build_scenario("ava-x8", memory="table2")
     with pytest.raises(AttributeError):
         a.machine = native_config(1)
-
-
-def test_scenario_json_round_trip_is_exact():
-    scenario = build_scenario("rg-lmul4", memory="half-l2",
-                              timing="deep-queues",
-                              policy=CellPolicy(
-                                  victim_policy=VictimPolicy.ROUND_ROBIN,
-                                  aggressive_reclamation=False))
-    through_json = Scenario.from_dict(
-        json.loads(json.dumps(scenario.to_dict())))
-    assert through_json == scenario
 
 
 def _leaves(data: dict) -> int:

@@ -121,21 +121,16 @@ _WITHOUT_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # an interpreter without numpy
 from repro.__main__ import main
-from repro.experiments.engine import CellExecutionError
-try:
-    main(sys.argv[1:])
-except CellExecutionError as exc:
-    print(str(exc).split(" (")[0])
-    for error in exc.errors:
-        print(error.label(), error.error)
-    raise
+sys.exit(main(sys.argv[1:]))
 """
 
 
 def test_checked_sweep_without_numpy_fails_alike_at_every_jobs(tmp_path):
     """numpy serves only checked cells, so without it each checked cell
     fails as a CellError, whether it runs inline or in a pool worker: the
-    parent's numpy pre-import before forking must not fail on its own."""
+    parent's numpy pre-import before forking must not fail on its own.
+    The command reports the failures on stderr, one ``failed:`` line per
+    cell and the summary last, and exits 1."""
     outcomes = []
     for jobs in ("1", "2"):
         proc = subprocess.run(
@@ -144,13 +139,15 @@ def test_checked_sweep_without_numpy_fails_alike_at_every_jobs(tmp_path):
              "--no-progress", "--jobs", jobs],
             capture_output=True, text=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(SRC)})
-        outcomes.append((proc.returncode, proc.stdout.splitlines()))
+        outcomes.append((proc.returncode, proc.stderr.splitlines()))
     assert outcomes[0] == outcomes[1]
     code, lines = outcomes[0]
     assert code == 1
-    assert lines[0] == "4 of 4 cells failed"
-    assert len(lines) == 5
-    assert all("ModuleNotFoundError" in line for line in lines[1:])
+    assert lines[-1].split(" (")[0] == "4 of 4 cells failed"
+    assert "Traceback" not in "\n".join(lines)
+    failed = [line for line in lines if line.startswith("failed: ")]
+    assert len(failed) == 4
+    assert all("ModuleNotFoundError" in line for line in failed)
 
 
 def test_every_public_name_resolves():
