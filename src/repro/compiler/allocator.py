@@ -65,10 +65,6 @@ class AllocationResult:
     max_pressure: int = 0
     registers_used: int = 0
 
-    @property
-    def spill_free(self) -> bool:
-        return self.spill_loads == 0 and self.spill_stores == 0
-
     def to_dict(self) -> dict:
         """Scalar fields only: ``insts`` is the program's trace, stored
         once by :class:`repro.compiler.store.TraceStore`, not duplicated."""

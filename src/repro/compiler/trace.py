@@ -67,10 +67,6 @@ class StripSchedule:
     def n_iterations(self) -> int:
         return len(self.strips)
 
-    @property
-    def total_elements(self) -> int:
-        return sum(s.vl for s in self.strips)
-
 
 #: One unrolled instruction, in the light form the allocator consumes: the
 #: plain tuple ``(inst, dst, srcs, vl, mem)``.  ``inst`` is the kernel-body

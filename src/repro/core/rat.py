@@ -37,10 +37,6 @@ class RenameTable:
     def free_count(self) -> int:
         return len(self._frl)
 
-    def lookup(self, logical: int) -> int:
-        """Current VVR holding logical register ``logical``."""
-        return self._rat[logical]
-
     def mapping(self) -> List[int]:
         return list(self._rat)
 

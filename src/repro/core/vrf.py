@@ -155,9 +155,3 @@ class TwoLevelVRF:
         self._mvrf.pop(vvr, None)
         self._mvrf_valid.discard(vvr)
         self._generation[vvr] += 1
-
-    # -- diagnostics -----------------------------------------------------------
-    @property
-    def total_element_traffic(self) -> int:
-        return (self.pvrf_reads + self.pvrf_writes
-                + self.mvrf_reads + self.mvrf_writes)

@@ -78,9 +78,6 @@ class VRFMapping:
         assert preg is not None
         return preg
 
-    def owner_of(self, preg: int) -> Optional[int]:
-        return self._owner[preg]
-
     def resident_vvrs(self) -> List[int]:
         """All VVRs currently mapped in the P-VRF, in ascending order.
 

@@ -746,7 +746,6 @@ class ExecutorStats:
     sim_events_processed: int = 0
     sim_cycles_skipped: int = 0
     sim_spans_charged: int = 0
-    sim_span_cycles: int = 0
     #: Resilience counters: charged retry attempts, deadline-exceeded
     #: attempts and cache entries quarantined on integrity failure.
     #: ``cache_misses`` stays one per cell however many attempts its
@@ -787,9 +786,12 @@ class ExecutorStats:
                      f"{self.sim_cycles_skipped} cycles skipped "
                      f"({skipped:.0f}%)")
             if self.sim_spans_charged:
-                covered = 100.0 * self.sim_span_cycles / self.sim_cycles
+                # Each span covers its evaluated probe cycle plus the
+                # cycles jumped after it.
+                span_cycles = self.sim_spans_charged + self.sim_cycles_skipped
+                covered = 100.0 * span_cycles / self.sim_cycles
                 text += (f"\nspans: {self.sim_spans_charged} charged, "
-                         f"{self.sim_span_cycles} span cycles "
+                         f"{span_cycles} span cycles "
                          f"({covered:.0f}% of simulated)")
         return text
 
@@ -1055,8 +1057,6 @@ class CellExecutor:
                     sim_stats["events_processed"])
                 self.stats.sim_cycles_skipped += sim_stats["cycles_skipped"]
                 self.stats.sim_spans_charged += sim_stats["spans_charged"]
-                self.stats.sim_span_cycles += (sim_stats["spans_charged"]
-                                               + sim_stats["cycles_skipped"])
             if self.cache is not None:
                 self.cache.put(key, payload)
             for i in by_key[key]:

@@ -85,10 +85,6 @@ class KernelBody:
     invariants: List[int]
     n_preamble: int
 
-    @property
-    def loop_insts(self) -> List[Instruction]:
-        return self.insts[self.n_preamble:]
-
 
 class KernelBuilder:
     """Incrementally builds a :class:`KernelBody`."""

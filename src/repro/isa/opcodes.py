@@ -173,7 +173,3 @@ OPCODE_INFO: dict[Op, OpInfo] = {
     Op.SCALAR_BLOCK: OpInfo(OpKind.SCALAR, 0, True, 0, 0.0),
 }
 
-
-def op_info(op: Op) -> OpInfo:
-    """Look up the :class:`OpInfo` for ``op`` (raises ``KeyError`` if absent)."""
-    return OPCODE_INFO[op]

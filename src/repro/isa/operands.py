@@ -72,10 +72,6 @@ class MemOperand:
                    base_elem=data["base_elem"], stride=data["stride"],
                    indexed=data["indexed"])
 
-    @property
-    def unit_stride(self) -> bool:
-        return self.stride == 1 and not self.indexed
-
     def describe(self) -> str:
         kind = "indexed" if self.indexed else (
             "unit" if self.stride == 1 else f"stride={self.stride}")

@@ -69,10 +69,6 @@ class CacheStats:
     def misses(self) -> int:
         return self.read_misses + self.write_misses
 
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.misses / self.accesses if self.accesses else 1.0
-
     def reset(self) -> None:
         self.reads = self.writes = 0
         self.read_misses = self.write_misses = self.writebacks = 0
@@ -82,8 +78,7 @@ class Cache:
     """One cache level.
 
     ``access_lines(addrs, write)`` streams byte addresses through the cache
-    in order and returns how many missed; ``access(addr, write)`` is the
-    one-address case and returns True on hit.  Replacement is true LRU and
+    in order and returns how many missed.  Replacement is true LRU and
     misses write-allocate; dirty evictions increment the ``writebacks``
     counter, which :class:`repro.memory.hierarchy.MemorySystem` charges to
     the DRAM.
@@ -103,14 +98,6 @@ class Cache:
         # set index -> {tag: dirty}, least recently used first
         self._sets: List[Dict[int, bool]] = [
             {} for _ in range(config.n_sets)]
-
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self._line_bytes
-        return line % self._n_sets, line // self._n_sets
-
-    def access(self, addr: int, write: bool = False) -> bool:
-        """Access the byte address ``addr``; returns True on hit."""
-        return not self.access_lines((addr,), write)
 
     def access_lines(self, addrs: Iterable[int], write: bool = False) -> int:
         """Access each byte address in ``addrs`` in order; returns misses."""
@@ -140,10 +127,6 @@ class Cache:
             stats.read_misses += misses
         stats.writebacks += writebacks
         return misses
-
-    def contains(self, addr: int) -> bool:
-        set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines flushed."""

@@ -81,14 +81,6 @@ class EnergyReport:
         return (self.l2_dynamic + self.l2_leakage + self.vrf_dynamic
                 + self.vrf_leakage + self.fpu_dynamic + self.fpu_leakage)
 
-    @property
-    def dynamic(self) -> float:
-        return self.l2_dynamic + self.vrf_dynamic + self.fpu_dynamic
-
-    @property
-    def leakage(self) -> float:
-        return self.l2_leakage + self.vrf_leakage + self.fpu_leakage
-
     def rows(self) -> list[tuple[str, float]]:
         return [
             ("L2 dynamic", self.l2_dynamic),

@@ -98,9 +98,6 @@ class Technology:
     #: Reference chip area (the AVA configuration).
     pnr_ref_area_mm2: float = 1.98
 
-    #: Target clock (GHz) of the physical implementation.
-    pnr_clock_ghz: float = 1.0
-
 
 #: The technology file every experiment uses.
 TECH_22NM = Technology()

@@ -25,11 +25,6 @@ class LoopOverhead:
     loads: int = 0  # scalar loads (e.g. parameter refetch)
     taken_branch: bool = True
 
-    @property
-    def instruction_count(self) -> int:
-        return (self.alu_insts + (1 if self.has_vsetvl else 0)
-                + self.loads + (1 if self.taken_branch else 0))
-
 
 @dataclass(frozen=True)
 class ScalarCoreModel:

@@ -79,12 +79,6 @@ class SimStats:
 
     # -- derived ---------------------------------------------------------------
     @property
-    def span_cycles(self) -> int:
-        """Cycles the charged spans cover: each span's evaluated probe
-        cycle plus the cycles jumped after it."""
-        return self.spans_charged + self.cycles_skipped
-
-    @property
     def memory_insts(self) -> int:
         """All vector memory instructions, Fig. 3 column-1 total."""
         return (self.vloads + self.vstores + self.spill_loads

@@ -28,7 +28,7 @@ def chain(n_values: int, fan_in: int = 2):
 def test_no_spills_when_supply_covers_pressure():
     trace = chain(6)
     result = allocate(trace, n_regs=8, mvl=16)
-    assert result.spill_free
+    assert result.spill_loads + result.spill_stores == 0
     assert result.max_pressure <= 8
     assert result.registers_used <= 8
 

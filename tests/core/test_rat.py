@@ -7,8 +7,8 @@ from repro.core.rat import RenameTable
 
 def test_initial_identity_mapping():
     rat = RenameTable(32, 64)
-    assert rat.lookup(0) == 0
-    assert rat.lookup(31) == 31
+    assert rat.mapping()[0] == 0
+    assert rat.mapping()[31] == 31
     assert rat.free_count == 32
 
 
@@ -17,7 +17,7 @@ def test_rename_destination_allocates_fresh_vvr():
     new, old = rat.rename_destination(5)
     assert old == 5
     assert new == 32  # first FRL entry
-    assert rat.lookup(5) == new
+    assert rat.mapping()[5] == new
 
 
 def test_sources_follow_current_mapping():

@@ -47,7 +47,6 @@ def test_counters_track_without_functional_mode():
     assert vrf.pvrf_reads == 16 + 16  # read + swap_out drain
     assert vrf.mvrf_writes == 16
     assert vrf.mvrf_reads == 16
-    assert vrf.total_element_traffic == 96
 
 
 def test_dirty_bit_set_by_swap_out_cleared_by_drop():

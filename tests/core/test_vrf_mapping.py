@@ -18,7 +18,7 @@ def test_allocate_maps_and_tracks_owner():
     preg = m.allocate(10)
     assert m.in_pvrf(10)
     assert m.preg_of(10) == preg
-    assert m.owner_of(preg) == 10
+    assert m._owner[preg] == 10
     assert m.free_count == 7
 
 
@@ -70,7 +70,7 @@ def test_release_of_a_resident_vvr_reports_evict_then_release():
     class Recorder:
         def _snap(self, event, vvr, preg):
             seen.append((event, vvr, preg, m.in_pvrf(vvr), m.in_mvrf(vvr),
-                         m.free_count, m.owner_of(preg), m.vvr_version[vvr],
+                         m.free_count, m._owner[preg], m.vvr_version[vvr],
                          m.stamp))
 
         def on_map_alloc(self, vvr, preg):

@@ -1,11 +1,19 @@
 """The machine-axis sensitivity study."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+from repro.compiler.signature import CompileSignature
 from repro.experiments.engine import CellExecutor, make_executor
 from repro.experiments.sensitivity import (DRAM_LATENCIES, L2_LATENCIES,
-                                           SWAP_BUDGETS, build_sensitivity)
+                                           SENSITIVITY_WORKLOAD, SWAP_BUDGETS,
+                                           assemble_sensitivity,
+                                           build_sensitivity,
+                                           sensitivity_cells)
+from repro.sim.simulator import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -14,8 +22,14 @@ def executor():
 
 
 @pytest.fixture(scope="module")
-def study(executor):
-    return build_sensitivity(executor=executor)
+def results(executor):
+    """The study's one batch, as :func:`build_sensitivity` runs it."""
+    return executor.run(sensitivity_cells(), label="sensitivity")
+
+
+@pytest.fixture(scope="module")
+def study(results):
+    return assemble_sensitivity(SENSITIVITY_WORKLOAD, results)
 
 
 def test_compiles_once_per_distinct_compile_signature(study, executor):
@@ -37,6 +51,28 @@ def test_shared_default_point_simulates_once_per_machine(study, executor):
     assert executor.stats.sims_reused == 1
 
 
+def test_swap_budget_cells_match_direct_simulation(results):
+    """The engine simulates a budget key once and lands that run under
+    every budget its demand covers; each swap-budget cell must equal its
+    own direct ``Simulator`` run in every ``SimStats`` field, not only
+    the cycles the study prints."""
+    swap_results = results[-4 * len(SWAP_BUDGETS):]  # four machines each
+    assert {r.cell.scenario.timing.preissue_swap_budget
+            for r in swap_results} == set(SWAP_BUDGETS)
+    programs = {}
+    for result in swap_results:
+        cell = result.cell
+        signature = CompileSignature.from_config(cell.config)
+        if signature not in programs:
+            programs[signature] = cell.resolve_workload().compile(
+                cell.config).program
+        sim = Simulator(cell.scenario, programs[signature])
+        if cell.warm:
+            sim.warm_caches()
+        direct = sim.run().stats
+        assert direct.to_dict() == result.stats.to_dict(), cell.label()
+
+
 def test_study_covers_every_axis_point(study):
     assert [r.axis_value for r in study.l2_rows] == list(L2_LATENCIES)
     assert [r.axis_value for r in study.dram_rows] == list(DRAM_LATENCIES)
@@ -52,6 +88,17 @@ def test_slower_dram_widens_the_gap_monotonically(study):
     assert gaps[-1] > gaps[0]  # strictly wider across the full axis
     # NATIVE generates no swap traffic, so its columns stay flat.
     assert len({row.native_x8 for row in study.dram_rows}) == 1
+
+
+def test_render_matches_the_pinned_stdout_digest(study):
+    """``repro sensitivity`` prints the study's render and a newline:
+    exactly the bytes CI's stdout contract pins."""
+    digests = Path(__file__).parents[2] / ".github" / "stdout.sha256"
+    pinned = dict(reversed(line.split())
+                  for line in digests.read_text().splitlines())
+    stdout = study.render() + "\n"
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == pinned["sensitivity.out"])
 
 
 def test_render_contains_all_three_tables(study):

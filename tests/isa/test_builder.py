@@ -50,7 +50,6 @@ def test_preamble_tracked_as_invariants():
     body = kb.build()
     assert body.n_preamble == 2
     assert body.invariants == [c0.vid, c1.vid]
-    assert len(body.loop_insts) == len(body.insts) - 2
 
 
 def test_cross_builder_registers_rejected():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.compiler.signature import CompileSignature
 from repro.isa.instructions import Instruction, Tag, scalar_block
-from repro.isa.opcodes import Op, OpKind, op_info
+from repro.isa.opcodes import OPCODE_INFO, Op, OpKind
 from repro.isa.operands import data_ref, spill_ref
 from repro.isa.program import Program
 from repro.workloads.registry import get_workload
@@ -116,7 +116,7 @@ def test_shapes_the_pipeline_cannot_simulate_are_rejected(build):
 
 def example(op: Op) -> Instruction:
     """A valid instruction for ``op``, with every operand it takes set."""
-    info = op_info(op)
+    info = OPCODE_INFO[op]
     if info.kind is OpKind.SCALAR:
         return Instruction(op=op, scalar=3.0)
     srcs = tuple(range(10, 10 + info.n_srcs))
@@ -138,7 +138,7 @@ def snapshot(inst: Instruction) -> dict:
 @pytest.mark.parametrize("op", list(Op), ids=lambda op: op.value)
 def test_every_construction_path_agrees(op):
     inst = example(op)
-    info = op_info(op)
+    info = OPCODE_INFO[op]
     assert [getattr(inst, name) for name in DERIVED] == [
         info, info.is_memory, info.kind is OpKind.MEM_LOAD,
         info.kind is OpKind.MEM_STORE, info.is_arith,

@@ -3,38 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.isa.opcodes import (
-    OPCODE_INFO,
-    Op,
-    OpKind,
-    op_info,
-)
+from repro.isa.opcodes import OPCODE_INFO, Op, OpKind
 from repro.isa.semantics import evaluate_arith
 
 
 def test_every_opcode_has_info():
     for op in Op:
-        info = op_info(op)
+        info = OPCODE_INFO[op]
         assert info.latency >= 0
         assert info.beats_per_element >= 0
 
 
 def test_memory_classification():
-    assert op_info(Op.VLE).kind is OpKind.MEM_LOAD
-    assert op_info(Op.VSE).kind is OpKind.MEM_STORE
-    assert op_info(Op.VLXE).kind is OpKind.MEM_LOAD
-    assert op_info(Op.VSXE).kind is OpKind.MEM_STORE
-    assert op_info(Op.VADD).is_arith
-    assert not op_info(Op.VADD).is_memory
+    assert OPCODE_INFO[Op.VLE].kind is OpKind.MEM_LOAD
+    assert OPCODE_INFO[Op.VSE].kind is OpKind.MEM_STORE
+    assert OPCODE_INFO[Op.VLXE].kind is OpKind.MEM_LOAD
+    assert OPCODE_INFO[Op.VSXE].kind is OpKind.MEM_STORE
+    assert OPCODE_INFO[Op.VADD].is_arith
+    assert not OPCODE_INFO[Op.VADD].is_memory
 
 
 def test_iterative_units_cost_more_beats():
-    assert op_info(Op.VDIV).beats_per_element > op_info(Op.VMUL).beats_per_element
-    assert op_info(Op.VSQRT).beats_per_element > 1.0
+    assert (OPCODE_INFO[Op.VDIV].beats_per_element
+            > OPCODE_INFO[Op.VMUL].beats_per_element)
+    assert OPCODE_INFO[Op.VSQRT].beats_per_element > 1.0
 
 
 def test_fma_has_higher_latency_than_add():
-    assert op_info(Op.VFMADD).latency > op_info(Op.VADD).latency
+    assert OPCODE_INFO[Op.VFMADD].latency > OPCODE_INFO[Op.VADD].latency
 
 
 @pytest.mark.parametrize("op,srcs,scalar,expected", [

@@ -17,12 +17,6 @@ def test_data_ref_defaults():
     op = data_ref("x")
     assert op.space is AddressSpace.DATA
     assert op.base_elem == 0 and op.stride == 1
-    assert op.unit_stride
-
-
-def test_strided_is_not_unit():
-    assert not data_ref("x", stride=4).unit_stride
-    assert not data_ref("x", indexed=True).unit_stride
 
 
 def test_with_base_preserves_everything_else():

@@ -72,10 +72,11 @@ def test_cache_inclusion_of_recent_lines(addrs):
     """True LRU: the most recent `associativity` lines of a set still hit."""
     cache = Cache(CacheConfig("t", 4 * 64 * 1, 64, 4))  # 1 set, 4 ways
     for a in addrs:
-        cache.access(a * 64)
+        cache.access_lines((a * 64,))
     recent = list(dict.fromkeys(reversed(addrs)))[:4]
     for a in recent:
-        assert cache.access(a * 64), f"line {a} should be resident"
+        assert cache.access_lines((a * 64,)) == 0, (
+            f"line {a} should be resident")
 
 
 @given(addrs=st.lists(st.integers(0, 200), min_size=1, max_size=200),
@@ -84,7 +85,7 @@ def test_cache_inclusion_of_recent_lines(addrs):
 def test_cache_counter_consistency(addrs, write_mask):
     cache = Cache(CacheConfig("t", 8 * 1024, 64, 4))
     for a, w in zip(addrs, write_mask):
-        cache.access(a * 64, write=w)
+        cache.access_lines((a * 64,), write=w)
     s = cache.stats
     assert s.accesses == min(len(addrs), len(write_mask))
     assert s.misses <= s.accesses

@@ -33,11 +33,6 @@ def test_loads_add_partial_latency():
     assert with_load > without
 
 
-def test_instruction_count():
-    o = LoopOverhead(alu_insts=4, loads=1)
-    assert o.instruction_count == 4 + 1 + 1 + 1
-
-
 def test_convenience_wrapper_matches_model():
     assert loop_scalar_cycles(6) == DEFAULT_SCALAR_MODEL.loop_cycles(
         LoopOverhead(alu_insts=6))
