@@ -135,13 +135,13 @@ LINT.add_argument(
 
 
 def _cache_actions(parser: argparse.ArgumentParser) -> None:
-    """``cache stats`` (the default), ``clear [--traces|--results]`` and
-    ``verify``: each also takes ``--cache-dir`` after the action."""
+    """``cache stats`` (the default), ``clear`` and ``verify``: each also
+    takes ``--cache-dir`` after the action."""
     actions = parser.add_subparsers(dest="action", metavar="action")
     parser.set_defaults(action="stats")
     for name, summary in (
-            ("stats", "entries and bytes of both stores (default)"),
-            ("clear", "wipe both stores, or one of them"),
+            ("stats", "entries and bytes of the result cache (default)"),
+            ("clear", "wipe the result cache"),
             ("verify", "re-hash every entry and quarantine corruption")):
         action = actions.add_parser(name, help=summary, description=summary)
         # SUPPRESS: an action given no --cache-dir keeps the one given to
@@ -149,10 +149,10 @@ def _cache_actions(parser: argparse.ArgumentParser) -> None:
         action.add_argument("--cache-dir", metavar="DIR",
                             default=argparse.SUPPRESS, help=CACHE_DIR_HELP)
         if name == "clear":
-            action.add_argument("--traces", action="store_true",
-                                help="prune only the trace store")
+            # The result cache is the only store, so this changes
+            # nothing; perfbench's sweep workload still passes it.
             action.add_argument("--results", action="store_true",
-                                help="prune only the result store")
+                                help="the same as a plain clear")
 
 
 # ---------------------------------------------------------------------------
@@ -392,44 +392,29 @@ def _format_size(n_bytes: int) -> str:
 
 def _cache_command(parser: argparse.ArgumentParser,
                    args: argparse.Namespace) -> int:
-    """Both stores live under ``--cache-dir``: cell results at the root,
-    compiled traces in its ``traces/`` subdirectory.  Neither is
-    size-bounded; ``clear`` is how they shrink."""
-    from pathlib import Path
-
+    """The result cache lives under ``--cache-dir``.  It is not
+    size-bounded; ``clear`` is how it shrinks."""
     from repro.cachefs import DEFAULT_CACHE_DIR
-    from repro.compiler.store import TRACE_SUBDIR, TraceStore
     from repro.experiments.engine import ResultCache
 
-    root = Path(args.cache_dir or DEFAULT_CACHE_DIR)
+    root = args.cache_dir or DEFAULT_CACHE_DIR
     results = ResultCache(root)
-    traces = TraceStore(root / TRACE_SUBDIR)
+    if args.action == "clear":
+        print(f"cleared {results.clear()} result entries")
+        return 0
+    print(f"cache at {root}")
     if args.action == "stats":
-        print(f"cache at {root}")
-        for label, store in (("results", results), ("traces", traces)):
-            entries, size = store.stats()
-            print(f"  {label}: {entries} entries, {_format_size(size)}")
-    elif args.action == "verify":
-        # Re-hash every entry; corruption is moved to quarantine/ (and
-        # thereby re-simulates on the next run), stale/legacy entries are
-        # reported but left in place — they already read as misses.
-        bad = 0
-        print(f"cache at {root}")
-        for label, store in (("results", results), ("traces", traces)):
-            counts = store.verify()
-            print(f"  {label}: {counts['entries']} entries, "
-                  f"{counts['ok']} ok, {counts['quarantined']} quarantined, "
-                  f"{counts['stale']} stale, {counts['legacy']} legacy")
-            bad += counts["quarantined"]
-        return 1 if bad else 0
-    else:
-        # Neither flag means both stores, exactly like a full wipe.
-        both = not (args.traces or args.results)
-        if args.results or both:
-            print(f"cleared {results.clear()} result entries")
-        if args.traces or both:
-            print(f"cleared {traces.clear()} trace entries")
-    return 0
+        entries, size = results.stats()
+        print(f"  results: {entries} entries, {_format_size(size)}")
+        return 0
+    # verify: re-hash every entry; corruption is moved to quarantine/ (and
+    # thereby re-simulates on the next run), stale/legacy entries are
+    # reported but left in place — they already read as misses.
+    counts = results.verify()
+    print(f"  results: {counts['entries']} entries, "
+          f"{counts['ok']} ok, {counts['quarantined']} quarantined, "
+          f"{counts['stale']} stale, {counts['legacy']} legacy")
+    return 1 if counts["quarantined"] else 0
 
 
 #: Command name -> (one-line summary, flag groups, handler), in help order.
@@ -457,8 +442,8 @@ COMMANDS = {
     "chaos": ("run a sweep clean, under a seeded fault plan and warm, and "
               "assert byte-identical output", (ENGINE, SPEC, SEED),
               _chaos_command),
-    "cache": ("inspect, prune or integrity-check the result and trace "
-              "stores", (CACHE_DIR,), _cache_command),
+    "cache": ("inspect, prune or integrity-check the result cache",
+              (CACHE_DIR,), _cache_command),
     "lint": ("run the determinism & contract analyzer", (LINT,),
              _lint_command),
 }

@@ -11,9 +11,10 @@ contract mechanical:
   :class:`CompileSignature`) must appear as a key somewhere in the real
   serialized cache-key payload, or carry an explicit
   ``# lint: key-exempt(<why>)`` pragma on its definition line.  The payload
-  key set is computed by *running* the live key derivations — the engine's
-  ``cell_key_payload`` and the trace store's ``trace_key_payload`` — so
-  the rule can never drift from the hash input it polices.
+  key set is computed by *running* the live key derivation — the engine's
+  ``cell_key_payload`` — so the rule can never drift from the hash input
+  it polices.  :class:`CompileSignature`'s fields reach it through the
+  scenario's machine dict.
 * **K002** — a key dataclass that hand-writes ``from_dict`` must mention
   every declared field inside it (a dropped field deserializes to its
   default and silently collides cache entries).  Classes deserialized by
@@ -60,17 +61,15 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _key_payload_names() -> Set[str]:
-    """Key names reachable in the real cache-key payloads, flattened.
+    """Key names reachable in the real cache-key payload, flattened.
 
-    Computed by running the live key derivations — the result cache's
-    cell-key payload (scenario included) and the trace store's payload
-    (compile signature included) — so the rule polices the actual hash
-    input, not a parallel list that could rot.  The workload fingerprint
-    is a stand-in string: it is a hash, not a dict, and building a real
-    kernel here would make the rule depend on the workload registry.
+    Computed by running the live key derivation — the result cache's
+    cell-key payload, scenario included — so the rule polices the actual
+    hash input, not a parallel list that could rot.  The workload
+    fingerprint is a stand-in string: it is a hash, not a dict, and
+    building a real kernel here would make the rule depend on the
+    workload registry.
     """
-    from repro.compiler.signature import CompileSignature
-    from repro.compiler.store import trace_key_payload
     from repro.core.config import ava_config
     from repro.experiments.engine import Cell, cell_key_payload
     from repro.sim.scenario import Scenario
@@ -81,12 +80,9 @@ def _key_payload_names() -> Set[str]:
                 out.add(str(key))
                 flatten(sub, out)
 
-    config = ava_config(2)
     names: Set[str] = set()
-    flatten(cell_key_payload(Cell("axpy", Scenario(machine=config)),
+    flatten(cell_key_payload(Cell("axpy", Scenario(machine=ava_config(2))),
                              "compile-fingerprint"), names)
-    flatten(trace_key_payload("compile-fingerprint",
-                              CompileSignature.from_config(config)), names)
     return names
 
 

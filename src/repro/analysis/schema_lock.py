@@ -1,10 +1,9 @@
 """The schema lock: the committed manifest S001 diffs the live code against.
 
-``CACHE_SCHEMA`` gates every persistent payload (result cache and trace
-store).  The rule "any diff-visible change to the stats
-shape bumps the schema" is only enforceable if the *last agreed shape*
-is recorded somewhere the analyzer can read — that record is this
-module.
+``CACHE_SCHEMA`` gates the result cache's payload.  The rule "any
+diff-visible change to the stats shape bumps the schema" is only
+enforceable if the *last agreed shape* is recorded somewhere the
+analyzer can read — that record is this module.
 
 When a stats field is added/removed/renamed or the result payload grows
 a key, ``repro lint`` fails with S001 until **both** of these happen in

@@ -1,9 +1,10 @@
-"""Crash-safe, integrity-checked JSON file stores shared by the caches.
+"""Crash-safe, integrity-checked JSON file stores.
 
-Both persistent stores — the engine's :class:`~repro.experiments.engine.
-ResultCache` (cell results) and the compiler's :class:`~repro.compiler.
-store.TraceStore` (compiled instruction traces) — need the same disk
-discipline:
+The engine's :class:`~repro.experiments.engine.ResultCache` (cell
+results) is the one store a command writes.  The compiler's
+:class:`~repro.compiler.store.TraceStore` is the other
+:class:`AtomicJsonStore`, but no command reads or writes it.  A store
+needs this disk discipline:
 
 * one JSON file per key, written atomically (tempfile + ``os.replace``)
   so concurrent processes can share a store directory;

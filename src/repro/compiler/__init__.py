@@ -15,8 +15,10 @@ This package reproduces that tool-chain stage:
   memory rebasing (the allocator builds each final instruction once),
 * :mod:`repro.compiler.signature` — the (mvl, n_logical) compile signature
   that fully determines a compiled program,
-* :mod:`repro.compiler.store` — the persistent content-addressed trace
-  store (compile once per signature per repo, replay everywhere).
+* :mod:`repro.compiler.store` — a content-addressed store of compiled
+  programs.  No command reads or writes it: each pair job compiles its
+  program where it simulates.  It stays while ``perfbench/ledger.py``
+  hooks it by name.
 
 AVA and NATIVE configurations always execute the LMUL=1 binary (32
 architectural registers); Register Grouping configurations execute binaries

@@ -14,9 +14,10 @@ a program *executes*, never the program itself.  NATIVE X4 and AVA X4
 therefore compile the identical program, and a timing × memory × policy
 sensitivity grid over them needs exactly one compile per (mvl, n_logical).
 
-:class:`CompileSignature` makes that contract explicit.  It is the memo key
-of the executor's in-process compile cache and one input of the persistent
-:class:`~repro.compiler.store.TraceStore` content address.
+:class:`CompileSignature` makes that contract explicit.  The executor runs
+one job, and so one compile, per (workload, signature) pair of a batch's
+misses; the signature's fields reach the cell key through the scenario's
+machine config.
 """
 
 from __future__ import annotations

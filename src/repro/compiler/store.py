@@ -1,5 +1,10 @@
 """Persistent, content-addressed store of compiled instruction traces.
 
+No command reads or writes this store: each pair job of
+:mod:`repro.experiments.engine` compiles its program where it simulates,
+because a load cost about as much as the compile it replaced.  The module
+stays while ``perfbench/ledger.py`` hooks :class:`TraceStore` by name.
+
 The trace-based-model decoupling: a compiled :class:`~repro.isa.program.
 Program` depends only on the workload's kernel side and a
 :class:`~repro.compiler.signature.CompileSignature`, never on the

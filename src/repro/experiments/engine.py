@@ -23,11 +23,12 @@ explicit and executes it once:
   per distinct key) and then executes the plan as one job per
   (workload, compile signature) pair of its misses, inline or streamed
   over one persistent :class:`concurrent.futures.ProcessPoolExecutor`.
-  A job compiles its program (or loads it from the trace store) where
-  it simulates, so no program crosses a process boundary.  A command
-  that needs several grids runs them as one batch.  Results are keyed by
-  their position in the request, never by completion order, so the
-  output is byte-identical regardless of scheduling and of ``jobs``.
+  A job compiles its program where it simulates, so no program crosses
+  a process boundary, and no program is stored: keys hash compile
+  inputs, so a hit needs none.  A command that needs several grids runs
+  them as one batch.  Results are keyed by their position in the
+  request, never by completion order, so the output is byte-identical
+  regardless of scheduling and of ``jobs``.
   Each result is written to the cache the moment it lands, a raising
   cell becomes a :class:`CellError` instead of discarding the rest of
   the batch, and an interrupted grid resumes by rerunning — finished
@@ -56,7 +57,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 from repro import faults
 from repro.cachefs import DEFAULT_CACHE_DIR, AtomicJsonStore, source_digest
 from repro.compiler.signature import CompileSignature
-from repro.compiler.store import TraceStore
 from repro.core.config import MachineConfig
 from repro.experiments.backends import (  # noqa: F401 — re-exported names
     _RETRYABLE, FailFn, Job, LandFn, WorkerFn, default_jobs, run_inline,
@@ -341,8 +341,7 @@ class ResultCache(AtomicJsonStore):
 
     One file per cell under ``root``.  The crash-safe write discipline —
     atomic tempfile + ``os.replace``, orphan reaping, umask-honouring
-    permissions — is :class:`~repro.cachefs.AtomicJsonStore`'s, shared
-    with the compiler's :class:`~repro.compiler.store.TraceStore`; this
+    permissions — is :class:`~repro.cachefs.AtomicJsonStore`'s; this
     class adds only the result payload's schema gate.
     """
 
@@ -395,9 +394,9 @@ def _gc_paused():
         gc.enable()
 
 
-#: A pair job's argument: the trace store (or ``None``) and each miss key
-#: that needs the pair's program, with the first cell requesting it.
-PairWork = Tuple[Optional[TraceStore], Tuple[Tuple[str, Cell], ...]]
+#: A pair job's argument: each miss key that needs the pair's program,
+#: with the first cell requesting it.
+PairWork = Tuple[Tuple[str, Cell], ...]
 
 #: A key that failed inside a job: ``(Type: message, traceback text)``.
 Failure = Tuple[str, str]
@@ -422,11 +421,11 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     """Run one (workload, compile signature) pair job; returns its outcome.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.  The job
-    carries cells, never a program: it gets the pair's program
-    (:func:`_pair_program`), then simulates each miss key through
-    :func:`_run_cell`, so one program is alive per job and the parent
-    never holds one.  ``results`` has one entry per key, in job order:
-    the cache payload, a :data:`Failure`, or the position of an earlier
+    carries cells, never a program: it compiles the pair's program,
+    then simulates each miss key through :func:`_run_cell`, so one
+    program is alive per job and the parent never holds one.
+    ``results`` has one entry per key, in job order: the cache payload,
+    a :data:`Failure`, or the position of an earlier
     key whose run this key provably equals.  A compile that raises fails
     every key of the pair, a simulation that raises only its own key.
     Infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
@@ -445,13 +444,13 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     is how "fails on attempt 0, succeeds on attempt 1" scenarios stay
     deterministic.
     """
-    cell, (traces, todo), attempt = job
-    outcome: dict = {"compiled": False, "trace_hit": False,
-                     "quarantined": 0, "results": []}
+    cell, todo, attempt = job
+    outcome: dict = {"compiled": False, "results": []}
     results = outcome["results"]
     with _gc_paused():
         try:
-            program = _pair_program(cell, traces, outcome)
+            program = cell.resolve_workload().compile(cell.config).program
+            outcome["compiled"] = True
         except _RETRYABLE:
             raise
         except Exception as exc:  # noqa: BLE001 — fails this pair's keys
@@ -482,29 +481,6 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
                 reusable[group] = (run["swap_demand"], pos)
             results.append(result)
     return outcome
-
-
-def _pair_program(cell: Cell, traces: Optional[TraceStore],
-                  outcome: dict) -> Program:
-    """``cell``'s program: a stored trace when ``traces`` holds one, else
-    a fresh compile, written back to ``traces``.  ``outcome`` records
-    which, and how many damaged entries the load quarantined."""
-    workload = cell.resolve_workload()
-    trace_key = None
-    if traces is not None:
-        trace_key = traces.key(workload,
-                               CompileSignature.from_config(cell.config))
-        quarantined = traces.quarantined
-        stored = traces.load(trace_key)
-        outcome["quarantined"] = traces.quarantined - quarantined
-        if stored is not None:
-            outcome["trace_hit"] = True
-            return stored.program
-    compiled = workload.compile(cell.config)
-    outcome["compiled"] = True
-    if trace_key is not None:
-        traces.put_trace(trace_key, compiled)
-    return compiled.program
 
 
 def _run_cell(cell: Cell, program: Program, run: dict) -> dict:
@@ -712,16 +688,13 @@ class ExecutorStats:
     a cache — including every cell of a cache-less executor, so
     ``cache_misses`` always equals ``cells_requested - cache_hits``.
     ``compiles`` counts actual kernel compilations.  Keys hash compile
-    *inputs*, so only cache misses need a program: a cache hit reads no
-    trace and compiles nothing, and a fully warm result cache reports
-    ``0 kernel compiles, 0 trace hits, 0 trace misses``.  A batch's
-    misses compile each *distinct* (workload, :class:`CompileSignature`)
-    pair at most once, in that pair's job — configurations differing
-    only in simulation-side axes share one compile.  With a trace store
-    attached, ``trace_hits`` counts missing pairs replayed from disk
-    instead of compiled and ``trace_misses`` counts pairs that had to
-    compile (and were then stored) — so ``trace_misses == compiles`` on
-    store-backed executors.
+    *inputs*, so only cache misses need a program: a cache hit compiles
+    nothing, and a fully warm result cache reports ``0 kernel
+    compiles``.  A batch's misses compile each *distinct* (workload,
+    :class:`CompileSignature`) pair exactly once, in that pair's job —
+    configurations differing only in simulation-side axes share one
+    compile.  A retried job counts the compile of the attempt that
+    landed, so retries never change ``compiles``.
     ``sims_reused`` counts miss keys that landed the payload of an
     equal simulation instead of running their own: keys of one pair job
     that differ only in a ``preissue_swap_budget`` the other run's
@@ -740,8 +713,6 @@ class ExecutorStats:
     sims_executed: int = 0
     sims_reused: int = 0
     compiles: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
     sim_cycles: int = 0
     sim_events_processed: int = 0
     sim_cycles_skipped: int = 0
@@ -764,9 +735,7 @@ class ExecutorStats:
                 f"{self.cache_hits} cache hits, "
                 f"{self.cache_misses} misses, "
                 f"{self.sims_executed} simulations executed, "
-                f"{self.compiles} kernel compiles, "
-                f"{self.trace_hits} trace hits, "
-                f"{self.trace_misses} trace misses")
+                f"{self.compiles} kernel compiles")
         if self.sims_reused:
             # Its own line, only when non-zero, like the lines below.
             text += f"\nreuse: {self.sims_reused} simulations reused"
@@ -858,10 +827,6 @@ class CellExecutor:
     ``progress`` is called with a :class:`Progress` snapshot as every
     cell is finalised.
 
-    ``traces`` attaches a persistent :class:`TraceStore`: each pair job
-    consults it before compiling and writes a fresh compile back, in
-    whichever process runs the job.
-
     Resilience knobs: ``deadline_s`` arms a deadline on each pair job —
     one compile plus its cells — in pool mode a watchdog that kills the
     pool under a job observed RUNNING for longer than the deadline
@@ -882,7 +847,6 @@ class CellExecutor:
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
-                 traces: Optional[TraceStore] = None,
                  progress: Optional[ProgressCallback] = None,
                  deadline_s: Optional[float] = None,
                  retries: int = 3,
@@ -898,7 +862,6 @@ class CellExecutor:
             raise ValueError("backoff_s must be >= 0")
         self.jobs = jobs
         self.cache = cache
-        self.traces = traces
         self.progress = progress
         self.deadline_s = deadline_s
         self.retries = retries
@@ -907,9 +870,6 @@ class CellExecutor:
         #: (``repro ... --sanitize``); cells already marked stay marked.
         self.sanitize = sanitize
         self.stats = ExecutorStats()
-        #: Trace-store entries the pair jobs quarantined (they may run in
-        #: workers, so the parent's store object never sees them).
-        self._trace_quarantined = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Whether the executing batch holds a checked cell (a pool it
         #: starts pre-imports numpy for the workers to inherit).
@@ -1075,14 +1035,8 @@ class CellExecutor:
         pair_keys = list(plan.pairs.values())
 
         def land_job(pos: int, outcome: dict) -> None:
-            """Count how the job got its program, then land each key."""
-            if outcome["trace_hit"]:
-                self.stats.trace_hits += 1
-            elif outcome["compiled"]:
-                self.stats.compiles += 1
-                if self.traces is not None:
-                    self.stats.trace_misses += 1
-            self._trace_quarantined += outcome["quarantined"]
+            """Count the job's compile, then land each key."""
+            self.stats.compiles += outcome["compiled"]
             results = outcome["results"]
             for key, result in zip(pair_keys[pos], results):
                 if isinstance(result, int):
@@ -1099,8 +1053,7 @@ class CellExecutor:
 
         jobs_list: List[Job] = [
             (cells[by_key[keys[0]][0]],
-             (self.traces, tuple((key, cells[by_key[key][0]])
-                                 for key in keys)))
+             tuple((key, cells[by_key[key][0]]) for key in keys))
             for keys in pair_keys]
         self._batch_checks = any(cells[by_key[key][0]].check
                                  for keys in pair_keys for key in keys)
@@ -1131,9 +1084,9 @@ class CellExecutor:
             self.progress(progress)
 
     def _sync_store_counters(self) -> None:
-        """Mirror the stores' quarantine counters into the executor's
-        stats, so ``--cache-stats`` reports them."""
-        self.stats.cache_quarantined = self._trace_quarantined + (
+        """Mirror the result cache's quarantine counter into the
+        executor's stats, so ``--cache-stats`` reports it."""
+        self.stats.cache_quarantined = (
             self.cache.quarantined if self.cache is not None else 0)
 
     def _backoff_delay(self, label: str, pos: int, attempt: int) -> float:
@@ -1177,16 +1130,11 @@ def make_executor(jobs: int = 1, cache: bool = False,
     """Build an executor from the CLI-style knobs (--jobs / --no-cache /
     --cache-dir / --progress / --deadline / --retries / --sanitize).
 
-    ``cache=True`` wires both persistent stores, unbounded: cell results
-    at ``cache_dir`` and compiled traces under ``cache_dir/traces``.
-    ``--no-cache`` (``cache=False``) disables both — no disk is touched.
+    ``cache=True`` wires the persistent result cache, unbounded, at
+    ``cache_dir``; ``--no-cache`` (``cache=False``) touches no disk.
     """
-    from repro.compiler.store import TRACE_SUBDIR
-    root = Path(cache_dir)
     return CellExecutor(jobs=jobs,
-                        cache=ResultCache(root) if cache else None,
-                        traces=TraceStore(root / TRACE_SUBDIR) if cache
-                        else None,
+                        cache=ResultCache(cache_dir) if cache else None,
                         progress=progress, deadline_s=deadline_s,
                         retries=retries, backoff_s=backoff_s,
                         sanitize=sanitize)

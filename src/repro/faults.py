@@ -18,8 +18,8 @@ A :class:`FaultPlan` is a list of :class:`FaultSpec` triggers:
   shape the retry budget exists for;
 * **cache faults** (``cache-corrupt`` / ``cache-enospc`` /
   ``cache-readonly``) fire inside :meth:`repro.cachefs.AtomicJsonStore.
-  put`, matched by store site (``results`` / ``traces``) and gated by the
-  ordinal of the matching write.
+  put`, matched by store site (``results``, the result cache) and gated
+  by the ordinal of the matching write.
 
 The active plan propagates to pool workers through the
 :data:`FAULT_PLAN_ENV` environment variable (and, under the default
@@ -99,7 +99,7 @@ class FaultSpec:
     ``match`` is a substring filter — against the cell label for
     :data:`CELL_KINDS`, against the content key for :data:`CACHE_KINDS`
     (empty matches everything).  ``site`` narrows cache faults to one
-    store (``"results"`` / ``"traces"``).  ``attempt`` gates cell faults
+    store (``"results"``, the result cache).  ``attempt`` gates cell faults
     to specific attempt numbers (the deterministic-retry contract: a
     crash on attempt 0 with a clean attempt 1 *must* end in success);
     ``None`` fires on every attempt, which models a deterministic

@@ -260,7 +260,7 @@ def _build(op: Op, dst: Optional[int], srcs: Tuple[int, ...],
 def fingerprint_line(inst: Instruction) -> str:
     """One canonical line per instruction for content hashing.
 
-    Shared by the result cache's program fingerprint and the trace store's
+    Shared by the engine's program fingerprint and the workload's
     kernel-body fingerprint.  Uids are excluded — two builds of the same
     kernel fingerprint identically.  Scalar operands go through
     ``float.hex()`` (exact), not the 6-significant-digit display form, so

@@ -126,7 +126,7 @@ class Workload(ABC):
         Kernel body (exact, uids excluded), strip-mining shape and buffer
         layout; together with a :class:`CompileSignature` this pins the
         compiled program completely, so it is the workload half of the
-        trace store's content address.  Two instances producing the same
+        cell key's compile inputs.  Two instances producing the same
         fingerprint compile byte-identical programs.
         """
         body = self.body

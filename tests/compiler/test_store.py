@@ -1,10 +1,10 @@
-"""The persistent trace store: exact round-trips, content keys, fallbacks.
+"""The trace store: exact round-trips, content keys, fallbacks.
 
-The contract the compile-once/replay-many design rests on: a stored trace
-is *exactly* the program that was compiled — serialize -> load -> simulate
-produces byte-identical stats JSON and functional buffers versus a fresh
-compile — and any damaged or stale entry silently degrades to a recompile
-(a trace miss), never an error.
+No command uses the store; these tests cover the module while the
+benchmark ledger still hooks it.  A stored trace is *exactly* the program
+that was compiled — serialize -> load -> simulate produces byte-identical
+stats JSON and functional buffers versus a fresh compile — and any
+damaged or stale entry reads as a miss, never an error.
 """
 
 import json
@@ -16,9 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compiler.signature import CompileSignature
 from repro.compiler.store import TRACE_SCHEMA, TraceStore, trace_key
 from repro.core.config import ava_config, native_config
-from repro.experiments.engine import (Cell, CellExecutor,
-                                      program_fingerprint)
-from repro.sim.scenario import Scenario
+from repro.experiments.engine import program_fingerprint
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, get_workload
 
@@ -119,17 +117,8 @@ def test_native_and_ava_share_a_key_per_scale():
 
 
 # ---------------------------------------------------------------------------
-# damaged / stale entries degrade to recompiles, never errors
+# damaged / stale entries read as misses, never errors
 # ---------------------------------------------------------------------------
-def _warm_store_for(cell, root):
-    store = TraceStore(root)
-    workload = cell.resolve_workload()
-    compiled = workload.compile(cell.config)
-    key = store.key(workload, compiled.signature)
-    store.put_trace(key, compiled)
-    return store, key
-
-
 def _wrapped(payload: dict) -> str:
     """A properly checksummed store entry, as ``put`` would write it."""
     import hashlib
@@ -159,76 +148,39 @@ def _bitrot(path):
         {"schema": TRACE_SCHEMA - 1, "program": {}, "allocation": {}})),
 ], ids=["garbage", "truncated", "bitrot", "stale-schema", "mangled-program",
         "legacy-unwrapped"])
-def test_damaged_entries_fall_back_to_a_clean_recompile(tmp_path, damage):
-    cell = Cell("axpy", Scenario(native_config(1)))
-    store, key = _warm_store_for(cell, tmp_path / "traces")
+def test_damaged_entries_read_as_misses(tmp_path, damage):
+    store = TraceStore(tmp_path / "traces")
+    workload = get_workload("axpy")
+    compiled = workload.compile(native_config(1))
+    key = store.key(workload, compiled.signature)
+    store.put_trace(key, compiled)
     damage(store.path(key))
     assert store.load(key) is None  # a miss, not an exception
-
-    executor = CellExecutor(traces=store)
-    result = executor.run([cell])[0]
-    assert result.stats.cycles > 0
-    assert executor.stats.trace_hits == 0
-    assert executor.stats.trace_misses == 1  # counted as a miss...
-    assert executor.stats.compiles == 1  # ...and recompiled cleanly
-    # The recompile overwrote the damaged entry: the next executor hits.
-    rerun = CellExecutor(traces=TraceStore(store.root))
-    rerun.run([cell])
-    assert rerun.stats.trace_hits == 1
-    assert rerun.stats.compiles == 0
+    # A fresh put overwrites the damaged entry: the next store hits.
+    store.put_trace(key, compiled)
+    reloaded = TraceStore(store.root).load(key)
+    assert reloaded is not None
+    assert reloaded.program.to_dict() == compiled.program.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# cross-executor persistence (the whole point)
+# persistence across store instances sharing a root
 # ---------------------------------------------------------------------------
-def test_traces_persist_across_executors(tmp_path):
-    cells = [Cell("axpy", Scenario(config)) for config in MVL_GRID]
-    first = CellExecutor(traces=TraceStore(tmp_path / "traces"))
-    results = first.run(cells)
-    assert first.stats.compiles == len(MVL_GRID)
-    assert first.stats.trace_misses == len(MVL_GRID)
+def test_traces_persist_across_store_instances(tmp_path):
+    workload = get_workload("axpy")
+    first = TraceStore(tmp_path / "traces")
+    compiled = {}
+    for config in MVL_GRID:
+        fresh = workload.compile(config)
+        key = first.key(workload, fresh.signature)
+        first.put_trace(key, fresh)
+        compiled[key] = fresh
+    assert first.stats()[0] == len(MVL_GRID)
 
-    second = CellExecutor(traces=TraceStore(tmp_path / "traces"))
-    replayed = second.run(cells)
-    assert second.stats.compiles == 0
-    assert second.stats.trace_hits == len(MVL_GRID)
-    for a, b in zip(results, replayed):
-        assert (json.dumps(a.stats.to_dict(), sort_keys=True)
-                == json.dumps(b.stats.to_dict(), sort_keys=True))
-
-
-def test_pool_workers_load_traces_in_their_pair_jobs(tmp_path, monkeypatch):
-    """Over the pool, each pair job reads the store where it simulates:
-    the parent never reads the store, replays a trace or compiles."""
-    from repro.experiments import engine
-    from repro.workloads.base import Workload
-
-    cells = [Cell("axpy", Scenario(config)) for config in MVL_GRID]
-    serial = CellExecutor(traces=TraceStore(tmp_path / "traces")).run(cells)
-
-    def worker_only(name, original):
-        def guarded(*args, **kwargs):
-            if not engine._IN_POOL_WORKER:
-                raise AssertionError(f"the parent called {name}")
-            return original(*args, **kwargs)
-        return guarded
-
-    monkeypatch.setattr(TraceStore, "get",
-                        worker_only("TraceStore.get", TraceStore.get))
-    monkeypatch.setattr(Workload, "compile",
-                        worker_only("Workload.compile", Workload.compile))
-    monkeypatch.setattr(Simulator, "from_trace", classmethod(worker_only(
-        "Simulator.from_trace", Simulator.from_trace.__func__)))
-
-    def no_inline(executor, jobs_list, *rest):
-        raise AssertionError("jobs ran inline, not over the pool")
-
-    monkeypatch.setattr(engine, "run_inline", no_inline)
-    with CellExecutor(jobs=2, traces=TraceStore(tmp_path / "traces")) as pool:
-        parallel = pool.run(cells)
-        assert pool.stats.compiles == 0
-        assert pool.stats.trace_hits == len(MVL_GRID)
-        assert pool.stats.sims_executed == len(MVL_GRID)
-    for a, b in zip(serial, parallel):
-        assert (json.dumps(a.stats.to_dict(), sort_keys=True)
-                == json.dumps(b.stats.to_dict(), sort_keys=True))
+    second = TraceStore(tmp_path / "traces")
+    for key, fresh in compiled.items():
+        loaded = second.load(key)
+        assert loaded is not None
+        assert (program_fingerprint(loaded.program)
+                == program_fingerprint(fresh.program))
+    assert second.quarantined == 0

@@ -357,3 +357,22 @@ def test_chaos_triple_run_is_byte_identical(tmp_path):
     # The faulted cache quarantined its corrupted entry on the warm pass.
     quarantine = Path(tmp_path / "cache") / "chaos" / "faulted" / "quarantine"
     assert len(list(quarantine.glob("*.json"))) == 1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_chaos_counts_one_compile_per_pair_at_every_jobs(jobs, capsys,
+                                                         tmp_path):
+    """A retried pair job compiles its program again instead of replaying
+    one an earlier attempt stored, so the faulted run's engine line counts
+    one compile per pair: the smoke grid's two, at every ``--jobs``."""
+    from repro.__main__ import main
+
+    spec = Path(__file__).resolve().parents[2] / "examples" / "sweep_smoke.json"
+    code = main(["chaos", str(spec), "--seed", "7", "--deadline", "1.5",
+                 "--cache-stats", "--jobs", jobs,
+                 "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    engine_line = captured.err.splitlines()[0]
+    assert engine_line.endswith(", 2 kernel compiles"), engine_line
+    assert "resilience:" in captured.err  # the plan's faults did fire

@@ -59,31 +59,32 @@ def test_figure3_warm_cache_skips_simulation(capsys, cache_args):
 
 
 def test_figure3_warm_cache_reports_memoized_compiles(capsys, cache_args):
-    """Warm replays are keyed by compile inputs alone: zero compiles, zero
-    trace-store reads, zero simulations."""
+    """Warm replays are keyed by compile inputs alone: zero compiles and
+    zero simulations."""
     assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
     cold = capsys.readouterr().err
     # 14 chart configs collapse to 8 distinct (mvl, n_logical) signatures.
     assert "14 simulations executed, 8 kernel compiles" in cold
-    assert "8 trace misses" in cold
     assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
     err = capsys.readouterr().err
-    assert ("0 simulations executed, 0 kernel compiles, "
-            "0 trace hits, 0 trace misses") in err
-
-
-def test_warm_render_survives_a_cleared_trace_store(capsys, cache_args):
-    """A cache hit reads no trace: wiping the trace store must leave the
-    warm render byte-identical with nothing compiled or loaded."""
-    assert main(["figure3", "axpy"] + cache_args) == 0
-    cold = capsys.readouterr().out
-    assert main(["cache", "clear", "--traces"] + cache_args) == 0
-    assert "cleared 8 trace entries" in capsys.readouterr().out
-    assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
-    warm = capsys.readouterr()
-    assert warm.out == cold
     assert ("14 cache hits, 0 misses, 0 simulations executed, "
-            "0 kernel compiles, 0 trace hits, 0 trace misses") in warm.err
+            "0 kernel compiles\n") in err
+
+
+def test_cold_run_compiles_where_it_simulates_and_stores_no_trace(
+        capsys, tmp_path):
+    """Each pair job compiles its program and keeps it in memory: a cold
+    run writes results only, and the engine line ends at its compiles."""
+    cache_dir = tmp_path / "cache"
+    assert main(["figure3", "axpy", "--cache-stats",
+                 "--cache-dir", str(cache_dir)]) == 0
+    engine_line = capsys.readouterr().err.splitlines()[0]
+    # One compile per (workload, mvl, n_logical) pair: 8 for 14 charts.
+    assert engine_line.endswith(
+        "14 simulations executed, 8 kernel compiles")
+    assert "trace" not in engine_line
+    assert len(list(cache_dir.glob("*.json"))) == 14
+    assert not (cache_dir / "traces").exists()
 
 
 def test_figure3_accepts_extended_workload_names(capsys, cache_args):
@@ -250,50 +251,55 @@ def test_invalid_numeric_flags_are_usage_errors(flags, capsys, cache_args):
     assert flags[0] in capsys.readouterr().err
 
 
-def test_cache_stats_reports_both_stores(capsys, cache_args):
+def test_cache_stats_and_clear_cover_the_result_cache(capsys, cache_args):
     assert main(["figure3", "axpy"] + cache_args) == 0
     capsys.readouterr()
     assert main(["cache"] + cache_args) == 0  # bare cache == cache stats
-    out = capsys.readouterr().out
-    assert "results: 14 entries" in out
-    assert "traces: 8 entries" in out
+    assert "results: 14 entries" in capsys.readouterr().out
+    assert main(["cache", "clear"] + cache_args) == 0
+    assert capsys.readouterr().out == "cleared 14 result entries\n"
+    assert main(["cache", "stats"] + cache_args) == 0
+    assert "results: 0 entries" in capsys.readouterr().out
 
-
-def test_cache_clear_results_keeps_traces_warm(capsys, cache_args):
-    """The warm-trace workflow: wipe results, keep traces, replay with
-    zero compiles."""
+    # --results still parses (scripts pass it) and means a plain clear;
+    # the next run re-simulates and recompiles.
     assert main(["figure3", "axpy"] + cache_args) == 0
     capsys.readouterr()
     assert main(["cache", "clear", "--results"] + cache_args) == 0
-    out = capsys.readouterr().out
-    assert "cleared 14 result entries" in out
-    assert "trace entries" not in out  # --results never touches traces
-
+    assert capsys.readouterr().out == "cleared 14 result entries\n"
     assert main(["figure3", "axpy", "--cache-stats"] + cache_args) == 0
-    err = capsys.readouterr().err
-    assert "14 simulations executed, 0 kernel compiles" in err
-    assert "8 trace hits, 0 trace misses" in err
+    assert ("14 simulations executed, 8 kernel compiles"
+            in capsys.readouterr().err)
 
 
-def test_cache_clear_wipes_both_stores_by_default(capsys, cache_args):
-    assert main(["figure3", "axpy"] + cache_args) == 0
-    capsys.readouterr()
-    assert main(["cache", "clear"] + cache_args) == 0
+def test_a_leftover_trace_store_is_left_alone(capsys, tmp_path):
+    """A cache directory written while runs stored traces keeps a
+    ``traces/`` subdirectory: no command reads, counts or quarantines
+    it."""
+    cache_dir = tmp_path / "cache"
+    leftover = cache_dir / "traces" / "0123abcd.json"
+    leftover.parent.mkdir(parents=True)
+    leftover.write_text("not json {")
+    args = ["--cache-dir", str(cache_dir)]
+    assert main(["figure3", "axpy", "--cache-stats"] + args) == 0
+    assert "8 kernel compiles" in capsys.readouterr().err
+    assert main(["cache", "verify"] + args) == 0
     out = capsys.readouterr().out
-    assert "cleared 14 result entries" in out
-    assert "cleared 8 trace entries" in out
-    assert main(["cache", "stats"] + cache_args) == 0
-    out = capsys.readouterr().out
-    assert "results: 0 entries" in out
-    assert "traces: 0 entries" in out
+    assert "results: 14 entries, 14 ok, 0 quarantined" in out
+    assert "traces" not in out.replace(str(cache_dir), "")
+    assert leftover.read_text() == "not json {"  # not quarantined
+    assert main(["cache", "clear"] + args) == 0
+    assert capsys.readouterr().out == "cleared 14 result entries\n"
 
 
 def test_cache_flag_validation():
     with pytest.raises(SystemExit):
         main(["cache", "prune"])  # unknown action
     with pytest.raises(SystemExit):
-        main(["cache", "stats", "--traces"])  # flags are clear-only
+        main(["cache", "stats", "--results"])  # flags are clear-only
+    with pytest.raises(SystemExit):
+        main(["cache", "clear", "--traces"])  # there is no trace store
     with pytest.raises(SystemExit):
         main(["cache", "--no-cache"])  # contradiction
     with pytest.raises(SystemExit):
-        main(["figure3", "axpy", "--traces"])  # flags are cache-only
+        main(["figure3", "axpy", "--results"])  # flags are cache-only

@@ -597,6 +597,31 @@ def test_pool_jobs_carry_cells_not_programs(monkeypatch):
     assert finder.found == 0
     assert len(submitted) == executor.stats.compiles == 3  # one per pair
 
+def test_pool_workers_compile_in_their_pair_jobs(monkeypatch):
+    """Over the pool each pair job compiles where it simulates: the
+    parent never compiles, and no job runs inline."""
+    spec = SweepSpec(workloads=(_small_axpy(),),
+                     configs=(native_config(1), ava_config(4), ava_config(8)))
+    serial = CellExecutor().run(spec.cells())
+    compile_ = Workload.compile
+
+    def worker_only(self, target):
+        if not engine._IN_POOL_WORKER:
+            raise AssertionError("the parent called Workload.compile")
+        return compile_(self, target)
+
+    def no_inline(executor, jobs_list, *rest):
+        raise AssertionError("jobs ran inline, not over the pool")
+
+    monkeypatch.setattr(Workload, "compile", worker_only)
+    monkeypatch.setattr(engine, "run_inline", no_inline)
+    with CellExecutor(jobs=2) as pool:
+        parallel = pool.run(spec.cells())
+        assert pool.stats.compiles == pool.stats.sims_executed == 3
+    for a, b in zip(serial, parallel):
+        assert a.stats == b.stats
+
+
 def test_pool_persists_across_batches_and_closes():
     executor = CellExecutor(jobs=2)
     spec = SweepSpec(workloads=(_small_axpy(),),

@@ -80,8 +80,7 @@ def test_summary_adds_lines_only_for_what_happened(stats):
         f"engine: {stats.cells_requested} cells requested, "
         f"{stats.cache_hits} cache hits, {stats.cache_misses} misses, "
         f"{stats.sims_executed} simulations executed, "
-        f"{stats.compiles} kernel compiles, {stats.trace_hits} trace hits, "
-        f"{stats.trace_misses} trace misses")
+        f"{stats.compiles} kernel compiles")
     prefixes = [line.split(":")[0] for line in lines[1:]]
     assert ("resilience" in prefixes) == any(
         getattr(stats, name) for name in _RESILIENCE)

@@ -28,6 +28,7 @@ UNREACHED = {
     "repro.sim.golden": "oracle: the functional model the simulator's "
                         "buffers are checked against",
     "repro.sim.trace": "the equivalence suite's per-uop recorder",
+    "repro.compiler.store": "perfbench/ledger.py hooks TraceStore by name",
 }
 
 _DSL = "kernel-DSL op that README's \"Adding a workload\" offers plugins"
