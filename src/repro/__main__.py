@@ -401,6 +401,14 @@ def _cache_command(parser: argparse.ArgumentParser,
     results = ResultCache(root)
     if args.action == "clear":
         print(f"cleared {results.clear()} result entries")
+        # Earlier versions kept compiled programs beside the results;
+        # nothing reads them any more.
+        import shutil
+        from pathlib import Path
+        traces = Path(root) / "traces"
+        if traces.is_dir():
+            shutil.rmtree(traces)
+            print(f"removed the leftover trace store {traces}")
         return 0
     print(f"cache at {root}")
     if args.action == "stats":

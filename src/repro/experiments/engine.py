@@ -426,8 +426,11 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     program is alive per job and the parent never holds one.
     ``results`` has one entry per key, in job order: the cache payload,
     a :data:`Failure`, or the position of an earlier
-    key whose run this key provably equals.  A compile that raises fails
-    every key of the pair, a simulation that raises only its own key.
+    key whose run this key provably equals; ``skipped`` has the strips
+    each key's run skipped in its steady state (0 when it stepped in
+    full or did not simulate), telemetry that never enters a payload.
+    A compile that raises fails every key of the pair, a simulation
+    that raises only its own key.
     Infrastructure faults (:data:`~repro.experiments.backends._RETRYABLE`)
     propagate, so the dispatcher retries the whole job.
 
@@ -445,8 +448,9 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
     deterministic.
     """
     cell, todo, attempt = job
-    outcome: dict = {"compiled": False, "results": []}
+    outcome: dict = {"compiled": False, "results": [], "skipped": []}
     results = outcome["results"]
+    skipped = outcome["skipped"]
     with _gc_paused():
         try:
             program = cell.resolve_workload().compile(cell.config).program
@@ -455,6 +459,7 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
             raise
         except Exception as exc:  # noqa: BLE001 — fails this pair's keys
             results.extend([_failure(exc)] * len(todo))
+            skipped.extend([0] * len(todo))
             return outcome
         # Budget group -> (demand, position) of its simulated key with the
         # smallest swap-budget demand; a bound run's demand is infinite.
@@ -471,6 +476,7 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
                                    in_worker=_IN_POOL_WORKER)
                 if equal is not None and equal[0] <= budget:
                     results.append(equal[1])
+                    skipped.append(0)
                     continue
                 result = _run_cell(key_cell, program, run)
             except _RETRYABLE:
@@ -480,6 +486,7 @@ def _run_pair(job: Tuple[Cell, PairWork, int]) -> dict:
             if run and (equal is None or run["swap_demand"] < equal[0]):
                 reusable[group] = (run["swap_demand"], pos)
             results.append(result)
+            skipped.append(run.get("strips_skipped", 0))
     return outcome
 
 
@@ -487,7 +494,9 @@ def _run_cell(cell: Cell, program: Program, run: dict) -> dict:
     """Simulate one cell on its pair's program; returns its cache payload.
 
     ``run`` receives the run's telemetry, which never enters the payload:
-    its ``swap_demand`` once the simulation has finished.
+    its ``swap_demand`` and the strips its steady-state extrapolation
+    skipped (:attr:`~repro.vpu.pipeline.VectorPipeline.steady`) once the
+    simulation has finished.
 
     Timing does not depend on data values (a gather is charged its
     worst-case one-line-per-element pattern), so a timing-only cell
@@ -528,6 +537,8 @@ def _run_cell(cell: Cell, program: Program, run: dict) -> dict:
 
     energy = McPatModel().energy(cell.config, result.stats)
     run["swap_demand"] = sim.pipeline.swap_demand
+    if sim.pipeline.steady is not None:
+        run["strips_skipped"] = sim.pipeline.steady[2]
     return {
         "schema": CACHE_SCHEMA,
         "stats": result.stats.to_dict(),
@@ -704,6 +715,9 @@ class ExecutorStats:
     ``sim_*`` counters aggregate the event-driven scheduler's efficiency
     over the simulations this executor actually ran (cache hits replay
     stored results and reused payloads schedule nothing).
+    ``sims_extrapolated`` counts the executed simulations that skipped
+    whole steady-state strip periods (:mod:`repro.vpu.steady`), and
+    ``strips_skipped`` the strips they skipped.
     """
 
     cells_requested: int = 0
@@ -712,6 +726,8 @@ class ExecutorStats:
     cells_failed: int = 0
     sims_executed: int = 0
     sims_reused: int = 0
+    sims_extrapolated: int = 0
+    strips_skipped: int = 0
     compiles: int = 0
     sim_cycles: int = 0
     sim_events_processed: int = 0
@@ -739,6 +755,9 @@ class ExecutorStats:
         if self.sims_reused:
             # Its own line, only when non-zero, like the lines below.
             text += f"\nreuse: {self.sims_reused} simulations reused"
+        if self.sims_extrapolated:
+            text += (f"\nsteady: {self.sims_extrapolated} simulations "
+                     f"extrapolated, {self.strips_skipped} strips skipped")
         if self.retries or self.timeouts or self.cache_quarantined:
             # On its own line, only when something resilience-related
             # actually happened: the first line's wording is an interface
@@ -1004,13 +1023,18 @@ class CellExecutor:
         self.stats.cells_failed += progress.failed
         self._emit(progress)
 
-        def land(key: str, payload: dict, reused: bool = False) -> None:
-            """Finalise one key's payload, simulated or reused from the
-            run it provably equals: cache first, then materialise."""
+        def land(key: str, payload: dict, reused: bool = False,
+                 skipped: int = 0) -> None:
+            """Finalise one key's payload, simulated (skipping
+            ``skipped`` steady-state strips) or reused from the run it
+            provably equals: cache first, then materialise."""
             if reused:
                 self.stats.sims_reused += 1
             else:
                 self.stats.sims_executed += 1
+                if skipped:
+                    self.stats.sims_extrapolated += 1
+                    self.stats.strips_skipped += skipped
                 sim_stats = payload["stats"]
                 self.stats.sim_cycles += sim_stats["cycles"]
                 self.stats.sim_events_processed += (
@@ -1038,11 +1062,12 @@ class CellExecutor:
             """Count the job's compile, then land each key."""
             self.stats.compiles += outcome["compiled"]
             results = outcome["results"]
-            for key, result in zip(pair_keys[pos], results):
+            for key, result, skipped in zip(pair_keys[pos], results,
+                                            outcome["skipped"]):
                 if isinstance(result, int):
                     land(key, results[result], reused=True)
                 elif isinstance(result, dict):
-                    land(key, result)
+                    land(key, result, skipped=skipped)
                 else:
                     fail(key, result)
 

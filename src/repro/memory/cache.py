@@ -128,6 +128,16 @@ class Cache:
         stats.writebacks += writebacks
         return misses
 
+    def holds(self, addrs: Iterable[int]) -> bool:
+        """True when every byte address in ``addrs`` lies in a resident
+        line.  A probe only: no recency, dirty bit or counter changes."""
+        line_bytes, n_sets, sets = self._line_bytes, self._n_sets, self._sets
+        for addr in addrs:
+            line = addr // line_bytes
+            if line // n_sets not in sets[line % n_sets]:
+                return False
+        return True
+
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines flushed."""
         dirty = 0

@@ -22,7 +22,13 @@ VPU_HZ = 1_000_000_000
 
 @dataclass
 class SimStats:
-    """Counters accumulated over one simulation run."""
+    """Counters accumulated over one simulation run.
+
+    The event counters, ``events_processed``, ``cycles_skipped`` and
+    ``spans_charged`` included, are the full stepper's counts: where the
+    scheduler skips whole steady-state periods (:mod:`repro.vpu.steady`)
+    it adds each period's increments instead of stepping them.
+    """
 
     cycles: int = 0
     committed: int = 0

@@ -43,6 +43,18 @@ jumped ones (a no-progress probe is evaluated and then jumped over, so
 (``tests/vpu/test_pipeline_equivalence.py``) enforces all of this across
 every registered workload and a grid of machine configurations.
 
+*Steady state.*  A run that is timing-only, unsanitized, has no
+:class:`~repro.sim.trace.TraceRecorder` attached and runs on a
+single-level machine snapshots the machine each time fetch passes a
+strip's scalar block.  Once :mod:`repro.vpu.steady` proves that a period
+of strips repeats (equal snapshots, a repeating program, every line the
+rest of the program touches resident in the L2), ``run`` skips whole
+periods at once: it adds each period's counter increments, advances the
+program and keeps a cycle offset, then steps the rest.  Every
+:class:`~repro.sim.stats.SimStats` field still equals the reference
+stepper's.  The per-uop issue timeline is defined only for runs that step
+in full, which is why a recorder makes a run do so.
+
 When no future event exists while instructions remain, the pipeline raises
 :class:`DeadlockError` with a diagnostic dump (the dependency-ordering
 invariant in :mod:`repro.core.uop` makes this unreachable for well-formed
@@ -231,6 +243,9 @@ class PipelineModel:
         self._queued_swaps: List[MicroOp] = []
 
         self.now = 0
+        #: Cycles a steady-state jump skipped (:mod:`repro.vpu.steady`):
+        #: while a run is in progress the true cycle is ``now`` plus this.
+        self._cycle_offset = 0
         self.stats = SimStats(config_name=config.name,
                               program_name=program.name)
 
@@ -572,8 +587,8 @@ class PipelineModel:
 
     def _dump(self) -> str:
         lines = [
-            f"pipeline deadlock at cycle {self.now} running "
-            f"{self.program.name} on {self.config.name}",
+            f"pipeline deadlock at cycle {self.now + self._cycle_offset}"
+            f" running {self.program.name} on {self.config.name}",
             f"committed {self.rob.total_committed}/{self._to_commit}",
             f"PFRL free={self.mapping.free_count}  "
             f"FRL free={self.rat.free_count}  ROB={self.rob.occupancy}",
@@ -610,6 +625,10 @@ class VectorPipeline(PipelineModel):
         #: never bound is the same run at every budget >= its demand,
         #: since nothing but those checks reads the budget.
         self.swap_demand: float = 0
+        #: ``(warm-up strips, period in strips, strips skipped)`` once a
+        #: run extrapolated its steady state (:mod:`repro.vpu.steady`);
+        #: None while it stepped in full.
+        self.steady: Optional[Tuple[int, int, int]] = None
         self._arith_dead = self.params.arith_dead_time
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
@@ -664,6 +683,8 @@ class VectorPipeline(PipelineModel):
         interval accrues is charged — the span-charging replay — and the
         stage body is never entered.  When no gate holds or every entered
         stage reports a stall, the clock jumps straight to the next event.
+        On a run the steady-state tracker accepts, whole strip periods
+        it has proven to repeat are skipped (module docstring).
         """
         stats = self.stats
         rob = self.rob
@@ -693,13 +714,46 @@ class VectorPipeline(PipelineModel):
         skipped = 0  # cycles jumped over
         spans = 0  # jumps
         now = self.now
+        # Steady-state extrapolation (repro.vpu.steady) on runs whose
+        # every step it can prove: timing-only, unsanitized, unrecorded,
+        # single-level.  ``boundary`` is the next strip's scalar block;
+        # once dispatch has fetched past it (``crossed``), the tracker
+        # snapshots the machine at the top of the next cycle.
+        steady = None
+        boundary = self._n_insts
+        crossed = False
+        if not (self.functional or self._san is not None
+                or self.config.two_level or "_finish_issue" in vars(self)):
+            from repro.vpu.steady import SteadyState
+            steady = SteadyState(self, max_cycles)
+            boundary = steady.boundary
+        limit = max_cycles  # less the cycles jumps skipped
         try:
             while rob.total_committed < to_commit:
-                if now > max_cycles:
+                if now > limit:
                     raise RuntimeError(
                         f"simulation exceeded {max_cycles} cycles "
-                        f"(now={now}, {rob.total_committed}/"
-                        f"{to_commit} committed)")
+                        f"(now={now + self._cycle_offset}, "
+                        f"{rob.total_committed}/{to_commit} committed)")
+                if crossed:
+                    crossed = False
+                    jump = steady.at_boundary(
+                        now, (events, writer_stalls, queue_stalls,
+                              rob_stalls, frl_stalls, skipped, spans))
+                    boundary = steady.boundary
+                    if jump is not None:
+                        # n periods skipped: the tracker advanced the
+                        # program and every counter outside this frame.
+                        n, (d_events, d_writer, d_queue, d_rob, d_frl,
+                            d_skipped, d_spans) = jump
+                        events += n * d_events
+                        writer_stalls += n * d_writer
+                        queue_stalls += n * d_queue
+                        rob_stalls += n * d_rob
+                        frl_stalls += n * d_frl
+                        skipped += n * d_skipped
+                        spans += n * d_spans
+                        limit = max_cycles - self._cycle_offset
                 events += 1
                 progress = False
                 if rob_entries and rob_entries[0].state is done_state:
@@ -808,6 +862,8 @@ class VectorPipeline(PipelineModel):
                         progress |= self._rename()
                 if now >= self._dispatch_wake:  # _NEVER once all fetched
                     progress |= self._dispatch()
+                    if self._fetch_idx > boundary:
+                        crossed = True
                 if progress:
                     self.now = now = now + 1
                 else:
@@ -828,6 +884,9 @@ class VectorPipeline(PipelineModel):
             stats.rename_frl_stalls += frl_stalls
             stats.cycles_skipped += skipped
             stats.spans_charged += spans
+            # Every exit reports the true cycle.
+            self.now += self._cycle_offset
+            self._cycle_offset = 0
         self._harvest()
         if self._san is not None:
             self._san.on_run_end(self.stats)

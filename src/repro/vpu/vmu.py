@@ -27,9 +27,10 @@ Beat accounting:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.isa.instructions import Instruction
+from repro.isa.operands import MemOperand
 from repro.isa.registers import ELEMENT_BYTES
 from repro.memory.hierarchy import MemorySystem
 from repro.sim.layout import MemoryLayout
@@ -40,6 +41,26 @@ _LINE = 64
 #: A plain tuple: the pipeline unpacks one per issued memory uop, and a
 #: record class would cost a construction each.
 AccessPlan = Tuple[int, int, int]
+
+
+def access_stream(mem: MemOperand, base: int,
+                  vl: int) -> Tuple[int, Sequence[int]]:
+    """The interface beats and the byte-address stream of ``vl`` elements
+    of ``mem`` starting at byte address ``base``: one address per beat."""
+    if mem.indexed:
+        # Deterministic worst case: one distinct line per element, so the
+        # line-address sequence is an arithmetic progression.
+        return vl, range(base, base + vl * _LINE, _LINE)
+    if mem.stride == 1:
+        first = base // _LINE
+        last = (base + vl * ELEMENT_BYTES - 1) // _LINE
+        return (last - first + 1,
+                range(first * _LINE, (last + 1) * _LINE, _LINE))
+    step = mem.stride * ELEMENT_BYTES
+    if step:
+        return vl, range(base, base + vl * step, step)
+    # Degenerate stride: every element hits the same address.
+    return vl, (base,) * vl
 
 
 class VectorMemoryUnit:
@@ -71,29 +92,9 @@ class VectorMemoryUnit:
         """
         mem = inst.mem
         assert mem is not None, "memory instruction without operand"
-        write = inst.is_store
-        base = self.layout.base_addr(mem)
-        vl = inst.vl
-
-        if mem.indexed:
-            # Deterministic worst case: one distinct line per element, so
-            # the line-address sequence is an arithmetic progression.
-            addrs = range(base, base + vl * _LINE, _LINE)
-            beats = vl
-        elif mem.stride == 1:
-            first = base // _LINE
-            last = (base + vl * ELEMENT_BYTES - 1) // _LINE
-            beats = last - first + 1
-            addrs = range(first * _LINE, (last + 1) * _LINE, _LINE)
-        else:
-            step = mem.stride * ELEMENT_BYTES
-            beats = vl
-            if step:
-                addrs = range(base, base + vl * step, step)
-            else:  # degenerate stride: every element hits the same address
-                addrs = (base,) * vl
-
-        misses = self.memsys.vector_lines(addrs, write)
+        beats, addrs = access_stream(mem, self.layout.base_addr(mem),
+                                     inst.vl)
+        misses = self.memsys.vector_lines(addrs, inst.is_store)
         if misses:
             return beats, misses * self._line_transfer, self._dram_latency
         return beats, 0, 0

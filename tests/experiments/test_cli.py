@@ -274,8 +274,8 @@ def test_cache_stats_and_clear_cover_the_result_cache(capsys, cache_args):
 
 def test_a_leftover_trace_store_is_left_alone(capsys, tmp_path):
     """A cache directory written while runs stored traces keeps a
-    ``traces/`` subdirectory: no command reads, counts or quarantines
-    it."""
+    ``traces/`` subdirectory: no simulation or ``cache verify`` reads,
+    counts or quarantines it, and ``cache clear`` removes it."""
     cache_dir = tmp_path / "cache"
     leftover = cache_dir / "traces" / "0123abcd.json"
     leftover.parent.mkdir(parents=True)
@@ -288,8 +288,16 @@ def test_a_leftover_trace_store_is_left_alone(capsys, tmp_path):
     assert "results: 14 entries, 14 ok, 0 quarantined" in out
     assert "traces" not in out.replace(str(cache_dir), "")
     assert leftover.read_text() == "not json {"  # not quarantined
+    assert main(["figure3", "axpy", "--cache-stats"] + args) == 0
+    assert "14 cache hits" in capsys.readouterr().err
+    assert leftover.read_text() == "not json {"
     assert main(["cache", "clear"] + args) == 0
-    assert capsys.readouterr().out == "cleared 14 result entries\n"
+    assert capsys.readouterr().out == (
+        "cleared 14 result entries\n"
+        f"removed the leftover trace store {cache_dir / 'traces'}\n")
+    assert not leftover.parent.exists()
+    assert main(["cache", "clear"] + args) == 0
+    assert capsys.readouterr().out == "cleared 0 result entries\n"
 
 
 def test_cache_flag_validation():
