@@ -53,6 +53,10 @@ class SwapLogic:
         # replaces.
         self._allocation_order: dict[int, None] = {}
         self._rr_pointer = 0
+        #: Decisions a VVR id settled (a victim whose rank ties without
+        #: it, a reclaim or FIFO fallback among several candidates), while
+        #: :mod:`repro.vpu.steady` watches; None otherwise.
+        self.ties: Optional[int] = None
 
     # -- bookkeeping hooks (called by the pipeline) ------------------------------
     # Allocation order is only ever read by the FIFO policy, so the other
@@ -71,12 +75,18 @@ class SwapLogic:
     def reclaimable_vvr(self, excluded: Iterable[int] = ()) -> Optional[int]:
         """A resident VVR with RAC == 0 and valid data (free without store)."""
         banned = set(excluded)
+        found = None
         for vvr in self.mapping.resident_vvrs():
             if vvr in banned:
                 continue
             if self.rac.is_reclaimable(vvr) and self.vrf.is_valid(vvr):
-                return vvr
-        return None
+                if found is not None:
+                    self.ties += 1  # the lowest id wins
+                    break
+                found = vvr
+                if self.ties is None:
+                    break
+        return found
 
     # -- victim selection --------------------------------------------------------------
     def select_victim(self, excluded: Sequence[int],
@@ -122,18 +132,22 @@ class SwapLogic:
             # One set per ranking, however the caller holds the RAT.
             live = set(rat_live) if rat_live is not None else frozenset()
 
-            def rank(vvr: int) -> tuple:
-                return (queued(vvr),  # False sorts first: no reload pressure
-                        not clean(vvr),  # clean eviction costs no store
-                        vvr in live,  # dead values are free of future loads
-                        self.rac.count(vvr),
-                        vvr)
-
-            return min(candidates, key=rank)
+            # The first of equal ranks wins: candidates ascend, so the
+            # lowest VVR id breaks a tie.
+            ranks = [(queued(vvr),  # False sorts first: no reload pressure
+                      not clean(vvr),  # clean eviction costs no store
+                      vvr in live,  # dead values are free of future loads
+                      self.rac.count(vvr)) for vvr in candidates]
+            best = min(ranks)
+            if self.ties is not None and ranks.count(best) > 1:
+                self.ties += 1
+            return candidates[ranks.index(best)]
         if self.policy is VictimPolicy.FIFO:
             for vvr in self._allocation_order:
                 if vvr in candidates:
                     return vvr
+            if self.ties is not None and len(candidates) > 1:
+                self.ties += 1
             return candidates[0]
         # Round-robin: rotating pointer over the VVR index space.
         ordered = sorted(candidates)

@@ -138,6 +138,18 @@ class Cache:
                 return False
         return True
 
+    def fits(self, addrs: Iterable[int]) -> bool:
+        """True when filling every line of ``addrs`` would evict nothing
+        (a probe, like :meth:`holds`)."""
+        line_bytes, n_sets, sets = self._line_bytes, self._n_sets, self._sets
+        absent: Dict[int, set] = {}
+        for addr in addrs:
+            line = addr // line_bytes
+            if line // n_sets not in sets[line % n_sets]:
+                absent.setdefault(line % n_sets, set()).add(line)
+        return all(len(sets[s]) + len(lines) <= self._assoc
+                   for s, lines in absent.items())
+
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines flushed."""
         dirty = 0

@@ -44,13 +44,14 @@ jumped ones (a no-progress probe is evaluated and then jumped over, so
 every registered workload and a grid of machine configurations.
 
 *Steady state.*  A run that is timing-only, unsanitized, has no
-:class:`~repro.sim.trace.TraceRecorder` attached and runs on a
-single-level machine snapshots the machine each time fetch passes a
-strip's scalar block.  Once :mod:`repro.vpu.steady` proves that a period
-of strips repeats (equal snapshots, a repeating program, every line the
-rest of the program touches resident in the L2), ``run`` skips whole
-periods at once: it adds each period's counter increments, advances the
-program and keeps a cycle offset, then steps the rest.  Every
+:class:`~repro.sim.trace.TraceRecorder` attached and does not evict
+round-robin snapshots the machine each time fetch passes a strip's
+scalar block.  Once :mod:`repro.vpu.steady` proves that a period of
+strips repeats (equal snapshots up to a relabelling of register ids, a
+repeating program, no register id breaking a tie, every line the rest of
+the program touches resident in the L2), ``run`` skips whole periods at
+once: it adds each period's counter increments, relabels the registers,
+advances the program and keeps a cycle offset, then steps the rest.  Every
 :class:`~repro.sim.stats.SimStats` field still equals the reference
 stepper's.  The per-uop issue timeline is defined only for runs that step
 in full, which is why a recorder makes a run do so.
@@ -632,6 +633,9 @@ class VectorPipeline(PipelineModel):
         self._arith_dead = self.params.arith_dead_time
         self._chain_delay = self.params.chain_issue_delay
         self._fifo_policy = self.swap_logic.policy is VictimPolicy.FIFO
+        # Its pointer compares VVR ids, so such a run steps in full.
+        self._round_robin = (self.config.two_level and self.swap_logic.policy
+                             is VictimPolicy.ROUND_ROBIN)
         self._dispatch_depth = self.params.dispatch_queue_depth
         self._scalar_ratio = self.params.scalar_clock_ratio
         self._hand_off = (self.params.dispatch_scalar_cycles
@@ -716,14 +720,14 @@ class VectorPipeline(PipelineModel):
         now = self.now
         # Steady-state extrapolation (repro.vpu.steady) on runs whose
         # every step it can prove: timing-only, unsanitized, unrecorded,
-        # single-level.  ``boundary`` is the next strip's scalar block;
+        # not round-robin.  ``boundary`` is the next strip's scalar block;
         # once dispatch has fetched past it (``crossed``), the tracker
         # snapshots the machine at the top of the next cycle.
         steady = None
         boundary = self._n_insts
         crossed = False
         if not (self.functional or self._san is not None
-                or self.config.two_level or "_finish_issue" in vars(self)):
+                or self._round_robin or "_finish_issue" in vars(self)):
             from repro.vpu.steady import SteadyState
             steady = SteadyState(self, max_cycles)
             boundary = steady.boundary

@@ -7,7 +7,9 @@ here are set up the way the engine runs a figure cell (timing-only, warm
 caches, no recorder), so the skip actually happens, and every run must
 give the reference's full statistics.  ``sim_digests.json`` runs with
 cold caches and the equivalence suite attaches a recorder, so neither
-exercises the skip.
+exercises the skip.  On a two-level machine a jump also renames the
+registers; equal statistics can hide a wrong renaming, so the machine
+state after each jump is compared with the full stepper's as well.
 """
 
 import json
@@ -16,14 +18,16 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import ava_config, get_machine
+from repro.core.swap import VictimPolicy
 from repro.experiments.configs import figure3_series
 from repro.isa.operands import AddressSpace, MemOperand
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import CellPolicy, Scenario
 from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceRecorder
+from repro.vpu import steady
 from repro.vpu.pipeline import VectorPipeline
 from repro.vpu.reference import ReferencePipeline
-from repro.vpu.steady import SteadyState
+from repro.vpu.steady import KIND, SteadyState, _field_names
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
 #: Strips per run: enough for lavamd's 12-strip period to repeat after its
@@ -31,8 +35,7 @@ from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 #: strip is a half one, so the program stops repeating before it ends.
 STRIPS = 32
 
-SINGLE_LEVEL = [config for config in figure3_series()
-                if not config.two_level]
+TWO_LEVEL = [config for config in figure3_series() if config.two_level]
 
 
 def _program(name, config, strips=STRIPS):
@@ -41,24 +44,33 @@ def _program(name, config, strips=STRIPS):
     return workload.compile(config).program
 
 
-def _warm(cls, scenario, program, **kwargs):
+def _warm(cls, scenario, program, mvrf=False, **kwargs):
     """A pipeline of ``cls`` whose L2 holds the program's data, as
-    :meth:`Simulator.warm_caches` leaves an engine cell's."""
+    :meth:`Simulator.warm_caches` leaves an engine cell's; with ``mvrf``,
+    every VVR's M-VRF slot as well."""
     sim = Simulator(scenario, program)
-    sim.pipeline = cls(scenario, program, **kwargs)
+    pipe = sim.pipeline = cls(scenario, program, **kwargs)
     sim.warm_caches()
-    return sim.pipeline
+    if mvrf:
+        config, layout = scenario.machine, pipe.layout
+        base = layout.base_addr(layout.mvrf_operand(0))
+        pipe.memsys.l2.access_lines(
+            range(base, base + config.n_vvr * config.mvl * 8, 64))
+        pipe.memsys.reset_stats()
+    return pipe
 
 
 def _stats_json(pipe) -> str:
     return json.dumps(pipe.stats.to_dict(), sort_keys=True)
 
 
-def _run_both(config, program, max_cycles=200_000_000):
+def _run_both(config, program, max_cycles=200_000_000, scenario=None,
+              mvrf=False):
     """Run both pipelines warm; each pipeline with its error text."""
     outcomes = []
     for cls in (ReferencePipeline, VectorPipeline):
-        pipe = _warm(cls, Scenario(machine=config), program)
+        pipe = _warm(cls, scenario or Scenario(machine=config), program,
+                     mvrf)
         try:
             pipe.run(max_cycles=max_cycles)
             error = None
@@ -68,13 +80,21 @@ def _run_both(config, program, max_cycles=200_000_000):
     return outcomes
 
 
-@pytest.mark.parametrize("config", SINGLE_LEVEL, ids=lambda c: c.name)
+@pytest.mark.parametrize("config", figure3_series(), ids=lambda c: c.name)
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)
 def test_extrapolated_runs_match_the_reference(name, config):
     program = _program(name, config)
     (ref, _), (pipe, _) = _run_both(config, program)
     assert _stats_json(pipe) == _stats_json(ref)
     assert pipe.now == ref.now
+    if config.two_level and pipe.steady is not None:
+        # The reference keeps no swap demand; a recorded run steps in
+        # full on the same scheduler.
+        full = _warm(VectorPipeline, Scenario(machine=config), program)
+        TraceRecorder(full)
+        full.run()
+        assert full.steady is None
+        assert pipe.swap_demand == full.swap_demand
 
 
 @pytest.mark.parametrize("name, machine, steady", [
@@ -82,6 +102,8 @@ def test_extrapolated_runs_match_the_reference(name, config):
     ("particlefilter", "native-x1", (3, 4, 24)),
     ("lavamd", "native-x1", (3, 12, 12)),
     ("swaptions", "rg-lmul2", (2, 6, 18)),
+    ("particlefilter", "ava-x2", (3, 4, 24)),
+    ("somier", "ava-x8", (4, 4, 20)),
 ])
 def test_named_cells_extrapolate(name, machine, steady):
     """Keeps the comparison above from passing vacuously: these cells do
@@ -96,17 +118,24 @@ def test_named_cells_extrapolate(name, machine, steady):
 def test_every_tracked_field_is_classified():
     """An unclassified field is compared literally (and a container field
     cannot be, which makes every run step in full), so a new pipeline
-    field must be given a kind in steady.KIND."""
-    config = get_machine("native-x1")
-    tracker = SteadyState(VectorPipeline(config, _program("axpy", config)),
-                          max_cycles=1)
-    assert tracker.literals == []
-    assert tracker.uop_literals == []
+    field must be given a kind in steady.KIND.  A two-level run also
+    tracks the RAC and the Swap Logic."""
+    for machine in ("native-x1", "ava-x2"):
+        config = get_machine(machine)
+        pipe = VectorPipeline(config, _program("axpy", config))
+        tracker = SteadyState(pipe, max_cycles=1)
+        assert tracker.literals == []
+        assert tracker.uop_literals == []
+    for obj in (pipe.rac, pipe.swap_logic):
+        assert set(_field_names(obj)) <= set(KIND[type(obj).__name__])
+    assert (pipe.swap_logic, "ties") in tracker.counters
 
 
 def test_runs_the_skip_cannot_prove_step_in_full():
-    """Two-level, functional, sanitized and recorded runs never skip; the
-    same single-level run without those does."""
+    """Functional, sanitized, recorded and round-robin runs never skip,
+    nor does a run whose every strip breaks a tie by VVR id; each gives
+    the statistics it gives stepping in full.  The same runs without
+    those do skip, on a single-level and on a two-level machine."""
     program = _program("particlefilter", get_machine("native-x1"))
     scenario = Scenario(machine=get_machine("native-x1"))
     plain = _warm(VectorPipeline, scenario, program)
@@ -126,7 +155,111 @@ def test_runs_the_skip_cannot_prove_step_in_full():
     pipe = _warm(VectorPipeline, Scenario(machine=two_level),
                  _program("particlefilter", two_level))
     pipe.run()
-    assert pipe.steady is None
+    assert pipe.steady is not None
+    round_robin = Scenario(machine=two_level, policy=CellPolicy(
+        victim_policy=VictimPolicy.ROUND_ROBIN))
+    # blackscholes breaks a tie by id in every strip from the third on
+    # (on AVA X3 only reclaims, which no other proof refuses).
+    for config, name, scenario in (
+            (two_level, "particlefilter", round_robin),
+            (ava_config(3), "blackscholes", None),
+            (ava_config(4), "blackscholes", None)):
+        # Every boundary encoded, not only those outside a streak of
+        # tie-breaking strips: the witness alone must refuse.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(steady, "_STREAK", 1 << 30)
+            (ref, _), (pipe, _) = _run_both(
+                config, _program(name, config), scenario=scenario)
+        assert pipe.steady is None, name
+        assert _stats_json(pipe) == _stats_json(ref)
+
+
+#: somier on AVA X8 without reclamation swaps in its steady state.
+_SWAPPING = Scenario(machine=ava_config(8), policy=CellPolicy(
+    aggressive_reclamation=False))
+
+
+@pytest.mark.parametrize("mvrf", [False, True], ids=["cold", "warm"])
+def test_a_period_that_swaps_needs_every_mvrf_slot_resident(mvrf):
+    """A skipped period's swap ops address other VVRs' M-VRF slots than
+    the period's did, so a period that swapped is skipped only while
+    every slot's lines are resident: with a cold M-VRF the run steps in
+    full, with a warm one it skips, and both give the reference's
+    statistics."""
+    config = _SWAPPING.machine
+    (ref, _), (pipe, _) = _run_both(config, _program("somier", config),
+                                    scenario=_SWAPPING, mvrf=mvrf)
+    assert _stats_json(pipe) == _stats_json(ref)
+    assert pipe.stats.swap_insts > 0
+    assert (pipe.steady is not None) is mvrf
+
+
+def _literal_state(pipe):
+    """What a jump renames, literally: every id-indexed structure the
+    Swap Mechanism and the pipeline read, and each ROB uop's ids."""
+    mapping, vrf = pipe.mapping, pipe.vrf
+    return (list(pipe.rat._rat), list(pipe.rat._frl), list(mapping._prmt),
+            list(mapping._vrlt), list(mapping._pfrl), list(mapping._owner),
+            list(mapping._in_mvrf), list(vrf._valid),
+            sorted(vrf._mvrf_valid), list(pipe.rac._counts),
+            sorted(pipe._pending_writer), sorted(pipe._vvr_queued_readers),
+            [(u.src_vvrs, u.dst_vvr, u.old_dst_vvr, u.src_pregs, u.dst_preg)
+             for u in pipe.rob._entries])
+
+
+def _boundary_states(scenario, program, monkeypatch, jump, mvrf=False):
+    """The literal state at the top of every boundary cycle after the
+    first jump (with ``jump`` false, of every boundary: the tracker then
+    proves no period), by strips fetched; and the run's steady state."""
+    states = {}
+    at_boundary = SteadyState.at_boundary
+
+    def record(tracker, now, local_counts):
+        pipe = tracker.pipe
+        if not jump or pipe.steady is not None:
+            strips = sum(1 for pos in tracker.blocks
+                         if pos < pipe._fetch_idx)
+            states[strips] = _literal_state(pipe)
+        return at_boundary(tracker, now, local_counts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SteadyState, "at_boundary", record)
+        if not jump:
+            patch.setattr(SteadyState, "_periods", lambda *args: 0)
+        pipe = _warm(VectorPipeline, scenario, program, mvrf)
+        pipe.run()
+    return states, pipe.steady
+
+
+def test_the_state_after_a_jump_is_the_full_steppers(monkeypatch):
+    """After a jump the tail may break ties by VVR id again, which is
+    sound only if the jump renamed every register exactly as stepping
+    would have: at each boundary after it, the RAT, free lists, mapping,
+    valid bits, M-VRF set, RAC, side-table keys and ROB uops' ids equal
+    the full stepper's at the same strip.  Besides the figure cells,
+    runs that swap in their steady state (FIFO and RAC-min eviction,
+    warm M-VRF) rename swap ops in flight."""
+    runs = [(Scenario(machine=config), name, False)
+            for config in TWO_LEVEL for name in WORKLOAD_NAMES]
+    runs += [(_SWAPPING, "somier", True),
+             (Scenario(machine=ava_config(4), policy=CellPolicy(
+                 VictimPolicy.FIFO, aggressive_reclamation=False)),
+              "blackscholes", True)]
+    compared = 0
+    for scenario, name, mvrf in runs:
+        program = _program(name, scenario.machine)
+        jumped, skipped = _boundary_states(scenario, program, monkeypatch,
+                                           True, mvrf)
+        if skipped is None:
+            continue
+        full, stepped = _boundary_states(scenario, program, monkeypatch,
+                                         False, mvrf)
+        assert stepped is None
+        for strips, state in jumped.items():
+            assert state == full[strips], (name, scenario.machine.name,
+                                           strips)
+            compared += 1
+    assert compared >= 30
 
 
 def test_a_line_the_l2_lacks_ahead_stops_the_skip():
