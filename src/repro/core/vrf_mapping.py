@@ -22,8 +22,8 @@ from typing import Deque, List, Optional
 class VRFMapping:
     """PRMT + VRLT + PFRL over ``n_vvr`` VVRs and ``n_physical`` P-regs."""
 
-    __slots__ = ("n_vvr", "n_physical", "vvr_version", "stamp", "_prmt",
-                 "_vrlt", "_pfrl", "_owner", "_in_mvrf", "sanitizer")
+    __slots__ = ("n_vvr", "n_physical", "vvr_version", "_prmt", "_vrlt",
+                 "_pfrl", "_owner", "_in_mvrf", "sanitizer")
 
     def __init__(self, n_vvr: int, n_physical: int) -> None:
         if n_physical < 1:
@@ -33,19 +33,14 @@ class VRFMapping:
         self.n_vvr = n_vvr
         self.n_physical = n_physical
         #: Per-VVR residency version, bumped by every transition method
-        #: here (allocate / evict / release); the pipeline memoizes stalled
-        #: probes against exactly the VVRs they depend on.  Versions only
-        #: ever increase, so a sum over a fixed VVR set is unchanged iff
-        #: every member is unchanged.  The scheduler's inlined allocate and
-        #: release bump it only on a two-level machine: a single-level one
-        #: never moves a uop's sources, so nothing there reads it.
+        #: here (allocate / evict / release).  The pipeline's stall memos
+        #: revalidate by re-summing the versions of exactly the VVRs they
+        #: depend on: versions only ever increase, so a sum over a fixed
+        #: VVR set is unchanged iff every member is unchanged.  The
+        #: scheduler's inlined allocate and release bump it only on a
+        #: two-level machine: a single-level one never moves a uop's
+        #: sources, so nothing there reads it.
         self.vvr_version: List[int] = [0] * n_vvr
-        #: Global transition counter, bumped wherever a version is (any
-        #: VVR's allocate / evict / release).  An unchanged stamp proves
-        #: every per-VVR version sum is unchanged, so the scheduler can
-        #: revalidate whole memoized stall outcomes in O(1) instead of
-        #: re-summing versions over each uop's source set.
-        self.stamp: int = 0
         self._prmt: List[Optional[int]] = [None] * n_vvr
         self._vrlt: List[bool] = [False] * n_vvr
         self._pfrl: Deque[int] = deque(range(n_physical))
@@ -98,7 +93,6 @@ class VRFMapping:
         self._in_mvrf[vvr] = False
         self._owner[preg] = vvr
         self.vvr_version[vvr] += 1
-        self.stamp += 1
         if self.sanitizer is not None:
             self.sanitizer.on_map_alloc(vvr, preg)
         return preg
@@ -112,7 +106,6 @@ class VRFMapping:
         self._owner[preg] = None
         self._pfrl.append(preg)
         self.vvr_version[vvr] += 1
-        self.stamp += 1
         if self.sanitizer is not None:
             self.sanitizer.on_map_evict(vvr, preg)
         return preg
@@ -127,7 +120,6 @@ class VRFMapping:
             self._prmt[vvr] = None
             self._in_mvrf[vvr] = False
             self.vvr_version[vvr] += 1
-            self.stamp += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_map_release(vvr, None)
             return None
@@ -140,7 +132,6 @@ class VRFMapping:
         self._owner[preg] = None
         self._pfrl.append(preg)
         self.vvr_version[vvr] += 1
-        self.stamp += 1
         if self.sanitizer is not None:
             self._in_mvrf[vvr] = True
             self.sanitizer.on_map_evict(vvr, preg)

@@ -21,17 +21,20 @@ are evaluated (and in inlining the stage bodies that stepper spells out):
   event instead of re-probing idle stages cycle by cycle — the original
   all-stalled-only ``_fast_forward`` generalised into the normal execution
   mode;
-* queue-head operand resolution is memoized against the second-level
-  mapping's version counter: while no VVR changes residency, a stalled
-  head's re-probe collapses to pruning completed producers (exactly what
-  the full re-resolution would compute) instead of re-walking the mapping
-  and reader bookkeeping every cycle;
+* queue-head operand resolution is memoized against the sum of its
+  sources' per-VVR residency versions: while none of them changes
+  residency, a stalled head's re-probe collapses to pruning completed
+  producers (exactly what the full re-resolution would compute) instead
+  of re-walking the mapping and reader bookkeeping every cycle;
 * a stalled pre-issue head is memoized too.  On a two-level machine the
-  memo holds while its sources' residency versions are unchanged.  On a
+  memo holds while its sources' residency version sum is unchanged.  On a
   single-level machine sources never change residency, so a writer stall
   holds while the awaited producer has no P-reg and a queue-full stall
   while the queue is full; no residency version is read or maintained
-  there.
+  there;
+* a blocked memory gate is memoized too: the memo holds while the head,
+  the queue length and the head's source version sum are unchanged and
+  the head's wake timestamp has not arrived.
 
 The scheduler is required to be **observationally invisible**: identical
 :class:`~repro.sim.stats.SimStats` (including per-evaluated-cycle stall
@@ -646,31 +649,19 @@ class VectorPipeline(PipelineModel):
         self._dispatch_wake = 0.0
 
         # -- span-charging scheduler state --------------------------------
-        # Memoized blocked-issue gates.  While the memo proves the gate
+        # Memoized blocked memory gate.  While the memo proves the gate
         # must still report "no progress, no counters", the stage is not
-        # entered at all.  Validity: same head object, (mem only) same
-        # queue length, wake not yet reached (or, when some dependency was
-        # unissued, no issue since), and either no mapping transition since
-        # (stamp) or the head's source-residency version sum unchanged.  A
-        # version sum of -1 marks a head whose sources cannot change
-        # residency: a swap op, or any head on a single-level machine.
-        self._mg_head: Optional[MicroOp] = None  # memory gate
+        # entered at all.  Validity: same head object, same queue length,
+        # wake not yet reached (or, when some dependency was unissued, no
+        # issue since), and the head's source-residency version sum
+        # unchanged.  A version sum of -1 marks a head whose sources cannot
+        # change residency: a swap op, or any head on a single-level
+        # machine.
+        self._mg_head: Optional[MicroOp] = None
         self._mg_len = -1
         self._mg_wake = -1.0
         self._mg_istamp = -1
-        self._mg_mstamp = -1
         self._mg_vsum = -1
-        self._ag_head: Optional[MicroOp] = None  # arithmetic gate
-        self._ag_wake = -1.0
-        self._ag_istamp = -1
-        self._ag_mstamp = -1
-        self._ag_vsum = -1
-        # Pre-issue memo revalidation shortcut (two-level machines): while
-        # the mapping stamp is unchanged since the head's stall memo last
-        # validated, the source version sum cannot have changed and the
-        # re-sum is skipped.
-        self._pi_head: Optional[MicroOp] = None
-        self._pi_mstamp = -1
         # (vl, beats per element) -> arith_beats at this machine's lanes.
         self._arith_beats: Dict[Tuple[int, float], int] = {}
 
@@ -681,14 +672,17 @@ class VectorPipeline(PipelineModel):
         One loop iteration evaluates one cycle; each stage is entered only
         when its O(1) gate holds (the gate mirrors the stage's no-progress
         early return, so skipping a stage is observationally identical to
-        polling it).  Blocked issue gates and stalled pre-issue / rename
+        polling it).  A blocked memory gate and stalled pre-issue / rename
         heads are additionally *memoized*: while the memo proves the stage
         would report the same outcome again, only the stall counter the
         interval accrues is charged — the span-charging replay — and the
-        stage body is never entered.  When no gate holds or every entered
-        stage reports a stall, the clock jumps straight to the next event.
-        On a run the steady-state tracker accepts, whole strip periods
-        it has proven to repeat are skipped (module docstring).
+        stage body is never entered.  On a two-level machine a memo that
+        depends on residency re-sums its head's source versions.  The
+        arithmetic gate is probed in full whenever its unit is free.  When
+        no gate holds or every entered stage reports a stall, the clock
+        jumps straight to the next event.  On a run the steady-state
+        tracker accepts, whole strip periods it has proven to repeat are
+        skipped (module docstring).
         """
         stats = self.stats
         rob = self.rob
@@ -704,8 +698,7 @@ class VectorPipeline(PipelineModel):
         mem_depth = self._mem_depth
         arith_depth = self._arith_depth
         to_commit = self._to_commit
-        mapping = self.mapping
-        vvr_version = mapping.vvr_version
+        vvr_version = self.mapping.vvr_version
         track = self._track_swap_state
         done_state = _DONE
         # Counters charged in locals and added to ``stats`` once, when the
@@ -778,43 +771,18 @@ class VectorPipeline(PipelineModel):
                         wake = self._mg_wake
                         if (now < wake if wake >= 0.0
                                 else self._issue_stamp == self._mg_istamp):
-                            if mapping.stamp == self._mg_mstamp:
+                            vsum = self._mg_vsum
+                            if vsum < 0:  # sources cannot move
                                 blocked = True
                             else:
-                                vsum = self._mg_vsum
-                                if vsum < 0:  # sources cannot move
-                                    blocked = True
-                                else:
-                                    s = 0
-                                    for v in head.src_vvrs:
-                                        s += vvr_version[v]
-                                    blocked = s == vsum
-                                if blocked:
-                                    self._mg_mstamp = mapping.stamp
+                                s = 0
+                                for v in head.src_vvrs:
+                                    s += vvr_version[v]
+                                blocked = s == vsum
                     if not blocked:
                         progress |= self._issue_memory()
                 if arith_q and self._arith_busy_until <= now:
-                    head = arith_q[0]
-                    blocked = False
-                    if head is self._ag_head:
-                        wake = self._ag_wake
-                        if (now < wake if wake >= 0.0
-                                else self._issue_stamp == self._ag_istamp):
-                            if mapping.stamp == self._ag_mstamp:
-                                blocked = True
-                            else:
-                                vsum = self._ag_vsum
-                                if vsum < 0:  # sources cannot move
-                                    blocked = True
-                                else:
-                                    s = 0
-                                    for v in head.src_vvrs:
-                                        s += vvr_version[v]
-                                    blocked = s == vsum
-                                    if blocked:
-                                        self._ag_mstamp = mapping.stamp
-                    if not blocked:
-                        progress |= self._issue_arith()
+                    progress |= self._issue_arith()
                 if pre_issue_q:
                     # Inlined pre-issue stall memo (both kinds): re-count
                     # the stall while it provably still holds, without
@@ -822,8 +790,7 @@ class VectorPipeline(PipelineModel):
                     # never change residency, so its writer stall holds
                     # exactly while the awaited producer has no P-reg.  A
                     # two-level machine's holds while no source of the head
-                    # changed residency; the mapping stamp shortcut skips
-                    # even the version re-sum on quiet cycles.
+                    # changed residency: its version sum is unchanged.
                     head = pre_issue_q[0]
                     pk = head.preissue_stall_version
                     if pk >= 0:
@@ -832,17 +799,11 @@ class VectorPipeline(PipelineModel):
                         if not track:
                             held = (producer is None
                                     or producer.dst_preg is None)
-                        elif (head is self._pi_head
-                                and mapping.stamp == self._pi_mstamp):
-                            held = True
                         else:
                             s = 0
                             for v in head.src_vvrs:
                                 s += vvr_version[v]
                             held = s == pk
-                            if held:
-                                self._pi_head = head
-                                self._pi_mstamp = mapping.stamp
                         if held and producer is not None:
                             writer_stalls += 1
                         elif held and (len(mem_q) >= mem_depth
@@ -998,8 +959,8 @@ class VectorPipeline(PipelineModel):
         return t
 
     def _gate_wake(self, uop: MicroOp) -> Optional[float]:
-        """Earliest cycle a blocked issue-gate *probe* could see this head
-        ready.
+        """Earliest cycle a blocked memory-gate *probe* could see this head
+        ready (the wake :meth:`_memoize_mem_gate` memoizes).
 
         Differs from :meth:`_ready_wake` on one point: the resolve fast
         path prunes producers the moment they are DONE, so for a non-swap
@@ -1133,7 +1094,6 @@ class VectorPipeline(PipelineModel):
                 san.on_map_release(old, preg)
             if track:
                 mapping.vvr_version[old] += 1
-                mapping.stamp += 1
                 if fifo:
                     self.swap_logic.note_release(old)
                 mvrf.pop(old, None)  # drop_mvrf
@@ -1222,7 +1182,6 @@ class VectorPipeline(PipelineModel):
             for v in head.src_vvrs:
                 s += vvr_version[v]
             self._mg_vsum = s
-        self._mg_mstamp = self.mapping.stamp
 
     def _issue_swap_bypass(self) -> bool:
         """Issue a ready swap op from behind a blocked memory-queue head.
@@ -1262,25 +1221,7 @@ class VectorPipeline(PipelineModel):
                 return True
             if code == _R_VICTIM:
                 self.stats.issue_victim_stalls += 1
-                return False
-            # _R_WAIT: pure timestamp wait — memoize the closed gate.
-            wake = self._gate_wake(uop)
-            if wake is None:
-                self._ag_wake = -1.0
-                self._ag_istamp = self._issue_stamp
-            else:
-                self._ag_wake = wake
-            self._ag_head = uop
-            if self._track_swap_state:
-                vvr_version = self.mapping.vvr_version
-                s = 0
-                for v in uop.src_vvrs:
-                    s += vvr_version[v]
-                self._ag_vsum = s
-            else:
-                self._ag_vsum = -1  # sources cannot change residency
-            self._ag_mstamp = self.mapping.stamp
-            return False
+            return False  # or _R_WAIT: a pure timestamp wait
         self.arith_q.popleft()
         inst = uop.inst
         info = inst.info
@@ -1444,7 +1385,6 @@ class VectorPipeline(PipelineModel):
                 self._san.on_map_alloc(dst, preg)
             if self._track_swap_state:
                 mapping.vvr_version[dst] += 1
-                mapping.stamp += 1
                 self._attach_write_guards(uop, preg)
             uop.dst_preg = preg
             if created:

@@ -34,8 +34,8 @@ strips could pair with, since the program does not repeat around it, is
 not encoded.
 
 Excluded are the counters (extrapolated instead), the scheduler memos
-(``_mg_*``, ``_ag_*``, ``_pi_*``, wake and stall memos, the issue stamp,
-the mapping's versions and stamp, the beat cache: the equivalence suite
+(the memory gate's ``_mg_*``, wake and stall memos, the issue stamp, the
+mapping's residency versions, the beat cache: the equivalence suite
 requires them to be invisible, and a jump leaves them valid) and what no
 run the tracker watches reads: functional values, the round-robin
 pointer.  The field lists come from each class's ``__slots__`` or
@@ -158,9 +158,7 @@ KIND: Dict[str, Dict[str, str]] = {
             "_inflight_mem", "_dispatch_wake", "now"), STATE),
         **dict.fromkeys((
             "_issue_stamp", "_mg_head", "_mg_len", "_mg_wake",
-            "_mg_istamp", "_mg_mstamp", "_mg_vsum", "_ag_head", "_ag_wake",
-            "_ag_istamp", "_ag_mstamp", "_ag_vsum", "_pi_head",
-            "_pi_mstamp", "_arith_beats"), MEMO),
+            "_mg_istamp", "_mg_vsum", "_arith_beats"), MEMO),
         # swap_demand is a maximum, which a repeated period cannot raise.
         **dict.fromkeys(("memsys", "stats", "swap_demand", "steady",
                          "_cycle_offset"), TALLY),
@@ -178,7 +176,7 @@ KIND: Dict[str, Dict[str, str]] = {
     "RenameTable": {"n_logical": CONST, "n_vvr": CONST, "sanitizer": CONST,
                     "_rat": STATE, "_frl": STATE},
     "VRFMapping": {"n_vvr": CONST, "n_physical": CONST, "sanitizer": CONST,
-                   "vvr_version": MEMO, "stamp": MEMO, "_prmt": STATE,
+                   "vvr_version": MEMO, "_prmt": STATE,
                    "_vrlt": STATE, "_pfrl": STATE, "_owner": STATE,
                    "_in_mvrf": STATE},
     "TwoLevelVRF": {"n_vvr": CONST, "n_physical": CONST, "mvl": CONST,

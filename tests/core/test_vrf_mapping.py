@@ -70,8 +70,7 @@ def test_release_of_a_resident_vvr_reports_evict_then_release():
     class Recorder:
         def _snap(self, event, vvr, preg):
             seen.append((event, vvr, preg, m.in_pvrf(vvr), m.in_mvrf(vvr),
-                         m.free_count, m._owner[preg], m.vvr_version[vvr],
-                         m.stamp))
+                         m.free_count, m._owner[preg], m.vvr_version[vvr]))
 
         def on_map_alloc(self, vvr, preg):
             pass
@@ -85,8 +84,8 @@ def test_release_of_a_resident_vvr_reports_evict_then_release():
     m.sanitizer = Recorder()
     preg = m.allocate(10)
     assert m.release(10) == preg
-    assert seen == [("evict", 10, preg, False, True, 8, None, 2, 2),
-                    ("release", 10, preg, False, False, 8, None, 2, 2)]
+    assert seen == [("evict", 10, preg, False, True, 8, None, 2),
+                    ("release", 10, preg, False, False, 8, None, 2)]
     assert not m.in_mvrf(10)
 
 

@@ -6,13 +6,16 @@ it that way: a model method copied back into both subclasses, or a shared
 method overridden by a subclass, fails here instead of silently splitting
 the model in two.  A further guard keeps the scheduler's hot methods, and
 the per-access helpers they call, on module-bound enum members and
-value-keyed opcode tables.
+value-keyed opcode tables, and one more keeps every field the
+constructors set read somewhere, so a memo whose last reader is deleted
+goes with it.
 """
 
 import ast
 import dataclasses
 import inspect
 import textwrap
+from pathlib import Path
 
 from repro.core.uop import MicroOp
 from repro.isa.semantics import evaluate_arith
@@ -141,3 +144,46 @@ def test_hot_methods_use_module_bound_enum_members():
     # VectorPipeline._rename passes these positionally.
     assert [f.name for f in dataclasses.fields(MicroOp)][:5] == [
         "inst", "src_vvrs", "dst_vvr", "old_dst_vvr", "renamed_at"]
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _self_fields(func) -> set:
+    """Attributes ``func`` assigns on ``self``, plainly or annotated."""
+    fields = set()
+    for node in ast.walk(_tree(func)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    fields.add(sub.attr)
+    return fields
+
+
+def _loaded_attributes() -> set:
+    """Every attribute name ``src/repro`` reads (``x.name`` in a load)."""
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+    return names
+
+
+def test_no_constructor_field_is_write_only():
+    """A field the constructors set that no code in ``src/repro`` reads
+    costs a store per update and explains nothing: read it or delete it.
+    Updates (``self.x += 1``) are stores, not reads."""
+    fields = (_self_fields(PipelineModel.__init__)
+              | _self_fields(VectorPipeline.__init__))
+    assert len(fields) > 50  # the walk found the constructors' fields
+    assert sorted(fields - _loaded_attributes()) == []

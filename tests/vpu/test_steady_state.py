@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.config import ava_config, get_machine
 from repro.core.swap import VictimPolicy
+from repro.core.uop import MicroOp
 from repro.experiments.configs import figure3_series
 from repro.isa.operands import AddressSpace, MemOperand
 from repro.sim.scenario import CellPolicy, Scenario
@@ -118,16 +119,24 @@ def test_named_cells_extrapolate(name, machine, steady):
 def test_every_tracked_field_is_classified():
     """An unclassified field is compared literally (and a container field
     cannot be, which makes every run step in full), so a new pipeline
-    field must be given a kind in steady.KIND.  A two-level run also
-    tracks the RAC and the Swap Logic."""
+    field must be given a kind in steady.KIND.  A deleted field must leave
+    it too: a stale entry reads as a classified field that no longer
+    exists.  A two-level run also tracks the RAC and the Swap Logic."""
     for machine in ("native-x1", "ava-x2"):
         config = get_machine(machine)
         pipe = VectorPipeline(config, _program("axpy", config))
         tracker = SteadyState(pipe, max_cycles=1)
         assert tracker.literals == []
         assert tracker.uop_literals == []
-    for obj in (pipe.rac, pipe.swap_logic):
-        assert set(_field_names(obj)) <= set(KIND[type(obj).__name__])
+        l2 = pipe.memsys.l2
+        objs = (pipe, pipe.rat, pipe.mapping, pipe.vrf, pipe.rob, pipe.rac,
+                pipe.swap_logic, l2, l2.stats, pipe.memsys.dram, pipe.stats,
+                MicroOp)
+        names = [(obj if isinstance(obj, type) else type(obj)).__name__
+                 for obj in objs]
+        assert set(names) == set(KIND)
+        for name, obj in zip(names, objs):
+            assert set(_field_names(obj)) == set(KIND[name]), (machine, name)
     assert (pipe.swap_logic, "ties") in tracker.counters
 
 
