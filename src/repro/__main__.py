@@ -128,10 +128,6 @@ LINT.add_argument(
          "(default: all)")
 LINT.add_argument("--json", action="store_true",
                   help="emit the machine-readable JSON report")
-LINT.add_argument(
-    "--fix", action="store_true",
-    help="repair fixable findings (missing hot-path __slots__, broad-except "
-         "justification scaffolds) before checking")
 
 
 def _cache_actions(parser: argparse.ArgumentParser) -> None:
@@ -374,8 +370,7 @@ def _lint_command(parser: argparse.ArgumentParser,
     if args.rules:
         rules = [tok.strip() for tok in args.rules.split(",") if tok.strip()]
     try:
-        result = run_lint(paths, rules=rules, as_json=args.json,
-                          fix=args.fix)
+        result = run_lint(paths, rules=rules, as_json=args.json)
     except KeyError as exc:
         parser.error(exc.args[0])
     print(result.output)

@@ -1,8 +1,8 @@
-"""Driver for ``repro lint``: rule selection, --fix, and report rendering."""
+"""Driver for ``repro lint``: rule selection and report rendering."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -19,7 +19,6 @@ class LintResult:
     files_checked: int
     rules_run: List[str]
     output: str
-    fixed: List[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -56,38 +55,12 @@ def _collect(paths: Sequence[Path]) -> tuple:
     return sources, broken
 
 
-def _apply_fixes(sources: List[SourceFile],
-                 rules: Sequence[Rule]) -> tuple:
-    """Run each rule's fixer to a fixed point; returns (sources, fixed)."""
-    fixed: List[str] = []
-    fixers = [r.fixer for r in rules if r.fixer is not None]
-    out: List[SourceFile] = []
-    for src in sources:
-        current = src
-        changed = False
-        for fixer in fixers:
-            # A fixer returns the full rewritten text, or None when the
-            # file is already clean — which is also the idempotence test.
-            for _ in range(8):
-                new_text = fixer(current)
-                if new_text is None or new_text == current.text:
-                    break
-                current.path.write_text(new_text, encoding="utf-8")
-                current = load_source(current.path)
-                changed = True
-        if changed:
-            fixed.append(current.relpath)
-        out.append(current)
-    return out, fixed
-
-
 def run_lint(paths: Sequence[Path], *, rules: Optional[Sequence[str]] = None,
-             as_json: bool = False, fix: bool = False) -> LintResult:
+             as_json: bool = False) -> LintResult:
     """Run the analyzer over ``paths`` and render a report.
 
     ``rules`` filters by code ("D001") or family prefix ("D"); None runs
-    everything.  With ``fix=True`` the fixable rules rewrite files in
-    place before checks run, so the report reflects the repaired tree.
+    everything.
     """
     if rules:
         selected: List[Rule] = []
@@ -107,15 +80,11 @@ def run_lint(paths: Sequence[Path], *, rules: Optional[Sequence[str]] = None,
         chosen = all_rules()
 
     sources, findings = _collect(paths)
-    fixed: List[str] = []
-    if fix:
-        sources, fixed = _apply_fixes(sources, chosen)
     for rule in chosen:
         findings.extend(rule.check(sources))
 
     codes = [r.code for r in chosen]
     render = render_json if as_json else render_text
-    output = render(findings, files_checked=len(sources),
-                    rules_run=codes, fixed=fixed if fix else None)
+    output = render(findings, files_checked=len(sources), rules_run=codes)
     return LintResult(findings=sorted(findings), files_checked=len(sources),
-                      rules_run=codes, output=output, fixed=fixed)
+                      rules_run=codes, output=output)

@@ -11,21 +11,19 @@ fail loudly, exactly like workload name collisions.
         ...
         yield Finding(path, line, "X001", "eval() call")
 
-Rules that can be mechanically repaired attach a ``fixer`` callable
-(``fixer(source) -> Optional[str]`` returning the rewritten text); these
-are what ``repro lint --fix`` applies.
+A rule only reports: the analyzer never rewrites a file, so nothing a
+rule flags can be silenced by the tool that flags it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.analysis.reporting import Finding
 from repro.analysis.walker import SourceFile
 
 CheckFn = Callable[[List[SourceFile]], Iterable[Finding]]
-FixFn = Callable[[SourceFile], Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -36,15 +34,13 @@ class Rule:
     name: str
     summary: str
     check: CheckFn
-    fixer: Optional[FixFn] = None
 
 
 _RULES: Dict[str, Rule] = {}
 
 
-def register_rule(code: str, *, name: str, summary: str,
-                  fixer: Optional[FixFn] = None) -> Callable[[CheckFn],
-                                                             CheckFn]:
+def register_rule(code: str, *, name: str,
+                  summary: str) -> Callable[[CheckFn], CheckFn]:
     """Decorator registering ``check`` under ``code``.
 
     Raises ValueError on a duplicate code — two rules silently shadowing
@@ -57,7 +53,7 @@ def register_rule(code: str, *, name: str, summary: str,
                 f"lint rule code {code!r} is already registered "
                 f"({_RULES[code].name})")
         _RULES[code] = Rule(code=code, name=name, summary=summary,
-                            check=check, fixer=fixer)
+                            check=check)
         return check
 
     return wrap

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 #: Version stamp of the ``--json`` output shape; bump on any key change.
-LINT_JSON_SCHEMA = 1
+LINT_JSON_SCHEMA = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -18,19 +18,15 @@ class Finding:
     line: int
     code: str
     message: str
-    fixable: bool = field(default=False, compare=False)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
 def render_text(findings: List[Finding], *, files_checked: int,
-                rules_run: List[str],
-                fixed: Optional[List[str]] = None) -> str:
+                rules_run: List[str]) -> str:
     """Human-readable report, one ``file:line: CODE message`` per finding."""
     lines = [f.render() for f in sorted(findings)]
-    if fixed:
-        lines.extend(f"fixed: {path}" for path in fixed)
     noun = "finding" if len(findings) == 1 else "findings"
     lines.append(f"repro lint: {len(findings)} {noun} "
                  f"({files_checked} files, rules: {', '.join(rules_run)})")
@@ -38,8 +34,7 @@ def render_text(findings: List[Finding], *, files_checked: int,
 
 
 def render_json(findings: List[Finding], *, files_checked: int,
-                rules_run: List[str],
-                fixed: Optional[List[str]] = None) -> str:
+                rules_run: List[str]) -> str:
     """Machine-readable report (stable key order, one JSON object)."""
     payload: Dict = {
         "schema": LINT_JSON_SCHEMA,
@@ -48,10 +43,8 @@ def render_json(findings: List[Finding], *, files_checked: int,
         "count": len(findings),
         "findings": [
             {"path": f.path, "line": f.line, "code": f.code,
-             "message": f.message, "fixable": f.fixable}
+             "message": f.message}
             for f in sorted(findings)
         ],
     }
-    if fixed is not None:
-        payload["fixed"] = sorted(fixed)
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -7,9 +7,7 @@
 * **S002** — classes in the hot-path registry
   (:data:`repro.analysis.hotpath.HOT_PATH_CLASSES`) must declare
   ``__slots__`` (directly or via ``@dataclass(slots=True)``) or carry a
-  justified ``# lint: slots-exempt(<why>)`` pragma.  Fixable: ``repro
-  lint --fix`` derives the slot tuple from ``self.X = ...`` assignments
-  in ``__init__`` and inserts it.
+  justified ``# lint: slots-exempt(<why>)`` pragma.
 """
 
 from __future__ import annotations
@@ -152,59 +150,9 @@ def _slots_exempt(src: SourceFile, node: ast.ClassDef) -> bool:
     return any(has_pragma(src.line(n), SLOTS_EXEMPT) for n in linenos)
 
 
-def _init_self_attrs(node: ast.ClassDef) -> List[str]:
-    """Slot candidates: ``self.X = ...`` targets in ``__init__``, in order."""
-    attrs: List[str] = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            for sub in ast.walk(stmt):
-                targets = []
-                if isinstance(sub, ast.Assign):
-                    targets = sub.targets
-                elif isinstance(sub, ast.AnnAssign):
-                    targets = [sub.target]
-                for t in targets:
-                    if isinstance(t, ast.Attribute) and \
-                            isinstance(t.value, ast.Name) and \
-                            t.value.id == "self" and t.attr not in attrs:
-                        attrs.append(t.attr)
-    return attrs
-
-
-def _fix_missing_slots(src: SourceFile) -> Optional[str]:
-    """Insert a derived ``__slots__`` into hot-path classes lacking one."""
-    insertions = []  # (insert-at-line0, indent, slots)
-    for node in ast.walk(src.tree):
-        if not (isinstance(node, ast.ClassDef) and
-                node.name in HOT_PATH_CLASSES):
-            continue
-        if _has_slots(node) or _slots_exempt(src, node):
-            continue
-        attrs = _init_self_attrs(node)
-        if not attrs:
-            continue
-        first = node.body[0]
-        # Skip a docstring so the slots land after it, repo style.
-        if isinstance(first, ast.Expr) and \
-                isinstance(first.value, ast.Constant) and \
-                isinstance(first.value.value, str) and len(node.body) > 1:
-            first = node.body[1]
-        indent = " " * first.col_offset
-        rendered = ", ".join(f'"{a}"' for a in attrs)
-        insertions.append((first.lineno - 1, indent,
-                           f"{indent}__slots__ = ({rendered},)\n\n"))
-    if not insertions:
-        return None
-    lines = src.text.splitlines(keepends=True)
-    for line0, _indent, text in sorted(insertions, reverse=True):
-        lines.insert(line0, text)
-    return "".join(lines)
-
-
 @register_rule("S002", name="hot-path-slots",
                summary="hot-path registry classes must declare __slots__ "
-                       "or be slots-exempt",
-               fixer=_fix_missing_slots)
+                       "or be slots-exempt")
 def check_hot_path_slots(sources: List[SourceFile]) -> Iterable[Finding]:
     for src in sources:
         for node in ast.walk(src.tree):
@@ -214,5 +162,4 @@ def check_hot_path_slots(sources: List[SourceFile]) -> Iterable[Finding]:
                     yield Finding(
                         src.relpath, node.lineno, "S002",
                         f"hot-path class {node.name} has no __slots__ "
-                        f"(add one, or # lint: slots-exempt(<why>))",
-                        fixable=True)
+                        f"(add one, or # lint: slots-exempt(<why>))")

@@ -9,8 +9,8 @@ answer, or worse, mask nondeterminism).  Two rules keep the split real:
   justification idiom on the same line: ``# noqa: BLE001 — <reason>``.
   An empty reason is still a finding.  Cleanup guards whose body ends in
   a bare ``raise`` are exempt: they swallow nothing, and the hazard this
-  rule polices is swallowing.  Fixable: ``--fix`` appends a
-  ``TODO``-marked scaffold for a human to complete.
+  rule polices is swallowing.  A reason that starts with ``TODO`` is
+  a placeholder, not a reason, and counts as empty.
 * **F002** — retry-eligibility tuples in the cell dispatchers (names
   matching ``*RETRYABLE*``) may only contain exceptions from the
   infrastructure-fault taxonomy exported by :mod:`repro.faults`
@@ -21,14 +21,12 @@ answer, or worse, mask nondeterminism).  Two rules keep the split real:
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.analysis.pragmas import ble_justification
 from repro.analysis.registry import register_rule
 from repro.analysis.reporting import Finding
 from repro.analysis.walker import SourceFile, dotted_name
-
-_SCAFFOLD = "  # noqa: BLE001 — TODO: justify this broad except"
 
 
 def _is_broad(handler: ast.ExceptHandler) -> bool:
@@ -51,8 +49,7 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 @register_rule("F001", name="justified-broad-except",
                summary="except Exception requires a # noqa: BLE001 — "
-                       "<reason> justification",
-               fixer=lambda src: _fix_missing_justification(src))
+                       "<reason> justification")
 def check_broad_except(sources: List[SourceFile]) -> Iterable[Finding]:
     for src in sources:
         for node in ast.walk(src.tree):
@@ -65,31 +62,12 @@ def check_broad_except(sources: List[SourceFile]) -> Iterable[Finding]:
                 yield Finding(
                     src.relpath, node.lineno, "F001",
                     "broad except without a # noqa: BLE001 — <reason> "
-                    "justification", fixable=True)
-            elif not reason:
+                    "justification")
+            elif not reason or reason.upper().startswith("TODO"):
                 yield Finding(
                     src.relpath, node.lineno, "F001",
                     "# noqa: BLE001 pragma with an empty reason; say why "
                     "the broad except is safe")
-
-
-def _fix_missing_justification(src: SourceFile) -> Optional[str]:
-    """Append a TODO justification scaffold to unannotated broad excepts."""
-    targets = []
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.ExceptHandler) and _is_broad(node) and \
-                not _reraises(node) and \
-                ble_justification(src.line(node.lineno)) is None:
-            targets.append(node.lineno)
-    if not targets:
-        return None
-    lines = src.text.splitlines(keepends=True)
-    for lineno in targets:
-        raw = lines[lineno - 1]
-        stripped = raw.rstrip("\n")
-        newline = raw[len(stripped):]
-        lines[lineno - 1] = stripped + _SCAFFOLD + newline
-    return "".join(lines)
 
 
 def _taxonomy_names() -> frozenset:

@@ -1,8 +1,4 @@
-"""S002 bad fixture: a hot-path registry class carrying a __dict__.
-
-Also the --fix corpus: the fixer must derive the slot tuple from the
-``self.X = ...`` assignments in ``__init__`` (docstring preserved).
-"""
+"""S002 bad fixture: a hot-path registry class carrying a __dict__."""
 
 
 class MicroOp:

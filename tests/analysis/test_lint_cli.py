@@ -1,7 +1,6 @@
-"""The lint driver: self-hosting, rule selection, --json, --fix, registry."""
+"""The lint driver: self-hosting, rule selection, --json, registry."""
 
 import json
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,12 +76,12 @@ def test_json_report_shape():
     assert payload["schema"] == LINT_JSON_SCHEMA
     assert payload["files_checked"] == 1
     assert payload["rules"] == ["F001"]
-    assert payload["count"] == 2 == len(payload["findings"])
+    assert payload["count"] == 3 == len(payload["findings"])
     first = payload["findings"][0]
-    assert set(first) == {"path", "line", "code", "message", "fixable"}
+    assert set(first) == {"path", "line", "code", "message"}
     assert first["code"] == "F001"
-    # sorted by (path, line): the two findings arrive in line order.
-    assert [f["line"] for f in payload["findings"]] == [7, 14]
+    # sorted by (path, line): the findings arrive in line order.
+    assert [f["line"] for f in payload["findings"]] == [7, 14, 21]
 
 
 def test_text_report_summary_line():
@@ -90,57 +89,6 @@ def test_text_report_summary_line():
     lines = result.output.splitlines()
     assert lines[-1] == "repro lint: 1 finding (1 files, rules: F002)"
     assert lines[0].endswith(result.findings[0].render().split(": ", 1)[1])
-
-
-# ---------------------------------------------------------------------------
-# --fix: mechanical repairs converge and are idempotent.
-# ---------------------------------------------------------------------------
-def _fix_fixture(tmp_path, name):
-    target = tmp_path / name
-    shutil.copy(FIXTURES / name, target)
-    return target
-
-
-def test_fix_inserts_slots_and_is_idempotent(tmp_path):
-    target = _fix_fixture(tmp_path, "s002_bad.py")
-    first = run_lint([target], rules=["S002"], fix=True)
-    assert first.fixed == [str(target)]
-    assert first.findings == []
-    text = target.read_text()
-    assert '__slots__ = ("inst", "rob_index", "done_at",)' in text
-    # The docstring stays first; the slots land directly after it.
-    lines = text.splitlines()
-    doc_idx = next(i for i, ln in enumerate(lines)
-                   if "fixture twin of the real one" in ln)
-    assert "__slots__" in lines[doc_idx + 2]
-    # Second run: nothing left to fix, file untouched.
-    second = run_lint([target], rules=["S002"], fix=True)
-    assert second.fixed == []
-    assert second.findings == []
-    assert target.read_text() == text
-
-
-def test_fix_scaffolds_broad_except_justifications(tmp_path):
-    target = _fix_fixture(tmp_path, "f001_bad.py")
-    first = run_lint([target], rules=["F001"], fix=True)
-    assert first.fixed == [str(target)]
-    text = target.read_text()
-    assert "# noqa: BLE001 — TODO: justify this broad except" in text
-    # The scaffold satisfies the missing-pragma finding but deliberately
-    # leaves a human-visible TODO; the pre-existing empty-reason pragma on
-    # line 14 is untouched (not mechanically repairable).
-    assert [f.line for f in first.findings] == [14]
-    second = run_lint([target], rules=["F001"], fix=True)
-    assert second.fixed == []
-    assert target.read_text() == text
-
-
-def test_fix_leaves_clean_files_alone(tmp_path):
-    target = _fix_fixture(tmp_path, "s002_good.py")
-    before = target.read_text()
-    result = run_lint([target], rules=["S002", "F001"], fix=True)
-    assert result.fixed == []
-    assert target.read_text() == before
 
 
 # ---------------------------------------------------------------------------

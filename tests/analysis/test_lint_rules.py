@@ -96,17 +96,17 @@ def test_rendered_schema_lock_reproduces_every_locked_constant():
 def test_s002_flags_the_slotless_hot_path_class():
     _, findings = _findings("s002_bad.py", ["S002"])
     assert len(findings) == 1
-    assert findings[0].fixable
     assert "MicroOp" in findings[0].message
 
 
 def test_f001_flags_unjustified_and_unreasoned_handlers():
     _, findings = _findings("f001_bad.py", ["F001"])
-    assert _lines(findings, "F001") == [7, 14]
+    assert _lines(findings, "F001") == [7, 14, 21]
     by_line = {f.line: f for f in findings}
-    assert by_line[7].fixable  # missing pragma: scaffoldable
-    assert not by_line[14].fixable  # empty reason needs a human
+    assert "without a # noqa: BLE001" in by_line[7].message
     assert "empty reason" in by_line[14].message
+    # A TODO placeholder is no reason at all.
+    assert by_line[21].message == by_line[14].message
 
 
 def test_f002_flags_only_the_non_infrastructure_exception():

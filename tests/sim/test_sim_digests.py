@@ -10,6 +10,10 @@ file can.  Every cell that swaps under the paper's defaults is also pinned
 under the ablations' other victim policies (``fifo``, ``round-robin``) and
 swap budgets (1, 4), keyed ``<workload>@<config> <variant>``.
 
+The same runs are also recounted from their compiled programs: the
+arithmetic counters and the arithmetic unit's busy time follow from the
+opcode table alone, and bound ``cycles`` from below.
+
 A deliberate timing-model or workload change regenerates the file in the
 same change, from the repository root::
 
@@ -19,6 +23,7 @@ same change, from the repository root::
 import functools
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +31,7 @@ import pytest
 
 from repro.core.swap import VictimPolicy
 from repro.experiments.configs import figure3_series
+from repro.isa.opcodes import OPCODE_INFO, OpKind
 from repro.sim.scenario import CellPolicy, Scenario
 from repro.vpu.params import DEFAULT_TIMING
 from repro.vpu.pipeline import VectorPipeline
@@ -57,24 +63,33 @@ def _row(stats) -> dict:
 
 
 @functools.cache
-def _digests(name: str) -> dict:
-    """Every row of ``name``: one per figure3 configuration, plus one per
+def _runs(name: str) -> dict:
+    """Every run of ``name`` as ``(scenario, program, stats)``, keyed like
+    its digest row: one per figure3 configuration, plus one per
     :data:`VARIANTS` entry for each configuration that swaps at the
-    defaults.  Both tests read it, so each program compiles once."""
+    defaults.  Every test reads it, so each program compiles once and
+    each run simulates once."""
     workload = get_workload(name)
     workload.n_elements = SMALL_N
-    digests = {}
+    runs = {}
     for config in figure3_series():
         cell = f"{name}@{config.name}"
         program = workload.compile(config).program
-        default = digests[cell] = _row(VectorPipeline(config, program).run())
-        if not default["swap_loads"] + default["swap_stores"]:
+        scenario = Scenario(machine=config)
+        stats = VectorPipeline(scenario, program).run()
+        runs[cell] = (scenario, program, stats)
+        if not stats.swap_loads + stats.swap_stores:
             continue
         for label, fields in VARIANTS.items():
             scenario = Scenario(machine=config, **fields)
-            digests[f"{cell} {label}"] = _row(
-                VectorPipeline(scenario, program).run())
-    return digests
+            runs[f"{cell} {label}"] = (
+                scenario, program, VectorPipeline(scenario, program).run())
+    return runs
+
+
+def _digests(name: str) -> dict:
+    """The pinned row of every run of ``name``."""
+    return {key: _row(stats) for key, (_, _, stats) in _runs(name).items()}
 
 
 def _is_variant(key: str) -> bool:
@@ -103,6 +118,36 @@ def test_swap_variants_match_pinned_digest(name):
         and _is_variant(key))
     for key, digest in digests.items():
         assert digest == pinned[key], key
+
+
+def _arith_recount(program, lanes: int, dead_time: int) -> tuple:
+    """``(arith_insts, fpu_element_ops, arith_busy_cycles)`` recounted
+    from the compiled program and the opcode table alone.  The unit is
+    busy ``dead_time`` cycles plus one beat per ``lanes`` elements (times
+    the opcode's ``beats_per_element``), at least one, per instruction."""
+    insts = busy = elements = 0
+    for inst in program.insts:
+        info = OPCODE_INFO[inst.op]
+        if info.kind is not OpKind.ARITH:
+            continue
+        insts += 1
+        elements += inst.vl
+        busy += dead_time + max(
+            1, math.ceil(inst.vl / lanes * info.beats_per_element))
+    return insts, elements, busy
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_arithmetic_unit_recount_bounds_cycles(name):
+    """The arithmetic counters follow from the program alone, and the
+    single arithmetic unit's busy time is a floor under ``cycles``: no
+    schedule can finish before the unit has issued every instruction."""
+    for key, (scenario, program, stats) in _runs(name).items():
+        insts, elements, floor = _arith_recount(
+            program, scenario.machine.lanes, scenario.timing.arith_dead_time)
+        assert (stats.arith_insts, stats.fpu_element_ops,
+                stats.arith_busy_cycles) == (insts, elements, floor), key
+        assert stats.cycles >= floor, key
 
 
 if __name__ == "__main__":
